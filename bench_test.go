@@ -15,6 +15,7 @@ package septic_test
 
 import (
 	"fmt"
+	"runtime"
 	"sync/atomic"
 	"testing"
 
@@ -788,47 +789,90 @@ func BenchmarkParse(b *testing.B) {
 
 // --- Durability ablation: WAL fsync policy vs training throughput -----
 
-// BenchmarkTrainDurable measures the cost a write-ahead log adds to one
-// acknowledged training update (a Store.Put of a new model) at each
-// fsync policy, against the no-WAL baseline. Every iteration stores a
-// distinct identifier so every Put appends one WAL record; with
-// fsync=always each iteration also pays one fsync — that sub-benchmark
-// is the price of the "no acknowledged update is ever lost" guarantee.
-func BenchmarkTrainDurable(b *testing.B) {
+// durableStore builds a training-mode guard whose default domain's store
+// logs to a fresh WAL at the named fsync policy ("off": no WAL), and
+// returns the store plus the persistence (nil when off) to read the
+// WAL's counters from. The WAL is closed when the benchmark ends.
+func durableStore(b *testing.B, policy string) (*core.Store, *core.Persistence) {
+	b.Helper()
+	guard := core.New(core.Config{Mode: core.ModeTraining},
+		core.WithLogger(core.NewLogger(core.WithCheckedSampling(0))),
+		core.WithVerdictCacheCapacity(0))
+	var persist *core.Persistence
+	if policy != "off" {
+		fp, err := wal.ParseFsyncPolicy(policy)
+		if err != nil {
+			b.Fatal(err)
+		}
+		persist, err = guard.AttachPersistence(core.PersistenceOptions{
+			Dir: b.TempDir(), Fsync: fp,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Cleanup(func() { persist.Close() })
+	}
+	dom, _ := guard.Domain(core.DefaultDomain)
+	return dom.Store(), persist
+}
+
+// durableModel is the model every durability benchmark stores.
+func durableModel(b *testing.B) qstruct.Model {
+	b.Helper()
 	stmt, err := sqlparser.Parse("SELECT a FROM t WHERE b = 1")
 	if err != nil {
 		b.Fatal(err)
 	}
-	model := qstruct.ModelOf(qstruct.BuildStack(stmt))
+	return qstruct.ModelOf(qstruct.BuildStack(stmt))
+}
 
-	run := func(b *testing.B, policy string) {
-		guard := core.New(core.Config{Mode: core.ModeTraining},
-			core.WithLogger(core.NewLogger(core.WithCheckedSampling(0))),
-			core.WithVerdictCacheCapacity(0))
-		if policy != "off" {
-			fp, err := wal.ParseFsyncPolicy(policy)
-			if err != nil {
-				b.Fatal(err)
+// BenchmarkTrainDurable measures the cost a write-ahead log adds to one
+// acknowledged training update (a Store.Put of a new model) at each
+// fsync policy, against the no-WAL baseline. Every iteration stores a
+// distinct identifier so every Put appends one WAL record; with
+// fsync=always and this single writer each iteration also pays one
+// fsync — that sub-benchmark is the price of the "no acknowledged update
+// is ever lost" guarantee when nothing shares it.
+func BenchmarkTrainDurable(b *testing.B) {
+	model := durableModel(b)
+	for _, policy := range benchlab.DurabilityPolicies() {
+		b.Run(policy, func(b *testing.B) {
+			store, _ := durableStore(b, policy)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if !store.Put(fmt.Sprintf("q%09d", i), model, false) {
+					b.Fatalf("put %d refused: durability sink failed", i)
+				}
 			}
-			persist, err := guard.AttachPersistence(core.PersistenceOptions{
-				Dir: b.TempDir(), Fsync: fp,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer persist.Close()
-		}
-		dom, _ := guard.Domain(core.DefaultDomain)
-		store := dom.Store()
+		})
+	}
+}
+
+// BenchmarkTrainDurableParallel is the fsync=always update under the
+// concurrency the wire server's worker pool gives it: 8 putters storing
+// distinct identifiers (spread over the store's shards by hash), so the
+// WAL's group commit has appends to share an fsync between. ns/op is
+// wall time per acknowledged update across all putters; fsyncs/update
+// below 1 is the grouping.
+func BenchmarkTrainDurableParallel(b *testing.B) {
+	model := durableModel(b)
+	b.Run("always", func(b *testing.B) {
+		store, persist := durableStore(b, "always")
+		procs := runtime.GOMAXPROCS(0)
+		b.SetParallelism((8 + procs - 1) / procs) // 8 goroutines, or the next multiple
+		var next atomic.Int64
 		b.ReportAllocs()
 		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if !store.Put(fmt.Sprintf("q%09d", i), model, false) {
-				b.Fatalf("put %d refused: durability sink failed", i)
+		b.RunParallel(func(pb *testing.PB) {
+			for pb.Next() {
+				if id := next.Add(1); !store.Put(fmt.Sprintf("q%09d", id), model, false) {
+					b.Errorf("put %d refused: durability sink failed", id)
+					return
+				}
 			}
-		}
-	}
-	for _, policy := range benchlab.DurabilityPolicies() {
-		b.Run(policy, func(b *testing.B) { run(b, policy) })
-	}
+		})
+		b.StopTimer()
+		b.ReportMetric(float64(persist.Stats().WAL.Fsyncs)/float64(b.N), "fsyncs/update")
+	})
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"github.com/septic-db/septic/internal/faultinject"
@@ -28,6 +29,11 @@ import (
 // harness boundary: the files are left exactly as the kill left them
 // (no Close, no flush — the abandoned handles are the dead process's),
 // which is as close to kill -9 as a single test process gets.
+//
+// Every third cycle the burst is 8 concurrent putters instead of one
+// thread, so the acknowledgements under test are those of WAL commit
+// groups: members of one fsync led by another goroutine, the goroutine
+// the kill lands on holding a shard lock the rest may be queued behind.
 
 // chaosOp runs one mutation with crash containment; reports whether the
 // injected kill fired.
@@ -66,6 +72,9 @@ func TestChaosCrashRecoveryNeverLosesAckedUpdates(t *testing.T) {
 	acked := make(map[string]uint64)
 	limbo := make(map[string]uint64)
 	nextID, crashes, checkpoints := 0, 0, 0
+	// writerSites are the kill points a Put crosses.
+	writerSites := []string{faultinject.SiteWALAppend, faultinject.SiteWALShortWrite,
+		faultinject.SiteWALFsync, faultinject.SiteWALRotate}
 
 	boot := func() (*Septic, *Persistence) {
 		s := New(DefaultConfig())
@@ -124,42 +133,79 @@ func TestChaosCrashRecoveryNeverLosesAckedUpdates(t *testing.T) {
 
 		// Arm one random kill point with a random countdown and run a
 		// burst of mutations until it fires (or the burst ends).
-		site := sites[rng.Intn(len(sites))]
-		faultinject.Arm(faultinject.KillPoint(site, int64(1+rng.Intn(6))))
 		crashed := false
-		for op := 0; op < 24 && !crashed; op++ {
-			switch r := rng.Intn(10); {
-			case r < 6: // put
-				dom := domains[rng.Intn(len(domains))]
-				id := fmt.Sprintf("q%06d", nextID)
-				nextID++
-				m := models[rng.Intn(len(models))]
+		if cycle%3 == 2 {
+			site := writerSites[rng.Intn(len(writerSites))]
+			faultinject.Arm(faultinject.KillPoint(site, int64(1+rng.Intn(12))))
+			var mu sync.Mutex // guards acked and crashed
+			var wg sync.WaitGroup
+			for g := 0; g < 8; g++ {
+				dom := domains[g%len(domains)]
 				d, _ := s.Domain(dom)
-				crashed = chaosOp(t, func() {
-					if d.Store().Put(id, m, false) {
-						acked[dom+"/"+id] = m.Fingerprint()
+				m := models[rng.Intn(len(models))]
+				base := nextID
+				nextID += 6
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for i := 0; i < 6; i++ {
+						id := fmt.Sprintf("q%06d", base+i)
+						killed := chaosOp(t, func() {
+							if d.Store().Put(id, m, false) {
+								mu.Lock()
+								acked[dom+"/"+id] = m.Fingerprint()
+								mu.Unlock()
+							}
+						})
+						if killed {
+							// This goroutine "died"; the others run on until
+							// the poisoned log (or the burst's end) stops them.
+							mu.Lock()
+							crashed = true
+							mu.Unlock()
+							return
+						}
 					}
-				})
-			case r < 7 && len(acked) > 0: // delete a random acked id
-				for key := range acked {
-					dom, id := splitKey(key)
+				}()
+			}
+			wg.Wait()
+		} else {
+			site := sites[rng.Intn(len(sites))]
+			faultinject.Arm(faultinject.KillPoint(site, int64(1+rng.Intn(6))))
+			for op := 0; op < 24 && !crashed; op++ {
+				switch r := rng.Intn(10); {
+				case r < 6: // put
+					dom := domains[rng.Intn(len(domains))]
+					id := fmt.Sprintf("q%06d", nextID)
+					nextID++
+					m := models[rng.Intn(len(models))]
 					d, _ := s.Domain(dom)
-					fp := acked[key]
-					delete(acked, key)
-					limbo[key] = fp
-					crashed = chaosOp(t, func() { d.Store().Delete(id) })
-					break
-				}
-			case r < 8: // mode flip (never acked: no assertion later)
-				d, _ := s.Domain(domains[rng.Intn(len(domains))])
-				mode := []Mode{ModeTraining, ModeDetection, ModePrevention}[rng.Intn(3)]
-				crashed = chaosOp(t, func() { d.SetMode(mode) })
-			default: // checkpoint
-				crashed = chaosOp(t, func() {
-					if err := p.Checkpoint(); err == nil {
-						checkpoints++
+					crashed = chaosOp(t, func() {
+						if d.Store().Put(id, m, false) {
+							acked[dom+"/"+id] = m.Fingerprint()
+						}
+					})
+				case r < 7 && len(acked) > 0: // delete a random acked id
+					for key := range acked {
+						dom, id := splitKey(key)
+						d, _ := s.Domain(dom)
+						fp := acked[key]
+						delete(acked, key)
+						limbo[key] = fp
+						crashed = chaosOp(t, func() { d.Store().Delete(id) })
+						break
 					}
-				})
+				case r < 8: // mode flip (never acked: no assertion later)
+					d, _ := s.Domain(domains[rng.Intn(len(domains))])
+					mode := []Mode{ModeTraining, ModeDetection, ModePrevention}[rng.Intn(3)]
+					crashed = chaosOp(t, func() { d.SetMode(mode) })
+				default: // checkpoint
+					crashed = chaosOp(t, func() {
+						if err := p.Checkpoint(); err == nil {
+							checkpoints++
+						}
+					})
+				}
 			}
 		}
 		faultinject.Disarm()

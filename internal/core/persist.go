@@ -32,8 +32,9 @@ import (
 //     atomic snapshot (temp file + fsync + rename + directory fsync)
 //     and trims the sealed segments the snapshot made redundant.
 //
-// Under wal.FsyncAlways, a training update whose Put returned true has
-// been fsynced and survives any crash — the invariant the crash-chaos
+// Under wal.FsyncAlways, a training update whose Put returned true is
+// covered by a completed fsync (one per commit group of concurrent
+// updates) and survives any crash — the invariant the crash-chaos
 // suite (crash_chaos_test.go) kills the process at random points to
 // verify.
 
@@ -240,7 +241,12 @@ func (s *Septic) AttachPersistence(opts PersistenceOptions) (*Persistence, error
 	// are already covered by the snapshot; replay is idempotent anyway
 	// (fingerprint dedup), but the filter keeps boot time proportional
 	// to the uncheckpointed tail.
+	var metrics *obs.Registry
+	if s.obs != nil {
+		metrics = s.obs.Metrics
+	}
 	log, info, err := wal.Open(wal.Options{
+		Metrics:      metrics,
 		Dir:          opts.Dir,
 		Policy:       opts.Fsync,
 		Interval:     opts.FsyncInterval,
@@ -421,7 +427,11 @@ func (p *Persistence) append(domain string, rec *walRecord) error {
 // barrier is in the snapshot — so trimming up to the barrier can never
 // drop an uncheckpointed record. Records landing during the snapshot
 // may be included too; replaying them over the snapshot at boot is
-// idempotent.
+// idempotent. The barrier is the last sequence WRITTEN, which under
+// group commit may run ahead of the durable horizon: such a record's
+// writer still holds its shard lock while it waits for the fsync, so the
+// snapshot sees it published — or refused by a failed flush, in which
+// case it was never acknowledged and the poisoned log takes no more.
 func (p *Persistence) Checkpoint() error {
 	p.cpMu.Lock()
 	defer p.cpMu.Unlock()
@@ -564,8 +574,10 @@ func (p *Persistence) ReplAppliedSeq() uint64 { return p.replSeq.Load() }
 
 // ReplSnapshot captures an in-memory snapshot of every domain for
 // streaming to a replica, without writing or trimming anything locally.
-// The returned barrier is the WAL sequence read BEFORE the stores were
-// snapshotted — the same barrier argument Checkpoint relies on: every
+// The returned barrier is the WAL's durable horizon (not the last
+// sequence written: a replica must never be told it holds a record the
+// primary might not recover) read BEFORE the stores were snapshotted —
+// the same barrier argument Checkpoint relies on: every
 // record at or below it is reflected in the snapshot, so a replica that
 // installs the snapshot and then follows the stream from the barrier
 // misses nothing (records landing during the snapshot may be included
@@ -573,7 +585,7 @@ func (p *Persistence) ReplAppliedSeq() uint64 { return p.replSeq.Load() }
 // so the replica installs it through the same decode/verify/restore
 // path boot uses.
 func (p *Persistence) ReplSnapshot() (uint64, []byte, error) {
-	barrier := p.log.LastSeq()
+	barrier := p.log.DurableSeq()
 	cp := checkpointFile{
 		Version: checkpointVersion,
 		WALSeq:  barrier,
@@ -604,17 +616,20 @@ func (p *Persistence) ReplReadFrom(after uint64, maxBytes int) ([]wal.Record, er
 // catch-up read so no record can fall between the two.
 func (p *Persistence) ReplWatch(buf int) *wal.Watcher { return p.log.Watch(buf) }
 
-// ReplLastSeq is the newest WAL sequence, the replication stream's head.
-func (p *Persistence) ReplLastSeq() uint64 { return p.log.LastSeq() }
+// ReplLastSeq is the newest acknowledged WAL sequence, the replication
+// stream's head: what ReplReadFrom and ReplWatch have exposed or will.
+func (p *Persistence) ReplLastSeq() uint64 { return p.log.DurableSeq() }
 
-// registerGauges exports the durability counters as wal.* metrics.
+// registerGauges exports the durability counters as wal.* metrics; the
+// log adds wal.fsync and wal.group_size* itself. wal.Stats takes no
+// lock, so a scrape never queues behind an append.
 func (p *Persistence) registerGauges(m *obs.Registry) {
 	m.GaugeFunc("wal.appends", func() int64 { return p.log.Stats().Appends })
 	m.GaugeFunc("wal.append_errors", p.appendErrors.Load)
 	m.GaugeFunc("wal.fsyncs", func() int64 { return p.log.Stats().Fsyncs })
 	m.GaugeFunc("wal.rotations", func() int64 { return p.log.Stats().Rotations })
 	m.GaugeFunc("wal.trimmed_segments", func() int64 { return p.log.Stats().Trimmed })
-	m.GaugeFunc("wal.last_seq", func() int64 { return int64(p.log.Stats().LastSeq) })
+	m.GaugeFunc("wal.last_seq", func() int64 { return int64(p.log.LastSeq()) })
 	m.GaugeFunc("wal.recovered", p.recoveredRecords.Load)
 	m.GaugeFunc("wal.recovered_skipped", p.recoveredSkipped.Load)
 	m.GaugeFunc("wal.torn_segments", p.tornSegments.Load)

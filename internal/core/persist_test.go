@@ -383,6 +383,15 @@ func TestPersistenceGauges(t *testing.T) {
 	if snap.Gauges["wal.checkpoints"] != 1 || snap.Gauges["wal.last_checkpoint_seq"] != 1 {
 		t.Fatalf("checkpoint gauges: %+v", snap.Gauges)
 	}
+	// The flush leader's own numbers: one fsync, which made one record
+	// durable.
+	if h := snap.Histograms["wal.fsync"]; h.Count != 1 || h.SumNS <= 0 {
+		t.Fatalf("wal.fsync histogram: count %d sum %dns, want one timed fsync", h.Count, h.SumNS)
+	}
+	if snap.Gauges["wal.group_size"] != 1 || snap.Gauges["wal.group_size_max"] != 1 {
+		t.Fatalf("group size gauges: %d (max %d), want 1 (1)",
+			snap.Gauges["wal.group_size"], snap.Gauges["wal.group_size_max"])
+	}
 	if evs := hub.Events.Recent(obs.KindWAL, 0); len(evs) == 0 {
 		t.Fatal("no wal attach event published")
 	}

@@ -3,8 +3,10 @@ package core
 import (
 	"encoding/json"
 	"strings"
+	"sync"
 	"testing"
 
+	"github.com/septic-db/septic/internal/faultinject"
 	"github.com/septic-db/septic/internal/obs"
 )
 
@@ -387,5 +389,65 @@ func TestReplWatchAndLastSeq(t *testing.T) {
 	recs, err := p.ReplReadFrom(before, 0)
 	if err != nil || len(recs) != 1 || recs[0].Seq != before+1 {
 		t.Fatalf("ReplReadFrom(%d): %d recs, err %v", before, len(recs), err)
+	}
+}
+
+// TestChaosReplHeadStopsAtDurableHorizon parks a Put's flush leader
+// inside the fsync: its record is written (the WAL's LastSeq has moved)
+// but not durable, so the replication surface — head, catch-up read,
+// tail watcher — must not show it until the fsync completes. A replica
+// that applied it could hold a record the primary loses in a crash and
+// re-issues, different, under the same sequence number.
+func TestChaosReplHeadStopsAtDurableHorizon(t *testing.T) {
+	sep := New(DefaultConfig(), WithLogger(NewLogger(WithCheckedSampling(0))))
+	p, err := sep.AttachPersistence(PersistenceOptions{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	w := p.ReplWatch(4)
+	defer w.Close()
+
+	entered, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	faultinject.Arm(func(site string) {
+		if site == faultinject.SiteWALFsync {
+			once.Do(func() {
+				close(entered)
+				<-release
+			})
+		}
+	})
+	defer faultinject.Disarm()
+	model := modelFor(t, "SELECT a FROM t WHERE b = 1")
+	put := make(chan bool, 1)
+	go func() { put <- sep.Store().Put("q1", model, false) }()
+	<-entered
+
+	if got := p.Stats().WAL.LastSeq; got != 1 {
+		t.Fatalf("wal last seq %d, want the written record 1", got)
+	}
+	if head := p.ReplLastSeq(); head != 0 {
+		t.Fatalf("replication head %d while seq 1 awaits its fsync", head)
+	}
+	if recs, err := p.ReplReadFrom(0, 0); err != nil || len(recs) != 0 {
+		t.Fatalf("catch-up read exposed %d unsynced record(s), err %v", len(recs), err)
+	}
+	select {
+	case rec := <-w.C():
+		t.Fatalf("watcher delivered seq %d before its fsync", rec.Seq)
+	default:
+	}
+
+	close(release)
+	if !<-put {
+		t.Fatal("put refused")
+	}
+	if rec := <-w.C(); rec.Seq != 1 {
+		t.Fatalf("watcher delivered seq %d, want 1", rec.Seq)
+	}
+	barrier, _, err := p.ReplSnapshot()
+	if err != nil || barrier != 1 || p.ReplLastSeq() != 1 {
+		t.Fatalf("after the fsync: barrier %d, head %d, err %v; want 1, 1, nil", barrier, p.ReplLastSeq(), err)
 	}
 }

@@ -74,10 +74,17 @@ func (q *Quota) Acquire() (ok bool, retryAfter time.Duration) {
 		return true, 0
 	}
 	if q.maxInFlight > 0 {
-		if q.inflight.Add(1) > q.maxInFlight {
-			q.inflight.Add(-1)
-			q.rejected.Add(1)
-			return false, clampRetryAfter(quotaInFlightRetry)
+		// Compare-and-swap, not add-then-roll-back: InFlight() — the
+		// /metrics gauge — must never show max+1, even for an instant.
+		for {
+			cur := q.inflight.Load()
+			if cur >= q.maxInFlight {
+				q.rejected.Add(1)
+				return false, clampRetryAfter(quotaInFlightRetry)
+			}
+			if q.inflight.CompareAndSwap(cur, cur+1) {
+				break
+			}
 		}
 	} else {
 		q.inflight.Add(1)

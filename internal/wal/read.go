@@ -36,10 +36,11 @@ func (l *Log) FirstSeq() uint64 {
 	return 0
 }
 
-// ReadFrom returns records with sequence numbers strictly greater than
-// after, in order, stopping once roughly maxBytes of payload have been
-// collected (maxBytes <= 0 means DefaultReadBatchBytes; at least one
-// record is always returned when any qualifies). The result may start
+// ReadFrom returns the acknowledged records (see DurableSeq) with
+// sequence numbers strictly greater than after, in order, stopping once
+// roughly maxBytes of payload have been collected (maxBytes <= 0 means
+// DefaultReadBatchBytes; at least one record is always returned when any
+// qualifies). The result may start
 // past after+1 when a checkpoint has trimmed the intervening history —
 // callers detect the gap by comparing the first record's sequence
 // number against after+1 and fall back to a snapshot.
@@ -57,8 +58,9 @@ func (l *Log) ReadFrom(after uint64, maxBytes int) ([]Record, error) {
 	if l.closed {
 		return nil, ErrClosed
 	}
-	if l.seq <= after {
-		return nil, nil // caught up: nothing newer exists
+	upto := l.DurableSeq()
+	if upto <= after {
+		return nil, nil // caught up: nothing newer is acknowledged
 	}
 	var out []Record
 	total := 0
@@ -68,7 +70,7 @@ func (l *Log) ReadFrom(after uint64, maxBytes int) ([]Record, error) {
 		}
 		var done bool
 		var err error
-		out, total, done, err = readSegmentFrom(seg.path, -1, after, maxBytes, out, total)
+		out, total, done, err = readSegmentFrom(seg.path, -1, after, upto, maxBytes, out, total)
 		if err != nil {
 			return nil, err
 		}
@@ -79,10 +81,11 @@ func (l *Log) ReadFrom(after uint64, maxBytes int) ([]Record, error) {
 	if l.size > 0 {
 		// The active segment is read only up to the bytes Append has
 		// completed (l.size): with the mutex held no frame is in flight,
-		// and a poisoned log's torn tail bytes sit beyond l.size.
+		// and a poisoned log's torn tail bytes sit beyond l.size. Complete
+		// frames still waiting for their fsync sit above upto.
 		var err error
 		out, total, _, err = readSegmentFrom(
-			segmentPath(l.opts.Dir, l.first), l.size, after, maxBytes, out, total)
+			segmentPath(l.opts.Dir, l.first), l.size, after, upto, maxBytes, out, total)
 		if err != nil {
 			return nil, err
 		}
@@ -97,10 +100,11 @@ func segmentPath(dir string, first uint64) string {
 }
 
 // readSegmentFrom scans one segment file, appending records with
-// sequence numbers > after to out until total payload bytes reach
-// maxBytes. limit bounds the bytes considered (-1 = whole file). done
-// reports that the byte budget was hit with at least one record taken.
-func readSegmentFrom(path string, limit int64, after uint64, maxBytes int,
+// sequence numbers in (after, upto] to out until total payload bytes
+// reach maxBytes. limit bounds the bytes considered (-1 = whole file).
+// done reports that the byte budget was hit with at least one record
+// taken.
+func readSegmentFrom(path string, limit int64, after, upto uint64, maxBytes int,
 	out []Record, total int) ([]Record, int, bool, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -124,6 +128,9 @@ func readSegmentFrom(path string, limit int64, after uint64, maxBytes int,
 		if crc32.Checksum(data[off+4:end], castagnoli) != sum {
 			return out, total, false, fmt.Errorf("wal: read %s: frame checksum mismatch", path)
 		}
+		if seq > upto {
+			break
+		}
 		if seq > after {
 			payload := make([]byte, length)
 			copy(payload, data[off+frameHeaderSize:end])
@@ -138,7 +145,7 @@ func readSegmentFrom(path string, limit int64, after uint64, maxBytes int,
 	return out, total, false, nil
 }
 
-// Watcher is a live-tail subscription: every record appended after
+// Watcher is a live-tail subscription: every record acknowledged after
 // Watch returns is sent to C, in order. The channel is bounded; a
 // subscriber that falls behind loses records and the Lagged flag trips
 // — the subscriber then re-reads the missed range with ReadFrom, which
@@ -191,10 +198,11 @@ func (w *Watcher) closeLocked() {
 	close(w.ch)
 }
 
-// Watch subscribes to the live tail: every record appended from now on
-// is delivered to the returned watcher's channel (buffered to buf
-// records, minimum 1). Subscribe BEFORE reading history with ReadFrom
-// and the two dovetail without a gap. Returns nil on a closed log.
+// Watch subscribes to the live tail: every record acknowledged from now
+// on (under FsyncAlways that is after the fsync covering it) is delivered
+// to the returned watcher's channel (buffered to buf records, minimum 1).
+// Subscribe BEFORE reading history with ReadFrom and the two dovetail
+// without a gap. Returns nil on a closed log.
 func (l *Log) Watch(buf int) *Watcher {
 	if buf < 1 {
 		buf = 1
@@ -209,10 +217,9 @@ func (l *Log) Watch(buf int) *Watcher {
 	return w
 }
 
-// notifyWatchers delivers one freshly appended record to every
-// subscriber. Caller holds l.mu (Append does). The payload is copied
-// once, shared by all subscribers — Record data is read-only by
-// contract.
+// notifyWatchers delivers one freshly acknowledged record to every
+// subscriber. Caller holds l.mu. The payload is copied once, shared by
+// all subscribers — Record data is read-only by contract.
 func (l *Log) notifyWatchers(seq uint64, data []byte) {
 	if len(l.watchers) == 0 {
 		return

@@ -187,7 +187,13 @@ func openLocked(opts Options, apply func(Record) error) (*Log, RecoveryInfo, err
 		return nil, info, fmt.Errorf("wal: list segments: %w", err)
 	}
 
-	l := &Log{opts: opts}
+	l := &Log{
+		opts:         opts,
+		fsyncLatency: opts.Metrics.Histogram("wal.fsync"),
+		groupSize:    opts.Metrics.Gauge("wal.group_size"),
+		groupMax:     opts.Metrics.Gauge("wal.group_size_max"),
+	}
+	l.flushed.L = &l.mu
 	expect := uint64(0) // next sequence the chain of records demands
 	tornAt := -1        // index of the first torn segment
 	scans := make([]segmentScan, 0, len(names))
@@ -274,7 +280,7 @@ func openLocked(opts Options, apply func(Record) error) (*Log, RecoveryInfo, err
 	}
 
 	// Seal every segment but the last; reopen the last for appending.
-	l.seq = info.LastSeq
+	seq := info.LastSeq
 	for i, name := range names {
 		first := nameSeq(name)
 		path := filepath.Join(opts.Dir, name)
@@ -293,7 +299,7 @@ func openLocked(opts Options, apply func(Record) error) (*Log, RecoveryInfo, err
 		l.f = f
 		l.first = first
 		l.size = scans[i].validLen
-		if first > 0 && first-1 > l.seq {
+		if first > 0 && first-1 > seq {
 			// The active segment may legitimately hold zero valid records
 			// — a crash right after rotation, or a fully-torn first frame
 			// truncated above — yet its name still encodes the sequence
@@ -302,7 +308,7 @@ func openLocked(opts Options, apply func(Record) error) (*Log, RecoveryInfo, err
 			// after a trim, and the next boot's seq-filtered replay would
 			// silently skip the new appends: the name is the durable
 			// floor.
-			l.seq = first - 1
+			seq = first - 1
 		}
 	}
 	if l.f == nil {
@@ -319,6 +325,18 @@ func openLocked(opts Options, apply func(Record) error) (*Log, RecoveryInfo, err
 		l.f = f
 		l.first = 1
 	}
+
+	if l.size > 0 {
+		// A process crash keeps the page cache, so the recovered tail may
+		// never have reached the disk: fsync it before the horizon vouches
+		// for it to watchers and replicas.
+		if err := l.f.Sync(); err != nil {
+			l.f.Close()
+			return nil, info, fmt.Errorf("wal: sync recovered tail: %w", err)
+		}
+	}
+	l.seq.Store(seq)
+	l.synced.Store(seq)
 
 	if opts.Policy == FsyncInterval {
 		l.stopc = make(chan struct{})

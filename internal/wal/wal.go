@@ -56,16 +56,34 @@
 // # Durability and failure semantics
 //
 // Append returns only after the frame is written — and, under
-// FsyncAlways, fsynced — so its return IS the acknowledgement the
-// crash-chaos suite holds the log to: with FsyncAlways, a record whose
-// Append returned nil survives any subsequent crash. Any write or fsync
-// error (or an injected crash unwinding mid-frame) poisons the log: the
-// on-disk tail is unknowable from user space after a failed write, so
-// every later Append fails with ErrLogFailed until the process reopens
-// the directory and lets recovery truncate the tear. The alternative —
-// appending past a possibly-torn frame — would strand durable,
-// acknowledged records behind a bad frame where recovery must drop
-// them.
+// FsyncAlways, covered by a completed fsync — so its return IS the
+// acknowledgement the crash-chaos suite holds the log to: with
+// FsyncAlways, a record whose Append returned nil survives any
+// subsequent crash. Any write or fsync error (or an injected crash
+// unwinding mid-frame) poisons the log: the on-disk tail is unknowable
+// from user space after a failed write, so every later Append fails with
+// ErrLogFailed until the process reopens the directory and lets recovery
+// truncate the tear. The alternative — appending past a possibly-torn
+// frame — would strand durable, acknowledged records behind a bad frame
+// where recovery must drop them.
+//
+// # Group commit and the durable horizon
+//
+// Under FsyncAlways the fsync is paid per commit group, not per record.
+// Append writes its frame under the log mutex, then waits until the
+// durable horizon — the highest sequence number a completed fsync
+// covers — reaches it. Whichever waiter finds no flush in flight
+// becomes the leader: it notes the last sequence written, releases the
+// mutex, fsyncs, re-locks, advances the horizon to what it noted and
+// wakes the rest. Frames written while the leader was inside the fsync
+// form the next group. The commit window is exactly "one fsync in
+// flight": no timer, no batch size, and a lone writer still pays one
+// fsync per record with nothing added. A failed (or crash-interrupted)
+// flush poisons the log and fails every waiter it would have covered.
+// Sync, the FsyncInterval ticker and the rotation seal go through the
+// same flush, so the horizon is advanced in one place. Tail watchers,
+// ReadFrom and DurableSeq expose nothing above the horizon: a replica
+// never receives a record the primary might not recover.
 package wal
 
 import (
@@ -80,6 +98,7 @@ import (
 	"time"
 
 	"github.com/septic-db/septic/internal/faultinject"
+	"github.com/septic-db/septic/internal/obs"
 )
 
 // FsyncPolicy selects when appends are made durable.
@@ -88,9 +107,10 @@ type FsyncPolicy int
 // Fsync policies. Enums start at 1 so the zero value is invalid.
 const (
 	FsyncInvalid FsyncPolicy = iota
-	// FsyncAlways fsyncs after every append: an Append that returned nil
-	// survives any crash. The policy the durability guarantee is stated
-	// under.
+	// FsyncAlways acknowledges an append only after an fsync that covers
+	// it: an Append that returned nil survives any crash. Concurrent
+	// appends share one fsync per commit group. The policy the durability
+	// guarantee is stated under.
 	FsyncAlways
 	// FsyncInterval fsyncs on a background timer (Options.Interval):
 	// bounded data loss — at most one interval of acknowledged appends —
@@ -140,6 +160,9 @@ const (
 	DefaultSegmentSize = 4 << 20
 	// DefaultInterval is the FsyncInterval flush period.
 	DefaultInterval = 100 * time.Millisecond
+	// scratchKeep bounds the frame buffer the log keeps between appends;
+	// a larger record is encoded into a one-off buffer instead.
+	scratchKeep = 64 << 10
 	// segmentSuffix names segment files.
 	segmentSuffix = ".wal"
 	// lockFileName is the flock target guarding the directory against a
@@ -185,6 +208,10 @@ type Options struct {
 	// RecoveryInfo). Default false: Open fails with ErrMidLogCorrupt
 	// instead, refusing to silently discard acknowledged records.
 	ForceRecover bool
+	// Metrics, when non-nil, receives the wal.fsync latency histogram and
+	// the wal.group_size / wal.group_size_max gauges (records made durable
+	// by the latest fsync, and by the largest one).
+	Metrics *obs.Registry
 }
 
 // withDefaults resolves zero fields.
@@ -224,22 +251,41 @@ type segmentInfo struct {
 }
 
 // Log is an open write-ahead log directory. All methods are safe for
-// concurrent use; appends are serialized internally.
+// concurrent use; frame writes are serialized internally, fsyncs run
+// outside the mutex (see "Group commit" in the package comment).
 type Log struct {
 	opts Options
 
-	mu     sync.Mutex
-	f      *os.File // active segment
-	lock   *os.File // flock'd LOCK file; released on Close/Kill
-	size   int64    // bytes in active segment
-	seq    uint64   // last assigned sequence number
-	first  uint64   // first sequence number of the active segment
-	sealed []segmentInfo
-	failed error // sticky poison; nil while healthy
-	closed bool
+	mu sync.Mutex
+	// flushed (on mu) is broadcast whenever something a waiter looks at
+	// changes: a flush ended, the log was poisoned, the log was closed.
+	flushed sync.Cond
+	f       *os.File // active segment
+	lock    *os.File // flock'd LOCK file; released on Close/Kill
+	size    int64    // bytes in active segment
+	// seq is the last assigned sequence number and synced the durable
+	// horizon: every record at or below it is covered by a completed
+	// fsync. Both are written under mu and read without it.
+	seq    atomic.Uint64
+	synced atomic.Uint64
+	// flushing marks a flush in flight. Its leader has released mu, so
+	// frames may still be written, but the segment file must not be
+	// swapped or closed and no second flush may start.
+	flushing bool
+	first    uint64 // first sequence number of the active segment
+	sealed   []segmentInfo
+	failed   error // sticky poison; nil while healthy
+	closed   bool
 	// watchers are live-tail subscriptions (see read.go); notified under
-	// l.mu after each successful append.
+	// l.mu as records are acknowledged.
 	watchers []*Watcher
+	// pending holds the payloads of the FsyncAlways records written but
+	// not yet durable, seq-len(pending)+1 … seq, for delivery to the
+	// watchers once the horizon covers them. The slices are the callers'
+	// own: each is blocked in Append until then, so nothing is copied.
+	pending [][]byte
+	// scratch is the frame encode buffer, reused across appends.
+	scratch []byte
 
 	// torn marks the window where bytes of a frame may be on disk but
 	// the frame is incomplete; an unwind (panic or error) inside the
@@ -251,6 +297,10 @@ type Log struct {
 	fsyncs     atomic.Int64
 	rotations  atomic.Int64
 	trimmed    atomic.Int64
+
+	fsyncLatency *obs.Histogram
+	groupSize    *obs.Gauge
+	groupMax     *obs.Gauge
 
 	stopc    chan struct{}
 	syncDone chan struct{}
@@ -276,27 +326,33 @@ func syncDir(dir string) error {
 	return err
 }
 
-// Stats snapshots the counters.
+// Stats snapshots the counters. It takes no lock: a metrics scrape never
+// waits for an append or a flush.
 func (l *Log) Stats() Stats {
-	l.mu.Lock()
-	seq := l.seq
-	l.mu.Unlock()
 	return Stats{
 		Appends:      l.appends.Load(),
 		AppendErrors: l.appendErrs.Load(),
 		Fsyncs:       l.fsyncs.Load(),
 		Rotations:    l.rotations.Load(),
 		Trimmed:      l.trimmed.Load(),
-		LastSeq:      seq,
+		LastSeq:      l.seq.Load(),
 	}
 }
 
 // LastSeq returns the highest sequence number assigned so far (0 if the
-// log is empty).
-func (l *Log) LastSeq() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.seq
+// log is empty). Under FsyncAlways the newest of those records may still
+// be waiting for their fsync; DurableSeq is the acknowledged prefix.
+func (l *Log) LastSeq() uint64 { return l.seq.Load() }
+
+// DurableSeq returns the highest sequence number that is as durable as
+// the policy makes it, and therefore acknowledged: under FsyncAlways the
+// durable horizon, under the other policies LastSeq. Watchers and
+// ReadFrom never expose a record above it.
+func (l *Log) DurableSeq() uint64 {
+	if l.opts.Policy == FsyncAlways {
+		return l.synced.Load()
+	}
+	return l.seq.Load()
 }
 
 // Err returns the sticky failure poisoning the log, or nil while it is
@@ -307,18 +363,43 @@ func (l *Log) Err() error {
 	return l.failed
 }
 
-// fail poisons the log. Caller holds l.mu.
+// fail poisons the log and wakes every waiter to see it. Caller holds
+// l.mu.
 func (l *Log) fail(cause error) {
 	if l.failed == nil {
 		l.failed = fmt.Errorf("%w: %w", ErrLogFailed, cause)
+	}
+	l.pending = nil
+	l.flushed.Broadcast()
+}
+
+// stateErr reports why the log takes no more work: ErrClosed, the sticky
+// poison, or nil while it is healthy. Caller holds l.mu.
+func (l *Log) stateErr() error {
+	if l.closed {
+		return ErrClosed
+	}
+	return l.failed
+}
+
+// idle waits out a flush in flight, so the caller may start its own or
+// swap the segment file; it fails when the log is closed or poisoned
+// meanwhile. Caller holds l.mu.
+func (l *Log) idle() error {
+	for {
+		if err := l.stateErr(); err != nil || !l.flushing {
+			return err
+		}
+		l.flushed.Wait()
 	}
 }
 
 // Append writes one record and returns its sequence number. Under
 // FsyncAlways the record is durable when Append returns nil — that
-// return is the acknowledgement the recovery guarantee is stated over.
-// After any failure the log is poisoned and every call fails with
-// ErrLogFailed (see the package comment for why).
+// return is the acknowledgement the recovery guarantee is stated over —
+// and concurrent appends share the fsync that covers them. After any
+// failure the log is poisoned and every call fails with ErrLogFailed
+// (see the package comment for why).
 func (l *Log) Append(data []byte) (seq uint64, err error) {
 	if len(data) == 0 {
 		return 0, errors.New("wal: empty record")
@@ -333,8 +414,6 @@ func (l *Log) Append(data []byte) (seq uint64, err error) {
 	// disk and the log must refuse to append past them.
 	defer func() {
 		if l.torn {
-			// Reached on error return or on a panic (an injected Crash)
-			// unwinding mid-frame: incomplete bytes may be on disk.
 			l.torn = false
 			l.fail(errors.New("torn append"))
 		}
@@ -342,11 +421,8 @@ func (l *Log) Append(data []byte) (seq uint64, err error) {
 			l.appendErrs.Add(1)
 		}
 	}()
-	if l.closed {
-		return 0, ErrClosed
-	}
-	if l.failed != nil {
-		return 0, l.failed
+	if err := l.stateErr(); err != nil {
+		return 0, err
 	}
 	faultinject.Hit(faultinject.SiteWALAppend)
 	if ierr := faultinject.HitErr(faultinject.SiteWALAppend); ierr != nil {
@@ -355,17 +431,31 @@ func (l *Log) Append(data []byte) (seq uint64, err error) {
 
 	frameLen := int64(frameHeaderSize + len(data))
 	if l.size > 0 && l.size+frameLen > l.opts.SegmentSize {
-		if err := l.rotate(); err != nil {
-			l.fail(err)
+		// Waiting for the flush in flight lets other appenders in, and one
+		// of them may have rotated already: look again afterwards.
+		if err := l.idle(); err != nil {
 			return 0, err
+		}
+		if l.size+frameLen > l.opts.SegmentSize {
+			if err := l.rotate(); err != nil {
+				l.fail(err)
+				return 0, err
+			}
 		}
 	}
 
-	next := l.seq + 1
-	frame := make([]byte, frameHeaderSize, frameHeaderSize+len(data))
+	next := l.seq.Load() + 1
+	frame := l.scratch
+	if cap(frame) < int(frameLen) {
+		frame = make([]byte, frameLen)
+		if frameLen <= scratchKeep {
+			l.scratch = frame
+		}
+	}
+	frame = frame[:frameLen]
 	binary.LittleEndian.PutUint32(frame[4:8], uint32(len(data)))
 	binary.LittleEndian.PutUint64(frame[8:16], next)
-	frame = append(frame, data...)
+	copy(frame[frameHeaderSize:], data)
 	binary.LittleEndian.PutUint32(frame[0:4], crc32.Checksum(frame[4:], castagnoli))
 
 	// Torn window: from the first byte written until the frame is
@@ -391,57 +481,132 @@ func (l *Log) Append(data []byte) (seq uint64, err error) {
 	}
 	l.torn = false
 
-	l.seq = next
+	l.seq.Store(next)
 	l.size += frameLen
 	l.appends.Add(1)
 
-	if l.opts.Policy == FsyncAlways {
-		if err := l.syncLocked(); err != nil {
-			l.fail(err)
-			return 0, err
-		}
-	}
 	// Tail subscribers hear about the record only once it is as durable
 	// as the policy makes it: a replica can never apply an update the
 	// primary would not recover itself.
-	l.notifyWatchers(next, data)
+	if l.opts.Policy != FsyncAlways {
+		l.notifyWatchers(next, data)
+		return next, nil
+	}
+	l.pending = append(l.pending, data)
+	if err := l.awaitDurable(next); err != nil {
+		return 0, err
+	}
 	return next, nil
 }
 
-// syncLocked fsyncs the active segment. Caller holds l.mu.
-func (l *Log) syncLocked() error {
-	faultinject.Hit(faultinject.SiteWALFsync)
-	if ierr := faultinject.HitErr(faultinject.SiteWALFsync); ierr != nil {
-		return ierr
+// awaitDurable returns nil once the durable horizon covers seq, leading a
+// flush itself whenever none is in flight, and the log's failure if it is
+// poisoned or closed first. A record the horizon already covers is
+// acknowledged even if the log failed afterwards: it is on disk. Caller
+// holds l.mu.
+func (l *Log) awaitDurable(seq uint64) error {
+	for l.synced.Load() < seq {
+		if err := l.stateErr(); err != nil {
+			return err
+		}
+		if l.flushing {
+			l.flushed.Wait()
+			continue
+		}
+		if err := l.flush(true); err != nil {
+			return err
+		}
 	}
-	if err := l.f.Sync(); err != nil {
+	return nil
+}
+
+// flush fsyncs the active segment and advances the durable horizon over
+// every record written before it began; it is the only fsync of segment
+// data while the log is open. Caller holds l.mu and has seen no flush in
+// flight. With release set the mutex is dropped for the fsync, so
+// appenders go on writing the next group; rotation keeps it, because it
+// swaps the file next. A failed flush — or one a crash unwinds through —
+// poisons the log: none of the records it would have covered is
+// acknowledged.
+func (l *Log) flush(release bool) (err error) {
+	target, f := l.seq.Load(), l.f
+	l.flushing = true
+	if release {
+		l.mu.Unlock()
+	}
+	done := false
+	defer func() {
+		if release {
+			l.mu.Lock()
+		}
+		l.flushing = false
+		if done {
+			l.advance(target)
+			l.flushed.Broadcast()
+			return
+		}
+		if err == nil { // a panic (an injected Crash) is unwinding
+			err = errors.New("flush interrupted")
+		}
+		l.fail(err)
+	}()
+	faultinject.Hit(faultinject.SiteWALFsync)
+	if err = faultinject.HitErr(faultinject.SiteWALFsync); err != nil {
 		return err
 	}
+	start := time.Now()
+	if err = f.Sync(); err != nil {
+		return err
+	}
+	l.fsyncLatency.Observe(time.Since(start))
 	l.fsyncs.Add(1)
+	done = true
 	return nil
+}
+
+// advance moves the durable horizon up to target and hands the records
+// it now covers to the tail watchers, in sequence order. Caller holds
+// l.mu.
+func (l *Log) advance(target uint64) {
+	prev := l.synced.Load()
+	if target <= prev {
+		return
+	}
+	l.synced.Store(target)
+	group := int64(target - prev)
+	l.groupSize.Set(group)
+	if group > l.groupMax.Value() {
+		l.groupMax.Set(group)
+	}
+	// pending[0] carries sequence base; pending is empty (base = seq+1)
+	// under the other policies and after a close or failure dropped it.
+	base := l.seq.Load() + 1 - uint64(len(l.pending))
+	if target < base {
+		return
+	}
+	n := int(target - base + 1)
+	for i, data := range l.pending[:n] {
+		l.notifyWatchers(base+uint64(i), data)
+	}
+	rest := copy(l.pending, l.pending[n:])
+	clear(l.pending[rest:])
+	l.pending = l.pending[:rest]
 }
 
 // Sync forces the active segment to disk regardless of policy.
 func (l *Log) Sync() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.closed {
-		return ErrClosed
-	}
-	if l.failed != nil {
-		return l.failed
-	}
-	if err := l.syncLocked(); err != nil {
-		l.fail(err)
+	if err := l.idle(); err != nil {
 		return err
 	}
-	return nil
+	return l.flush(true)
 }
 
 // rotate seals the active segment and starts a new one. Caller holds
-// l.mu. A crash anywhere inside leaves either the sealed segment alone
-// (recovery appends to it) or an empty new segment (recovery sees zero
-// records in it) — both consistent.
+// l.mu and has seen no flush in flight. A crash anywhere inside leaves
+// either the sealed segment alone (recovery appends to it) or an empty
+// new segment (recovery sees zero records in it) — both consistent.
 func (l *Log) rotate() error {
 	faultinject.Hit(faultinject.SiteWALRotate)
 	if ierr := faultinject.HitErr(faultinject.SiteWALRotate); ierr != nil {
@@ -450,20 +615,21 @@ func (l *Log) rotate() error {
 	// Seal: the old segment's records must be durable before the log
 	// moves on, whatever the append policy — TrimTo may delete WAL
 	// history on the strength of a checkpoint while these bytes are still
-	// only in the page cache otherwise.
-	if err := l.f.Sync(); err != nil {
+	// only in the page cache otherwise. The seal is a flush like any
+	// other: appenders waiting for the horizon are acknowledged by it.
+	if err := l.flush(false); err != nil {
 		return err
 	}
-	l.fsyncs.Add(1)
 	if err := l.f.Close(); err != nil {
 		return err
 	}
+	last := l.seq.Load()
 	l.sealed = append(l.sealed, segmentInfo{
 		path:  filepath.Join(l.opts.Dir, segmentName(l.first)),
 		first: l.first,
-		last:  l.seq,
+		last:  last,
 	})
-	first := l.seq + 1
+	first := last + 1
 	f, err := os.OpenFile(filepath.Join(l.opts.Dir, segmentName(first)),
 		os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
 	if err != nil {
@@ -515,23 +681,39 @@ func (l *Log) TrimTo(seq uint64) (int, error) {
 	return removed, nil
 }
 
-// Close flushes (best-effort when already poisoned) and closes the log.
-func (l *Log) Close() error {
+// stop marks the log closed — appenders waiting for the horizon return
+// ErrClosed — stops the interval flusher and waits out a flush in
+// flight, whose leader still uses the segment descriptor. It returns
+// false when the log was closed already, and otherwise true with l.mu
+// held.
+func (l *Log) stop() bool {
 	l.mu.Lock()
 	if l.closed {
 		l.mu.Unlock()
-		return ErrClosed
+		return false
 	}
 	l.closed = true
-	stopc := l.stopc
+	l.pending = nil
+	l.flushed.Broadcast()
 	l.mu.Unlock()
-	if stopc != nil {
-		close(stopc)
+	if l.stopc != nil {
+		close(l.stopc)
 		<-l.syncDone
 	}
 	l.mu.Lock()
-	defer l.mu.Unlock()
+	for l.flushing {
+		l.flushed.Wait()
+	}
 	l.closeWatchersLocked()
+	return true
+}
+
+// Close flushes (best-effort when already poisoned) and closes the log.
+func (l *Log) Close() error {
+	if !l.stop() {
+		return ErrClosed
+	}
+	defer l.mu.Unlock()
 	var err error
 	if l.failed == nil {
 		err = l.f.Sync()
@@ -556,21 +738,10 @@ func (l *Log) Close() error {
 // the fsync policy) left them, yet still free the directory lock so the
 // next Open can recover. Never call it on a log you mean to keep.
 func (l *Log) Kill() {
-	l.mu.Lock()
-	if l.closed {
-		l.mu.Unlock()
+	if !l.stop() {
 		return
 	}
-	l.closed = true
-	stopc := l.stopc
-	l.mu.Unlock()
-	if stopc != nil {
-		close(stopc)
-		<-l.syncDone
-	}
-	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.closeWatchersLocked()
 	_ = l.f.Close()
 	if l.lock != nil {
 		_ = l.lock.Close()
@@ -588,10 +759,8 @@ func (l *Log) runIntervalSync() {
 			return
 		case <-t.C:
 			l.mu.Lock()
-			if !l.closed && l.failed == nil && l.size > 0 {
-				if err := l.syncLocked(); err != nil {
-					l.fail(err)
-				}
+			if l.synced.Load() < l.seq.Load() && l.idle() == nil {
+				_ = l.flush(true) // a failure has poisoned the log
 			}
 			l.mu.Unlock()
 		}

@@ -4,8 +4,10 @@
 # into BENCH_wire.json: per series ns/op, B/op, allocs/op and derived
 # ops/sec, plus the depth-16-vs-sync speedup the ISSUE's acceptance
 # floor (≥2×) is read off of. Then runs the durability ablation
-# (BenchmarkTrainDurable: WAL off/never/interval/always) and records the
-# per-policy cost of one acknowledged training update into
+# (BenchmarkTrainDurable: WAL off/never/interval/always with one writer,
+# BenchmarkTrainDurableParallel: always with 8, as the always_parallel8
+# row with the fsyncs each update cost — group commit's share) and
+# records the per-policy cost of one acknowledged training update into
 # BENCH_durability.json, with each policy's overhead factor over the
 # no-WAL baseline. Finally runs the overload sweep (septic-bench
 # overload: 1×/2×/4× capacity against the admission controller) which
@@ -66,10 +68,19 @@ BEGIN      { n = 0 }
 /^goos:/   { goos = $2 }
 /^goarch:/ { goarch = $2 }
 /^cpu:/    { sub(/^cpu: /, ""); cpu = $0 }
-/^BenchmarkTrainDurable\// {
-	name = $1; sub(/-[0-9]+$/, "", name); sub(/^BenchmarkTrainDurable\//, "", name)
-	names[n] = name; ns[n] = $3; allocs[n] = $7; n++
+/^BenchmarkTrainDurable(Parallel)?\// {
+	name = $1; sub(/-[0-9]+$/, "", name)
+	if (sub(/^BenchmarkTrainDurableParallel\//, "", name)) name = name "_parallel8"
+	sub(/^BenchmarkTrainDurable\//, "", name)
+	names[n] = name; ns[n] = $3; fsyncs[n] = ""
+	# Metrics are value/unit pairs after the iteration count; a custom
+	# one (fsyncs/update) shifts the rest, so find each by its unit.
+	for (i = 3; i < NF; i += 2) {
+		if ($(i + 1) == "allocs/op") allocs[n] = $i
+		if ($(i + 1) == "fsyncs/update") fsyncs[n] = $i
+	}
 	if (name == "off") base_ns = $3
+	n++
 }
 END {
 	if (n == 0) { print "bench-record: no durability lines parsed" > "/dev/stderr"; exit 1 }
@@ -79,8 +90,9 @@ END {
 	printf "  \"policies\": [\n" > out
 	for (i = 0; i < n; i++) {
 		over = (base_ns > 0 && names[i] != "off") ? ns[i] / base_ns : 1
-		printf "    {\"fsync\": \"%s\", \"ns_per_update\": %s, \"allocs_per_op\": %s, \"overhead_x\": %.1f}%s\n", \
-			names[i], ns[i], allocs[i], over, (i < n - 1 ? "," : "") > out
+		extra = (fsyncs[i] != "") ? sprintf(", \"fsyncs_per_update\": %s", fsyncs[i]) : ""
+		printf "    {\"fsync\": \"%s\", \"ns_per_update\": %s, \"allocs_per_op\": %s, \"overhead_x\": %.1f%s}%s\n", \
+			names[i], ns[i], allocs[i], over, extra, (i < n - 1 ? "," : "") > out
 	}
 	printf "  ]\n}\n" > out
 }
