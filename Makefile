@@ -31,7 +31,7 @@ race:
 # contract: faults against 8 concurrent appenders, nothing visible above
 # the durable horizon, parked followers released by Close/Kill
 # (internal/wal/chaos_test.go). CHAOS_COUNT repeats every test; CI runs
-# the durability packages (CHAOS_PKGS) 20 times as a stability gate.
+# every package in CHAOS_PKGS 20 times as a stability gate.
 CHAOS_COUNT ?= 1
 CHAOS_PKGS ?= ./internal/wire/ ./internal/core/ ./internal/repl/ ./internal/overload/ ./internal/wal/
 

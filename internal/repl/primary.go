@@ -165,7 +165,7 @@ func (p *Primary) Serve(ln net.Listener) error {
 
 // handshake runs the server side of the JSON HELLO exchange on a
 // dedicated replication listener, mirroring the shared port's refusal
-// behaviour (wire.Server.handleReplHello).
+// behaviour (the session's hello in internal/wire/server.go).
 func (p *Primary) handshake(conn net.Conn) error {
 	_ = conn.SetDeadline(time.Now().Add(p.opts.SubscribeTimeout))
 	defer conn.SetDeadline(time.Time{})
@@ -196,7 +196,7 @@ func (p *Primary) handshake(conn net.Conn) error {
 
 // HandleConn serves one replication session on an accepted, handshaken
 // connection. It blocks until the session ends and never closes conn —
-// ownership stays with the caller (wire.Server's serveConn, or Serve's
+// ownership stays with the caller (wire.Server's session, or Serve's
 // per-connection goroutine).
 func (p *Primary) HandleConn(conn net.Conn) {
 	if !p.track(conn) {

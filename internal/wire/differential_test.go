@@ -1,0 +1,160 @@
+package wire
+
+import (
+	"errors"
+	"reflect"
+	"testing"
+
+	"github.com/septic-db/septic/internal/attacks"
+	"github.com/septic-db/septic/internal/benchlab"
+	"github.com/septic-db/septic/internal/core"
+	"github.com/septic-db/septic/internal/engine"
+	"github.com/septic-db/septic/internal/webapp"
+)
+
+// stmt is one recorded SQL statement with its bound arguments.
+type stmt struct {
+	sql  string
+	args []engine.Value
+}
+
+// stmtRecorder is the applications' executor while the stream is being
+// recorded: it notes every statement an application issues, then runs
+// it.
+type stmtRecorder struct {
+	db     *engine.DB
+	stream []stmt
+}
+
+func (r *stmtRecorder) Exec(q string) (*engine.Result, error) {
+	r.stream = append(r.stream, stmt{sql: q})
+	return r.db.Exec(q)
+}
+
+func (r *stmtRecorder) ExecArgs(q string, args ...engine.Value) (*engine.Result, error) {
+	r.stream = append(r.stream, stmt{sql: q, args: append([]engine.Value(nil), args...)})
+	return r.db.ExecArgs(q, args...)
+}
+
+// diffDeployment builds one fresh deployment: Address Book and WaspMon
+// loaded and trained in-process, then switched to prevention. wrap, when
+// set, interposes on the applications' executor. Every call yields the
+// same state, which is what lets three of them stand in for one.
+func diffDeployment(t *testing.T, wrap func(*engine.DB) webapp.Executor) (*engine.DB, []*webapp.App) {
+	t.Helper()
+	guard := core.New(core.Config{Mode: core.ModeTraining})
+	db := engine.New(engine.WithQueryHook(guard))
+	var exec webapp.Executor = db
+	if wrap != nil {
+		exec = wrap(db)
+	}
+	var built []*webapp.App
+	for _, spec := range []benchlab.AppSpec{benchlab.PaperSpecs()[0], benchlab.WaspMonSpec()} {
+		for _, q := range spec.Schema {
+			if _, err := db.Exec(q); err != nil {
+				t.Fatalf("%s schema: %v", spec.Name, err)
+			}
+		}
+		app := spec.Build(exec)
+		for _, req := range spec.Training {
+			if resp := app.Serve(req.Clone()); resp.Status != 200 {
+				t.Fatalf("%s training %s: %v", spec.Name, req, resp.Err)
+			}
+		}
+		built = append(built, app)
+	}
+	guard.SetConfig(core.Config{Mode: core.ModePrevention, DetectSQLI: true, DetectStored: true})
+	return db, built
+}
+
+// diffStream records the statement stream both framings are fed: the
+// applications' recorded workloads (bound arguments included), every
+// labelled attack of internal/attacks served through WaspMon's pages,
+// then a statement that does not parse and an empty one.
+func diffStream(t *testing.T) []stmt {
+	t.Helper()
+	var rec *stmtRecorder
+	_, built := diffDeployment(t, func(db *engine.DB) webapp.Executor {
+		rec = &stmtRecorder{db: db}
+		return rec
+	})
+	rec.stream = nil // training is state, not stream
+	ab, waspmon := built[0], built[1]
+	for _, req := range benchlab.PaperSpecs()[0].Workload {
+		ab.Serve(req.Clone())
+	}
+	for _, req := range benchlab.WaspMonSpec().Workload {
+		waspmon.Serve(req.Clone())
+	}
+	benign := len(rec.stream)
+	for _, c := range attacks.Corpus() {
+		for _, req := range c.Setup {
+			waspmon.Serve(req.Clone())
+		}
+		waspmon.Serve(c.Request.Clone())
+	}
+	if benign == 0 || len(rec.stream) == benign {
+		t.Fatalf("recorded %d workload and %d attack statements", benign, len(rec.stream)-benign)
+	}
+	return append(rec.stream, stmt{sql: "SELEC id FRM nowhere WHERE"}, stmt{sql: ""})
+}
+
+// wireOutcome is everything a client can tell about one answer.
+type wireOutcome struct {
+	res     *engine.Result // columns, rows, affected, last insert id
+	errText string
+	blocked bool
+}
+
+func outcomeOf(res *engine.Result, err error) wireOutcome {
+	o := wireOutcome{res: res, blocked: errors.Is(err, ErrServerBlocked)}
+	if err != nil {
+		o.errText = err.Error()
+	}
+	return o
+}
+
+// TestV1V2Differential: the framing is not allowed to matter. The same
+// statement stream through a synchronous JSON session and through a
+// pipelined binary session, each against its own identical deployment,
+// must be answered identically statement by statement.
+func TestV1V2Differential(t *testing.T) {
+	snapshotGoroutines(t)
+	stream := diffStream(t)
+
+	clients := make([]*Client, 2)
+	for i, opts := range [][]ClientOption{nil, {WithPipeline(8)}} {
+		db, _ := diffDeployment(t, nil)
+		srv := NewServer(db)
+		addr, err := srv.Listen("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = srv.Close() })
+		clients[i] = dialOpts(t, addr, opts...)
+		if got := clients[i].ProtocolVersion(); got != i+1 {
+			t.Fatalf("client %d negotiated v%d, want v%d", i, got, i+1)
+		}
+	}
+
+	var blocked, failed int
+	for i, s := range stream {
+		v1 := outcomeOf(clients[0].ExecArgs(s.sql, s.args...))
+		v2 := outcomeOf(clients[1].ExecArgs(s.sql, s.args...))
+		if !reflect.DeepEqual(v1, v2) {
+			t.Errorf("statement %d %q args %v:\n v1: %+v %+v\n v2: %+v %+v",
+				i, s.sql, s.args, v1, v1.res, v2, v2.res)
+		}
+		switch {
+		case v1.blocked:
+			blocked++
+		case v1.errText != "":
+			failed++
+		}
+	}
+	// The stream must have reached every kind of answer it was built for.
+	if ok := len(stream) - blocked - failed; ok == 0 || blocked == 0 || failed < 2 {
+		t.Errorf("stream of %d: %d answered, %d blocked, %d failed — want some of each",
+			len(stream), ok, blocked, failed)
+	}
+}

@@ -63,114 +63,89 @@ func slowExecute(t *testing.T, d time.Duration) *atomic.Bool {
 	return &on
 }
 
-// TestShedResponseSyncTyped drives the sync (v1) path into admission
-// shedding and asserts the rejection is typed — an OverloadError with a
-// retry hint on a connection that stays alive — never a reset.
-func TestShedResponseSyncTyped(t *testing.T) {
-	snapshotGoroutines(t)
-	adm := overload.NewAdmission(overload.AdmissionOptions{
-		Target:   time.Millisecond,
-		Capacity: 1,
-	})
-	addr, srv, _, db := overloadServer(t, adm)
-	if _, err := db.Exec("CREATE TABLE t (id INT)"); err != nil {
-		t.Fatal(err)
-	}
-	slowExecute(t, 100*time.Millisecond)
-
-	// Prime the service-time estimate: one completed slow query.
-	c := dial(t, addr)
-	if _, err := c.Exec("SELECT id FROM t"); err != nil {
-		t.Fatalf("priming query: %v", err)
-	}
-
-	// Occupy the single execution slot, then arrive while it is held:
-	// estimated delay (1 × ~100ms) far exceeds the 1ms target.
-	hold := dial(t, addr)
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		_, _ = hold.Exec("SELECT id FROM t")
-	}()
-	time.Sleep(30 * time.Millisecond) // let the holder enter execution
-
-	_, err := c.Exec("SELECT id FROM t")
-	var oe *OverloadError
-	if !errors.As(err, &oe) {
-		t.Fatalf("want OverloadError, got %v", err)
-	}
-	if !errors.Is(err, ErrOverloaded) {
-		t.Fatalf("shed error must unwrap to ErrOverloaded: %v", err)
-	}
-	if oe.RetryAfter <= 0 {
-		t.Fatalf("shed response carried no retry hint: %+v", oe)
-	}
-	<-done
-	// The session survived the shed: the same connection serves again.
-	if _, err := c.Exec("SELECT id FROM t"); err != nil {
-		t.Fatalf("session dead after shed: %v", err)
-	}
-	if srv.Sheds() == 0 {
-		t.Error("server shed counter not incremented")
-	}
-}
-
-// TestShedResponsePipelinedTyped is the v2 twin: a full window against
-// a single execution slot sheds the excess as typed per-future errors
-// while the admitted request completes and the pipe stays healthy.
-func TestShedResponsePipelinedTyped(t *testing.T) {
-	snapshotGoroutines(t)
-	adm := overload.NewAdmission(overload.AdmissionOptions{
-		Target:   time.Millisecond,
-		Capacity: 1,
-	})
-	addr, srv, _, db := overloadServer(t, adm)
-	if _, err := db.Exec("CREATE TABLE t (id INT)"); err != nil {
-		t.Fatal(err)
-	}
-	slowExecute(t, 100*time.Millisecond)
-
-	c, err := Dial(addr, WithPipeline(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if v := c.ProtocolVersion(); v != 2 {
-		t.Fatalf("negotiated v%d, want v2", v)
-	}
-	if _, err := c.Exec("SELECT id FROM t"); err != nil {
-		t.Fatalf("priming query: %v", err)
-	}
-
-	futs := make([]*Future, 8)
-	for i := range futs {
-		futs[i] = c.Submit("SELECT id FROM t")
-	}
-	var ok, shed int
-	for i, f := range futs {
-		_, err := f.Wait()
-		switch {
-		case err == nil:
-			ok++
-		case errors.Is(err, ErrOverloaded):
-			var oe *OverloadError
-			if !errors.As(err, &oe) || oe.RetryAfter <= 0 {
-				t.Errorf("future %d: shed without retry hint: %v", i, err)
+// TestShedResponseTyped drives a session into admission shedding, over
+// both framings, and asserts the rejection is typed — an OverloadError
+// with a retry hint, failing only its own request — never a reset: the
+// request holding the single execution slot completes, and the session
+// that was shed keeps serving. A synchronous session cannot hold the
+// slot and be shed at once, so there a second session holds it; a
+// pipelined session holds it with the first request of its own window.
+func TestShedResponseTyped(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		opts      []ClientOption
+		proto     int
+		holdsSlot bool // the shed session itself holds the execution slot
+	}{
+		{"sync", nil, 1, false},
+		{"pipelined", []ClientOption{WithPipeline(8)}, 2, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			snapshotGoroutines(t)
+			adm := overload.NewAdmission(overload.AdmissionOptions{
+				Target:   time.Millisecond,
+				Capacity: 1,
+			})
+			addr, srv, _, db := overloadServer(t, adm)
+			if _, err := db.Exec("CREATE TABLE t (id INT)"); err != nil {
+				t.Fatal(err)
 			}
-			shed++
-		default:
-			t.Errorf("future %d: untyped failure %v", i, err)
-		}
-	}
-	if ok == 0 || shed == 0 {
-		t.Fatalf("want a mix of admitted and shed futures, got ok=%d shed=%d", ok, shed)
-	}
-	// The pipe was not poisoned by shedding.
-	if _, err := c.Exec("SELECT id FROM t"); err != nil {
-		t.Fatalf("pipe dead after sheds: %v", err)
-	}
-	if srv.Sheds() == 0 {
-		t.Error("server shed counter not incremented")
+			slowExecute(t, 100*time.Millisecond)
+
+			c := dialOpts(t, addr, tc.opts...)
+			if v := c.ProtocolVersion(); v != tc.proto {
+				t.Fatalf("negotiated v%d, want v%d", v, tc.proto)
+			}
+			// Prime the service-time estimate: one completed slow query.
+			if _, err := c.Exec("SELECT id FROM t"); err != nil {
+				t.Fatalf("priming query: %v", err)
+			}
+
+			// Occupy the single execution slot, then arrive while it is
+			// held: estimated delay (1 × ~100ms) far exceeds the 1ms target.
+			hold := c
+			if !tc.holdsSlot {
+				hold = dial(t, addr)
+			}
+			held := make(chan error, 1)
+			go func() {
+				_, err := hold.Exec("SELECT id FROM t")
+				held <- err
+			}()
+			time.Sleep(30 * time.Millisecond) // let the holder enter execution
+
+			futs := make([]*Future, 7)
+			for i := range futs {
+				futs[i] = c.Submit("SELECT id FROM t")
+			}
+			var shed int
+			for i, f := range futs {
+				_, err := f.Wait()
+				var oe *OverloadError
+				switch {
+				case err == nil:
+				case !errors.Is(err, ErrOverloaded) || !errors.As(err, &oe):
+					t.Errorf("request %d: untyped failure %v", i, err)
+				case oe.RetryAfter <= 0:
+					t.Errorf("request %d: shed without retry hint: %+v", i, oe)
+				default:
+					shed++
+				}
+			}
+			if shed == 0 {
+				t.Fatal("nothing was shed behind a held slot")
+			}
+			if err := <-held; err != nil {
+				t.Fatalf("the admitted request failed amid the sheds: %v", err)
+			}
+			// The session survived the sheds: the same connection serves again.
+			if _, err := c.Exec("SELECT id FROM t"); err != nil {
+				t.Fatalf("session dead after shed: %v", err)
+			}
+			if srv.Sheds() == 0 {
+				t.Error("server shed counter not incremented")
+			}
+		})
 	}
 }
 

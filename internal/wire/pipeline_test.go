@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"fmt"
@@ -11,6 +12,7 @@ import (
 
 	"github.com/septic-db/septic/internal/core"
 	"github.com/septic-db/septic/internal/engine"
+	"github.com/septic-db/septic/internal/obs"
 	"github.com/septic-db/septic/internal/raceflag"
 )
 
@@ -31,6 +33,18 @@ func (g *gatedHook) BeforeExecute(ctx *engine.HookContext) error {
 		return g.inner.BeforeExecute(ctx)
 	}
 	return nil
+}
+
+// eventually waits up to five seconds for cond, failing the test with
+// what() if it never holds: for state the server settles a step after
+// the client can observe its cause.
+func eventually(t *testing.T, cond func() bool, what func() string) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal(what())
+		}
+	}
 }
 
 // dialOpts dials with arbitrary client options and registers cleanup.
@@ -219,6 +233,114 @@ func TestPipelineWindowBounds(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+}
+
+// TestMaxInFlightIsExact pins WithMaxInFlight as the bound it
+// documents: with every worker wedged and a peer that writes 3n query
+// frames and never reads, exactly n requests are inside the server — not
+// n plus one held by a reader that has already booked it.
+func TestMaxInFlightIsExact(t *testing.T) {
+	snapshotGoroutines(t)
+	guard := core.New(core.Config{Mode: core.ModeTraining})
+	gate := make(chan struct{})
+	var once sync.Once
+	db := engine.New(engine.WithQueryHook(&gatedHook{
+		inner: guard, match: "SELECT id FROM t", gate: gate,
+	}))
+	if _, err := db.Exec("CREATE TABLE t (id INT)"); err != nil {
+		t.Fatal(err)
+	}
+	const n, workers = 8, 2
+	srv := NewServer(db, WithPipelineWorkers(workers), WithMaxInFlight(n))
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { once.Do(func() { close(gate) }); _ = srv.Close() })
+
+	conn := rawDial(t, addr)
+	if err := writeFrame(conn, &Request{Hello: &Hello{Version: HelloVersion}}); err != nil {
+		t.Fatal(err)
+	}
+	var ack Response
+	if err := readFrame(conn, &ack); err != nil || ack.Error != "" {
+		t.Fatalf("v2 hello: %v %q", err, ack.Error)
+	}
+	var frames []byte
+	for seq := uint64(1); seq <= 3*n; seq++ {
+		if frames, err = appendRequestFrame(frames, seq, &Request{Query: "SELECT id FROM t"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := conn.Write(frames); err != nil {
+		t.Fatal(err)
+	}
+
+	eventually(t, func() bool { return srv.InFlight() >= n }, func() string {
+		return fmt.Sprintf("InFlight stuck at %d, want %d", srv.InFlight(), n)
+	})
+	time.Sleep(100 * time.Millisecond) // let a reader that overshoots do so
+	if got := srv.InFlight(); got != n {
+		t.Fatalf("InFlight = %d with the peer not reading, want exactly %d", got, n)
+	}
+
+	// Unwedged, the session answers every frame and empties.
+	once.Do(func() { close(gate) })
+	br, buf := bufio.NewReader(conn), getEncBuf()
+	defer putEncBuf(buf)
+	_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	for i := 0; i < 3*n; i++ {
+		if _, typ, _, err := readBinaryFrame(br, buf); err != nil || typ != frameResult {
+			t.Fatalf("response %d: type 0x%02x, err %v", i, typ, err)
+		}
+	}
+	eventually(t, func() bool { return srv.InFlight() == 0 }, func() string {
+		return fmt.Sprintf("InFlight = %d after every response was read", srv.InFlight())
+	})
+}
+
+// TestAnsweredCounterCountsPipelined: wire.queries.answered counts every
+// answered request, whichever framing carried it.
+func TestAnsweredCounterCountsPipelined(t *testing.T) {
+	hub := obs.NewHub(0)
+	addr, _, db := startServerOpts(t, core.Config{Mode: core.ModeTraining}, WithServerObs(hub))
+	if _, err := db.Exec("CREATE TABLE t (id INT)"); err != nil {
+		t.Fatal(err)
+	}
+	answered := hub.Metrics.Counter("wire.queries.answered")
+	framesOut := hub.Metrics.Counter("wire.v2.frames.out")
+
+	// A JSON answer is counted just after its write, so the client can
+	// be a step ahead of the counter: wait for it rather than race it.
+	wantAnswered := func(want int64, when string) {
+		t.Helper()
+		eventually(t, func() bool { return answered.Value() == want }, func() string {
+			return fmt.Sprintf("answered = %d %s, want %d", answered.Value(), when, want)
+		})
+	}
+
+	c := dialOpts(t, addr, WithPipeline(8))
+	wantAnswered(1, "after the hello")
+	const n = 40
+	futs := make([]*Future, n)
+	for i := range futs {
+		futs[i] = c.Submit("SELECT id FROM t")
+	}
+	for _, f := range futs {
+		if _, err := f.Wait(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wantAnswered(1+n, "after the pipelined requests")
+	if got := framesOut.Value(); got != n {
+		t.Errorf("wire.v2.frames.out = %d, want %d", got, n)
+	}
+
+	plain := dialOpts(t, addr)
+	if _, err := plain.Exec("SELECT id FROM t"); err != nil {
+		t.Fatal(err)
+	}
+	wantAnswered(2+n, "after one more JSON request")
 }
 
 // --- interop matrix: {v1,v2 client} × {v1,v2 server} × reconnect -----

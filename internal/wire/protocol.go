@@ -1,6 +1,7 @@
 // Package wire implements the client/server protocol of the DBMS,
-// standing in for the MySQL wire protocol. Two transports share one
-// port:
+// standing in for the MySQL wire protocol. Two framings share one port
+// and, inside the server, one request path (the session in server.go:
+// read → hello? → window → admit → execute → complete):
 //
 //   - Version 1 — the legacy protocol: synchronous, length-prefixed
 //     JSON frames, one request in flight per connection. Every client
@@ -11,8 +12,8 @@
 //     length-prefixed binary frames (codec.go), many requests in
 //     flight per connection, responses completed out of order and
 //     matched by sequence number. A session enters v2 only through the
-//     HELLO handshake, so v1 clients and v1 servers interoperate with
-//     v2 peers unchanged.
+//     HELLO handshake, which widens the same server session in place, so
+//     v1 clients and v1 servers interoperate with v2 peers unchanged.
 //
 // The protocol also demonstrates "client diversity" (§II-B): several
 // clients of different kinds — and now of different protocol versions —

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"log"
 	"net"
 	"runtime/debug"
@@ -22,13 +23,12 @@ import (
 // out). Clients see it from Exec on a refused connection.
 var ErrServerBusy = errors.New("server busy: connection limit reached")
 
-// Defaults for the v2 pipelined serving path.
+// Defaults for pipelined (v2) sessions.
 const (
-	// DefaultPipelineWorkers is the per-connection worker pool size for
-	// pipelined (v2) sessions.
+	// DefaultPipelineWorkers is the per-session worker pool size.
 	DefaultPipelineWorkers = 4
-	// DefaultMaxInFlight bounds requests outstanding inside the server
-	// for one pipelined session (queued + executing + unwritten).
+	// DefaultMaxInFlight bounds requests inside the server for one
+	// session (queued + executing + unwritten).
 	DefaultMaxInFlight = 64
 )
 
@@ -45,12 +45,14 @@ const (
 // guard's own containment is converted into an error response for that
 // query, never a server crash.
 //
-// Sessions start on the synchronous JSON protocol. A version-2 HELLO
-// switches the connection to the pipelined binary transport: a
-// per-connection worker pool executes up to WithPipelineWorkers queries
-// concurrently (bounded overall by WithMaxInFlight), and a dedicated
-// writer coalesces completed responses — in completion order, not
-// submission order — into batched flushes.
+// Every connection is one session on one request path (see session):
+// read → hello? → window → admit → execute → complete. A session starts
+// synchronous — JSON frames, one request inside the server — and an
+// accepted version-2 HELLO widens it in place to the pipelined binary
+// transport: a per-session worker pool executes up to
+// WithPipelineWorkers requests concurrently (at most WithMaxInFlight
+// inside the server), and a writer coalesces completed responses — in
+// completion order, not submission order — into batched flushes.
 type Server struct {
 	db *engine.DB
 
@@ -77,8 +79,8 @@ type Server struct {
 
 	// replHandler, when set, receives connections whose HELLO asked for
 	// a replication session (Hello.Repl). The handler owns the
-	// connection until it returns — the serving loop has already written
-	// the acknowledgement and will close the conn afterwards. Nil means
+	// connection until it returns — the session has already written the
+	// acknowledgement and will close the conn afterwards. Nil means
 	// replication hellos are refused with a clean error ack.
 	replHandler func(conn net.Conn)
 
@@ -103,19 +105,19 @@ type Server struct {
 	// done is closed once, when Close/Shutdown begins, releasing
 	// admission waiters immediately.
 	done chan struct{}
-	// draining makes serving loops stop picking up new requests.
+	// draining makes sessions stop picking up new requests.
 	draining atomic.Bool
 
 	panics   atomic.Int64
 	refused  atomic.Int64
-	inflight atomic.Int64 // v2 requests inside the server, all sessions
+	inflight atomic.Int64 // window tokens held, all pipelined sessions
 
 	// obsHub enables front-end instrumentation (nil = off). The hot
 	// counter handles are resolved once in NewServer; they are nil-safe,
-	// so the serving loops call them unconditionally.
+	// so the request path calls them unconditionally.
 	obsHub        *obs.Hub
 	obsConns      *obs.Counter // connections accepted
-	obsQueries    *obs.Counter // requests answered (JSON path + hellos)
+	obsQueries    *obs.Counter // requests answered, either framing (hellos too)
 	obsV2Sessions *obs.Counter // sessions upgraded to the v2 transport
 	obsV2In       *obs.Counter // v2 query frames received
 	obsV2Out      *obs.Counter // v2 result frames written
@@ -205,9 +207,11 @@ func WithPipelineWorkers(n int) ServerOption {
 	return func(s *Server) { s.pipelineWorkers = n }
 }
 
-// WithMaxInFlight bounds the requests outstanding inside the server for
-// one pipelined session — queued for a worker, executing, or completed
-// but not yet written. Reads beyond the bound apply natural
+// WithMaxInFlight bounds the requests inside the server for one
+// pipelined session — queued for a worker, executing, or completed but
+// not yet written — exactly: a request counts from the moment its frame
+// is admitted to the window until its response (a shed response
+// included) has been written. Reads beyond the bound apply natural
 // backpressure (the reader blocks, the client's window fills). n < 1
 // means DefaultMaxInFlight; n is clamped up to the worker pool size.
 func WithMaxInFlight(n int) ServerOption {
@@ -454,7 +458,7 @@ func (s *Server) admitAndServe(conn net.Conn) {
 		}
 		defer func() { <-s.sem }()
 	}
-	s.serveConn(conn)
+	(&session{s: s, conn: conn, r: conn, ctl: s.controlsFor("")}).serve()
 }
 
 // refuse answers one admission rejection and hangs up. The busy frame
@@ -480,10 +484,11 @@ const (
 	shedMsgDraining = "server draining: request not executed"
 )
 
-// shedResponse builds one typed overload rejection. The request it
-// answers was never executed, so the client may retry it safely after
-// the hint.
-func (s *Server) shedResponse(msg string, retryAfter time.Duration) *Response {
+// shedResponse answers req with one typed overload rejection. The
+// request never executes — it is recycled here — so the client may retry
+// it safely after the hint.
+func (s *Server) shedResponse(req *Request, msg string, retryAfter time.Duration) *Response {
+	putRequest(req)
 	s.shed.Add(1)
 	resp := getResponse()
 	resp.Error = msg
@@ -504,62 +509,182 @@ func retryAfterMS(d time.Duration) int64 {
 	return 1
 }
 
-// serveConn handles one client session: a synchronous request/response
-// loop until the client disconnects, a deadline fires, the server
-// drains — or an accepted v2 HELLO upgrades the session to the
-// pipelined binary transport (serveConnV2). The session's domain
-// binding is plain per-goroutine state: app is empty until a Hello
-// frame binds it.
-func (s *Server) serveConn(conn net.Conn) {
-	var app string
-	ctl := s.controlsFor(app)
+// session is one client connection on the server's only request path
+// (DESIGN.md §10.4):
+//
+//	read → hello? → window → admit → execute → complete
+//
+// A session starts synchronous: JSON frames, one request inside the
+// server, executed and answered on the serving goroutine. An accepted
+// version-2 HELLO widens the same session in place (widen): frames turn
+// binary, admitted requests are handed to a worker pool, and a writer
+// goroutine completes them in whatever order they finish. The steps and
+// their order are the same either way; only read's framing and which
+// goroutine runs execute and complete differ.
+type session struct {
+	s    *Server
+	conn net.Conn
+	r    io.Reader          // conn, behind a buffer once widened
+	app  string             // domain binding: empty until a HELLO binds it
+	ctl  *overload.Controls // the bound domain's overload controls, or nil
+
+	// Pipelined state, nil until widen.
+	buf        *encBuf       // read scratch; decoded requests copy out of it
+	window     chan struct{} // one token per request inside the server
+	in         chan ticket   // admitted, waiting for a worker
+	out        chan ticket   // answered (executed or shed), waiting for the writer
+	workers    sync.WaitGroup
+	writerDone chan struct{}
+}
+
+// ticket is one request inside the server, from admit to complete.
+type ticket struct {
+	seq     uint64          // echoed by the binary response frame; 0 on JSON
+	req     *Request        // owned by execute; recycled already if shed
+	resp    *Response       // the answer: set by admit (shed) or by execute
+	arrival time.Time       // when admission admitted it; zero when unarmed
+	quota   *overload.Quota // charged in admit, released by execute
+}
+
+// serve runs the session until the client disconnects, a deadline
+// fires, the server drains, the peer violates the protocol, or a
+// replication HELLO hands the connection away.
+func (ss *session) serve() {
+	defer ss.close()
 	for {
 		req := getRequest()
-		if err := s.readRequest(conn, req); err != nil {
-			putRequest(req)
-			return // EOF, deadline or protocol error: drop the session
-		}
-		var resp *Response
-		var upgrade, repl bool
-		if req.Hello != nil {
-			if req.Hello.Repl {
-				resp, repl = s.handleReplHello(req.Hello)
-				upgrade = false
-			} else {
-				resp, upgrade = s.handleHello(req.Hello, &app)
-				ctl = s.controlsFor(app) // re-resolve for the bound domain
-			}
-			putRequest(req)
-		} else {
-			resp = s.dispatchAdmitted(req, app, ctl) // owns (and recycles) req
-		}
-		if s.writeTimeout > 0 {
-			_ = conn.SetWriteDeadline(time.Now().Add(s.writeTimeout))
-		}
-		err := writeFrame(conn, resp)
-		putResponse(resp)
+		seq, err := ss.read(req)
 		if err != nil {
+			putRequest(req)
 			return
 		}
-		s.obsQueries.Inc()
-		if repl {
-			// The ack we just wrote was the session's last query-protocol
-			// frame: the replication handler owns the conn from here. The
-			// serving deadlines are cleared — replication paces itself.
-			_ = conn.SetReadDeadline(time.Time{})
-			_ = conn.SetWriteDeadline(time.Time{})
-			s.replHandler(conn)
-			return
+		if req.Hello != nil {
+			resp, next := ss.hello(req.Hello)
+			putRequest(req)
+			if !ss.answer(resp) {
+				return
+			}
+			switch next {
+			case helloWiden:
+				ss.widen() // the ack just written was the last JSON frame
+			case helloRepl:
+				// The replication handler owns the conn from here and
+				// paces itself: the serving deadlines are cleared.
+				_ = ss.conn.SetReadDeadline(time.Time{})
+				_ = ss.conn.SetWriteDeadline(time.Time{})
+				ss.s.replHandler(ss.conn)
+				return
+			}
+			continue
 		}
-		if upgrade {
-			// The ack we just wrote was the session's last JSON frame.
-			s.serveConnV2(conn, app, ctl)
-			return
+		if ss.window != nil {
+			// Taken here, returned by complete once the response is
+			// written: WithMaxInFlight bounds exactly the requests in
+			// between. A full window blocks the reader, which is the
+			// backpressure a client that outruns the server feels.
+			ss.window <- struct{}{}
+			ss.s.inflight.Add(1)
 		}
-		if s.draining.Load() {
-			return // drain: the in-flight query was answered; end the session
+		t := ss.admit(seq, req)
+		switch {
+		case ss.window == nil:
+			if t.resp == nil {
+				t.resp = ss.execute(t)
+			}
+			if !ss.answer(t.resp) {
+				return
+			}
+		case t.resp != nil:
+			ss.out <- t // shed at arrival: never occupies a queue slot
+		default:
+			ss.in <- t
 		}
 	}
+}
+
+// errNotQuery ends a pipelined session whose peer sent anything but a
+// query frame.
+var errNotQuery = errors.New("protocol error: expected a query frame")
+
+// read receives one request under the idle (until the frame starts) and
+// read (until it is complete) deadlines; a draining server reads
+// nothing more. Any error ends the session. On a pipelined session that
+// includes a non-query frame or a malformed body: the framing is
+// length-delimited, so the stream is technically recoverable, but a peer
+// that sends garbage is not a peer to keep serving.
+func (ss *session) read(req *Request) (seq uint64, err error) {
+	s := ss.s
+	if s.draining.Load() {
+		return 0, net.ErrClosed
+	}
+	if s.idleTimeout > 0 {
+		_ = ss.conn.SetReadDeadline(time.Now().Add(s.idleTimeout))
+	}
+	n, err := readFrameHeader(ss.r)
+	if err != nil {
+		return 0, err
+	}
+	if s.readTimeout > 0 {
+		_ = ss.conn.SetReadDeadline(time.Now().Add(s.readTimeout))
+	}
+	if ss.window == nil {
+		return 0, readFramePayload(ss.r, n, req)
+	}
+	seq, typ, body, err := readBinaryFramePayload(ss.r, n, ss.buf)
+	if err == nil && typ != frameQuery {
+		err = errNotQuery
+	}
+	if err == nil {
+		err = decodeRequestBody(body, req)
+	}
+	if err == nil {
+		s.obsV2In.Inc()
+		s.obsV2BytesIn.Add(int64(n) + 4)
+	}
+	return seq, err
+}
+
+// helloNext is what an answered handshake makes of the session.
+type helloNext int
+
+const (
+	helloStay  helloNext = iota // synchronous, bound or (on refusal) as it was
+	helloWiden                  // bound, and pipelined from the next frame on
+	helloRepl                   // handed to the replication handler
+)
+
+// hello answers one handshake frame. Version skew is handled the
+// conservative way: a client NEWER than the server accepts is refused
+// (it may rely on semantics this server lacks) and the session stays as
+// it was — alive, so the client can retry with an older hello or carry
+// on as a legacy session in the default domain. Every refusal carries an
+// error text plus an ack advertising the newest version the server does
+// accept: that is what lets a pipelining client downgrade automatically,
+// and it means a replica pointed at a v1-only or non-primary server gets
+// a diagnosable answer instead of a hang.
+func (ss *session) hello(h *Hello) (*Response, helloNext) {
+	s := ss.s
+	ack := &HelloAck{Version: s.helloLimit}
+	next, refusal := helloStay, ""
+	switch {
+	case h.Version > s.helloLimit:
+		refusal = fmt.Sprintf("hello version %d unsupported (server speaks ≤ %d)",
+			h.Version, s.helloLimit)
+	case h.Repl && h.Version < HelloVersion:
+		refusal = fmt.Sprintf("replication requires protocol version %d (hello declared %d)",
+			HelloVersion, h.Version)
+	case h.Repl && s.replHandler == nil:
+		refusal = "replication not enabled on this server"
+	case h.Repl:
+		ack.Repl, next = true, helloRepl
+	default:
+		ss.app, ss.ctl = h.App, s.controlsFor(h.App)
+		ack.Domain = s.resolveDomain(h.App)
+		if h.Version >= HelloVersion {
+			next = helloWiden
+		}
+	}
+	return &Response{Error: refusal, Hello: ack}, next
 }
 
 // controlsFor resolves the overload controls for a session's app
@@ -571,266 +696,192 @@ func (s *Server) controlsFor(app string) *overload.Controls {
 	return s.resolveControls(app)
 }
 
-// dispatchAdmitted runs the overload checks in front of dispatch, in
-// order: domain quota first (a flooded tenant is rejected before it can
-// occupy a shared queue slot), then the shared admission bound, then
-// the bounded execution gate whose wait is the measured sojourn. With
-// no overload control configured it is exactly dispatch.
-func (s *Server) dispatchAdmitted(req *Request, app string, ctl *overload.Controls) *Response {
-	var quota *overload.Quota
-	if ctl != nil {
-		quota = ctl.Quota
+// admit runs the overload checks a request must pass before it may
+// occupy a queue slot, in order: the domain's quota first (a flooded
+// tenant is rejected before it can consume shared budget), then the
+// shared admission bound. A rejected request comes back already
+// answered — t.resp is its typed shed response — and is never executed.
+// With no overload control configured admit only fills in the ticket.
+func (ss *session) admit(seq uint64, req *Request) ticket {
+	s := ss.s
+	t := ticket{seq: seq, req: req}
+	if ss.ctl != nil {
+		t.quota = ss.ctl.Quota
 	}
-	if quota != nil {
-		if ok, ra := quota.Acquire(); !ok {
-			putRequest(req)
-			return s.shedResponse(shedMsgQuota, ra)
+	if ok, retryAfter := t.quota.Acquire(); !ok {
+		t.resp = s.shedResponse(req, shedMsgQuota, retryAfter)
+		return t
+	}
+	if s.admission != nil {
+		if ok, retryAfter := s.admission.Arrive(); !ok {
+			t.quota.Release()
+			ss.ctl.NoteShed()
+			t.resp = s.shedResponse(req, shedMsgOverload, retryAfter)
+			return t
 		}
+		t.arrival = time.Now()
 	}
-	if s.admission == nil {
-		resp := s.dispatch(req, app)
-		quota.Release()
-		return resp
-	}
-	if ok, ra := s.admission.Arrive(); !ok {
-		quota.Release()
-		ctl.NoteShed()
-		putRequest(req)
-		return s.shedResponse(shedMsgOverload, ra)
-	}
-	return s.dispatchGated(req, app, time.Now(), quota)
+	return t
 }
 
-// dispatchGated executes one admission-admitted request inside the
-// bounded execution gate, completing the accounting begun at Arrive:
-// the gate wait since arrival is the sojourn, the rest is service time.
-func (s *Server) dispatchGated(req *Request, app string, arrival time.Time, quota *overload.Quota) *Response {
+// execute runs one admitted request to its answer and settles what
+// admit opened. With admission armed it first waits for a slot of the
+// bounded execution gate: the wait since arrival (on a pipelined
+// session that includes the worker queue) is the sojourn the control law
+// consumes, the rest is service time. A request still waiting when
+// shutdown begins is shed typed, not dropped or executed.
+func (ss *session) execute(t ticket) *Response {
+	s := ss.s
+	defer t.quota.Release()
+	if s.admission == nil {
+		return s.dispatch(t.req, ss.app)
+	}
 	select {
 	case s.execGate <- struct{}{}:
 	case <-s.done:
 		s.admission.Cancel()
-		quota.Release()
-		putRequest(req)
-		return s.shedResponse(shedMsgDraining, time.Second)
+		return s.shedResponse(t.req, shedMsgDraining, time.Second)
 	}
-	sojourn := time.Since(arrival)
-	resp := s.dispatch(req, app)
+	sojourn := time.Since(t.arrival)
+	resp := s.dispatch(t.req, ss.app)
 	<-s.execGate
-	s.admission.Done(sojourn, time.Since(arrival)-sojourn)
-	quota.Release()
+	s.admission.Done(sojourn, time.Since(t.arrival)-sojourn)
 	return resp
 }
 
-// v2Job is one decoded query frame on its way from the reader to a
-// worker; v2Result pairs the completed response with the sequence
-// number it answers, on its way from a worker to the writer. arrival
-// and quota carry the overload accounting opened in readV2Loop (arrival
-// is zero when admission is unarmed).
-type v2Job struct {
-	seq     uint64
-	req     *Request
-	arrival time.Time
-	quota   *overload.Quota
+// answer writes one response on a synchronous session and completes
+// it; false ends the session.
+func (ss *session) answer(resp *Response) bool {
+	if ss.s.writeTimeout > 0 {
+		_ = ss.conn.SetWriteDeadline(time.Now().Add(ss.s.writeTimeout))
+	}
+	err := writeFrame(ss.conn, resp)
+	ss.complete(resp, err == nil)
+	return err == nil
 }
 
-type v2Result struct {
-	seq  uint64
-	resp *Response
+// complete retires one request, whichever goroutine wrote its answer:
+// the response returns to the pool, a written answer is counted, and a
+// pipelined request gives its window token back.
+func (ss *session) complete(resp *Response, written bool) {
+	putResponse(resp)
+	if written {
+		ss.s.obsQueries.Inc()
+	}
+	if ss.window != nil {
+		ss.s.inflight.Add(-1)
+		<-ss.window
+	}
 }
 
-// serveConnV2 runs the pipelined binary transport on an upgraded
-// session. Three roles share the connection:
+// widen turns the session pipelined. From here three roles share the
+// connection:
 //
-//   - the serving goroutine itself reads query frames and queues them —
-//     when the session's in-flight bound is reached it blocks, which is
-//     the backpressure a misbehaving client feels;
-//   - a fixed pool of workers executes queries concurrently (each with
-//     the same watchdog/panic containment as the synchronous path) and
-//     emits completed responses in completion order;
-//   - one writer drains completed responses, encoding them back-to-back
-//     into a buffered writer and flushing once per drained batch — the
-//     write-coalescing that turns a burst of small responses into one
-//     syscall.
+//   - the serving goroutine keeps reading and admitting, and blocks on
+//     the window when the session's in-flight bound is reached;
+//   - a fixed pool of workers executes admitted requests concurrently
+//     (each under the same watchdog and panic containment as a
+//     synchronous request), finishing in whatever order the engine does;
+//   - one writer completes finished requests (writeLoop).
 //
-// Teardown is ordered: reader stops (EOF, deadline, drain, protocol
-// error) → jobs closes → workers finish and exit → out closes → writer
-// flushes what remains and exits. The writer never blocks teardown on a
-// dead peer: after a write error it closes the conn and keeps draining
-// results to the pool.
-func (s *Server) serveConnV2(conn net.Conn, app string, ctl *overload.Controls) {
+// Neither channel can block its sender: both hold maxInFlight tickets
+// and the window admits no more than that.
+func (ss *session) widen() {
+	s := ss.s
 	s.obsV2Sessions.Inc()
-	workers := s.pipelineWorkers
-	in := make(chan v2Job, s.maxInFlight-workers)
-	out := make(chan v2Result, s.maxInFlight)
-
-	var wpool sync.WaitGroup
-	for i := 0; i < workers; i++ {
-		wpool.Add(1)
+	ss.r = bufio.NewReaderSize(ss.conn, v2BufSize)
+	ss.buf = getEncBuf()
+	ss.window = make(chan struct{}, s.maxInFlight)
+	ss.in = make(chan ticket, s.maxInFlight)
+	ss.out = make(chan ticket, s.maxInFlight)
+	ss.writerDone = make(chan struct{})
+	for i := 0; i < s.pipelineWorkers; i++ {
+		ss.workers.Add(1)
 		go func() {
-			defer wpool.Done()
-			for j := range in {
-				var resp *Response // dispatch owns and recycles j.req
-				if s.admission != nil {
-					resp = s.dispatchGated(j.req, app, j.arrival, j.quota)
-				} else {
-					resp = s.dispatch(j.req, app)
-					j.quota.Release()
-				}
-				out <- v2Result{seq: j.seq, resp: resp}
+			defer ss.workers.Done()
+			for t := range ss.in {
+				t.resp = ss.execute(t)
+				ss.out <- t
 			}
 		}()
 	}
-
-	writerDone := make(chan struct{})
-	go func() {
-		defer close(writerDone)
-		bw := bufio.NewWriterSize(conn, v2BufSize)
-		buf := getEncBuf()
-		defer putEncBuf(buf)
-		failed := false
-		for r := range out {
-			if s.writeTimeout > 0 {
-				_ = conn.SetWriteDeadline(time.Now().Add(s.writeTimeout))
-			}
-		drain:
-			for {
-				if !failed {
-					failed = !s.writeV2Result(conn, bw, buf, r)
-				}
-				putResponse(r.resp)
-				s.inflight.Add(-1)
-				select {
-				case nr, ok := <-out:
-					if !ok {
-						break drain
-					}
-					r = nr
-				default:
-					break drain
-				}
-			}
-			if !failed {
-				if err := bw.Flush(); err != nil {
-					failed = true
-					_ = conn.Close()
-				} else {
-					s.obsV2Flushes.Inc()
-				}
-			}
-		}
-	}()
-
-	s.readV2Loop(conn, in, out, ctl)
-
-	close(in)
-	wpool.Wait()
-	close(out)
-	<-writerDone
+	go ss.writeLoop()
 }
 
-// writeV2Result encodes one response frame into the writer's buffer.
-// It reports false — after closing the conn — on encode or write
-// failure; the caller then discards the rest of the session's output.
-func (s *Server) writeV2Result(conn net.Conn, bw *bufio.Writer, buf *encBuf, r v2Result) bool {
-	frame, err := appendResponseFrame(buf.b[:0], r.seq, r.resp)
+// close tears a widened session down in order: the reader has stopped →
+// in closes → workers finish and exit → out closes → the writer flushes
+// what remains and exits, so a graceful drain drops no response.
+func (ss *session) close() {
+	if ss.window == nil {
+		return
+	}
+	close(ss.in)
+	ss.workers.Wait()
+	close(ss.out)
+	<-ss.writerDone
+	putEncBuf(ss.buf)
+}
+
+// writeLoop is the pipelined session's writer: it drains finished
+// requests, encoding them back-to-back into a buffered writer, and
+// flushes once per drained batch — the write coalescing that turns a
+// burst of small responses into one syscall. It never blocks teardown
+// on a dead peer: after a write error it closes the conn and keeps
+// completing requests without writing them.
+func (ss *session) writeLoop() {
+	defer close(ss.writerDone)
+	s, conn := ss.s, ss.conn
+	bw := bufio.NewWriterSize(conn, v2BufSize)
+	buf := getEncBuf()
+	defer putEncBuf(buf)
+	failed := false
+	for t := range ss.out {
+		if s.writeTimeout > 0 {
+			_ = conn.SetWriteDeadline(time.Now().Add(s.writeTimeout))
+		}
+	drain:
+		for {
+			if !failed {
+				failed = !ss.writeResult(bw, buf, t)
+			}
+			ss.complete(t.resp, !failed)
+			select {
+			case next, ok := <-ss.out:
+				if !ok {
+					break drain
+				}
+				t = next
+			default:
+				break drain
+			}
+		}
+		if !failed {
+			if err := bw.Flush(); err != nil {
+				failed = true
+				_ = conn.Close()
+			} else {
+				s.obsV2Flushes.Inc()
+			}
+		}
+	}
+}
+
+// writeResult encodes one response frame into the writer's buffer. It
+// reports false — after closing the conn — on encode or write failure;
+// the caller then discards the rest of the session's output.
+func (ss *session) writeResult(bw *bufio.Writer, buf *encBuf, t ticket) bool {
+	frame, err := appendResponseFrame(buf.b[:0], t.seq, t.resp)
 	buf.b = frame
 	if err == nil {
 		_, err = bw.Write(frame)
 	}
 	if err != nil {
-		_ = conn.Close()
+		_ = ss.conn.Close()
 		return false
 	}
-	s.obsV2Out.Inc()
-	s.obsV2BytesOut.Add(int64(len(frame)))
+	ss.s.obsV2Out.Inc()
+	ss.s.obsV2BytesOut.Add(int64(len(frame)))
 	return true
-}
-
-// readV2Loop receives query frames until the session ends, queueing
-// each for the worker pool. Any protocol violation — a non-query frame,
-// a malformed body — ends the session: the framing is length-delimited
-// so the stream is technically recoverable, but a peer that sends
-// garbage is not a peer to keep serving.
-//
-// Overload checks run here, at arrival, so shed work never occupies a
-// queue slot: a quota- or admission-rejected frame is answered with a
-// typed shed result pushed straight to the writer (the shed result
-// joins the session's in-flight accounting like any other response).
-func (s *Server) readV2Loop(conn net.Conn, in chan<- v2Job, out chan<- v2Result, ctl *overload.Controls) {
-	br := bufio.NewReaderSize(conn, v2BufSize)
-	buf := getEncBuf()
-	defer putEncBuf(buf)
-	for {
-		if s.draining.Load() {
-			return
-		}
-		if s.idleTimeout > 0 {
-			_ = conn.SetReadDeadline(time.Now().Add(s.idleTimeout))
-		}
-		n, err := readFrameHeader(br)
-		if err != nil {
-			return
-		}
-		if s.readTimeout > 0 {
-			_ = conn.SetReadDeadline(time.Now().Add(s.readTimeout))
-		}
-		seq, typ, body, err := readBinaryFramePayload(br, n, buf)
-		if err != nil || typ != frameQuery {
-			return
-		}
-		req := getRequest()
-		if err := decodeRequestBody(body, req); err != nil {
-			putRequest(req)
-			return
-		}
-		s.obsV2In.Inc()
-		s.obsV2BytesIn.Add(int64(n) + 4)
-		var quota *overload.Quota
-		if ctl != nil {
-			quota = ctl.Quota
-		}
-		if quota != nil {
-			if ok, ra := quota.Acquire(); !ok {
-				putRequest(req)
-				s.inflight.Add(1)
-				out <- v2Result{seq: seq, resp: s.shedResponse(shedMsgQuota, ra)}
-				continue
-			}
-		}
-		var arrival time.Time
-		if s.admission != nil {
-			if ok, ra := s.admission.Arrive(); !ok {
-				quota.Release()
-				ctl.NoteShed()
-				putRequest(req)
-				s.inflight.Add(1)
-				out <- v2Result{seq: seq, resp: s.shedResponse(shedMsgOverload, ra)}
-				continue
-			}
-			arrival = time.Now()
-		}
-		s.inflight.Add(1)
-		in <- v2Job{seq: seq, req: req, arrival: arrival, quota: quota}
-	}
-}
-
-// readRequest receives one request under the idle (until the frame
-// starts) and read (until it completes) deadlines.
-func (s *Server) readRequest(conn net.Conn, req *Request) error {
-	if s.draining.Load() {
-		return net.ErrClosed
-	}
-	if s.idleTimeout > 0 {
-		_ = conn.SetReadDeadline(time.Now().Add(s.idleTimeout))
-	}
-	n, err := readFrameHeader(conn)
-	if err != nil {
-		return err
-	}
-	if s.readTimeout > 0 {
-		_ = conn.SetReadDeadline(time.Now().Add(s.readTimeout))
-	}
-	return readFramePayload(conn, n, req)
 }
 
 // dispatch runs one request, enforcing the query timeout when one is
@@ -869,61 +920,6 @@ func (s *Server) dispatch(req *Request, app string) *Response {
 	case <-ctx.Done():
 		return &Response{Error: fmt.Sprintf("query timeout after %s", s.queryTimeout)}
 	}
-}
-
-// handleHello answers one handshake frame and, on success, binds the
-// session to the declared application. Version skew is handled the
-// conservative way: a client NEWER than the server accepts is refused
-// (it may rely on semantics this server lacks) and the session stays
-// unbound — but alive, so the client can retry with an older hello or
-// proceed as a legacy session in the default domain. The refusal (and
-// the ack) advertise the newest version the server accepts, which is
-// what lets a pipelining client downgrade automatically. upgrade
-// reports that the accepted handshake switches the session to the v2
-// binary transport.
-func (s *Server) handleHello(h *Hello, app *string) (resp *Response, upgrade bool) {
-	if h.Version > s.helloLimit {
-		return &Response{
-			Error: fmt.Sprintf("hello version %d unsupported (server speaks ≤ %d)",
-				h.Version, s.helloLimit),
-			Hello: &HelloAck{Version: s.helloLimit},
-		}, false
-	}
-	*app = h.App
-	return &Response{Hello: &HelloAck{
-		Version: s.helloLimit,
-		Domain:  s.resolveDomain(h.App),
-	}}, h.Version >= HelloVersion
-}
-
-// handleReplHello answers a replication handshake. The refusal paths
-// mirror handleHello's version refusal — error text plus an ack
-// advertising what the server does speak — so a replica always gets a
-// diagnosable answer: a v1-only server refuses by version, a current
-// server without replication enabled refuses by capability. accepted
-// reports that the connection should be handed to the repl handler.
-func (s *Server) handleReplHello(h *Hello) (resp *Response, accepted bool) {
-	if h.Version > s.helloLimit {
-		return &Response{
-			Error: fmt.Sprintf("hello version %d unsupported (server speaks ≤ %d)",
-				h.Version, s.helloLimit),
-			Hello: &HelloAck{Version: s.helloLimit},
-		}, false
-	}
-	if h.Version < HelloVersion {
-		return &Response{
-			Error: fmt.Sprintf("replication requires protocol version %d (hello declared %d)",
-				HelloVersion, h.Version),
-			Hello: &HelloAck{Version: s.helloLimit},
-		}, false
-	}
-	if s.replHandler == nil {
-		return &Response{
-			Error: "replication not enabled on this server",
-			Hello: &HelloAck{Version: s.helloLimit},
-		}, false
-	}
-	return &Response{Hello: &HelloAck{Version: s.helloLimit, Repl: true}}, true
 }
 
 // handle executes one request against the engine. It is panic-contained:
@@ -994,9 +990,9 @@ func (s *Server) Panics() int64 { return s.panics.Load() }
 // control.
 func (s *Server) Refused() int64 { return s.refused.Load() }
 
-// InFlight returns the number of v2 requests currently inside the
-// server (queued, executing, or completed but unwritten), summed over
-// all pipelined sessions.
+// InFlight returns the number of requests currently inside the server
+// on pipelined sessions (queued, executing, or completed but
+// unwritten) — per session never more than WithMaxInFlight.
 func (s *Server) InFlight() int64 { return s.inflight.Load() }
 
 // Sheds returns the number of typed shed responses written (admission,
