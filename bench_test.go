@@ -18,6 +18,7 @@ import (
 	"runtime"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"github.com/septic-db/septic/internal/attacks"
 	"github.com/septic-db/septic/internal/benchlab"
@@ -628,7 +629,15 @@ func BenchmarkWireParallel(b *testing.B) {
 func benchWireSession(b *testing.B, opts ...wire.ClientOption) (*wire.Client, []string, func()) {
 	b.Helper()
 	db, workload := hookDeployment(b, benchlab.ConfigYY)
-	srv := wire.NewServer(db)
+	// septicd's flag defaults: the deadlines and the query timeout sit on
+	// the request path, so BENCH_wire.json must be recorded against them.
+	srv := wire.NewServer(db,
+		wire.WithMaxConns(256),
+		wire.WithQueryTimeout(30*time.Second),
+		wire.WithIdleTimeout(5*time.Minute),
+		wire.WithPipelineWorkers(wire.DefaultPipelineWorkers),
+		wire.WithMaxInFlight(wire.DefaultMaxInFlight),
+	)
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		b.Fatal(err)

@@ -156,14 +156,17 @@ func New(spec benchlab.AppSpec, cfg benchlab.SepticConfig, p Params) (*Bench, er
 		return nil, fmt.Errorf("workload of %s recorded no statements", spec.Name)
 	}
 
-	var srvOpts []wire.ServerOption
-	if p.Workers > 0 {
-		srvOpts = append(srvOpts, wire.WithPipelineWorkers(p.Workers))
-	}
-	if p.MaxInFlight > 0 {
-		srvOpts = append(srvOpts, wire.WithMaxInFlight(p.MaxInFlight))
-	}
-	srv := wire.NewServer(db, srvOpts...)
+	// septicd's flag defaults: the deadlines and the query timeout sit on
+	// the request path, so a replay against a bare NewServer(db) measures
+	// a server nobody ships. Workers and MaxInFlight of 0 are the
+	// server's defaults.
+	srv := wire.NewServer(db,
+		wire.WithMaxConns(256),
+		wire.WithQueryTimeout(30*time.Second),
+		wire.WithIdleTimeout(5*time.Minute),
+		wire.WithPipelineWorkers(p.Workers),
+		wire.WithMaxInFlight(p.MaxInFlight),
+	)
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		return nil, fmt.Errorf("listen: %w", err)

@@ -33,11 +33,16 @@
 //	value (cell):   kind byte, then INT/FLOAT: 8 bytes, STRING: string,
 //	                BOOL: 1 byte, NULL: nothing
 //
+// A result is encoded once and decoded once: the server's executor
+// encodes the engine's own values into the frame (appendReplyFrame), and
+// the client decodes the frame into the *engine.Result its caller gets
+// (decodeReplyBody) — no Response or WireValue in between.
+//
 // Every decoder is defensive: lengths and counts are checked against
 // the bytes actually present before any allocation, so a torn or
 // hostile frame can neither panic the decoder nor make it allocate
-// beyond the (already bounded) frame size. The fuzz target
-// FuzzBinaryDecode holds the decoders to that contract.
+// beyond a constant factor of the (already bounded) frame size. The
+// fuzz target FuzzBinaryDecode holds the decoders to that contract.
 package wire
 
 import (
@@ -47,6 +52,7 @@ import (
 	"io"
 	"math"
 	"sync"
+	"time"
 
 	"github.com/septic-db/septic/internal/engine"
 )
@@ -90,9 +96,9 @@ func appendString(b []byte, s string) []byte {
 	return append(b, s...)
 }
 
-func appendValue(b []byte, v WireValue) []byte {
+func appendValue(b []byte, v engine.Value) []byte {
 	b = append(b, byte(v.Kind))
-	switch engine.Kind(v.Kind) {
+	switch v.Kind {
 	case engine.KindInt:
 		b = binary.BigEndian.AppendUint64(b, uint64(v.I))
 	case engine.KindFloat:
@@ -133,7 +139,7 @@ func appendRequestFrame(b []byte, seq uint64, req *Request) ([]byte, error) {
 	b = appendString(b, req.Query)
 	b = binary.AppendUvarint(b, uint64(len(req.Args)))
 	for _, a := range req.Args {
-		b = appendValue(b, a)
+		b = appendValue(b, FromWire(a))
 	}
 	return endFrame(b, start)
 }
@@ -148,36 +154,78 @@ const (
 	respFlagRetryAfter = 1 << 3 // a retry-after uvarint follows the flags
 )
 
-// appendResponseFrame encodes one query result as a complete v2 frame.
-func appendResponseFrame(b []byte, seq uint64, resp *Response) ([]byte, error) {
+// reply is one request's answer as the binary path carries it: what the
+// server's executor produced and what the client's reader hands on. The
+// result is the engine's own type at both ends.
+type reply struct {
+	// res is the executed statement's result. The server leaves it nil on
+	// any failure; the decoder always sets it.
+	res          *engine.Result
+	err          string // failure text, empty on success
+	blocked      bool   // SEPTIC dropped the query
+	busy         bool   // connection refused at admission
+	shed         bool   // overload control rejected the request
+	retryAfterMS int64  // backoff hint with busy or shed, 0 = none
+}
+
+// failure maps an answer's failure fields to the error the client's
+// caller sees; nil means the statement executed.
+func (r *reply) failure() error {
+	switch {
+	case r.shed:
+		// Overload control rejected this one request before execution:
+		// the session stays healthy (no poison) and the typed error
+		// carries the server's retry-after hint.
+		return &OverloadError{
+			RetryAfter: time.Duration(r.retryAfterMS) * time.Millisecond,
+			msg:        r.err,
+		}
+	case r.busy:
+		return ErrServerBusy
+	case r.err == "":
+		return nil
+	case r.blocked:
+		return fmt.Errorf("%w: %s", ErrServerBlocked, r.err)
+	default:
+		return errors.New(r.err)
+	}
+}
+
+// appendReplyFrame encodes one answer as a complete v2 result frame,
+// the result's values straight from the engine's.
+func appendReplyFrame(b []byte, seq uint64, r *reply) ([]byte, error) {
 	start := len(b)
 	b = beginFrame(b, seq, frameResult)
 	var flags byte
-	if resp.Blocked {
+	if r.blocked {
 		flags |= respFlagBlocked
 	}
-	if resp.Busy {
+	if r.busy {
 		flags |= respFlagBusy
 	}
-	if resp.Shed {
+	if r.shed {
 		flags |= respFlagShed
 	}
-	if resp.RetryAfterMS > 0 {
+	if r.retryAfterMS > 0 {
 		flags |= respFlagRetryAfter
 	}
 	b = append(b, flags)
-	if resp.RetryAfterMS > 0 {
-		b = binary.AppendUvarint(b, uint64(resp.RetryAfterMS))
+	if r.retryAfterMS > 0 {
+		b = binary.AppendUvarint(b, uint64(r.retryAfterMS))
 	}
-	b = appendString(b, resp.Error)
-	b = binary.BigEndian.AppendUint64(b, uint64(resp.Affected))
-	b = binary.BigEndian.AppendUint64(b, uint64(resp.LastInsertID))
-	b = binary.AppendUvarint(b, uint64(len(resp.Columns)))
-	for _, c := range resp.Columns {
+	b = appendString(b, r.err)
+	res := r.res
+	if res == nil {
+		res = &engine.Result{} // does not escape: a failure encodes as the empty result
+	}
+	b = binary.BigEndian.AppendUint64(b, uint64(res.Affected))
+	b = binary.BigEndian.AppendUint64(b, uint64(res.LastInsertID))
+	b = binary.AppendUvarint(b, uint64(len(res.Columns)))
+	for _, c := range res.Columns {
 		b = appendString(b, c)
 	}
-	b = binary.AppendUvarint(b, uint64(len(resp.Rows)))
-	for _, row := range resp.Rows {
+	b = binary.AppendUvarint(b, uint64(len(res.Rows)))
+	for _, row := range res.Rows {
 		b = binary.AppendUvarint(b, uint64(len(row)))
 		for _, v := range row {
 			b = appendValue(b, v)
@@ -188,12 +236,22 @@ func appendResponseFrame(b []byte, seq uint64, resp *Response) ([]byte, error) {
 
 // --- decoding ----------------------------------------------------------
 
-// dec is a bounds-checked cursor over one frame payload. Every take
-// method fails (sticky error) instead of panicking when the payload is
-// truncated or a count lies about the bytes that follow.
+// dec is a bounds-checked cursor over one frame body. Every take method
+// fails (sticky error) instead of panicking when the body is truncated
+// or a count lies about the bytes that follow. The body is copied once,
+// into one string: every string a decoder returns is a substring of it,
+// so a frame costs one string allocation however many it carries, and
+// nothing decoded aliases the caller's (reused) read buffer.
 type dec struct {
-	b   []byte
+	b   []byte // the bytes not yet consumed
+	s   string // the same bytes as a string
 	err error
+}
+
+func newDec(body []byte) dec { return dec{b: body, s: string(body)} }
+
+func (d *dec) skip(n int) {
+	d.b, d.s = d.b[n:], d.s[n:]
 }
 
 func (d *dec) fail(what string) {
@@ -211,7 +269,7 @@ func (d *dec) takeByte(what string) byte {
 		return 0
 	}
 	v := d.b[0]
-	d.b = d.b[1:]
+	d.skip(1)
 	return v
 }
 
@@ -224,7 +282,7 @@ func (d *dec) takeU64(what string) uint64 {
 		return 0
 	}
 	v := binary.BigEndian.Uint64(d.b)
-	d.b = d.b[8:]
+	d.skip(8)
 	return v
 }
 
@@ -237,19 +295,19 @@ func (d *dec) takeUvarint(what string) uint64 {
 		d.fail(what)
 		return 0
 	}
-	d.b = d.b[n:]
+	d.skip(n)
 	return v
 }
 
 // takeCount reads a collection count and rejects any value that could
 // not possibly fit in the remaining bytes (each element needs at least
-// minElem bytes), so a lying count cannot drive a huge allocation.
-func (d *dec) takeCount(what string, minElem int) int {
+// one byte), so a lying count cannot drive a huge allocation.
+func (d *dec) takeCount(what string) int {
 	v := d.takeUvarint(what)
 	if d.err != nil {
 		return 0
 	}
-	if v > uint64(len(d.b)/minElem) {
+	if v > uint64(len(d.b)) {
 		d.fail(what)
 		return 0
 	}
@@ -257,26 +315,22 @@ func (d *dec) takeCount(what string, minElem int) int {
 }
 
 func (d *dec) takeString(what string) string {
-	n := d.takeUvarint(what)
+	n := d.takeCount(what)
 	if d.err != nil {
 		return ""
 	}
-	if n > uint64(len(d.b)) {
-		d.fail(what)
-		return ""
-	}
-	s := string(d.b[:n])
-	d.b = d.b[n:]
+	s := d.s[:n]
+	d.skip(n)
 	return s
 }
 
-func (d *dec) takeValue() WireValue {
+func (d *dec) takeValue() engine.Value {
 	kind := d.takeByte("value kind")
 	if d.err != nil {
-		return WireValue{}
+		return engine.Value{}
 	}
-	v := WireValue{Kind: int(kind)}
-	switch engine.Kind(kind) {
+	v := engine.Value{Kind: engine.Kind(kind)}
+	switch v.Kind {
 	case engine.KindInvalid, engine.KindNull:
 		// No payload. KindInvalid (a zero engine.Value) round-trips like
 		// null — the JSON path carries it too, so the binary path must.
@@ -294,62 +348,78 @@ func (d *dec) takeValue() WireValue {
 	return v
 }
 
-// decodeRequestBody decodes a frameQuery body into req (which should be
-// reset; Args capacity is reused).
-func decodeRequestBody(body []byte, req *Request) error {
-	d := dec{b: body}
-	req.Query = d.takeString("query")
-	argc := d.takeCount("arg count", 1)
-	for i := 0; i < argc && d.err == nil; i++ {
-		req.Args = append(req.Args, d.takeValue())
-	}
+// finish rejects trailing bytes and returns the decode's verdict.
+func (d *dec) finish() error {
 	if d.err == nil && len(d.b) != 0 {
 		d.fail("trailing bytes")
 	}
 	return d.err
 }
 
-// decodeResponseBody decodes a frameResult body into resp (which should
-// be reset; outer slice capacities are reused).
-func decodeResponseBody(body []byte, resp *Response) error {
-	d := dec{b: body}
+// decodeRequestBody decodes a frameQuery body into req (which should be
+// reset; Args capacity is reused).
+func decodeRequestBody(body []byte, req *Request) error {
+	d := newDec(body)
+	req.Query = d.takeString("query")
+	argc := d.takeCount("arg count")
+	for i := 0; i < argc && d.err == nil; i++ {
+		req.Args = append(req.Args, ToWire(d.takeValue()))
+	}
+	return d.finish()
+}
+
+// decodeReplyBody decodes a frameResult body into r. The result costs a
+// fixed number of allocations whatever its size: the Result, the frame's
+// string backing, the column and row headers, and one flat value slice
+// that every row is a window of.
+func decodeReplyBody(body []byte, r *reply) error {
+	d := newDec(body)
 	flags := d.takeByte("flags")
-	resp.Blocked = flags&respFlagBlocked != 0
-	resp.Busy = flags&respFlagBusy != 0
-	resp.Shed = flags&respFlagShed != 0
+	r.blocked = flags&respFlagBlocked != 0
+	r.busy = flags&respFlagBusy != 0
+	r.shed = flags&respFlagShed != 0
 	if flags&respFlagRetryAfter != 0 {
-		resp.RetryAfterMS = int64(d.takeUvarint("retry-after ms"))
+		r.retryAfterMS = int64(d.takeUvarint("retry-after ms"))
 	}
-	resp.Error = d.takeString("error")
-	resp.Affected = int64(d.takeU64("affected"))
-	resp.LastInsertID = int64(d.takeU64("last insert id"))
-	ncols := d.takeCount("column count", 1)
+	r.err = d.takeString("error")
+	res := &engine.Result{}
+	r.res = res
+	res.Affected = int64(d.takeU64("affected"))
+	res.LastInsertID = int64(d.takeU64("last insert id"))
+	ncols := d.takeCount("column count")
+	if ncols > 0 {
+		res.Columns = make([]string, 0, ncols)
+	}
 	for i := 0; i < ncols && d.err == nil; i++ {
-		resp.Columns = append(resp.Columns, d.takeString("column name"))
+		res.Columns = append(res.Columns, d.takeString("column name"))
 	}
-	nrows := d.takeCount("row count", 1)
+	nrows := d.takeCount("row count")
+	res.Rows = make([][]engine.Value, 0, nrows)
+	// Rows of a well-formed result have one cell per column, and a cell
+	// takes at least a byte: the estimate can never exceed the body.
+	flat := make([]engine.Value, 0, min(nrows*ncols, len(d.b)))
 	for i := 0; i < nrows && d.err == nil; i++ {
-		ncells := d.takeCount("cell count", 1)
-		if d.err != nil {
-			break
+		ncells := d.takeCount("cell count")
+		if cap(flat)-len(flat) < ncells {
+			flat = make([]engine.Value, 0, ncells) // a row the estimate did not cover
 		}
-		row := make([]WireValue, 0, ncells)
+		start := len(flat)
 		for j := 0; j < ncells && d.err == nil; j++ {
-			row = append(row, d.takeValue())
+			flat = append(flat, d.takeValue())
 		}
-		resp.Rows = append(resp.Rows, row)
+		res.Rows = append(res.Rows, flat[start:len(flat):len(flat)])
 	}
-	if d.err == nil && len(d.b) != 0 {
-		d.fail("trailing bytes")
-	}
-	return d.err
+	return d.finish()
 }
 
 // readBinaryFrame reads one v2 frame into buf (reused across calls) and
 // returns the sequence number, frame type and body. The body aliases
 // buf and is only valid until the next call.
 func readBinaryFrame(r io.Reader, buf *encBuf) (seq uint64, typ byte, body []byte, err error) {
-	n, err := readFrameHeader(r)
+	if cap(buf.b) < frameHeaderLen {
+		buf.b = make([]byte, 0, 4096)
+	}
+	n, err := readFrameHeader(r, buf.b[:frameHeaderLen])
 	if err != nil {
 		return 0, 0, nil, err
 	}

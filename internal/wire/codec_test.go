@@ -4,7 +4,11 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 
 	"github.com/septic-db/septic/internal/engine"
@@ -32,17 +36,16 @@ func sampleRequest() *Request {
 	}
 }
 
-func sampleResponse() *Response {
-	return &Response{
+func sampleReply() *reply {
+	return &reply{res: &engine.Result{
 		Columns: []string{"id", "name"},
-		Rows: [][]WireValue{
-			{{Kind: kInt, I: 1}, {Kind: kString, S: "ann"}},
-			{{Kind: kInt, I: 2}, {Kind: kNull}},
+		Rows: [][]engine.Value{
+			{engine.Int(1), engine.Str("ann")},
+			{engine.Int(2), engine.Null()},
 		},
 		Affected:     -7,
 		LastInsertID: 99,
-		Error:        "",
-	}
+	}}
 }
 
 func TestBinaryRequestRoundTrip(t *testing.T) {
@@ -68,18 +71,22 @@ func TestBinaryRequestRoundTrip(t *testing.T) {
 	}
 }
 
-func TestBinaryResponseRoundTrip(t *testing.T) {
-	cases := []*Response{
-		sampleResponse(),
-		{Error: "boom", Blocked: true},
-		{Busy: true, Error: "server busy"},
-		{Busy: true, Error: "server busy", RetryAfterMS: 250},
-		{Shed: true, Error: "server overloaded", RetryAfterMS: 17},
-		{Shed: true, Error: "quota exceeded"}, // shed without a hint
-		{}, // empty success
+// TestBinaryReplyRoundTrip: what the server's executor encodes is what
+// the client's reader decodes, for every kind of answer. A failure
+// carries no result on the server and decodes to the empty one.
+func TestBinaryReplyRoundTrip(t *testing.T) {
+	cases := []*reply{
+		sampleReply(),
+		{err: "boom", blocked: true},
+		{busy: true, err: "server busy"},
+		{busy: true, err: "server busy", retryAfterMS: 250},
+		{shed: true, err: "server overloaded", retryAfterMS: 17},
+		{shed: true, err: "quota exceeded"}, // shed without a hint
+		{res: &engine.Result{}},             // empty success
+		{res: &engine.Result{Columns: []string{"n"}, Rows: [][]engine.Value{{}, {engine.Bool(true), engine.Float(math.Pi)}}}}, // ragged rows
 	}
 	for i, want := range cases {
-		frame, err := appendResponseFrame(nil, uint64(i)+7, want)
+		frame, err := appendReplyFrame(nil, uint64(i)+7, want)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -91,20 +98,75 @@ func TestBinaryResponseRoundTrip(t *testing.T) {
 		if seq != uint64(i)+7 || typ != frameResult {
 			t.Fatalf("case %d: seq=%d typ=%#x", i, seq, typ)
 		}
-		var got Response
-		if err := decodeResponseBody(body, &got); err != nil {
+		var got reply
+		if err := decodeReplyBody(body, &got); err != nil {
 			t.Fatalf("case %d: %v", i, err)
 		}
-		if got.Blocked != want.Blocked || got.Busy != want.Busy || got.Error != want.Error ||
-			got.Shed != want.Shed || got.RetryAfterMS != want.RetryAfterMS ||
-			got.Affected != want.Affected || got.LastInsertID != want.LastInsertID ||
-			len(got.Columns) != len(want.Columns) || len(got.Rows) != len(want.Rows) {
-			t.Fatalf("case %d mismatch:\n got %+v\nwant %+v", i, got, *want)
+		// The decoded strings must not alias the (reused) read buffer.
+		scratch := buf.b[:cap(buf.b)]
+		for j := range scratch {
+			scratch[j] = 0xAA
 		}
-		for j := range want.Rows {
-			if !reflect.DeepEqual(got.Rows[j], want.Rows[j]) {
-				t.Fatalf("case %d row %d: got %+v want %+v", i, j, got.Rows[j], want.Rows[j])
+		wantRes := want.res
+		if wantRes == nil {
+			wantRes = &engine.Result{}
+		}
+		if got.blocked != want.blocked || got.busy != want.busy || got.err != want.err ||
+			got.shed != want.shed || got.retryAfterMS != want.retryAfterMS ||
+			got.res.Affected != wantRes.Affected || got.res.LastInsertID != wantRes.LastInsertID ||
+			len(got.res.Columns) != len(wantRes.Columns) || len(got.res.Rows) != len(wantRes.Rows) {
+			t.Fatalf("case %d mismatch:\n got %+v %+v\nwant %+v %+v", i, got, got.res, *want, wantRes)
+		}
+		for j := range wantRes.Columns {
+			if got.res.Columns[j] != wantRes.Columns[j] {
+				t.Fatalf("case %d column %d: got %q want %q", i, j, got.res.Columns[j], wantRes.Columns[j])
 			}
+		}
+		for j := range wantRes.Rows {
+			if len(got.res.Rows[j]) != len(wantRes.Rows[j]) ||
+				(len(wantRes.Rows[j]) > 0 && !reflect.DeepEqual(got.res.Rows[j], wantRes.Rows[j])) {
+				t.Fatalf("case %d row %d: got %+v want %+v", i, j, got.res.Rows[j], wantRes.Rows[j])
+			}
+			// Rows are windows of one backing: appending to one must not
+			// write into the next.
+			if cap(got.res.Rows[j]) != len(got.res.Rows[j]) {
+				t.Fatalf("case %d row %d: cap %d beyond len %d", i, j, cap(got.res.Rows[j]), len(got.res.Rows[j]))
+			}
+		}
+	}
+}
+
+// TestReplyFrameBytesUnchanged holds the rewritten codec to the frame
+// format: the committed fuzz seeds were written by the encoder that went
+// through Response and WireValue, and decoding then re-encoding them
+// must give back the same bytes.
+func TestReplyFrameBytesUnchanged(t *testing.T) {
+	for _, name := range []string{"valid_response", "blocked_response"} {
+		raw, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzBinaryDecode", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		lit := strings.TrimSpace(strings.TrimPrefix(string(raw), "go test fuzz v1\n"))
+		lit = strings.TrimSuffix(strings.TrimPrefix(lit, "[]byte("), ")")
+		text, err := strconv.Unquote(lit)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		want := []byte(text)
+		seq, typ, body, err := readBinaryFrame(bytes.NewReader(want), &encBuf{})
+		if err != nil || typ != frameResult {
+			t.Fatalf("%s: typ=%#x err=%v", name, typ, err)
+		}
+		var ans reply
+		if err := decodeReplyBody(body, &ans); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		got, err := appendReplyFrame(nil, seq, &ans)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%s re-encoded differently:\n got %q\nwant %q", name, got, want)
 		}
 	}
 }
@@ -114,7 +176,7 @@ func TestBinaryResponseRoundTrip(t *testing.T) {
 // a panic, never a giant allocation.
 func TestDecoderRejectsHostileBodies(t *testing.T) {
 	reqFrame, _ := appendRequestFrame(nil, 1, sampleRequest())
-	respFrame, _ := appendResponseFrame(nil, 1, sampleResponse())
+	respFrame, _ := appendReplyFrame(nil, 1, sampleReply())
 	reqBody := reqFrame[4+v2FrameOverhead:]
 	respBody := respFrame[4+v2FrameOverhead:]
 
@@ -125,8 +187,8 @@ func TestDecoderRejectsHostileBodies(t *testing.T) {
 		_ = decodeRequestBody(reqBody[:n], &req) // must not panic
 	}
 	for n := 0; n < len(respBody); n++ {
-		var resp Response
-		_ = decodeResponseBody(respBody[:n], &resp)
+		var ans reply
+		_ = decodeReplyBody(respBody[:n], &ans)
 	}
 
 	// A count that promises more elements than bytes remain must be
@@ -148,9 +210,9 @@ func TestDecoderRejectsHostileBodies(t *testing.T) {
 	if err := decodeRequestBody(trailing, &req); err == nil {
 		t.Fatal("trailing bytes accepted")
 	}
-	var resp Response
+	var ans reply
 	trailingResp := append(append([]byte{}, respBody...), 0x01)
-	if err := decodeResponseBody(trailingResp, &resp); err == nil {
+	if err := decodeReplyBody(trailingResp, &ans); err == nil {
 		t.Fatal("trailing bytes accepted in response")
 	}
 }

@@ -3,23 +3,17 @@ package wire
 import (
 	"bytes"
 	"math"
+	"slices"
 	"testing"
+
+	"github.com/septic-db/septic/internal/engine"
 )
 
-// wireValuesEqual compares values bit-for-bit: reflect.DeepEqual would
+// sameValue compares two values bit-for-bit: reflect.DeepEqual would
 // reject a NaN float that round-tripped perfectly.
-func wireValuesEqual(a, b []WireValue) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		x, y := a[i], b[i]
-		if x.Kind != y.Kind || x.I != y.I || x.S != y.S || x.B != y.B ||
-			math.Float64bits(x.F) != math.Float64bits(y.F) {
-			return false
-		}
-	}
-	return true
+func sameValue(x, y engine.Value) bool {
+	return x.Kind == y.Kind && x.I == y.I && x.S == y.S && x.B == y.B &&
+		math.Float64bits(x.F) == math.Float64bits(y.F)
 }
 
 // FuzzBinaryDecode holds the v2 codec's decoders to their contract: an
@@ -36,18 +30,18 @@ func FuzzBinaryDecode(f *testing.F) {
 		Query: "SELECT id FROM t WHERE id = ?",
 		Args:  []WireValue{{Kind: kInt, I: 42}, {Kind: kString, S: "x"}},
 	})
-	respFrame, _ := appendResponseFrame(nil, 1<<40, &Response{
+	respFrame, _ := appendReplyFrame(nil, 1<<40, &reply{res: &engine.Result{
 		Columns: []string{"id"},
-		Rows:    [][]WireValue{{{Kind: kInt, I: 1}}, {{Kind: kNull}}},
-	})
-	blockedFrame, _ := appendResponseFrame(nil, 7, &Response{Error: "blocked", Blocked: true})
+		Rows:    [][]engine.Value{{engine.Int(1)}, {engine.Null()}},
+	}})
+	blockedFrame, _ := appendReplyFrame(nil, 7, &reply{err: "blocked", blocked: true})
 	f.Add(reqFrame)
 	f.Add(respFrame)
 	f.Add(blockedFrame)
-	f.Add(reqFrame[:len(reqFrame)-4])                  // torn mid-body
-	f.Add(reqFrame[:6])                                // torn mid-header
-	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 1, 2, 3})     // oversized length
-	f.Add([]byte{0, 0, 0, 3, 1, 2, 3})                 // below fixed overhead
+	f.Add(reqFrame[:len(reqFrame)-4])                       // torn mid-body
+	f.Add(reqFrame[:6])                                     // torn mid-header
+	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 1, 2, 3})          // oversized length
+	f.Add([]byte{0, 0, 0, 3, 1, 2, 3})                      // below fixed overhead
 	f.Add([]byte{0, 0, 0, 9, 0, 0, 0, 0, 0, 0, 0, 0, 0xEE}) // unknown type, zero seq
 	// Lying collection count: argc claims 2^40 elements.
 	lie := append([]byte{}, reqFrame[:4+v2FrameOverhead]...)
@@ -65,8 +59,8 @@ func FuzzBinaryDecode(f *testing.F) {
 		// Decode as both frame kinds; neither may panic.
 		var req Request
 		reqErr := decodeRequestBody(body, &req)
-		var resp Response
-		respErr := decodeResponseBody(body, &resp)
+		var ans reply
+		ansErr := decodeReplyBody(body, &ans)
 
 		// Whatever decoded must round-trip: encode → read → decode gives
 		// the same value under the same sequence number.
@@ -83,28 +77,38 @@ func FuzzBinaryDecode(f *testing.F) {
 			if err := decodeRequestBody(body2, &req2); err != nil {
 				t.Fatalf("re-decode: %v", err)
 			}
-			if req2.Query != req.Query || !wireValuesEqual(req2.Args, req.Args) {
+			if req2.Query != req.Query || !slices.EqualFunc(req2.Args, req.Args, func(x, y WireValue) bool {
+				return sameValue(FromWire(x), FromWire(y))
+			}) {
 				t.Fatalf("request round-trip mismatch: %+v vs %+v", req, req2)
 			}
 		}
-		if typ == frameResult && respErr == nil {
-			re, err := appendResponseFrame(nil, seq, &resp)
+		if typ == frameResult && ansErr == nil {
+			re, err := appendReplyFrame(nil, seq, &ans)
 			if err != nil {
-				t.Fatalf("re-encode decoded response: %v", err)
+				t.Fatalf("re-encode decoded reply: %v", err)
 			}
-			var resp2 Response
+			var ans2 reply
 			_, _, body2, err := readBinaryFrame(bytes.NewReader(re), &encBuf{})
 			if err != nil {
-				t.Fatalf("re-read response: %v", err)
+				t.Fatalf("re-read reply: %v", err)
 			}
-			if err := decodeResponseBody(body2, &resp2); err != nil {
-				t.Fatalf("re-decode response: %v", err)
+			if err := decodeReplyBody(body2, &ans2); err != nil {
+				t.Fatalf("re-decode reply: %v", err)
 			}
-			if resp2.Error != resp.Error || resp2.Blocked != resp.Blocked ||
-				resp2.Busy != resp.Busy || resp2.Affected != resp.Affected ||
-				resp2.LastInsertID != resp.LastInsertID ||
-				len(resp2.Columns) != len(resp.Columns) || len(resp2.Rows) != len(resp.Rows) {
-				t.Fatalf("response round-trip mismatch: %+v vs %+v", resp, resp2)
+			res, res2 := ans.res, ans2.res
+			same := ans2.err == ans.err && ans2.blocked == ans.blocked && ans2.busy == ans.busy &&
+				ans2.shed == ans.shed && res2.Affected == res.Affected &&
+				res2.LastInsertID == res.LastInsertID &&
+				len(res2.Columns) == len(res.Columns) && len(res2.Rows) == len(res.Rows)
+			for i := 0; same && i < len(res.Columns); i++ {
+				same = res2.Columns[i] == res.Columns[i]
+			}
+			for i := 0; same && i < len(res.Rows); i++ {
+				same = slices.EqualFunc(res2.Rows[i], res.Rows[i], sameValue)
+			}
+			if !same {
+				t.Fatalf("reply round-trip mismatch: %+v %+v vs %+v %+v", ans, res, ans2, res2)
 			}
 		}
 	})

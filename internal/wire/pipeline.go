@@ -24,7 +24,6 @@ import (
 	"fmt"
 	"net"
 	"sync"
-	"time"
 
 	"github.com/septic-db/septic/internal/engine"
 )
@@ -178,8 +177,6 @@ func (p *pipe) readLoop() {
 	br := bufio.NewReaderSize(p.conn, v2BufSize)
 	buf := getEncBuf()
 	defer putEncBuf(buf)
-	resp := getResponse()
-	defer putResponse(resp)
 	for {
 		seq, typ, body, err := readBinaryFrame(br, buf)
 		if err != nil {
@@ -200,8 +197,8 @@ func (p *pipe) readLoop() {
 			p.poison(fmt.Errorf("protocol error: response for unknown sequence %d", seq))
 			return
 		}
-		resp.reset()
-		if err := decodeResponseBody(body, resp); err != nil {
+		var ans reply
+		if err := decodeReplyBody(body, &ans); err != nil {
 			// The pending fails with the decode error; the stream
 			// position is still sound (the frame was length-delimited),
 			// but a corrupt frame means an unreliable peer — poison.
@@ -210,8 +207,11 @@ func (p *pipe) readLoop() {
 			p.poison(err)
 			return
 		}
-		res, rerr := responseToResult(resp)
-		pend.ch <- outcome{res: res, err: rerr}
+		if err := ans.failure(); err != nil {
+			pend.ch <- outcome{err: err}
+		} else {
+			pend.ch <- outcome{res: ans.res}
+		}
 		<-p.window
 	}
 }
@@ -280,26 +280,13 @@ func (p *pipe) close() {
 	<-p.flusherDone
 }
 
-// responseToResult converts a wire response into the caller-visible
-// result/error pair, mirroring the v1 client's handling.
+// responseToResult converts a JSON-path response into the
+// caller-visible result/error pair. It copies: the response is pooled.
 func responseToResult(resp *Response) (*engine.Result, error) {
-	if resp.Shed {
-		// Overload control rejected this one request before execution:
-		// the session stays healthy (no poison) and the typed error
-		// carries the server's retry-after hint.
-		return nil, &OverloadError{
-			RetryAfter: time.Duration(resp.RetryAfterMS) * time.Millisecond,
-			msg:        resp.Error,
-		}
-	}
-	if resp.Busy {
-		return nil, ErrServerBusy
-	}
-	if resp.Error != "" {
-		if resp.Blocked {
-			return nil, fmt.Errorf("%w: %s", ErrServerBlocked, resp.Error)
-		}
-		return nil, errors.New(resp.Error)
+	ans := reply{err: resp.Error, blocked: resp.Blocked, busy: resp.Busy,
+		shed: resp.Shed, retryAfterMS: resp.RetryAfterMS}
+	if err := ans.failure(); err != nil {
+		return nil, err
 	}
 	res := &engine.Result{
 		Affected:     resp.Affected,

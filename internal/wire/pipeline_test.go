@@ -552,6 +552,19 @@ func measureRoundTripAllocs(t *testing.T, c *Client, loops int) float64 {
 	return float64(after.Mallocs-before.Mallocs) / float64(loops)
 }
 
+// shippedServerOpts are septicd's flag defaults (cmd/septicd): what an
+// alloc ceiling or a benchmark must be measured against, because the
+// deadlines and the query timeout sit on the request path.
+func shippedServerOpts() []ServerOption {
+	return []ServerOption{
+		WithMaxConns(256),
+		WithQueryTimeout(30 * time.Second),
+		WithIdleTimeout(5 * time.Minute),
+		WithPipelineWorkers(DefaultPipelineWorkers),
+		WithMaxInFlight(DefaultMaxInFlight),
+	}
+}
+
 func TestWireRoundTripAllocCeiling(t *testing.T) {
 	if testing.Short() {
 		t.Skip("alloc measurement is noisy under -short")
@@ -559,7 +572,7 @@ func TestWireRoundTripAllocCeiling(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("race instrumentation adds allocations")
 	}
-	addr, _, db := startServer(t, core.Config{Mode: core.ModeTraining})
+	addr, _, db := startServerOpts(t, core.Config{Mode: core.ModeTraining}, shippedServerOpts()...)
 	if _, err := db.Exec("CREATE TABLE t (id INT, name TEXT)"); err != nil {
 		t.Fatal(err)
 	}
@@ -574,14 +587,14 @@ func TestWireRoundTripAllocCeiling(t *testing.T) {
 	binAllocs := measureRoundTripAllocs(t, cb, 300)
 
 	t.Logf("per round-trip mallocs (process-wide): json=%.1f v2=%.1f", jsonAllocs, binAllocs)
-	// Absolute ceilings with margin (the totals are dominated by engine
-	// execution and result copies, not the codec), plus the relative
-	// property the codec work actually targets: binary under JSON.
-	if jsonAllocs > 65 {
-		t.Errorf("JSON round trip allocates %.1f/op, ceiling 65", jsonAllocs)
+	// Absolute ceilings: the values measured against the shipped server
+	// (52.1 and 37.1, most of it the engine's execution) plus 10 %, and the
+	// relative property the codec work targets: binary under JSON.
+	if jsonAllocs > 57 {
+		t.Errorf("JSON round trip allocates %.1f/op, ceiling 57", jsonAllocs)
 	}
-	if binAllocs > 50 {
-		t.Errorf("v2 round trip allocates %.1f/op, ceiling 50", binAllocs)
+	if binAllocs > 41 {
+		t.Errorf("v2 round trip allocates %.1f/op, ceiling 41", binAllocs)
 	}
 	if binAllocs >= jsonAllocs {
 		t.Errorf("v2 path (%.1f/op) does not undercut JSON path (%.1f/op)", binAllocs, jsonAllocs)

@@ -35,6 +35,9 @@ import (
 // max_allowed_packet).
 const maxFrame = 16 << 20
 
+// frameHeaderLen is the length prefix of every frame, either framing.
+const frameHeaderLen = 4
+
 // Protocol versions carried in the HELLO handshake.
 const (
 	// HelloVersion is the newest protocol version this build speaks.
@@ -181,9 +184,43 @@ func getResponse() *Response {
 	return responsePool.Get().(*Response)
 }
 
+// putResponse recycles r under the rule putEncBuf follows: reset keeps
+// the outer slice capacities, and one giant scan must not pin its row
+// and column headers (24 and 16 bytes an entry) in the pool forever.
 func putResponse(r *Response) {
 	r.reset()
+	if cap(r.Rows)*24 > poolableCap {
+		r.Rows = nil
+	}
+	if cap(r.Columns)*16 > poolableCap {
+		r.Columns = nil
+	}
 	responsePool.Put(r)
+}
+
+// response renders the answer for the JSON path. The Response comes
+// from the frame pool; result data is copied in, never aliased, so
+// recycling it cannot corrupt engine state.
+func (r *reply) response() *Response {
+	resp := getResponse()
+	resp.Error = r.err
+	resp.Blocked = r.blocked
+	resp.Busy = r.busy
+	resp.Shed = r.shed
+	resp.RetryAfterMS = r.retryAfterMS
+	if res := r.res; res != nil {
+		resp.Columns = append(resp.Columns[:0], res.Columns...)
+		resp.Affected = res.Affected
+		resp.LastInsertID = res.LastInsertID
+		for _, row := range res.Rows {
+			wr := make([]WireValue, len(row))
+			for j, v := range row {
+				wr[j] = ToWire(v)
+			}
+			resp.Rows = append(resp.Rows, wr)
+		}
+	}
+	return resp
 }
 
 // WireValue is the serialized form of engine.Value.
@@ -256,13 +293,7 @@ var payloadPool = sync.Pool{New: func() any {
 	return &b
 }}
 
-func getPayloadBuf(n uint32) *[]byte {
-	pb := payloadPool.Get().(*[]byte)
-	if uint32(cap(*pb)) < n {
-		*pb = make([]byte, 0, n)
-	}
-	return pb
-}
+func getPayloadBuf() *[]byte { return payloadPool.Get().(*[]byte) }
 
 func putPayloadBuf(pb *[]byte) {
 	if cap(*pb) <= poolableCap {
@@ -282,42 +313,44 @@ func ReadJSONFrame(r io.Reader, msg any) error { return readFrame(r, msg) }
 
 // readFrame receives one length-prefixed JSON message into msg.
 func readFrame(r io.Reader, msg any) error {
-	n, err := readFrameHeader(r)
+	pb := getPayloadBuf()
+	defer putPayloadBuf(pb)
+	n, err := readFrameHeader(r, (*pb)[:frameHeaderLen])
 	if err != nil {
 		return err
 	}
-	return readFramePayload(r, n, msg)
+	return readFramePayload(r, n, pb, msg)
 }
 
-// readFrameHeader reads and bounds-checks the length prefix. It is
+// readFrameHeader reads and bounds-checks the length prefix into hdr,
+// scratch of frameHeaderLen bytes the caller owns (a local array would
+// escape through the io.Reader and cost an allocation per frame). It is
 // split from the payload read so the server can apply separate idle
 // (waiting for a request to start) and read (receiving the rest of the
 // frame) deadlines.
-func readFrameHeader(r io.Reader) (uint32, error) {
-	var header [4]byte
-	if _, err := io.ReadFull(r, header[:]); err != nil {
+func readFrameHeader(r io.Reader, hdr []byte) (uint32, error) {
+	if _, err := io.ReadFull(r, hdr); err != nil {
 		return 0, err // io.EOF passes through for clean shutdown detection
 	}
-	n := binary.BigEndian.Uint32(header[:])
+	n := binary.BigEndian.Uint32(hdr)
 	if n > maxFrame {
 		return 0, fmt.Errorf("frame of %d bytes exceeds limit", n)
 	}
 	return n, nil
 }
 
-// readFramePayload reads the n-byte payload into a pooled buffer and
-// decodes it into msg. json.Unmarshal copies everything it keeps, so
-// the buffer is recycled immediately.
-func readFramePayload(r io.Reader, n uint32, msg any) error {
-	pb := getPayloadBuf(n)
+// readFramePayload reads the n-byte payload into the pooled buffer pb
+// (grown if need be) and decodes it into msg. json.Unmarshal copies
+// everything it keeps, so the caller recycles the buffer at once.
+func readFramePayload(r io.Reader, n uint32, pb *[]byte, msg any) error {
+	if uint32(cap(*pb)) < n {
+		*pb = make([]byte, 0, n)
+	}
 	payload := (*pb)[:n]
 	if _, err := io.ReadFull(r, payload); err != nil {
-		putPayloadBuf(pb)
 		return fmt.Errorf("read frame payload: %w", err)
 	}
-	err := json.Unmarshal(payload, msg)
-	putPayloadBuf(pb)
-	if err != nil {
+	if err := json.Unmarshal(payload, msg); err != nil {
 		return fmt.Errorf("decode frame: %w", err)
 	}
 	return nil

@@ -163,7 +163,7 @@ func WithWriteTimeout(d time.Duration) ServerOption {
 // pipeline stages — with a watchdog response: if the query overruns, the
 // client immediately receives a timeout error and the overrunning
 // execution is abandoned to finish (and be discarded) on its own. Zero
-// disables the timeout and the per-query watchdog goroutine entirely.
+// disables the timeout: the watchdog's timer is never armed.
 func WithQueryTimeout(d time.Duration) ServerOption {
 	return func(s *Server) { s.queryTimeout = d }
 }
@@ -430,35 +430,45 @@ func (s *Server) acceptLoop(ln net.Listener) {
 // serves it. Refused connections receive one "server busy" response
 // frame so the client fails cleanly instead of seeing a bare hangup.
 func (s *Server) admitAndServe(conn net.Conn) {
-	defer s.forget(conn)
-	if s.sem != nil {
-		select {
-		case s.sem <- struct{}{}:
-		default:
-			// No free slot: join the bounded backlog or be refused.
-			if int(s.waiters.Add(1)) > s.backlog {
-				s.waiters.Add(-1)
-				s.refuse(conn)
-				return
-			}
-			timer := time.NewTimer(s.backlogWait)
-			select {
-			case s.sem <- struct{}{}:
-				timer.Stop()
-				s.waiters.Add(-1)
-			case <-timer.C:
-				s.waiters.Add(-1)
-				s.refuse(conn)
-				return
-			case <-s.done:
-				timer.Stop()
-				s.waiters.Add(-1)
-				return
-			}
-		}
-		defer func() { <-s.sem }()
+	if s.sem != nil && !s.acquireConnSlot(conn) {
+		s.forget(conn)
+		return
 	}
-	(&session{s: s, conn: conn, r: conn, ctl: s.controlsFor("")}).serve()
+	ss := &session{s: s, conn: conn, r: conn, ctl: s.controlsFor("")}
+	if ss.serve() {
+		ss.close()
+	}
+}
+
+// acquireConnSlot takes one max-conns token for conn, waiting in the
+// bounded backlog if none is free; false means conn was refused (and
+// answered) or the server is closing.
+func (s *Server) acquireConnSlot(conn net.Conn) bool {
+	select {
+	case s.sem <- struct{}{}:
+		return true
+	default:
+	}
+	// No free slot: join the bounded backlog or be refused.
+	if int(s.waiters.Add(1)) > s.backlog {
+		s.waiters.Add(-1)
+		s.refuse(conn)
+		return false
+	}
+	timer := time.NewTimer(s.backlogWait)
+	defer timer.Stop()
+	select {
+	case s.sem <- struct{}{}:
+		s.waiters.Add(-1)
+		return true
+	case <-timer.C:
+		s.waiters.Add(-1)
+		s.refuse(conn)
+		return false
+	case <-s.done:
+		s.waiters.Add(-1)
+		return false
+	}
 }
 
 // refuse answers one admission rejection and hangs up. The busy frame
@@ -484,17 +494,13 @@ const (
 	shedMsgDraining = "server draining: request not executed"
 )
 
-// shedResponse answers req with one typed overload rejection. The
-// request never executes — it is recycled here — so the client may retry
-// it safely after the hint.
-func (s *Server) shedResponse(req *Request, msg string, retryAfter time.Duration) *Response {
+// shedReply answers req with one typed overload rejection. The request
+// never executes — it is recycled here — so the client may retry it
+// safely after the hint.
+func (s *Server) shedReply(req *Request, msg string, retryAfter time.Duration) reply {
 	putRequest(req)
 	s.shed.Add(1)
-	resp := getResponse()
-	resp.Error = msg
-	resp.Shed = true
-	resp.RetryAfterMS = retryAfterMS(retryAfter)
-	return resp
+	return reply{err: msg, shed: true, retryAfterMS: retryAfterMS(retryAfter)}
 }
 
 // retryAfterMS converts a hint to wire milliseconds, rounding a
@@ -519,20 +525,27 @@ func retryAfterMS(d time.Duration) int64 {
 // version-2 HELLO widens the same session in place (widen): frames turn
 // binary, admitted requests are handed to a worker pool, and a writer
 // goroutine completes them in whatever order they finish. The steps and
-// their order are the same either way; only read's framing and which
-// goroutine runs execute and complete differ.
+// their order are the same either way; only read's framing, which
+// goroutine runs execute, and how the answer is rendered (a JSON
+// Response, or binary frame bytes for the writer) differ.
+//
+// The goroutine that executes a request is the session's executor: the
+// serving goroutine while synchronous, a pool worker once widened. It
+// runs the request itself, under its own watchdog (watchdog.go); only a
+// query timeout that actually fires takes a request away from it.
 type session struct {
 	s    *Server
 	conn net.Conn
-	r    io.Reader          // conn, behind a buffer once widened
-	app  string             // domain binding: empty until a HELLO binds it
-	ctl  *overload.Controls // the bound domain's overload controls, or nil
+	r    io.Reader            // conn, behind a buffer once widened
+	hdr  [frameHeaderLen]byte // read scratch for the length prefix
+	app  string               // domain binding: empty until a HELLO binds it
+	ctl  *overload.Controls   // the bound domain's overload controls, or nil
 
 	// Pipelined state, nil until widen.
 	buf        *encBuf       // read scratch; decoded requests copy out of it
 	window     chan struct{} // one token per request inside the server
 	in         chan ticket   // admitted, waiting for a worker
-	out        chan ticket   // answered (executed or shed), waiting for the writer
+	out        chan ticket   // answered and encoded, waiting for the writer
 	workers    sync.WaitGroup
 	writerDone chan struct{}
 }
@@ -540,29 +553,34 @@ type session struct {
 // ticket is one request inside the server, from admit to complete.
 type ticket struct {
 	seq     uint64          // echoed by the binary response frame; 0 on JSON
-	req     *Request        // owned by execute; recycled already if shed
-	resp    *Response       // the answer: set by admit (shed) or by execute
+	req     *Request        // owned by the goroutine executing it; recycled already if shed
+	ans     reply           // the answer: set by admit (shed), execute, or the watchdog
+	frame   *encBuf         // ans as frame bytes, once delivered on a pipelined session
 	arrival time.Time       // when admission admitted it; zero when unarmed
-	quota   *overload.Quota // charged in admit, released by execute
+	sojourn time.Duration   // arrival → through the execution gate
+	quota   *overload.Quota // charged in admit, released by settle
 }
 
 // serve runs the session until the client disconnects, a deadline
 // fires, the server drains, the peer violates the protocol, or a
-// replication HELLO hands the connection away.
-func (ss *session) serve() {
-	defer ss.close()
+// replication HELLO hands the connection away. It reports whether the
+// calling goroutine still owns the session: false means a watchdog took
+// a request — and with it the session — away from it, a replacement is
+// serving on, and the caller must touch nothing of the session again.
+func (ss *session) serve() (owner bool) {
+	w := newWatchdog(ss)
 	for {
 		req := getRequest()
 		seq, err := ss.read(req)
 		if err != nil {
 			putRequest(req)
-			return
+			return true
 		}
 		if req.Hello != nil {
 			resp, next := ss.hello(req.Hello)
 			putRequest(req)
 			if !ss.answer(resp) {
-				return
+				return true
 			}
 			switch next {
 			case helloWiden:
@@ -573,7 +591,7 @@ func (ss *session) serve() {
 				_ = ss.conn.SetReadDeadline(time.Time{})
 				_ = ss.conn.SetWriteDeadline(time.Time{})
 				ss.s.replHandler(ss.conn)
-				return
+				return true
 			}
 			continue
 		}
@@ -588,17 +606,27 @@ func (ss *session) serve() {
 		t := ss.admit(seq, req)
 		switch {
 		case ss.window == nil:
-			if t.resp == nil {
-				t.resp = ss.execute(t)
+			if !t.ans.shed && !ss.execute(w, &t) {
+				return false
 			}
-			if !ss.answer(t.resp) {
-				return
+			if !ss.answer(t.ans.response()) {
+				return true
 			}
-		case t.resp != nil:
-			ss.out <- t // shed at arrival: never occupies a queue slot
+		case t.ans.shed:
+			ss.deliver(t) // shed at arrival: never occupies a queue slot
 		default:
 			ss.in <- t
 		}
+	}
+}
+
+// resume is the serving goroutine a watchdog starts in place of the one
+// it took a synchronous session from: it answers the timed-out request
+// and serves on as the session's owner.
+func (ss *session) resume(t ticket) {
+	defer ss.s.wg.Done()
+	if !ss.answer(t.ans.response()) || ss.serve() {
+		ss.close()
 	}
 }
 
@@ -620,7 +648,7 @@ func (ss *session) read(req *Request) (seq uint64, err error) {
 	if s.idleTimeout > 0 {
 		_ = ss.conn.SetReadDeadline(time.Now().Add(s.idleTimeout))
 	}
-	n, err := readFrameHeader(ss.r)
+	n, err := readFrameHeader(ss.r, ss.hdr[:])
 	if err != nil {
 		return 0, err
 	}
@@ -628,7 +656,10 @@ func (ss *session) read(req *Request) (seq uint64, err error) {
 		_ = ss.conn.SetReadDeadline(time.Now().Add(s.readTimeout))
 	}
 	if ss.window == nil {
-		return 0, readFramePayload(ss.r, n, req)
+		pb := getPayloadBuf()
+		err := readFramePayload(ss.r, n, pb, req)
+		putPayloadBuf(pb)
+		return 0, err
 	}
 	seq, typ, body, err := readBinaryFramePayload(ss.r, n, ss.buf)
 	if err == nil && typ != frameQuery {
@@ -639,7 +670,7 @@ func (ss *session) read(req *Request) (seq uint64, err error) {
 	}
 	if err == nil {
 		s.obsV2In.Inc()
-		s.obsV2BytesIn.Add(int64(n) + 4)
+		s.obsV2BytesIn.Add(int64(n) + frameHeaderLen)
 	}
 	return seq, err
 }
@@ -700,8 +731,8 @@ func (s *Server) controlsFor(app string) *overload.Controls {
 // occupy a queue slot, in order: the domain's quota first (a flooded
 // tenant is rejected before it can consume shared budget), then the
 // shared admission bound. A rejected request comes back already
-// answered — t.resp is its typed shed response — and is never executed.
-// With no overload control configured admit only fills in the ticket.
+// answered — t.ans is its typed shed — and is never executed. With no
+// overload control configured admit only fills in the ticket.
 func (ss *session) admit(seq uint64, req *Request) ticket {
 	s := ss.s
 	t := ticket{seq: seq, req: req}
@@ -709,14 +740,14 @@ func (ss *session) admit(seq uint64, req *Request) ticket {
 		t.quota = ss.ctl.Quota
 	}
 	if ok, retryAfter := t.quota.Acquire(); !ok {
-		t.resp = s.shedResponse(req, shedMsgQuota, retryAfter)
+		t.ans = s.shedReply(req, shedMsgQuota, retryAfter)
 		return t
 	}
 	if s.admission != nil {
 		if ok, retryAfter := s.admission.Arrive(); !ok {
 			t.quota.Release()
 			ss.ctl.NoteShed()
-			t.resp = s.shedResponse(req, shedMsgOverload, retryAfter)
+			t.ans = s.shedReply(req, shedMsgOverload, retryAfter)
 			return t
 		}
 		t.arrival = time.Now()
@@ -724,29 +755,56 @@ func (ss *session) admit(seq uint64, req *Request) ticket {
 	return t
 }
 
-// execute runs one admitted request to its answer and settles what
-// admit opened. With admission armed it first waits for a slot of the
-// bounded execution gate: the wait since arrival (on a pipelined
-// session that includes the worker queue) is the sojourn the control law
-// consumes, the rest is service time. A request still waiting when
-// shutdown begins is shed typed, not dropped or executed.
-func (ss *session) execute(t ticket) *Response {
+// execute runs one admitted request to its answer on the calling
+// goroutine — the session's executor — under the executor's watchdog w.
+// With admission armed it first waits for a slot of the bounded
+// execution gate: the wait since arrival (on a pipelined session that
+// includes the worker queue) is the sojourn the control law consumes, the
+// rest is service time. A request still waiting when shutdown begins is
+// shed typed, not dropped or executed.
+//
+// The watchdog is armed around the engine call only. Whoever takes the
+// request out of its running state owns the answer and settles what
+// admit and execute opened: normally the executor, here; after a query
+// timeout the watchdog, which has by then answered the client and
+// started a replacement executor (watchdog.fire). execute then reports
+// false: the caller has become a stray — its result is discarded, and it
+// must exit without touching the session or the ticket again.
+func (ss *session) execute(w *watchdog, t *ticket) bool {
 	s := ss.s
-	defer t.quota.Release()
-	if s.admission == nil {
-		return s.dispatch(t.req, ss.app)
+	if s.admission != nil {
+		select {
+		case s.execGate <- struct{}{}:
+		case <-s.done:
+			s.admission.Cancel()
+			t.quota.Release()
+			t.ans = s.shedReply(t.req, shedMsgDraining, time.Second)
+			return true
+		}
+		t.sojourn = time.Since(t.arrival)
 	}
-	select {
-	case s.execGate <- struct{}{}:
-	case <-s.done:
-		s.admission.Cancel()
-		return s.shedResponse(t.req, shedMsgDraining, time.Second)
+	w.arm(t)
+	ans := s.handle(w, t.req, ss.app)
+	putRequest(t.req) // the executor's own, stray or not: the engine is done with it
+	if !w.disarm() {
+		return false
 	}
-	sojourn := time.Since(t.arrival)
-	resp := s.dispatch(t.req, ss.app)
-	<-s.execGate
-	s.admission.Done(sojourn, time.Since(t.arrival)-sojourn)
-	return resp
+	s.settle(t)
+	t.ans = ans
+	return true
+}
+
+// settle closes what admit and execute opened for a request that reached
+// the engine: the gate slot, the admission controller's sojourn/service
+// sample, the quota charge. It runs once per such request, called by
+// whoever won it — the executor that finished it or the watchdog that
+// timed it out.
+func (s *Server) settle(t *ticket) {
+	if s.admission != nil {
+		<-s.execGate
+		s.admission.Done(t.sojourn, time.Since(t.arrival)-t.sojourn)
+	}
+	t.quota.Release()
 }
 
 // answer writes one response on a synchronous session and completes
@@ -756,15 +814,29 @@ func (ss *session) answer(resp *Response) bool {
 		_ = ss.conn.SetWriteDeadline(time.Now().Add(ss.s.writeTimeout))
 	}
 	err := writeFrame(ss.conn, resp)
-	ss.complete(resp, err == nil)
+	putResponse(resp)
+	ss.complete(err == nil)
 	return err == nil
 }
 
+// deliver renders an answered ticket as frame bytes, on the goroutine
+// that answered it, and queues it for the writer. It cannot block: out
+// holds maxInFlight tickets and the window admits no more than that.
+func (ss *session) deliver(t ticket) {
+	t.frame = getEncBuf()
+	frame, err := appendReplyFrame(t.frame.b[:0], t.seq, &t.ans)
+	if err != nil {
+		frame = frame[:0] // over the frame limit: the writer ends the session
+	}
+	t.frame.b = frame
+	t.ans = reply{} // encoded: the writer needs the bytes only
+	ss.out <- t
+}
+
 // complete retires one request, whichever goroutine wrote its answer:
-// the response returns to the pool, a written answer is counted, and a
-// pipelined request gives its window token back.
-func (ss *session) complete(resp *Response, written bool) {
-	putResponse(resp)
+// a written answer is counted, and a pipelined request gives its window
+// token back.
+func (ss *session) complete(written bool) {
 	if written {
 		ss.s.obsQueries.Inc()
 	}
@@ -780,9 +852,10 @@ func (ss *session) complete(resp *Response, written bool) {
 //   - the serving goroutine keeps reading and admitting, and blocks on
 //     the window when the session's in-flight bound is reached;
 //   - a fixed pool of workers executes admitted requests concurrently
-//     (each under the same watchdog and panic containment as a
-//     synchronous request), finishing in whatever order the engine does;
-//   - one writer completes finished requests (writeLoop).
+//     (each under its own watchdog, with the same panic containment as a
+//     synchronous request), finishing in whatever order the engine does,
+//     and encodes each answer into its frame;
+//   - one writer writes and flushes finished frames (writeLoop).
 //
 // Neither channel can block its sender: both hold maxInFlight tickets
 // and the window admits no more than that.
@@ -797,43 +870,60 @@ func (ss *session) widen() {
 	ss.writerDone = make(chan struct{})
 	for i := 0; i < s.pipelineWorkers; i++ {
 		ss.workers.Add(1)
-		go func() {
-			defer ss.workers.Done()
-			for t := range ss.in {
-				t.resp = ss.execute(t)
-				ss.out <- t
-			}
-		}()
+		s.wg.Add(1)
+		go ss.work()
 	}
 	go ss.writeLoop()
 }
 
-// close tears a widened session down in order: the reader has stopped →
-// in closes → workers finish and exit → out closes → the writer flushes
-// what remains and exits, so a graceful drain drops no response.
-func (ss *session) close() {
-	if ss.window == nil {
-		return
+// work is one pool worker: an executor with a seat in ss.workers and,
+// like every executor, a count in the server's WaitGroup for as long as
+// it lives. A worker that loses a request to its watchdog leaves at once
+// and keeps the seat taken: the replacement the watchdog started has
+// inherited it, so out cannot close before the timeout answer, and a
+// stray that never returns holds up neither close nor the other workers
+// — only the server's drain, which accounts for it until its deadline.
+func (ss *session) work() {
+	defer ss.s.wg.Done()
+	w := newWatchdog(ss)
+	for t := range ss.in {
+		if !ss.execute(w, &t) {
+			return
+		}
+		ss.deliver(t)
 	}
-	close(ss.in)
-	ss.workers.Wait()
-	close(ss.out)
-	<-ss.writerDone
-	putEncBuf(ss.buf)
+	ss.workers.Done()
+}
+
+// close tears the session down, once, on the goroutine that owns it when
+// serve returns. A widened session goes in order — the reader has
+// stopped → in closes → workers finish and exit → out closes → the
+// writer flushes what remains and exits — so a graceful drain drops no
+// response; then the connection slot and the connection itself go.
+func (ss *session) close() {
+	if ss.window != nil {
+		close(ss.in)
+		ss.workers.Wait()
+		close(ss.out)
+		<-ss.writerDone
+		putEncBuf(ss.buf)
+	}
+	if ss.s.sem != nil {
+		<-ss.s.sem
+	}
+	ss.s.forget(ss.conn)
 }
 
 // writeLoop is the pipelined session's writer: it drains finished
-// requests, encoding them back-to-back into a buffered writer, and
-// flushes once per drained batch — the write coalescing that turns a
-// burst of small responses into one syscall. It never blocks teardown
+// requests, copying their frames back-to-back into a buffered writer,
+// and flushes once per drained batch — the write coalescing that turns
+// a burst of small responses into one syscall. It never blocks teardown
 // on a dead peer: after a write error it closes the conn and keeps
 // completing requests without writing them.
 func (ss *session) writeLoop() {
 	defer close(ss.writerDone)
 	s, conn := ss.s, ss.conn
 	bw := bufio.NewWriterSize(conn, v2BufSize)
-	buf := getEncBuf()
-	defer putEncBuf(buf)
 	failed := false
 	for t := range ss.out {
 		if s.writeTimeout > 0 {
@@ -842,9 +932,10 @@ func (ss *session) writeLoop() {
 	drain:
 		for {
 			if !failed {
-				failed = !ss.writeResult(bw, buf, t)
+				failed = !ss.writeResult(bw, t.frame.b)
 			}
-			ss.complete(t.resp, !failed)
+			putEncBuf(t.frame)
+			ss.complete(!failed)
 			select {
 			case next, ok := <-ss.out:
 				if !ok {
@@ -866,75 +957,34 @@ func (ss *session) writeLoop() {
 	}
 }
 
-// writeResult encodes one response frame into the writer's buffer. It
-// reports false — after closing the conn — on encode or write failure;
-// the caller then discards the rest of the session's output.
-func (ss *session) writeResult(bw *bufio.Writer, buf *encBuf, t ticket) bool {
-	frame, err := appendResponseFrame(buf.b[:0], t.seq, t.resp)
-	buf.b = frame
-	if err == nil {
-		_, err = bw.Write(frame)
+// writeResult copies one response frame into the writer's buffer. It
+// reports false — after closing the conn — on a write failure or a frame
+// deliver could not encode (empty); the caller then discards the rest of
+// the session's output.
+func (ss *session) writeResult(bw *bufio.Writer, frame []byte) bool {
+	if len(frame) > 0 {
+		if _, err := bw.Write(frame); err == nil {
+			ss.s.obsV2Out.Inc()
+			ss.s.obsV2BytesOut.Add(int64(len(frame)))
+			return true
+		}
 	}
-	if err != nil {
-		_ = ss.conn.Close()
-		return false
-	}
-	ss.s.obsV2Out.Inc()
-	ss.s.obsV2BytesOut.Add(int64(len(frame)))
-	return true
-}
-
-// dispatch runs one request, enforcing the query timeout when one is
-// configured. The watchdog pattern: the query runs in a goroutine; if
-// its context deadline fires first, the client gets an immediate
-// timeout error and the overrun execution — which the engine's
-// between-stage cancellation checks will abort at its next stage
-// boundary — finishes in the background and is discarded. Shutdown's
-// WaitGroup tracks the stray so drain still accounts for it.
-//
-// dispatch takes ownership of req: it returns to the pool once the
-// execution — possibly a watchdog-abandoned one still running in the
-// background — has finished with it. The returned response is pooled;
-// the caller recycles it with putResponse after writing (a response
-// abandoned by the watchdog is never pooled — the stray goroutine still
-// holds it).
-func (s *Server) dispatch(req *Request, app string) *Response {
-	if s.queryTimeout <= 0 {
-		resp := s.handle(context.Background(), req, app)
-		putRequest(req)
-		return resp
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), s.queryTimeout)
-	defer cancel()
-	ch := make(chan *Response, 1)
-	s.wg.Add(1)
-	go func() {
-		defer s.wg.Done()
-		resp := s.handle(ctx, req, app)
-		putRequest(req)
-		ch <- resp
-	}()
-	select {
-	case resp := <-ch:
-		return resp
-	case <-ctx.Done():
-		return &Response{Error: fmt.Sprintf("query timeout after %s", s.queryTimeout)}
-	}
+	_ = ss.conn.Close()
+	return false
 }
 
 // handle executes one request against the engine. It is panic-contained:
 // a fault that unwinds out of the engine (or a hook whose own
-// containment is disabled) becomes a structured error response plus a
+// containment is disabled) becomes a structured error answer plus a
 // logged incident — one query fails, the server and every other session
-// keep going. The response is drawn from the frame pool; result data is
-// copied in, never aliased, so recycling the response cannot corrupt
-// engine state.
-func (s *Server) handle(ctx context.Context, req *Request, app string) (resp *Response) {
+// keep going. The answer carries the engine's own result; whoever
+// renders it (deliver, reply.response) only reads it.
+func (s *Server) handle(ctx context.Context, req *Request, app string) (ans reply) {
 	defer func() {
 		if r := recover(); r != nil {
 			s.panics.Add(1)
 			log.Printf("wire: contained panic serving query: %v\n%s", r, debug.Stack())
-			resp = &Response{Error: fmt.Sprintf("internal error: query failed: %v", r)}
+			ans = reply{err: fmt.Sprintf("internal error: query failed: %v", r)}
 		}
 	}()
 	var (
@@ -950,23 +1000,10 @@ func (s *Server) handle(ctx context.Context, req *Request, app string) (resp *Re
 	} else {
 		res, err = s.db.ExecAppContext(ctx, app, req.Query)
 	}
-	resp = getResponse()
 	if err != nil {
-		resp.Error = err.Error()
-		resp.Blocked = errors.Is(err, engine.ErrQueryBlocked)
-		return resp
+		return reply{err: err.Error(), blocked: errors.Is(err, engine.ErrQueryBlocked)}
 	}
-	resp.Columns = append(resp.Columns[:0], res.Columns...)
-	resp.Affected = res.Affected
-	resp.LastInsertID = res.LastInsertID
-	for _, row := range res.Rows {
-		wr := make([]WireValue, len(row))
-		for j, v := range row {
-			wr[j] = ToWire(v)
-		}
-		resp.Rows = append(resp.Rows, wr)
-	}
-	return resp
+	return reply{res: res}
 }
 
 // forget drops conn from the tracked set and closes it.
