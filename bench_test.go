@@ -707,19 +707,45 @@ func BenchmarkWirePipelined(b *testing.B) {
 // --- Engine microbenchmarks (the substrate's own cost) ------------------
 
 func BenchmarkEngineExec(b *testing.B) {
-	db := engine.New()
-	if _, err := db.Exec("CREATE TABLE t (id INT PRIMARY KEY AUTO_INCREMENT, name TEXT, n INT)"); err != nil {
-		b.Fatal(err)
-	}
-	for i := 0; i < 100; i++ {
-		if _, err := db.Exec(fmt.Sprintf("INSERT INTO t (name, n) VALUES ('row%d', %d)", i, i)); err != nil {
+	// db holds 100 rows and grows under the insert sub-benchmark; list
+	// keeps its 200 so the ordered list sorts the same rows every time.
+	db, list := engine.New(), engine.New()
+	for d, rows := range map[*engine.DB]int{db: 100, list: 200} {
+		if _, err := d.Exec("CREATE TABLE t (id INT PRIMARY KEY AUTO_INCREMENT, name TEXT, n INT)"); err != nil {
 			b.Fatal(err)
 		}
+		for i := 0; i < rows; i++ {
+			if _, err := d.Exec(fmt.Sprintf("INSERT INTO t (name, n) VALUES ('row%d', %d)", i*37%rows, i)); err != nil {
+				b.Fatal(err)
+			}
+		}
 	}
+	coldText := 0 // survives b.N ramp-up re-invocations
 	b.Run("point-select", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if _, err := db.Exec("SELECT name FROM t WHERE id = 42"); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("point-select-cold", func(b *testing.B) {
+		// A text the engine has never seen: parse, plan build and
+		// execution, the path embed_miss and train_wal take. The trailing
+		// comment makes the text new without changing the statement;
+		// formatting it is 2 of the allocations reported.
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := db.Exec(fmt.Sprintf("SELECT name FROM t WHERE id = 42 /* %d */", coldText)); err != nil {
+				b.Fatal(err)
+			}
+			coldText++
+		}
+	})
+	b.Run("list-ordered-200", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := list.Exec("SELECT id, name, n FROM t ORDER BY name"); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -187,12 +187,13 @@ func TestCachedHitAllocationFreeReplica(t *testing.T) {
 
 // execAllocCeiling is the allocation budget for a protected repeated
 // point SELECT through the full engine path (parse cache + verdict
-// cache + lock plan + execution). Measured 16 allocs/op after the
-// allocation diet (down from 32 at the seed) — all of them result
-// materialization in the select executor. The ceiling leaves slack for
-// toolchain variation while still catching a regression toward the old
-// cost.
-const execAllocCeiling = 20
+// cache + select plan + execution). Measured 5 allocs/op since select
+// plans (16 before them, 32 at the seed): the scope the WHERE clause is
+// evaluated under, the slice of rows it keeps, and the result — the
+// Result, one block of cells, the row windows. The ceiling is measured
+// + 1, slack for toolchain variation that still catches any per-call
+// re-derivation creeping back.
+const execAllocCeiling = 6
 
 // TestExecPointSelectAllocCeiling guards the end-to-end path: the
 // remaining allocations should be the result materialization, not

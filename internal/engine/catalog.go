@@ -93,6 +93,10 @@ type Column struct {
 type Table struct {
 	Name    string
 	Columns []Column
+	// layout is the scope layout of a row of this table under its own
+	// name: the column-name slice every statement over the table shares.
+	// Built once in newTable, immutable like the schema.
+	layout layout
 
 	// mu guards Rows, nextAuto and indexes. DML takes it exclusively,
 	// reads share it; acquisition order across tables is by sorted name.
@@ -177,6 +181,11 @@ func newTable(stmt *sqlparser.CreateTableStmt) (*Table, error) {
 	if len(t.Columns) == 0 {
 		return nil, errors.New("table must have at least one column")
 	}
+	names := make([]string, len(t.Columns))
+	for i := range t.Columns {
+		names[i] = t.Columns[i].Name
+	}
+	t.layout.addSource(t.Name, names)
 	t.rebuildIndexes()
 	return t, nil
 }

@@ -20,6 +20,11 @@ import (
 // each statement, after parsing and validation and before execution. It
 // corresponds to the "Q received, parsed & validated by the DBMS" input
 // of Fig. 1.
+//
+// The pointer is valid only until BeforeExecute returns: the engine
+// reuses the struct for a later statement. A hook that wants to keep
+// what it saw copies the struct; the field values themselves are never
+// overwritten and may be kept.
 type HookContext struct {
 	// Raw is the query text exactly as received from the client.
 	Raw string
@@ -103,6 +108,10 @@ func WithObs(h *obs.Hub) Option {
 type DB struct {
 	catalog sync.RWMutex
 	tables  map[string]*Table
+	// gen counts catalog changes. CREATE TABLE and DROP TABLE bump it
+	// under the catalog write lock; a select plan built under generation
+	// g is used only while, under the catalog read lock, gen is still g.
+	gen uint64
 
 	// hook holds the installed QueryHook (possibly a nil interface);
 	// a nil pointer means WithQueryHook was never called.
@@ -141,11 +150,14 @@ type stageHists struct {
 
 // parsedQuery is one memoized parse: the statement, the decoded text the
 // parser consumed, and the extracted comments. All three are immutable
-// after insertion.
+// after insertion. plan is the one field set later: a SELECT's plan,
+// published by the first execution and replaced, never modified, when
+// the catalog generation has moved on (plan.go).
 type parsedQuery struct {
 	stmt     sqlparser.Statement
 	decoded  string
 	comments []string
+	plan     atomic.Pointer[selectPlan]
 }
 
 // New creates an empty database.
@@ -198,8 +210,12 @@ func (db *DB) Stats() Stats {
 // Result is the outcome of one statement.
 type Result struct {
 	// Columns are the result column names for row-returning statements.
+	// Executions of the same statement text share one slice (it belongs
+	// to the statement's plan): read it, copy it, never write into it.
 	Columns []string
-	// Rows are the result rows.
+	// Rows are the result rows. Their cells are the caller's own copies;
+	// the rows of one result are windows into one block, each capped at
+	// its own width, so appending to a row reallocates it.
 	Rows [][]Value
 	// Affected is the number of rows written by DML.
 	Affected int64
@@ -331,14 +347,18 @@ func (db *DB) exec(ctx context.Context, query, app string, args []Value) (*Resul
 		return nil, err
 	}
 	if hook := db.currentHook(); hook != nil {
-		hctx := &HookContext{
+		hctx := hookContexts.Get().(*HookContext)
+		*hctx = HookContext{
 			Raw:      query,
 			Decoded:  pq.decoded,
 			Stmt:     stmt,
 			Comments: pq.comments,
 			App:      app,
 		}
-		if err := hook.BeforeExecute(hctx); err != nil {
+		err := hook.BeforeExecute(hctx)
+		*hctx = HookContext{} // pin nothing while pooled
+		hookContexts.Put(hctx)
+		if err != nil {
 			// A blocked or failed query still had its hook latency — the
 			// attack path is exactly what the histogram must show.
 			if st != nil {
@@ -364,7 +384,10 @@ func (db *DB) exec(ctx context.Context, query, app string, args []Value) (*Resul
 	if err := db.stageErr(ctx, "execute"); err != nil {
 		return nil, err
 	}
-	res, err := db.execute(stmt)
+	if args != nil {
+		pq = nil // the plan beside the cached AST is not the bound clone's
+	}
+	res, err := db.execute(stmt, pq)
 	if err != nil {
 		db.countFailed()
 		return nil, err
@@ -377,6 +400,11 @@ func (db *DB) exec(ctx context.Context, query, app string, args []Value) (*Resul
 	}
 	return res, nil
 }
+
+// hookContexts recycles the HookContext of each statement: it escapes
+// through the QueryHook interface call, so without the pool every
+// protected statement allocates one.
+var hookContexts = sync.Pool{New: func() any { return new(HookContext) }}
 
 func (db *DB) currentHook() QueryHook {
 	if p := db.hook.Load(); p != nil {
@@ -485,8 +513,11 @@ func (db *DB) validateSelect(s *sqlparser.SelectStmt) error {
 // per-statement executors. DDL serializes on the catalog write lock;
 // everything else shares the catalog and locks only the tables it
 // touches (lockplan.go), so sessions on disjoint tables never contend.
-func (db *DB) execute(stmt sqlparser.Statement) (*Result, error) {
+// pq is the cache entry stmt came from, nil when stmt is a bound clone.
+func (db *DB) execute(stmt sqlparser.Statement, pq *parsedQuery) (*Result, error) {
 	switch s := stmt.(type) {
+	case *sqlparser.SelectStmt:
+		return db.runSelect(s, pq)
 	case *sqlparser.CreateTableStmt:
 		db.catalog.Lock()
 		defer db.catalog.Unlock()
@@ -510,8 +541,6 @@ func (db *DB) execute(stmt sqlparser.Statement) (*Result, error) {
 	defer db.unlockTables(&ls)
 
 	switch s := stmt.(type) {
-	case *sqlparser.SelectStmt:
-		return db.execSelect(s, nil)
 	case *sqlparser.InsertStmt:
 		return db.execInsert(s)
 	case *sqlparser.UpdateStmt:
@@ -525,6 +554,32 @@ func (db *DB) execute(stmt sqlparser.Statement) (*Result, error) {
 	default:
 		return nil, fmt.Errorf("unsupported statement %T", stmt)
 	}
+}
+
+// runSelect executes a top-level SELECT off its plan: the one stored in
+// pq if it was built under the current catalog generation, else a fresh
+// one, which it publishes. The comparison happens under the catalog read
+// lock and before anything in the plan is dereferenced: after DROP +
+// CREATE of the same name a stale plan still points at the dropped
+// table's rows and index. Planning errors do not exist — what a plan
+// cannot resolve it leaves to execution — so every error of a SELECT
+// keeps coming from the execute stage, after the hook ran and counted.
+func (db *DB) runSelect(s *sqlparser.SelectStmt, pq *parsedQuery) (*Result, error) {
+	db.catalog.RLock()
+	defer db.catalog.RUnlock()
+	var p *selectPlan
+	if pq != nil {
+		p = pq.plan.Load()
+	}
+	if p == nil || p.gen != db.gen {
+		p = db.planStatement(s)
+		if pq != nil {
+			pq.plan.Store(p)
+		}
+	}
+	db.lockTables(&p.locks)
+	defer db.unlockTables(&p.locks)
+	return db.execSelect(s, nil, p)
 }
 
 func (db *DB) execShowTables() (*Result, error) {
@@ -581,6 +636,7 @@ func (db *DB) execCreateTable(s *sqlparser.CreateTableStmt) (*Result, error) {
 		return nil, err
 	}
 	db.tables[key] = t
+	db.gen++
 	return &Result{}, nil
 }
 
@@ -593,6 +649,7 @@ func (db *DB) execDropTable(s *sqlparser.DropTableStmt) (*Result, error) {
 		return nil, fmt.Errorf("%w: %s", ErrNoSuchTable, s.Table)
 	}
 	delete(db.tables, key)
+	db.gen++
 	return &Result{}, nil
 }
 

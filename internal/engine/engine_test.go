@@ -565,7 +565,8 @@ func TestQueryHookObservesValidatedQueries(t *testing.T) {
 	db := New(WithQueryHook(hook))
 	mustExec(t, db, "CREATE TABLE t (id INT)")
 	hook.filter = func(ctx *HookContext) bool {
-		got = ctx
+		seen := *ctx // the pointer is the engine's again once the hook returns
+		got = &seen
 		return false
 	}
 	// The no-break space folds to a plain space inside the DBMS, so Raw

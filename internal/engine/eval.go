@@ -11,43 +11,48 @@ import (
 	"github.com/septic-db/septic/internal/sqlparser"
 )
 
-// scope resolves column references during evaluation. Scopes chain so
-// correlated subqueries can see their enclosing query's row.
-type scope struct {
-	parent *scope
+// layout is the immutable half of a scope: which sources a row spans and
+// where each one's columns sit in it. A table's own layout is built once
+// in newTable and a select plan's once per plan, so executions share them
+// and must not modify them.
+type layout struct {
 	// tables[i] names the source (alias if given, else table name,
 	// lower-cased) of the columns in colNames[i].
 	tables   []string
 	colNames [][]string
-	row      []Value
-	// offsets[i] is the index in row where table i's columns begin.
+	// offsets[i] is the index in a row where table i's columns begin.
 	offsets []int
 }
 
-func newScope(parent *scope) *scope {
-	return &scope{parent: parent}
+// addSource appends a table's columns to the layout.
+func (l *layout) addSource(name string, cols []string) {
+	l.offsets = append(l.offsets, l.width())
+	l.tables = append(l.tables, strings.ToLower(name))
+	l.colNames = append(l.colNames, cols)
 }
 
-// addSource appends a table's columns to the scope layout.
-func (sc *scope) addSource(name string, cols []string) {
-	sc.tables = append(sc.tables, strings.ToLower(name))
-	sc.colNames = append(sc.colNames, cols)
-	if len(sc.offsets) == 0 {
-		sc.offsets = append(sc.offsets, 0)
-	} else {
-		last := len(sc.offsets) - 1
-		sc.offsets = append(sc.offsets, sc.offsets[last]+len(sc.colNames[last]))
-	}
-}
-
-// width returns the total number of columns in the scope.
-func (sc *scope) width() int {
-	if len(sc.offsets) == 0 {
+// width returns the total number of columns in the layout.
+func (l *layout) width() int {
+	if len(l.offsets) == 0 {
 		return 0
 	}
-	last := len(sc.offsets) - 1
-	return sc.offsets[last] + len(sc.colNames[last])
+	last := len(l.offsets) - 1
+	return l.offsets[last] + len(l.colNames[last])
 }
+
+// scope resolves column references during evaluation: a layout plus the
+// row currently under it. Scopes chain so correlated subqueries can see
+// their enclosing query's row. A scope is a stack value of the executor
+// that owns it; nothing retains a *scope past that executor's return.
+type scope struct {
+	parent *scope
+	layout
+	row []Value
+}
+
+// noScope is the scope of expressions that see no row: VALUES tuples and
+// LIMIT clauses. Evaluation only reads a scope, so one serves everybody.
+var noScope scope
 
 // lookup resolves a column reference to its index in row, walking parent
 // scopes for correlated subqueries. The boolean reports success.
@@ -68,12 +73,13 @@ func (sc *scope) lookup(table, name string) (*scope, int, bool) {
 	return nil, 0, false
 }
 
-// evaluator computes expression values for one database.
+// evaluator computes expression values for one database. It is stateless
+// and passed by value, so executing a statement never allocates one.
 type evaluator struct {
 	db *DB
 }
 
-func (ev *evaluator) eval(e sqlparser.Expr, sc *scope) (Value, error) {
+func (ev evaluator) eval(e sqlparser.Expr, sc *scope) (Value, error) {
 	switch x := e.(type) {
 	case *sqlparser.Literal:
 		return literalValue(x), nil
@@ -140,7 +146,7 @@ func (ev *evaluator) eval(e sqlparser.Expr, sc *scope) (Value, error) {
 // evalCase implements both CASE forms with MySQL semantics: the operand
 // form compares with =, the searched form evaluates each condition as a
 // boolean; no arm matching yields ELSE or NULL.
-func (ev *evaluator) evalCase(x *sqlparser.CaseExpr, sc *scope) (Value, error) {
+func (ev evaluator) evalCase(x *sqlparser.CaseExpr, sc *scope) (Value, error) {
 	var operand Value
 	if x.Operand != nil {
 		v, err := ev.eval(x.Operand, sc)
@@ -177,22 +183,26 @@ func formatColRef(c *sqlparser.ColumnRef) string {
 	return c.Name
 }
 
-func (ev *evaluator) subqueryRows(sel *sqlparser.SelectStmt, sc *scope) ([][]Value, error) {
-	res, err := ev.db.execSelect(sel, sc)
+func (ev evaluator) subqueryRows(sel *sqlparser.SelectStmt, sc *scope) ([][]Value, error) {
+	res, err := ev.db.execSelect(sel, sc, nil)
 	if err != nil {
 		return nil, err
 	}
 	return res.Rows, nil
 }
 
-func (ev *evaluator) evalBinary(x *sqlparser.BinaryExpr, sc *scope) (Value, error) {
-	switch x.Op {
-	case "AND", "OR", "XOR":
-		return ev.evalLogical(x, sc)
-	}
+func (ev evaluator) evalBinary(x *sqlparser.BinaryExpr, sc *scope) (Value, error) {
 	left, err := ev.eval(x.Left, sc)
 	if err != nil {
 		return Value{}, err
+	}
+	switch x.Op {
+	case "AND", "OR":
+		// A false AND operand or a true OR operand decides the result
+		// without the other side being evaluated.
+		if !left.IsNull() && left.AsBool() == (x.Op == "OR") {
+			return Bool(x.Op == "OR"), nil
+		}
 	}
 	right, err := ev.eval(x.Right, sc)
 	if err != nil {
@@ -200,26 +210,66 @@ func (ev *evaluator) evalBinary(x *sqlparser.BinaryExpr, sc *scope) (Value, erro
 	}
 	switch x.Op {
 	case "=", "<>", "<", "<=", ">", ">=":
+		// applyBinary's own case, kept inline: a WHERE clause runs this
+		// once per scanned row, and the extra call costs 10 % of a scan.
 		cmp, ok := Compare(left, right)
 		if !ok {
 			return Null(), nil
 		}
-		var res bool
-		switch x.Op {
-		case "=":
-			res = cmp == 0
-		case "<>":
-			res = cmp != 0
-		case "<":
-			res = cmp < 0
-		case "<=":
-			res = cmp <= 0
-		case ">":
-			res = cmp > 0
-		case ">=":
-			res = cmp >= 0
+		return Bool(compareHolds(x.Op, cmp)), nil
+	}
+	return applyBinary(x.Op, &left, &right)
+}
+
+func compareHolds(op string, cmp int) bool {
+	switch op {
+	case "=":
+		return cmp == 0
+	case "<>":
+		return cmp != 0
+	case "<":
+		return cmp < 0
+	case "<=":
+		return cmp <= 0
+	case ">":
+		return cmp > 0
+	default:
+		return cmp >= 0
+	}
+}
+
+// applyBinary applies a binary operator to its evaluated operands; the
+// row evaluator and the grouping evaluator share it.
+func applyBinary(op string, left, right *Value) (Value, error) {
+	switch op {
+	case "AND":
+		// Three-valued: false wins over NULL, NULL over true.
+		if (!left.IsNull() && !left.AsBool()) || (!right.IsNull() && !right.AsBool()) {
+			return Bool(false), nil
 		}
-		return Bool(res), nil
+		if left.IsNull() || right.IsNull() {
+			return Null(), nil
+		}
+		return Bool(true), nil
+	case "OR":
+		if (!left.IsNull() && left.AsBool()) || (!right.IsNull() && right.AsBool()) {
+			return Bool(true), nil
+		}
+		if left.IsNull() || right.IsNull() {
+			return Null(), nil
+		}
+		return Bool(false), nil
+	case "XOR":
+		if left.IsNull() || right.IsNull() {
+			return Null(), nil
+		}
+		return Bool(left.AsBool() != right.AsBool()), nil
+	case "=", "<>", "<", "<=", ">", ">=":
+		cmp, ok := Compare(*left, *right)
+		if !ok {
+			return Null(), nil
+		}
+		return Bool(compareHolds(op, cmp)), nil
 	case "LIKE":
 		if left.IsNull() || right.IsNull() {
 			return Null(), nil
@@ -229,9 +279,9 @@ func (ev *evaluator) evalBinary(x *sqlparser.BinaryExpr, sc *scope) (Value, erro
 		if left.IsNull() || right.IsNull() {
 			return Null(), nil
 		}
-		return arith(x.Op, left, right)
+		return arith(op, *left, *right)
 	default:
-		return Value{}, fmt.Errorf("unsupported operator %q", x.Op)
+		return Value{}, fmt.Errorf("unsupported operator %q", op)
 	}
 }
 
@@ -272,82 +322,30 @@ func arith(op string, a, b Value) (Value, error) {
 	}
 }
 
-// evalLogical implements three-valued AND/OR/XOR.
-func (ev *evaluator) evalLogical(x *sqlparser.BinaryExpr, sc *scope) (Value, error) {
-	left, err := ev.eval(x.Left, sc)
-	if err != nil {
-		return Value{}, err
-	}
-	switch x.Op {
-	case "AND":
-		if !left.IsNull() && !left.AsBool() {
-			return Bool(false), nil
-		}
-		right, err := ev.eval(x.Right, sc)
-		if err != nil {
-			return Value{}, err
-		}
-		if !right.IsNull() && !right.AsBool() {
-			return Bool(false), nil
-		}
-		if left.IsNull() || right.IsNull() {
-			return Null(), nil
-		}
-		return Bool(true), nil
-	case "OR":
-		if !left.IsNull() && left.AsBool() {
-			return Bool(true), nil
-		}
-		right, err := ev.eval(x.Right, sc)
-		if err != nil {
-			return Value{}, err
-		}
-		if !right.IsNull() && right.AsBool() {
-			return Bool(true), nil
-		}
-		if left.IsNull() || right.IsNull() {
-			return Null(), nil
-		}
-		return Bool(false), nil
-	case "XOR":
-		right, err := ev.eval(x.Right, sc)
-		if err != nil {
-			return Value{}, err
-		}
-		if left.IsNull() || right.IsNull() {
-			return Null(), nil
-		}
-		return Bool(left.AsBool() != right.AsBool()), nil
-	default:
-		return Value{}, fmt.Errorf("unsupported logical operator %q", x.Op)
-	}
-}
-
-func (ev *evaluator) evalUnary(x *sqlparser.UnaryExpr, sc *scope) (Value, error) {
+func (ev evaluator) evalUnary(x *sqlparser.UnaryExpr, sc *scope) (Value, error) {
 	v, err := ev.eval(x.Operand, sc)
 	if err != nil {
 		return Value{}, err
 	}
-	switch x.Op {
-	case "NOT":
-		if v.IsNull() {
-			return Null(), nil
-		}
+	return applyUnary(x.Op, v)
+}
+
+func applyUnary(op string, v Value) (Value, error) {
+	switch {
+	case op != "NOT" && op != "-":
+		return Value{}, fmt.Errorf("unsupported unary operator %q", op)
+	case v.IsNull():
+		return Null(), nil
+	case op == "NOT":
 		return Bool(!v.AsBool()), nil
-	case "-":
-		if v.IsNull() {
-			return Null(), nil
-		}
-		if v.Kind == KindInt {
-			return Int(-v.I), nil
-		}
-		return Float(-v.AsFloat()), nil
+	case v.Kind == KindInt:
+		return Int(-v.I), nil
 	default:
-		return Value{}, fmt.Errorf("unsupported unary operator %q", x.Op)
+		return Float(-v.AsFloat()), nil
 	}
 }
 
-func (ev *evaluator) evalIn(x *sqlparser.InExpr, sc *scope) (Value, error) {
+func (ev evaluator) evalIn(x *sqlparser.InExpr, sc *scope) (Value, error) {
 	left, err := ev.eval(x.Left, sc)
 	if err != nil {
 		return Value{}, err
@@ -394,7 +392,7 @@ func (ev *evaluator) evalIn(x *sqlparser.InExpr, sc *scope) (Value, error) {
 	return Bool(x.Not), nil
 }
 
-func (ev *evaluator) evalBetween(x *sqlparser.BetweenExpr, sc *scope) (Value, error) {
+func (ev evaluator) evalBetween(x *sqlparser.BetweenExpr, sc *scope) (Value, error) {
 	v, err := ev.eval(x.Expr, sc)
 	if err != nil {
 		return Value{}, err
@@ -466,7 +464,7 @@ func likeMatch(s, p string) bool {
 
 // evalFunc dispatches scalar functions. Aggregates are handled by the
 // grouping executor and reaching one here is an error.
-func (ev *evaluator) evalFunc(x *sqlparser.FuncCall, sc *scope) (Value, error) {
+func (ev evaluator) evalFunc(x *sqlparser.FuncCall, sc *scope) (Value, error) {
 	if isAggregateName(x.Name) {
 		return Value{}, fmt.Errorf("aggregate %s used outside grouping context", x.Name)
 	}
@@ -481,7 +479,7 @@ func (ev *evaluator) evalFunc(x *sqlparser.FuncCall, sc *scope) (Value, error) {
 	return ev.callScalar(x.Name, args)
 }
 
-func (ev *evaluator) callScalar(name string, args []Value) (Value, error) {
+func (ev evaluator) callScalar(name string, args []Value) (Value, error) {
 	argn := func(n int) error {
 		if len(args) != n {
 			return fmt.Errorf("%s expects %d arguments, got %d", name, n, len(args))

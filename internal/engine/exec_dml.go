@@ -34,7 +34,7 @@ func (db *DB) execInsert(s *sqlparser.InsertStmt) (*Result, error) {
 
 	var tuples [][]Value
 	if s.Select != nil {
-		res, err := db.execSelect(s.Select, nil)
+		res, err := db.execSelect(s.Select, nil, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -46,12 +46,11 @@ func (db *DB) execInsert(s *sqlparser.InsertStmt) (*Result, error) {
 			tuples = append(tuples, r)
 		}
 	} else {
-		ev := &evaluator{db: db}
-		empty := newScope(nil)
+		ev := evaluator{db: db}
 		for _, row := range s.Rows {
 			tuple := make([]Value, 0, len(row))
 			for _, e := range row {
-				v, err := ev.eval(e, empty)
+				v, err := ev.eval(e, &noScope)
 				if err != nil {
 					return nil, err
 				}
@@ -143,8 +142,8 @@ func (db *DB) execUpdate(s *sqlparser.UpdateStmt) (*Result, error) {
 	if t == nil {
 		return nil, fmt.Errorf("%w: %s", ErrNoSuchTable, s.Table)
 	}
-	ev := &evaluator{db: db}
-	sc := tableScope(t)
+	ev := evaluator{db: db}
+	sc := &scope{layout: t.layout}
 
 	targets, err := db.dmlTargets(t, s.Where, s.OrderBy, s.Limit, sc, ev)
 	if err != nil {
@@ -200,8 +199,8 @@ func (db *DB) execDelete(s *sqlparser.DeleteStmt) (*Result, error) {
 	if t == nil {
 		return nil, fmt.Errorf("%w: %s", ErrNoSuchTable, s.Table)
 	}
-	ev := &evaluator{db: db}
-	sc := tableScope(t)
+	ev := evaluator{db: db}
+	sc := &scope{layout: t.layout}
 
 	targets, err := db.dmlTargets(t, s.Where, s.OrderBy, s.Limit, sc, ev)
 	if err != nil {
@@ -229,7 +228,7 @@ func (db *DB) execDelete(s *sqlparser.DeleteStmt) (*Result, error) {
 // dmlTargets returns the indices of rows selected by WHERE, ordered by
 // ORDER BY and truncated by LIMIT (MySQL supports both on UPDATE/DELETE).
 func (db *DB) dmlTargets(t *Table, where sqlparser.Expr, orderBy []sqlparser.OrderItem,
-	limit *sqlparser.Limit, sc *scope, ev *evaluator) ([]int, error) {
+	limit *sqlparser.Limit, sc *scope, ev evaluator) ([]int, error) {
 	var targets []int
 	for ri, row := range t.Rows {
 		if where != nil {
@@ -245,30 +244,27 @@ func (db *DB) dmlTargets(t *Table, where sqlparser.Expr, orderBy []sqlparser.Ord
 		targets = append(targets, ri)
 	}
 	if len(orderBy) > 0 {
-		keys := make([][]Value, len(targets))
+		keys := make([]Value, 0, len(targets)*len(orderBy))
+		order := make([]int, len(targets))
 		for i, ri := range targets {
+			order[i] = i
 			sc.row = t.Rows[ri]
-			rowKeys := make([]Value, 0, len(orderBy))
 			for _, o := range orderBy {
 				v, err := ev.eval(o.Expr, sc)
 				if err != nil {
 					return nil, err
 				}
-				rowKeys = append(rowKeys, v)
+				keys = append(keys, v)
 			}
-			keys[i] = rowKeys
 		}
-		rows := make([][]Value, len(targets))
-		for i, ri := range targets {
-			rows[i] = []Value{Int(int64(ri))}
+		sortByKeys(order, keys, orderBy)
+		for i, j := range order {
+			order[i] = targets[j]
 		}
-		sortRows(rows, keys, orderBy)
-		for i, r := range rows {
-			targets[i] = int(r[0].I)
-		}
+		targets = order
 	}
 	if limit != nil {
-		count, err := ev.eval(limit.Count, newScope(nil))
+		count, err := ev.eval(limit.Count, &noScope)
 		if err != nil {
 			return nil, err
 		}
@@ -278,17 +274,6 @@ func (db *DB) dmlTargets(t *Table, where sqlparser.Expr, orderBy []sqlparser.Ord
 		}
 	}
 	return targets, nil
-}
-
-// tableScope builds a single-table scope for DML evaluation.
-func tableScope(t *Table) *scope {
-	sc := newScope(nil)
-	cols := make([]string, len(t.Columns))
-	for i, c := range t.Columns {
-		cols[i] = c.Name
-	}
-	sc.addSource(t.Name, cols)
-	return sc
 }
 
 // sameValue reports strict equality including NULL==NULL (used to count

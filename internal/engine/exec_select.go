@@ -2,22 +2,24 @@ package engine
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"github.com/septic-db/septic/internal/sqlparser"
 )
 
-// execSelect runs a SELECT under the caller-held read lock. parent is the
-// enclosing scope for correlated subqueries (nil at top level).
-func (db *DB) execSelect(s *sqlparser.SelectStmt, parent *scope) (*Result, error) {
-	res, err := db.execSelectBranch(s, parent)
+// execSelect runs a SELECT under the caller-held locks. parent is the
+// enclosing scope for correlated subqueries (nil at top level); p is the
+// statement's plan at top level and nil for a subquery, which plans
+// itself as it runs.
+func (db *DB) execSelect(s *sqlparser.SelectStmt, parent *scope, p *selectPlan) (*Result, error) {
+	res, err := db.execSelectBranch(s, parent, p)
 	if err != nil {
 		return nil, err
 	}
 	// UNION chain: evaluate each branch and merge.
 	for u := s.Union; u != nil; u = u.Next.Union {
-		branch, err := db.execSelectBranch(u.Next, parent)
+		branch, err := db.execSelectBranch(u.Next, parent, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -33,104 +35,177 @@ func (db *DB) execSelect(s *sqlparser.SelectStmt, parent *scope) (*Result, error
 	return res, nil
 }
 
-// execSelectBranch runs one SELECT without its UNION tail.
-func (db *DB) execSelectBranch(s *sqlparser.SelectStmt, parent *scope) (*Result, error) {
-	ev := &evaluator{db: db}
-
-	// Point-lookup fast path: a unique-indexed equality resolves the row
-	// set without scanning, and fully consumes the WHERE clause.
-	if t, rows, ok := db.pointLookup(s); ok && !hasAggregates(s) {
-		sc := newScope(parent)
-		name := s.From[0].Alias
-		if name == "" {
-			name = s.From[0].Name
-		}
-		cols := make([]string, len(t.Columns))
-		for i, c := range t.Columns {
-			cols[i] = c.Name
-		}
-		sc.addSource(name, cols)
-		return db.projectRows(s, &rowSource{scope: sc, rows: rows}, rows, ev)
+// execSelectBranch runs one SELECT without its UNION tail. A branch over
+// one base table runs off a plan — p if the statement has one, else one
+// built here and dropped; anything else materialises its FROM clause
+// first and then plans the SELECT list over the layout that produced.
+// Either way the rows end up in one rowBlock.
+func (db *DB) execSelectBranch(s *sqlparser.SelectStmt, parent *scope, p *selectPlan) (*Result, error) {
+	ev := evaluator{db: db}
+	sc := &scope{parent: parent}
+	if p == nil || p.table == nil {
+		p = new(selectPlan)
+		db.planTable(p, s)
 	}
-
-	src, err := db.buildRowSource(s.From, parent, ev)
+	var rows [][]Value
+	var err error
+	if t := p.table; t != nil {
+		sc.layout = p.layout
+		switch {
+		case p.indexCol >= 0:
+			// The probe consumed the WHERE clause; a window into the
+			// table's own row headers holds the hit.
+			if ri, ok := t.indexes[p.indexCol][p.key]; ok {
+				rows = t.Rows[ri : ri+1]
+			}
+		case s.Where == nil:
+			// Nothing below reorders or keeps source rows, so the table's
+			// row headers are read in place.
+			rows = t.Rows
+		default:
+			rows, err = filterRows(t.Rows, s.Where, sc, ev)
+		}
+	} else {
+		if rows, err = db.buildRowSource(s.From, sc, ev); err == nil && s.Where != nil {
+			rows, err = filterRows(rows, s.Where, sc, ev)
+		}
+		p.layout = sc.layout
+		p.project(s)
+	}
 	if err != nil {
 		return nil, err
 	}
+	if p.hasAgg {
+		return execAggregate(s, p, sc, rows, ev)
+	}
 
-	// WHERE filter.
-	filtered := src.rows
-	if s.Where != nil {
-		filtered = filtered[:0:0]
-		for _, row := range src.rows {
-			src.scope.row = row
-			v, err := ev.eval(s.Where, src.scope)
+	b := newRowBlock(len(rows), p, s)
+	for _, row := range rows {
+		sc.row = row
+		base := len(b.vals)
+		for _, c := range p.cols {
+			if c >= 0 {
+				b.vals = append(b.vals, row[c])
+				continue
+			}
+			v, err := ev.eval(s.Fields[^c].Expr, sc)
 			if err != nil {
 				return nil, err
 			}
-			if !v.IsNull() && v.AsBool() {
-				filtered = append(filtered, row)
+			b.vals = append(b.vals, v)
+		}
+		for i, pos := range p.orderPos {
+			switch pos {
+			case orderByRange:
+				return nil, orderRangeError(s.OrderBy[i])
+			case orderByExpr:
+				// Any expression over the source row.
+				v, err := ev.eval(s.OrderBy[i].Expr, sc)
+				if err != nil {
+					return nil, err
+				}
+				b.keys = append(b.keys, v)
+			default:
+				b.keys = append(b.keys, b.vals[base+pos])
 			}
 		}
 	}
-
-	if hasAggregates(s) {
-		return db.execAggregate(s, src.scope, filtered, ev)
-	}
-	return db.projectRows(s, src, filtered, ev)
+	return b.result(len(rows), s, p, ev)
 }
 
-// projectRows runs the post-WHERE pipeline: projection, DISTINCT,
-// ORDER BY and LIMIT.
-func (db *DB) projectRows(s *sqlparser.SelectStmt, src *rowSource, filtered [][]Value, ev *evaluator) (*Result, error) {
-	cols := projectionNames(s.Fields, src.scope)
-	out := make([][]Value, 0, len(filtered))
-	keys := make([][]Value, 0, len(filtered))
-	for _, row := range filtered {
-		src.scope.row = row
-		projected, err := projectRow(s.Fields, src.scope, ev)
+// filterRows returns the rows for which where holds.
+func filterRows(rows [][]Value, where sqlparser.Expr, sc *scope, ev evaluator) ([][]Value, error) {
+	var kept [][]Value
+	for _, row := range rows {
+		sc.row = row
+		v, err := ev.eval(where, sc)
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, projected)
-		if len(s.OrderBy) > 0 {
-			k, err := orderKeys(s.OrderBy, s.Fields, projected, src.scope, ev)
-			if err != nil {
-				return nil, err
-			}
-			keys = append(keys, k)
+		if !v.IsNull() && v.AsBool() {
+			kept = append(kept, row)
 		}
 	}
+	return kept, nil
+}
+
+// rowBlock is a result under construction: every row's cells in one flat
+// slice of rows × width values, and the rows' ORDER BY keys in a second
+// one that exists only when the statement sorts. The executors append
+// cells and keys row by row; result picks, orders and windows them.
+type rowBlock struct {
+	width      int
+	vals, keys []Value
+}
+
+// newRowBlock sizes a block for at most n rows of plan p.
+func newRowBlock(n int, p *selectPlan, s *sqlparser.SelectStmt) rowBlock {
+	b := rowBlock{width: len(p.names)}
+	b.vals = make([]Value, 0, n*b.width)
+	if len(s.OrderBy) > 0 {
+		b.keys = make([]Value, 0, n*len(s.OrderBy))
+	}
+	return b
+}
+
+// row returns row i as a window capped at its own width, so a caller
+// appending to it reallocates instead of overwriting row i+1.
+func (b *rowBlock) row(i int) []Value {
+	return b.vals[i*b.width : (i+1)*b.width : (i+1)*b.width]
+}
+
+// result applies DISTINCT, ORDER BY and LIMIT to the block's n rows —
+// all three only pick and permute row numbers, no cell moves — and
+// windows the survivors into a Result.
+func (b *rowBlock) result(n int, s *sqlparser.SelectStmt, p *selectPlan, ev evaluator) (*Result, error) {
+	var order []int // row numbers in output order; nil means 0..n-1
 	if s.Distinct {
-		out, keys = dedupeWithKeys(out, keys)
+		order = make([]int, 0, n)
+		seen := make(rowSet, n)
+		for i := 0; i < n; i++ {
+			if seen.add(b.row(i)) {
+				order = append(order, i)
+			}
+		}
+		n = len(order)
 	}
 	if len(s.OrderBy) > 0 {
-		sortRows(out, keys, s.OrderBy)
+		if order == nil {
+			order = make([]int, n)
+			for i := range order {
+				order[i] = i
+			}
+		}
+		sortByKeys(order, b.keys, s.OrderBy)
 	}
-	out, err := applyLimit(out, s.Limit, ev)
+	lo, hi, err := limitRange(s.Limit, n, ev)
 	if err != nil {
 		return nil, err
 	}
-	return &Result{Columns: cols, Rows: out}, nil
+	res := &Result{Columns: p.names}
+	if lo < n || s.Limit == nil {
+		res.Rows = make([][]Value, hi-lo)
+	}
+	for i := range res.Rows {
+		j := lo + i
+		if order != nil {
+			j = order[j]
+		}
+		res.Rows[i] = b.row(j)
+	}
+	return res, nil
 }
 
-// rowSource is the joined FROM product with its column scope.
-type rowSource struct {
-	scope *scope
-	rows  [][]Value
-}
-
-// buildRowSource materializes the FROM clause: cross/inner/left joins of
-// tables and derived tables.
-func (db *DB) buildRowSource(from []sqlparser.TableRef, parent *scope, ev *evaluator) (*rowSource, error) {
-	sc := newScope(parent)
+// buildRowSource materializes the FROM clause — cross/inner/left joins
+// of tables and derived tables — and leaves its layout in sc.
+func (db *DB) buildRowSource(from []sqlparser.TableRef, sc *scope, ev evaluator) ([][]Value, error) {
 	if len(from) == 0 {
 		// SELECT without FROM: one empty row.
-		return &rowSource{scope: sc, rows: [][]Value{{}}}, nil
+		return [][]Value{{}}, nil
 	}
 	var rows [][]Value
 	for i, ref := range from {
-		name, cols, tblRows, err := db.resolveTableRef(ref, parent)
+		name, cols, tblRows, err := db.resolveTableRef(ref, sc.parent)
 		if err != nil {
 			return nil, err
 		}
@@ -171,14 +246,15 @@ func (db *DB) buildRowSource(from []sqlparser.TableRef, parent *scope, ev *evalu
 		}
 		rows = joined
 	}
-	return &rowSource{scope: sc, rows: rows}, nil
+	return rows, nil
 }
 
 // resolveTableRef returns the scope name, column names and rows of one
-// FROM entry.
+// FROM entry. A base table's rows are its own row headers, read in
+// place: joins build new rows and sorting permutes row numbers.
 func (db *DB) resolveTableRef(ref sqlparser.TableRef, parent *scope) (string, []string, [][]Value, error) {
 	if ref.Subquery != nil {
-		res, err := db.execSelect(ref.Subquery, parent)
+		res, err := db.execSelect(ref.Subquery, parent, nil)
 		if err != nil {
 			return "", nil, nil, err
 		}
@@ -196,99 +272,7 @@ func (db *DB) resolveTableRef(ref sqlparser.TableRef, parent *scope) (string, []
 	if name == "" {
 		name = ref.Name
 	}
-	cols := make([]string, len(t.Columns))
-	for i, c := range t.Columns {
-		cols[i] = c.Name
-	}
-	// Copy row headers so executor-side sorting never aliases table data.
-	rows := make([][]Value, len(t.Rows))
-	copy(rows, t.Rows)
-	return name, cols, rows, nil
-}
-
-// projectionNames computes the result column names.
-func projectionNames(fields []sqlparser.SelectField, sc *scope) []string {
-	var names []string
-	for _, f := range fields {
-		switch {
-		case f.Star:
-			for ti := range sc.tables {
-				names = append(names, sc.colNames[ti]...)
-			}
-		case f.TableStar != "":
-			for ti, t := range sc.tables {
-				if strings.EqualFold(t, f.TableStar) {
-					names = append(names, sc.colNames[ti]...)
-				}
-			}
-		case f.Alias != "":
-			names = append(names, f.Alias)
-		default:
-			if col, ok := f.Expr.(*sqlparser.ColumnRef); ok {
-				names = append(names, col.Name)
-			} else {
-				names = append(names, sqlparser.Format(&sqlparser.SelectStmt{
-					Fields: []sqlparser.SelectField{{Expr: f.Expr}},
-				})[len("SELECT "):])
-			}
-		}
-	}
-	return names
-}
-
-// projectRow evaluates the SELECT list against the scope's current row.
-func projectRow(fields []sqlparser.SelectField, sc *scope, ev *evaluator) ([]Value, error) {
-	var out []Value
-	for _, f := range fields {
-		switch {
-		case f.Star:
-			out = append(out, sc.row...)
-		case f.TableStar != "":
-			for ti, t := range sc.tables {
-				if strings.EqualFold(t, f.TableStar) {
-					start := sc.offsets[ti]
-					out = append(out, sc.row[start:start+len(sc.colNames[ti])]...)
-				}
-			}
-		default:
-			v, err := ev.eval(f.Expr, sc)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, v)
-		}
-	}
-	return out, nil
-}
-
-// orderKeys computes the sort key values for one row. ORDER BY may use an
-// ordinal (column position, a classic injection surface: "ORDER BY 5"),
-// an output alias, or any expression over the source row.
-func orderKeys(orderBy []sqlparser.OrderItem, fields []sqlparser.SelectField,
-	projected []Value, sc *scope, ev *evaluator) ([]Value, error) {
-	keys := make([]Value, 0, len(orderBy))
-	for _, o := range orderBy {
-		if lit, ok := o.Expr.(*sqlparser.Literal); ok && lit.Kind == sqlparser.LiteralInt {
-			idx := int(lit.Int)
-			if idx < 1 || idx > len(projected) {
-				return nil, fmt.Errorf("ORDER BY position %d out of range", idx)
-			}
-			keys = append(keys, projected[idx-1])
-			continue
-		}
-		if col, ok := o.Expr.(*sqlparser.ColumnRef); ok && col.Table == "" {
-			if idx := aliasIndex(fields, col.Name); idx >= 0 && idx < len(projected) {
-				keys = append(keys, projected[idx])
-				continue
-			}
-		}
-		v, err := ev.eval(o.Expr, sc)
-		if err != nil {
-			return nil, err
-		}
-		keys = append(keys, v)
-	}
-	return keys, nil
+	return name, t.layout.colNames[0], t.Rows, nil
 }
 
 func aliasIndex(fields []sqlparser.SelectField, name string) int {
@@ -300,104 +284,101 @@ func aliasIndex(fields []sqlparser.SelectField, name string) int {
 	return -1
 }
 
-// sortRows sorts out by keys under the ORDER BY directions (stable, so
-// ties preserve insertion order like MySQL's filesort on equal keys).
-func sortRows(out [][]Value, keys [][]Value, orderBy []sqlparser.OrderItem) {
-	idx := make([]int, len(out))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool {
-		ka, kb := keys[idx[a]], keys[idx[b]]
+// sortByKeys stably sorts row numbers by their keys (row i's are
+// keys[i*len(orderBy):]) under the ORDER BY directions, so ties keep
+// insertion order like MySQL's filesort on equal keys.
+func sortByKeys(order []int, keys []Value, orderBy []sqlparser.OrderItem) {
+	nk := len(orderBy)
+	slices.SortStableFunc(order, func(a, b int) int {
 		for i := range orderBy {
-			va, vb := ka[i], kb[i]
+			va, vb := keys[a*nk+i], keys[b*nk+i]
+			c := 0
 			// NULLs sort first ascending, last descending (MySQL).
 			switch {
 			case va.IsNull() && vb.IsNull():
-				continue
 			case va.IsNull():
-				return !orderBy[i].Desc
+				c = -1
 			case vb.IsNull():
-				return orderBy[i].Desc
+				c = 1
+			default:
+				c, _ = Compare(va, vb)
 			}
-			c, _ := Compare(va, vb)
 			if c == 0 {
 				continue
 			}
 			if orderBy[i].Desc {
-				return c > 0
+				return -c
 			}
-			return c < 0
+			return c
 		}
-		return false
+		return 0
 	})
-	sortedOut := make([][]Value, len(out))
-	for i, j := range idx {
-		sortedOut[i] = out[j]
-	}
-	copy(out, sortedOut)
 }
 
-// applyLimit slices out according to LIMIT/OFFSET.
-func applyLimit(rows [][]Value, limit *sqlparser.Limit, ev *evaluator) ([][]Value, error) {
+// limitRange returns the half-open range of n rows that LIMIT/OFFSET
+// keeps. The clause may hold any primary expression, a subquery
+// included, so it is evaluated per execution, under an empty scope.
+func limitRange(limit *sqlparser.Limit, n int, ev evaluator) (lo, hi int, err error) {
 	if limit == nil {
-		return rows, nil
+		return 0, n, nil
 	}
-	offset := 0
 	if limit.Offset != nil {
-		v, err := ev.eval(limit.Offset, newScope(nil))
+		v, err := ev.eval(limit.Offset, &noScope)
 		if err != nil {
-			return nil, err
+			return 0, 0, err
 		}
-		offset = int(v.AsInt())
+		lo = max(int(v.AsInt()), 0)
 	}
-	count, err := ev.eval(limit.Count, newScope(nil))
+	count, err := ev.eval(limit.Count, &noScope)
 	if err != nil {
-		return nil, err
+		return 0, 0, err
 	}
-	n := int(count.AsInt())
-	if offset < 0 {
-		offset = 0
+	if lo >= n {
+		return n, n, nil
 	}
-	if offset >= len(rows) {
-		return nil, nil
+	if c := int(count.AsInt()); c >= 0 && c < n-lo {
+		return lo, lo + c, nil
 	}
-	rows = rows[offset:]
-	if n >= 0 && n < len(rows) {
-		rows = rows[:n]
+	return lo, n, nil
+}
+
+// rowSet is the set of rows seen so far, where two rows are the same
+// exactly when every cell has the same kind and text: what DISTINCT and
+// UNION mean by a duplicate.
+type rowSet map[string]struct{}
+
+// add puts row in the set and reports whether it was new.
+func (rs rowSet) add(row []Value) bool {
+	var buf [128]byte
+	sig := buf[:0]
+	for _, v := range row {
+		sig = appendSig(sig, v)
 	}
-	return rows, nil
+	if _, dup := rs[string(sig)]; dup {
+		return false
+	}
+	rs[string(sig)] = struct{}{}
+	return true
+}
+
+// appendSig appends the signature of one cell; GROUP BY keys and
+// COUNT(DISTINCT) use it too.
+func appendSig(sig []byte, v Value) []byte {
+	sig = append(sig, byte('0'+v.Kind), ':')
+	sig = v.appendText(sig)
+	return append(sig, 0)
 }
 
 // dedupeRows removes duplicate rows, keeping first occurrences.
 func dedupeRows(rows [][]Value) [][]Value {
-	out, _ := dedupeWithKeys(rows, nil)
+	seen := make(rowSet, len(rows))
+	out := rows[:0:0]
+	for _, r := range rows {
+		if seen.add(r) {
+			out = append(out, r)
+		}
+	}
 	return out
-}
-
-func dedupeWithKeys(rows [][]Value, keys [][]Value) ([][]Value, [][]Value) {
-	seen := make(map[string]bool, len(rows))
-	outRows := rows[:0:0]
-	var outKeys [][]Value
-	if keys != nil {
-		outKeys = keys[:0:0]
-	}
-	for i, r := range rows {
-		var b strings.Builder
-		for _, v := range r {
-			b.WriteString(fmt.Sprintf("%d:%s\x00", v.Kind, v.String()))
-		}
-		sig := b.String()
-		if seen[sig] {
-			continue
-		}
-		seen[sig] = true
-		outRows = append(outRows, r)
-		if keys != nil {
-			outKeys = append(outKeys, keys[i])
-		}
-	}
-	return outRows, outKeys
 }
 
 // hasAggregates reports whether the SELECT needs the grouping executor.
@@ -405,77 +386,69 @@ func hasAggregates(s *sqlparser.SelectStmt) bool {
 	if len(s.GroupBy) > 0 || s.Having != nil {
 		return true
 	}
-	found := false
-	var walkExpr func(e sqlparser.Expr)
-	walkExpr = func(e sqlparser.Expr) {
-		switch x := e.(type) {
-		case *sqlparser.FuncCall:
-			if isAggregateName(x.Name) {
-				found = true
-			}
-			for _, a := range x.Args {
-				walkExpr(a)
-			}
-		case *sqlparser.BinaryExpr:
-			walkExpr(x.Left)
-			walkExpr(x.Right)
-		case *sqlparser.UnaryExpr:
-			walkExpr(x.Operand)
-		}
-	}
 	for _, f := range s.Fields {
-		if f.Expr != nil {
-			walkExpr(f.Expr)
+		if f.Expr != nil && exprHasAggregate(f.Expr) {
+			return true
 		}
 	}
-	return found
+	return false
+}
+
+func exprHasAggregate(e sqlparser.Expr) bool {
+	switch x := e.(type) {
+	case *sqlparser.FuncCall:
+		if isAggregateName(x.Name) {
+			return true
+		}
+		for _, a := range x.Args {
+			if exprHasAggregate(a) {
+				return true
+			}
+		}
+	case *sqlparser.BinaryExpr:
+		return exprHasAggregate(x.Left) || exprHasAggregate(x.Right)
+	case *sqlparser.UnaryExpr:
+		return exprHasAggregate(x.Operand)
+	}
+	return false
 }
 
 // execAggregate implements GROUP BY / aggregate projection.
-func (db *DB) execAggregate(s *sqlparser.SelectStmt, sc *scope, rows [][]Value, ev *evaluator) (*Result, error) {
-	type group struct {
-		key  string
-		rows [][]Value
-	}
-	var groups []*group
-	index := make(map[string]*group)
-	if len(s.GroupBy) == 0 {
-		g := &group{key: ""}
-		g.rows = rows
-		groups = append(groups, g)
-	} else {
+func execAggregate(s *sqlparser.SelectStmt, p *selectPlan, sc *scope, rows [][]Value, ev evaluator) (*Result, error) {
+	// groups lists each group's rows in first-seen order. Without GROUP BY
+	// all rows are one group, which yields a row even when it is empty
+	// (COUNT(*) = 0); GROUP BY makes no empty groups.
+	groups := [][][]Value{rows}
+	if len(s.GroupBy) > 0 {
+		groups = groups[:0]
+		index := make(map[string]int)
+		var sig []byte
 		for _, row := range rows {
 			sc.row = row
-			var b strings.Builder
+			sig = sig[:0]
 			for _, e := range s.GroupBy {
 				v, err := ev.eval(e, sc)
 				if err != nil {
 					return nil, err
 				}
-				b.WriteString(fmt.Sprintf("%d:%s\x00", v.Kind, v.String()))
+				sig = appendSig(sig, v)
 			}
-			key := b.String()
-			g, ok := index[key]
+			gi, ok := index[string(sig)]
 			if !ok {
-				g = &group{key: key}
-				index[key] = g
-				groups = append(groups, g)
+				gi = len(groups)
+				index[string(sig)] = gi
+				groups = append(groups, nil)
 			}
-			g.rows = append(g.rows, row)
+			groups[gi] = append(groups[gi], row)
 		}
 	}
 
-	agg := &aggregator{db: db, ev: ev, sc: sc}
-	cols := projectionNames(s.Fields, sc)
-	out := make([][]Value, 0, len(groups))
-	keys := make([][]Value, 0, len(groups))
+	agg := aggregator{ev: ev, sc: sc}
+	b := newRowBlock(len(groups), p, s)
+	n := 0
 	for _, g := range groups {
-		// An empty ungrouped aggregate still yields one row (COUNT(*)=0).
-		if len(g.rows) == 0 && len(s.GroupBy) > 0 {
-			continue
-		}
 		if s.Having != nil {
-			v, err := agg.eval(s.Having, g.rows)
+			v, err := agg.eval(s.Having, g)
 			if err != nil {
 				return nil, err
 			}
@@ -483,61 +456,41 @@ func (db *DB) execAggregate(s *sqlparser.SelectStmt, sc *scope, rows [][]Value, 
 				continue
 			}
 		}
-		projected := make([]Value, 0, len(s.Fields))
+		base := len(b.vals)
 		for _, f := range s.Fields {
 			if f.Star || f.TableStar != "" {
 				return nil, fmt.Errorf("cannot mix * with aggregates")
 			}
-			v, err := agg.eval(f.Expr, g.rows)
+			v, err := agg.eval(f.Expr, g)
 			if err != nil {
 				return nil, err
 			}
-			projected = append(projected, v)
+			b.vals = append(b.vals, v)
 		}
-		out = append(out, projected)
-		if len(s.OrderBy) > 0 {
-			rowKeys := make([]Value, 0, len(s.OrderBy))
-			for _, o := range s.OrderBy {
-				if lit, ok := o.Expr.(*sqlparser.Literal); ok && lit.Kind == sqlparser.LiteralInt {
-					idx := int(lit.Int)
-					if idx < 1 || idx > len(projected) {
-						return nil, fmt.Errorf("ORDER BY position %d out of range", idx)
-					}
-					rowKeys = append(rowKeys, projected[idx-1])
-					continue
-				}
-				if col, ok := o.Expr.(*sqlparser.ColumnRef); ok {
-					if idx := aliasIndex(s.Fields, col.Name); idx >= 0 {
-						rowKeys = append(rowKeys, projected[idx])
-						continue
-					}
-				}
-				v, err := agg.eval(o.Expr, g.rows)
+		for i, pos := range p.orderPos {
+			switch pos {
+			case orderByRange:
+				return nil, orderRangeError(s.OrderBy[i])
+			case orderByExpr:
+				v, err := agg.eval(s.OrderBy[i].Expr, g)
 				if err != nil {
 					return nil, err
 				}
-				rowKeys = append(rowKeys, v)
+				b.keys = append(b.keys, v)
+			default:
+				b.keys = append(b.keys, b.vals[base+pos])
 			}
-			keys = append(keys, rowKeys)
 		}
+		n++
 	}
-	if len(s.OrderBy) > 0 {
-		sortRows(out, keys, s.OrderBy)
-	}
-	var err error
-	out, err = applyLimit(out, s.Limit, ev)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{Columns: cols, Rows: out}, nil
+	return b.result(n, s, p, ev)
 }
 
 // aggregator evaluates expressions over a group of rows: aggregate calls
 // consume the whole group; everything else is evaluated on the first row
 // (MySQL's permissive ONLY_FULL_GROUP_BY-off behaviour).
 type aggregator struct {
-	db *DB
-	ev *evaluator
+	ev evaluator
 	sc *scope
 }
 
@@ -557,40 +510,6 @@ func (a *aggregator) eval(e sqlparser.Expr, rows [][]Value) (Value, error) {
 		}
 		return a.ev.callScalar(x.Name, args)
 	case *sqlparser.BinaryExpr:
-		switch x.Op {
-		case "AND", "OR", "XOR":
-			left, err := a.eval(x.Left, rows)
-			if err != nil {
-				return Value{}, err
-			}
-			right, err := a.eval(x.Right, rows)
-			if err != nil {
-				return Value{}, err
-			}
-			switch x.Op {
-			case "AND":
-				if (!left.IsNull() && !left.AsBool()) || (!right.IsNull() && !right.AsBool()) {
-					return Bool(false), nil
-				}
-				if left.IsNull() || right.IsNull() {
-					return Null(), nil
-				}
-				return Bool(true), nil
-			case "OR":
-				if (!left.IsNull() && left.AsBool()) || (!right.IsNull() && right.AsBool()) {
-					return Bool(true), nil
-				}
-				if left.IsNull() || right.IsNull() {
-					return Null(), nil
-				}
-				return Bool(false), nil
-			default:
-				if left.IsNull() || right.IsNull() {
-					return Null(), nil
-				}
-				return Bool(left.AsBool() != right.AsBool()), nil
-			}
-		}
 		left, err := a.eval(x.Left, rows)
 		if err != nil {
 			return Value{}, err
@@ -599,49 +518,13 @@ func (a *aggregator) eval(e sqlparser.Expr, rows [][]Value) (Value, error) {
 		if err != nil {
 			return Value{}, err
 		}
-		switch x.Op {
-		case "=", "<>", "<", "<=", ">", ">=":
-			cmp, ok := Compare(left, right)
-			if !ok {
-				return Null(), nil
-			}
-			var res bool
-			switch x.Op {
-			case "=":
-				res = cmp == 0
-			case "<>":
-				res = cmp != 0
-			case "<":
-				res = cmp < 0
-			case "<=":
-				res = cmp <= 0
-			case ">":
-				res = cmp > 0
-			case ">=":
-				res = cmp >= 0
-			}
-			return Bool(res), nil
-		default:
-			if left.IsNull() || right.IsNull() {
-				return Null(), nil
-			}
-			return arith(x.Op, left, right)
-		}
+		return applyBinary(x.Op, &left, &right)
 	case *sqlparser.UnaryExpr:
 		v, err := a.eval(x.Operand, rows)
 		if err != nil {
 			return Value{}, err
 		}
-		if x.Op == "NOT" {
-			if v.IsNull() {
-				return Null(), nil
-			}
-			return Bool(!v.AsBool()), nil
-		}
-		if v.Kind == KindInt {
-			return Int(-v.I), nil
-		}
-		return Float(-v.AsFloat()), nil
+		return applyUnary(x.Op, v)
 	default:
 		if len(rows) == 0 {
 			return Null(), nil
@@ -659,7 +542,11 @@ func (a *aggregator) aggregate(x *sqlparser.FuncCall, rows [][]Value) (Value, er
 		return Value{}, fmt.Errorf("%s expects one argument", x.Name)
 	}
 	values := make([]Value, 0, len(rows))
-	seen := make(map[string]bool)
+	var seen map[string]struct{}
+	var sig []byte
+	if x.Distinct {
+		seen = make(map[string]struct{})
+	}
 	for _, row := range rows {
 		a.sc.row = row
 		v, err := a.ev.eval(x.Args[0], a.sc)
@@ -670,11 +557,11 @@ func (a *aggregator) aggregate(x *sqlparser.FuncCall, rows [][]Value) (Value, er
 			continue
 		}
 		if x.Distinct {
-			sig := fmt.Sprintf("%d:%s", v.Kind, v.String())
-			if seen[sig] {
+			sig = appendSig(sig[:0], v)
+			if _, dup := seen[string(sig)]; dup {
 				continue
 			}
-			seen[sig] = true
+			seen[string(sig)] = struct{}{}
 		}
 		values = append(values, v)
 	}

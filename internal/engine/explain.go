@@ -17,19 +17,32 @@ func (db *DB) execExplain(s *sqlparser.ExplainStmt) (*Result, error) {
 }
 
 func (db *DB) explainSelect(s *sqlparser.SelectStmt, res *Result) {
-	// Point-lookup fast path?
-	if t, _, ok := db.pointLookup(s); ok && !hasAggregates(s) {
-		col := pointLookupColumn(s)
+	// The access path is the one execution takes: ask the planner.
+	var p selectPlan
+	db.planTable(&p, s)
+	if p.table != nil && p.indexCol >= 0 {
 		res.Rows = append(res.Rows, []Value{
-			Str(t.Name), Str("const"),
-			Str(fmt.Sprintf("unique index lookup on %s", col)),
+			Str(p.table.Name), Str("const"),
+			Str(fmt.Sprintf("unique index lookup on %s", p.table.Columns[p.indexCol].Name)),
 		})
-		return
+	} else {
+		db.explainScan(s.From, res)
 	}
-	if len(s.From) == 0 {
+	if hasAggregates(s) {
+		res.Rows = append(res.Rows, []Value{Str(""), Str("aggregate"), Str("grouping pass")})
+	}
+	if s.Union != nil {
+		res.Rows = append(res.Rows, []Value{Str(""), Str("union"), Str("result merge")})
+		db.explainSelect(s.Union.Next, res)
+	}
+}
+
+// explainScan lists the FROM sources of a branch that scans them.
+func (db *DB) explainScan(from []sqlparser.TableRef, res *Result) {
+	if len(from) == 0 {
 		res.Rows = append(res.Rows, []Value{Str(""), Str("none"), Str("no tables used")})
 	}
-	for i, ref := range s.From {
+	for i, ref := range from {
 		switch {
 		case ref.Subquery != nil:
 			name := ref.Alias
@@ -57,25 +70,4 @@ func (db *DB) explainSelect(s *sqlparser.SelectStmt, res *Result) {
 			})
 		}
 	}
-	if hasAggregates(s) {
-		res.Rows = append(res.Rows, []Value{Str(""), Str("aggregate"), Str("grouping pass")})
-	}
-	if s.Union != nil {
-		res.Rows = append(res.Rows, []Value{Str(""), Str("union"), Str("result merge")})
-		db.explainSelect(s.Union.Next, res)
-	}
-}
-
-// pointLookupColumn names the indexed column of a fast-path query (for
-// display only; pointLookup already validated the shape).
-func pointLookupColumn(s *sqlparser.SelectStmt) string {
-	eq, ok := s.Where.(*sqlparser.BinaryExpr)
-	if !ok {
-		return "?"
-	}
-	col, _ := splitEq(eq)
-	if col == nil {
-		return "?"
-	}
-	return col.Name
 }

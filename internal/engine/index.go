@@ -1,11 +1,5 @@
 package engine
 
-import (
-	"strings"
-
-	"github.com/septic-db/septic/internal/sqlparser"
-)
-
 // Unique hash indexes.
 //
 // Every PRIMARY KEY / UNIQUE column gets a hash index mapping the
@@ -15,7 +9,7 @@ import (
 //   - uniqueness checks on INSERT/UPDATE, which would otherwise scan the
 //     table per write (quadratic over workload replays);
 //   - single-table point SELECTs of the form "WHERE col = literal",
-//     which resolve without a scan.
+//     which resolve without a scan (the select plan's access path).
 //
 // Concurrency contract: indexes are created at CREATE TABLE and
 // maintained eagerly by every DML operation, all of which run under the
@@ -26,8 +20,9 @@ import (
 
 // indexKey normalizes a value for index lookup. Stored values are
 // already coerced to the column type, and lookups coerce the probe the
-// same way, so MySQL's weak typing ("id = '42'" matching 42) works
-// through the index exactly as it does through a scan.
+// same way. A SELECT probes the index only when that is provably what a
+// scan's weakly typed comparison would find ("id = '42'" matching 42
+// is; "id = 1.5" is not) — accessPath in plan.go decides.
 func indexKey(v Value) string {
 	return v.String()
 }
@@ -94,62 +89,4 @@ func (t *Table) lookupUnique(ci int, value Value) (int, bool) {
 		return -1, true
 	}
 	return ri, true
-}
-
-// pointLookup recognizes "SELECT ... FROM onetable WHERE col = literal"
-// where col has a unique index, and resolves the row without a scan. The
-// boolean reports whether the fast path applied; rows may be empty.
-func (db *DB) pointLookup(s *sqlparser.SelectStmt) (*Table, [][]Value, bool) {
-	if len(s.From) != 1 || s.From[0].Subquery != nil || s.Where == nil {
-		return nil, nil, false
-	}
-	eq, ok := s.Where.(*sqlparser.BinaryExpr)
-	if !ok || eq.Op != "=" {
-		return nil, nil, false
-	}
-	col, lit := splitEq(eq)
-	if col == nil || lit == nil {
-		return nil, nil, false
-	}
-	t := db.tables[strings.ToLower(s.From[0].Name)]
-	if t == nil {
-		return nil, nil, false
-	}
-	// A qualified reference must name this table (or its alias).
-	if col.Table != "" {
-		alias := s.From[0].Alias
-		if alias == "" {
-			alias = s.From[0].Name
-		}
-		if !strings.EqualFold(col.Table, alias) {
-			return nil, nil, false
-		}
-	}
-	ci := t.colIndex(col.Name)
-	if ci < 0 || !t.Columns[ci].Unique {
-		return nil, nil, false
-	}
-	ri, indexed := t.lookupUnique(ci, literalValue(lit))
-	if !indexed {
-		return nil, nil, false
-	}
-	if ri < 0 {
-		return t, nil, true
-	}
-	return t, [][]Value{t.Rows[ri]}, true
-}
-
-// splitEq extracts (column, literal) from "col = lit" or "lit = col".
-func splitEq(eq *sqlparser.BinaryExpr) (*sqlparser.ColumnRef, *sqlparser.Literal) {
-	if col, ok := eq.Left.(*sqlparser.ColumnRef); ok {
-		if lit, ok := eq.Right.(*sqlparser.Literal); ok {
-			return col, lit
-		}
-	}
-	if col, ok := eq.Right.(*sqlparser.ColumnRef); ok {
-		if lit, ok := eq.Left.(*sqlparser.Literal); ok {
-			return col, lit
-		}
-	}
-	return nil, nil
 }

@@ -16,7 +16,10 @@ import (
 // reached only through subqueries in any clause — and the per-table
 // locks are acquired in sorted name order (write before read for a
 // table in both sets). The global order makes deadlock impossible; the
-// split makes writes to one table invisible to readers of another.
+// split makes writes to one table invisible to readers of another. The
+// set depends on the statement text alone, so a SELECT's is computed
+// once per text and kept in its plan (plan.go); DML computes its own,
+// allocation-free, per execution.
 
 // lockSet is one statement's table-lock plan: deduplicated lowercase
 // table names with a write flag each, sorted before acquisition. The

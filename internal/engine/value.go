@@ -103,6 +103,19 @@ func (v Value) String() string {
 	}
 }
 
+// appendText appends what String returns, without the intermediate
+// string.
+func (v Value) appendText(b []byte) []byte {
+	switch v.Kind {
+	case KindInt:
+		return strconv.AppendInt(b, v.I, 10)
+	case KindFloat:
+		return strconv.AppendFloat(b, v.F, 'g', -1, 64)
+	default:
+		return append(b, v.String()...)
+	}
+}
+
 // AsFloat coerces the value to a float the way MySQL does in numeric
 // context: strings convert via their longest numeric prefix (so 'abc' is
 // 0 and '1x' is 1 — the behaviour behind several classic injection
