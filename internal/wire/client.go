@@ -282,11 +282,11 @@ func (e *helloRefusedError) Error() string { return "hello refused: " + e.msg }
 // helloRoundTripLocked sends one handshake frame and reads the reply.
 // Callers hold c.mu.
 func (c *Client) helloRoundTripLocked(h *Hello) (*HelloAck, error) {
-	if err := writeFrame(c.conn, &Request{Hello: h}); err != nil {
+	if err := WriteJSONFrame(c.conn, &Request{Hello: h}); err != nil {
 		return nil, fmt.Errorf("hello: %w", err)
 	}
 	var resp Response
-	if err := readFrame(c.conn, &resp); err != nil {
+	if err := ReadJSONFrame(c.conn, &resp); err != nil {
 		return nil, fmt.Errorf("hello: %w", err)
 	}
 	if resp.Error != "" {
@@ -450,25 +450,37 @@ func (c *Client) exec(req *Request) (*engine.Result, error) {
 		return p.submit(req).Wait()
 	}
 	defer c.mu.Unlock()
-	if err := writeFrame(c.conn, req); err != nil {
+	// One pooled buffer carries the request frame out and the response
+	// payload in; the decoder copies what it keeps.
+	buf := getEncBuf()
+	defer putEncBuf(buf)
+	frame, err := appendRequestJSON(buf.b[:0], req)
+	buf.b = frame
+	if err == nil {
+		_, err = c.conn.Write(frame)
+	}
+	if err != nil {
 		return nil, c.poisonLocked(fmt.Errorf("write request: %w", err))
 	}
-	resp := getResponse()
-	if err := readFrame(c.conn, resp); err != nil {
-		putResponse(resp)
+	var ans reply
+	payload, err := readWholeFrame(c.conn, buf)
+	if err == nil {
+		err = decodeReplyJSON(payload, &ans)
+	}
+	if err != nil {
 		return nil, c.poisonLocked(fmt.Errorf("read response: %w", err))
 	}
-	if resp.Busy {
+	if ans.busy {
 		// The server refused this connection at admission and is hanging
 		// up; poison so the next call redials (or fails fast), honoring
 		// the server's retry-after hint before that redial.
-		c.retryHint = time.Duration(resp.RetryAfterMS) * time.Millisecond
-		putResponse(resp)
+		c.retryHint = time.Duration(ans.retryAfterMS) * time.Millisecond
 		return nil, c.poisonLocked(ErrServerBusy)
 	}
-	res, err := responseToResult(resp) // copies — the response is pooled
-	putResponse(resp)
-	return res, err
+	if err := ans.failure(); err != nil {
+		return nil, err
+	}
+	return ans.res, nil
 }
 
 // Close tears down the connection. A closed client never reconnects.

@@ -416,30 +416,27 @@ func decodeReplyBody(body []byte, r *reply) error {
 // returns the sequence number, frame type and body. The body aliases
 // buf and is only valid until the next call.
 func readBinaryFrame(r io.Reader, buf *encBuf) (seq uint64, typ byte, body []byte, err error) {
-	if cap(buf.b) < frameHeaderLen {
-		buf.b = make([]byte, 0, 4096)
-	}
-	n, err := readFrameHeader(r, buf.b[:frameHeaderLen])
+	payload, err := readWholeFrame(r, buf)
 	if err != nil {
 		return 0, 0, nil, err
 	}
-	return readBinaryFramePayload(r, n, buf)
+	return splitBinaryPayload(payload)
 }
 
 // readBinaryFramePayload reads the payload of a v2 frame whose header
 // (length n) was already consumed — split out so the server can switch
 // from its idle deadline to its read deadline between the two.
 func readBinaryFramePayload(r io.Reader, n uint32, buf *encBuf) (seq uint64, typ byte, body []byte, err error) {
-	if n < v2FrameOverhead {
+	payload, err := readPayload(r, n, buf)
+	if err != nil {
+		return 0, 0, nil, err
+	}
+	return splitBinaryPayload(payload)
+}
+
+func splitBinaryPayload(payload []byte) (seq uint64, typ byte, body []byte, err error) {
+	if len(payload) < v2FrameOverhead {
 		return 0, 0, nil, errFrameTooShort
 	}
-	if uint32(cap(buf.b)) < n {
-		buf.b = make([]byte, 0, n)
-	}
-	payload := buf.b[:n]
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return 0, 0, nil, fmt.Errorf("read frame payload: %w", err)
-	}
-	seq = binary.BigEndian.Uint64(payload)
-	return seq, payload[8], payload[v2FrameOverhead:], nil
+	return binary.BigEndian.Uint64(payload), payload[8], payload[v2FrameOverhead:], nil
 }

@@ -264,3 +264,15 @@ func TestCodecSteadyStateAllocs(t *testing.T) {
 		t.Fatalf("encode+decode steady state allocates %.1f/op, ceiling 6", allocs)
 	}
 }
+
+// TestPutEncBufDropsOversizedBuffers: one giant frame, either framing,
+// must not pin its buffer in the pool every query frame is built in.
+func TestPutEncBufDropsOversizedBuffers(t *testing.T) {
+	big := &encBuf{b: make([]byte, 0, poolableCap+1)}
+	putEncBuf(big)
+	for i := 0; i < 64; i++ {
+		if got := getEncBuf(); got == big {
+			t.Fatalf("pooled a buffer of %d bytes, bound %d", cap(big.b), poolableCap)
+		}
+	}
+}

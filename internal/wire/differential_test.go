@@ -2,6 +2,7 @@ package wire
 
 import (
 	"errors"
+	"math"
 	"reflect"
 	"testing"
 
@@ -16,6 +17,10 @@ import (
 type stmt struct {
 	sql  string
 	args []engine.Value
+	// nonFinite marks the one divergence between the framings that is
+	// written down: the statement's result holds a float JSON has no
+	// literal for, so v1 answers with an error where v2 carries the value.
+	nonFinite bool
 }
 
 // stmtRecorder is the applications' executor while the stream is being
@@ -35,6 +40,10 @@ func (r *stmtRecorder) ExecArgs(q string, args ...engine.Value) (*engine.Result,
 	r.stream = append(r.stream, stmt{sql: q, args: append([]engine.Value(nil), args...)})
 	return r.db.ExecArgs(q, args...)
 }
+
+// nonFiniteStatements overflow to +Inf and to NaN. Every deployment
+// learns them in training, so in prevention they are benign.
+var nonFiniteStatements = []string{"SELECT 1e308 * 10", "SELECT 1e308*10 - 1e308*10"}
 
 // diffDeployment builds one fresh deployment: Address Book and WaspMon
 // loaded and trained in-process, then switched to prevention. wrap, when
@@ -63,6 +72,11 @@ func diffDeployment(t *testing.T, wrap func(*engine.DB) webapp.Executor) (*engin
 		}
 		built = append(built, app)
 	}
+	for _, q := range nonFiniteStatements {
+		if _, err := db.Exec(q); err != nil {
+			t.Fatalf("training %q: %v", q, err)
+		}
+	}
 	guard.SetConfig(core.Config{Mode: core.ModePrevention, DetectSQLI: true, DetectStored: true})
 	return db, built
 }
@@ -70,7 +84,8 @@ func diffDeployment(t *testing.T, wrap func(*engine.DB) webapp.Executor) (*engin
 // diffStream records the statement stream both framings are fed: the
 // applications' recorded workloads (bound arguments included), every
 // labelled attack of internal/attacks served through WaspMon's pages,
-// then a statement that does not parse and an empty one.
+// then a statement that does not parse, an empty one, and two whose
+// results are ±Inf and NaN.
 func diffStream(t *testing.T) []stmt {
 	t.Helper()
 	var rec *stmtRecorder
@@ -96,7 +111,8 @@ func diffStream(t *testing.T) []stmt {
 	if benign == 0 || len(rec.stream) == benign {
 		t.Fatalf("recorded %d workload and %d attack statements", benign, len(rec.stream)-benign)
 	}
-	return append(rec.stream, stmt{sql: "SELEC id FRM nowhere WHERE"}, stmt{sql: ""})
+	return append(rec.stream, stmt{sql: "SELEC id FRM nowhere WHERE"}, stmt{sql: ""},
+		stmt{sql: nonFiniteStatements[0], nonFinite: true}, stmt{sql: nonFiniteStatements[1], nonFinite: true})
 }
 
 // wireOutcome is everything a client can tell about one answer.
@@ -114,10 +130,20 @@ func outcomeOf(res *engine.Result, err error) wireOutcome {
 	return o
 }
 
+// nonFiniteScalar reports whether res is one cell holding ±Inf or NaN.
+func nonFiniteScalar(res *engine.Result) bool {
+	if res == nil || len(res.Rows) != 1 || len(res.Rows[0]) != 1 {
+		return false
+	}
+	f := res.Rows[0][0].F
+	return math.IsInf(f, 0) || math.IsNaN(f)
+}
+
 // TestV1V2Differential: the framing is not allowed to matter. The same
 // statement stream through a synchronous JSON session and through a
 // pipelined binary session, each against its own identical deployment,
-// must be answered identically statement by statement.
+// must be answered identically statement by statement — but for the
+// statements marked nonFinite, whose divergence is pinned instead.
 func TestV1V2Differential(t *testing.T) {
 	snapshotGoroutines(t)
 	stream := diffStream(t)
@@ -141,6 +167,14 @@ func TestV1V2Differential(t *testing.T) {
 	for i, s := range stream {
 		v1 := outcomeOf(clients[0].ExecArgs(s.sql, s.args...))
 		v2 := outcomeOf(clients[1].ExecArgs(s.sql, s.args...))
+		if s.nonFinite {
+			want := wireOutcome{errText: jsonUnrepresentable + errNonFinite.Error()}
+			if !reflect.DeepEqual(v1, want) || v2.errText != "" || !nonFiniteScalar(v2.res) {
+				t.Errorf("statement %d %q: v1 %+v, v2 %+v %+v; want v1's not-representable error and v2's value",
+					i, s.sql, v1, v2, v2.res)
+			}
+			continue
+		}
 		if !reflect.DeepEqual(v1, v2) {
 			t.Errorf("statement %d %q args %v:\n v1: %+v %+v\n v2: %+v %+v",
 				i, s.sql, s.args, v1, v1.res, v2, v2.res)

@@ -2,9 +2,12 @@ package wire
 
 import (
 	"bytes"
+	"encoding/json"
 	"math"
 	"slices"
+	"strings"
 	"testing"
+	"unicode"
 
 	"github.com/septic-db/septic/internal/engine"
 )
@@ -109,6 +112,131 @@ func FuzzBinaryDecode(f *testing.F) {
 			}
 			if !same {
 				t.Fatalf("reply round-trip mismatch: %+v %+v vs %+v %+v", ans, res, ans2, res2)
+			}
+		}
+	})
+}
+
+// jsonFoldName is encoding/json's case folding of a member name: every
+// rune replaced by the smallest of its simple-folding orbit (the Kelvin
+// sign is a K).
+func jsonFoldName(s string) string {
+	return strings.Map(func(r rune) rune {
+		for {
+			next := unicode.SimpleFold(r)
+			if next <= r {
+				return next
+			}
+			r = next
+		}
+	}, s)
+}
+
+// wireMemberNames are the member names of the wire structs, as written
+// and case-folded.
+var wireMemberNames, wireMemberNamesFolded = func() (exact, folded map[string]bool) {
+	exact, folded = map[string]bool{}, map[string]bool{}
+	for _, keys := range [][]string{requestKeys, replyKeys, cellKeys, {"v", "app", "domain", "repl"}} {
+		for _, k := range keys {
+			exact[k], folded[jsonFoldName(k)] = true, true
+		}
+	}
+	return exact, folded
+}()
+
+// strictnessApplies reports whether payload — valid JSON — has an object
+// with a member named twice, or named like a member of the wire structs
+// but not exactly: the inputs on which the codec is knowingly stricter
+// than encoding/json (jsoncodec.go), and the only ones FuzzJSONDecode
+// lets the two disagree on.
+func strictnessApplies(payload []byte) bool {
+	exact, folded := wireMemberNames, wireMemberNamesFolded
+	dec := json.NewDecoder(bytes.NewReader(payload))
+	var walk func() bool // consumes one value
+	walk = func() bool {
+		tok, err := dec.Token()
+		if err != nil {
+			return false
+		}
+		switch tok {
+		case json.Delim('{'):
+			names := map[string]bool{}
+			for dec.More() {
+				tok, _ := dec.Token()
+				name, _ := tok.(string)
+				if names[name] || !exact[name] && folded[jsonFoldName(name)] {
+					return true
+				}
+				names[name] = true
+				if walk() {
+					return true
+				}
+			}
+			_, _ = dec.Token() // the closing brace
+		case json.Delim('['):
+			for dec.More() {
+				if walk() {
+					return true
+				}
+			}
+			_, _ = dec.Token()
+		}
+		return false
+	}
+	return walk()
+}
+
+// FuzzJSONDecode holds the v1 codec's decoders to their contract: a
+// frame of arbitrary bytes never panics them; what either accepts is
+// valid JSON; and each reaches encoding/json's verdict and encoding/json's
+// value — the query text the guard will see included — on everything but
+// the inputs the codec is documented to be stricter on.
+func FuzzJSONDecode(f *testing.F) {
+	reqFrame, _ := appendRequestJSON(nil, sampleRequest())
+	respFrame, _ := appendReplyJSON(nil, sampleReply())
+	blockedFrame, _ := appendReplyJSON(nil, &reply{err: "query <blocked> by SEPTIC", blocked: true})
+	shedFrame, _ := appendReplyJSON(nil, &reply{err: "shed", shed: true, retryAfterMS: 25})
+	helloFrame, _ := oracleFrame(f, &Request{Hello: &Hello{Version: HelloVersion, App: "shop"}})
+	ackFrame, _ := oracleFrame(f, &Response{Hello: &HelloAck{Version: HelloVersion, Domain: "shop"}})
+	frame := func(payload string) []byte {
+		return append([]byte{0, 0, 0, byte(len(payload))}, payload...)
+	}
+	for _, seed := range [][]byte{
+		reqFrame, respFrame, blockedFrame, shedFrame, helloFrame, ackFrame,
+		reqFrame[:len(reqFrame)-5], // torn mid-payload
+		respFrame[:3],              // torn mid-header
+		frame(`{"query": "SELECT 1", "args": null, "trace": [1, 2.5e3, {"a": null}]}`),
+		frame(`{"query":"a = \u02bc OR \ud83d\ude00 \ud83d"}`),
+		frame("{\"query\":\"caf\xe9\"}"),
+		frame(`{"rows":[[{"k":3,"f":-0.0},{"k":2,"i":-9223372036854775808}],null,[]],"columns":null}`),
+		frame(`{"query":"x","QUERY":"y","query":"z"}`),
+		{0xFF, 0xFF, 0xFF, 0xFF, '{', '}'}, // oversized length
+		{0, 0, 0, 9, '{', '}'},             // the header lies: 9 bytes promised, 2 sent
+		{0, 0, 0, 1, '{', '}'},             // lies the other way: a frame that ends inside the object
+		{0, 0, 0, 0},                       // empty payload
+	} {
+		f.Add(seed)
+	}
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		payload, err := readWholeFrame(bytes.NewReader(data), &encBuf{})
+		if err != nil {
+			return // rejected cleanly — that's a pass
+		}
+		if json.Valid(payload) && strictnessApplies(payload) {
+			// Stricter by design: the verdicts may differ, nothing else.
+			_ = decodeRequestJSON(payload, new(Request))
+			_ = decodeReplyJSON(payload, new(reply))
+			return
+		}
+		checkRequestDecode(t, payload)
+		checkReplyDecode(t, payload)
+		if !json.Valid(payload) {
+			if err := decodeRequestJSON(payload, new(Request)); err == nil {
+				t.Fatalf("request decoder accepted invalid JSON %q", payload)
+			}
+			if err := decodeReplyJSON(payload, new(reply)); err == nil {
+				t.Fatalf("reply decoder accepted invalid JSON %q", payload)
 			}
 		}
 	})

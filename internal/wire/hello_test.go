@@ -106,11 +106,11 @@ func TestHelloVersionTooNewIsRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if err := writeFrame(conn, &Request{Hello: &Hello{Version: HelloVersion + 1, App: "shop"}}); err != nil {
+	if err := WriteJSONFrame(conn, &Request{Hello: &Hello{Version: HelloVersion + 1, App: "shop"}}); err != nil {
 		t.Fatal(err)
 	}
 	var resp Response
-	if err := readFrame(conn, &resp); err != nil {
+	if err := ReadJSONFrame(conn, &resp); err != nil {
 		t.Fatal(err)
 	}
 	if resp.Error == "" || !strings.Contains(resp.Error, "version") {
@@ -120,11 +120,11 @@ func TestHelloVersionTooNewIsRefused(t *testing.T) {
 		t.Fatalf("refusal should advertise the server version, got %+v", resp.Hello)
 	}
 	// The session survives the refusal: it keeps working, unbound.
-	if err := writeFrame(conn, &Request{Query: "SHOW TABLES"}); err != nil {
+	if err := WriteJSONFrame(conn, &Request{Query: "SHOW TABLES"}); err != nil {
 		t.Fatal(err)
 	}
 	resp = Response{}
-	if err := readFrame(conn, &resp); err != nil {
+	if err := ReadJSONFrame(conn, &resp); err != nil {
 		t.Fatal(err)
 	}
 	if resp.Error != "" {

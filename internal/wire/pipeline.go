@@ -279,29 +279,3 @@ func (p *pipe) close() {
 	<-p.readerDone
 	<-p.flusherDone
 }
-
-// responseToResult converts a JSON-path response into the
-// caller-visible result/error pair. It copies: the response is pooled.
-func responseToResult(resp *Response) (*engine.Result, error) {
-	ans := reply{err: resp.Error, blocked: resp.Blocked, busy: resp.Busy,
-		shed: resp.Shed, retryAfterMS: resp.RetryAfterMS}
-	if err := ans.failure(); err != nil {
-		return nil, err
-	}
-	res := &engine.Result{
-		Affected:     resp.Affected,
-		LastInsertID: resp.LastInsertID,
-	}
-	if len(resp.Columns) > 0 {
-		res.Columns = append([]string(nil), resp.Columns...)
-	}
-	res.Rows = make([][]engine.Value, len(resp.Rows))
-	for i, row := range resp.Rows {
-		vals := make([]engine.Value, len(row))
-		for j, w := range row {
-			vals[j] = FromWire(w)
-		}
-		res.Rows[i] = vals
-	}
-	return res, nil
-}

@@ -259,11 +259,11 @@ func TestMaxInFlightIsExact(t *testing.T) {
 	t.Cleanup(func() { once.Do(func() { close(gate) }); _ = srv.Close() })
 
 	conn := rawDial(t, addr)
-	if err := writeFrame(conn, &Request{Hello: &Hello{Version: HelloVersion}}); err != nil {
+	if err := WriteJSONFrame(conn, &Request{Hello: &Hello{Version: HelloVersion}}); err != nil {
 		t.Fatal(err)
 	}
 	var ack Response
-	if err := readFrame(conn, &ack); err != nil || ack.Error != "" {
+	if err := ReadJSONFrame(conn, &ack); err != nil || ack.Error != "" {
 		t.Fatalf("v2 hello: %v %q", err, ack.Error)
 	}
 	var frames []byte
@@ -588,15 +588,14 @@ func TestWireRoundTripAllocCeiling(t *testing.T) {
 
 	t.Logf("per round-trip mallocs (process-wide): json=%.1f v2=%.1f", jsonAllocs, binAllocs)
 	// Absolute ceilings: the values measured against the shipped server
-	// (52.1 and 37.1, most of it the engine's execution) plus 10 %, and the
-	// relative property the codec work targets: binary under JSON.
-	if jsonAllocs > 57 {
-		t.Errorf("JSON round trip allocates %.1f/op, ceiling 57", jsonAllocs)
+	// (23.1 and 24.1, nearly all of it the engine's execution and the
+	// guard's training) plus 10 %. Neither framing is asserted under the
+	// other: since jsoncodec.go both encode a result once and decode it
+	// once, and what is left differs by the pipe's future, not the codec.
+	if jsonAllocs > 25.4 {
+		t.Errorf("JSON round trip allocates %.1f/op, ceiling 25.4", jsonAllocs)
 	}
-	if binAllocs > 41 {
-		t.Errorf("v2 round trip allocates %.1f/op, ceiling 41", binAllocs)
-	}
-	if binAllocs >= jsonAllocs {
-		t.Errorf("v2 path (%.1f/op) does not undercut JSON path (%.1f/op)", binAllocs, jsonAllocs)
+	if binAllocs > 26.5 {
+		t.Errorf("v2 round trip allocates %.1f/op, ceiling 26.5", binAllocs)
 	}
 }

@@ -7,7 +7,11 @@
 //     JSON frames, one request in flight per connection. Every client
 //     speaks it by default, preserving the paper's "no client
 //     configuration" property (§II-B): clients connect exactly as they
-//     would to an unprotected server.
+//     would to an unprotected server. The frames are what encoding/json
+//     renders for Request and Response below, which remain the schema;
+//     query frames are written and read without reflection by
+//     jsoncodec.go, and encoding/json itself carries only the handshake
+//     frames (WriteJSONFrame, ReadJSONFrame).
 //   - Version 2 — the pipelined binary protocol: sequence-numbered,
 //     length-prefixed binary frames (codec.go), many requests in
 //     flight per connection, responses completed out of order and
@@ -21,7 +25,6 @@
 package wire
 
 import (
-	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
@@ -145,31 +148,9 @@ type Response struct {
 	Hello *HelloAck `json:"hello,omitempty"`
 }
 
-// reset clears a Response for reuse. Outer slice capacities are kept
-// (the per-connection serving loop reuses them frame after frame); the
-// inner row slices are released for the collector.
-func (r *Response) reset() {
-	r.Columns = r.Columns[:0]
-	for i := range r.Rows {
-		r.Rows[i] = nil
-	}
-	r.Rows = r.Rows[:0]
-	r.Affected = 0
-	r.LastInsertID = 0
-	r.Error = ""
-	r.Blocked = false
-	r.Busy = false
-	r.Shed = false
-	r.RetryAfterMS = 0
-	r.Hello = nil
-}
-
-// Struct pools for the serving and client hot paths: one Request and
-// one Response per frame otherwise, on both the JSON and binary paths.
-var (
-	requestPool  = sync.Pool{New: func() any { return new(Request) }}
-	responsePool = sync.Pool{New: func() any { return new(Response) }}
-)
+// requestPool recycles the Request of every frame, either framing, on
+// the serving and the client hot paths.
+var requestPool = sync.Pool{New: func() any { return new(Request) }}
 
 func getRequest() *Request {
 	return requestPool.Get().(*Request)
@@ -178,49 +159,6 @@ func getRequest() *Request {
 func putRequest(r *Request) {
 	r.reset()
 	requestPool.Put(r)
-}
-
-func getResponse() *Response {
-	return responsePool.Get().(*Response)
-}
-
-// putResponse recycles r under the rule putEncBuf follows: reset keeps
-// the outer slice capacities, and one giant scan must not pin its row
-// and column headers (24 and 16 bytes an entry) in the pool forever.
-func putResponse(r *Response) {
-	r.reset()
-	if cap(r.Rows)*24 > poolableCap {
-		r.Rows = nil
-	}
-	if cap(r.Columns)*16 > poolableCap {
-		r.Columns = nil
-	}
-	responsePool.Put(r)
-}
-
-// response renders the answer for the JSON path. The Response comes
-// from the frame pool; result data is copied in, never aliased, so
-// recycling it cannot corrupt engine state.
-func (r *reply) response() *Response {
-	resp := getResponse()
-	resp.Error = r.err
-	resp.Blocked = r.blocked
-	resp.Busy = r.busy
-	resp.Shed = r.shed
-	resp.RetryAfterMS = r.retryAfterMS
-	if res := r.res; res != nil {
-		resp.Columns = append(resp.Columns[:0], res.Columns...)
-		resp.Affected = res.Affected
-		resp.LastInsertID = res.LastInsertID
-		for _, row := range res.Rows {
-			wr := make([]WireValue, len(row))
-			for j, v := range row {
-				wr[j] = ToWire(v)
-			}
-			resp.Rows = append(resp.Rows, wr)
-		}
-	}
-	return resp
 }
 
 // WireValue is the serialized form of engine.Value.
@@ -246,80 +184,62 @@ func FromWire(w WireValue) engine.Value {
 // result sets must not pin megabytes of buffer forever.
 const poolableCap = 64 << 10
 
-// frameEncoder is a pooled JSON frame writer: the length header and the
-// marshalled payload are built in one reusable buffer and written with
-// a single Write call (one syscall per frame instead of two).
-type frameEncoder struct {
-	buf bytes.Buffer
-	enc *json.Encoder
+// jsonFrame renders msg as one length-prefixed JSON frame through
+// encoding/json: the handshake frames (HELLO, its acknowledgement, the
+// accept-time busy refusal). Query frames are built by jsoncodec.go in
+// pooled buffers; these happen once a connection, so nothing here is
+// pooled — and nothing can pin an oversized buffer.
+func jsonFrame(msg any) ([]byte, error) {
+	payload, err := json.Marshal(msg)
+	if err != nil {
+		return nil, fmt.Errorf("encode frame: %w", err)
+	}
+	n := len(payload) + 1 // json.Encoder's trailing newline, which v1 frames have always carried
+	if n > maxFrame {
+		return nil, fmt.Errorf("frame of %d bytes exceeds limit", n)
+	}
+	frame := binary.BigEndian.AppendUint32(make([]byte, 0, frameHeaderLen+n), uint32(n))
+	return append(append(frame, payload...), '\n'), nil
 }
 
-var encoderPool = sync.Pool{New: func() any {
-	e := &frameEncoder{}
-	e.enc = json.NewEncoder(&e.buf)
-	return e
-}}
+// WriteJSONFrame sends msg as one jsonFrame. Exported for internal/repl,
+// whose handshake is the same JSON HELLO exchange the query protocol
+// uses — sharing the encoder keeps the two byte-identical by
+// construction.
+func WriteJSONFrame(w io.Writer, msg any) error {
+	frame, err := jsonFrame(msg)
+	if err == nil {
+		_, err = w.Write(frame)
+	}
+	return err
+}
 
-// writeFrame sends one length-prefixed JSON message.
-func writeFrame(w io.Writer, msg any) error {
-	e := encoderPool.Get().(*frameEncoder)
-	e.buf.Reset()
-	e.buf.Write([]byte{0, 0, 0, 0}) // length header placeholder
-	if err := e.enc.Encode(msg); err != nil {
-		encoderPool.Put(e)
-		return fmt.Errorf("encode frame: %w", err)
-	}
-	frame := e.buf.Bytes()
-	n := len(frame) - 4 // payload includes Encode's trailing newline; Unmarshal permits it
-	if n > maxFrame {
-		encoderPool.Put(e)
-		return fmt.Errorf("frame of %d bytes exceeds limit", n)
-	}
-	binary.BigEndian.PutUint32(frame[:4], uint32(n))
-	_, err := w.Write(frame)
-	if e.buf.Cap() <= poolableCap {
-		encoderPool.Put(e)
-	}
+// ReadJSONFrame receives one length-prefixed JSON message into msg
+// through encoding/json: the counterpart of WriteJSONFrame.
+func ReadJSONFrame(r io.Reader, msg any) error {
+	buf := getEncBuf()
+	defer putEncBuf(buf) // encoding/json copies everything it keeps
+	payload, err := readWholeFrame(r, buf)
 	if err != nil {
-		return fmt.Errorf("write frame: %w", err)
+		return err
+	}
+	if err := json.Unmarshal(payload, msg); err != nil {
+		return fmt.Errorf("decode frame: %w", err)
 	}
 	return nil
 }
 
-// payloadPool recycles frame payload read buffers on both the client
-// and server side of the JSON path (and the binary reader's scratch).
-var payloadPool = sync.Pool{New: func() any {
-	b := make([]byte, 0, 4096)
-	return &b
-}}
-
-func getPayloadBuf() *[]byte { return payloadPool.Get().(*[]byte) }
-
-func putPayloadBuf(pb *[]byte) {
-	if cap(*pb) <= poolableCap {
-		payloadPool.Put(pb)
+// readWholeFrame reads one frame of either framing, header and payload,
+// into buf and returns the payload, which aliases buf.
+func readWholeFrame(r io.Reader, buf *encBuf) ([]byte, error) {
+	if cap(buf.b) < frameHeaderLen {
+		buf.b = make([]byte, 0, 4096)
 	}
-}
-
-// WriteJSONFrame sends one length-prefixed JSON message. Exported for
-// internal/repl, whose handshake is the same JSON HELLO exchange the
-// query protocol uses — sharing the encoder keeps the two framings
-// byte-identical by construction.
-func WriteJSONFrame(w io.Writer, msg any) error { return writeFrame(w, msg) }
-
-// ReadJSONFrame receives one length-prefixed JSON message into msg.
-// Exported for internal/repl (see WriteJSONFrame).
-func ReadJSONFrame(r io.Reader, msg any) error { return readFrame(r, msg) }
-
-// readFrame receives one length-prefixed JSON message into msg.
-func readFrame(r io.Reader, msg any) error {
-	pb := getPayloadBuf()
-	defer putPayloadBuf(pb)
-	n, err := readFrameHeader(r, (*pb)[:frameHeaderLen])
+	n, err := readFrameHeader(r, buf.b[:frameHeaderLen])
 	if err != nil {
-		return err
+		return nil, err
 	}
-	return readFramePayload(r, n, pb, msg)
+	return readPayload(r, n, buf)
 }
 
 // readFrameHeader reads and bounds-checks the length prefix into hdr,
@@ -339,19 +259,16 @@ func readFrameHeader(r io.Reader, hdr []byte) (uint32, error) {
 	return n, nil
 }
 
-// readFramePayload reads the n-byte payload into the pooled buffer pb
-// (grown if need be) and decodes it into msg. json.Unmarshal copies
-// everything it keeps, so the caller recycles the buffer at once.
-func readFramePayload(r io.Reader, n uint32, pb *[]byte, msg any) error {
-	if uint32(cap(*pb)) < n {
-		*pb = make([]byte, 0, n)
+// readPayload reads the n-byte payload of a frame whose header was
+// already consumed into buf (grown if need be). The payload aliases buf
+// and is only valid until buf's next use.
+func readPayload(r io.Reader, n uint32, buf *encBuf) ([]byte, error) {
+	if uint32(cap(buf.b)) < n {
+		buf.b = make([]byte, 0, n)
 	}
-	payload := (*pb)[:n]
+	payload := buf.b[:n]
 	if _, err := io.ReadFull(r, payload); err != nil {
-		return fmt.Errorf("read frame payload: %w", err)
+		return nil, fmt.Errorf("read frame payload: %w", err)
 	}
-	if err := json.Unmarshal(payload, msg); err != nil {
-		return fmt.Errorf("decode frame: %w", err)
-	}
-	return nil
+	return payload, nil
 }

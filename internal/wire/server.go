@@ -479,7 +479,7 @@ func (s *Server) acquireConnSlot(conn net.Conn) bool {
 func (s *Server) refuse(conn net.Conn) {
 	s.refused.Add(1)
 	_ = conn.SetWriteDeadline(time.Now().Add(time.Second))
-	_ = writeFrame(conn, &Response{
+	_ = WriteJSONFrame(conn, &Response{
 		Error:        ErrServerBusy.Error(),
 		Busy:         true,
 		RetryAfterMS: retryAfterMS(s.backlogWait),
@@ -526,8 +526,8 @@ func retryAfterMS(d time.Duration) int64 {
 // binary, admitted requests are handed to a worker pool, and a writer
 // goroutine completes them in whatever order they finish. The steps and
 // their order are the same either way; only read's framing, which
-// goroutine runs execute, and how the answer is rendered (a JSON
-// Response, or binary frame bytes for the writer) differ.
+// goroutine runs execute, and how the answer is rendered (a JSON frame
+// written at once, or a binary one queued for the writer) differ.
 //
 // The goroutine that executes a request is the session's executor: the
 // serving goroutine while synchronous, a pool worker once widened. It
@@ -577,9 +577,9 @@ func (ss *session) serve() (owner bool) {
 			return true
 		}
 		if req.Hello != nil {
-			resp, next := ss.hello(req.Hello)
+			ack, next := ss.hello(req.Hello)
 			putRequest(req)
-			if !ss.answer(resp) {
+			if !ss.send(jsonFrame(ack)) {
 				return true
 			}
 			switch next {
@@ -609,7 +609,7 @@ func (ss *session) serve() (owner bool) {
 			if !t.ans.shed && !ss.execute(w, &t) {
 				return false
 			}
-			if !ss.answer(t.ans.response()) {
+			if !ss.answer(&t.ans) {
 				return true
 			}
 		case t.ans.shed:
@@ -625,7 +625,7 @@ func (ss *session) serve() (owner bool) {
 // and serves on as the session's owner.
 func (ss *session) resume(t ticket) {
 	defer ss.s.wg.Done()
-	if !ss.answer(t.ans.response()) || ss.serve() {
+	if !ss.answer(&t.ans) || ss.serve() {
 		ss.close()
 	}
 }
@@ -656,9 +656,12 @@ func (ss *session) read(req *Request) (seq uint64, err error) {
 		_ = ss.conn.SetReadDeadline(time.Now().Add(s.readTimeout))
 	}
 	if ss.window == nil {
-		pb := getPayloadBuf()
-		err := readFramePayload(ss.r, n, pb, req)
-		putPayloadBuf(pb)
+		buf := getEncBuf()
+		payload, err := readPayload(ss.r, n, buf)
+		if err == nil {
+			err = decodeRequestJSON(payload, req)
+		}
+		putEncBuf(buf)
 		return 0, err
 	}
 	seq, typ, body, err := readBinaryFramePayload(ss.r, n, ss.buf)
@@ -807,14 +810,37 @@ func (s *Server) settle(t *ticket) {
 	t.quota.Release()
 }
 
-// answer writes one response on a synchronous session and completes
-// it; false ends the session.
-func (ss *session) answer(resp *Response) bool {
-	if ss.s.writeTimeout > 0 {
-		_ = ss.conn.SetWriteDeadline(time.Now().Add(ss.s.writeTimeout))
+// answer writes one answer on a synchronous session and completes the
+// request; false ends the session. An answer the JSON framing cannot
+// carry — a non-finite float, a result over the frame limit — goes out as
+// an ordinary error in its place: the statement was benign and the
+// session is sound, so the client is told, not hung up on.
+func (ss *session) answer(ans *reply) bool {
+	buf := getEncBuf()
+	frame, err := appendReplyJSON(buf.b[:0], ans)
+	if err != nil {
+		frame, err = appendReplyJSON(frame[:0], &reply{err: jsonUnrepresentable + err.Error()})
 	}
-	err := writeFrame(ss.conn, resp)
-	putResponse(resp)
+	buf.b = frame
+	ok := ss.send(frame, err)
+	putEncBuf(buf)
+	return ok
+}
+
+// jsonUnrepresentable opens the error text sent in place of an answer
+// the JSON framing cannot carry.
+const jsonUnrepresentable = "result not representable in the JSON protocol: "
+
+// send puts one synchronous answer's frame on the wire, in one Write
+// under the write timeout, and completes the request. False — the frame
+// could not be built (err) or written — ends the session.
+func (ss *session) send(frame []byte, err error) bool {
+	if err == nil {
+		if ss.s.writeTimeout > 0 {
+			_ = ss.conn.SetWriteDeadline(time.Now().Add(ss.s.writeTimeout))
+		}
+		_, err = ss.conn.Write(frame)
+	}
 	ss.complete(err == nil)
 	return err == nil
 }
@@ -978,7 +1004,7 @@ func (ss *session) writeResult(bw *bufio.Writer, frame []byte) bool {
 // containment is disabled) becomes a structured error answer plus a
 // logged incident — one query fails, the server and every other session
 // keep going. The answer carries the engine's own result; whoever
-// renders it (deliver, reply.response) only reads it.
+// renders it (deliver, answer) only reads it.
 func (s *Server) handle(ctx context.Context, req *Request, app string) (ans reply) {
 	defer func() {
 		if r := recover(); r != nil {

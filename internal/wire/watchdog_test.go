@@ -248,21 +248,3 @@ func TestReplyEncodeAllocatesNothing(t *testing.T) {
 		}
 	}
 }
-
-// TestPutResponseDropsOversizedSlices: one giant scan must not pin its
-// row and column headers in the response pool.
-func TestPutResponseDropsOversizedSlices(t *testing.T) {
-	big := &Response{
-		Columns: make([]string, 10_000),
-		Rows:    make([][]WireValue, 10_000),
-	}
-	putResponse(big)
-	if cap(big.Rows) != 0 || cap(big.Columns) != 0 {
-		t.Errorf("pooled a response with cap(Rows)=%d cap(Columns)=%d", cap(big.Rows), cap(big.Columns))
-	}
-	small := &Response{Columns: make([]string, 4), Rows: make([][]WireValue, 100)}
-	putResponse(small)
-	if cap(small.Rows) != 100 || cap(small.Columns) != 4 {
-		t.Errorf("ordinary response lost its capacity: cap(Rows)=%d cap(Columns)=%d", cap(small.Rows), cap(small.Columns))
-	}
-}

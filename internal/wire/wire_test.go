@@ -3,6 +3,8 @@ package wire
 import (
 	"errors"
 	"fmt"
+	"math"
+	"strings"
 	"sync"
 	"testing"
 
@@ -191,6 +193,36 @@ func TestWireValueRoundTrip(t *testing.T) {
 		got := FromWire(ToWire(v))
 		if got.Kind != v.Kind || got.String() != v.String() {
 			t.Errorf("round trip %v -> %v", v, got)
+		}
+	}
+}
+
+// TestNonFiniteResultKeepsSession: a benign statement whose result JSON
+// has no literal for used to end a v1 session without an answer (the
+// encoder refused, the server hung up, the client was poisoned). It is
+// answered — as a typed-text error on v1, as the value itself on v2 — and
+// the session carries on, either framing.
+func TestNonFiniteResultKeepsSession(t *testing.T) {
+	addr, _, _ := startServer(t, core.Config{Mode: core.ModeTraining})
+	for name, opts := range map[string][]ClientOption{"v1": nil, "v2": {WithPipeline(4)}} {
+		c := dialOpts(t, addr, opts...)
+		for _, q := range []string{"SELECT 1e308 * 10", "SELECT 1e308*10 - 1e308*10"} {
+			res, err := c.Exec(q)
+			switch {
+			case name == "v1":
+				if err == nil || !strings.Contains(err.Error(), jsonUnrepresentable+errNonFinite.Error()) {
+					t.Errorf("v1 %q: res %+v, err %v; want the not-representable error", q, res, err)
+				}
+			case err != nil:
+				t.Errorf("v2 %q: %v", q, err)
+			default:
+				if f := res.Rows[0][0].F; !math.IsInf(f, 0) && !math.IsNaN(f) {
+					t.Errorf("v2 %q = %v, want a non-finite float", q, f)
+				}
+			}
+			if res, err := c.Exec("SELECT 1"); err != nil || res.Rows[0][0].I != 1 {
+				t.Fatalf("%s session unusable after %q: %+v, %v", name, q, res, err)
+			}
 		}
 	}
 }

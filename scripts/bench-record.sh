@@ -2,8 +2,9 @@
 # bench-record.sh — run the wire-protocol benchmarks (synchronous v1
 # JSON baseline vs pipelined v2 binary frames) and record the numbers
 # into BENCH_wire.json: per series ns/op, B/op, allocs/op and derived
-# ops/sec, plus the depth-16-vs-sync speedup the ISSUE's acceptance
-# floor (≥2×) is read off of. Then runs the durability ablation
+# ops/sec, plus the depth-16-vs-sync speedup (PR 7's ≥2× floor was read
+# off it when the sync baseline still paid the reflective JSON codec;
+# since PR 17 it measures overlap alone). Then runs the durability ablation
 # (BenchmarkTrainDurable: WAL off/never/interval/always with one writer,
 # BenchmarkTrainDurableParallel: always with 8, as the always_parallel8
 # row with the fsyncs each update cost — group commit's share) and
