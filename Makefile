@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race chaos cover cover-gate vuln bench bench-hook bench-engine bench-wire bench-overload bench-record demo fig5 accuracy sweep parallel fuzz obs-demo clean
+.PHONY: all build vet test race chaos cover cover-gate vuln bench bench-hook bench-engine bench-overload bench-record demo fig5 accuracy sweep parallel fuzz obs-demo clean
 
 all: build vet test race
 
@@ -89,12 +89,7 @@ bench-hook:
 bench-engine:
 	$(GO) test -run='^$$' -bench='BenchmarkEngineExec|BenchmarkParse|BenchmarkQSBuild' -benchmem -count=$(COUNT) .
 
-# The wire protocol: synchronous v1 JSON baseline vs pipelined v2 binary
-# frames at depths 1/4/16.
-bench-wire:
-	$(GO) test -run='^$$' -bench='BenchmarkWireSync$$|BenchmarkWirePipelined' -benchmem -count=$(COUNT) .
-
-# Overload sweep: drive the admission-controlled wire server at 1×/2×/4×
+# Overload sweep: drive the shipped server (internal/server) at 1×/2×/4×
 # of its execution capacity and print shed rate plus admitted p50/p99 per
 # point (the brownout claim: admitted p99 at 4× stays within 2× of the
 # 1× baseline). bench-record runs this with -json to refresh
@@ -102,11 +97,10 @@ bench-wire:
 bench-overload:
 	$(GO) run ./cmd/septic-bench overload
 
-# Run the wire benchmarks and record the numbers into BENCH_wire.json
-# (ops/sec, ns/op, allocs/op per series plus the depth-16 speedup), the
-# durability ablation into BENCH_durability.json, and the overload sweep
-# into BENCH_overload.json. The CI bench job runs this non-blocking for
-# visibility; commit the files to refresh the recorded numbers.
+# Record the durability ablation into BENCH_durability.json and the
+# overload sweep into BENCH_overload.json; commit the files to refresh
+# the recorded numbers. The wire protocol's numbers are bench/'s:
+#   go run -C bench . --workload wire_hit|app_replay
 bench-record:
 	bash scripts/bench-record.sh
 

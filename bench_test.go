@@ -18,7 +18,6 @@ import (
 	"runtime"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"github.com/septic-db/septic/internal/attacks"
 	"github.com/septic-db/septic/internal/benchlab"
@@ -618,90 +617,6 @@ func BenchmarkWireParallel(b *testing.B) {
 			}
 		}
 	})
-}
-
-// --- Wire protocol: synchronous v1 versus pipelined v2 ------------------
-
-// benchWireSession builds the YY deployment behind a loopback wire
-// server and dials one client with the given options. Each benchmark op
-// is one query of the benign replay mix, so ns/op is directly
-// comparable between the sync and pipelined series.
-func benchWireSession(b *testing.B, opts ...wire.ClientOption) (*wire.Client, []string, func()) {
-	b.Helper()
-	db, workload := hookDeployment(b, benchlab.ConfigYY)
-	// septicd's flag defaults: the deadlines and the query timeout sit on
-	// the request path, so BENCH_wire.json must be recorded against them.
-	srv := wire.NewServer(db,
-		wire.WithMaxConns(256),
-		wire.WithQueryTimeout(30*time.Second),
-		wire.WithIdleTimeout(5*time.Minute),
-		wire.WithPipelineWorkers(wire.DefaultPipelineWorkers),
-		wire.WithMaxInFlight(wire.DefaultMaxInFlight),
-	)
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		b.Fatal(err)
-	}
-	c, err := wire.Dial(addr, opts...)
-	if err != nil {
-		srv.Close()
-		b.Fatal(err)
-	}
-	return c, workload, func() {
-		c.Close()
-		srv.Close()
-	}
-}
-
-// BenchmarkWireSync is the baseline the pipelined protocol is measured
-// against: the legacy v1 JSON protocol in strict request/response
-// lockstep — every query pays a full round trip and a JSON encode/decode
-// on both sides.
-func BenchmarkWireSync(b *testing.B) {
-	c, workload, cleanup := benchWireSession(b)
-	defer cleanup()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := c.Exec(workload[i%len(workload)]); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkWirePipelined replays the same benign mix over v2 binary
-// frames with up to depth requests in flight (a ring of futures keeps
-// the window full; slot i is waited on just before reuse). depth=1
-// isolates the codec switch (binary frames, still lockstep); depth=16
-// adds the pipelining win and is the series the ISSUE's ≥2× acceptance
-// floor applies to.
-func BenchmarkWirePipelined(b *testing.B) {
-	for _, depth := range []int{1, 4, 16} {
-		b.Run(fmt.Sprintf("depth=%d", depth), func(b *testing.B) {
-			c, workload, cleanup := benchWireSession(b, wire.WithPipeline(depth))
-			defer cleanup()
-			ring := make([]*wire.Future, depth)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				slot := i % depth
-				if ring[slot] != nil {
-					if _, err := ring[slot].Wait(); err != nil {
-						b.Fatal(err)
-					}
-					ring[slot] = nil
-				}
-				ring[slot] = c.Submit(workload[i%len(workload)])
-			}
-			for _, f := range ring {
-				if f != nil {
-					if _, err := f.Wait(); err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
-		})
-	}
 }
 
 // --- Engine microbenchmarks (the substrate's own cost) ------------------

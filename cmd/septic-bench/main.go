@@ -21,11 +21,6 @@
 //	                         each fsync policy (never/interval/always),
 //	                         plus the detection-path latency showing
 //	                         durability stays off the read path.
-//	septic-bench wire      — wire-protocol replay: the benign workload
-//	                         trace of one application replayed over a
-//	                         loopback wire session, synchronous v1 JSON
-//	                         versus pipelined v2 binary frames at a
-//	                         sweep of pipeline depths.
 //	septic-bench overload  — adaptive overload control: a loopback
 //	                         deployment with a known service time and
 //	                         execution capacity driven at 1×/2×/4×
@@ -96,15 +91,6 @@ func run() error {
 	durUpdates := durFlags.Int("updates", 2000, "distinct training updates per policy")
 	durRounds := durFlags.Int("rounds", 3, "measurement rounds (best training latency kept)")
 
-	wireFlags := flag.NewFlagSet("wire", flag.ExitOnError)
-	wireApp := wireFlags.String("app", "ab", "application prefix to replay (ab, rb, cms, wm)")
-	wireCfg := wireFlags.String("config", "YY", "SEPTIC configuration (base, NN, YN, NY, YY)")
-	wireDepths := wireFlags.String("depths", "1,4,16", "comma-separated pipeline depths (1 = synchronous v1 baseline)")
-	wireClients := wireFlags.Int("clients", 1, "concurrent wire connections")
-	wireLoops := wireFlags.Int("loops", 50, "trace replays per connection")
-	wireWorkers := wireFlags.Int("workers", 0, "server per-connection worker pool (0 = default)")
-	wireInFlight := wireFlags.Int("max-in-flight", 0, "server per-connection in-flight bound (0 = default)")
-
 	ovlFlags := flag.NewFlagSet("overload", flag.ExitOnError)
 	ovlService := ovlFlags.Duration("service", 2*time.Millisecond, "injected executor latency per query")
 	ovlGate := ovlFlags.Int("gate", 4, "server concurrent-execution capacity")
@@ -118,7 +104,7 @@ func run() error {
 	replLoops := replFlags.Int("loops", 200, "Address Book workload replays on the replica while the stream applies")
 
 	if len(os.Args) < 2 {
-		return fmt.Errorf("usage: septic-bench fig5|accuracy|sweep|parallel|table1|durability|wire|overload|repl [flags]")
+		return fmt.Errorf("usage: septic-bench fig5|accuracy|sweep|parallel|table1|durability|overload|repl [flags]")
 	}
 	switch os.Args[1] {
 	case "table1":
@@ -174,11 +160,6 @@ func run() error {
 			return err
 		}
 		return runDurability(*durUpdates, *durRounds)
-	case "wire":
-		if err := wireFlags.Parse(os.Args[2:]); err != nil {
-			return err
-		}
-		return runWire(*wireApp, *wireCfg, *wireDepths, *wireClients, *wireLoops, *wireWorkers, *wireInFlight)
 	case "overload":
 		if err := ovlFlags.Parse(os.Args[2:]); err != nil {
 			return err

@@ -1,6 +1,9 @@
 // Command septicd runs the SEPTIC-protected database server: the
 // equivalent of the demo's "MySQL DBMS server, including the SEPTIC
-// mechanism" virtual machine.
+// mechanism" virtual machine. It is flag parsing, a signal wait and the
+// operator's start-up and shutdown lines around internal/server, which
+// assembles the deployment (DESIGN.md §14 has the boot and shutdown
+// order and the reason for each step's place).
 //
 // Usage:
 //
@@ -15,48 +18,26 @@
 //	        [-shed-target D] [-max-concurrent N]
 //	        [-repl-listen ADDR] [-replicate-from ADDR]
 //
-// With -wal-dir the server is also a replication primary: replicas may
-// subscribe to the model WAL over the main port (a HELLO handshake with
-// the repl flag) or over a dedicated -repl-listen address. A server
-// started with -replicate-from becomes a read replica of that primary:
-// it boots from the primary's snapshot (or resumes from its own WAL when
-// -wal-dir is set — a restart never re-requests the snapshot while the
-// primary retains the tail), follows the live stream, and serves
-// detection-mode reads while refusing local training writes. Run
-// replicas with -mode detection; reconnects use jittered exponential
-// backoff.
+// The server speaks the wire protocol of internal/wire. Query models
+// are loaded from -models when the file exists and saved there on
+// SIGINT/SIGTERM, mirroring the demo's persistent-model restart (phase
+// D). A setting that could not take effect — -repl-listen,
+// -wal-force-recover without -wal-dir, -max-concurrent without
+// -shed-target — is refused at start-up.
 //
-// With -wal-dir the learned models become crash-safe: every model
-// learned, deleted or approved — in every protection domain — and every
-// mode change is appended to a write-ahead log in DIR before it is
-// acknowledged, and a background checkpointer (period
-// -checkpoint-interval, 0 disables) compacts the log into an atomic
-// snapshot. On startup the checkpoint plus the WAL tail are replayed,
-// so a crash (not just a clean SIGTERM) loses no acknowledged training
-// update under the default -wal-fsync=always; "interval" batches fsyncs
-// (bounded loss window, much cheaper) and "never" leaves flushing to
-// the OS. The -models/-domains snapshot files remain supported and are
-// still written on clean shutdown; with a WAL they are belt to its
-// suspenders. The WAL directory is single-writer (a second septicd on
-// the same -wal-dir fails fast at boot), and damage in the middle of
-// the log — which a crash alone can never cause — refuses to boot
-// rather than silently dropping the acknowledged records beyond it;
-// -wal-force-recover is the explicit override that truncates the damage
-// and continues with what is intact before it.
+// With -wal-dir the learned models are crash-safe (DESIGN.md §11): every
+// model learned, deleted or approved, in every protection domain, and
+// every mode change is logged before it is acknowledged; a crash loses
+// nothing acknowledged under the default -wal-fsync=always. The
+// directory is single-writer, and mid-log damage refuses to boot unless
+// -wal-force-recover truncates it. Such a server is also a replication
+// primary (§12), on the main port and on -repl-listen; -replicate-from
+// makes this server a read replica of one: run it with -mode detection.
 //
-// -pipeline-workers and -max-in-flight size the v2 pipelined protocol's
-// per-session worker pool and admission window (clients that negotiate
-// protocol version 2 multiplex up to max-in-flight requests over one
-// connection; v1 clients are unaffected).
-//
-// With -domains the server becomes multi-tenant: the JSON file maps
-// application names to per-domain policy, one protection domain each —
-// its own query-model store, operation mode and fail policy. Clients
-// reach their domain by declaring the application in the wire HELLO
-// handshake or by prefixing queries with "/* app:query-id */" comments;
-// everything else lands in the default domain, configured by the global
-// flags as before. Per-domain stores are loaded at startup and saved on
-// shutdown next to the default -models store. The file layout:
+// With -domains the server is multi-tenant (§9): the JSON file maps
+// application names to one protection domain each, reached by the wire
+// HELLO or a "/* app:query-id */" comment; everything else lands in the
+// default domain the global flags configure.
 //
 //	{
 //	  "shop":  {"mode": "prevention", "sqli": true, "stored": true,
@@ -64,363 +45,114 @@
 //	  "blog":  {"mode": "training", "store": "blog-models.json"}
 //	}
 //
-// Omitted booleans default to true for sqli/stored/incremental and
-// false for fail_open; "mode" is required. Entries may additionally
-// carry per-domain overload policy: "quota_rate" (sustained
-// queries/second), "quota_burst" (bucket depth), "max_in_flight"
-// (concurrent-query bound) and "breaker": true (+"breaker_slow_ms")
-// to arm a circuit breaker around the domain's detection pipeline —
-// when it trips, cached verdicts keep being served and misses follow
-// the domain's fail policy until the pipeline recovers (brownout).
-//
-// With -shed-target the server sheds load adaptively: when the
-// estimated queueing delay exceeds the target, requests are refused
-// with a typed shed response carrying a retry-after hint instead of
-// queueing without bound (-max-concurrent sizes the execution gate;
-// the default 4×GOMAXPROCS suits CPU-bound detection). Shedding is
-// per-request and keeps the session alive; clients retry after the
-// hint. /healthz on -obs-addr reports 503 while draining or shedding.
-//
-// With -obs-addr the server additionally exposes live introspection over
-// HTTP: /metrics (JSON, ?format=prometheus for text exposition), /events
-// (the structured event ring, ?kind= and ?n= filters), /qm (the learned
-// query-model store rendered as paper-style item stacks) and
-// /debug/pprof. The endpoint is opt-in; without the flag the pipeline
-// runs with observability disabled at zero cost.
-//
-// The server speaks the wire protocol of internal/wire. Query models are
-// loaded from -models at startup when the file exists, and saved there
-// on SIGINT/SIGTERM shutdown, mirroring the demo's persistent-model
-// restart (phase D).
+// "mode" is required; sqli/stored/incremental default to true and
+// fail_open to false. Entries may carry overload policy (§13):
+// "quota_rate", "quota_burst", "max_in_flight", and "breaker": true
+// (+"breaker_slow_ms") for a circuit breaker around the domain's
+// detection pipeline. -shed-target sheds load adaptively with typed,
+// retryable responses; /healthz on -obs-addr reports 503 while draining
+// or shedding, beside /metrics, /events, /qm and /debug/pprof (§8).
 package main
 
 import (
 	"context"
-	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
-	"net"
-	"net/http"
 	"os"
 	"os/signal"
-	"runtime"
-	"sort"
 	"syscall"
 	"time"
 
-	"github.com/septic-db/septic/internal/core"
-	"github.com/septic-db/septic/internal/engine"
-	"github.com/septic-db/septic/internal/obs"
-	"github.com/septic-db/septic/internal/overload"
-	"github.com/septic-db/septic/internal/repl"
-	"github.com/septic-db/septic/internal/wal"
-	"github.com/septic-db/septic/internal/wire"
+	"github.com/septic-db/septic/internal/server"
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "septicd:", err)
 		os.Exit(1)
 	}
 }
 
-// domainSpec is one entry of the -domains file.
-type domainSpec struct {
-	Mode string `json:"mode"`
-	// The three-valued booleans distinguish "omitted" (nil → default)
-	// from an explicit false.
-	SQLI        *bool `json:"sqli"`
-	Stored      *bool `json:"stored"`
-	Incremental *bool `json:"incremental"`
-	FailOpen    bool  `json:"fail_open"`
-	// Store is the domain's persistence path; empty disables persistence
-	// for this domain.
-	Store string `json:"store"`
+// flagSet binds septicd's flags to cfg, whose values on entry are the
+// defaults -h shows, and the -domains file name to domains.
+func flagSet(cfg *server.Config, domains *string) *flag.FlagSet {
+	fs := flag.NewFlagSet(os.Args[0], flag.ExitOnError)
+	fs.StringVar(&cfg.Addr, "addr", cfg.Addr, "listen address")
+	fs.StringVar(&cfg.Mode, "mode", cfg.Mode, "septic mode: training, detection or prevention")
+	fs.StringVar(&cfg.Models, "models", cfg.Models, "query-model store path (loaded if present, saved on shutdown)")
+	fs.StringVar(domains, "domains", "", "protection-domain config file (JSON; multi-tenant mode)")
+	fs.BoolVar(&cfg.SQLI, "sqli", cfg.SQLI, "enable SQLI detection")
+	fs.BoolVar(&cfg.Stored, "stored", cfg.Stored, "enable stored-injection detection")
+	fs.BoolVar(&cfg.Quiet, "quiet", cfg.Quiet, "suppress the live event display")
+	fs.StringVar(&cfg.Audit, "audit", cfg.Audit, "append JSON audit records to this file")
 
-	// Overload policy, all optional. QuotaRate caps the domain's
-	// sustained queries/second (0 = unlimited); QuotaBurst is the bucket
-	// depth (0 = rate); MaxInFlight bounds the domain's concurrent
-	// queries (0 = unlimited). Breaker arms the detection circuit
-	// breaker; BreakerSlowMS additionally counts detection runs slower
-	// than this many milliseconds as failures (0 = latency ignored).
-	QuotaRate     float64 `json:"quota_rate"`
-	QuotaBurst    float64 `json:"quota_burst"`
-	MaxInFlight   int     `json:"max_in_flight"`
-	Breaker       bool    `json:"breaker"`
-	BreakerSlowMS int     `json:"breaker_slow_ms"`
+	fs.IntVar(&cfg.MaxConns, "max-conns", cfg.MaxConns, "maximum concurrent sessions (0 = unlimited)")
+	fs.DurationVar(&cfg.QueryTimeout, "query-timeout", cfg.QueryTimeout, "per-query execution timeout (0 = none)")
+	fs.DurationVar(&cfg.IdleTimeout, "idle-timeout", cfg.IdleTimeout, "disconnect sessions idle for this long (0 = never)")
+	fs.DurationVar(&cfg.DrainTimeout, "drain-timeout", cfg.DrainTimeout, "graceful-shutdown drain deadline before force-closing sessions")
+	fs.BoolVar(&cfg.FailOpen, "fail-open", cfg.FailOpen, "admit queries when the protection path faults (default fail-closed)")
+	fs.StringVar(&cfg.ObsAddr, "obs-addr", cfg.ObsAddr, "serve /metrics, /events, /qm and /debug/pprof on this address (empty = observability off)")
+
+	fs.IntVar(&cfg.PipelineWorkers, "pipeline-workers", cfg.PipelineWorkers, "per-session worker pool for v2 pipelined sessions")
+	fs.IntVar(&cfg.MaxInFlight, "max-in-flight", cfg.MaxInFlight, "per-session admission bound for v2 pipelined sessions")
+
+	fs.DurationVar(&cfg.ShedTarget, "shed-target", cfg.ShedTarget, "queueing-delay target for adaptive load shedding (0 = shedding off)")
+	fs.IntVar(&cfg.MaxConcurrent, "max-concurrent", cfg.MaxConcurrent, "server-wide concurrent query bound behind -shed-target (0 = 4×GOMAXPROCS)")
+
+	fs.StringVar(&cfg.WALDir, "wal-dir", cfg.WALDir, "write-ahead-log directory for crash-safe model durability (empty = off)")
+	fs.StringVar(&cfg.WALFsync, "wal-fsync", cfg.WALFsync, "WAL durability policy: always, interval or never")
+	fs.BoolVar(&cfg.WALForceRecover, "wal-force-recover", cfg.WALForceRecover, "boot past mid-log WAL damage, truncating it and dropping every record beyond it")
+	fs.DurationVar(&cfg.CheckpointInterval, "checkpoint-interval", cfg.CheckpointInterval, "background WAL checkpoint/compaction period (0 = only at shutdown)")
+
+	fs.StringVar(&cfg.ReplListen, "repl-listen", cfg.ReplListen, "dedicated replication listener address (requires -wal-dir; empty = serve replication on the main port only)")
+	fs.StringVar(&cfg.ReplicateFrom, "replicate-from", cfg.ReplicateFrom, "primary address to replicate from (makes this server a read replica)")
+	return fs
 }
 
-// overloadControls builds the per-domain overload policy out of a
-// domains-file entry, or nil when the entry configures none.
-func (spec domainSpec) overloadControls() *overload.Controls {
-	var q *overload.Quota
-	if spec.QuotaRate > 0 || spec.MaxInFlight > 0 {
-		q = overload.NewQuota(overload.QuotaSpec{
-			Rate:        spec.QuotaRate,
-			Burst:       spec.QuotaBurst,
-			MaxInFlight: spec.MaxInFlight,
-		})
+func run(args []string) error {
+	cfg := server.Defaults()
+	var domains string
+	if err := flagSet(&cfg, &domains).Parse(args); err != nil {
+		return err
 	}
-	var b *overload.Breaker
-	if spec.Breaker {
-		b = overload.NewBreaker(overload.BreakerOptions{
-			SlowCall: time.Duration(spec.BreakerSlowMS) * time.Millisecond,
-		})
-	}
-	if q == nil && b == nil {
-		return nil
-	}
-	return overload.NewControls(q, b)
-}
-
-// parseMode maps a -mode / domains-file mode string.
-func parseMode(name string) (core.Mode, error) {
-	switch name {
-	case "training":
-		return core.ModeTraining, nil
-	case "detection":
-		return core.ModeDetection, nil
-	case "prevention":
-		return core.ModePrevention, nil
-	default:
-		return core.ModeInvalid, fmt.Errorf("unknown mode %q", name)
-	}
-}
-
-// orTrue resolves an omitted boolean to true.
-func orTrue(b *bool) bool { return b == nil || *b }
-
-// loadDomains reads the -domains file and registers one protection
-// domain per entry (sorted, for deterministic startup output), loading
-// each domain's persisted store when its file exists. It returns the
-// store paths keyed by domain name for the shutdown save.
-func loadDomains(guard *core.Septic, path string) (map[string]string, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("read domains file: %w", err)
-	}
-	var specs map[string]domainSpec
-	if err := json.Unmarshal(data, &specs); err != nil {
-		return nil, fmt.Errorf("decode domains file: %w", err)
-	}
-	names := make([]string, 0, len(specs))
-	for name := range specs {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	stores := make(map[string]string)
-	for _, name := range names {
-		spec := specs[name]
-		mode, err := parseMode(spec.Mode)
-		if err != nil {
-			return nil, fmt.Errorf("domain %q: %w", name, err)
+	if domains != "" {
+		var err error
+		if cfg.Domains, err = server.LoadDomains(domains); err != nil {
+			return err
 		}
-		d, err := guard.RegisterDomain(name, core.Config{
-			Mode:                mode,
-			DetectSQLI:          orTrue(spec.SQLI),
-			DetectStored:        orTrue(spec.Stored),
-			IncrementalLearning: orTrue(spec.Incremental),
-			FailOpen:            spec.FailOpen,
-		})
-		if err != nil {
-			return nil, err
-		}
-		if ctl := spec.overloadControls(); ctl != nil {
-			d.SetOverload(ctl)
-		}
-		if spec.Store == "" {
-			fmt.Printf("septicd: domain %s (mode=%s, no persistence)\n", name, mode)
-			continue
-		}
-		stores[name] = spec.Store
-		if _, err := os.Stat(spec.Store); err == nil {
-			if err := d.Store().Load(spec.Store); err != nil {
-				return nil, fmt.Errorf("domain %q: load models: %w", name, err)
-			}
-		}
-		fmt.Printf("septicd: domain %s (mode=%s, %d query models from %s)\n",
-			name, mode, d.Store().Len(), spec.Store)
 	}
-	return stores, nil
-}
-
-// saveDomains persists every registered domain's store on shutdown.
-func saveDomains(guard *core.Septic, stores map[string]string) error {
-	names := make([]string, 0, len(stores))
-	for name := range stores {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		d, ok := guard.Domain(name)
-		if !ok {
-			continue
-		}
-		if err := d.Store().Save(stores[name]); err != nil {
-			return fmt.Errorf("domain %q: save models: %w", name, err)
-		}
-		fmt.Printf("septicd: domain %s: saved %d query models to %s\n",
-			name, d.Store().Len(), stores[name])
-	}
-	return nil
-}
-
-func run() error {
-	var (
-		addr      = flag.String("addr", "127.0.0.1:3306", "listen address")
-		modeName  = flag.String("mode", "prevention", "septic mode: training, detection or prevention")
-		modelPath = flag.String("models", "", "query-model store path (loaded if present, saved on shutdown)")
-		domains   = flag.String("domains", "", "protection-domain config file (JSON; multi-tenant mode)")
-		sqli      = flag.Bool("sqli", true, "enable SQLI detection")
-		stored    = flag.Bool("stored", true, "enable stored-injection detection")
-		quiet     = flag.Bool("quiet", false, "suppress the live event display")
-		audit     = flag.String("audit", "", "append JSON audit records to this file")
-
-		maxConns     = flag.Int("max-conns", 256, "maximum concurrent sessions (0 = unlimited)")
-		queryTimeout = flag.Duration("query-timeout", 30*time.Second, "per-query execution timeout (0 = none)")
-		idleTimeout  = flag.Duration("idle-timeout", 5*time.Minute, "disconnect sessions idle for this long (0 = never)")
-		drainTimeout = flag.Duration("drain-timeout", 5*time.Second, "graceful-shutdown drain deadline before force-closing sessions")
-		failOpen     = flag.Bool("fail-open", false, "admit queries when the protection path faults (default fail-closed)")
-		obsAddr      = flag.String("obs-addr", "", "serve /metrics, /events, /qm and /debug/pprof on this address (empty = observability off)")
-
-		pipeWorkers = flag.Int("pipeline-workers", wire.DefaultPipelineWorkers,
-			"per-session worker pool for v2 pipelined sessions")
-		maxInFlight = flag.Int("max-in-flight", wire.DefaultMaxInFlight,
-			"per-session admission bound for v2 pipelined sessions")
-
-		shedTarget = flag.Duration("shed-target", 0,
-			"queueing-delay target for adaptive load shedding (0 = shedding off)")
-		maxConcurrent = flag.Int("max-concurrent", 0,
-			"server-wide concurrent query bound behind -shed-target (0 = 4×GOMAXPROCS)")
-
-		walDir             = flag.String("wal-dir", "", "write-ahead-log directory for crash-safe model durability (empty = off)")
-		walFsync           = flag.String("wal-fsync", "always", "WAL durability policy: always, interval or never")
-		walForceRecover    = flag.Bool("wal-force-recover", false,
-			"boot past mid-log WAL damage, truncating it and dropping every record beyond it")
-		checkpointInterval = flag.Duration("checkpoint-interval", time.Minute,
-			"background WAL checkpoint/compaction period (0 = only at shutdown)")
-
-		replListen    = flag.String("repl-listen", "", "dedicated replication listener address (requires -wal-dir; empty = serve replication on the main port only)")
-		replicateFrom = flag.String("replicate-from", "", "primary address to replicate from (makes this server a read replica)")
-	)
-	flag.Parse()
-
-	mode, err := parseMode(*modeName)
+	// Before the "listening" line: whoever acts on it may signal at once.
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
+	st, err := server.Start(cfg)
 	if err != nil {
 		return err
 	}
+	printBoot(cfg, st)
+	<-sig
 
-	var loggerOpts []core.LoggerOption
-	if !*quiet {
-		loggerOpts = append(loggerOpts, core.WithStream(os.Stdout))
-	}
-	if *audit != "" {
-		f, err := os.OpenFile(*audit, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			return fmt.Errorf("open audit log: %w", err)
-		}
-		defer f.Close()
-		loggerOpts = append(loggerOpts, core.WithJSONStream(f))
-	}
-	store := core.NewStore()
-	if *modelPath != "" {
-		if _, err := os.Stat(*modelPath); err == nil {
-			if err := store.Load(*modelPath); err != nil {
-				return fmt.Errorf("load models: %w", err)
-			}
-			fmt.Printf("septicd: loaded %d query models from %s\n", store.Len(), *modelPath)
-		}
-	}
-	var hub *obs.Hub
-	if *obsAddr != "" {
-		hub = obs.NewHub(obs.DefaultRingCapacity)
-	}
-	coreOpts := []core.SepticOption{
-		core.WithStore(store), core.WithLogger(core.NewLogger(loggerOpts...)),
-	}
-	engineOpts := []engine.Option{}
-	serverOpts := []wire.ServerOption{
-		wire.WithMaxConns(*maxConns),
-		wire.WithQueryTimeout(*queryTimeout),
-		wire.WithIdleTimeout(*idleTimeout),
-		wire.WithPipelineWorkers(*pipeWorkers),
-		wire.WithMaxInFlight(*maxInFlight),
-	}
-	var adm *overload.Admission
-	if *shedTarget > 0 {
-		capacity := *maxConcurrent
-		if capacity <= 0 {
-			capacity = 4 * runtime.GOMAXPROCS(0)
-		}
-		adm = overload.NewAdmission(overload.AdmissionOptions{
-			Target:   *shedTarget,
-			Capacity: capacity,
-		})
-		serverOpts = append(serverOpts, wire.WithAdmission(adm))
-	}
-	if hub != nil {
-		coreOpts = append(coreOpts, core.WithObserver(hub))
-		engineOpts = append(engineOpts, engine.WithObs(hub))
-		serverOpts = append(serverOpts, wire.WithServerObs(hub))
-	}
-	guard := core.New(core.Config{
-		Mode:                mode,
-		DetectSQLI:          *sqli,
-		DetectStored:        *stored,
-		IncrementalLearning: true,
-		FailOpen:            *failOpen,
-	}, coreOpts...)
+	fmt.Println("\nsepticd: draining sessions")
+	err = st.Shutdown(context.Background())
+	printShutdown(st)
+	return err
+}
 
-	// The wire layer enforces per-domain quotas and counts sheds against
-	// the domain a session actually bound to; unknown applications land
-	// on the default domain's controls, like the queries themselves.
-	serverOpts = append(serverOpts, wire.WithOverloadControls(func(app string) *overload.Controls {
-		if d, ok := guard.Domain(app); ok {
-			return d.Overload()
+func printBoot(cfg server.Config, st *server.Stack) {
+	for _, f := range st.Loaded {
+		switch {
+		case f.Domain == "":
+			fmt.Printf("septicd: loaded %d query models from %s\n", f.Models, f.Path)
+		case f.Path == "":
+			fmt.Printf("septicd: domain %s (mode=%s, no persistence)\n", f.Domain, cfg.Domains[f.Domain].Mode)
+		default:
+			fmt.Printf("septicd: domain %s (mode=%s, %d query models from %s)\n",
+				f.Domain, cfg.Domains[f.Domain].Mode, f.Models, f.Path)
 		}
-		if d, ok := guard.Domain(core.DefaultDomain); ok {
-			return d.Overload()
-		}
-		return nil
-	}))
-
-	domainStores := map[string]string{}
-	if *domains != "" {
-		if domainStores, err = loadDomains(guard, *domains); err != nil {
-			return err
-		}
-		// The HELLO handshake acknowledges the domain a session actually
-		// binds to, consulting the guard's registry.
-		serverOpts = append(serverOpts, wire.WithDomainResolver(func(app string) string {
-			if d, ok := guard.Domain(app); ok {
-				return d.Name()
-			}
-			return core.DefaultDomain
-		}))
 	}
-
-	// Durability attaches AFTER the domains are registered (their
-	// partitions must exist to replay into) and BEFORE the listener
-	// opens (no query may mutate a store sink-less).
-	var persist *core.Persistence
-	if *walDir != "" {
-		policy, err := wal.ParseFsyncPolicy(*walFsync)
-		if err != nil {
-			return err
-		}
-		persist, err = guard.AttachPersistence(core.PersistenceOptions{
-			Dir:                *walDir,
-			Fsync:              policy,
-			CheckpointInterval: *checkpointInterval,
-			ForceRecover:       *walForceRecover,
-		})
-		if err != nil {
-			return err
-		}
+	if persist := st.Guard.Persistence(); persist != nil {
 		pst := persist.Stats()
 		fmt.Printf("septicd: wal %s (fsync=%s): %d record(s) replayed in %s",
-			*walDir, policy, pst.RecoveredRecords, pst.RecoveryDuration.Round(time.Millisecond))
+			cfg.WALDir, cfg.WALFsync, pst.RecoveredRecords, pst.RecoveryDuration.Round(time.Millisecond))
 		if pst.TornSegments > 0 {
 			fmt.Printf(", torn tail truncated (%d record(s) dropped)", pst.DroppedRecords)
 		}
@@ -429,149 +161,46 @@ func run() error {
 		}
 		fmt.Println()
 	}
-
-	// Replication primary: with a WAL attached the server can stream it.
-	// The handler rides the main port's HELLO handshake; -repl-listen
-	// additionally opens a dedicated replication port.
-	var primary *repl.Primary
-	if persist != nil {
-		primary = repl.NewPrimary(persist, repl.PrimaryOptions{})
-		serverOpts = append(serverOpts, wire.WithReplHandler(primary.HandleConn))
+	if cfg.ReplicateFrom != "" {
+		fmt.Printf("septicd: replica of %s, resuming after seq %d\n", cfg.ReplicateFrom, st.ResumeSeq)
 	}
-	if *replListen != "" && primary == nil {
-		return fmt.Errorf("-repl-listen requires -wal-dir (the replication stream is the WAL)")
+	if st.ReplAddr != "" {
+		fmt.Printf("septicd: replication on %s\n", st.ReplAddr)
 	}
-
-	// Replica mode: attach the apply state AFTER persistence (the resume
-	// position comes from the local WAL) and BEFORE the listener opens.
-	var replica *repl.Replica
-	if *replicateFrom != "" {
-		rs, err := guard.AttachReplicaSource()
-		if err != nil {
-			return err
-		}
-		replica = repl.NewReplica(*replicateFrom, rs, repl.ReplicaOptions{})
-		fmt.Printf("septicd: replica of %s, resuming after seq %d\n",
-			*replicateFrom, rs.AppliedSeq())
-	}
-
-	engineOpts = append(engineOpts, engine.WithQueryHook(guard))
-	db := engine.New(engineOpts...)
-	srv := wire.NewServer(db, serverOpts...)
-	bound, err := srv.Listen(*addr)
-	if err != nil {
-		return err
-	}
-	if *replListen != "" {
-		replLn, err := net.Listen("tcp", *replListen)
-		if err != nil {
-			return fmt.Errorf("repl listen %s: %w", *replListen, err)
-		}
-		defer replLn.Close()
-		go func() {
-			if err := primary.Serve(replLn); err != nil && !errors.Is(err, net.ErrClosed) {
-				fmt.Fprintln(os.Stderr, "septicd: repl server:", err)
-			}
-		}()
-		fmt.Printf("septicd: replication on %s\n", replLn.Addr())
-	}
-	if replica != nil {
-		replica.Start()
-	}
-
-	if hub != nil {
-		qmDump := func(domain string) any {
-			if domain == "" {
-				domain = core.DefaultDomain
-			}
-			d, ok := guard.Domain(domain)
-			if !ok {
-				return nil
-			}
-			return d.Store().Dump()
-		}
-		obsLn, err := net.Listen("tcp", *obsAddr)
-		if err != nil {
-			return fmt.Errorf("obs listen %s: %w", *obsAddr, err)
-		}
-		// Readiness flips to 503 while the server drains or the admission
-		// controller is persistently shedding, steering load balancers
-		// away before clients see shed responses.
-		ready := func() (bool, map[string]any) {
-			draining := srv.Draining()
-			shedding := adm.Shedding()
-			return !draining && !shedding, map[string]any{
-				"draining":    draining,
-				"shedding":    shedding,
-				"queue_depth": adm.Depth(),
-				"sheds":       srv.Sheds(),
-			}
-		}
-		obsSrv := &http.Server{Handler: obs.Handler(hub, qmDump, obs.WithHealth(ready))}
-		go func() {
-			if err := obsSrv.Serve(obsLn); err != nil && !errors.Is(err, http.ErrServerClosed) {
-				fmt.Fprintln(os.Stderr, "septicd: obs server:", err)
-			}
-		}()
-		defer obsSrv.Close()
-		fmt.Printf("septicd: observability on http://%s (/metrics /events /qm /healthz /debug/pprof)\n",
-			obsLn.Addr())
+	if st.ObsAddr != "" {
+		fmt.Printf("septicd: observability on http://%s (/metrics /events /qm /healthz /debug/pprof)\n", st.ObsAddr)
 	}
 	policy := "fail-closed"
-	if *failOpen {
+	if cfg.FailOpen {
 		policy = "fail-open"
 	}
 	fmt.Printf("septicd: listening on %s (mode=%s sqli=%t stored=%t policy=%s max-conns=%d)\n",
-		bound, mode, *sqli, *stored, policy, *maxConns)
+		st.Addr, cfg.Mode, cfg.SQLI, cfg.Stored, policy, cfg.MaxConns)
+}
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
-	<-sig
-
-	fmt.Println("\nsepticd: draining sessions")
-	if replica != nil {
-		replica.Close()
-		if err := replica.Err(); err != nil {
-			fmt.Fprintln(os.Stderr, "septicd: replication stream:", err)
-		}
+func printShutdown(st *server.Stack) {
+	if st.ReplicaErr != nil {
+		fmt.Fprintln(os.Stderr, "septicd: replication stream:", st.ReplicaErr)
 	}
-	if primary != nil {
-		primary.Close()
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
-	defer cancel()
-	if err := srv.Shutdown(ctx); err != nil {
-		if !errors.Is(err, context.DeadlineExceeded) {
-			return err
-		}
+	if st.DrainTimedOut {
 		fmt.Println("septicd: drain deadline exceeded, sessions force-closed")
 	}
-	if *modelPath != "" {
-		if err := guard.Store().Save(*modelPath); err != nil {
-			return fmt.Errorf("save models: %w", err)
+	for _, f := range st.Saved {
+		if f.Domain == "" {
+			fmt.Printf("septicd: saved %d query models to %s\n", f.Models, f.Path)
+		} else {
+			fmt.Printf("septicd: domain %s: saved %d query models to %s\n", f.Domain, f.Models, f.Path)
 		}
-		fmt.Printf("septicd: saved %d query models to %s\n", guard.Store().Len(), *modelPath)
 	}
-	if err := saveDomains(guard, domainStores); err != nil {
-		return err
-	}
-	if persist != nil {
-		// A final checkpoint compacts the log so the next boot replays an
-		// empty tail; then the log closes cleanly.
-		if err := persist.Checkpoint(); err != nil {
-			fmt.Fprintln(os.Stderr, "septicd: shutdown checkpoint:", err)
-		}
-		if err := persist.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, "septicd: wal close:", err)
-		}
+	if persist := st.Guard.Persistence(); persist != nil {
 		pst := persist.Stats()
 		fmt.Printf("septicd: wal: %d append(s), %d fsync(s), %d checkpoint(s)\n",
 			pst.WAL.Appends, pst.WAL.Fsyncs, pst.Checkpoints)
 	}
-	stats := guard.Stats()
+	stats := st.Guard.Stats()
 	fmt.Printf("septicd: %d queries seen, %d models learned, %d attacks (%d blocked)\n",
 		stats.QueriesSeen, stats.ModelsLearned, stats.AttacksFound, stats.AttacksBlocked)
-	for _, d := range guard.Domains() {
+	for _, d := range st.Guard.Domains() {
 		if pending := d.Store().PendingReview(); len(pending) > 0 {
 			fmt.Printf("septicd: domain %s: %d incrementally learned identifiers await review:\n",
 				d.Name(), len(pending))
@@ -580,5 +209,4 @@ func run() error {
 			}
 		}
 	}
-	return nil
 }

@@ -1,12 +1,18 @@
 package septic_test
 
 import (
+	"bufio"
+	"bytes"
 	"fmt"
 	"os/exec"
+	"path/filepath"
+	"regexp"
 	"strings"
+	"syscall"
 	"testing"
 
 	"github.com/septic-db/septic/internal/attacks"
+	"github.com/septic-db/septic/internal/wire"
 )
 
 // Smoke tests for the command-line tools: build and run each binary the
@@ -68,15 +74,63 @@ func TestSepticBenchFig5CommandTiny(t *testing.T) {
 	}
 }
 
-func TestSepticBenchWireCommandTiny(t *testing.T) {
+// TestSepticdCommand runs the daemon the way an operator does: boot on
+// an ephemeral port, serve one query over the wire, SIGTERM, exit 0 with
+// the shutdown summary.
+func TestSepticdCommand(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping command smoke test in -short mode")
 	}
-	out := runCommand(t, "run", "./cmd/septic-bench", "wire",
-		"-loops", "2", "-depths", "1,4")
-	for _, want := range []string{"Address Book", "v1", "v2", "speedup"} {
+	bin := filepath.Join(t.TempDir(), "septicd")
+	runCommand(t, "build", "-o", bin, "./cmd/septicd")
+	cmd := exec.Command(bin, "-addr", "127.0.0.1:0", "-mode", "training", "-quiet")
+	stdout, err := cmd.StdoutPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer cmd.Process.Kill()
+
+	lines := bufio.NewScanner(stdout)
+	listening := regexp.MustCompile(fmt.Sprintf(
+		`^septicd: listening on (\S+) \(mode=training sqli=true stored=true policy=fail-closed max-conns=%d\)$`,
+		wire.DefaultMaxConns))
+	var addr string
+	for addr == "" && lines.Scan() {
+		if m := listening.FindStringSubmatch(lines.Text()); m != nil {
+			addr = m[1]
+		}
+	}
+	if addr == "" {
+		t.Fatalf("no listening line before stdout closed; stderr:\n%s", stderr.String())
+	}
+	c, err := wire.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, err := c.Exec("CREATE TABLE users (name TEXT, pass TEXT)"); err != nil {
+		t.Fatal(err)
+	}
+
+	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	var rest []string
+	for lines.Scan() {
+		rest = append(rest, lines.Text())
+	}
+	if err := cmd.Wait(); err != nil {
+		t.Errorf("septicd after SIGTERM: %v; stderr:\n%s", err, stderr.String())
+	}
+	out := strings.Join(rest, "\n")
+	for _, want := range []string{"septicd: draining sessions", "septicd: 1 queries seen, 1 models learned, 0 attacks (0 blocked)"} {
 		if !strings.Contains(out, want) {
-			t.Errorf("wire output missing %q:\n%s", want, out)
+			t.Errorf("shutdown output missing %q:\n%s", want, out)
 		}
 	}
 }

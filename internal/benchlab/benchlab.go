@@ -81,11 +81,6 @@ func coreConfig(c SepticConfig) core.Config {
 	return cfg
 }
 
-// CoreConfig maps the figure configuration to the SEPTIC core config it
-// names. Exported so satellite harnesses (wirebench) can deploy guards
-// configured exactly like the latency harness does.
-func (c SepticConfig) CoreConfig() core.Config { return coreConfig(c) }
-
 // AppSpec describes one application deployment for the harness.
 type AppSpec struct {
 	// Name labels the series ("Address Book", "refbase", "ZeroCMS").

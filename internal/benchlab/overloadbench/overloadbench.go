@@ -1,7 +1,7 @@
-// Package overloadbench measures the adaptive overload controls the way
-// wirebench measures the protocol: a loopback wire deployment with a
-// known per-query service time (injected into the executor) and a known
-// execution capacity is driven at a sweep of offered-load multiples of
+// Package overloadbench measures the adaptive overload controls: the
+// shipped deployment (internal/server) on loopback, with a known
+// per-query service time (injected into the executor) and a known
+// execution capacity, is driven at a sweep of offered-load multiples of
 // that capacity, and each multiple reports what the admission controller
 // did — how much was admitted, how much was shed, and the latency of the
 // admitted requests.
@@ -18,6 +18,7 @@
 package overloadbench
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -25,10 +26,8 @@ import (
 	"sync"
 	"time"
 
-	"github.com/septic-db/septic/internal/core"
-	"github.com/septic-db/septic/internal/engine"
 	"github.com/septic-db/septic/internal/faultinject"
-	"github.com/septic-db/septic/internal/overload"
+	"github.com/septic-db/septic/internal/server"
 	"github.com/septic-db/septic/internal/wire"
 )
 
@@ -131,25 +130,21 @@ func Run(p Params) ([]Row, error) {
 
 // runOne measures one offered-load point against a fresh deployment.
 func runOne(p Params, multiplier int) (Row, error) {
-	guard := core.New(core.Config{Mode: core.ModeTraining})
-	db := engine.New(engine.WithQueryHook(guard))
-	if _, err := db.Exec("CREATE TABLE t (id INT)"); err != nil {
-		return Row{}, err
-	}
-	adm := overload.NewAdmission(overload.AdmissionOptions{
-		Target:   p.Target,
-		Capacity: p.Gate,
-	})
-	srv := wire.NewServer(db, wire.WithAdmission(adm))
-	addr, err := srv.Listen("127.0.0.1:0")
+	cfg := server.Defaults()
+	cfg.Addr, cfg.Mode, cfg.Quiet = "127.0.0.1:0", "training", true
+	cfg.ShedTarget, cfg.MaxConcurrent = p.Target, p.Gate
+	st, err := server.Start(cfg)
 	if err != nil {
 		return Row{}, err
 	}
-	defer srv.Close()
+	defer st.Shutdown(context.Background())
+	if _, err := st.DB.Exec("CREATE TABLE t (id INT)"); err != nil {
+		return Row{}, err
+	}
 
 	clients := make([]*wire.Client, p.Clients)
 	for i := range clients {
-		c, err := wire.Dial(addr)
+		c, err := wire.Dial(st.Addr)
 		if err != nil {
 			return Row{}, fmt.Errorf("dial client %d: %w", i, err)
 		}

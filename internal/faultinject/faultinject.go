@@ -15,7 +15,8 @@
 //   - Transport faults: Conn wraps a net.Conn and injects latency, torn
 //     frames, connection resets at byte offsets and byte corruption,
 //     all driven by a deterministic seed so a failing chaos run replays
-//     exactly. FlakyListener injects transient Accept errors.
+//     exactly. FlakyListener injects transient Accept errors,
+//     CloseErrListener a failing Close.
 //
 //   - Kill points: the durability machinery (internal/wal, the core
 //     checkpointer, Store.Save) hits named sites around every append,
@@ -264,6 +265,17 @@ func (l *FlakyListener) Accept() (net.Conn, error) {
 		return nil, temporaryError{}
 	}
 	return l.Listener.Accept()
+}
+
+// CloseErrListener wraps a net.Listener whose Close closes it and then
+// reports a failure anyway: the shutdown-path fault a teardown sequence
+// must run past rather than stop at.
+type CloseErrListener struct{ net.Listener }
+
+// Close implements net.Listener.
+func (l CloseErrListener) Close() error {
+	_ = l.Listener.Close()
+	return fmt.Errorf("%w: listener close", ErrInjected)
 }
 
 // temporaryError mimics a transient accept failure (ECONNABORTED,

@@ -552,19 +552,6 @@ func measureRoundTripAllocs(t *testing.T, c *Client, loops int) float64 {
 	return float64(after.Mallocs-before.Mallocs) / float64(loops)
 }
 
-// shippedServerOpts are septicd's flag defaults (cmd/septicd): what an
-// alloc ceiling or a benchmark must be measured against, because the
-// deadlines and the query timeout sit on the request path.
-func shippedServerOpts() []ServerOption {
-	return []ServerOption{
-		WithMaxConns(256),
-		WithQueryTimeout(30 * time.Second),
-		WithIdleTimeout(5 * time.Minute),
-		WithPipelineWorkers(DefaultPipelineWorkers),
-		WithMaxInFlight(DefaultMaxInFlight),
-	}
-}
-
 func TestWireRoundTripAllocCeiling(t *testing.T) {
 	if testing.Short() {
 		t.Skip("alloc measurement is noisy under -short")
@@ -572,7 +559,9 @@ func TestWireRoundTripAllocCeiling(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("race instrumentation adds allocations")
 	}
-	addr, _, db := startServerOpts(t, core.Config{Mode: core.ModeTraining}, shippedServerOpts()...)
+	// No options: the shipped server, whose deadlines and query timeout
+	// sit on the request path.
+	addr, _, db := startServerOpts(t, core.Config{Mode: core.ModeTraining})
 	if _, err := db.Exec("CREATE TABLE t (id INT, name TEXT)"); err != nil {
 		t.Fatal(err)
 	}

@@ -23,8 +23,14 @@ import (
 // out). Clients see it from Exec on a refused connection.
 var ErrServerBusy = errors.New("server busy: connection limit reached")
 
-// Defaults for pipelined (v2) sessions.
+// The shipped configuration: NewServer(db)'s and septicd's flag defaults.
 const (
+	// DefaultMaxConns caps concurrently served connections.
+	DefaultMaxConns = 256
+	// DefaultQueryTimeout bounds one query's execution.
+	DefaultQueryTimeout = 30 * time.Second
+	// DefaultIdleTimeout disconnects a session that sends nothing.
+	DefaultIdleTimeout = 5 * time.Minute
 	// DefaultPipelineWorkers is the per-session worker pool size.
 	DefaultPipelineWorkers = 4
 	// DefaultMaxInFlight bounds requests inside the server for one
@@ -36,11 +42,11 @@ const (
 // installed, is already inside the engine — the server is protection-
 // agnostic, exactly like a stock MySQL front end.
 //
-// The zero configuration (NewServer(db) with no options) behaves like a
-// lab server: no deadlines, no limits. Production deployments layer on
-// the fail-safe options: per-connection idle/read/write deadlines, a
-// per-query execution timeout, a max-connections admission gate with a
-// bounded backlog, and graceful drain via Shutdown. Every query is
+// NewServer(db) with no options is the server septicd ships: the
+// Default* limits above — an idle deadline, a per-query execution
+// timeout, a max-connections admission gate with a bounded backlog —
+// and graceful drain via Shutdown; an option set to zero turns its
+// limit off, and read/write deadlines are opt-in. Every query is
 // panic-contained — a crash in the engine or a hook that escapes the
 // guard's own containment is converted into an error response for that
 // query, never a server crash.
@@ -223,17 +229,15 @@ func WithMaxInFlight(n int) ServerOption {
 // deadlines cleared — to h, which speaks the replication frame protocol
 // on it until the session ends. Without this option replication hellos
 // are refused in the ack, so a replica pointed at a non-primary server
-// fails with a typed error instead of hanging. septicd installs the
-// repl.Primary here when -repl-listen names the serving address.
+// fails with a typed error instead of hanging.
 func WithReplHandler(h func(conn net.Conn)) ServerOption {
 	return func(s *Server) { s.replHandler = h }
 }
 
 // WithDomainResolver installs the app→domain mapping the server answers
 // HELLO handshakes with: given the declared application name, it
-// returns the protection domain name the session is bound to. septicd
-// wires this to the guard's domain registry so the acknowledgement
-// reflects reality (an unknown app resolves to "default"). Without a
+// returns the protection domain name the session is bound to
+// (internal/server answers from the guard's registry). Without a
 // resolver the server echoes the declared app as the domain, or
 // "default" when none was declared.
 func WithDomainResolver(resolve func(app string) string) ServerOption {
@@ -263,8 +267,7 @@ func WithAdmission(a *overload.Admission) ServerOption {
 // session resolves its app binding to the domain's Controls at bind
 // time (the default domain before any HELLO), and every request is
 // charged against that domain's quota before it may occupy a shared
-// queue slot — so a flooded tenant degrades alone. septicd wires this
-// to the guard's domain registry.
+// queue slot — so a flooded tenant degrades alone.
 func WithOverloadControls(resolve func(app string) *overload.Controls) ServerOption {
 	return func(s *Server) { s.resolveControls = resolve }
 }
@@ -281,12 +284,15 @@ func WithServerObs(h *obs.Hub) ServerOption {
 // NewServer wraps a database in a protocol server.
 func NewServer(db *engine.DB, opts ...ServerOption) *Server {
 	s := &Server{
-		db:          db,
-		conns:       make(map[net.Conn]struct{}),
-		done:        make(chan struct{}),
-		backlog:     -1, // "unset": defaulted from maxConns below
-		backlogWait: time.Second,
-		helloLimit:  HelloVersion,
+		db:           db,
+		conns:        make(map[net.Conn]struct{}),
+		done:         make(chan struct{}),
+		idleTimeout:  DefaultIdleTimeout,
+		queryTimeout: DefaultQueryTimeout,
+		maxConns:     DefaultMaxConns,
+		backlog:      -1, // "unset": defaulted from maxConns below
+		backlogWait:  time.Second,
+		helloLimit:   HelloVersion,
 	}
 	for _, o := range opts {
 		o(s)

@@ -210,8 +210,8 @@ func TestWatchdogArmedAllocatesNothing(t *testing.T) {
 		}
 		return measureRoundTripAllocs(t, dialOpts(t, addr, WithPipeline(8)), 500)
 	}
-	unarmed := measure()
-	armed := measure(WithQueryTimeout(30 * time.Second))
+	unarmed := measure(WithQueryTimeout(0))
+	armed := measure()
 	t.Logf("v2 round-trip mallocs: unarmed=%.2f armed=%.2f", unarmed, armed)
 	// Process-wide counts carry a few stray runtime allocations per
 	// hundred round trips; a per-request cost would show as ≥ 1.

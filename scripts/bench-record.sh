@@ -1,61 +1,21 @@
 #!/usr/bin/env bash
-# bench-record.sh — run the wire-protocol benchmarks (synchronous v1
-# JSON baseline vs pipelined v2 binary frames) and record the numbers
-# into BENCH_wire.json: per series ns/op, B/op, allocs/op and derived
-# ops/sec, plus the depth-16-vs-sync speedup (PR 7's ≥2× floor was read
-# off it when the sync baseline still paid the reflective JSON codec;
-# since PR 17 it measures overlap alone). Then runs the durability ablation
-# (BenchmarkTrainDurable: WAL off/never/interval/always with one writer,
+# bench-record.sh — run the durability ablation (BenchmarkTrainDurable:
+# WAL off/never/interval/always with one writer,
 # BenchmarkTrainDurableParallel: always with 8, as the always_parallel8
 # row with the fsyncs each update cost — group commit's share) and
-# records the per-policy cost of one acknowledged training update into
+# record the per-policy cost of one acknowledged training update into
 # BENCH_durability.json, with each policy's overhead factor over the
-# no-WAL baseline. Finally runs the overload sweep (septic-bench
-# overload: 1×/2×/4× capacity against the admission controller) which
-# writes its own BENCH_overload.json with shed rates and admitted
-# p50/p99 per point.
+# no-WAL baseline. Then runs the overload sweep (septic-bench overload:
+# 1×/2×/4× capacity against the admission controller) which writes its
+# own BENCH_overload.json with shed rates and admitted p50/p99 per
+# point. The wire protocol is measured by bench/ (wire_hit, app_replay).
 #
-# Usage: scripts/bench-record.sh [output.json]
-#   BENCHTIME=2s scripts/bench-record.sh    # longer sampling
+# Usage: [DUR_OUT=file.json] [OVL_OUT=file.json] scripts/bench-record.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-OUT="${1:-BENCH_wire.json}"
 DUR_OUT="${DUR_OUT:-BENCH_durability.json}"
 OVL_OUT="${OVL_OUT:-BENCH_overload.json}"
-BENCHTIME="${BENCHTIME:-1s}"
-
-RAW="$(go test -run='^$' -bench='BenchmarkWireSync$|BenchmarkWirePipelined' \
-	-benchmem -benchtime="$BENCHTIME" -count=1 .)"
-printf '%s\n' "$RAW"
-
-printf '%s\n' "$RAW" | awk -v out="$OUT" -v benchtime="$BENCHTIME" '
-BEGIN      { n = 0 }
-/^goos:/   { goos = $2 }
-/^goarch:/ { goarch = $2 }
-/^cpu:/    { sub(/^cpu: /, ""); cpu = $0 }
-/^Benchmark(WireSync|WirePipelined)/ {
-	name = $1; sub(/-[0-9]+$/, "", name)
-	names[n] = name; iters[n] = $2; ns[n] = $3
-	bytes[n] = $5; allocs[n] = $7; n++
-	if (name == "BenchmarkWireSync") sync_ns = $3
-	if (name == "BenchmarkWirePipelined/depth=16") deep_ns = $3
-}
-END {
-	if (n == 0) { print "bench-record: no benchmark lines parsed" > "/dev/stderr"; exit 1 }
-	printf "{\n" > out
-	printf "  \"goos\": \"%s\",\n  \"goarch\": \"%s\",\n  \"cpu\": \"%s\",\n", goos, goarch, cpu > out
-	printf "  \"benchtime\": \"%s\",\n", benchtime > out
-	if (sync_ns > 0 && deep_ns > 0)
-		printf "  \"speedup_depth16_vs_sync\": %.2f,\n", sync_ns / deep_ns > out
-	printf "  \"benchmarks\": [\n" > out
-	for (i = 0; i < n; i++)
-		printf "    {\"name\": \"%s\", \"iterations\": %s, \"ns_per_op\": %s, \"bytes_per_op\": %s, \"allocs_per_op\": %s, \"ops_per_sec\": %.0f}%s\n", \
-			names[i], iters[i], ns[i], bytes[i], allocs[i], 1e9 / ns[i], (i < n - 1 ? "," : "") > out
-	printf "  ]\n}\n" > out
-}
-'
-echo "bench-record: wrote $OUT"
 
 # Durability ablation: fixed iteration count rather than -benchtime, so
 # the fsync=always series (hundreds of µs per op) finishes quickly while
