@@ -623,7 +623,8 @@ func BenchmarkWireParallel(b *testing.B) {
 
 func BenchmarkEngineExec(b *testing.B) {
 	// db holds 100 rows and grows under the insert sub-benchmark; list
-	// keeps its 200 so the ordered list sorts the same rows every time.
+	// keeps its 200 so the ordered list sorts, the search scans and the
+	// keyed writes find the same number of rows every time.
 	db, list := engine.New(), engine.New()
 	for d, rows := range map[*engine.DB]int{db: 100, list: 200} {
 		if _, err := d.Exec("CREATE TABLE t (id INT PRIMARY KEY AUTO_INCREMENT, name TEXT, n INT)"); err != nil {
@@ -663,6 +664,46 @@ func BenchmarkEngineExec(b *testing.B) {
 			if _, err := list.Exec("SELECT id, name, n FROM t ORDER BY name"); err != nil {
 				b.Fatal(err)
 			}
+		}
+	})
+	b.Run("like-scan-200", func(b *testing.B) {
+		// A search page: two case-insensitive substring tests per row, 11
+		// of the 200 rows match.
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := list.Exec("SELECT id, name FROM t WHERE name LIKE '%Ow17%' OR name LIKE '%w3%'"); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("update-by-key", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := list.Exec("UPDATE t SET n = n + 1 WHERE id = 117"); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	turn := 0 // like coldText
+	b.Run("delete-insert-by-key", func(b *testing.B) {
+		// The oldest row goes and comes back as the newest, ids in a cycle
+		// of 200 cached texts: every delete shifts all the rows behind it
+		// and the table keeps its size.
+		var del, ins [200]string
+		for i := range del {
+			del[i] = fmt.Sprintf("DELETE FROM t WHERE id = %d", i+1)
+			ins[i] = fmt.Sprintf("INSERT INTO t (id, name, n) VALUES (%d, 'row%d', %d)", i+1, i*37%200, i)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if res, err := list.Exec(del[turn%200]); err != nil || res.Affected != 1 {
+				b.Fatal(res, err)
+			}
+			if _, err := list.Exec(ins[turn%200]); err != nil {
+				b.Fatal(err)
+			}
+			turn++
 		}
 	})
 	b.Run("aggregate", func(b *testing.B) {

@@ -150,14 +150,14 @@ type stageHists struct {
 
 // parsedQuery is one memoized parse: the statement, the decoded text the
 // parser consumed, and the extracted comments. All three are immutable
-// after insertion. plan is the one field set later: a SELECT's plan,
-// published by the first execution and replaced, never modified, when
-// the catalog generation has moved on (plan.go).
+// after insertion. plan is the one field set later: the plan of a SELECT,
+// UPDATE or DELETE, published by the first execution and replaced, never
+// modified, when the catalog generation has moved on (plan.go).
 type parsedQuery struct {
 	stmt     sqlparser.Statement
 	decoded  string
 	comments []string
-	plan     atomic.Pointer[selectPlan]
+	plan     atomic.Pointer[plan]
 }
 
 // New creates an empty database.
@@ -516,8 +516,8 @@ func (db *DB) validateSelect(s *sqlparser.SelectStmt) error {
 // pq is the cache entry stmt came from, nil when stmt is a bound clone.
 func (db *DB) execute(stmt sqlparser.Statement, pq *parsedQuery) (*Result, error) {
 	switch s := stmt.(type) {
-	case *sqlparser.SelectStmt:
-		return db.runSelect(s, pq)
+	case *sqlparser.SelectStmt, *sqlparser.UpdateStmt, *sqlparser.DeleteStmt:
+		return db.runPlanned(stmt, pq)
 	case *sqlparser.CreateTableStmt:
 		db.catalog.Lock()
 		defer db.catalog.Unlock()
@@ -543,10 +543,6 @@ func (db *DB) execute(stmt sqlparser.Statement, pq *parsedQuery) (*Result, error
 	switch s := stmt.(type) {
 	case *sqlparser.InsertStmt:
 		return db.execInsert(s)
-	case *sqlparser.UpdateStmt:
-		return db.execUpdate(s)
-	case *sqlparser.DeleteStmt:
-		return db.execDelete(s)
 	case *sqlparser.DescribeStmt:
 		return db.execDescribe(s)
 	case *sqlparser.ExplainStmt:
@@ -556,30 +552,39 @@ func (db *DB) execute(stmt sqlparser.Statement, pq *parsedQuery) (*Result, error
 	}
 }
 
-// runSelect executes a top-level SELECT off its plan: the one stored in
-// pq if it was built under the current catalog generation, else a fresh
-// one, which it publishes. The comparison happens under the catalog read
-// lock and before anything in the plan is dereferenced: after DROP +
-// CREATE of the same name a stale plan still points at the dropped
-// table's rows and index. Planning errors do not exist — what a plan
-// cannot resolve it leaves to execution — so every error of a SELECT
-// keeps coming from the execute stage, after the hook ran and counted.
-func (db *DB) runSelect(s *sqlparser.SelectStmt, pq *parsedQuery) (*Result, error) {
+// runPlanned executes a top-level SELECT, UPDATE or DELETE off its plan:
+// the one stored in pq if it was built under the current catalog
+// generation, else a fresh one, which it publishes. The comparison
+// happens under the catalog read lock and before anything in the plan is
+// dereferenced: after DROP + CREATE of the same name a stale plan still
+// points at the dropped table's rows and index. Planning errors do not
+// exist — what a plan cannot resolve it leaves to execution — so every
+// error of a planned statement keeps coming from the execute stage, after
+// the hook ran and counted.
+func (db *DB) runPlanned(stmt sqlparser.Statement, pq *parsedQuery) (*Result, error) {
 	db.catalog.RLock()
 	defer db.catalog.RUnlock()
-	var p *selectPlan
+	var p *plan
 	if pq != nil {
 		p = pq.plan.Load()
 	}
 	if p == nil || p.gen != db.gen {
-		p = db.planStatement(s)
+		p = db.planStatement(stmt)
 		if pq != nil {
 			pq.plan.Store(p)
 		}
 	}
 	db.lockTables(&p.locks)
 	defer db.unlockTables(&p.locks)
-	return db.execSelect(s, nil, p)
+	var frames [4]frame // the statement's frame stack (eval.go)
+	switch s := stmt.(type) {
+	case *sqlparser.UpdateStmt:
+		return db.execUpdate(s, p, frames[:0])
+	case *sqlparser.DeleteStmt:
+		return db.execDelete(s, p, frames[:0])
+	default:
+		return db.execSelect(stmt.(*sqlparser.SelectStmt), frames[:0], p)
+	}
 }
 
 func (db *DB) execShowTables() (*Result, error) {

@@ -11,10 +11,9 @@ import (
 	"github.com/septic-db/septic/internal/sqlparser"
 )
 
-// layout is the immutable half of a scope: which sources a row spans and
-// where each one's columns sit in it. A table's own layout is built once
-// in newTable and a select plan's once per plan, so executions share them
-// and must not modify them.
+// layout says which sources a row spans and where each one's columns sit
+// in it. A table's own layout is built once in newTable and a plan's once
+// per plan, so executions share them and must not modify them.
 type layout struct {
 	// tables[i] names the source (alias if given, else table name,
 	// lower-cased) of the columns in colNames[i].
@@ -40,389 +39,479 @@ func (l *layout) width() int {
 	return l.offsets[last] + len(l.colNames[last])
 }
 
-// scope resolves column references during evaluation: a layout plus the
-// row currently under it. Scopes chain so correlated subqueries can see
-// their enclosing query's row. A scope is a stack value of the executor
-// that owns it; nothing retains a *scope past that executor's return.
-type scope struct {
-	parent *scope
-	layout
-	row []Value
-}
-
-// noScope is the scope of expressions that see no row: VALUES tuples and
-// LIMIT clauses. Evaluation only reads a scope, so one serves everybody.
-var noScope scope
-
-// lookup resolves a column reference to its index in row, walking parent
-// scopes for correlated subqueries. The boolean reports success.
-func (sc *scope) lookup(table, name string) (*scope, int, bool) {
+// resolve returns the row offset of a column reference, or -1. Only the
+// binder asks: evaluation reads offsets.
+func (l *layout) resolve(table, name string) int {
 	table = strings.ToLower(table)
-	for s := sc; s != nil; s = s.parent {
-		for ti, tname := range s.tables {
-			if table != "" && table != tname {
-				continue
-			}
-			for ci, cname := range s.colNames[ti] {
-				if strings.EqualFold(cname, name) {
-					return s, s.offsets[ti] + ci, true
-				}
+	for ti, tname := range l.tables {
+		if table != "" && table != tname {
+			continue
+		}
+		for ci, cname := range l.colNames[ti] {
+			if strings.EqualFold(cname, name) {
+				return l.offsets[ti] + ci
 			}
 		}
 	}
-	return nil, 0, false
+	return -1
 }
 
-// evaluator computes expression values for one database. It is stateless
-// and passed by value, so executing a statement never allocates one.
+// frame is one query level of a running statement: the layout its column
+// references were bound against and the row now under evaluation. Nested
+// levels' frames form a stack, innermost last, in an array on the stack
+// of the top-level executor: a level appends its own to the slice it was
+// handed and passes the longer slice down, so nothing retains a frame.
+type frame struct {
+	layout *layout
+	row    []Value
+}
+
+// bop is the operation of a bound expression node.
+type bop uint8
+
+const (
+	opLit  bop = iota // val
+	opCol             // row[n] of the frame kid levels up
+	opErr             // err, raised when a row is evaluated
+	opFail            // err, raised when reached, row or no row: it is the statement's, not an expression's
+	// Binary operators over nodes[kid] and nodes[kid+1], opAnd to opMod.
+	opAnd
+	opOr
+	opXor
+	opEq
+	opNe
+	opLt
+	opLe
+	opGt
+	opGe
+	opLike
+	opAdd
+	opSub
+	opMul
+	opDiv
+	opMod
+	opNot
+	opNeg
+	opFunc     // scalar function val.S over nodes[kid:kid+n]
+	opAgg      // aggregate val.S, likewise
+	opIn       // nodes[kid] IN nodes[kid+1:kid+n]
+	opInSub    // nodes[kid] IN (sel)
+	opBetween  // nodes[kid] BETWEEN nodes[kid+1] AND nodes[kid+2]
+	opIsNull   // nodes[kid] IS NULL
+	opSubquery // (sel) as a scalar
+	opExists   // EXISTS (sel)
+	opCase     // [operand] {cond, result} [else], see flagOperand and flagElse
+)
+
+var binaryOps = map[string]bop{
+	"AND": opAnd, "OR": opOr, "XOR": opXor, "=": opEq, "<>": opNe, "<": opLt, "<=": opLe, ">": opGt,
+	">=": opGe, "LIKE": opLike, "+": opAdd, "-": opSub, "*": opMul, "/": opDiv, "%": opMod,
+}
+
+const (
+	flagNot      = 1 << iota // NOT IN, NOT BETWEEN, IS NOT NULL, NOT EXISTS
+	flagStar                 // COUNT(*)
+	flagDistinct             // AGG(DISTINCT x)
+	flagOperand              // CASE x WHEN …: nodes[kid] is x
+	flagElse                 // CASE … ELSE: the last operand is the default
+	flagPattern              // LIKE a literal: val.S is the pattern, lowered
+	flagContains             // … of the form %text%, text free of wildcards
+)
+
+// bexpr is one node of a bound expression: what the binder (plan.go)
+// makes of a sqlparser.Expr under a schema. What could not be resolved is
+// an opErr that fails when, and only when, it is evaluated. Nodes live in
+// their plan's arena and name their operands by index, so a published
+// plan holds no pointer into itself and is never written.
+type bexpr struct {
+	op     bop
+	flags  uint8
+	kid, n int32
+	val    Value
+	sel    *sqlparser.SelectStmt
+	err    error
+}
+
+// evaluator computes the bound expressions of one query level. It is a
+// stack value of that level's executor: nodes is the level's arena and
+// frames end with the level's own frame.
 type evaluator struct {
-	db *DB
+	db     *DB
+	nodes  []bexpr
+	frames []frame
 }
 
-func (ev evaluator) eval(e sqlparser.Expr, sc *scope) (Value, error) {
-	switch x := e.(type) {
-	case *sqlparser.Literal:
-		return literalValue(x), nil
-	case *sqlparser.ColumnRef:
-		s, idx, ok := sc.lookup(x.Table, x.Name)
-		if !ok {
-			return Value{}, fmt.Errorf("%w: %s", ErrNoSuchColumn, formatColRef(x))
+// setRow puts row under evaluation at this level.
+func (ev *evaluator) setRow(row []Value) { ev.frames[len(ev.frames)-1].row = row }
+
+// rowless returns ev with no frame in sight: a LIMIT clause was bound
+// seeing no row, and a subquery in it must not see one either.
+func (ev *evaluator) rowless() evaluator {
+	return evaluator{db: ev.db, nodes: ev.nodes, frames: ev.frames[len(ev.frames):]}
+}
+
+// eval evaluates node i. It keeps to the nodes a scan evaluates per row —
+// columns, literals, binary operators — and a small frame; evalOther has
+// the rest.
+func (ev *evaluator) eval(i int32) (Value, error) {
+	if v := ev.leaf(i); v != nil {
+		return *v, nil
+	}
+	n := &ev.nodes[i]
+	if n.op < opAnd || n.op > opMod {
+		return ev.evalOther(n)
+	}
+	// Operands are read where they are when they are leaves: a comparison
+	// of a column with a literal copies neither.
+	var lbuf, rbuf Value
+	left, right := ev.leaf(n.kid), ev.leaf(n.kid+1)
+	if left == nil {
+		var err error
+		if lbuf, err = ev.eval(n.kid); err != nil {
+			return Value{}, err
 		}
-		return s.row[idx], nil
-	case *sqlparser.BinaryExpr:
-		return ev.evalBinary(x, sc)
-	case *sqlparser.UnaryExpr:
-		return ev.evalUnary(x, sc)
-	case *sqlparser.FuncCall:
-		return ev.evalFunc(x, sc)
-	case *sqlparser.InExpr:
-		return ev.evalIn(x, sc)
-	case *sqlparser.BetweenExpr:
-		return ev.evalBetween(x, sc)
-	case *sqlparser.IsNullExpr:
-		v, err := ev.eval(x.Expr, sc)
+		left = &lbuf
+	}
+	// A false AND operand or a true OR operand decides the result without
+	// the other side being evaluated.
+	if (n.op == opAnd || n.op == opOr) && !left.IsNull() && left.AsBool() == (n.op == opOr) {
+		return Bool(n.op == opOr), nil
+	}
+	if right == nil {
+		var err error
+		if rbuf, err = ev.eval(n.kid + 1); err != nil {
+			return Value{}, err
+		}
+		right = &rbuf
+	}
+	return n.apply(left, right), nil
+}
+
+// leaf returns where node i's value is if it is a column or a literal,
+// else nil.
+func (ev *evaluator) leaf(i int32) *Value {
+	switch n := &ev.nodes[i]; n.op {
+	case opLit:
+		return &n.val
+	case opCol:
+		return &ev.frames[len(ev.frames)-1-int(n.kid)].row[n.n]
+	}
+	return nil
+}
+
+func (ev *evaluator) evalOther(n *bexpr) (Value, error) {
+	switch n.op {
+	case opErr, opFail:
+		return Value{}, n.err
+	case opNot, opNeg:
+		v, err := ev.eval(n.kid)
 		if err != nil {
 			return Value{}, err
 		}
-		res := v.IsNull()
-		if x.Not {
-			res = !res
+		return applyUnary(n.op, v), nil
+	case opFunc:
+		var buf [4]Value
+		args := buf[:0]
+		for k := n.kid; k < n.kid+n.n; k++ {
+			v, err := ev.eval(k)
+			if err != nil {
+				return Value{}, err
+			}
+			args = append(args, v)
 		}
-		return Bool(res), nil
-	case *sqlparser.SubqueryExpr:
-		rows, err := ev.subqueryRows(x.Select, sc)
+		if n.err != nil {
+			return Value{}, n.err
+		}
+		return ev.callScalar(n.val.S, args)
+	case opAgg:
+		return Value{}, fmt.Errorf("aggregate %s used outside grouping context", n.val.S)
+	case opIn, opInSub:
+		return ev.evalIn(n)
+	case opBetween:
+		return ev.evalBetween(n)
+	case opIsNull:
+		v, err := ev.eval(n.kid)
 		if err != nil {
 			return Value{}, err
 		}
-		if len(rows) == 0 {
+		return Bool(v.IsNull() == (n.flags&flagNot == 0)), nil
+	case opSubquery, opExists:
+		// The subquery runs one level below: it sees this level's frames,
+		// its row included.
+		res, err := ev.db.execSelect(n.sel, ev.frames, nil)
+		switch {
+		case err != nil:
+			return Value{}, err
+		case n.op == opExists:
+			return Bool((len(res.Rows) > 0) == (n.flags&flagNot == 0)), nil
+		case len(res.Rows) == 0:
 			return Null(), nil
+		case len(res.Rows) > 1:
+			return Value{}, fmt.Errorf("scalar subquery returned %d rows", len(res.Rows))
+		case len(res.Rows[0]) != 1:
+			return Value{}, fmt.Errorf("scalar subquery returned %d columns", len(res.Rows[0]))
 		}
-		if len(rows) > 1 {
-			return Value{}, fmt.Errorf("scalar subquery returned %d rows", len(rows))
-		}
-		if len(rows[0]) != 1 {
-			return Value{}, fmt.Errorf("scalar subquery returned %d columns", len(rows[0]))
-		}
-		return rows[0][0], nil
-	case *sqlparser.ExistsExpr:
-		rows, err := ev.subqueryRows(x.Select, sc)
-		if err != nil {
-			return Value{}, err
-		}
-		found := len(rows) > 0
-		if x.Not {
-			found = !found
-		}
-		return Bool(found), nil
-	case *sqlparser.Placeholder:
-		return Value{}, fmt.Errorf("unbound placeholder: use ExecArgs")
-	case *sqlparser.CaseExpr:
-		return ev.evalCase(x, sc)
+		return res.Rows[0][0], nil
 	default:
-		return Value{}, fmt.Errorf("unsupported expression %T", e)
+		return ev.evalCase(n)
 	}
 }
 
 // evalCase implements both CASE forms with MySQL semantics: the operand
 // form compares with =, the searched form evaluates each condition as a
 // boolean; no arm matching yields ELSE or NULL.
-func (ev evaluator) evalCase(x *sqlparser.CaseExpr, sc *scope) (Value, error) {
+func (ev *evaluator) evalCase(n *bexpr) (Value, error) {
+	k, end := n.kid, n.kid+n.n
 	var operand Value
-	if x.Operand != nil {
-		v, err := ev.eval(x.Operand, sc)
+	if n.flags&flagOperand != 0 {
+		v, err := ev.eval(k)
 		if err != nil {
 			return Value{}, err
 		}
 		operand = v
+		k++
 	}
-	for _, w := range x.Whens {
-		cond, err := ev.eval(w.Cond, sc)
+	if n.flags&flagElse != 0 {
+		end--
+	}
+	for ; k < end; k += 2 {
+		cond, err := ev.eval(k)
 		if err != nil {
 			return Value{}, err
 		}
-		matched := false
-		if x.Operand != nil {
+		matched := !cond.IsNull() && cond.AsBool()
+		if n.flags&flagOperand != 0 {
 			matched = Equal(operand, cond)
-		} else {
-			matched = !cond.IsNull() && cond.AsBool()
 		}
 		if matched {
-			return ev.eval(w.Result, sc)
+			return ev.eval(k + 1)
 		}
 	}
-	if x.Else != nil {
-		return ev.eval(x.Else, sc)
+	if n.flags&flagElse != 0 {
+		return ev.eval(end)
 	}
 	return Null(), nil
 }
 
-func formatColRef(c *sqlparser.ColumnRef) string {
-	if c.Table != "" {
-		return c.Table + "." + c.Name
-	}
-	return c.Name
+// compareHolds reports whether comparison op holds for a Compare result:
+// bit cmp+1 of the operator's mask says so.
+func compareHolds(op bop, cmp int) bool {
+	const masks = 0b010<<0 | 0b101<<3 | 0b001<<6 | 0b011<<9 | 0b100<<12 | 0b110<<15 // = <> < <= > >=
+	return masks>>(3*uint(op-opEq)+uint(cmp+1))&1 != 0
 }
 
-func (ev evaluator) subqueryRows(sel *sqlparser.SelectStmt, sc *scope) ([][]Value, error) {
-	res, err := ev.db.execSelect(sel, sc, nil)
-	if err != nil {
-		return nil, err
-	}
-	return res.Rows, nil
-}
-
-func (ev evaluator) evalBinary(x *sqlparser.BinaryExpr, sc *scope) (Value, error) {
-	left, err := ev.eval(x.Left, sc)
-	if err != nil {
-		return Value{}, err
-	}
-	switch x.Op {
-	case "AND", "OR":
-		// A false AND operand or a true OR operand decides the result
-		// without the other side being evaluated.
-		if !left.IsNull() && left.AsBool() == (x.Op == "OR") {
-			return Bool(x.Op == "OR"), nil
-		}
-	}
-	right, err := ev.eval(x.Right, sc)
-	if err != nil {
-		return Value{}, err
-	}
-	switch x.Op {
-	case "=", "<>", "<", "<=", ">", ">=":
-		// applyBinary's own case, kept inline: a WHERE clause runs this
-		// once per scanned row, and the extra call costs 10 % of a scan.
-		cmp, ok := Compare(left, right)
-		if !ok {
-			return Null(), nil
-		}
-		return Bool(compareHolds(x.Op, cmp)), nil
-	}
-	return applyBinary(x.Op, &left, &right)
-}
-
-func compareHolds(op string, cmp int) bool {
-	switch op {
-	case "=":
-		return cmp == 0
-	case "<>":
-		return cmp != 0
-	case "<":
-		return cmp < 0
-	case "<=":
-		return cmp <= 0
-	case ">":
-		return cmp > 0
-	default:
-		return cmp >= 0
-	}
-}
-
-// applyBinary applies a binary operator to its evaluated operands; the
-// row evaluator and the grouping evaluator share it.
-func applyBinary(op string, left, right *Value) (Value, error) {
-	switch op {
-	case "AND":
-		// Three-valued: false wins over NULL, NULL over true.
-		if (!left.IsNull() && !left.AsBool()) || (!right.IsNull() && !right.AsBool()) {
-			return Bool(false), nil
-		}
-		if left.IsNull() || right.IsNull() {
-			return Null(), nil
-		}
-		return Bool(true), nil
-	case "OR":
-		if (!left.IsNull() && left.AsBool()) || (!right.IsNull() && right.AsBool()) {
-			return Bool(true), nil
-		}
-		if left.IsNull() || right.IsNull() {
-			return Null(), nil
-		}
-		return Bool(false), nil
-	case "XOR":
-		if left.IsNull() || right.IsNull() {
-			return Null(), nil
-		}
-		return Bool(left.AsBool() != right.AsBool()), nil
-	case "=", "<>", "<", "<=", ">", ">=":
+// apply applies the binary operator n to its evaluated operands; the row
+// evaluator and the grouping evaluator share it.
+func (n *bexpr) apply(left, right *Value) Value {
+	switch n.op {
+	case opEq, opNe, opLt, opLe, opGt, opGe:
 		cmp, ok := Compare(*left, *right)
 		if !ok {
-			return Null(), nil
+			return Null()
 		}
-		return Bool(compareHolds(op, cmp)), nil
-	case "LIKE":
-		if left.IsNull() || right.IsNull() {
-			return Null(), nil
+		return Bool(compareHolds(n.op, cmp))
+	case opAnd:
+		// Three-valued: false wins over NULL, NULL over true.
+		if (!left.IsNull() && !left.AsBool()) || (!right.IsNull() && !right.AsBool()) {
+			return Bool(false)
 		}
-		return Bool(matchLike(left.String(), right.String())), nil
-	case "+", "-", "*", "/", "%":
-		if left.IsNull() || right.IsNull() {
-			return Null(), nil
+	case opOr:
+		if (!left.IsNull() && left.AsBool()) || (!right.IsNull() && right.AsBool()) {
+			return Bool(true)
 		}
-		return arith(op, *left, *right)
+	}
+	switch {
+	case left.IsNull() || right.IsNull():
+		return Null()
+	case n.op == opAnd:
+		return Bool(true)
+	case n.op == opOr:
+		return Bool(false)
+	case n.op == opXor:
+		return Bool(left.AsBool() != right.AsBool())
+	case n.op == opLike:
+		return Bool(n.like(left.String(), right))
 	default:
-		return Value{}, fmt.Errorf("unsupported operator %q", op)
+		return arith(n.op, *left, *right)
 	}
 }
 
 // arith implements MySQL-ish numeric operators: integer math stays
 // integral except for '/', which always yields a float.
-func arith(op string, a, b Value) (Value, error) {
+func arith(op bop, a, b Value) Value {
 	bothInt := a.Kind == KindInt && b.Kind == KindInt
 	switch op {
-	case "+":
+	case opAdd:
 		if bothInt {
-			return Int(a.I + b.I), nil
+			return Int(a.I + b.I)
 		}
-		return Float(a.AsFloat() + b.AsFloat()), nil
-	case "-":
+		return Float(a.AsFloat() + b.AsFloat())
+	case opSub:
 		if bothInt {
-			return Int(a.I - b.I), nil
+			return Int(a.I - b.I)
 		}
-		return Float(a.AsFloat() - b.AsFloat()), nil
-	case "*":
+		return Float(a.AsFloat() - b.AsFloat())
+	case opMul:
 		if bothInt {
-			return Int(a.I * b.I), nil
+			return Int(a.I * b.I)
 		}
-		return Float(a.AsFloat() * b.AsFloat()), nil
-	case "/":
+		return Float(a.AsFloat() * b.AsFloat())
+	case opDiv:
 		d := b.AsFloat()
 		if d == 0 {
-			return Null(), nil // MySQL: division by zero yields NULL
+			return Null() // MySQL: division by zero yields NULL
 		}
-		return Float(a.AsFloat() / d), nil
-	case "%":
+		return Float(a.AsFloat() / d)
+	default: // opMod
 		d := b.AsInt()
 		if d == 0 {
-			return Null(), nil
+			return Null()
 		}
-		return Int(a.AsInt() % d), nil
-	default:
-		return Value{}, fmt.Errorf("unsupported arithmetic %q", op)
+		return Int(a.AsInt() % d)
 	}
 }
 
-func (ev evaluator) evalUnary(x *sqlparser.UnaryExpr, sc *scope) (Value, error) {
-	v, err := ev.eval(x.Operand, sc)
-	if err != nil {
-		return Value{}, err
-	}
-	return applyUnary(x.Op, v)
-}
-
-func applyUnary(op string, v Value) (Value, error) {
+func applyUnary(op bop, v Value) Value {
 	switch {
-	case op != "NOT" && op != "-":
-		return Value{}, fmt.Errorf("unsupported unary operator %q", op)
 	case v.IsNull():
-		return Null(), nil
-	case op == "NOT":
-		return Bool(!v.AsBool()), nil
+		return Null()
+	case op == opNot:
+		return Bool(!v.AsBool())
 	case v.Kind == KindInt:
-		return Int(-v.I), nil
+		return Int(-v.I)
 	default:
-		return Float(-v.AsFloat()), nil
+		return Float(-v.AsFloat())
 	}
 }
 
-func (ev evaluator) evalIn(x *sqlparser.InExpr, sc *scope) (Value, error) {
-	left, err := ev.eval(x.Left, sc)
+// evalIn evaluates every candidate before it answers, so an error in
+// the list surfaces whether or not an earlier candidate matched.
+func (ev *evaluator) evalIn(n *bexpr) (Value, error) {
+	left, err := ev.eval(n.kid)
 	if err != nil {
 		return Value{}, err
 	}
 	if left.IsNull() {
 		return Null(), nil
 	}
-	var candidates []Value
-	if x.Subquery != nil {
-		rows, err := ev.subqueryRows(x.Subquery, sc)
+	found, sawNull := false, false
+	consider := func(c Value) {
+		sawNull = sawNull || c.IsNull()
+		found = found || Equal(left, c)
+	}
+	if n.op == opInSub {
+		res, err := ev.db.execSelect(n.sel, ev.frames, nil)
 		if err != nil {
 			return Value{}, err
 		}
-		candidates = make([]Value, 0, len(rows))
-		for _, r := range rows {
+		for _, r := range res.Rows {
 			if len(r) != 1 {
 				return Value{}, fmt.Errorf("IN subquery returned %d columns", len(r))
 			}
-			candidates = append(candidates, r[0])
-		}
-	} else {
-		candidates = make([]Value, 0, len(x.List))
-		for _, e := range x.List {
-			v, err := ev.eval(e, sc)
-			if err != nil {
-				return Value{}, err
-			}
-			candidates = append(candidates, v)
+			consider(r[0])
 		}
 	}
-	sawNull := false
-	for _, c := range candidates {
-		if c.IsNull() {
-			sawNull = true
-			continue
+	for k := n.kid + 1; k < n.kid+n.n; k++ {
+		c, err := ev.eval(k)
+		if err != nil {
+			return Value{}, err
 		}
-		if Equal(left, c) {
-			return Bool(!x.Not), nil
-		}
+		consider(c)
 	}
-	if sawNull {
+	switch {
+	case found:
+		return Bool(n.flags&flagNot == 0), nil
+	case sawNull:
 		return Null(), nil
+	default:
+		return Bool(n.flags&flagNot != 0), nil
 	}
-	return Bool(x.Not), nil
 }
 
-func (ev evaluator) evalBetween(x *sqlparser.BetweenExpr, sc *scope) (Value, error) {
-	v, err := ev.eval(x.Expr, sc)
-	if err != nil {
-		return Value{}, err
+func (ev *evaluator) evalBetween(n *bexpr) (Value, error) {
+	var v [3]Value
+	for k := range v {
+		var err error
+		if v[k], err = ev.eval(n.kid + int32(k)); err != nil {
+			return Value{}, err
+		}
 	}
-	low, err := ev.eval(x.Low, sc)
-	if err != nil {
-		return Value{}, err
-	}
-	high, err := ev.eval(x.High, sc)
-	if err != nil {
-		return Value{}, err
-	}
-	c1, ok1 := Compare(v, low)
-	c2, ok2 := Compare(v, high)
+	c1, ok1 := Compare(v[0], v[1])
+	c2, ok2 := Compare(v[0], v[2])
 	if !ok1 || !ok2 {
 		return Null(), nil
 	}
-	in := c1 >= 0 && c2 <= 0
-	if x.Not {
-		in = !in
+	return Bool((c1 >= 0 && c2 <= 0) == (n.flags&flagNot == 0)), nil
+}
+
+// setPattern binds a LIKE whose pattern is a literal: it is lowered here,
+// once, and "%text%" with nothing else special in it becomes a substring
+// search.
+func (n *bexpr) setPattern(p string) {
+	n.val = Str(strings.ToLower(p))
+	n.flags |= flagPattern
+	if p = n.val.S; len(p) >= 2 && p[0] == '%' && p[len(p)-1] == '%' && !strings.ContainsAny(p[1:len(p)-1], `%_\`) {
+		n.flags |= flagContains
 	}
-	return Bool(in), nil
 }
 
-// matchLike implements SQL LIKE with % and _ wildcards, case-insensitive
-// (MySQL's default collation).
-func matchLike(s, pattern string) bool {
-	return likeMatch(strings.ToLower(s), strings.ToLower(pattern))
+// like implements SQL LIKE with % and _ wildcards, case-insensitive
+// (MySQL's default collation): the answer is likeMatch over both sides
+// lowered with strings.ToLower. An ASCII string is never lowered — the
+// matchers fold its letters as they compare — so only a subject or a
+// computed pattern with other runes in it pays for a copy.
+func (n *bexpr) like(s string, pattern *Value) bool {
+	if !isASCII(s) {
+		s = strings.ToLower(s)
+	}
+	p := n.val.S
+	if n.flags&flagPattern == 0 {
+		if p = pattern.String(); !isASCII(p) {
+			p = strings.ToLower(p)
+		}
+	}
+	// likeMatch pairs a '%' in the subject with one in the pattern before it
+	// reads the pattern's as a wildcard; the substring search cannot.
+	if n.flags&flagContains != 0 && strings.IndexByte(s, '%') < 0 {
+		return containsFold(s, p[1:len(p)-1])
+	}
+	return likeMatch(s, p)
 }
 
+func isASCII(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if s[i] >= 0x80 {
+			return false
+		}
+	}
+	return true
+}
+
+// foldByte lowers an ASCII letter and returns every other byte as it is.
+func foldByte(c byte) byte {
+	if 'A' <= c && c <= 'Z' {
+		return c + ('a' - 'A')
+	}
+	return c
+}
+
+// containsFold reports whether sub, already lowered, occurs in s with
+// ASCII case folded.
+func containsFold(s, sub string) bool {
+	for i := 0; i+len(sub) <= len(s); i++ {
+		j := 0
+		for j < len(sub) && foldByte(s[i+j]) == sub[j] {
+			j++
+		}
+		if j == len(sub) {
+			return true
+		}
+	}
+	return false
+}
+
+// likeMatch matches s against pattern p byte by byte, ASCII case folded
+// on both sides.
 func likeMatch(s, p string) bool {
 	// Iterative two-pointer match with backtracking on '%'.
 	var si, pi int
@@ -441,7 +530,7 @@ func likeMatch(s, p string) bool {
 			pi = star + 1
 			sBack++
 			si = sBack
-		case pi < len(p) && (p[pi] == '_' || p[pi] == s[si]):
+		case pi < len(p) && (p[pi] == '_' || foldByte(p[pi]) == foldByte(s[si])):
 			si++
 			pi++
 		case pi < len(p) && p[pi] == '%':
@@ -462,30 +551,17 @@ func likeMatch(s, p string) bool {
 	return pi == len(p)
 }
 
-// evalFunc dispatches scalar functions. Aggregates are handled by the
-// grouping executor and reaching one here is an error.
-func (ev evaluator) evalFunc(x *sqlparser.FuncCall, sc *scope) (Value, error) {
-	if isAggregateName(x.Name) {
-		return Value{}, fmt.Errorf("aggregate %s used outside grouping context", x.Name)
-	}
-	args := make([]Value, 0, len(x.Args))
-	for _, a := range x.Args {
-		v, err := ev.eval(a, sc)
-		if err != nil {
-			return Value{}, err
-		}
-		args = append(args, v)
-	}
-	return ev.callScalar(x.Name, args)
+// scalarArity is the argument count of each scalar function that takes
+// a fixed number. The binder checks it (an opFunc with the wrong count
+// carries the error and raises it once its arguments are evaluated), so
+// callScalar indexes args without looking.
+var scalarArity = map[string]int{
+	"LOWER": 1, "LCASE": 1, "UPPER": 1, "UCASE": 1, "LENGTH": 1, "CHAR_LENGTH": 1, "TRIM": 1, "LTRIM": 1,
+	"RTRIM": 1, "REPLACE": 3, "LEFT": 2, "RIGHT": 2, "ABS": 1, "FLOOR": 1, "CEIL": 1, "CEILING": 1, "MOD": 2,
+	"IF": 3, "IFNULL": 2, "NULLIF": 2, "MD5": 1, "SHA1": 1, "HEX": 1,
 }
 
-func (ev evaluator) callScalar(name string, args []Value) (Value, error) {
-	argn := func(n int) error {
-		if len(args) != n {
-			return fmt.Errorf("%s expects %d arguments, got %d", name, n, len(args))
-		}
-		return nil
-	}
+func (ev *evaluator) callScalar(name string, args []Value) (Value, error) {
 	switch name {
 	case "CONCAT":
 		var b strings.Builder
@@ -510,48 +586,27 @@ func (ev evaluator) callScalar(name string, args []Value) (Value, error) {
 		}
 		return Str(strings.Join(parts, sep)), nil
 	case "LOWER", "LCASE":
-		if err := argn(1); err != nil {
-			return Value{}, err
-		}
 		if args[0].IsNull() {
 			return Null(), nil
 		}
 		return Str(strings.ToLower(args[0].String())), nil
 	case "UPPER", "UCASE":
-		if err := argn(1); err != nil {
-			return Value{}, err
-		}
 		if args[0].IsNull() {
 			return Null(), nil
 		}
 		return Str(strings.ToUpper(args[0].String())), nil
 	case "LENGTH", "CHAR_LENGTH":
-		if err := argn(1); err != nil {
-			return Value{}, err
-		}
 		if args[0].IsNull() {
 			return Null(), nil
 		}
 		return Int(int64(len(args[0].String()))), nil
 	case "TRIM":
-		if err := argn(1); err != nil {
-			return Value{}, err
-		}
 		return Str(strings.TrimSpace(args[0].String())), nil
 	case "LTRIM":
-		if err := argn(1); err != nil {
-			return Value{}, err
-		}
 		return Str(strings.TrimLeft(args[0].String(), " ")), nil
 	case "RTRIM":
-		if err := argn(1); err != nil {
-			return Value{}, err
-		}
 		return Str(strings.TrimRight(args[0].String(), " ")), nil
 	case "REPLACE":
-		if err := argn(3); err != nil {
-			return Value{}, err
-		}
 		return Str(strings.ReplaceAll(args[0].String(), args[1].String(), args[2].String())), nil
 	case "SUBSTRING", "SUBSTR":
 		if len(args) != 2 && len(args) != 3 {
@@ -580,9 +635,6 @@ func (ev evaluator) callScalar(name string, args []Value) (Value, error) {
 		}
 		return Str(out), nil
 	case "LEFT":
-		if err := argn(2); err != nil {
-			return Value{}, err
-		}
 		s := args[0].String()
 		n := int(args[1].AsInt())
 		if n < 0 {
@@ -593,9 +645,6 @@ func (ev evaluator) callScalar(name string, args []Value) (Value, error) {
 		}
 		return Str(s[:n]), nil
 	case "RIGHT":
-		if err := argn(2); err != nil {
-			return Value{}, err
-		}
 		s := args[0].String()
 		n := int(args[1].AsInt())
 		if n < 0 {
@@ -606,9 +655,6 @@ func (ev evaluator) callScalar(name string, args []Value) (Value, error) {
 		}
 		return Str(s[len(s)-n:]), nil
 	case "ABS":
-		if err := argn(1); err != nil {
-			return Value{}, err
-		}
 		if args[0].Kind == KindInt {
 			if args[0].I < 0 {
 				return Int(-args[0].I), nil
@@ -627,40 +673,22 @@ func (ev evaluator) callScalar(name string, args []Value) (Value, error) {
 		mult := math.Pow(10, float64(digits))
 		return Float(math.Round(args[0].AsFloat()*mult) / mult), nil
 	case "FLOOR":
-		if err := argn(1); err != nil {
-			return Value{}, err
-		}
 		return Int(int64(math.Floor(args[0].AsFloat()))), nil
 	case "CEIL", "CEILING":
-		if err := argn(1); err != nil {
-			return Value{}, err
-		}
 		return Int(int64(math.Ceil(args[0].AsFloat()))), nil
 	case "MOD":
-		if err := argn(2); err != nil {
-			return Value{}, err
-		}
-		return arith("%", args[0], args[1])
+		return arith(opMod, args[0], args[1]), nil
 	case "IF":
-		if err := argn(3); err != nil {
-			return Value{}, err
-		}
 		if !args[0].IsNull() && args[0].AsBool() {
 			return args[1], nil
 		}
 		return args[2], nil
 	case "IFNULL":
-		if err := argn(2); err != nil {
-			return Value{}, err
-		}
 		if args[0].IsNull() {
 			return args[1], nil
 		}
 		return args[0], nil
 	case "NULLIF":
-		if err := argn(2); err != nil {
-			return Value{}, err
-		}
 		if Equal(args[0], args[1]) {
 			return Null(), nil
 		}
@@ -677,21 +705,12 @@ func (ev evaluator) callScalar(name string, args []Value) (Value, error) {
 	case "LEAST":
 		return extremum(args, -1)
 	case "MD5":
-		if err := argn(1); err != nil {
-			return Value{}, err
-		}
 		sum := md5.Sum([]byte(args[0].String()))
 		return Str(hex.EncodeToString(sum[:])), nil
 	case "SHA1":
-		if err := argn(1); err != nil {
-			return Value{}, err
-		}
 		sum := sha1.Sum([]byte(args[0].String()))
 		return Str(hex.EncodeToString(sum[:])), nil
 	case "HEX":
-		if err := argn(1); err != nil {
-			return Value{}, err
-		}
 		return Str(strings.ToUpper(hex.EncodeToString([]byte(args[0].String())))), nil
 	case "NOW", "CURRENT_TIMESTAMP":
 		return Str(ev.db.clock().UTC().Format("2006-01-02 15:04:05")), nil

@@ -2,6 +2,8 @@ package engine
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"strings"
 
 	"github.com/septic-db/septic/internal/sqlparser"
@@ -33,8 +35,9 @@ func (db *DB) execInsert(s *sqlparser.InsertStmt) (*Result, error) {
 	}
 
 	var tuples [][]Value
+	var frameBuf [4]frame // for the subqueries of the statement, which has no row of its own
 	if s.Select != nil {
-		res, err := db.execSelect(s.Select, nil, nil)
+		res, err := db.execSelect(s.Select, frameBuf[:0], nil)
 		if err != nil {
 			return nil, err
 		}
@@ -46,11 +49,17 @@ func (db *DB) execInsert(s *sqlparser.InsertStmt) (*Result, error) {
 			tuples = append(tuples, r)
 		}
 	} else {
-		ev := evaluator{db: db}
+		var b binder // of the VALUES that are not plain literals
 		for _, row := range s.Rows {
 			tuple := make([]Value, 0, len(row))
 			for _, e := range row {
-				v, err := ev.eval(e, &noScope)
+				if lit, ok := e.(*sqlparser.Literal); ok {
+					tuple = append(tuple, literalValue(lit))
+					continue
+				}
+				at := b.bind(e, nil)
+				ev := evaluator{db: db, nodes: b.nodes, frames: frameBuf[:0]}
+				v, err := ev.eval(at)
 				if err != nil {
 					return nil, err
 				}
@@ -97,7 +106,7 @@ func (db *DB) execInsert(s *sqlparser.InsertStmt) (*Result, error) {
 				t.nextAuto = newRow[i].I + 1
 			}
 		}
-		if err := t.checkUnique(newRow, -1); err != nil {
+		if err := t.checkUnique(newRow, nil, -1); err != nil {
 			return nil, err
 		}
 		t.Rows = append(t.Rows, newRow)
@@ -108,16 +117,18 @@ func (db *DB) execInsert(s *sqlparser.InsertStmt) (*Result, error) {
 }
 
 // checkUnique verifies the candidate row violates no UNIQUE constraint.
-// skip is a row index to ignore (the row being updated), or -1. Indexed
-// columns answer in O(1); a missing index (never expected, but cheap to
-// tolerate) falls back to a scan.
-func (t *Table) checkUnique(candidate []Value, skip int) error {
+// For an UPDATE, old is the row being replaced and skip its position: a
+// column whose value did not change cannot newly collide and is not
+// probed. An INSERT passes nil and -1. Indexed columns answer in O(1); a
+// missing index (never expected, but cheap to tolerate) falls back to a
+// scan.
+func (t *Table) checkUnique(candidate, old []Value, skip int) error {
 	for ci, col := range t.Columns {
-		if !col.Unique || candidate[ci].IsNull() {
+		if !col.Unique || candidate[ci].IsNull() || (old != nil && sameValue(old[ci], candidate[ci])) {
 			continue
 		}
-		if ri, indexed := t.lookupUnique(ci, candidate[ci]); indexed {
-			if ri >= 0 && ri != skip {
+		if idx, indexed := t.indexes[ci]; indexed { // candidate is coerced: its text is its key
+			if ri, found := indexFind(idx, candidate[ci]); found && ri != skip {
 				return fmt.Errorf("%w %q for column %q", ErrDuplicate,
 					candidate[ci].String(), col.Name)
 			}
@@ -136,56 +147,52 @@ func (t *Table) checkUnique(candidate []Value, skip int) error {
 	return nil
 }
 
-// execUpdate runs an UPDATE under the caller-held write lock.
-func (db *DB) execUpdate(s *sqlparser.UpdateStmt) (*Result, error) {
-	t := db.tables[strings.ToLower(s.Table)]
+// execUpdate runs an UPDATE off its plan under the caller-held write
+// lock. frames is empty: the statement's own row is the outermost level.
+func (db *DB) execUpdate(s *sqlparser.UpdateStmt, p *plan, frames []frame) (*Result, error) {
+	t := p.table
 	if t == nil {
 		return nil, fmt.Errorf("%w: %s", ErrNoSuchTable, s.Table)
 	}
-	ev := evaluator{db: db}
-	sc := &scope{layout: t.layout}
-
-	targets, err := db.dmlTargets(t, s.Where, s.OrderBy, s.Limit, sc, ev)
+	ev := evaluator{db: db, nodes: p.nodes, frames: append(frames, frame{layout: &p.layout})}
+	var one [1]int
+	targets, err := ev.dmlTargets(p, s.OrderBy, one[:0])
 	if err != nil {
 		return nil, err
 	}
-
-	setIdx := make([]int, len(s.Sets))
-	for i, a := range s.Sets {
-		idx := t.colIndex(a.Column)
-		if idx < 0 {
-			return nil, fmt.Errorf("%w: %s.%s", ErrNoSuchColumn, s.Table, a.Column)
+	for i, ci := range p.cols {
+		if ci < 0 {
+			return nil, fmt.Errorf("%w: %s.%s", ErrNoSuchColumn, s.Table, s.Sets[i].Column)
 		}
-		setIdx[i] = idx
 	}
 
 	res := &Result{}
 	for _, ri := range targets {
-		sc.row = t.Rows[ri]
-		updated := make([]Value, len(t.Rows[ri]))
-		copy(updated, t.Rows[ri])
+		old := t.Rows[ri]
+		ev.setRow(old)
+		updated := make([]Value, len(old))
+		copy(updated, old)
 		changed := false
-		for i, a := range s.Sets {
-			v, err := ev.eval(a.Value, sc)
+		for i, ci := range p.cols {
+			v, err := ev.eval(p.sets + int32(i))
 			if err != nil {
 				return nil, err
 			}
-			cv, err := t.Columns[setIdx[i]].coerce(v)
+			cv, err := t.Columns[ci].coerce(v)
 			if err != nil {
 				return nil, err
 			}
-			if !sameValue(updated[setIdx[i]], cv) {
+			if !sameValue(updated[ci], cv) {
 				changed = true
 			}
-			updated[setIdx[i]] = cv
+			updated[ci] = cv
 		}
 		if !changed {
 			continue
 		}
-		if err := t.checkUnique(updated, ri); err != nil {
+		if err := t.checkUnique(updated, old, ri); err != nil {
 			return nil, err
 		}
-		old := t.Rows[ri]
 		t.Rows[ri] = updated
 		t.indexUpdate(ri, old, updated)
 		res.Affected++
@@ -193,64 +200,48 @@ func (db *DB) execUpdate(s *sqlparser.UpdateStmt) (*Result, error) {
 	return res, nil
 }
 
-// execDelete runs a DELETE under the caller-held write lock.
-func (db *DB) execDelete(s *sqlparser.DeleteStmt) (*Result, error) {
-	t := db.tables[strings.ToLower(s.Table)]
+// execDelete runs a DELETE off its plan under the caller-held write lock.
+func (db *DB) execDelete(s *sqlparser.DeleteStmt, p *plan, frames []frame) (*Result, error) {
+	t := p.table
 	if t == nil {
 		return nil, fmt.Errorf("%w: %s", ErrNoSuchTable, s.Table)
 	}
-	ev := evaluator{db: db}
-	sc := &scope{layout: t.layout}
-
-	targets, err := db.dmlTargets(t, s.Where, s.OrderBy, s.Limit, sc, ev)
+	ev := evaluator{db: db, nodes: p.nodes, frames: append(frames, frame{layout: &p.layout})}
+	var one [1]int
+	targets, err := ev.dmlTargets(p, s.OrderBy, one[:0])
 	if err != nil {
 		return nil, err
 	}
-	if len(targets) == 0 {
-		return &Result{}, nil
+	if len(targets) > 0 {
+		slices.Sort(targets)
+		t.deleteRows(targets)
 	}
-	doomed := make(map[int]bool, len(targets))
-	for _, ri := range targets {
-		doomed[ri] = true
-	}
-	kept := t.Rows[:0]
-	for ri, row := range t.Rows {
-		if !doomed[ri] {
-			kept = append(kept, row)
-		}
-	}
-	t.Rows = kept
-	// Row positions shifted: the unique indexes must be rebuilt.
-	t.rebuildIndexes()
 	return &Result{Affected: int64(len(targets))}, nil
 }
 
-// dmlTargets returns the indices of rows selected by WHERE, ordered by
-// ORDER BY and truncated by LIMIT (MySQL supports both on UPDATE/DELETE).
-func (db *DB) dmlTargets(t *Table, where sqlparser.Expr, orderBy []sqlparser.OrderItem,
-	limit *sqlparser.Limit, sc *scope, ev evaluator) ([]int, error) {
+// dmlTargets returns the positions of the rows the plan's access path and
+// WHERE clause select — the select's probe and the select's scan — ordered
+// by ORDER BY and truncated by LIMIT (MySQL supports both on
+// UPDATE/DELETE). buf is room for a probe's one hit.
+func (ev *evaluator) dmlTargets(p *plan, orderBy []sqlparser.OrderItem, buf []int) ([]int, error) {
+	t := p.table
 	var targets []int
-	for ri, row := range t.Rows {
-		if where != nil {
-			sc.row = row
-			v, err := ev.eval(where, sc)
-			if err != nil {
-				return nil, err
-			}
-			if v.IsNull() || !v.AsBool() {
-				continue
-			}
+	if p.indexCol < 0 {
+		var err error
+		if targets, err = filterRows(ev, p.where, t.Rows, keepPos); err != nil {
+			return nil, err
 		}
-		targets = append(targets, ri)
+	} else if ri, ok := t.indexes[p.indexCol][p.key]; ok {
+		targets = append(buf, ri)
 	}
 	if len(orderBy) > 0 {
 		keys := make([]Value, 0, len(targets)*len(orderBy))
 		order := make([]int, len(targets))
 		for i, ri := range targets {
 			order[i] = i
-			sc.row = t.Rows[ri]
-			for _, o := range orderBy {
-				v, err := ev.eval(o.Expr, sc)
+			ev.setRow(t.Rows[ri])
+			for _, pos := range p.orderPos {
+				v, err := ev.eval(^pos)
 				if err != nil {
 					return nil, err
 				}
@@ -263,8 +254,9 @@ func (db *DB) dmlTargets(t *Table, where sqlparser.Expr, orderBy []sqlparser.Ord
 		}
 		targets = order
 	}
-	if limit != nil {
-		count, err := ev.eval(limit.Count, &noScope)
+	if p.limitCount != noExpr {
+		bare := ev.rowless()
+		count, err := bare.eval(p.limitCount)
 		if err != nil {
 			return nil, err
 		}
@@ -277,13 +269,23 @@ func (db *DB) dmlTargets(t *Table, where sqlparser.Expr, orderBy []sqlparser.Ord
 }
 
 // sameValue reports strict equality including NULL==NULL (used to count
-// affected rows the way MySQL does: unchanged rows are not counted).
+// affected rows the way MySQL does: unchanged rows are not counted). Two
+// values are the same when their kinds and their texts are: every NaN
+// with every NaN, 0 apart from -0.
 func sameValue(a, b Value) bool {
-	if a.IsNull() && b.IsNull() {
-		return true
-	}
-	if a.IsNull() != b.IsNull() {
+	if a.Kind != b.Kind {
 		return false
 	}
-	return a.Kind == b.Kind && a.String() == b.String()
+	switch a.Kind {
+	case KindInt:
+		return a.I == b.I
+	case KindFloat:
+		return (a.F == b.F && math.Signbit(a.F) == math.Signbit(b.F)) || (a.F != a.F && b.F != b.F)
+	case KindString:
+		return a.S == b.S
+	case KindBool:
+		return a.B == b.B
+	default:
+		return true
+	}
 }

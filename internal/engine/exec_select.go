@@ -8,18 +8,18 @@ import (
 	"github.com/septic-db/septic/internal/sqlparser"
 )
 
-// execSelect runs a SELECT under the caller-held locks. parent is the
-// enclosing scope for correlated subqueries (nil at top level); p is the
-// statement's plan at top level and nil for a subquery, which plans
-// itself as it runs.
-func (db *DB) execSelect(s *sqlparser.SelectStmt, parent *scope, p *selectPlan) (*Result, error) {
-	res, err := db.execSelectBranch(s, parent, p)
+// execSelect runs a SELECT under the caller-held locks. outer are the
+// frames of the enclosing levels for correlated subqueries (empty at top
+// level); p is the statement's plan at top level and nil for a subquery,
+// which plans itself as it runs.
+func (db *DB) execSelect(s *sqlparser.SelectStmt, outer []frame, p *plan) (*Result, error) {
+	res, err := db.execSelectBranch(s, outer, p)
 	if err != nil {
 		return nil, err
 	}
 	// UNION chain: evaluate each branch and merge.
 	for u := s.Union; u != nil; u = u.Next.Union {
-		branch, err := db.execSelectBranch(u.Next, parent, nil)
+		branch, err := db.execSelectBranch(u.Next, outer, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -38,19 +38,21 @@ func (db *DB) execSelect(s *sqlparser.SelectStmt, parent *scope, p *selectPlan) 
 // execSelectBranch runs one SELECT without its UNION tail. A branch over
 // one base table runs off a plan — p if the statement has one, else one
 // built here and dropped; anything else materialises its FROM clause
-// first and then plans the SELECT list over the layout that produced.
+// first and then binds the statement over the layout that produced.
 // Either way the rows end up in one rowBlock.
-func (db *DB) execSelectBranch(s *sqlparser.SelectStmt, parent *scope, p *selectPlan) (*Result, error) {
-	ev := evaluator{db: db}
-	sc := &scope{parent: parent}
-	if p == nil || p.table == nil {
-		p = new(selectPlan)
-		db.planTable(p, s)
+func (db *DB) execSelectBranch(s *sqlparser.SelectStmt, outer []frame, p *plan) (*Result, error) {
+	stored := p != nil && p.table != nil
+	if !stored {
+		p = new(plan)
 	}
+	ev := evaluator{db: db, frames: append(outer, frame{layout: &p.layout})}
+	if !stored {
+		db.planSelect(p, s, ev.frames)
+	}
+	ev.nodes = p.nodes
 	var rows [][]Value
 	var err error
 	if t := p.table; t != nil {
-		sc.layout = p.layout
 		switch {
 		case p.indexCol >= 0:
 			// The probe consumed the WHERE clause; a window into the
@@ -58,76 +60,60 @@ func (db *DB) execSelectBranch(s *sqlparser.SelectStmt, parent *scope, p *select
 			if ri, ok := t.indexes[p.indexCol][p.key]; ok {
 				rows = t.Rows[ri : ri+1]
 			}
-		case s.Where == nil:
+		case p.where == noExpr:
 			// Nothing below reorders or keeps source rows, so the table's
 			// row headers are read in place.
 			rows = t.Rows
 		default:
-			rows, err = filterRows(t.Rows, s.Where, sc, ev)
+			rows, err = filterRows(&ev, p.where, t.Rows, keepRow)
 		}
-	} else {
-		if rows, err = db.buildRowSource(s.From, sc, ev); err == nil && s.Where != nil {
-			rows, err = filterRows(rows, s.Where, sc, ev)
+	} else if rows, err = ev.buildRowSource(s.From, p); err == nil {
+		p.bindSelect(s, ev.frames)
+		if ev.nodes = p.nodes; p.where != noExpr {
+			rows, err = filterRows(&ev, p.where, rows, keepRow)
 		}
-		p.layout = sc.layout
-		p.project(s)
 	}
 	if err != nil {
 		return nil, err
 	}
 	if p.hasAgg {
-		return execAggregate(s, p, sc, rows, ev)
+		return ev.execAggregate(s, p, rows)
 	}
 
 	b := newRowBlock(len(rows), p, s)
 	for _, row := range rows {
-		sc.row = row
-		base := len(b.vals)
-		for _, c := range p.cols {
-			if c >= 0 {
-				b.vals = append(b.vals, row[c])
-				continue
-			}
-			v, err := ev.eval(s.Fields[^c].Expr, sc)
+		ev.setRow(row)
+		if err := ev.addRow(&b, p, row, nil); err != nil {
+			return nil, err
+		}
+	}
+	return b.result(len(rows), s, p, &ev)
+}
+
+// filterRows is the scan: it evaluates the bound WHERE clause over rows,
+// at ev's level, and returns what keep makes of each row it holds for —
+// the row for a SELECT (keepRow), its position for DML (keepPos). noExpr
+// holds for every row.
+func filterRows[T any](ev *evaluator, where int32, rows [][]Value, keep func(int, []Value) T) ([]T, error) {
+	var kept []T
+	for ri, row := range rows {
+		if where != noExpr {
+			ev.setRow(row)
+			v, err := ev.eval(where)
 			if err != nil {
 				return nil, err
 			}
-			b.vals = append(b.vals, v)
-		}
-		for i, pos := range p.orderPos {
-			switch pos {
-			case orderByRange:
-				return nil, orderRangeError(s.OrderBy[i])
-			case orderByExpr:
-				// Any expression over the source row.
-				v, err := ev.eval(s.OrderBy[i].Expr, sc)
-				if err != nil {
-					return nil, err
-				}
-				b.keys = append(b.keys, v)
-			default:
-				b.keys = append(b.keys, b.vals[base+pos])
+			if v.IsNull() || !v.AsBool() {
+				continue
 			}
 		}
-	}
-	return b.result(len(rows), s, p, ev)
-}
-
-// filterRows returns the rows for which where holds.
-func filterRows(rows [][]Value, where sqlparser.Expr, sc *scope, ev evaluator) ([][]Value, error) {
-	var kept [][]Value
-	for _, row := range rows {
-		sc.row = row
-		v, err := ev.eval(where, sc)
-		if err != nil {
-			return nil, err
-		}
-		if !v.IsNull() && v.AsBool() {
-			kept = append(kept, row)
-		}
+		kept = append(kept, keep(ri, row))
 	}
 	return kept, nil
 }
+
+func keepRow(_ int, row []Value) []Value { return row }
+func keepPos(ri int, _ []Value) int      { return ri }
 
 // rowBlock is a result under construction: every row's cells in one flat
 // slice of rows × width values, and the rows' ORDER BY keys in a second
@@ -139,13 +125,55 @@ type rowBlock struct {
 }
 
 // newRowBlock sizes a block for at most n rows of plan p.
-func newRowBlock(n int, p *selectPlan, s *sqlparser.SelectStmt) rowBlock {
+func newRowBlock(n int, p *plan, s *sqlparser.SelectStmt) rowBlock {
 	b := rowBlock{width: len(p.names)}
 	b.vals = make([]Value, 0, n*b.width)
 	if len(s.OrderBy) > 0 {
 		b.keys = make([]Value, 0, n*len(s.OrderBy))
 	}
 	return b
+}
+
+// addRow appends one result row and its sort keys to b: cells come from
+// row (nil reads as NULLs: an empty group) or from the plan's nodes.
+func (ev *evaluator) addRow(b *rowBlock, p *plan, row []Value, group [][]Value) error {
+	base := len(b.vals)
+	for _, c := range p.cols {
+		if c >= 0 && row != nil {
+			b.vals = append(b.vals, row[c])
+			continue
+		}
+		v, err := ev.compute(p, c, group)
+		if err != nil {
+			return err
+		}
+		b.vals = append(b.vals, v)
+	}
+	for _, pos := range p.orderPos {
+		if pos >= 0 {
+			b.keys = append(b.keys, b.vals[base+int(pos)])
+			continue
+		}
+		v, err := ev.compute(p, pos, group)
+		if err != nil {
+			return err
+		}
+		b.keys = append(b.keys, v)
+	}
+	return nil
+}
+
+// compute evaluates node ^src, over group when the branch aggregates,
+// else at ev's row; src ≥ 0 is a plain column of an empty group: NULL.
+func (ev *evaluator) compute(p *plan, src int32, group [][]Value) (Value, error) {
+	switch {
+	case src >= 0:
+		return Null(), nil
+	case p.hasAgg:
+		return ev.evalGroup(^src, group)
+	default:
+		return ev.eval(^src)
+	}
 }
 
 // row returns row i as a window capped at its own width, so a caller
@@ -157,7 +185,7 @@ func (b *rowBlock) row(i int) []Value {
 // result applies DISTINCT, ORDER BY and LIMIT to the block's n rows —
 // all three only pick and permute row numbers, no cell moves — and
 // windows the survivors into a Result.
-func (b *rowBlock) result(n int, s *sqlparser.SelectStmt, p *selectPlan, ev evaluator) (*Result, error) {
+func (b *rowBlock) result(n int, s *sqlparser.SelectStmt, p *plan, ev *evaluator) (*Result, error) {
 	var order []int // row numbers in output order; nil means 0..n-1
 	if s.Distinct {
 		order = make([]int, 0, n)
@@ -178,12 +206,12 @@ func (b *rowBlock) result(n int, s *sqlparser.SelectStmt, p *selectPlan, ev eval
 		}
 		sortByKeys(order, b.keys, s.OrderBy)
 	}
-	lo, hi, err := limitRange(s.Limit, n, ev)
+	lo, hi, err := ev.limitRange(p, n)
 	if err != nil {
 		return nil, err
 	}
 	res := &Result{Columns: p.names}
-	if lo < n || s.Limit == nil {
+	if lo < n || p.limitCount == noExpr {
 		res.Rows = make([][]Value, hi-lo)
 	}
 	for i := range res.Rows {
@@ -197,23 +225,29 @@ func (b *rowBlock) result(n int, s *sqlparser.SelectStmt, p *selectPlan, ev eval
 }
 
 // buildRowSource materializes the FROM clause — cross/inner/left joins
-// of tables and derived tables — and leaves its layout in sc.
-func (db *DB) buildRowSource(from []sqlparser.TableRef, sc *scope, ev evaluator) ([][]Value, error) {
+// of tables and derived tables — leaving its layout in p (the level's
+// own frame points there) and each ON clause bound in p's arena.
+func (ev *evaluator) buildRowSource(from []sqlparser.TableRef, p *plan) ([][]Value, error) {
 	if len(from) == 0 {
 		// SELECT without FROM: one empty row.
 		return [][]Value{{}}, nil
 	}
+	// A derived table sees the enclosing levels only; the cap keeps its
+	// frame from landing on this level's.
+	outer := ev.frames[: len(ev.frames)-1 : len(ev.frames)-1]
 	var rows [][]Value
 	for i, ref := range from {
-		name, cols, tblRows, err := db.resolveTableRef(ref, sc.parent)
+		name, cols, tblRows, err := ev.db.resolveTableRef(ref, outer)
 		if err != nil {
 			return nil, err
 		}
-		sc.addSource(name, cols)
+		p.addSource(name, cols)
 		if i == 0 {
 			rows = tblRows
 			continue
 		}
+		on := p.bind(ref.On, ev.frames)
+		ev.nodes = p.nodes
 		joined := make([][]Value, 0, len(rows))
 		width := len(cols)
 		for _, left := range rows {
@@ -222,9 +256,9 @@ func (db *DB) buildRowSource(from []sqlparser.TableRef, sc *scope, ev evaluator)
 				combined := make([]Value, 0, len(left)+width)
 				combined = append(combined, left...)
 				combined = append(combined, right...)
-				if ref.On != nil {
-					sc.row = combined
-					v, err := ev.eval(ref.On, sc)
+				if on != noExpr {
+					ev.setRow(combined)
+					v, err := ev.eval(on)
 					if err != nil {
 						return nil, err
 					}
@@ -252,9 +286,9 @@ func (db *DB) buildRowSource(from []sqlparser.TableRef, sc *scope, ev evaluator)
 // resolveTableRef returns the scope name, column names and rows of one
 // FROM entry. A base table's rows are its own row headers, read in
 // place: joins build new rows and sorting permutes row numbers.
-func (db *DB) resolveTableRef(ref sqlparser.TableRef, parent *scope) (string, []string, [][]Value, error) {
+func (db *DB) resolveTableRef(ref sqlparser.TableRef, outer []frame) (string, []string, [][]Value, error) {
 	if ref.Subquery != nil {
-		res, err := db.execSelect(ref.Subquery, parent, nil)
+		res, err := db.execSelect(ref.Subquery, outer, nil)
 		if err != nil {
 			return "", nil, nil, err
 		}
@@ -284,24 +318,66 @@ func aliasIndex(fields []sqlparser.SelectField, name string) int {
 	return -1
 }
 
-// sortByKeys stably sorts row numbers by their keys (row i's are
-// keys[i*len(orderBy):]) under the ORDER BY directions, so ties keep
-// insertion order like MySQL's filesort on equal keys.
+// Sort key classes: what comparing two non-NULL keys of one ORDER BY
+// item takes, decided once per sort from the kinds the item's keys have.
+const (
+	keysMixed   = iota // strings beside other kinds, or a NaN: Compare decides per pair
+	keysText           // strings only: byte order of S
+	keysNumeric        // no string: numeric order of F, which sortByKeys fills in
+)
+
+// sortByKeys stably sorts row numbers, ascending on entry, by their keys
+// (row i's are keys[i*len(orderBy):]) under the ORDER BY directions, so
+// ties keep insertion order like MySQL's filesort on equal keys. It
+// agrees with Compare on every pair: Compare orders two strings as
+// strings and any other pair by AsFloat, so an item whose keys are all
+// strings, or none, compares one field. keys is scratch: a key's numeric
+// value is left in its F.
 func sortByKeys(order []int, keys []Value, orderBy []sqlparser.OrderItem) {
 	nk := len(orderBy)
-	slices.SortStableFunc(order, func(a, b int) int {
-		for i := range orderBy {
-			va, vb := keys[a*nk+i], keys[b*nk+i]
+	var classBuf [4]uint8
+	class := append(classBuf[:0], make([]uint8, nk)...)
+	total := true // every item orders its keys totally
+	for i := range class {
+		text, other, nan := false, false, false
+		for k := i; k < len(keys); k += nk {
+			if v := &keys[k]; v.Kind == KindString {
+				text = true
+			} else if v.Kind != KindNull {
+				v.F = v.AsFloat()
+				other, nan = true, nan || v.F != v.F
+			}
+		}
+		switch {
+		case !text && !nan:
+			class[i] = keysNumeric
+		case !other:
+			class[i] = keysText
+		default:
+			total = false
+		}
+	}
+	cmp := func(a, b int) int {
+		for i, cl := range class {
+			va, vb := &keys[a*nk+i], &keys[b*nk+i]
 			c := 0
 			// NULLs sort first ascending, last descending (MySQL).
 			switch {
-			case va.IsNull() && vb.IsNull():
-			case va.IsNull():
+			case va.Kind == KindNull || vb.Kind == KindNull:
+				if va.Kind != vb.Kind {
+					c = 1
+					if va.Kind == KindNull {
+						c = -1
+					}
+				}
+			case cl == keysText:
+				c = strings.Compare(va.S, vb.S)
+			case cl == keysMixed:
+				c, _ = Compare(*va, *vb)
+			case va.F < vb.F:
 				c = -1
-			case vb.IsNull():
+			case va.F > vb.F:
 				c = 1
-			default:
-				c, _ = Compare(va, vb)
 			}
 			if c == 0 {
 				continue
@@ -312,24 +388,37 @@ func sortByKeys(order []int, keys []Value, orderBy []sqlparser.OrderItem) {
 			return c
 		}
 		return 0
+	}
+	if !total { // not transitive: only the same algorithm arrives at the same order
+		slices.SortStableFunc(order, cmp)
+		return
+	}
+	// A total order has exactly one stable arrangement, and with the row
+	// number as the last key an unstable sort finds it, faster.
+	slices.SortFunc(order, func(a, b int) int {
+		if c := cmp(a, b); c != 0 {
+			return c
+		}
+		return a - b
 	})
 }
 
 // limitRange returns the half-open range of n rows that LIMIT/OFFSET
-// keeps. The clause may hold any primary expression, a subquery
-// included, so it is evaluated per execution, under an empty scope.
-func limitRange(limit *sqlparser.Limit, n int, ev evaluator) (lo, hi int, err error) {
-	if limit == nil {
+// keeps. The clause may hold any primary expression, a subquery included,
+// so it is evaluated per execution, rowless.
+func (ev *evaluator) limitRange(p *plan, n int) (lo, hi int, err error) {
+	if p.limitCount == noExpr {
 		return 0, n, nil
 	}
-	if limit.Offset != nil {
-		v, err := ev.eval(limit.Offset, &noScope)
+	bare := ev.rowless()
+	if p.limitOffset != noExpr {
+		v, err := bare.eval(p.limitOffset)
 		if err != nil {
 			return 0, 0, err
 		}
 		lo = max(int(v.AsInt()), 0)
 	}
-	count, err := ev.eval(limit.Count, &noScope)
+	count, err := bare.eval(p.limitCount)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -414,7 +503,7 @@ func exprHasAggregate(e sqlparser.Expr) bool {
 }
 
 // execAggregate implements GROUP BY / aggregate projection.
-func execAggregate(s *sqlparser.SelectStmt, p *selectPlan, sc *scope, rows [][]Value, ev evaluator) (*Result, error) {
+func (ev *evaluator) execAggregate(s *sqlparser.SelectStmt, p *plan, rows [][]Value) (*Result, error) {
 	// groups lists each group's rows in first-seen order. Without GROUP BY
 	// all rows are one group, which yields a row even when it is empty
 	// (COUNT(*) = 0); GROUP BY makes no empty groups.
@@ -424,10 +513,10 @@ func execAggregate(s *sqlparser.SelectStmt, p *selectPlan, sc *scope, rows [][]V
 		index := make(map[string]int)
 		var sig []byte
 		for _, row := range rows {
-			sc.row = row
+			ev.setRow(row)
 			sig = sig[:0]
-			for _, e := range s.GroupBy {
-				v, err := ev.eval(e, sc)
+			for i := range s.GroupBy {
+				v, err := ev.eval(p.groupBy + int32(i))
 				if err != nil {
 					return nil, err
 				}
@@ -443,12 +532,11 @@ func execAggregate(s *sqlparser.SelectStmt, p *selectPlan, sc *scope, rows [][]V
 		}
 	}
 
-	agg := aggregator{ev: ev, sc: sc}
 	b := newRowBlock(len(groups), p, s)
 	n := 0
 	for _, g := range groups {
-		if s.Having != nil {
-			v, err := agg.eval(s.Having, g)
+		if p.having != noExpr {
+			v, err := ev.evalGroup(p.having, g)
 			if err != nil {
 				return nil, err
 			}
@@ -456,107 +544,82 @@ func execAggregate(s *sqlparser.SelectStmt, p *selectPlan, sc *scope, rows [][]V
 				continue
 			}
 		}
-		base := len(b.vals)
-		for _, f := range s.Fields {
-			if f.Star || f.TableStar != "" {
-				return nil, fmt.Errorf("cannot mix * with aggregates")
-			}
-			v, err := agg.eval(f.Expr, g)
-			if err != nil {
-				return nil, err
-			}
-			b.vals = append(b.vals, v)
+		var first []Value // a plain column reads the group's first row
+		if len(g) > 0 {
+			first = g[0]
 		}
-		for i, pos := range p.orderPos {
-			switch pos {
-			case orderByRange:
-				return nil, orderRangeError(s.OrderBy[i])
-			case orderByExpr:
-				v, err := agg.eval(s.OrderBy[i].Expr, g)
-				if err != nil {
-					return nil, err
-				}
-				b.keys = append(b.keys, v)
-			default:
-				b.keys = append(b.keys, b.vals[base+pos])
-			}
+		if err := ev.addRow(&b, p, first, g); err != nil {
+			return nil, err
 		}
 		n++
 	}
 	return b.result(n, s, p, ev)
 }
 
-// aggregator evaluates expressions over a group of rows: aggregate calls
+// evalGroup evaluates a node over a group of rows: aggregate calls
 // consume the whole group; everything else is evaluated on the first row
 // (MySQL's permissive ONLY_FULL_GROUP_BY-off behaviour).
-type aggregator struct {
-	ev evaluator
-	sc *scope
-}
-
-func (a *aggregator) eval(e sqlparser.Expr, rows [][]Value) (Value, error) {
-	switch x := e.(type) {
-	case *sqlparser.FuncCall:
-		if isAggregateName(x.Name) {
-			return a.aggregate(x, rows)
-		}
-		args := make([]Value, 0, len(x.Args))
-		for _, arg := range x.Args {
-			v, err := a.eval(arg, rows)
-			if err != nil {
-				return Value{}, err
-			}
-			args = append(args, v)
-		}
-		return a.ev.callScalar(x.Name, args)
-	case *sqlparser.BinaryExpr:
-		left, err := a.eval(x.Left, rows)
-		if err != nil {
-			return Value{}, err
-		}
-		right, err := a.eval(x.Right, rows)
-		if err != nil {
-			return Value{}, err
-		}
-		return applyBinary(x.Op, &left, &right)
-	case *sqlparser.UnaryExpr:
-		v, err := a.eval(x.Operand, rows)
-		if err != nil {
-			return Value{}, err
-		}
-		return applyUnary(x.Op, v)
-	default:
+func (ev *evaluator) evalGroup(i int32, rows [][]Value) (Value, error) {
+	n := &ev.nodes[i]
+	if n.op == opAgg {
+		return ev.aggregate(n, rows)
+	}
+	if n.op == opFail {
+		return Value{}, n.err
+	}
+	if n.op != opFunc && n.op != opNot && n.op != opNeg && (n.op < opAnd || n.op > opMod) {
 		if len(rows) == 0 {
 			return Null(), nil
 		}
-		a.sc.row = rows[0]
-		return a.ev.eval(e, a.sc)
+		ev.setRow(rows[0])
+		return ev.eval(i)
+	}
+	// Functions and operators: their operands may hold the aggregates.
+	var buf [4]Value
+	args := buf[:0]
+	for k := n.kid; k < n.kid+n.n; k++ {
+		v, err := ev.evalGroup(k, rows)
+		if err != nil {
+			return Value{}, err
+		}
+		args = append(args, v)
+	}
+	switch {
+	case n.err != nil:
+		return Value{}, n.err
+	case n.op == opFunc:
+		return ev.callScalar(n.val.S, args)
+	case n.op == opNot || n.op == opNeg:
+		return applyUnary(n.op, args[0]), nil
+	default:
+		return n.apply(&args[0], &args[1]), nil
 	}
 }
 
-func (a *aggregator) aggregate(x *sqlparser.FuncCall, rows [][]Value) (Value, error) {
-	if x.Name == "COUNT" && x.Star {
+func (ev *evaluator) aggregate(n *bexpr, rows [][]Value) (Value, error) {
+	name := n.val.S
+	if name == "COUNT" && n.flags&flagStar != 0 {
 		return Int(int64(len(rows))), nil
 	}
-	if len(x.Args) != 1 {
-		return Value{}, fmt.Errorf("%s expects one argument", x.Name)
+	if n.n != 1 {
+		return Value{}, fmt.Errorf("%s expects one argument", name)
 	}
 	values := make([]Value, 0, len(rows))
 	var seen map[string]struct{}
 	var sig []byte
-	if x.Distinct {
+	if n.flags&flagDistinct != 0 {
 		seen = make(map[string]struct{})
 	}
 	for _, row := range rows {
-		a.sc.row = row
-		v, err := a.ev.eval(x.Args[0], a.sc)
+		ev.setRow(row)
+		v, err := ev.eval(n.kid)
 		if err != nil {
 			return Value{}, err
 		}
 		if v.IsNull() {
 			continue
 		}
-		if x.Distinct {
+		if seen != nil {
 			sig = appendSig(sig[:0], v)
 			if _, dup := seen[string(sig)]; dup {
 				continue
@@ -565,13 +628,12 @@ func (a *aggregator) aggregate(x *sqlparser.FuncCall, rows [][]Value) (Value, er
 		}
 		values = append(values, v)
 	}
-	switch x.Name {
-	case "COUNT":
+	switch {
+	case name == "COUNT":
 		return Int(int64(len(values))), nil
-	case "SUM":
-		if len(values) == 0 {
-			return Null(), nil
-		}
+	case len(values) == 0 && name != "GROUP_CONCAT":
+		return Null(), nil
+	case name == "SUM":
 		allInt := true
 		var fi int64
 		var ff float64
@@ -586,44 +648,23 @@ func (a *aggregator) aggregate(x *sqlparser.FuncCall, rows [][]Value) (Value, er
 			return Int(fi), nil
 		}
 		return Float(ff), nil
-	case "AVG":
-		if len(values) == 0 {
-			return Null(), nil
-		}
+	case name == "AVG":
 		var sum float64
 		for _, v := range values {
 			sum += v.AsFloat()
 		}
 		return Float(sum / float64(len(values))), nil
-	case "MIN":
-		if len(values) == 0 {
-			return Null(), nil
-		}
-		best := values[0]
-		for _, v := range values[1:] {
-			if c, ok := Compare(v, best); ok && c < 0 {
-				best = v
-			}
-		}
-		return best, nil
-	case "MAX":
-		if len(values) == 0 {
-			return Null(), nil
-		}
-		best := values[0]
-		for _, v := range values[1:] {
-			if c, ok := Compare(v, best); ok && c > 0 {
-				best = v
-			}
-		}
-		return best, nil
-	case "GROUP_CONCAT":
+	case name == "MIN":
+		return extremum(values, -1)
+	case name == "MAX":
+		return extremum(values, 1)
+	case name == "GROUP_CONCAT":
 		parts := make([]string, 0, len(values))
 		for _, v := range values {
 			parts = append(parts, v.String())
 		}
 		return Str(strings.Join(parts, ",")), nil
 	default:
-		return Value{}, fmt.Errorf("unknown aggregate %s", x.Name)
+		return Value{}, fmt.Errorf("unknown aggregate %s", name)
 	}
 }

@@ -18,9 +18,9 @@ func (db *DB) execExplain(s *sqlparser.ExplainStmt) (*Result, error) {
 
 func (db *DB) explainSelect(s *sqlparser.SelectStmt, res *Result) {
 	// The access path is the one execution takes: ask the planner.
-	var p selectPlan
-	db.planTable(&p, s)
-	if p.table != nil && p.indexCol >= 0 {
+	var p plan
+	if len(s.From) == 1 && s.From[0].Subquery == nil &&
+		db.planAccess(&p, s.From[0].Name, s.From[0].Alias, s.Where) && p.indexCol >= 0 {
 		res.Rows = append(res.Rows, []Value{
 			Str(p.table.Name), Str("const"),
 			Str(fmt.Sprintf("unique index lookup on %s", p.table.Columns[p.indexCol].Name)),

@@ -1,5 +1,7 @@
 package engine
 
+import "sort"
+
 // Unique hash indexes.
 //
 // Every PRIMARY KEY / UNIQUE column gets a hash index mapping the
@@ -13,7 +15,8 @@ package engine
 //
 // Concurrency contract: indexes are created at CREATE TABLE and
 // maintained eagerly by every DML operation, all of which run under the
-// owning table's write lock; DELETE rebuilds them (row positions shift).
+// owning table's write lock; DELETE shifts the positions of the rows
+// behind the ones it removes in place (deleteRows).
 // Readers (SELECT, under the table read lock) only ever look maps up —
 // they never build or mutate, so no additional synchronization is
 // needed.
@@ -27,9 +30,20 @@ func indexKey(v Value) string {
 	return v.String()
 }
 
+// indexFind looks v's key up without building the key string.
+func indexFind(idx map[string]int, v Value) (int, bool) {
+	if v.Kind == KindString {
+		ri, ok := idx[v.S]
+		return ri, ok
+	}
+	var buf [24]byte
+	ri, ok := idx[string(v.appendText(buf[:0]))]
+	return ri, ok
+}
+
 // rebuildIndexes (re)creates the hash index of every unique column.
-// Called at table creation and after operations that shift row
-// positions. Runs under the DB write lock.
+// Called at table creation; the tests hold every DML operation's
+// incremental maintenance to it.
 func (t *Table) rebuildIndexes() {
 	t.indexes = make(map[int]map[string]int)
 	for ci, col := range t.Columns {
@@ -72,21 +86,40 @@ func (t *Table) indexUpdate(ri int, old, updated []Value) {
 	}
 }
 
-// lookupUnique finds the row position holding value in unique column ci.
-// The second result distinguishes "not found" from "no index" — callers
-// fall back to a scan when no index exists.
-func (t *Table) lookupUnique(ci int, value Value) (int, bool) {
-	idx, ok := t.indexes[ci]
-	if !ok {
-		return -1, false
+// deleteRows removes the rows at the given positions, sorted ascending,
+// compacting Rows in one pass. The unique indexes follow without a key
+// being formatted: the doomed rows' entries go, and unless the doomed
+// rows were the table's last, every entry behind the first of them moves
+// up by the number of doomed rows before it.
+func (t *Table) deleteRows(doomed []int) {
+	first := doomed[0]
+	last := first+len(doomed) == len(t.Rows)
+	for ci, idx := range t.indexes {
+		for _, ri := range doomed {
+			if v := t.Rows[ri][ci]; v.Kind == KindString {
+				delete(idx, v.S)
+			} else if !v.IsNull() {
+				var buf [24]byte
+				delete(idx, string(v.appendText(buf[:0])))
+			}
+		}
+		if last {
+			continue
+		}
+		for key, ri := range idx {
+			if ri > first {
+				idx[key] = ri - sort.SearchInts(doomed, ri)
+			}
+		}
 	}
-	coerced, err := t.Columns[ci].coerce(value)
-	if err != nil || coerced.IsNull() {
-		return -1, true
+	kept, next := t.Rows[:first], 1
+	for ri := first + 1; ri < len(t.Rows); ri++ {
+		if next < len(doomed) && doomed[next] == ri {
+			next++
+			continue
+		}
+		kept = append(kept, t.Rows[ri])
 	}
-	ri, found := idx[indexKey(coerced)]
-	if !found {
-		return -1, true
-	}
-	return ri, true
+	clear(t.Rows[len(kept):]) // let go of the rows
+	t.Rows = kept
 }

@@ -1,116 +1,175 @@
 package engine
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 
 	"github.com/septic-db/septic/internal/sqlparser"
 )
 
-// Select plans.
+// Plans.
 //
-// Most of what executing a SELECT used to work out per call depends only
-// on the statement text and the schema: which tables to lock, which
-// table the FROM clause names and how its columns lay out in a row,
-// what the result columns are called and where each one comes from,
-// whether the grouping executor is needed, and whether the WHERE clause
-// is a probe of a unique index. A selectPlan holds exactly that. The
-// plan of a top-level statement is stored beside its cached AST
-// (parsedQuery.plan) and stamped with the catalog generation it was
-// built under; CREATE TABLE and DROP TABLE bump the generation under the
-// catalog write lock, and runSelect compares it under the catalog read
-// lock before it touches anything the plan points to, so a plan never
-// outlives the tables it resolved — the relation the verdict cache has
-// to Store.Generation (DESIGN §6.2). A published plan is never modified;
-// a stale one is replaced by a new one.
+// Most of what executing a SELECT, UPDATE or DELETE used to work out per
+// call — and per row — depends only on the statement text and the schema:
+// which tables to lock, which table the statement names and how its
+// columns lay out in a row, whether the WHERE clause is a probe of a
+// unique index, what the result columns are called and where each one
+// comes from, and what every expression means: which row offset a column
+// reference reads, which operator an operator is, what a literal LIKE
+// pattern matches. A plan holds exactly that. The plan of a top-level
+// statement is stored beside its cached AST (parsedQuery.plan) and stamped
+// with the catalog generation it was built under; CREATE TABLE and DROP
+// TABLE bump the generation under the catalog write lock, and runPlanned
+// compares it under the catalog read lock before it touches anything the
+// plan points to, so a plan never outlives the tables it resolved — the
+// relation the verdict cache has to Store.Generation (DESIGN §6.2). A
+// published plan is never modified; a stale one is replaced by a new one.
 //
 // Everything else — subqueries, UNION tails, statements bound from
 // ExecArgs, a DB without a parse cache — plans the same way per
 // execution and drops the plan afterwards (execSelectBranch).
 
-// selectPlan is what one SELECT branch resolves to under one schema.
-type selectPlan struct {
+// binder is an arena of bound expressions. Binding cannot fail: what
+// does not resolve becomes a node that fails when it is evaluated.
+type binder struct {
+	nodes []bexpr
+}
+
+// noExpr is the node index of a clause the statement does not have.
+const noExpr = -1
+
+// plan is what one SELECT branch, UPDATE or DELETE resolves to under one
+// schema.
+type plan struct {
 	// gen is the catalog generation the plan was built under, locks the
 	// whole statement's sorted table-lock set. Only a top-level
 	// statement's plan (planStatement) carries them.
 	gen   uint64
 	locks lockSet
 
-	// table is the one base table of a single-table branch. It is nil for
-	// a join, a derived table or no FROM at all, whose layout exists only
-	// once the FROM clause has been materialised; such a branch plans its
-	// SELECT list per execution.
+	// table is the one base table of a single-table branch or a DML
+	// statement. It is nil for a join, a derived table or no FROM at all,
+	// whose layout exists only once the FROM clause has been materialised;
+	// such a branch binds per execution.
 	table *Table
-	// layout is the scope layout of the rows the branch reads.
+	// layout is the layout of the rows the statement reads.
 	layout
 	// indexCol is the access path: ≥ 0 probes that column's unique index
 	// with key, which answers the whole WHERE clause; -1 scans.
 	indexCol int
 	key      string
 
+	// The statement's expressions, bound: indices into nodes, or noExpr.
+	// where stays unbound when the access path answers it, the GROUP BY
+	// list is nodes[groupBy:] and an UPDATE's SET values nodes[sets:].
+	binder
+	where, having, groupBy, sets int32
+	limitCount, limitOffset      int32
+
 	// names are the result column names. They go straight into every
 	// Result.Columns this plan produces and are never written again.
 	names []string
 	// cols says where each result column comes from: c ≥ 0 is an index
-	// into the source row, c < 0 means evaluate Fields[^c].Expr. A column
-	// reference that does not resolve stays an expression, so an unknown
-	// column is reported when a row is evaluated — never for an empty
-	// result, exactly as before plans existed.
-	cols []int
-	// orderPos says where each ORDER BY item's key comes from: a result
-	// column position (an ordinal or an output alias), orderByExpr or
-	// orderByRange.
-	orderPos []int
+	// into the source row, c < 0 is node ^c. A plain column that resolves
+	// in the branch's own layout is an index; anything else is a node. For
+	// an UPDATE, cols are the positions of the assigned columns instead,
+	// -1 for one the table does not have.
+	cols []int32
+	// orderPos says where each ORDER BY item's key comes from: pos ≥ 0 is
+	// a result column position (an ordinal or an output alias), pos < 0 is
+	// node ^pos — any expression over the source row, or the error an
+	// ordinal outside the SELECT list raises once a row needs its key.
+	orderPos []int32
 	hasAgg   bool
 
 	// Inline storage for the common sizes, as lockSet does: building a
-	// plan allocates the plan and its names.
+	// plan allocates the plan, its names and, if anything needs binding,
+	// the arena.
 	aliasBuf [1]string
-	colBuf   [8]int
-	orderBuf [4]int
+	colBuf   [8]int32
+	orderBuf [4]int32
 }
 
-const (
-	orderByExpr  = -1 // evaluate the item's expression over the source row
-	orderByRange = -2 // an ordinal outside the SELECT list: an error once a row needs it
-)
-
-// planStatement plans a top-level SELECT. Runs under the catalog read
-// lock; needs no table lock because it reads schemas only.
-func (db *DB) planStatement(s *sqlparser.SelectStmt) *selectPlan {
-	p := &selectPlan{gen: db.gen}
+// planStatement plans a top-level SELECT, UPDATE or DELETE. Runs under
+// the catalog read lock; needs no table lock because it reads schemas
+// only.
+func (db *DB) planStatement(stmt sqlparser.Statement) *plan {
+	p := &plan{gen: db.gen}
 	p.locks.init()
-	collectTables(&p.locks, s)
-	db.planTable(p, s)
+	collectTables(&p.locks, stmt)
+	own := [1]frame{{layout: &p.layout}}
+	switch s := stmt.(type) {
+	case *sqlparser.SelectStmt:
+		db.planSelect(p, s, own[:])
+	case *sqlparser.UpdateStmt:
+		db.planDML(p, s.Table, s.Where, s.OrderBy, s.Limit, s.Sets, own[:])
+	case *sqlparser.DeleteStmt:
+		db.planDML(p, s.Table, s.Where, s.OrderBy, s.Limit, nil, own[:])
+	}
 	return p
 }
 
-// planTable plans s if it reads exactly one base table; otherwise it
-// leaves p.table nil. A table dropped since validation counts as
-// "otherwise": the generic executor reports it.
-func (db *DB) planTable(p *selectPlan, s *sqlparser.SelectStmt) {
+// planSelect plans s if it reads exactly one base table; otherwise it
+// leaves p.table nil. frames are the enclosing levels' and, last, the
+// branch's own, pointing at p.layout.
+func (db *DB) planSelect(p *plan, s *sqlparser.SelectStmt, frames []frame) {
 	if len(s.From) != 1 || s.From[0].Subquery != nil {
 		return
 	}
-	ref := &s.From[0]
-	t := db.tables[strings.ToLower(ref.Name)]
-	if t == nil {
+	if db.planAccess(p, s.From[0].Name, s.From[0].Alias, s.Where) {
+		p.bindSelect(s, frames)
+	}
+}
+
+// planDML plans an UPDATE (sets non-nil) or a DELETE.
+func (db *DB) planDML(p *plan, table string, where sqlparser.Expr, orderBy []sqlparser.OrderItem,
+	limit *sqlparser.Limit, sets []sqlparser.Assignment, own []frame) {
+	if !db.planAccess(p, table, "", where) {
 		return
+	}
+	p.bindWhere(where, own)
+	p.sets = p.reserve(len(sets))
+	p.cols = p.colBuf[:0]
+	for i, a := range sets {
+		p.bindInto(p.sets+int32(i), a.Value, own)
+		p.cols = append(p.cols, int32(p.table.colIndex(a.Column)))
+	}
+	// ORDER BY on DML has no SELECT list to name: every item is an
+	// expression over the row.
+	p.orderPos = p.orderBuf[:0]
+	for _, o := range orderBy {
+		p.orderPos = append(p.orderPos, ^p.bind(o.Expr, own))
+	}
+	p.limitCount = noExpr
+	if limit != nil {
+		p.limitCount = p.bind(limit.Count, nil) // no frame: LIMIT sees no row
+	}
+}
+
+// planAccess resolves the table a statement names and decides the access
+// path. It reports false, leaving p.table nil, for a table dropped since
+// validation: the executor reports that.
+func (db *DB) planAccess(p *plan, name, alias string, where sqlparser.Expr) bool {
+	t := db.tables[strings.ToLower(name)]
+	if t == nil {
+		return false
 	}
 	p.table = t
 	p.layout = t.layout
-	if ref.Alias != "" {
-		p.aliasBuf[0] = strings.ToLower(ref.Alias)
+	if alias != "" {
+		p.aliasBuf[0] = strings.ToLower(alias)
 		p.tables = p.aliasBuf[:]
 	}
-	p.indexCol, p.key = accessPath(t, p.tables[0], s.Where)
-	p.project(s)
+	p.indexCol, p.key = accessPath(t, p.tables[0], where)
+	return true
 }
 
-// accessPath decides how a single-table branch finds its rows: it
-// returns the unique column and the index key to probe it with when the
-// WHERE clause is "col = literal" and the probe is provably the scan's
-// answer, else -1. EXPLAIN reports the same decision.
+// accessPath decides how a single-table SELECT branch, an UPDATE or a
+// DELETE finds its rows: it returns the unique column and the index key
+// to probe it with when the WHERE clause is "col = literal" and the probe
+// is provably the scan's answer, else -1. EXPLAIN reports the same
+// decision.
 //
 // A scan compares the stored value with the literal under Compare:
 // numerically unless both are strings. The index compares the literal
@@ -183,10 +242,19 @@ func (l *layout) fieldWidth(f *sqlparser.SelectField) int {
 	}
 }
 
-// project resolves the SELECT list and ORDER BY of s against p.layout:
-// result column names and sources, sort key positions, and whether the
-// branch aggregates.
-func (p *selectPlan) project(s *sqlparser.SelectStmt) {
+// bindWhere binds the WHERE clause unless the access path answers it.
+func (p *plan) bindWhere(where sqlparser.Expr, frames []frame) {
+	p.where = noExpr
+	if p.table == nil || p.indexCol < 0 {
+		p.where = p.bind(where, frames)
+	}
+}
+
+// bindSelect resolves every clause of s against p.layout: the WHERE
+// clause, result column names and sources, grouping, sort key positions
+// and LIMIT.
+func (p *plan) bindSelect(s *sqlparser.SelectStmt, frames []frame) {
+	p.bindWhere(s.Where, frames)
 	p.hasAgg = hasAggregates(s)
 	width := 0
 	for i := range s.Fields {
@@ -195,27 +263,28 @@ func (p *selectPlan) project(s *sqlparser.SelectStmt) {
 	p.names = make([]string, 0, width)
 	p.cols = p.colBuf[:0]
 	if width > len(p.colBuf) {
-		p.cols = make([]int, 0, width)
+		p.cols = make([]int32, 0, width)
 	}
-	own := scope{layout: p.layout} // no parent: an outer column stays an expression
 	for fi := range s.Fields {
 		f := &s.Fields[fi]
 		if f.Star || f.TableStar != "" {
+			first := len(p.cols)
 			for ti, t := range p.tables {
 				if f.Star || strings.EqualFold(t, f.TableStar) {
 					p.names = append(p.names, p.colNames[ti]...)
 					for ci := range p.colNames[ti] {
-						p.cols = append(p.cols, p.offsets[ti]+ci)
+						p.cols = append(p.cols, int32(p.offsets[ti]+ci))
 					}
 				}
 			}
+			if p.hasAgg { // an error once a group is projected, never columns
+				p.cols = append(p.cols[:first], ^p.bindFail(errors.New("cannot mix * with aggregates")))
+			}
 			continue
 		}
-		src, name := ^fi, f.Alias
+		src, name := int32(-1), f.Alias
 		if col, ok := f.Expr.(*sqlparser.ColumnRef); ok {
-			if _, idx, ok := own.lookup(col.Table, col.Name); ok {
-				src = idx
-			}
+			src = int32(p.resolve(col.Table, col.Name))
 			if name == "" {
 				name = col.Name
 			}
@@ -224,33 +293,197 @@ func (p *selectPlan) project(s *sqlparser.SelectStmt) {
 				Fields: []sqlparser.SelectField{{Expr: f.Expr}},
 			})[len("SELECT "):]
 		}
+		if src < 0 { // not a column of this branch's own row
+			src = ^p.bind(f.Expr, frames)
+		}
 		p.names = append(p.names, name)
 		p.cols = append(p.cols, src)
 	}
+	p.groupBy = p.reserve(len(s.GroupBy))
+	for i, e := range s.GroupBy {
+		p.bindInto(p.groupBy+int32(i), e, frames)
+	}
+	p.having = p.bind(s.Having, frames)
 
-	// ORDER BY may use an ordinal (column position, a classic injection
-	// surface: "ORDER BY 5"), an output alias, or any expression over the
-	// source row.
 	p.orderPos = p.orderBuf[:0]
 	for _, o := range s.OrderBy {
-		pos := orderByExpr
-		if lit, ok := o.Expr.(*sqlparser.Literal); ok && lit.Kind == sqlparser.LiteralInt {
-			pos = orderByRange
-			if lit.Int >= 1 && lit.Int <= int64(width) {
-				pos = int(lit.Int) - 1
-			}
-		} else if col, ok := o.Expr.(*sqlparser.ColumnRef); ok && col.Table == "" {
-			if fi := aliasIndex(s.Fields, col.Name); fi >= 0 {
-				pos = 0
-				for i := 0; i < fi; i++ {
-					pos += p.fieldWidth(&s.Fields[i])
-				}
-			}
-		}
-		p.orderPos = append(p.orderPos, pos)
+		p.orderPos = append(p.orderPos, p.orderKey(s, o.Expr, width, frames))
+	}
+	p.limitCount, p.limitOffset = noExpr, noExpr
+	if s.Limit != nil { // no frame: LIMIT sees no row
+		p.limitCount, p.limitOffset = p.bind(s.Limit.Count, nil), p.bind(s.Limit.Offset, nil)
 	}
 }
 
-func orderRangeError(o sqlparser.OrderItem) error {
-	return fmt.Errorf("ORDER BY position %d out of range", o.Expr.(*sqlparser.Literal).Int)
+// orderKey says where an ORDER BY item's key comes from (plan.orderPos).
+// The item may be an ordinal (column position, a classic injection
+// surface: "ORDER BY 5"), an output alias, or any expression over the
+// source row.
+func (p *plan) orderKey(s *sqlparser.SelectStmt, e sqlparser.Expr, width int, frames []frame) int32 {
+	if lit, ok := e.(*sqlparser.Literal); ok && lit.Kind == sqlparser.LiteralInt {
+		if lit.Int >= 1 && lit.Int <= int64(width) {
+			return int32(lit.Int) - 1
+		}
+		return ^p.bindFail(fmt.Errorf("ORDER BY position %d out of range", lit.Int))
+	}
+	if col, ok := e.(*sqlparser.ColumnRef); ok && col.Table == "" {
+		if fi := aliasIndex(s.Fields, col.Name); fi >= 0 {
+			pos := 0
+			for i := 0; i < fi; i++ {
+				pos += p.fieldWidth(&s.Fields[i])
+			}
+			return int32(pos)
+		}
+	}
+	return ^p.bind(e, frames)
+}
+
+// reserve appends n empty nodes and returns the index of the first.
+func (b *binder) reserve(n int) int32 {
+	if b.nodes == nil && n > 0 {
+		b.nodes = make([]bexpr, 0, 8)
+	}
+	first := len(b.nodes)
+	b.nodes = append(b.nodes, make([]bexpr, n)...)
+	return int32(first)
+}
+
+// bind binds e against frames — the enclosing levels' and, last, the
+// one e is evaluated at — and returns its node, noExpr for no expression.
+func (b *binder) bind(e sqlparser.Expr, frames []frame) int32 {
+	if e == nil {
+		return noExpr
+	}
+	i := b.reserve(1)
+	b.bindInto(i, e, frames)
+	return i
+}
+
+func (b *binder) bindFail(err error) int32 {
+	i := b.reserve(1)
+	b.nodes[i] = bexpr{op: opFail, err: err}
+	return i
+}
+
+// operands reserves n's operands and binds the leading ones from es; the
+// caller binds the rest.
+func (b *binder) operands(n *bexpr, count int, frames []frame, es ...sqlparser.Expr) {
+	n.kid, n.n = b.reserve(count), int32(count)
+	for i, e := range es {
+		b.bindInto(n.kid+int32(i), e, frames)
+	}
+}
+
+// bindInto binds e into the reserved node at.
+func (b *binder) bindInto(at int32, e sqlparser.Expr, frames []frame) {
+	var n bexpr
+	switch x := e.(type) {
+	case *sqlparser.Literal:
+		n = bexpr{op: opLit, val: literalValue(x)}
+	case *sqlparser.ColumnRef:
+		// Innermost level first: a correlated subquery sees its enclosing
+		// queries' rows.
+		n.op = opErr
+		for up := 0; up < len(frames) && n.op == opErr; up++ {
+			if idx := frames[len(frames)-1-up].layout.resolve(x.Table, x.Name); idx >= 0 {
+				n = bexpr{op: opCol, kid: int32(up), n: int32(idx)}
+			}
+		}
+		if n.op == opErr {
+			n.err = fmt.Errorf("%w: %s", ErrNoSuchColumn, strings.TrimPrefix(x.Table+"."+x.Name, "."))
+		}
+	case *sqlparser.BinaryExpr:
+		op, ok := binaryOps[x.Op]
+		if !ok {
+			n = bexpr{op: opErr, err: fmt.Errorf("unsupported operator %q", x.Op)}
+			break
+		}
+		n.op = op
+		b.operands(&n, 2, frames, x.Left, x.Right)
+		if lit, ok := x.Right.(*sqlparser.Literal); ok && op == opLike && lit.Kind != sqlparser.LiteralNull {
+			n.setPattern(literalValue(lit).String())
+		}
+	case *sqlparser.UnaryExpr:
+		switch x.Op {
+		case "NOT":
+			n.op = opNot
+		case "-":
+			n.op = opNeg
+		default:
+			n = bexpr{op: opErr, err: fmt.Errorf("unsupported unary operator %q", x.Op)}
+		}
+		if n.op != opErr {
+			b.operands(&n, 1, frames, x.Operand)
+		}
+	case *sqlparser.FuncCall:
+		n = bexpr{op: opFunc, val: Str(x.Name)}
+		if isAggregateName(x.Name) {
+			n.op = opAgg
+		} else if want, fixed := scalarArity[x.Name]; fixed && len(x.Args) != want {
+			n.err = fmt.Errorf("%s expects %d arguments, got %d", x.Name, want, len(x.Args))
+		}
+		if x.Star {
+			n.flags |= flagStar
+		}
+		if x.Distinct {
+			n.flags |= flagDistinct
+		}
+		b.operands(&n, len(x.Args), frames, x.Args...)
+	case *sqlparser.InExpr:
+		n = bexpr{op: opIn, sel: x.Subquery, flags: notFlag(x.Not)}
+		if x.Subquery != nil {
+			n.op = opInSub
+		}
+		b.operands(&n, 1+len(x.List), frames, x.Left)
+		for i, c := range x.List {
+			b.bindInto(n.kid+1+int32(i), c, frames)
+		}
+	case *sqlparser.BetweenExpr:
+		n = bexpr{op: opBetween, flags: notFlag(x.Not)}
+		b.operands(&n, 3, frames, x.Expr, x.Low, x.High)
+	case *sqlparser.IsNullExpr:
+		n = bexpr{op: opIsNull, flags: notFlag(x.Not)}
+		b.operands(&n, 1, frames, x.Expr)
+	case *sqlparser.SubqueryExpr:
+		n = bexpr{op: opSubquery, sel: x.Select}
+	case *sqlparser.ExistsExpr:
+		n = bexpr{op: opExists, sel: x.Select, flags: notFlag(x.Not)}
+	case *sqlparser.Placeholder:
+		n = bexpr{op: opErr, err: fmt.Errorf("unbound placeholder: use ExecArgs")}
+	case *sqlparser.CaseExpr:
+		n.op = opCase
+		count := 2 * len(x.Whens)
+		if x.Operand != nil {
+			n.flags |= flagOperand
+			count++
+		}
+		if x.Else != nil {
+			n.flags |= flagElse
+			count++
+		}
+		b.operands(&n, count, frames)
+		k := n.kid
+		if x.Operand != nil {
+			b.bindInto(k, x.Operand, frames)
+			k++
+		}
+		for _, w := range x.Whens {
+			b.bindInto(k, w.Cond, frames)
+			b.bindInto(k+1, w.Result, frames)
+			k += 2
+		}
+		if x.Else != nil {
+			b.bindInto(k, x.Else, frames)
+		}
+	default:
+		n = bexpr{op: opErr, err: fmt.Errorf("unsupported expression %T", e)}
+	}
+	b.nodes[at] = n
+}
+
+func notFlag(not bool) uint8 {
+	if not {
+		return flagNot
+	}
+	return 0
 }

@@ -89,6 +89,72 @@ func TestIndexProbeIsTheScansAnswer(t *testing.T) {
 	}
 }
 
+// TestDMLProbeIsTheScansAnswer: UPDATE and DELETE find their rows by the
+// select's access path, so every literal form above must change the
+// indexed table exactly as it changes the twin declared without an index:
+// the same affected count, the same table afterwards.
+func TestDMLProbeIsTheScansAnswer(t *testing.T) {
+	setUp := func() (indexed, plain *DB) {
+		indexed, plain = New(), New()
+		mustExec(t, indexed, "CREATE TABLE n (id INT PRIMARY KEY, v TEXT)")
+		mustExec(t, plain, "CREATE TABLE n (id INT, v TEXT)")
+		mustExec(t, indexed, "CREATE TABLE s (code TEXT UNIQUE, v TEXT)")
+		mustExec(t, plain, "CREATE TABLE s (code TEXT, v TEXT)")
+		mustExec(t, indexed, "CREATE TABLE f (x FLOAT UNIQUE, v TEXT)")
+		mustExec(t, plain, "CREATE TABLE f (x FLOAT, v TEXT)")
+		for _, db := range []*DB{indexed, plain} {
+			mustExec(t, db, `INSERT INTO n (id, v) VALUES (0, 'zero'), (1, 'one'), (9, 'nine'), (42, 'answer'),
+				(9007199254740992, 'big'), (9007199254740993, 'bigger')`)
+			mustExec(t, db, `INSERT INTO s (code, v) VALUES ('1', 'a'), ('1.5', 'b'), ('42', 'c'), (' 9', 'd'),
+				('9', 'e'), ('9x', 'f'), ('1e0', 'g'), ('TRUE', 'h'), ('NULL', 'i'), (NULL, 'j'), ('0', 'k')`)
+			mustExec(t, db, "INSERT INTO f (x, v) VALUES (0 - 0.0, 'negative zero'), (2.5, 'two and a half'), (1, 'one')")
+		}
+		return indexed, plain
+	}
+	probes := []string{"'42'", "42", "TRUE", "1.5", "NULL", "' 9'", "9", "'9'", "9007199254740993", "0", "0.0", "'2.5'", "1e0"}
+	for _, probe := range probes {
+		for _, stmt := range []string{
+			"UPDATE n SET v = 'hit' WHERE id = " + probe,
+			"UPDATE s SET v = 'hit' WHERE code = " + probe,
+			"UPDATE s SET v = 'hit' WHERE " + probe + " = code",
+			"UPDATE f SET v = 'hit' WHERE x = " + probe,
+			"UPDATE n SET id = id + 100 WHERE id = " + probe,
+			"UPDATE s SET v = 'hit' WHERE code = " + probe + " ORDER BY v DESC LIMIT 1",
+			"DELETE FROM n WHERE id = " + probe,
+			"DELETE FROM s WHERE code = " + probe,
+			"DELETE FROM f WHERE x = " + probe,
+			"DELETE FROM s WHERE code = " + probe + " ORDER BY v LIMIT 1",
+		} {
+			indexed, plain := setUp()
+			for run := 0; run < 2; run++ { // built plan, then stored plan (which finds less: the first run changed the table)
+				got, gotErr := indexed.Exec(stmt)
+				want, wantErr := plain.Exec(stmt)
+				if (gotErr == nil) != (wantErr == nil) {
+					t.Fatalf("%s: indexed err %v, scan err %v", stmt, gotErr, wantErr)
+				}
+				if gotErr == nil && got.Affected != want.Affected {
+					t.Errorf("%s (run %d): %d rows affected on the indexed table, %d by the scan", stmt, run, got.Affected, want.Affected)
+				}
+				for _, table := range []string{"n", "s", "f"} {
+					all := "SELECT * FROM " + table
+					if got, want := mustExec(t, indexed, all), mustExec(t, plain, all); !reflect.DeepEqual(got.Rows, want.Rows) {
+						t.Errorf("%s (run %d) leaves %s as\n %v on the indexed table\n %v by the scan", stmt, run, table, got.Rows, want.Rows)
+					}
+				}
+			}
+		}
+	}
+	// The probe is taken where it is the scan's answer, and only there.
+	indexed, _ := setUp()
+	mustExec(t, indexed, "DELETE FROM n WHERE id = 42")
+	if res := mustExec(t, indexed, "SELECT v FROM n WHERE id = 42"); len(res.Rows) != 0 {
+		t.Errorf("deleted by key, still found by key: %v", res.Rows)
+	}
+	if res := mustExec(t, indexed, "UPDATE s SET v = 'three' WHERE code = 9"); res.Affected != 3 {
+		t.Errorf("code = 9 updated %d rows, want the three whose numeric prefix is 9", res.Affected)
+	}
+}
+
 // TestPlanFollowsSchema: one cached text, executed before and after the
 // table it names is dropped and recreated with its columns in another
 // order and another unique column. The result follows the new schema and
@@ -156,8 +222,20 @@ func TestUnknownColumnSurfacesAtExecute(t *testing.T) {
 			t.Fatalf("%s on an empty table: %v", q, res.Rows)
 		}
 	}
+	// DML binds the same way: what does not resolve is silent until a row
+	// is evaluated.
+	dml := []string{
+		"UPDATE t SET name = 'x' WHERE nosuch = 1", "UPDATE t SET name = nosuch", "UPDATE t SET name = nosuch WHERE id = 1",
+		"UPDATE t SET name = 'x' ORDER BY nosuch LIMIT 1", "DELETE FROM t WHERE nosuch = 1", "DELETE FROM t ORDER BY nosuch LIMIT 1",
+		"DELETE FROM t WHERE id = 1 ORDER BY nosuch",
+	}
+	for _, q := range dml {
+		if res := mustExec(t, db, q); res.Affected != 0 {
+			t.Fatalf("%s on an empty table: %d rows affected", q, res.Affected)
+		}
+	}
 	mustExec(t, db, "INSERT INTO t (id, name) VALUES (1, 'ann')")
-	for _, q := range []string{"SELECT nosuch FROM t", "SELECT nosuch FROM t WHERE id = 1", "SELECT id FROM t ORDER BY nosuch"} {
+	for _, q := range append([]string{"SELECT nosuch FROM t", "SELECT nosuch FROM t WHERE id = 1", "SELECT id FROM t ORDER BY nosuch"}, dml...) {
 		calls, failed := hook.calls, db.Stats().Failed
 		for i := 0; i < 2; i++ { // built plan, then stored plan
 			if _, err := db.Exec(q); !errors.Is(err, ErrNoSuchColumn) {
@@ -168,6 +246,24 @@ func TestUnknownColumnSurfacesAtExecute(t *testing.T) {
 			t.Errorf("%s: hook ran %d times and %d failures were counted, want 2 and 2",
 				q, hook.calls-calls, db.Stats().Failed-failed)
 		}
+	}
+	if res := mustExec(t, db, "SELECT name FROM t"); len(res.Rows) != 1 || res.Rows[0][0].S != "ann" {
+		t.Errorf("a failed statement changed the table: %v", res.Rows)
+	}
+	// A WHERE that holds for no row never reaches the SET clause.
+	if res := mustExec(t, db, "UPDATE t SET name = nosuch WHERE id = 2"); res.Affected != 0 {
+		t.Errorf("UPDATE of no row: %d affected", res.Affected)
+	}
+	// An unknown column on the left of SET is the one thing validation
+	// knows: an error always, before the hook, on any table.
+	calls := hook.calls
+	for _, q := range []string{"UPDATE t SET nosuch = 1", "UPDATE t SET nosuch = 1 WHERE id = 2"} {
+		if _, err := db.Exec(q); !errors.Is(err, ErrNoSuchColumn) {
+			t.Errorf("%s: err = %v, want ErrNoSuchColumn", q, err)
+		}
+	}
+	if hook.calls != calls {
+		t.Errorf("the hook saw %d statements that failed validation", hook.calls-calls)
 	}
 }
 
@@ -234,6 +330,31 @@ func TestGroupedOperatorsMatchRowOperators(t *testing.T) {
 	}
 }
 
+// TestEmptyGroupErrors: over a group with no rows an expression reads
+// NULL, an unknown column included, but what is wrong with the statement
+// itself — an ordinal outside the SELECT list, * beside an aggregate — is
+// an error with or without rows.
+func TestEmptyGroupErrors(t *testing.T) {
+	db := testDB(t)
+	res := mustExec(t, db, "SELECT nosuch, COUNT(*) FROM users WHERE 1 = 0 ORDER BY nosuch")
+	if len(res.Rows) != 1 || !res.Rows[0][0].IsNull() || res.Rows[0][1].I != 0 {
+		t.Errorf("unknown column over an empty group: %v", res.Rows)
+	}
+	for q, want := range map[string]string{
+		"SELECT COUNT(*) FROM users WHERE 1 = 0 ORDER BY 9": "ORDER BY position 9 out of range",
+		"SELECT *, COUNT(*) FROM users WHERE 1 = 0":         "cannot mix * with aggregates",
+		"SELECT COUNT(*), users.* FROM users":               "cannot mix * with aggregates",
+	} {
+		if _, err := db.Exec(q); err == nil || err.Error() != want {
+			t.Errorf("%s: err = %v, want %s", q, err, want)
+		}
+	}
+	// No group, no projection, no error.
+	if res := mustExec(t, db, "SELECT *, COUNT(*) FROM users WHERE 1 = 0 GROUP BY city ORDER BY 99"); len(res.Rows) != 0 || len(res.Columns) != 7 {
+		t.Errorf("no groups: %v %v", res.Columns, res.Rows)
+	}
+}
+
 // selectGen generates single-table selects over table g (id INT PRIMARY
 // KEY, k INT, s TEXT) — or whatever shape DDL churn left it in.
 type selectGen struct{ r *rand.Rand }
@@ -275,14 +396,29 @@ func (g selectGen) query() string {
 	return b.String()
 }
 
+// key is a literal to look a row of g up by: mostly one the index can
+// serve, sometimes one only the scan's weak typing answers.
+func (g selectGen) key() string {
+	if g.r.Intn(4) == 0 {
+		return g.pick("'3'", "2.5", "NULL", "' 4'", "TRUE", "'s1'")
+	}
+	return fmt.Sprint(g.r.Intn(12))
+}
+
 func (g selectGen) write() string {
 	switch g.r.Intn(8) {
 	case 0, 1, 2:
 		return fmt.Sprintf("INSERT INTO g (id, k, s) VALUES (%d, %d, 's%d')", g.r.Intn(12), g.r.Intn(5), g.r.Intn(4))
-	case 3, 4:
-		return fmt.Sprintf("UPDATE g SET k = k + 1, s = 'u%d' WHERE id = %d", g.r.Intn(4), g.r.Intn(12))
+	case 3:
+		return fmt.Sprintf("UPDATE g SET k = k + 1, s = 'u%d' WHERE id = %s", g.r.Intn(4), g.key())
+	case 4:
+		return fmt.Sprintf("UPDATE g SET k = k + 1, s = CONCAT(s, 'x') WHERE s LIKE '%%%d%%' OR k = %d ORDER BY %s LIMIT %d",
+			g.r.Intn(4), g.r.Intn(5), g.pick("id", "k DESC, id", "s, id DESC", "nosuch"), g.r.Intn(3))
 	case 5:
-		return fmt.Sprintf("DELETE FROM g WHERE id = %d", g.r.Intn(12))
+		if g.r.Intn(2) == 0 {
+			return fmt.Sprintf("DELETE FROM g WHERE s LIKE '%%U%d%%' ORDER BY %s LIMIT %d", g.r.Intn(4), g.pick("id DESC", "k, id"), 1+g.r.Intn(2))
+		}
+		return fmt.Sprintf("DELETE FROM g WHERE id = %s", g.key())
 	case 6:
 		return "DROP TABLE g"
 	default:
@@ -294,10 +430,11 @@ func (g selectGen) write() string {
 
 // TestCachedPlansMatchPlanningPerExec is the property behind the plan
 // cache: a DB that stores plans and one that builds a plan per execution
-// return identical Results — columns, rows, nil versus empty — and fail
-// alike, over generated selects interleaved with DML and DDL. Texts
-// repeat (the generator's space is small), so stored plans are reused
-// across schema changes.
+// return identical Results — columns, rows, nil versus empty, rows
+// affected — and fail alike, over generated selects interleaved with
+// DML (keyed, scanning, ordered and limited) and DDL. Texts repeat (the
+// generator's space is small), so stored plans of all three statement
+// kinds are reused across schema changes.
 func TestCachedPlansMatchPlanningPerExec(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		g := selectGen{rand.New(rand.NewSource(seed))}
@@ -391,8 +528,10 @@ func TestPlanRaceStress(t *testing.T) {
 			id := r.Intn(8)
 			_, _ = exec(fmt.Sprintf("INSERT INTO r (id, a, b) VALUES (%d, 'a%d', 'b%d')", id, id, id%3))
 			_, _ = exec(fmt.Sprintf("UPDATE r SET b = 'c%d' WHERE id = %d", i%3, r.Intn(8)))
+			_, _ = exec(fmt.Sprintf("UPDATE r SET b = CONCAT(b, 'x') WHERE a LIKE '%%A%d%%' ORDER BY id DESC LIMIT 2", r.Intn(8)))
 			if i%3 == 0 {
 				_, _ = exec(fmt.Sprintf("DELETE FROM r WHERE id = %d", r.Intn(8)))
+				_, _ = exec(fmt.Sprintf("DELETE FROM r WHERE b LIKE 'c%d%%' ORDER BY a LIMIT 1", r.Intn(3)))
 			}
 		}
 	})
