@@ -18,21 +18,29 @@
 //	        [-shed-target D] [-max-concurrent N]
 //	        [-repl-listen ADDR] [-replicate-from ADDR]
 //
-// The server speaks the wire protocol of internal/wire. Query models
-// are loaded from -models when the file exists and saved there on
-// SIGINT/SIGTERM, mirroring the demo's persistent-model restart (phase
-// D). A setting that could not take effect — -repl-listen,
-// -wal-force-recover without -wal-dir, -max-concurrent without
-// -shed-target — is refused at start-up.
+// The server speaks the wire protocol of internal/wire. A setting that
+// could not take effect — -repl-listen, -wal-force-recover without
+// -wal-dir, -max-concurrent without -shed-target, -models with
+// -replicate-from — is refused at start-up.
 //
-// With -wal-dir the learned models are crash-safe (DESIGN.md §11): every
-// model learned, deleted or approved, in every protection domain, and
-// every mode change is logged before it is acknowledged; a crash loses
-// nothing acknowledged under the default -wal-fsync=always. The
-// directory is single-writer, and mid-log damage refuses to boot unless
-// -wal-force-recover truncates it. Such a server is also a replication
-// primary (§12), on the main port and on -repl-listen; -replicate-from
-// makes this server a read replica of one: run it with -mode detection.
+// -wal-dir is where learned models live (DESIGN.md §11), and the demo's
+// persistent-model restart (phase D) is a restart on the same directory:
+// every model learned, deleted or approved, in every protection domain,
+// is logged before it is acknowledged; a crash loses nothing acknowledged
+// under the default -wal-fsync=always. Only models are kept there — the
+// mode and the detectors are what this run's flags and domains file say.
+// Without -wal-dir models are kept in memory and go with the process.
+// The directory is single-writer, and mid-log damage refuses to boot
+// unless -wal-force-recover truncates it. Such a server is also a
+// replication primary (§12), on the main port and on -repl-listen;
+// -replicate-from makes this server a read replica of one: run it with
+// -mode detection.
+//
+// -models, and "store" in a domains-file entry, name a seed: a model
+// file read at boot into a domain that has no models yet (a first boot;
+// any boot without -wal-dir) and never written. Once the WAL directory
+// holds the domain's models the file is left unread. A seed that is
+// named but cannot be read is a start-up error.
 //
 // With -domains the server is multi-tenant (§9): the JSON file maps
 // application names to one protection domain each, reached by the wire
@@ -42,7 +50,7 @@
 //	{
 //	  "shop":  {"mode": "prevention", "sqli": true, "stored": true,
 //	            "fail_open": false, "store": "shop-models.json"},
-//	  "blog":  {"mode": "training", "store": "blog-models.json"}
+//	  "blog":  {"mode": "training"}
 //	}
 //
 // "mode" is required; sqli/stored/incremental default to true and
@@ -79,7 +87,7 @@ func flagSet(cfg *server.Config, domains *string) *flag.FlagSet {
 	fs := flag.NewFlagSet(os.Args[0], flag.ExitOnError)
 	fs.StringVar(&cfg.Addr, "addr", cfg.Addr, "listen address")
 	fs.StringVar(&cfg.Mode, "mode", cfg.Mode, "septic mode: training, detection or prevention")
-	fs.StringVar(&cfg.Models, "models", cfg.Models, "query-model store path (loaded if present, saved on shutdown)")
+	fs.StringVar(&cfg.Models, "models", cfg.Models, "query-model seed file, read at boot when the default domain has no models yet")
 	fs.StringVar(domains, "domains", "", "protection-domain config file (JSON; multi-tenant mode)")
 	fs.BoolVar(&cfg.SQLI, "sqli", cfg.SQLI, "enable SQLI detection")
 	fs.BoolVar(&cfg.Stored, "stored", cfg.Stored, "enable stored-injection detection")
@@ -138,17 +146,6 @@ func run(args []string) error {
 }
 
 func printBoot(cfg server.Config, st *server.Stack) {
-	for _, f := range st.Loaded {
-		switch {
-		case f.Domain == "":
-			fmt.Printf("septicd: loaded %d query models from %s\n", f.Models, f.Path)
-		case f.Path == "":
-			fmt.Printf("septicd: domain %s (mode=%s, no persistence)\n", f.Domain, cfg.Domains[f.Domain].Mode)
-		default:
-			fmt.Printf("septicd: domain %s (mode=%s, %d query models from %s)\n",
-				f.Domain, cfg.Domains[f.Domain].Mode, f.Models, f.Path)
-		}
-	}
 	if persist := st.Guard.Persistence(); persist != nil {
 		pst := persist.Stats()
 		fmt.Printf("septicd: wal %s (fsync=%s): %d record(s) replayed in %s",
@@ -161,8 +158,18 @@ func printBoot(cfg server.Config, st *server.Stack) {
 		}
 		fmt.Println()
 	}
-	if cfg.ReplicateFrom != "" {
+	switch {
+	case cfg.ReplicateFrom != "":
 		fmt.Printf("septicd: replica of %s, resuming after seq %d\n", cfg.ReplicateFrom, st.ResumeSeq)
+	case cfg.WALDir == "":
+		// Every primary can learn: the default domain learns new
+		// identifiers incrementally in any mode.
+		fmt.Println("septicd: no -wal-dir: learned query models are kept in memory only")
+	}
+	// What each domain starts with, recovered or seeded, and the mode in
+	// force — read back from the guard, not from the flags.
+	for _, d := range st.Guard.Domains() {
+		fmt.Printf("septicd: domain %s (mode=%s, %d query models)\n", d.Name(), d.Mode(), d.Store().Len())
 	}
 	if st.ReplAddr != "" {
 		fmt.Printf("septicd: replication on %s\n", st.ReplAddr)
@@ -175,7 +182,7 @@ func printBoot(cfg server.Config, st *server.Stack) {
 		policy = "fail-open"
 	}
 	fmt.Printf("septicd: listening on %s (mode=%s sqli=%t stored=%t policy=%s max-conns=%d)\n",
-		st.Addr, cfg.Mode, cfg.SQLI, cfg.Stored, policy, cfg.MaxConns)
+		st.Addr, st.Guard.Mode(), cfg.SQLI, cfg.Stored, policy, cfg.MaxConns)
 }
 
 func printShutdown(st *server.Stack) {
@@ -184,13 +191,6 @@ func printShutdown(st *server.Stack) {
 	}
 	if st.DrainTimedOut {
 		fmt.Println("septicd: drain deadline exceeded, sessions force-closed")
-	}
-	for _, f := range st.Saved {
-		if f.Domain == "" {
-			fmt.Printf("septicd: saved %d query models to %s\n", f.Models, f.Path)
-		} else {
-			fmt.Printf("septicd: domain %s: saved %d query models to %s\n", f.Domain, f.Models, f.Path)
-		}
 	}
 	if persist := st.Guard.Persistence(); persist != nil {
 		pst := persist.Stats()

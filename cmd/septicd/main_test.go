@@ -1,7 +1,11 @@
 package main
 
 import (
+	"context"
 	"flag"
+	"io"
+	"os"
+	"path/filepath"
 	"reflect"
 	"sort"
 	"strings"
@@ -60,5 +64,61 @@ func TestFlagsReachTheConfig(t *testing.T) {
 	}
 	if !reflect.DeepEqual(cfg, want) || domains != "d.json" {
 		t.Errorf("parsed\n%+v (-domains %q), want\n%+v (-domains \"d.json\")", cfg, domains, want)
+	}
+}
+
+// bootLines starts cfg on an ephemeral port and returns what printBoot
+// tells the operator about it.
+func bootLines(t *testing.T, cfg server.Config) string {
+	t.Helper()
+	cfg.Addr, cfg.Quiet = "127.0.0.1:0", true
+	st, err := server.Start(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Shutdown(context.Background())
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stdout := os.Stdout
+	os.Stdout = w
+	printBoot(cfg, st)
+	os.Stdout = stdout
+	w.Close()
+	out, err := io.ReadAll(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(out)
+}
+
+// TestBootLinesSayWhereModelsLive: every domain is listed with the mode
+// in force and what it starts with, and without -wal-dir the operator is
+// told, once, that nothing learned will outlast the process.
+func TestBootLinesSayWhereModelsLive(t *testing.T) {
+	const memoryOnly = "septicd: no -wal-dir: learned query models are kept in memory only\n"
+	seed := filepath.Join(t.TempDir(), "models.json")
+	if err := os.WriteFile(seed, []byte(`{"version": 3, "sets": {"q": {"models": [], "sums": []}}}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cfg := server.Defaults()
+	cfg.Models = seed
+	cfg.Domains = map[string]server.DomainSpec{"shop": {Mode: "training"}}
+	for _, walDir := range []string{"", t.TempDir()} {
+		cfg.WALDir = walDir
+		out := bootLines(t, cfg)
+		for _, want := range []string{
+			"septicd: domain default (mode=prevention, 1 query models)\n",
+			"septicd: domain shop (mode=training, 0 query models)\n",
+			"(mode=prevention sqli=true",
+		} {
+			if !strings.Contains(out, want) {
+				t.Errorf("-wal-dir %q: boot lines lack %q:\n%s", walDir, want, out)
+			}
+		}
+		if got, want := strings.Count(out, memoryOnly), map[bool]int{true: 1}[walDir == ""]; got != want {
+			t.Errorf("-wal-dir %q: the memory-only notice appears %d time(s), want %d:\n%s", walDir, got, want, out)
+		}
 	}
 }

@@ -74,16 +74,12 @@ func TestSepticBenchFig5CommandTiny(t *testing.T) {
 	}
 }
 
-// TestSepticdCommand runs the daemon the way an operator does: boot on
-// an ephemeral port, serve one query over the wire, SIGTERM, exit 0 with
-// the shutdown summary.
-func TestSepticdCommand(t *testing.T) {
-	if testing.Short() {
-		t.Skip("skipping command smoke test in -short mode")
-	}
-	bin := filepath.Join(t.TempDir(), "septicd")
-	runCommand(t, "build", "-o", bin, "./cmd/septicd")
-	cmd := exec.Command(bin, "-addr", "127.0.0.1:0", "-mode", "training", "-quiet")
+// septicdRun boots the built daemon on an ephemeral port in the given mode
+// and waits for its listening line, which must name that mode. stop sends
+// SIGTERM, requires exit status 0 and returns the shutdown output.
+func septicdRun(t *testing.T, bin, mode string, args ...string) (addr string, stop func() string) {
+	t.Helper()
+	cmd := exec.Command(bin, append([]string{"-addr", "127.0.0.1:0", "-quiet", "-mode", mode}, args...)...)
 	stdout, err := cmd.StdoutPipe()
 	if err != nil {
 		t.Fatal(err)
@@ -93,46 +89,75 @@ func TestSepticdCommand(t *testing.T) {
 	if err := cmd.Start(); err != nil {
 		t.Fatal(err)
 	}
-	defer cmd.Process.Kill()
+	t.Cleanup(func() { _ = cmd.Process.Kill() })
 
 	lines := bufio.NewScanner(stdout)
 	listening := regexp.MustCompile(fmt.Sprintf(
-		`^septicd: listening on (\S+) \(mode=training sqli=true stored=true policy=fail-closed max-conns=%d\)$`,
-		wire.DefaultMaxConns))
-	var addr string
+		`^septicd: listening on (\S+) \(mode=%s sqli=true stored=true policy=fail-closed max-conns=%d\)$`,
+		mode, wire.DefaultMaxConns))
 	for addr == "" && lines.Scan() {
 		if m := listening.FindStringSubmatch(lines.Text()); m != nil {
 			addr = m[1]
 		}
 	}
 	if addr == "" {
-		t.Fatalf("no listening line before stdout closed; stderr:\n%s", stderr.String())
+		t.Fatalf("no listening line for mode %s before stdout closed; stderr:\n%s", mode, stderr.String())
 	}
-	c, err := wire.Dial(addr)
-	if err != nil {
-		t.Fatal(err)
+	return addr, func() string {
+		t.Helper()
+		if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
+			t.Fatal(err)
+		}
+		var rest []string
+		for lines.Scan() {
+			rest = append(rest, lines.Text())
+		}
+		if err := cmd.Wait(); err != nil {
+			t.Errorf("septicd after SIGTERM: %v; stderr:\n%s", err, stderr.String())
+		}
+		return strings.Join(rest, "\n")
 	}
-	defer c.Close()
-	if _, err := c.Exec("CREATE TABLE users (name TEXT, pass TEXT)"); err != nil {
-		t.Fatal(err)
-	}
+}
 
-	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
-		t.Fatal(err)
+// TestSepticdCommand runs the daemon the way an operator runs the paper's
+// demo: boot in training mode on a WAL directory, teach it one query over
+// the wire, SIGTERM, exit 0 with the shutdown summary; boot again on the
+// same directory in prevention mode — the mode the banner names is the
+// mode in force — and the tautology on that query is blocked, not learned.
+func TestSepticdCommand(t *testing.T) {
+	if testing.Short() {
+		t.Skip("skipping command smoke test in -short mode")
 	}
-	var rest []string
-	for lines.Scan() {
-		rest = append(rest, lines.Text())
-	}
-	if err := cmd.Wait(); err != nil {
-		t.Errorf("septicd after SIGTERM: %v; stderr:\n%s", err, stderr.String())
-	}
-	out := strings.Join(rest, "\n")
-	for _, want := range []string{"septicd: draining sessions", "septicd: 1 queries seen, 1 models learned, 0 attacks (0 blocked)"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("shutdown output missing %q:\n%s", want, out)
+	bin := filepath.Join(t.TempDir(), "septicd")
+	runCommand(t, "build", "-o", bin, "./cmd/septicd")
+	walDir := t.TempDir()
+	session := func(mode string, attack bool, summary string) {
+		t.Helper()
+		addr, stop := septicdRun(t, bin, mode, "-wal-dir", walDir)
+		c, err := wire.Dial(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		for _, q := range []string{"CREATE TABLE users (id INT, name TEXT)", "SELECT name FROM users WHERE id = 1"} {
+			if _, err := c.Exec(q); err != nil {
+				t.Fatalf("%s mode: %s: %v", mode, q, err)
+			}
+		}
+		if attack {
+			if _, err := c.Exec("SELECT name FROM users WHERE id = 1 OR 1=1"); err == nil || !strings.Contains(err.Error(), "septic sqli") {
+				t.Errorf("%s mode: the tautology: %v, want it blocked", mode, err)
+			}
+		}
+		out := stop()
+		for _, want := range []string{"septicd: draining sessions", summary} {
+			if !strings.Contains(out, want) {
+				t.Errorf("%s mode: shutdown output missing %q:\n%s", mode, want, out)
+			}
 		}
 	}
+	session("training", false, "septicd: 2 queries seen, 2 models learned, 0 attacks (0 blocked)")
+	session("prevention", true, "septicd: 3 queries seen, 0 models learned, 1 attacks (1 blocked)")
 }
 
 func TestExampleCommands(t *testing.T) {

@@ -58,16 +58,6 @@ type Domain struct {
 	// verdicts is the domain's private verdict-cache partition.
 	verdicts *verdictCache
 
-	// cfgSink, when installed (Persistence.bind), records every
-	// configuration change in the write-ahead log so a restart comes back
-	// in the mode the operator left the domain in. Called after
-	// publication: a config append that fails is logged and counted by
-	// the persistence layer, but never blocks the mode switch itself —
-	// losing a mode change to a crash is recoverable (the operator's
-	// domains file still names the intended mode), whereas refusing one
-	// could pin a domain in training while it is under attack.
-	cfgSink func(cfg Config)
-
 	queriesSeen    atomic.Int64
 	modelsLearned  atomic.Int64
 	attacksFound   atomic.Int64
@@ -115,9 +105,6 @@ func (d *Domain) SetMode(m Mode) {
 	// generation computed against at-most-old configuration, and its
 	// cached verdict dies with the bump.
 	d.cfgGen.Add(1)
-	if d.cfgSink != nil {
-		d.cfgSink(d.Config())
-	}
 	d.sep.logger.Log(Event{Kind: EventModeChanged, Domain: d.name,
 		Detail: "mode set to " + m.String()})
 	d.sep.obs.Publish(obs.Event{Kind: obs.KindMode,
@@ -128,23 +115,11 @@ func (d *Domain) SetMode(m Mode) {
 func (d *Domain) SetConfig(cfg Config) {
 	d.cfg.Store(&cfg)
 	d.cfgGen.Add(1)
-	if d.cfgSink != nil {
-		d.cfgSink(cfg)
-	}
 	detail := fmt.Sprintf("config set: mode=%s sqli=%t stored=%t",
 		cfg.Mode, cfg.DetectSQLI, cfg.DetectStored)
 	d.sep.logger.Log(Event{Kind: EventModeChanged, Domain: d.name, Detail: detail})
 	d.sep.obs.Publish(obs.Event{Kind: obs.KindMode,
 		Detail: "domain " + d.name + ": " + detail})
-}
-
-// replayConfig applies a recovered configuration (checkpoint or WAL
-// replay): SetConfig minus the sink (the record is already durable) and
-// minus the operator-facing event noise. The generation still bumps so
-// no verdict cached against the pre-recovery configuration survives.
-func (d *Domain) replayConfig(cfg Config) {
-	d.cfg.Store(&cfg)
-	d.cfgGen.Add(1)
 }
 
 // SetOverload installs the domain's overload controls (per-domain

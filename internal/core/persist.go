@@ -17,20 +17,22 @@ import (
 
 // This file is the durable model store: the seam between the in-memory
 // protection domains and the internal/wal write-ahead log. Before it,
-// models lived only in memory between a boot-time Store.Load and a
-// SIGTERM-time Store.Save — a crash, OOM-kill or power loss silently
+// models lived only in memory — a restart, crash, OOM-kill or power loss
 // discarded everything learned since startup. With a Persistence
 // attached:
 //
-//   - every Put/Delete/Approve on any domain's store partition, and
-//     every SetMode/SetConfig on any domain, appends a record tagged
-//     with its protection domain to one shared WAL;
+//   - every Put/Delete/Approve on any domain's store partition appends a
+//     record tagged with its protection domain to one shared WAL;
 //   - boot replays the last checkpoint plus the WAL tail into each
 //     domain's partition, truncating a torn tail and counting what it
 //     had to drop;
 //   - a background checkpointer periodically compacts the log into an
 //     atomic snapshot (temp file + fsync + rename + directory fsync)
 //     and trims the sealed segments the snapshot made redundant.
+//
+// Learned models are the only thing persisted. A domain's Config is not:
+// every caller hands it to New / RegisterDomain at boot, so a recorded
+// one could only override what the operator just asked for.
 //
 // Under wal.FsyncAlways, a training update whose Put returned true is
 // covered by a completed fsync (one per commit group of concurrent
@@ -43,7 +45,9 @@ const (
 	opPut     = "put"
 	opDelete  = "del"
 	opApprove = "approve"
-	opConfig  = "cfg"
+	// opLegacyConfig was written for every mode change before
+	// configuration stopped being persisted; replay reads past it.
+	opLegacyConfig = "cfg"
 )
 
 // walRecord is the JSON payload of one WAL frame: a single mutation,
@@ -55,10 +59,9 @@ type walRecord struct {
 	// Model and Sum carry a put's learned model and its fingerprint;
 	// replay re-verifies the fingerprint so a corrupted-but-CRC-valid
 	// payload still cannot poison a store partition.
-	Model *qstruct.Model   `json:"model,omitempty"`
-	Sum   uint64           `json:"sum,omitempty"`
-	Inc   bool             `json:"inc,omitempty"`
-	Cfg   *persistedConfig `json:"cfg,omitempty"`
+	Model *qstruct.Model `json:"model,omitempty"`
+	Sum   uint64         `json:"sum,omitempty"`
+	Inc   bool           `json:"inc,omitempty"`
 	// RSeq is the upstream replication sequence number this record
 	// carried when a replica applied it (0 on a primary's own records).
 	// It is what lets a restarted replica resume the stream from its
@@ -68,50 +71,14 @@ type walRecord struct {
 	RSeq uint64 `json:"rseq,omitempty"`
 }
 
-// persistedConfig is a domain Config in persisted form.
-type persistedConfig struct {
-	Mode        int  `json:"mode"`
-	SQLI        bool `json:"sqli"`
-	Stored      bool `json:"stored"`
-	Incremental bool `json:"incremental"`
-	FailOpen    bool `json:"fail_open"`
-}
-
-// toPersistedConfig converts a live Config.
-func toPersistedConfig(c Config) persistedConfig {
-	return persistedConfig{
-		Mode:        int(c.Mode),
-		SQLI:        c.DetectSQLI,
-		Stored:      c.DetectStored,
-		Incremental: c.IncrementalLearning,
-		FailOpen:    c.FailOpen,
-	}
-}
-
-// toConfig converts back, reporting whether the persisted mode is a
-// known one (a corrupt or future-version record must not install an
-// invalid mode).
-func (p persistedConfig) toConfig() (Config, bool) {
-	m := Mode(p.Mode)
-	if m != ModeTraining && m != ModeDetection && m != ModePrevention {
-		return Config{}, false
-	}
-	return Config{
-		Mode:                m,
-		DetectSQLI:          p.SQLI,
-		DetectStored:        p.Stored,
-		IncrementalLearning: p.Incremental,
-		FailOpen:            p.FailOpen,
-	}, true
-}
-
 // checkpointVersion versions the checkpoint file layout.
 const checkpointVersion = 1
 
 // checkpointFileName is the snapshot's name inside the WAL directory.
 const checkpointFileName = "checkpoint.json"
 
-// checkpointFile is the on-disk snapshot of every domain.
+// checkpointFile is the snapshot of every domain, on disk and on the
+// replication stream.
 type checkpointFile struct {
 	Version int    `json:"version"`
 	WALSeq  uint64 `json:"wal_seq"`
@@ -119,14 +86,15 @@ type checkpointFile struct {
 	// nonzero only on a replica with local durability (or in a snapshot
 	// a primary streams to a replica, where it doubles as the barrier).
 	ReplSeq uint64 `json:"repl_seq,omitempty"`
-	// Domains maps protection-domain name → its store and config.
-	Domains map[string]checkpointDomain `json:"domains"`
+	// Domains maps protection-domain name → its store.
+	Domains strictMap[checkpointDomain] `json:"domains"`
 }
 
-// checkpointDomain is one domain's snapshot.
+// checkpointDomain is one domain's snapshot. Files written before
+// configuration stopped being persisted carry a "config" member beside
+// the sets; it is read past.
 type checkpointDomain struct {
-	Config persistedConfig         `json:"config"`
-	Sets   map[string]persistedSet `json:"sets"`
+	Sets strictMap[persistedSet] `json:"sets"`
 }
 
 // PersistenceOptions configures the durable model store.
@@ -231,10 +199,21 @@ func (s *Septic) AttachPersistence(opts PersistenceOptions) (*Persistence, error
 		return nil, fmt.Errorf("persistence: create dir: %w", err)
 	}
 
-	// Phase 1: the checkpoint, if one exists.
-	cpSeq, err := p.loadCheckpoint()
-	if err != nil {
-		return nil, err
+	// Phase 1: the checkpoint, if one exists. Its WAL sequence is the
+	// replay barrier (0 without one).
+	var cpSeq uint64
+	data, err := os.ReadFile(filepath.Join(opts.Dir, checkpointFileName))
+	switch {
+	case err == nil:
+		cp, unknown, err := s.installSnapshot(data)
+		if err != nil {
+			return nil, fmt.Errorf("persistence: checkpoint: %w", err)
+		}
+		cpSeq = cp.WALSeq
+		p.replSeq.Store(cp.ReplSeq)
+		p.recoveredSkipped.Add(int64(unknown))
+	case !os.IsNotExist(err):
+		return nil, fmt.Errorf("persistence: read checkpoint: %w", err)
 	}
 
 	// Phase 2: the WAL tail. Records at or below the checkpoint barrier
@@ -256,7 +235,18 @@ func (s *Septic) AttachPersistence(opts PersistenceOptions) (*Persistence, error
 		if rec.Seq <= cpSeq {
 			return nil
 		}
-		p.applyRecord(rec.Data)
+		logged, ok := s.applyRecord(rec.Data)
+		if logged.RSeq > p.replSeq.Load() {
+			// Replay is single-threaded; the load-then-store is safe. Even
+			// a record that could not be applied advances the resume floor:
+			// it was skipped before the restart too.
+			p.replSeq.Store(logged.RSeq)
+		}
+		if ok {
+			p.recoveredRecords.Add(1)
+		} else {
+			p.recoveredSkipped.Add(1)
+		}
 		return nil
 	})
 	if err != nil {
@@ -298,89 +288,80 @@ func (s *Septic) AttachPersistence(opts PersistenceOptions) (*Persistence, error
 // Persistence returns the attached durable store, if any.
 func (s *Septic) Persistence() *Persistence { return s.persist }
 
-// loadCheckpoint restores the snapshot into the domains and returns its
-// WAL sequence barrier (0 when no checkpoint exists).
-func (p *Persistence) loadCheckpoint() (uint64, error) {
-	path := filepath.Join(p.opts.Dir, checkpointFileName)
-	data, err := os.ReadFile(path)
-	if os.IsNotExist(err) {
-		return 0, nil
+// encodeSnapshot serializes every domain's store as a checkpointFile
+// covering the local log up to walSeq and the upstream stream up to
+// replSeq. The caller reads its barrier BEFORE calling; see Checkpoint.
+func (s *Septic) encodeSnapshot(walSeq, replSeq uint64) ([]byte, error) {
+	cp := checkpointFile{
+		Version: checkpointVersion,
+		WALSeq:  walSeq,
+		ReplSeq: replSeq,
+		Domains: make(map[string]checkpointDomain),
 	}
-	if err != nil {
-		return 0, fmt.Errorf("persistence: read checkpoint: %w", err)
+	for _, d := range s.Domains() {
+		cp.Domains[d.name] = checkpointDomain{Sets: d.store.snapshotSets()}
 	}
-	var cp checkpointFile
-	if err := json.Unmarshal(data, &cp); err != nil {
-		return 0, fmt.Errorf("persistence: decode checkpoint: %w", err)
-	}
-	if cp.Version != checkpointVersion {
-		return 0, fmt.Errorf("persistence: checkpoint version %d unsupported (want %d)",
-			cp.Version, checkpointVersion)
-	}
-	p.replSeq.Store(cp.ReplSeq)
-	for name, dom := range cp.Domains {
-		d, ok := p.sep.Domain(name)
-		if !ok {
-			p.recoveredSkipped.Add(1)
-			continue
-		}
-		if err := verifySets(dom.Sets); err != nil {
-			return 0, fmt.Errorf("persistence: checkpoint domain %q: %w", name, err)
-		}
-		d.store.restoreSets(dom.Sets)
-		if cfg, ok := dom.Config.toConfig(); ok {
-			d.replayConfig(cfg)
-		}
-	}
-	return cp.WALSeq, nil
+	return json.Marshal(&cp)
 }
 
-// applyRecord replays one WAL payload into its domain. Unknown domains,
-// unknown ops and fingerprint mismatches are counted as skipped, never
-// fatal: recovery must converge on whatever subset is applicable.
-func (p *Persistence) applyRecord(data []byte) {
-	var rec walRecord
+// installSnapshot decodes a checkpointFile, verifies it and replaces the
+// stores of the domains it names — the checkpoint at boot, a primary's
+// snapshot on a replica. All or nothing: every domain's fingerprints are
+// checked before any store is touched. Domains this Septic does not have
+// are left out and counted.
+func (s *Septic) installSnapshot(data []byte) (*checkpointFile, int, error) {
+	var cp checkpointFile
+	unknown := 0
+	if err := json.Unmarshal(data, &cp); err != nil {
+		return nil, 0, fmt.Errorf("decode: %w", err)
+	}
+	if cp.Version != checkpointVersion {
+		return nil, 0, fmt.Errorf("version %d unsupported (want %d)", cp.Version, checkpointVersion)
+	}
+	for name, dom := range cp.Domains {
+		if _, ok := s.Domain(name); !ok {
+			unknown++
+			delete(cp.Domains, name)
+		} else if err := verifySets(dom.Sets); err != nil {
+			return nil, 0, fmt.Errorf("domain %q: %w", name, err)
+		}
+	}
+	for name, dom := range cp.Domains {
+		d, _ := s.Domain(name) // found above; domains are never removed
+		d.store.restoreSets(dom.Sets)
+	}
+	return &cp, unknown, nil
+}
+
+// applyRecord replays one logged mutation into its domain: at boot off
+// the local WAL, on a replica off the stream. ok is false for what cannot
+// be applied — undecodable bytes (rec is then zero), an unknown domain or
+// op, a put whose model does not match its fingerprint; callers count
+// those and carry on, because replay must converge on whatever subset is
+// applicable.
+func (s *Septic) applyRecord(data []byte) (rec walRecord, ok bool) {
 	if err := json.Unmarshal(data, &rec); err != nil {
-		p.recoveredSkipped.Add(1)
-		return
+		return walRecord{}, false
 	}
-	if rec.RSeq > p.replSeq.Load() {
-		// Replay is single-threaded; the load-then-store is safe. Even a
-		// record skipped below advances the resume floor — it was applied
-		// (or deliberately skipped) before the restart too.
-		p.replSeq.Store(rec.RSeq)
-	}
-	d, ok := p.sep.Domain(rec.Dom)
-	if !ok {
-		p.recoveredSkipped.Add(1)
-		return
+	d, found := s.Domain(rec.Dom)
+	if !found {
+		return rec, false
 	}
 	switch rec.Op {
 	case opPut:
 		if rec.Model == nil || rec.Model.Fingerprint() != rec.Sum {
-			p.recoveredSkipped.Add(1)
-			return
+			return rec, false
 		}
 		d.store.replayPut(rec.ID, *rec.Model, rec.Inc)
 	case opDelete:
 		d.store.replayDelete(rec.ID)
 	case opApprove:
 		d.store.replayApprove(rec.ID)
-	case opConfig:
-		cfg, ok := Config{}, false
-		if rec.Cfg != nil {
-			cfg, ok = rec.Cfg.toConfig()
-		}
-		if !ok {
-			p.recoveredSkipped.Add(1)
-			return
-		}
-		d.replayConfig(cfg)
+	case opLegacyConfig:
 	default:
-		p.recoveredSkipped.Add(1)
-		return
+		return rec, false
 	}
-	p.recoveredRecords.Add(1)
+	return rec, true
 }
 
 // bind installs the durability sinks on one domain. Called at attach
@@ -389,10 +370,6 @@ func (p *Persistence) bind(d *Domain) {
 	d.store.setSink(func(rec *walRecord) error {
 		return p.append(d.name, rec)
 	})
-	d.cfgSink = func(cfg Config) {
-		pc := toPersistedConfig(cfg)
-		_ = p.append(d.name, &walRecord{Op: opConfig, Cfg: &pc})
-	}
 }
 
 // append tags, encodes and logs one mutation record. The error path is
@@ -444,19 +421,7 @@ func (p *Persistence) Checkpoint() error {
 		return ierr
 	}
 	seq := p.log.LastSeq()
-	cp := checkpointFile{
-		Version: checkpointVersion,
-		WALSeq:  seq,
-		ReplSeq: p.replSeq.Load(),
-		Domains: make(map[string]checkpointDomain),
-	}
-	for _, d := range p.sep.Domains() {
-		cp.Domains[d.name] = checkpointDomain{
-			Config: toPersistedConfig(d.Config()),
-			Sets:   d.store.snapshotSets(),
-		}
-	}
-	data, err := json.Marshal(&cp)
+	data, err := p.sep.encodeSnapshot(seq, p.replSeq.Load())
 	if err != nil {
 		p.checkpointFaults.Add(1)
 		return fmt.Errorf("persistence: encode checkpoint: %w", err)
@@ -581,24 +546,11 @@ func (p *Persistence) ReplAppliedSeq() uint64 { return p.replSeq.Load() }
 // record at or below it is reflected in the snapshot, so a replica that
 // installs the snapshot and then follows the stream from the barrier
 // misses nothing (records landing during the snapshot may be included
-// AND replayed; replay is idempotent). The payload is a checkpointFile,
-// so the replica installs it through the same decode/verify/restore
-// path boot uses.
+// AND replayed; replay is idempotent). The payload is a checkpointFile:
+// the replica installs it with the routine boot uses (installSnapshot).
 func (p *Persistence) ReplSnapshot() (uint64, []byte, error) {
 	barrier := p.log.DurableSeq()
-	cp := checkpointFile{
-		Version: checkpointVersion,
-		WALSeq:  barrier,
-		ReplSeq: barrier,
-		Domains: make(map[string]checkpointDomain),
-	}
-	for _, d := range p.sep.Domains() {
-		cp.Domains[d.name] = checkpointDomain{
-			Config: toPersistedConfig(d.Config()),
-			Sets:   d.store.snapshotSets(),
-		}
-	}
-	data, err := json.Marshal(&cp)
+	data, err := p.sep.encodeSnapshot(barrier, barrier)
 	if err != nil {
 		return 0, nil, fmt.Errorf("persistence: encode snapshot: %w", err)
 	}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -68,16 +69,19 @@ func TestPersistenceRoundTrip(t *testing.T) {
 	if pending := shop2.Store().PendingReview(); len(pending) != 0 {
 		t.Fatalf("approval lost: pending = %v", pending)
 	}
-	if shop2.Mode() != ModeDetection {
-		t.Fatalf("mode = %s, want detection", shop2.Mode())
+	// The mode is this boot's, not the last run's: only models persist.
+	if shop2.Mode() != DefaultConfig().Mode {
+		t.Fatalf("mode = %s, want the %s the domain was registered with", shop2.Mode(), DefaultConfig().Mode)
 	}
 	// Default-domain state never leaks into the registered domain and
 	// vice versa.
 	if _, ok := s2.Store().Get("q2"); ok {
 		t.Fatal("q2 leaked into the default domain")
 	}
-	if st := p2.Stats(); st.RecoveredRecords == 0 || st.RecoveredSkipped != 0 {
-		t.Fatalf("stats = %+v", st)
+	// put q1, put q2, put gone, delete gone, approve q2 — and nothing for
+	// the mode change.
+	if st := p2.Stats(); st.RecoveredRecords != 5 || st.RecoveredSkipped != 0 {
+		t.Fatalf("stats = %+v, want 5 records replayed and none skipped", st)
 	}
 }
 
@@ -399,9 +403,9 @@ func TestPersistenceGauges(t *testing.T) {
 
 // TestPersistenceSkipsCorruptRecords feeds the recovery path records the
 // current code would never write — broken JSON, an unknown op, a model
-// whose stored fingerprint does not match its content, a config with an
-// invalid mode — and requires each to be skipped (counted, never fatal)
-// while a good record in the same log still lands.
+// whose stored fingerprint does not match its content, a put without a
+// model — and requires each to be skipped (counted, never fatal) while a
+// good record in the same log still lands.
 func TestPersistenceSkipsCorruptRecords(t *testing.T) {
 	dir := t.TempDir()
 
@@ -427,8 +431,6 @@ func TestPersistenceSkipsCorruptRecords(t *testing.T) {
 	appendRec(walRecord{Op: "compact", Dom: DefaultDomain})                           // unknown op
 	appendRec(walRecord{Op: opPut, Dom: DefaultDomain, ID: "bad", Model: &m, Sum: 1}) // fingerprint lie
 	appendRec(walRecord{Op: opPut, Dom: DefaultDomain, ID: "nil"})                    // put without model
-	badMode := persistedConfig{Mode: 99}
-	appendRec(walRecord{Op: opConfig, Dom: DefaultDomain, Cfg: &badMode}) // invalid mode
 	appendRec(walRecord{Op: opPut, Dom: DefaultDomain, ID: "good", Model: &m, Sum: m.Fingerprint()})
 	if err := log.Close(); err != nil {
 		t.Fatal(err)
@@ -437,8 +439,8 @@ func TestPersistenceSkipsCorruptRecords(t *testing.T) {
 	s, p := newPersisted(t, dir, PersistenceOptions{Fsync: wal.FsyncNever})
 	defer p.Close()
 	st := p.Stats()
-	if st.RecoveredSkipped != 5 {
-		t.Fatalf("RecoveredSkipped = %d, want 5", st.RecoveredSkipped)
+	if st.RecoveredSkipped != 4 {
+		t.Fatalf("RecoveredSkipped = %d, want 4", st.RecoveredSkipped)
 	}
 	if st.RecoveredRecords != 1 {
 		t.Fatalf("RecoveredRecords = %d, want 1", st.RecoveredRecords)
@@ -450,9 +452,6 @@ func TestPersistenceSkipsCorruptRecords(t *testing.T) {
 		if _, ok := s.Store().Get(id); ok {
 			t.Fatalf("corrupt record %q was applied", id)
 		}
-	}
-	if mode := s.Config().Mode; mode != DefaultConfig().Mode {
-		t.Fatalf("invalid persisted mode installed: %v", mode)
 	}
 }
 
@@ -505,5 +504,98 @@ func TestPersistenceSafeCheckpointContainsPanicAndError(t *testing.T) {
 	p.safeCheckpoint()
 	if got := p.Stats().Checkpoints; got != 1 {
 		t.Fatalf("clean checkpoint after faults: Checkpoints = %d, want 1", got)
+	}
+}
+
+// What the releases that still persisted configuration wrote, byte for
+// byte (taken from a directory one of them produced): a checkpoint with a
+// "config" beside each domain's sets, and "cfg" records in the log. Both
+// record the domains in TRAINING mode (1).
+const (
+	legacyCheckpoint = `{"version":1,"wal_seq":2,"domains":{"default":{"config":{"mode":1,"sqli":true,"stored":true,"incremental":true,"fail_open":false},"sets":{}},"shop":{"config":{"mode":1,"sqli":true,"stored":true,"incremental":true,"fail_open":false},"sets":{"shop:q1":{"models":[{"nodes":[{"cat":2,"data":"t"},{"cat":1,"data":"a"},{"cat":4,"data":"b"},{"cat":22,"data":"⊥"},{"cat":5,"data":"="}]}],"sums":[10641995891163404906],"hits":0}}}}}`
+	legacyCfgShop    = `{"op":"cfg","dom":"shop","cfg":{"mode":1,"sqli":true,"stored":true,"incremental":true,"fail_open":false}}`
+	legacyPutQ1      = `{"op":"put","dom":"shop","id":"shop:q1","model":{"nodes":[{"cat":2,"data":"t"},{"cat":1,"data":"a"},{"cat":4,"data":"b"},{"cat":22,"data":"⊥"},{"cat":5,"data":"="}]},"sum":10641995891163404906}`
+	legacyPutQ2      = `{"op":"put","dom":"shop","id":"shop:q2","model":{"nodes":[{"cat":2,"data":"t"},{"cat":1,"data":"a"}]},"sum":4564267318190145035,"inc":true}`
+	legacyCfgDefault = `{"op":"cfg","dom":"default","cfg":{"mode":1,"sqli":true,"stored":true,"incremental":true,"fail_open":false}}`
+)
+
+// TestPersistenceReadsPastLegacyConfig: a directory an older release left
+// behind boots — the models come back, the recorded configuration is
+// read past (it is not damage, so nothing is counted as skipped) and the
+// domains run in the mode this boot gave them.
+func TestPersistenceReadsPastLegacyConfig(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, checkpointFileName), []byte(legacyCheckpoint), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	log, _, err := wal.Open(wal.Options{Dir: dir, Policy: wal.FsyncNever}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Sequences 1 and 2 are under the checkpoint's barrier; 3 and 4 are
+	// the tail recovery replays.
+	for _, rec := range []string{legacyCfgShop, legacyPutQ1, legacyPutQ2, legacyCfgDefault} {
+		if _, err := log.Append([]byte(rec)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := log.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s, p := newPersisted(t, dir, PersistenceOptions{Fsync: wal.FsyncNever})
+	defer p.Close()
+	shop, _ := s.Domain("shop")
+	if got := shop.Store().IDs(); len(got) != 2 || got[0] != "shop:q1" || got[1] != "shop:q2" {
+		t.Fatalf("recovered identifiers %v, want shop:q1 and shop:q2", got)
+	}
+	if st := p.Stats(); st.RecoveredSkipped != 0 || st.RecoveredRecords != 2 {
+		t.Fatalf("replayed %d, skipped %d; want the 2 tail records and nothing skipped", st.RecoveredRecords, st.RecoveredSkipped)
+	}
+	for _, d := range s.Domains() {
+		if d.Mode() != DefaultConfig().Mode {
+			t.Errorf("domain %s runs in %s, the mode an old run recorded; want %s", d.Name(), d.Mode(), DefaultConfig().Mode)
+		}
+	}
+}
+
+// malformedSnapshots is TestStoreLoadRejectsMalformedFiles' table in
+// checkpoint form: what a plain json.Unmarshal forgives and the one
+// decoder must not, whether the bytes come from the disk or off the
+// replication stream.
+func malformedSnapshots() map[string][2]string { // name → {snapshot, error substring}
+	set := `{"models":[{"nodes":[{"cat":2,"data":"t"},{"cat":1,"data":"a"}]}],"sums":[4564267318190145035]}`
+	wrap := func(sets string) string {
+		return `{"version":1,"wal_seq":0,"domains":{"shop":{"sets":{` + sets + `}}}}`
+	}
+	return map[string][2]string{
+		"duplicate identifier": {wrap(`"q1":` + set + `,"q1":` + set), `duplicate member "q1"`},
+		"duplicate domain":     {`{"version":1,"domains":{"shop":{"sets":{}},"shop":{"sets":{}}}}`, `duplicate member "shop"`},
+		"oversized record":     {wrap(`"q1":{"models":[],"pad":"` + strings.Repeat("x", maxPersistedSetBytes) + `"}`), "exceeds"},
+		"truncated sums":       {wrap(`"q1":{"models":[{"nodes":[{"cat":2,"data":"t"}]}],"sums":[]}`), "0 fingerprint(s) for 1 model(s)"},
+		"forged sum":           {wrap(`"q1":{"models":[{"nodes":[{"cat":2,"data":"t"}]}],"sums":[7]}`), "fingerprint mismatch"},
+		"sets not an object":   {`{"version":1,"domains":{"shop":{"sets":[1]}}}`, "not a JSON object"},
+		"not an object":        {`[1, 2, 3]`, "cannot unmarshal array"},
+		"truncated":            {`{"version":1,"domains":{"shop":{"sets":{"q1":{"mod`, ""},
+	}
+}
+
+func TestPersistenceRejectsMalformedCheckpoints(t *testing.T) {
+	for name, tc := range malformedSnapshots() {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, checkpointFileName), []byte(tc[0]), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s := New(DefaultConfig())
+		if _, err := s.RegisterDomain("shop", DefaultConfig()); err != nil {
+			t.Fatal(err)
+		}
+		p, err := s.AttachPersistence(PersistenceOptions{Dir: dir, Fsync: wal.FsyncNever})
+		if err == nil {
+			p.Close()
+			t.Errorf("%s: attach accepted the checkpoint", name)
+		} else if !strings.Contains(err.Error(), tc[1]) {
+			t.Errorf("%s: error %q does not mention %q", name, err, tc[1])
+		}
 	}
 }

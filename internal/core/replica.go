@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"sync"
@@ -18,7 +17,9 @@ import (
 // writes. The transport lives in internal/repl; this file owns the
 // apply path, because applying a replicated record is exactly the WAL
 // replay the persistence layer already performs at boot (applyRecord /
-// loadCheckpoint), just arriving over a socket instead of from disk.
+// installSnapshot), just arriving over a socket instead of from disk.
+// Only models travel: a replica keeps the mode and detectors it was
+// started with, whatever the primary runs.
 //
 // Consistency model: a record is acknowledged on the PRIMARY once its
 // local WAL append returns under the primary's fsync policy; replicas
@@ -172,7 +173,8 @@ func (s *Septic) IsReplica() bool { return s.replica.Load() }
 
 // ApplySnapshot installs a primary's full-state snapshot: the payload is
 // a checkpointFile (the primary's ReplSnapshot built it), decoded,
-// verified and restored through the same path boot recovery uses.
+// verified and restored by the routine boot recovery uses — all domains
+// or, on any error, none.
 // barrier is the WAL sequence the snapshot covers; the applied position
 // moves there — backward too, the primary's history is authoritative. On
 // a replica with local persistence the installed state is checkpointed
@@ -188,28 +190,11 @@ func (rs *ReplicaState) ApplySnapshot(barrier uint64, data []byte) error {
 	if rs.promoted.Load() {
 		return fmt.Errorf("replica promoted, stream refused")
 	}
-	var cp checkpointFile
-	if err := json.Unmarshal(data, &cp); err != nil {
-		return fmt.Errorf("replica: decode snapshot: %w", err)
+	_, unknown, err := rs.sep.installSnapshot(data)
+	if err != nil {
+		return fmt.Errorf("replica: snapshot: %w", err)
 	}
-	if cp.Version != checkpointVersion {
-		return fmt.Errorf("replica: snapshot version %d unsupported (want %d)",
-			cp.Version, checkpointVersion)
-	}
-	for name, dom := range cp.Domains {
-		d, ok := rs.sep.Domain(name)
-		if !ok {
-			rs.skipped.Add(1)
-			continue
-		}
-		if err := verifySets(dom.Sets); err != nil {
-			return fmt.Errorf("replica: snapshot domain %q: %w", name, err)
-		}
-		d.store.restoreSets(dom.Sets)
-		if cfg, ok := dom.Config.toConfig(); ok {
-			d.replayConfig(cfg)
-		}
-	}
+	rs.skipped.Add(int64(unknown))
 	rs.snapshots.Add(1)
 	rs.snapshotBytes.Add(int64(len(data)))
 	if p := rs.sep.persist; p != nil {
@@ -233,8 +218,10 @@ func (rs *ReplicaState) ApplySnapshot(barrier uint64, data []byte) error {
 // replica re-subscribes after its last durable position, which may be
 // behind what it already applied in memory) — making application
 // idempotent end to end. Undecodable or unroutable records are counted
-// and skipped but still advance the position, exactly like boot replay:
-// recovery must converge on the applicable subset.
+// and skipped but still advance the position — and, with local
+// persistence, are journaled like the rest so the durable floor moves
+// past them — exactly like boot replay: recovery must converge on the
+// applicable subset.
 //
 // Apply order is memory first, then the best-effort local WAL append
 // (tagged with RSeq for the durable resume floor). Memory-first keeps
@@ -254,37 +241,8 @@ func (rs *ReplicaState) ApplyRecord(seq uint64, data []byte) error {
 		rs.observeSeq(seq)
 		return nil
 	}
-	var rec walRecord
-	if err := json.Unmarshal(data, &rec); err != nil {
-		rs.skipped.Add(1)
-		rs.applied.Store(seq)
-		rs.observeSeq(seq)
-		return nil
-	}
-	applied := false
-	if d, ok := rs.sep.Domain(rec.Dom); ok {
-		switch rec.Op {
-		case opPut:
-			if rec.Model != nil && rec.Model.Fingerprint() == rec.Sum {
-				d.store.replayPut(rec.ID, *rec.Model, rec.Inc)
-				applied = true
-			}
-		case opDelete:
-			d.store.replayDelete(rec.ID)
-			applied = true
-		case opApprove:
-			d.store.replayApprove(rec.ID)
-			applied = true
-		case opConfig:
-			if rec.Cfg != nil {
-				if cfg, ok := rec.Cfg.toConfig(); ok {
-					d.replayConfig(cfg)
-					applied = true
-				}
-			}
-		}
-	}
-	if applied {
+	rec, ok := rs.sep.applyRecord(data)
+	if ok {
 		rs.appliedRecords.Add(1)
 	} else {
 		rs.skipped.Add(1)

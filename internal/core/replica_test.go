@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/json"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -62,16 +63,21 @@ func TestReplicaApplyRecordOps(t *testing.T) {
 	if shop.Store().ModelCount() != 1 {
 		t.Fatalf("model count %d after put, want 1", shop.Store().ModelCount())
 	}
-	// approve, config, then delete — each routed through the replay path.
+	// approve, an older primary's config record, then delete — each routed
+	// through the replay path. The config record says TRAINING; a replica
+	// keeps the configuration it was started with, but moves past the
+	// record without calling it damage.
 	if err := rs.ApplyRecord(2, replRecord(t, walRecord{Op: opApprove, Dom: "shop", ID: "q1"})); err != nil {
 		t.Fatal(err)
 	}
-	cfg := toPersistedConfig(Config{Mode: ModeDetection, DetectSQLI: true})
-	if err := rs.ApplyRecord(3, replRecord(t, walRecord{Op: opConfig, Dom: "shop", Cfg: &cfg})); err != nil {
+	if err := rs.ApplyRecord(3, []byte(legacyCfgShop)); err != nil {
 		t.Fatal(err)
 	}
-	if got := shop.Config(); got.Mode != ModeDetection || !got.DetectSQLI {
-		t.Fatalf("replicated config not applied: %+v", got)
+	if got := shop.Config(); got != DefaultConfig() {
+		t.Fatalf("a replicated config record changed the replica's: %+v, want %+v", got, DefaultConfig())
+	}
+	if st := rs.Stats(); st.AppliedSeq != 3 || st.Skipped != 0 {
+		t.Fatalf("after the config record: applied seq %d, %d skipped; want 3 and 0", st.AppliedSeq, st.Skipped)
 	}
 	if err := rs.ApplyRecord(4, replRecord(t, walRecord{Op: opDelete, Dom: "shop", ID: "q1"})); err != nil {
 		t.Fatal(err)
@@ -171,7 +177,7 @@ func TestReplicaApplySnapshot(t *testing.T) {
 	if err := rs.ApplySnapshot(barrier, []byte("{oops")); err == nil {
 		t.Fatal("garbage snapshot accepted")
 	}
-	bad, _ := json.Marshal(&checkpointFile{Version: checkpointVersion + 1})
+	bad, _ := json.Marshal(&checkpointFile{Version: checkpointVersion + 1, Domains: map[string]checkpointDomain{}})
 	if err := rs.ApplySnapshot(barrier, bad); err == nil || !strings.Contains(err.Error(), "version") {
 		t.Fatalf("wrong-version snapshot: %v", err)
 	}
@@ -237,6 +243,13 @@ func TestReplicaLocalDurabilityResume(t *testing.T) {
 	}
 	next := barrier + 1
 	if err := rs.ApplyRecord(next, putRecord(t, "shop", "q2", "SELECT a FROM t WHERE b = 2")); err != nil {
+		t.Fatal(err)
+	}
+	// A record that cannot be decoded is journaled like the rest: the
+	// durable position moves past it too, and a restart does not ask the
+	// primary for it again.
+	next++
+	if err := rs.ApplyRecord(next, []byte("{not json")); err != nil {
 		t.Fatal(err)
 	}
 	if p.ReplAppliedSeq() != next {
@@ -449,5 +462,130 @@ func TestChaosReplHeadStopsAtDurableHorizon(t *testing.T) {
 	barrier, _, err := p.ReplSnapshot()
 	if err != nil || barrier != 1 || p.ReplLastSeq() != 1 {
 		t.Fatalf("after the fsync: barrier %d, head %d, err %v; want 1, 1, nil", barrier, p.ReplLastSeq(), err)
+	}
+}
+
+// TestReplicaSnapshotLeavesConfigAlone: a detection replica that installs
+// a snapshot taken from a training primary — in today's form, and in the
+// older form that recorded the primary's configuration — holds the
+// primary's models and still runs in detection mode.
+func TestReplicaSnapshotLeavesConfigAlone(t *testing.T) {
+	training := DefaultConfig()
+	training.Mode = ModeTraining
+	primary := New(training, WithLogger(NewLogger(WithCheckedSampling(0))))
+	pshop, err := primary.RegisterDomain("shop", training)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pp, err := primary.AttachPersistence(PersistenceOptions{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pp.Close()
+	pshop.Store().Put("shop:q1", modelFor(t, "SELECT a FROM t WHERE b = 1"), false)
+	barrier, snap, err := pp.ReplSnapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for name, data := range map[string][]byte{"current": snap, "legacy": []byte(legacyCheckpoint)} {
+		detection := DefaultConfig()
+		detection.Mode = ModeDetection
+		sep := New(detection, WithLogger(NewLogger(WithCheckedSampling(0))))
+		shop, err := sep.RegisterDomain("shop", detection)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rs, err := sep.AttachReplicaSource()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := rs.ApplySnapshot(barrier, data); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if _, ok := shop.Store().Get("shop:q1"); !ok {
+			t.Errorf("%s: the snapshot's model did not arrive", name)
+		}
+		for _, d := range sep.Domains() {
+			if d.Config() != detection {
+				t.Errorf("%s: domain %s runs %+v after the install, want the replica's own %+v", name, d.Name(), d.Config(), detection)
+			}
+		}
+		if st := rs.Stats(); st.Skipped != 0 {
+			t.Errorf("%s: %d skipped, want 0", name, st.Skipped)
+		}
+	}
+}
+
+// TestReplicaSnapshotIsAllOrNothing: one domain with a forged fingerprint
+// refuses the whole snapshot, before any of the sound domains beside it
+// has been replaced.
+func TestReplicaSnapshotIsAllOrNothing(t *testing.T) {
+	primary := New(DefaultConfig(), WithLogger(NewLogger(WithCheckedSampling(0))))
+	replica := New(DefaultConfig(), WithLogger(NewLogger(WithCheckedSampling(0))))
+	names := []string{"d0", "d1", "d2", "d3", "d4", "d5", "d6", "d7"}
+	for _, name := range names {
+		pd, err := primary.RegisterDomain(name, DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		pd.Store().Put(name+":new", modelFor(t, "SELECT a FROM t WHERE b = 1"), false)
+		rd, err := replica.RegisterDomain(name, DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		rd.Store().Put(name+":old", modelFor(t, "SELECT a FROM t"), false)
+	}
+	good, err := primary.encodeSnapshot(1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs, err := replica.AttachReplicaSource()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dump := func() (out [][]DumpEntry) {
+		for _, d := range replica.Domains() {
+			out = append(out, d.Store().Dump())
+		}
+		return out
+	}
+	before := dump()
+
+	var cp checkpointFile
+	if err := json.Unmarshal(good, &cp); err != nil {
+		t.Fatal(err)
+	}
+	cp.Domains["d7"].Sets["d7:new"].Sums[0]++
+	forged, _ := json.Marshal(&cp)
+	// Map order decides which domains come before the forged one; a few
+	// rounds make "none of the seven was restored first" no accident.
+	for round := 0; round < 4; round++ {
+		if err := rs.ApplySnapshot(1, forged); err == nil || !strings.Contains(err.Error(), `domain "d7"`) {
+			t.Fatalf("forged snapshot: %v, want domain d7's fingerprint refused", err)
+		}
+		if after := dump(); !reflect.DeepEqual(after, before) {
+			t.Fatalf("a refused snapshot replaced stores:\n%v\nwant them as before:\n%v", after, before)
+		}
+	}
+	if err := rs.ApplySnapshot(1, good); err != nil {
+		t.Fatal(err)
+	}
+	if d0, _ := replica.Domain("d0"); len(d0.Store().IDs()) != 1 || d0.Store().IDs()[0] != "d0:new" {
+		t.Fatalf("the sound snapshot did not install: d0 holds %v", d0.Store().IDs())
+	}
+}
+
+func TestReplicaRejectsMalformedSnapshots(t *testing.T) {
+	_, rs := newReplica(t)
+	for name, tc := range malformedSnapshots() {
+		if err := rs.ApplySnapshot(1, []byte(tc[0])); err == nil {
+			t.Errorf("%s: snapshot accepted", name)
+		} else if !strings.Contains(err.Error(), tc[1]) {
+			t.Errorf("%s: error %q does not mention %q", name, err, tc[1])
+		}
+	}
+	if st := rs.Stats(); st.Snapshots != 0 || st.AppliedSeq != 0 {
+		t.Fatalf("refused snapshots moved the replica: %+v", st)
 	}
 }

@@ -136,8 +136,7 @@ type Septic struct {
 	logger   *Logger
 
 	// store is the default domain's model store; kept as a field so the
-	// construction options (WithStore) and the legacy single-tenant
-	// gauges keep their shape.
+	// legacy single-tenant gauges keep their shape.
 	store *Store
 
 	// def is the default protection domain: the routing fallback and the
@@ -189,13 +188,6 @@ func WithLogger(l *Logger) SepticOption {
 // WithPlugins replaces the stored-injection plugin chain.
 func WithPlugins(plugins []Plugin) SepticOption {
 	return func(s *Septic) { s.detector = NewDetector(plugins) }
-}
-
-// WithStore installs a pre-loaded model store (e.g. read from disk) as
-// the DEFAULT domain's store. Registered domains always start with their
-// own fresh store; load them through Domain.Store().Load.
-func WithStore(store *Store) SepticOption {
-	return func(s *Septic) { s.store = store }
 }
 
 // WithIDGenerator replaces the query-identifier generator.

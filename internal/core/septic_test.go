@@ -351,15 +351,13 @@ func TestStorePersistenceAcrossRestart(t *testing.T) {
 	}
 
 	// "Restart": fresh SEPTIC in prevention mode, loading the models.
-	store := NewStore()
-	if err := store.Load(path); err != nil {
+	sep2 := New(Config{Mode: ModePrevention, DetectSQLI: true, IncrementalLearning: false})
+	if err := sep2.Store().Load(path); err != nil {
 		t.Fatalf("Load: %v", err)
 	}
-	if store.Len() != sep.Store().Len() {
-		t.Fatalf("loaded %d models, want %d", store.Len(), sep.Store().Len())
+	if sep2.Store().Len() != sep.Store().Len() {
+		t.Fatalf("loaded %d models, want %d", sep2.Store().Len(), sep.Store().Len())
 	}
-	sep2 := New(Config{Mode: ModePrevention, DetectSQLI: true, IncrementalLearning: false},
-		WithStore(store))
 	db2 := engine.New(engine.WithQueryHook(nil))
 	if _, err := db2.Exec("CREATE TABLE tickets (id INT, reservID TEXT, creditCard INT)"); err != nil {
 		t.Fatal(err)

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"os"
@@ -512,7 +513,7 @@ type persistedSet struct {
 // storeFile is the persisted JSON layout.
 type storeFile struct {
 	Version int                     `json:"version"`
-	Sets    map[string]persistedSet `json:"sets"`
+	Sets    strictMap[persistedSet] `json:"sets"`
 }
 
 const storeVersion = 3
@@ -578,67 +579,49 @@ func (s *Store) Save(path string) error {
 	return nil
 }
 
-// decodeStoreFile parses a persisted store, enforcing what a plain
-// json.Unmarshal silently forgives: a duplicate identifier key (the
-// last one would win, quietly dropping models) and an oversized record
-// (> maxPersistedSetBytes) are both rejected with descriptive errors.
-func decodeStoreFile(data []byte) (*storeFile, error) {
+// strictMap is a JSON object of named records — identifier → models,
+// domain → store — decoded member by member, refusing what a plain map
+// forgives: a name written twice, where the last one would win and, for
+// an identifier, quietly drop learned models. Every persisted form keeps
+// its records in one (a -models seed file, the checkpoint, a snapshot off
+// the network), so none of them can be read leniently.
+type strictMap[V any] map[string]V
+
+// UnmarshalJSON implements json.Unmarshaler.
+func (m *strictMap[V]) UnmarshalJSON(data []byte) error {
 	dec := json.NewDecoder(bytes.NewReader(data))
-	if tok, err := dec.Token(); err != nil || tok != json.Delim('{') {
-		return nil, fmt.Errorf("not a JSON object (%v)", err)
+	if tok, _ := dec.Token(); tok != json.Delim('{') {
+		return errors.New("not a JSON object")
 	}
-	file := &storeFile{Sets: make(map[string]persistedSet)}
+	if *m == nil {
+		*m = make(strictMap[V])
+	}
 	for dec.More() {
-		keyTok, err := dec.Token()
+		tok, err := dec.Token()
 		if err != nil {
-			return nil, err
+			return err
 		}
-		key, _ := keyTok.(string)
-		switch key {
-		case "version":
-			if err := dec.Decode(&file.Version); err != nil {
-				return nil, fmt.Errorf("version: %w", err)
-			}
-		case "sets":
-			if tok, err := dec.Token(); err != nil || tok != json.Delim('{') {
-				return nil, fmt.Errorf("sets is not an object (%v)", err)
-			}
-			for dec.More() {
-				idTok, err := dec.Token()
-				if err != nil {
-					return nil, err
-				}
-				id, _ := idTok.(string)
-				if _, dup := file.Sets[id]; dup {
-					return nil, fmt.Errorf("duplicate identifier %q", id)
-				}
-				var raw json.RawMessage
-				if err := dec.Decode(&raw); err != nil {
-					return nil, fmt.Errorf("record %q: %w", id, err)
-				}
-				if len(raw) > maxPersistedSetBytes {
-					return nil, fmt.Errorf("record %q is %d bytes, exceeds the %d-byte limit",
-						id, len(raw), maxPersistedSetBytes)
-				}
-				var p persistedSet
-				if err := json.Unmarshal(raw, &p); err != nil {
-					return nil, fmt.Errorf("record %q: %w", id, err)
-				}
-				file.Sets[id] = p
-			}
-			if _, err := dec.Token(); err != nil { // closing '}'
-				return nil, err
-			}
-		default:
-			// Unknown top-level fields are skipped for forward
-			// compatibility.
-			var skip json.RawMessage
-			if err := dec.Decode(&skip); err != nil {
-				return nil, err
-			}
+		name, _ := tok.(string)
+		if _, dup := (*m)[name]; dup {
+			return fmt.Errorf("duplicate member %q", name)
 		}
+		var v V
+		if err := dec.Decode(&v); err != nil {
+			return fmt.Errorf("%q: %w", name, err)
+		}
+		(*m)[name] = v
 	}
-	return file, nil
+	return nil
+}
+
+// UnmarshalJSON implements json.Unmarshaler, refusing a record past
+// maxPersistedSetBytes with a descriptive error.
+func (p *persistedSet) UnmarshalJSON(data []byte) error {
+	if len(data) > maxPersistedSetBytes {
+		return fmt.Errorf("record is %d bytes, exceeds the %d-byte limit", len(data), maxPersistedSetBytes)
+	}
+	type plain persistedSet
+	return json.Unmarshal(data, (*plain)(p))
 }
 
 // verifySets checks every model's persisted fingerprint. A record whose
@@ -702,8 +685,8 @@ func (s *Store) Load(path string) error {
 	if err != nil {
 		return fmt.Errorf("read model store: %w", err)
 	}
-	file, err := decodeStoreFile(data)
-	if err != nil {
+	var file storeFile
+	if err := json.Unmarshal(data, &file); err != nil {
 		return fmt.Errorf("decode model store: %w", err)
 	}
 	if file.Version != storeVersion {

@@ -392,7 +392,7 @@ func TestStoreLoadRejectsMalformedFiles(t *testing.T) {
 		{
 			name: "duplicate identifier",
 			data: `{"version": 3, "sets": {"q1": {"models": []}, "q1": {"models": []}}}`,
-			want: "duplicate identifier",
+			want: `duplicate member "q1"`,
 		},
 		{
 			name: "oversized record",
@@ -402,12 +402,12 @@ func TestStoreLoadRejectsMalformedFiles(t *testing.T) {
 		{
 			name: "not an object",
 			data: `[1, 2, 3]`,
-			want: "not a JSON object",
+			want: "cannot unmarshal array",
 		},
 		{
 			name: "sets not an object",
 			data: `{"version": 3, "sets": [1]}`,
-			want: "sets is not an object",
+			want: "not a JSON object",
 		},
 		{
 			name: "truncated",

@@ -83,8 +83,8 @@ type DomainSpec struct {
 	Stored      *bool `json:"stored"`
 	Incremental *bool `json:"incremental"`
 	FailOpen    bool  `json:"fail_open"`
-	// Store is the domain's persistence path; empty disables persistence
-	// for this domain.
+	// Store is the domain's seed file, what -models is to the default
+	// domain: read at boot when the domain has no models yet.
 	Store string `json:"store"`
 
 	// Overload policy, all optional. QuotaRate caps the domain's
@@ -137,7 +137,7 @@ func (spec DomainSpec) overloadControls() *overload.Controls {
 }
 
 // domainNames returns the configured domains in the order they are
-// registered, reported and saved.
+// registered, seeded and reported.
 func (c Config) domainNames() []string {
 	names := make([]string, 0, len(c.Domains))
 	for name := range c.Domains {
@@ -171,10 +171,12 @@ func (c Config) parse() (core.Mode, wal.FsyncPolicy, error) {
 	if err != nil {
 		return 0, 0, err
 	}
+	seeded := c.Models != ""
 	for _, name := range c.domainNames() {
 		if _, err := parseMode(c.Domains[name].Mode); err != nil {
 			return 0, 0, fmt.Errorf("domain %q: %w", name, err)
 		}
+		seeded = seeded || c.Domains[name].Store != ""
 	}
 	policy, err := wal.ParseFsyncPolicy(c.WALFsync)
 	switch {
@@ -185,6 +187,8 @@ func (c Config) parse() (core.Mode, wal.FsyncPolicy, error) {
 		err = errors.New("-wal-force-recover requires -wal-dir (there is no log to recover)")
 	case c.MaxConcurrent != 0 && c.ShedTarget <= 0:
 		err = errors.New("-max-concurrent requires -shed-target (it sizes the gate behind the admission controller)")
+	case c.ReplicateFrom != "" && seeded:
+		err = errors.New("-models and a domains-file store cannot be combined with -replicate-from (a replica's stores belong to the stream)")
 	}
 	return mode, policy, err
 }

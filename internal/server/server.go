@@ -18,14 +18,6 @@ import (
 	"github.com/septic-db/septic/internal/wire"
 )
 
-// StoreFile is one query-model snapshot file read at boot or written at
-// shutdown, with the number of models it held.
-type StoreFile struct {
-	Domain string // empty: the default domain's store, Config.Models
-	Path   string // empty: the domain has no snapshot file
-	Models int
-}
-
 // Stack is one running deployment.
 type Stack struct {
 	DB    *engine.DB
@@ -35,18 +27,15 @@ type Stack struct {
 	// Bound addresses; empty when that listener is off.
 	Addr, ReplAddr, ObsAddr string
 
-	// What Start found: the default store if its file existed, then every
-	// configured domain in name order; and, on a replica, the sequence
-	// the stream resumes after.
-	Loaded    []StoreFile
+	// What Start found: on a replica, the sequence the stream resumes
+	// after.
 	ResumeSeq uint64
 
 	// What Shutdown did: whether the drain deadline passed and sessions
-	// were force-closed, why the replication stream ended (nil after a
-	// clean close) and the snapshot files written.
+	// were force-closed, and why the replication stream ended (nil after
+	// a clean close).
 	DrainTimedOut bool
 	ReplicaErr    error
-	Saved         []StoreFile
 
 	cfg     Config
 	audit   *os.File
@@ -99,19 +88,13 @@ func start(cfg Config, listen func(network, addr string) (net.Listener, error)) 
 		st.adm = overload.NewAdmission(overload.AdmissionOptions{Target: cfg.ShedTarget, Capacity: capacity})
 	}
 
-	store := core.NewStore()
-	if found, err := loadStore(store, cfg.Models); err != nil {
-		return nil, err
-	} else if found {
-		st.Loaded = append(st.Loaded, StoreFile{"", cfg.Models, store.Len()})
-	}
 	guard := core.New(core.Config{
 		Mode:                mode,
 		DetectSQLI:          cfg.SQLI,
 		DetectStored:        cfg.Stored,
 		IncrementalLearning: true,
 		FailOpen:            cfg.FailOpen,
-	}, core.WithStore(store), core.WithLogger(core.NewLogger(logOpts...)), core.WithObserver(hub))
+	}, core.WithLogger(core.NewLogger(logOpts...)), core.WithObserver(hub))
 	st.Guard = guard
 
 	// Domains first: persistence replays into their partitions.
@@ -131,10 +114,6 @@ func start(cfg Config, listen func(network, addr string) (net.Listener, error)) 
 		if ctl := spec.overloadControls(); ctl != nil {
 			d.SetOverload(ctl)
 		}
-		if _, err := loadStore(d.Store(), spec.Store); err != nil {
-			return nil, fmt.Errorf("domain %q: %w", name, err)
-		}
-		st.Loaded = append(st.Loaded, StoreFile{name, spec.Store, d.Store().Len()})
 	}
 
 	// Persistence before any listener: no query may mutate a store that
@@ -153,6 +132,11 @@ func start(cfg Config, listen func(network, addr string) (net.Listener, error)) 
 		}
 		st.primary = repl.NewPrimary(persist, repl.PrimaryOptions{})
 		replHandler = st.primary.HandleConn
+	}
+
+	// Seeds after recovery, which decides whether they are read at all.
+	if err := st.seed(); err != nil {
+		return nil, err
 	}
 
 	// The replica source after persistence (the resume position comes
@@ -228,15 +212,38 @@ func start(cfg Config, listen func(network, addr string) (net.Listener, error)) 
 // orTrue resolves an omitted boolean to true.
 func orTrue(b *bool) bool { return b == nil || *b }
 
-// loadStore reads path into store when the file exists.
-func loadStore(store *core.Store, path string) (found bool, err error) {
-	if _, err := os.Stat(path); err != nil {
-		return false, nil
+// seed reads Config.Models and each domains-file "store" into the domain
+// it names, if recovery left that domain empty: the WAL directory is
+// where models live, a seed file only starts it off and is never written.
+// Store.Load goes around the WAL, so with one attached a single
+// checkpoint makes what was read durable; a crash before it leaves the
+// stores empty and the next boot reads the files again. A seed that
+// cannot be read is a boot error: it was named, so it is expected.
+func (st *Stack) seed() error {
+	read := false
+	for _, d := range st.Guard.Domains() {
+		path := st.cfg.Domains[d.Name()].Store
+		if d == st.Guard.DefaultDomain() {
+			path = st.cfg.Models
+		}
+		if path == "" {
+			continue
+		}
+		if n := d.Store().Len(); n > 0 {
+			fmt.Fprintf(os.Stderr, "septicd: domain %s: %s not read, the WAL directory already holds %d query models\n", d.Name(), path, n)
+			continue
+		}
+		if err := d.Store().Load(path); err != nil {
+			return fmt.Errorf("seed domain %s: %w", d.Name(), err)
+		}
+		read = true
 	}
-	if err := store.Load(path); err != nil {
-		return false, fmt.Errorf("load models: %w", err)
+	if persist := st.Guard.Persistence(); read && persist != nil {
+		if err := persist.Checkpoint(); err != nil {
+			return fmt.Errorf("seed checkpoint: %w", err)
+		}
 	}
-	return true, nil
+	return nil
 }
 
 // background runs one of the auxiliary accept loops until release closes
@@ -277,12 +284,12 @@ func (st *Stack) ready() (bool, map[string]any) {
 }
 
 // Shutdown stops the deployment: the replication streams end, sessions
-// drain for at most Config.DrainTimeout (then are force-closed), the
-// snapshot files are written, the WAL is compacted by a final checkpoint
-// so the next boot replays an empty tail, and everything closes. Every
-// step runs whatever the earlier ones returned; the result joins what
-// failed. A passed drain deadline is reported in DrainTimedOut, not as
-// an error.
+// drain for at most Config.DrainTimeout (then are force-closed), the WAL
+// is compacted by a final checkpoint so the next boot replays an empty
+// tail, and everything closes. Without a WAL nothing is written: what was
+// learned goes with the process. Every step runs whatever the earlier
+// ones returned; the result joins what failed. A passed drain deadline is
+// reported in DrainTimedOut, not as an error.
 func (st *Stack) Shutdown(ctx context.Context) error {
 	var errs []error
 	if st.replica != nil {
@@ -300,21 +307,6 @@ func (st *Stack) Shutdown(ctx context.Context) error {
 		errs = append(errs, fmt.Errorf("drain: %w", err))
 	}
 
-	save := func(name string, d *core.Domain, path string) {
-		if path == "" {
-			return
-		}
-		if err := d.Store().Save(path); err != nil {
-			errs = append(errs, fmt.Errorf("save models to %s: %w", path, err))
-			return
-		}
-		st.Saved = append(st.Saved, StoreFile{name, path, d.Store().Len()})
-	}
-	save("", st.Guard.DefaultDomain(), st.cfg.Models)
-	for _, name := range st.cfg.domainNames() {
-		d, _ := st.Guard.Domain(name) // Start registered it; domains are never removed
-		save(name, d, st.cfg.Domains[name].Store)
-	}
 	if persist := st.Guard.Persistence(); persist != nil {
 		if err := persist.Checkpoint(); err != nil {
 			errs = append(errs, fmt.Errorf("shutdown checkpoint: %w", err))

@@ -179,12 +179,10 @@ func TestHealthzTurnsUnreadyWhileDraining(t *testing.T) {
 }
 
 // TestShutdownRunsPastAFailedStep: a listener whose Close fails must not
-// cost the models their snapshot file, the WAL its final checkpoint, or
-// the directory its lock.
+// cost the WAL its final checkpoint or the directory its lock.
 func TestShutdownRunsPastAFailedStep(t *testing.T) {
 	cfg := testConfig()
 	cfg.Mode, cfg.WALDir = "training", t.TempDir()
-	cfg.Models = filepath.Join(t.TempDir(), "models.json")
 	st, err := start(cfg, func(network, addr string) (net.Listener, error) {
 		ln, err := net.Listen(network, addr)
 		if err != nil {
@@ -200,14 +198,9 @@ func TestShutdownRunsPastAFailedStep(t *testing.T) {
 	if err := st.Shutdown(context.Background()); !errors.Is(err, faultinject.ErrInjected) {
 		t.Errorf("Shutdown = %v, want the injected listener failure reported", err)
 	}
-	want := []StoreFile{{Path: cfg.Models, Models: st.Guard.Store().Len()}}
-	if !reflect.DeepEqual(st.Saved, want) {
-		t.Errorf("Saved = %+v, want %+v", st.Saved, want)
-	}
-	for _, path := range []string{cfg.Models, filepath.Join(cfg.WALDir, "checkpoint.json")} {
-		if _, err := os.Stat(path); err != nil {
-			t.Errorf("shutdown stopped before writing it: %v", err)
-		}
+	trained := st.Guard.Store().IDs()
+	if _, err := os.Stat(filepath.Join(cfg.WALDir, "checkpoint.json")); err != nil {
+		t.Errorf("shutdown stopped before writing it: %v", err)
 	}
 	if pst := st.Guard.Persistence().Stats(); pst.Checkpoints != 1 {
 		t.Errorf("%d checkpoint(s) taken at shutdown, want 1", pst.Checkpoints)
@@ -216,8 +209,11 @@ func TestShutdownRunsPastAFailedStep(t *testing.T) {
 	if err != nil {
 		t.Fatalf("the WAL directory is still locked after Shutdown: %v", err)
 	}
-	if len(again.Loaded) != 1 || again.Loaded[0].Models != want[0].Models {
-		t.Errorf("restart loaded %+v, want the %d saved model(s)", again.Loaded, want[0].Models)
+	if got := again.Guard.Store().IDs(); len(trained) == 0 || !reflect.DeepEqual(got, trained) {
+		t.Errorf("restart recovered %v, want the trained %v", got, trained)
+	}
+	if pst := again.Guard.Persistence().Stats(); pst.RecoveredRecords != 0 {
+		t.Errorf("restart replayed %d record(s), want an empty tail after the final checkpoint", pst.RecoveredRecords)
 	}
 	if err := again.Shutdown(context.Background()); err != nil {
 		t.Error(err)
@@ -289,6 +285,10 @@ func TestValidateRefusesSettingsThatCannotTakeEffect(t *testing.T) {
 		"repl listener without a wal":          {func(c *Config) { c.ReplListen = ":0" }, "-repl-listen requires -wal-dir"},
 		"force-recover without a wal":          {func(c *Config) { c.WALForceRecover = true }, "-wal-force-recover requires -wal-dir"},
 		"execution gate without a shed target": {func(c *Config) { c.MaxConcurrent = 8 }, "-max-concurrent requires -shed-target"},
+		"seed file on a replica":               {func(c *Config) { c.Models, c.ReplicateFrom = "m.json", ":1" }, "cannot be combined with -replicate-from"},
+		"domain seed file on a replica": {func(c *Config) {
+			c.Domains, c.ReplicateFrom = map[string]DomainSpec{"shop": {Mode: "detection", Store: "s.json"}}, ":1"
+		}, "cannot be combined with -replicate-from"},
 	} {
 		cfg := Defaults()
 		tc.set(&cfg)
@@ -305,9 +305,10 @@ func TestValidateRefusesSettingsThatCannotTakeEffect(t *testing.T) {
 	}
 }
 
-// TestLoadDomainsAndStoreFiles: a -domains file round-trips through the
-// stack — quota policy installed, per-domain snapshot written at
-// shutdown and read back, in name order, at the next boot.
+// TestLoadDomainsAndStoreFiles: a -domains file reaches the stack — quota
+// policy installed, sessions bound by HELLO — and its "store" files, like
+// -models, are seeds: read when recovery left the domain empty, never
+// written, and an error when named but unreadable.
 func TestLoadDomainsAndStoreFiles(t *testing.T) {
 	dir := t.TempDir()
 	blog := filepath.Join(dir, "blog.json")
@@ -325,11 +326,14 @@ func TestLoadDomainsAndStoreFiles(t *testing.T) {
 	if _, err := LoadDomains(filepath.Join(dir, "absent.json")); err == nil {
 		t.Error("LoadDomains read a file that does not exist")
 	}
-
-	st := mustStart(t, cfg)
-	if want := []StoreFile{{Domain: "blog", Path: blog}, {Domain: "shop"}}; !reflect.DeepEqual(st.Loaded, want) {
-		t.Errorf("Loaded = %+v, want %+v", st.Loaded, want)
+	if _, err := Start(cfg); err == nil || !strings.Contains(err.Error(), "seed domain blog") {
+		t.Fatalf("Start with a seed file that does not exist: %v, want a boot error naming the domain", err)
 	}
+
+	// The seed: what a training run without any file learned, saved by hand.
+	seedless := cfg
+	seedless.Domains = map[string]DomainSpec{"shop": cfg.Domains["shop"], "blog": {Mode: "training"}}
+	st := mustStart(t, seedless)
 	shop, _ := st.Guard.Domain("shop")
 	if ctl := shop.Overload(); ctl.Quota == nil || ctl.Breaker == nil {
 		t.Error("the shop domain's quota and breaker were not installed")
@@ -338,17 +342,179 @@ func TestLoadDomainsAndStoreFiles(t *testing.T) {
 		t.Errorf("an unregistered application bound to %q, want the default domain", got)
 	}
 	mustExec(t, dial(t, st.Addr, wire.WithHello("blog")), "CREATE TABLE posts (id INT)", "SELECT id FROM posts")
+	trained, _ := st.Guard.Domain("blog")
+	want := trained.Store().IDs()
+	if err := trained.Store().Save(blog); err != nil {
+		t.Fatal(err)
+	}
 	if err := st.Shutdown(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	saved := st.Saved
-	if len(saved) != 1 || saved[0].Domain != "blog" || saved[0].Models == 0 {
-		t.Fatalf("Saved = %+v, want the blog domain's models", saved)
+	if len(want) == 0 {
+		t.Fatal("training the blog domain learned nothing")
+	}
+	blogIDs := func(st *Stack) []string {
+		d, _ := st.Guard.Domain("blog")
+		return d.Store().IDs()
 	}
 
+	// Without a WAL the seed is read at every boot, and nothing learned
+	// on top of it is written anywhere.
+	for boot := 0; boot < 2; boot++ {
+		st = mustStart(t, cfg)
+		if got := blogIDs(st); !reflect.DeepEqual(got, want) {
+			t.Errorf("boot %d without a WAL starts with %v, want the seed's %v", boot, got, want)
+		}
+		mustExec(t, dial(t, st.Addr, wire.WithHello("blog")), "CREATE TABLE extra (id INT)")
+		if err := st.Shutdown(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// With a WAL: a checkpoint that fails right after the seed was read is
+	// a failed boot, and leaves nothing of the seed behind.
+	cfg.WALDir = t.TempDir()
+	seedless.WALDir = cfg.WALDir
+	faultinject.ArmErr(faultinject.FailPoint(faultinject.SiteCheckpoint, 1))
+	_, err = Start(cfg)
+	faultinject.DisarmErr()
+	if err == nil || !strings.Contains(err.Error(), "seed checkpoint") {
+		t.Fatalf("Start through a failing seed checkpoint: %v", err)
+	}
+	st = mustStart(t, seedless)
+	if got := blogIDs(st); len(got) != 0 {
+		t.Errorf("a boot that died between seed and checkpoint left %v in the directory", got)
+	}
+	if err := st.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+
+	// The empty domain is seeded and made durable by one checkpoint...
+	st = mustStart(t, cfg)
+	if got := blogIDs(st); !reflect.DeepEqual(got, want) {
+		t.Errorf("first boot on the directory starts with %v, want the seed's %v", got, want)
+	}
+	if pst := st.Guard.Persistence().Stats(); pst.Checkpoints != 1 || pst.WAL.Appends != 0 {
+		t.Errorf("seeding took %d checkpoint(s) and %d append(s), want 1 and 0", pst.Checkpoints, pst.WAL.Appends)
+	}
+	st.Guard.Persistence().Kill() // and survives a crash from there
+	_ = st.Shutdown(context.Background())
+
+	// ...after which the directory is the store and the file is not even
+	// opened: it may be gone, or garbage.
+	if err := os.WriteFile(blog, []byte("{not json"), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	st = mustStart(t, cfg)
 	defer st.Shutdown(context.Background())
-	if st.Loaded[0] != saved[0] {
-		t.Errorf("restart loaded %+v, the last run saved %+v", st.Loaded[0], saved[0])
+	if got := blogIDs(st); !reflect.DeepEqual(got, want) {
+		t.Errorf("second boot starts with %v, want the recovered %v", got, want)
+	}
+	if pst := st.Guard.Persistence().Stats(); pst.Checkpoints != 0 {
+		t.Errorf("second boot took %d checkpoint(s), want none", pst.Checkpoints)
+	}
+	// The same garbage in front of an empty domain is a boot error.
+	cfg.WALDir = t.TempDir()
+	if _, err := Start(cfg); err == nil || !strings.Contains(err.Error(), "decode model store") {
+		t.Errorf("Start on an unparsable seed: %v", err)
+	}
+}
+
+// trainAndAttack is the paper's demo in two statements per domain: the
+// query the application makes, and the tautology that must not pass for
+// it once the guard stops learning.
+const (
+	benignQuery = "SELECT name FROM users WHERE id = 1"
+	attackQuery = "SELECT name FROM users WHERE id = 1 OR 1=1"
+)
+
+var usersTable = []string{"CREATE TABLE users (id INT, name TEXT)",
+	"INSERT INTO users VALUES (1, 'ann')", "INSERT INTO users VALUES (2, 'bob')"}
+
+// TestRestartHonoursConfiguredMode is phases C and D of the demo on one
+// WAL directory: train, stop, start again in prevention mode — by flag
+// for the default domain, by domains file for another. The second boot
+// runs in the modes it was given, not the ones the first run recorded,
+// and blocks the tautology instead of learning it.
+func TestRestartHonoursConfiguredMode(t *testing.T) {
+	cfg := testConfig()
+	cfg.Mode, cfg.WALDir = "training", t.TempDir()
+	cfg.Domains = map[string]DomainSpec{"shop": {Mode: "training"}}
+	st := mustStart(t, cfg)
+	for _, app := range []string{"", "shop"} {
+		c := dial(t, st.Addr, wire.WithHello(app))
+		mustExec(t, c, usersTable...)
+		mustExec(t, c, benignQuery)
+		mustExec(t, c, "DROP TABLE users")
+	}
+	if err := st.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+
+	cfg.Mode = "prevention"
+	cfg.Domains = map[string]DomainSpec{"shop": {Mode: "prevention"}}
+	st = mustStart(t, cfg)
+	defer st.Shutdown(context.Background())
+	for _, d := range st.Guard.Domains() {
+		if d.Mode() != core.ModePrevention {
+			t.Errorf("domain %s restarted in %s mode, want the configured prevention", d.Name(), d.Mode())
+		}
+	}
+	for _, app := range []string{"", "shop"} {
+		c := dial(t, st.Addr, wire.WithHello(app))
+		mustExec(t, c, usersTable...)
+		mustExec(t, c, benignQuery)
+		if _, err := c.Exec(attackQuery); err == nil || !strings.Contains(err.Error(), "septic sqli") {
+			t.Errorf("app %q: the tautology: %v, want it blocked", app, err)
+		}
+		mustExec(t, c, "DROP TABLE users")
+	}
+	if stats := st.Guard.Stats(); stats.ModelsLearned != 0 || stats.AttacksFound != 2 || stats.AttacksBlocked != 2 {
+		t.Errorf("%d models learned, %d attacks (%d blocked); want 0, 2 (2)",
+			stats.ModelsLearned, stats.AttacksFound, stats.AttacksBlocked)
+	}
+}
+
+// TestDetectionReplicaOfTrainingPrimary: the primary's mode does not
+// travel with its models. A detection replica that installs a training
+// primary's snapshot answers queries (in training mode a replica refuses
+// every one as a write) and detects the attack.
+func TestDetectionReplicaOfTrainingPrimary(t *testing.T) {
+	pcfg := testConfig()
+	pcfg.Mode, pcfg.WALDir = "training", t.TempDir()
+	primary := mustStart(t, pcfg)
+	defer primary.Shutdown(context.Background())
+	pc := dial(t, primary.Addr)
+	mustExec(t, pc, usersTable...)
+	mustExec(t, pc, benignQuery)
+
+	rcfg := testConfig()
+	rcfg.Mode, rcfg.ReplicateFrom = "detection", primary.Addr
+	replica := mustStart(t, rcfg)
+	defer replica.Shutdown(context.Background())
+	want := primary.Guard.Store().IDs()
+	eventually(t, "the replica holds the primary's models", func() bool {
+		return reflect.DeepEqual(replica.Guard.Store().IDs(), want)
+	})
+	// So short a log is streamed record by record; a replica that had
+	// fallen behind a trimmed one would be sent this instead.
+	barrier, snap, err := primary.Guard.Persistence().ReplSnapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := replica.Guard.ReplicaState().ApplySnapshot(barrier, snap); err != nil {
+		t.Fatal(err)
+	}
+	if got := replica.Guard.Store().IDs(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("after the snapshot the replica holds %v, want %v", got, want)
+	}
+	if mode := replica.Guard.Mode(); mode != core.ModeDetection {
+		t.Fatalf("the replica runs in %s mode after the install, want detection", mode)
+	}
+	rc := dial(t, replica.Addr)
+	mustExec(t, rc, usersTable...)
+	mustExec(t, rc, benignQuery, attackQuery) // detection logs, and lets through
+	if stats := replica.Guard.Stats(); stats.AttacksFound != 1 || stats.AttacksBlocked != 0 {
+		t.Errorf("%d attacks found (%d blocked) on the replica, want 1 (0)", stats.AttacksFound, stats.AttacksBlocked)
 	}
 }
