@@ -331,13 +331,12 @@ func BenchmarkDetectionPlacement(b *testing.B) {
 // --- Verdict cache: the repeated known-benign hot path ------------------
 
 // cachedHookGuard builds a trained YY-prevention guard (with the given
-// verdict-cache capacity and per-query event sampling off, the benchmark
-// logger configuration) plus the hook context of its benign query.
+// verdict-cache capacity and the default register, as a -quiet septicd
+// has it) plus the hook context of its benign query.
 func cachedHookGuard(b *testing.B, capacity int) (*core.Septic, *engine.HookContext) {
 	b.Helper()
 	guard := core.New(core.Config{Mode: core.ModeTraining},
-		core.WithVerdictCacheCapacity(capacity),
-		core.WithLogger(core.NewLogger(core.WithCheckedSampling(0))))
+		core.WithVerdictCacheCapacity(capacity))
 	query := "SELECT * FROM tickets WHERE reservID = 'ID34FG' AND creditCard = 1234"
 	stmt, err := sqlparser.Parse(query)
 	if err != nil {
@@ -382,8 +381,7 @@ func BenchmarkHookCached(b *testing.B) {
 // published map — and must stay within 10% at 0 allocs/op.
 func BenchmarkHookCachedDomain(b *testing.B) {
 	guard := core.New(core.Config{Mode: core.ModeTraining},
-		core.WithVerdictCacheCapacity(core.DefaultVerdictCacheCapacity),
-		core.WithLogger(core.NewLogger(core.WithCheckedSampling(0))))
+		core.WithVerdictCacheCapacity(core.DefaultVerdictCacheCapacity))
 	dom, err := guard.RegisterDomain("shop", core.Config{
 		Mode: core.ModeTraining, IncrementalLearning: true,
 	})
@@ -787,7 +785,6 @@ func BenchmarkParse(b *testing.B) {
 func durableStore(b *testing.B, policy string) (*core.Store, *core.Persistence) {
 	b.Helper()
 	guard := core.New(core.Config{Mode: core.ModeTraining},
-		core.WithLogger(core.NewLogger(core.WithCheckedSampling(0))),
 		core.WithVerdictCacheCapacity(0))
 	var persist *core.Persistence
 	if policy != "off" {

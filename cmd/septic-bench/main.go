@@ -121,7 +121,7 @@ func run() error {
 			p.WebTierWork = 0 // the real network path replaces the stand-in
 		}
 		if *fig5Obs {
-			p.Obs = obs.NewHub(obs.DefaultRingCapacity)
+			p.Obs = obs.NewHub()
 		}
 		if err := runFig5(p, *rounds); err != nil {
 			return err
@@ -144,7 +144,7 @@ func run() error {
 		}
 		var hub *obs.Hub
 		if *parObs {
-			hub = obs.NewHub(obs.DefaultRingCapacity)
+			hub = obs.NewHub()
 		}
 		if *parDomains > 0 {
 			if err := runDomains(*parDomains, *parBrowsers, *parLoops, *parMax, hub); err != nil {

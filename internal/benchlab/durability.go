@@ -63,7 +63,6 @@ func RunDurability(dir string, updates int) ([]DurabilityRow, error) {
 	var rows []DurabilityRow
 	for _, policy := range DurabilityPolicies() {
 		guard := core.New(core.Config{Mode: core.ModeTraining},
-			core.WithLogger(core.NewLogger(core.WithCheckedSampling(0))),
 			core.WithVerdictCacheCapacity(0))
 		var persist *core.Persistence
 		if policy != "off" {

@@ -27,14 +27,13 @@ func hookCtxFor(t testing.TB, q string) *engine.HookContext {
 
 // TestCachedHitAllocationFree is the tentpole's regression guard: a
 // repeated known-benign query served from the verdict cache must not
-// allocate at all. Checked-event sampling is off, as in the benchmark
-// configuration — counters still tick, but no Event is built.
+// allocate at all. The register is the default one: with no stream
+// attached a passed check is counted, and no Event is built.
 func TestCachedHitAllocationFree(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("race instrumentation adds allocations")
 	}
-	sep := New(Config{Mode: ModeTraining},
-		WithLogger(NewLogger(WithCheckedSampling(0))))
+	sep := New(Config{Mode: ModeTraining})
 	hctx := hookCtxFor(t, "SELECT * FROM tickets WHERE reservID = 'ID34FG' AND creditCard = 1234")
 	if err := sep.BeforeExecute(hctx); err != nil { // learn the model
 		t.Fatalf("training: %v", err)
@@ -67,8 +66,7 @@ func TestCachedHitAllocationFreeDomain(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("race instrumentation adds allocations")
 	}
-	sep := New(Config{Mode: ModeTraining},
-		WithLogger(NewLogger(WithCheckedSampling(0))))
+	sep := New(Config{Mode: ModeTraining})
 	d, err := sep.RegisterDomain("shop", Config{Mode: ModeTraining, IncrementalLearning: true})
 	if err != nil {
 		t.Fatal(err)
@@ -106,9 +104,8 @@ func TestCachedHitAllocationFreeWithObs(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("race instrumentation adds allocations")
 	}
-	hub := obs.NewHub(64)
+	hub := obs.NewHub()
 	sep := New(Config{Mode: ModeTraining},
-		WithLogger(NewLogger(WithCheckedSampling(0))),
 		WithObserver(hub))
 	hctx := hookCtxFor(t, "SELECT * FROM tickets WHERE reservID = 'ID34FG' AND creditCard = 1234")
 	if err := sep.BeforeExecute(hctx); err != nil {
@@ -142,8 +139,7 @@ func TestCachedHitAllocationFreeReplica(t *testing.T) {
 		t.Skip("race instrumentation adds allocations")
 	}
 	// A primary learns one model; its WAL records feed the replica.
-	primary := New(Config{Mode: ModeTraining},
-		WithLogger(NewLogger(WithCheckedSampling(0))))
+	primary := New(Config{Mode: ModeTraining})
 	pp, err := primary.AttachPersistence(PersistenceOptions{Dir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
@@ -158,8 +154,7 @@ func TestCachedHitAllocationFreeReplica(t *testing.T) {
 		t.Fatalf("primary WAL: %d records, err %v", len(recs), err)
 	}
 
-	sep := New(DefaultConfig(),
-		WithLogger(NewLogger(WithCheckedSampling(0))))
+	sep := New(DefaultConfig())
 	rs, err := sep.AttachReplicaSource()
 	if err != nil {
 		t.Fatal(err)
@@ -202,8 +197,7 @@ func TestExecPointSelectAllocCeiling(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("race instrumentation adds allocations")
 	}
-	sep := New(Config{Mode: ModeTraining},
-		WithLogger(NewLogger(WithCheckedSampling(0))))
+	sep := New(Config{Mode: ModeTraining})
 	db := engine.New(engine.WithQueryHook(sep))
 	setup := []string{
 		"CREATE TABLE tickets (id INT PRIMARY KEY AUTO_INCREMENT, reservID TEXT, creditCard INT)",

@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 
 	"github.com/septic-db/septic/internal/engine"
-	"github.com/septic-db/septic/internal/obs"
 	"github.com/septic-db/septic/internal/overload"
 )
 
@@ -34,7 +33,7 @@ const DefaultDomain = "default"
 //     B's cache), and
 //   - its own Stats counters.
 //
-// The ID generator, detector plugin chain, logger and observability hub
+// The ID generator, detector plugin chain, logger and metrics registry
 // remain shared across domains: they are stateless (or append-only)
 // modules, not learned knowledge.
 //
@@ -60,6 +59,8 @@ type Domain struct {
 
 	queriesSeen    atomic.Int64
 	modelsLearned  atomic.Int64
+	newQueries     atomic.Int64
+	queriesChecked atomic.Int64
 	attacksFound   atomic.Int64
 	attacksBlocked atomic.Int64
 	guardFaults    atomic.Int64
@@ -107,27 +108,22 @@ func (d *Domain) SetMode(m Mode) {
 	d.cfgGen.Add(1)
 	d.sep.logger.Log(Event{Kind: EventModeChanged, Domain: d.name,
 		Detail: "mode set to " + m.String()})
-	d.sep.obs.Publish(obs.Event{Kind: obs.KindMode,
-		Detail: "domain " + d.name + ": mode set to " + m.String()})
 }
 
 // SetConfig replaces this domain's whole configuration.
 func (d *Domain) SetConfig(cfg Config) {
 	d.cfg.Store(&cfg)
 	d.cfgGen.Add(1)
-	detail := fmt.Sprintf("config set: mode=%s sqli=%t stored=%t",
-		cfg.Mode, cfg.DetectSQLI, cfg.DetectStored)
-	d.sep.logger.Log(Event{Kind: EventModeChanged, Domain: d.name, Detail: detail})
-	d.sep.obs.Publish(obs.Event{Kind: obs.KindMode,
-		Detail: "domain " + d.name + ": " + detail})
+	d.sep.logger.Log(Event{Kind: EventModeChanged, Domain: d.name,
+		Detail: fmt.Sprintf("config set: mode=%s sqli=%t stored=%t",
+			cfg.Mode, cfg.DetectSQLI, cfg.DetectStored)})
 }
 
 // SetOverload installs the domain's overload controls (per-domain
 // quota, detection breaker). nil resets to inert controls. The wire
 // server resolves the same Controls per session, so quota enforcement
 // there and the counters reported here are one set of numbers. A
-// breaker's state transitions are logged to the event register and
-// published to the observability hub.
+// breaker's state transitions are logged to the event register.
 func (d *Domain) SetOverload(c *overload.Controls) {
 	if c == nil {
 		c = overload.NewControls(nil, nil)
@@ -146,10 +142,8 @@ func (d *Domain) Overload() *overload.Controls { return d.ovl.Load() }
 // outcomes (which only count, so an open breaker under flood cannot
 // flood the register too).
 func (d *Domain) noteBreaker(from, to overload.State) {
-	detail := fmt.Sprintf("detection breaker %s -> %s", from, to)
-	d.sep.logger.Log(Event{Kind: EventOverload, Domain: d.name, Detail: detail})
-	d.sep.obs.Publish(obs.Event{Kind: obs.KindOverload,
-		Detail: "domain " + d.name + ": " + detail})
+	d.sep.logger.Log(Event{Kind: EventOverload, Domain: d.name,
+		Detail: fmt.Sprintf("detection breaker %s -> %s", from, to)})
 }
 
 // Stats snapshots this domain's work counters. The dependent counter is
@@ -162,11 +156,15 @@ func (d *Domain) Stats() Stats {
 	found := d.attacksFound.Load()
 	faults := d.guardFaults.Load()
 	learned := d.modelsLearned.Load()
+	fresh := d.newQueries.Load()
+	checked := d.queriesChecked.Load()
 	seen := d.queriesSeen.Load()
 	ctl := d.ovl.Load()
 	return Stats{
 		QueriesSeen:    seen,
 		ModelsLearned:  learned,
+		NewQueries:     fresh,
+		QueriesChecked: checked,
 		AttacksFound:   found,
 		AttacksBlocked: blocked,
 		GuardFaults:    faults,
@@ -248,8 +246,6 @@ func (s *Septic) RegisterDomain(name string, cfg Config) (*Domain, error) {
 	s.logger.Log(Event{Kind: EventDomainRegistered, Domain: name,
 		Detail: fmt.Sprintf("domain registered (mode=%s sqli=%t stored=%t fail-open=%t)",
 			cfg.Mode, cfg.DetectSQLI, cfg.DetectStored, cfg.FailOpen)})
-	s.obs.Publish(obs.Event{Kind: obs.KindMode,
-		Detail: "domain " + name + " registered, mode " + cfg.Mode.String()})
 	return d, nil
 }
 

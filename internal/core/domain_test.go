@@ -99,8 +99,7 @@ func TestDomainSetModePreservesConfig(t *testing.T) {
 // TestDomainRouting drives BeforeExecute through each resolution branch
 // and reads the per-domain counters to see where the query landed.
 func TestDomainRouting(t *testing.T) {
-	sep := New(Config{Mode: ModeTraining},
-		WithLogger(NewLogger(WithCheckedSampling(0))))
+	sep := New(Config{Mode: ModeTraining})
 	shop := mustDomain(t, sep, "shop")
 	seen := func(d *Domain) int64 { return d.Stats().QueriesSeen }
 
@@ -156,8 +155,7 @@ func TestDomainRouting(t *testing.T) {
 // domain plus every registered one — so pre-domain dashboards keep
 // seeing all traffic.
 func TestGuardStatsAggregateDomains(t *testing.T) {
-	sep := New(Config{Mode: ModeTraining},
-		WithLogger(NewLogger(WithCheckedSampling(0))))
+	sep := New(Config{Mode: ModeTraining})
 	shop := mustDomain(t, sep, "shop")
 
 	if err := sep.BeforeExecute(hookCtxFor(t, "/* shop:q */ SELECT 1")); err != nil {
@@ -193,9 +191,8 @@ func TestGuardStatsAggregateDomains(t *testing.T) {
 }
 
 func TestDomainGaugesExported(t *testing.T) {
-	hub := obs.NewHub(16)
+	hub := obs.NewHub()
 	sep := New(Config{Mode: ModeTraining},
-		WithLogger(NewLogger(WithCheckedSampling(0))),
 		WithObserver(hub))
 	mustDomain(t, sep, "shop")
 	if err := sep.BeforeExecute(hookCtxFor(t, "/* shop:q */ SELECT 1")); err != nil {
@@ -240,8 +237,7 @@ func TestEventStringCarriesDomain(t *testing.T) {
 // unit level: the same query text trained benign in one domain is still
 // judged an attack in a domain that never learned it.
 func TestDomainIsolationOfVerdicts(t *testing.T) {
-	sep := New(Config{Mode: ModeTraining},
-		WithLogger(NewLogger(WithCheckedSampling(0))))
+	sep := New(Config{Mode: ModeTraining})
 	a := mustDomain(t, sep, "appa")
 	b := mustDomain(t, sep, "appb")
 

@@ -55,8 +55,7 @@ func FuzzBeforeExecute(f *testing.F) {
 		if err != nil {
 			return // the engine rejects it before the hook runs
 		}
-		sep := New(Config{Mode: ModeTraining},
-			WithLogger(NewLogger(WithCheckedSampling(0))))
+		sep := New(Config{Mode: ModeTraining})
 		if err := sep.BeforeExecute(hookCtxFor(t, trainQ)); err != nil {
 			t.Fatalf("training: %v", err)
 		}

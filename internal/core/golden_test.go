@@ -9,7 +9,6 @@ import (
 	"strings"
 	"testing"
 
-	"github.com/septic-db/septic/internal/obs"
 	"github.com/septic-db/septic/internal/qstruct"
 )
 
@@ -86,9 +85,7 @@ func readCorpusCase(t *testing.T, path string) (train []string, query string) {
 // renderCorpusCase runs the case and renders the golden text.
 func renderCorpusCase(t *testing.T, train []string, query string) string {
 	t.Helper()
-	hub := obs.NewHub(16)
-	sep := New(Config{Mode: ModeTraining}, WithObserver(hub),
-		WithLogger(NewLogger(WithCheckedSampling(0))))
+	sep := New(Config{Mode: ModeTraining})
 	for _, q := range train {
 		if err := sep.BeforeExecute(hookCtxFor(t, q)); err != nil {
 			t.Fatalf("training %q: %v", q, err)
@@ -112,12 +109,12 @@ func renderCorpusCase(t *testing.T, train []string, query string) string {
 		return b.String()
 	}
 	b.WriteString("verdict  blocked\n")
-	attacks := hub.Events.Recent(obs.KindAttack, 0)
+	attacks := sep.Logger().Attacks()
 	if len(attacks) == 0 {
-		t.Fatalf("query blocked (%v) but no attack event published", verdictErr)
+		t.Fatalf("query blocked (%v) but no attack event recorded", verdictErr)
 	}
 	a := attacks[len(attacks)-1]
-	fmt.Fprintf(&b, "detector %s\n", a.Detector)
+	fmt.Fprintf(&b, "detector %s\n", a.Detector())
 	fmt.Fprintf(&b, "distance %d\n", a.Distance)
 	fmt.Fprintf(&b, "detail   %s\n", a.Detail)
 	return b.String()

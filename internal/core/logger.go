@@ -14,8 +14,10 @@
 //     and internal (skeleton-hash) query identifiers.
 //   - Detector (detector.go) runs the two-step SQLI comparison and the
 //     stored-injection plugin chain.
-//   - Logger (this file) is the event register shown on the demo's
-//     "SEPTIC events" display.
+//   - Logger (this file) is the event register: every occurrence is
+//     recorded once, as one Event in one bounded ring, and the demo's
+//     "SEPTIC events" display, the -audit file, Events/Attacks and the
+//     /events endpoint are four views of that record.
 package core
 
 import (
@@ -23,13 +25,12 @@ import (
 	"fmt"
 	"io"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/septic-db/septic/internal/qstruct"
 )
 
-// EventKind classifies a logger event.
+// EventKind classifies a register event.
 type EventKind int
 
 // Event kinds. Enums start at 1 so the zero value is invalid.
@@ -41,7 +42,8 @@ const (
 	// it incrementally (flagged for administrator review).
 	EventNewQuery
 	// EventQueryChecked: a query was compared against its model and
-	// passed.
+	// passed. Always counted (Stats.QueriesChecked); recorded only while a
+	// stream is attached to show it (see Logger).
 	EventQueryChecked
 	// EventAttackDetected: an attack was found (and logged only —
 	// detection mode).
@@ -49,48 +51,67 @@ const (
 	// EventAttackBlocked: an attack was found and the query dropped
 	// (prevention mode).
 	EventAttackBlocked
-	// EventModeChanged: the operation mode was switched.
+	// EventModeChanged: the operation mode or configuration was switched,
+	// or the node changed replication role.
 	EventModeChanged
 	// EventGuardFault: the protection path itself panicked and the panic
 	// was contained; Detail records the panic value and the applied
-	// fail-open/fail-closed policy.
+	// fail-open/fail-closed policy, Action what became of the query.
 	EventGuardFault
 	// EventDomainRegistered: a new protection domain was created; Domain
 	// carries its name and Detail its starting configuration.
 	EventDomainRegistered
-	// EventDurability: the durable model store reported an incident — a
-	// failed WAL append, a failed or contained-panicking checkpoint.
-	// Detail carries the cause; the mutation's fate is operation-specific
-	// (see Store.Put vs Store.Delete).
+	// EventDurability: the durable model store reports — recovery done, a
+	// checkpoint taken, failed or contained while panicking, a replication
+	// snapshot installed, a failed WAL append (whose mutation's fate is
+	// operation-specific, see Store.Put vs Store.Delete).
 	EventDurability
 	// EventOverload: the domain's detection circuit breaker changed
 	// state (brownout entry, half-open probe, recovery). Detail names
 	// the transition.
 	EventOverload
+	// EventStoreChanged: the administrator changed the QM store —
+	// identifier deleted or approved, store loaded from a file.
+	EventStoreChanged
+	// EventCacheInvalidated: a lookup found a cached verdict orphaned by a
+	// configuration or store generation bump.
+	EventCacheInvalidated
 )
 
-var eventKindNames = map[EventKind]string{
-	EventInvalid:        "invalid",
-	EventModelLearned:   "model-learned",
-	EventNewQuery:       "new-query",
-	EventQueryChecked:   "query-checked",
-	EventAttackDetected: "attack-detected",
-	EventAttackBlocked:  "attack-blocked",
-	EventModeChanged:    "mode-changed",
-	EventGuardFault:     "guard-fault",
+// kindInfo is one row of the kind table: name is what the display line
+// and the audit record call the kind; group is the coarser /events "kind"
+// that ?kind= filters on; quiet keeps per-lookup chatter off the text
+// display (every other view still shows it).
+type kindInfo struct {
+	name, group string
+	quiet       bool
+}
 
-	EventDomainRegistered: "domain-registered",
-	EventDurability:       "durability",
-	EventOverload:         "overload",
+var eventKinds = [...]kindInfo{
+	EventInvalid:          {name: "invalid"},
+	EventModelLearned:     {name: "model-learned", group: "store"},
+	EventNewQuery:         {name: "new-query", group: "store"},
+	EventQueryChecked:     {name: "query-checked", group: "checked"},
+	EventAttackDetected:   {name: "attack-detected", group: "attack"},
+	EventAttackBlocked:    {name: "attack-blocked", group: "attack"},
+	EventModeChanged:      {name: "mode-changed", group: "mode"},
+	EventGuardFault:       {name: "guard-fault", group: "guard-fault"},
+	EventDomainRegistered: {name: "domain-registered", group: "mode"},
+	EventDurability:       {name: "durability", group: "wal"},
+	EventOverload:         {name: "overload", group: "overload"},
+	EventStoreChanged:     {name: "store-changed", group: "store"},
+	EventCacheInvalidated: {name: "cache-invalidated", group: "cache", quiet: true},
+}
+
+func (k EventKind) info() kindInfo {
+	if k >= 0 && int(k) < len(eventKinds) {
+		return eventKinds[k]
+	}
+	return kindInfo{name: fmt.Sprintf("EventKind(%d)", int(k))}
 }
 
 // String names the event kind as the demo display prints it.
-func (k EventKind) String() string {
-	if s, ok := eventKindNames[k]; ok {
-		return s
-	}
-	return fmt.Sprintf("EventKind(%d)", int(k))
-}
+func (k EventKind) String() string { return k.info().name }
 
 // AttackType distinguishes the two attack families SEPTIC handles.
 type AttackType int
@@ -116,10 +137,12 @@ func (t AttackType) String() string {
 	}
 }
 
-// Event is one entry of SEPTIC's event register. Per the paper, an
-// attack record carries the received query, its identifier, its model
-// and the detection step; a new-query record carries the query, model
-// and identifier.
+// Event is one entry of SEPTIC's event register, recorded once where the
+// thing happened. Per the paper, an attack record carries the received
+// query, its identifier, its model and the detection step; a new-query
+// record carries the query, model and identifier. Every view — Events and
+// Attacks, the display line, the audit record, /events — renders this
+// one record.
 type Event struct {
 	Seq     int64
 	Time    time.Time
@@ -127,8 +150,8 @@ type Event struct {
 	QueryID string
 	Query   string
 	// Domain names the protection domain the event belongs to; empty on
-	// events predating domains and on default-domain traffic logged
-	// through the fast path.
+	// process-wide events (recovery, checkpoints, replication role) and on
+	// EventQueryChecked, whose audit line never carried one.
 	Domain string
 	// Attack fields (zero for non-attack events).
 	Attack AttackType
@@ -137,6 +160,16 @@ type Event struct {
 	// Plugin names the stored-injection plugin that confirmed the
 	// attack.
 	Plugin string
+	// Distance quantifies how far the query structure sat from its
+	// closest model: the node-count delta for structural mismatches, the
+	// index of the first mismatching node for syntactical ones.
+	Distance int
+	// Skeleton is the injection-stable identity the ID hashes
+	// (qstruct.Skeleton) — the "query models learned" key of the demo.
+	Skeleton string
+	// Action records the applied policy on attacks and guard faults:
+	// "blocked", "logged", "admitted" (fail-open guard fault).
+	Action string
 	// Detail is a human-readable explanation.
 	Detail string
 }
@@ -162,182 +195,42 @@ func (e Event) String() string {
 	return s
 }
 
-// LogCounters aggregates the logger's event counts.
-type LogCounters struct {
-	ModelsLearned  int64
-	NewQueries     int64
-	QueriesChecked int64
-	Detected       int64
-	Blocked        int64
-}
-
-// Logger is SEPTIC's event register: a bounded in-memory buffer plus an
-// optional stream for live display. It is safe for concurrent use.
-//
-// Locking: mu guards only the in-memory state (sequence and buffer);
-// counters are atomics and need no lock. Stream writes happen under a
-// separate streamMu so slow I/O (a blocked pipe, a fsyncing audit file)
-// never stalls concurrent sessions that only need to append to the
-// buffer. The two locks are coupled hand-over-hand — streamMu is taken
-// before mu is released — so the streams still observe events in
-// sequence order.
-type Logger struct {
-	mu       sync.Mutex
-	seq      int64
-	events   []Event
-	capacity int
-
-	streamMu   sync.Mutex
-	stream     io.Writer
-	jsonStream io.Writer
-
-	clock func() time.Time
-
-	// checkedEvery samples EventQueryChecked admission: 1 logs every
-	// event (default), 0 logs none, n logs every n-th. Counters stay
-	// exact regardless — sampling only thins the buffer and streams.
-	checkedEvery atomic.Int64
-	checkedTick  atomic.Int64
-
-	modelsLearned  atomic.Int64
-	newQueries     atomic.Int64
-	queriesChecked atomic.Int64
-	detected       atomic.Int64
-	blocked        atomic.Int64
-}
-
-// LoggerOption configures a Logger.
-type LoggerOption func(*Logger)
-
-// WithCapacity bounds the in-memory event buffer (default 4096).
-func WithCapacity(n int) LoggerOption {
-	return func(l *Logger) { l.capacity = n }
-}
-
-// WithClock injects the logger's time source (tests, benchmarks).
-func WithClock(clock func() time.Time) LoggerOption {
-	return func(l *Logger) { l.clock = clock }
-}
-
-// WithStream mirrors every event line to w (the demo's live display).
-func WithStream(w io.Writer) LoggerOption {
-	return func(l *Logger) { l.stream = w }
-}
-
-// WithJSONStream mirrors every event to w as one JSON object per line —
-// the audit-log format a SIEM ingests. Both streams may be active.
-func WithJSONStream(w io.Writer) LoggerOption {
-	return func(l *Logger) { l.jsonStream = w }
-}
-
-// WithCheckedSampling sets the EventQueryChecked admission rate: 1 logs
-// every passed check (default), 0 logs none, n logs every n-th. Only the
-// per-query "checked and passed" chatter is sampled; attacks, learned
-// models and mode changes are always logged, and the QueriesChecked
-// counter stays exact at any rate.
-func WithCheckedSampling(n int) LoggerOption {
-	return func(l *Logger) { l.checkedEvery.Store(int64(n)) }
-}
-
-// NewLogger builds an event register.
-func NewLogger(opts ...LoggerOption) *Logger {
-	l := &Logger{capacity: 4096, clock: time.Now}
-	l.checkedEvery.Store(1)
-	for _, o := range opts {
-		o(l)
+// Detector names what fired: "sqli/structural", "sqli/syntactical" or
+// "stored/<plugin>"; empty for non-attack events.
+func (e Event) Detector() string {
+	switch e.Attack {
+	case AttackSQLI:
+		return "sqli/" + e.Step.String()
+	case AttackStored:
+		return "stored/" + e.Plugin
 	}
-	return l
+	return ""
 }
 
-// SetCheckedSampling adjusts the EventQueryChecked admission rate at
-// runtime (see WithCheckedSampling).
-func (l *Logger) SetCheckedSampling(n int) {
-	l.checkedEvery.Store(int64(n))
-}
-
-// admitChecked decides whether this EventQueryChecked is buffered and
-// streamed under the current sampling rate.
-func (l *Logger) admitChecked() bool {
-	every := l.checkedEvery.Load()
-	switch {
-	case every == 1:
-		return true
-	case every <= 0:
-		return false
+// MarshalJSON renders the /events view — the kind is its group, step and
+// plugin fold into the detector name — so an operator sees what Figs. 2–4
+// show on the demo screen.
+func (e Event) MarshalJSON() ([]byte, error) {
+	v := struct {
+		Seq      int64     `json:"seq"`
+		Time     time.Time `json:"time"`
+		Kind     string    `json:"kind"`
+		Domain   string    `json:"domain,omitempty"`
+		Query    string    `json:"query,omitempty"`
+		Skeleton string    `json:"skeleton,omitempty"`
+		QueryID  string    `json:"query_id,omitempty"`
+		Detector string    `json:"detector,omitempty"`
+		Distance int       `json:"distance,omitempty"`
+		Class    string    `json:"class,omitempty"`
+		Action   string    `json:"action,omitempty"`
+		Detail   string    `json:"detail,omitempty"`
+	}{Seq: e.Seq, Time: e.Time, Kind: e.Kind.info().group, Domain: e.Domain,
+		Query: e.Query, Skeleton: e.Skeleton, QueryID: e.QueryID,
+		Detector: e.Detector(), Distance: e.Distance, Action: e.Action, Detail: e.Detail}
+	if e.Attack != AttackNone {
+		v.Class = e.Attack.String()
 	}
-	return l.checkedTick.Add(1)%every == 0
-}
-
-// Log counts an event, and — unless it is an EventQueryChecked thinned
-// out by sampling — stamps, buffers and streams it.
-func (l *Logger) Log(e Event) {
-	l.count(e.Kind)
-	if e.Kind == EventQueryChecked && !l.admitChecked() {
-		return
-	}
-	l.emit(e)
-}
-
-// LogQueryChecked is the allocation-free fast path for the hook's
-// hottest event: the counter bump is an atomic add, and when sampling
-// drops the event nothing else happens — no Event is built at all.
-func (l *Logger) LogQueryChecked(id, query string) {
-	l.queriesChecked.Add(1)
-	if !l.admitChecked() {
-		return
-	}
-	l.emit(Event{Kind: EventQueryChecked, QueryID: id, Query: query})
-}
-
-// count bumps the aggregate counter for kind.
-func (l *Logger) count(kind EventKind) {
-	switch kind {
-	case EventModelLearned:
-		l.modelsLearned.Add(1)
-	case EventNewQuery:
-		l.newQueries.Add(1)
-	case EventQueryChecked:
-		l.queriesChecked.Add(1)
-	case EventAttackDetected:
-		l.detected.Add(1)
-	case EventAttackBlocked:
-		l.blocked.Add(1)
-	}
-}
-
-// emit stamps the event, appends it to the bounded buffer, and mirrors
-// it to the streams. Only the stamp and append run under mu; formatting
-// and stream I/O happen under streamMu so a slow stream consumer cannot
-// stall sessions appending events concurrently. streamMu is acquired
-// before mu is released (lock coupling) so stream output preserves
-// sequence order.
-func (l *Logger) emit(e Event) {
-	l.mu.Lock()
-	l.seq++
-	e.Seq = l.seq
-	e.Time = l.clock()
-	if len(l.events) >= l.capacity {
-		// Drop the oldest half to amortize copying.
-		half := len(l.events) / 2
-		l.events = append(l.events[:0], l.events[half:]...)
-	}
-	l.events = append(l.events, e)
-	if l.stream == nil && l.jsonStream == nil {
-		l.mu.Unlock()
-		return
-	}
-	l.streamMu.Lock()
-	l.mu.Unlock()
-	defer l.streamMu.Unlock()
-	if l.stream != nil {
-		_, _ = fmt.Fprintln(l.stream, e.String())
-	}
-	if l.jsonStream != nil {
-		if data, err := json.Marshal(auditRecord(e)); err == nil {
-			data = append(data, '\n')
-			_, _ = l.jsonStream.Write(data)
-		}
-	}
+	return json.Marshal(v)
 }
 
 // auditEntry is the stable JSON shape of one audit record.
@@ -374,36 +267,132 @@ func auditRecord(e Event) auditEntry {
 	return rec
 }
 
-// Events returns a snapshot of the buffered events.
-func (l *Logger) Events() []Event {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	out := make([]Event, len(l.events))
-	copy(out, l.events)
-	return out
+// defaultCapacity bounds the register when the deployment does not choose
+// its own size.
+const defaultCapacity = 4096
+
+// Logger is SEPTIC's event register: one bounded ring of Events — a flood
+// overwrites the oldest entry, so it costs memory proportional to the
+// capacity, never to the flood — plus optional streams for live display
+// and audit. It is safe for concurrent use; a nil *Logger ignores Log.
+//
+// Locking: mu guards the sequence and the ring. Stream writes happen
+// under a separate streamMu so slow I/O (a blocked pipe, a fsyncing audit
+// file) never stalls concurrent sessions that only need a ring slot. The
+// two locks are coupled hand-over-hand — streamMu is taken before mu is
+// released — so the streams still observe events in sequence order.
+type Logger struct {
+	mu       sync.Mutex
+	seq      int64
+	buf      []Event // grows to capacity, then next overwrites the oldest
+	next     int
+	capacity int
+	clock    func() time.Time
+
+	streamMu   sync.Mutex
+	stream     io.Writer
+	jsonStream io.Writer
 }
 
-// Counters returns a snapshot of the aggregate counts. Counts are exact
-// even when EventQueryChecked sampling discards buffer entries.
-func (l *Logger) Counters() LogCounters {
-	return LogCounters{
-		ModelsLearned:  l.modelsLearned.Load(),
-		NewQueries:     l.newQueries.Load(),
-		QueriesChecked: l.queriesChecked.Load(),
-		Detected:       l.detected.Load(),
-		Blocked:        l.blocked.Load(),
+// LoggerOption configures a Logger.
+type LoggerOption func(*Logger)
+
+// WithCapacity bounds the register (default 4096 events).
+func WithCapacity(n int) LoggerOption {
+	return func(l *Logger) { l.capacity = n }
+}
+
+// WithClock injects the logger's time source (tests, benchmarks).
+func WithClock(clock func() time.Time) LoggerOption {
+	return func(l *Logger) { l.clock = clock }
+}
+
+// WithStream mirrors every event line to w (the demo's live display).
+func WithStream(w io.Writer) LoggerOption {
+	return func(l *Logger) { l.stream = w }
+}
+
+// WithJSONStream mirrors every event to w as one JSON object per line —
+// the audit-log format a SIEM ingests. Both streams may be active.
+func WithJSONStream(w io.Writer) LoggerOption {
+	return func(l *Logger) { l.jsonStream = w }
+}
+
+// NewLogger builds an event register.
+func NewLogger(opts ...LoggerOption) *Logger {
+	l := &Logger{capacity: defaultCapacity, clock: time.Now}
+	for _, o := range opts {
+		o(l)
+	}
+	if l.capacity <= 0 {
+		l.capacity = defaultCapacity
+	}
+	return l
+}
+
+// streaming reports whether a stream is attached — fixed at construction.
+// The hook asks before recording a passed check: with nobody watching it
+// is only counted, which is what keeps the cached hit at an atomic add.
+func (l *Logger) streaming() bool { return l.stream != nil || l.jsonStream != nil }
+
+// Log stamps the event, stores it in the ring, and mirrors it to the
+// streams. Only the stamp and the slot write run under mu; formatting and
+// stream I/O happen under streamMu so a slow stream consumer cannot stall
+// sessions recording events concurrently. streamMu is acquired before mu
+// is released (lock coupling) so stream output preserves sequence order.
+func (l *Logger) Log(e Event) {
+	if l == nil {
+		return
+	}
+	l.mu.Lock()
+	l.seq++
+	e.Seq = l.seq
+	e.Time = l.clock()
+	if len(l.buf) < l.capacity {
+		l.buf = append(l.buf, e)
+	} else {
+		l.buf[l.next] = e
+		l.next = (l.next + 1) % len(l.buf)
+	}
+	if !l.streaming() {
+		l.mu.Unlock()
+		return
+	}
+	l.streamMu.Lock()
+	l.mu.Unlock()
+	defer l.streamMu.Unlock()
+	if l.stream != nil && !e.Kind.info().quiet {
+		_, _ = fmt.Fprintln(l.stream, e.String())
+	}
+	if l.jsonStream != nil {
+		if data, err := json.Marshal(auditRecord(e)); err == nil {
+			data = append(data, '\n')
+			_, _ = l.jsonStream.Write(data)
+		}
 	}
 }
 
-// Attacks returns only the attack events (the demo's phase-E filter).
-func (l *Logger) Attacks() []Event {
+// Recent returns up to n buffered events, oldest first, optionally
+// filtered by /events group ("attack", "store", "wal", …; empty matches
+// everything). n <= 0 returns all matches. Never nil, so the JSON is [].
+func (l *Logger) Recent(group string, n int) []Event {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	var out []Event
-	for _, e := range l.events {
-		if e.Kind == EventAttackDetected || e.Kind == EventAttackBlocked {
+	out := make([]Event, 0, len(l.buf))
+	for i := range l.buf {
+		e := l.buf[(l.next+i)%len(l.buf)]
+		if group == "" || e.Kind.info().group == group {
 			out = append(out, e)
 		}
 	}
+	if n > 0 && len(out) > n {
+		out = out[len(out)-n:]
+	}
 	return out
 }
+
+// Events returns a snapshot of the buffered events.
+func (l *Logger) Events() []Event { return l.Recent("", 0) }
+
+// Attacks returns only the attack events (the demo's phase-E filter).
+func (l *Logger) Attacks() []Event { return l.Recent("attack", 0) }

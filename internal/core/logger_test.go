@@ -15,26 +15,34 @@ func fixedClock() func() time.Time {
 	return func() time.Time { return t0 }
 }
 
+// TestLoggerSequencesAndCounts: one guard, one learned model, one passed
+// check, one blocked attack — the register holds them in sequence under
+// the injected clock, and the counts LogCounters used to keep are the
+// domain's Stats.
 func TestLoggerSequencesAndCounts(t *testing.T) {
-	l := NewLogger(WithClock(fixedClock()))
-	l.Log(Event{Kind: EventModelLearned, QueryID: "a"})
-	l.Log(Event{Kind: EventQueryChecked, QueryID: "a"})
-	l.Log(Event{Kind: EventAttackBlocked, QueryID: "a", Attack: AttackSQLI})
-	events := l.Events()
-	if len(events) != 3 {
-		t.Fatalf("got %d events", len(events))
+	var display strings.Builder // a stream, so the passed check is recorded
+	sep := New(Config{Mode: ModeTraining},
+		WithLogger(NewLogger(WithClock(fixedClock()), WithStream(&display))))
+	_ = sep.BeforeExecute(hookCtxFor(t, fig2Benign))
+	sep.SetConfig(DefaultConfig())
+	_ = sep.BeforeExecute(hookCtxFor(t, fig2Benign))
+	_ = sep.BeforeExecute(hookCtxFor(t, fig3Attack))
+	events := sep.Logger().Events()
+	want := []EventKind{EventModelLearned, EventModeChanged, EventQueryChecked, EventAttackBlocked}
+	if len(events) != len(want) {
+		t.Fatalf("got %d events: %v", len(events), events)
 	}
 	for i, e := range events {
-		if e.Seq != int64(i+1) {
-			t.Errorf("event %d has seq %d", i, e.Seq)
+		if e.Seq != int64(i+1) || e.Kind != want[i] {
+			t.Errorf("event %d is seq %d %s, want seq %d %s", i, e.Seq, e.Kind, i+1, want[i])
 		}
-		if e.Time.IsZero() {
-			t.Errorf("event %d has zero time", i)
+		if !e.Time.Equal(fixedClock()()) {
+			t.Errorf("event %d has time %v, want the injected clock", i, e.Time)
 		}
 	}
-	c := l.Counters()
-	if c.ModelsLearned != 1 || c.QueriesChecked != 1 || c.Blocked != 1 {
-		t.Errorf("counters = %+v", c)
+	st := sep.Stats()
+	if st.ModelsLearned != 1 || st.NewQueries != 0 || st.QueriesChecked != 1 || st.AttacksBlocked != 1 {
+		t.Errorf("stats = %+v", st)
 	}
 }
 
@@ -44,16 +52,54 @@ func TestLoggerCapacityBounded(t *testing.T) {
 		l.Log(Event{Kind: EventQueryChecked})
 	}
 	events := l.Events()
-	if len(events) > 10 {
-		t.Errorf("buffer grew to %d events, capacity 10", len(events))
-	}
-	// Counters survive truncation.
-	if c := l.Counters(); c.QueriesChecked != 100 {
-		t.Errorf("checked = %d, want 100", c.QueriesChecked)
+	if len(events) != 10 || len(l.buf) != 10 {
+		t.Errorf("a flood of 100 left %d events in %d slots, capacity 10", len(events), len(l.buf))
 	}
 	// The newest event is retained.
 	if events[len(events)-1].Seq != 100 {
 		t.Errorf("latest seq = %d, want 100", events[len(events)-1].Seq)
+	}
+}
+
+// TestLoggerOverwritesOldest is obs.Ring's overwrite test on the register
+// that replaced it: a full ring drops the oldest entry, Recent returns
+// oldest first, filters by /events group and limits to the newest n.
+func TestLoggerOverwritesOldest(t *testing.T) {
+	l := NewLogger(WithCapacity(4), WithClock(fixedClock()))
+	for i := 0; i < 6; i++ {
+		kind := EventModelLearned
+		if i%2 == 1 {
+			kind = EventAttackBlocked
+		}
+		l.Log(Event{Kind: kind, Detail: string(rune('a' + i))})
+	}
+	all := l.Recent("", 0)
+	if len(all) != 4 {
+		t.Fatalf("recent = %d events, want 4", len(all))
+	}
+	// Oldest first, and the first two (seq 1,2) were overwritten.
+	for i, e := range all {
+		if e.Seq != int64(3+i) {
+			t.Errorf("sequence window = %d at %d, want [3, 6] in order", e.Seq, i)
+		}
+	}
+	attacks := l.Recent("attack", 0)
+	for _, e := range attacks {
+		if e.Kind != EventAttackBlocked {
+			t.Errorf("filter leaked kind %s", e.Kind)
+		}
+	}
+	if len(attacks) != 2 {
+		t.Errorf("attack events = %d, want 2 (seq 4 and 6)", len(attacks))
+	}
+	if latest := l.Recent("", 1); len(latest) != 1 || latest[0].Seq != 6 {
+		t.Errorf("n=1 window = %+v, want the newest event", latest)
+	}
+	if none := l.Recent("no-such-kind", 0); none == nil || len(none) != 0 {
+		t.Errorf("an empty match must be an empty list, not nil: %v", none)
+	}
+	if !all[0].Time.Equal(fixedClock()()) {
+		t.Errorf("event time = %v, want the injected clock", all[0].Time)
 	}
 }
 
@@ -133,8 +179,16 @@ func TestLoggerConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if c := l.Counters(); c.QueriesChecked != 800 {
-		t.Errorf("checked = %d, want 800", c.QueriesChecked)
+	// Nothing lost, nothing duplicated: the ring is full of the newest
+	// 128 of 800 sequence numbers, in order.
+	events := l.Events()
+	if len(events) != 128 {
+		t.Fatalf("ring holds %d events, want full (128)", len(events))
+	}
+	for i, e := range events {
+		if e.Seq != int64(800-127+i) {
+			t.Fatalf("event %d has seq %d, want %d", i, e.Seq, 800-127+i)
+		}
 	}
 }
 

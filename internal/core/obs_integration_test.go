@@ -21,9 +21,8 @@ const (
 // Fig. 2 query and switched to prevention.
 func obsDeployment(t *testing.T) (*obs.Hub, *engine.DB, *Septic) {
 	t.Helper()
-	hub := obs.NewHub(128)
-	sep := New(Config{Mode: ModeTraining}, WithObserver(hub),
-		WithLogger(NewLogger(WithCheckedSampling(0))))
+	hub := obs.NewHub()
+	sep := New(Config{Mode: ModeTraining}, WithObserver(hub))
 	db := engine.New(engine.WithQueryHook(sep), engine.WithObs(hub))
 	for _, q := range []string{
 		"CREATE TABLE tickets (id INT PRIMARY KEY AUTO_INCREMENT, reservID TEXT, creditCard INT)",
@@ -44,7 +43,7 @@ func obsDeployment(t *testing.T) (*obs.Hub, *engine.DB, *Septic) {
 // with its detector, distance and action, and the mode change and store
 // mutations are there too.
 func TestObsEndToEnd(t *testing.T) {
-	hub, db, _ := obsDeployment(t)
+	hub, db, sep := obsDeployment(t)
 
 	if _, err := db.Exec(fig2Benign); err != nil { // full pipeline (miss)
 		t.Fatalf("benign: %v", err)
@@ -78,28 +77,28 @@ func TestObsEndToEnd(t *testing.T) {
 		t.Error("store gauges did not report the learned model")
 	}
 
-	attacks := hub.Events.Recent(obs.KindAttack, 0)
+	attacks := sep.Logger().Recent("attack", 0)
 	if len(attacks) != 1 {
 		t.Fatalf("attack events = %d, want 1", len(attacks))
 	}
 	a := attacks[0]
-	if a.Detector != "sqli/structural" {
-		t.Errorf("detector = %q, want sqli/structural (Fig. 3 changes the stack shape)", a.Detector)
+	if a.Detector() != "sqli/structural" {
+		t.Errorf("detector = %q, want sqli/structural (Fig. 3 changes the stack shape)", a.Detector())
 	}
 	if a.Distance == 0 {
 		t.Error("attack event has zero distance")
 	}
-	if a.Class != "sqli" || a.Action != "blocked" {
-		t.Errorf("class/action = %q/%q, want sqli/blocked", a.Class, a.Action)
+	if a.Attack != AttackSQLI || a.Action != "blocked" {
+		t.Errorf("class/action = %q/%q, want sqli/blocked", a.Attack, a.Action)
 	}
 	if a.Skeleton == "" || !strings.Contains(a.Query, "--") {
 		t.Errorf("event missing skeleton or query text: %+v", a)
 	}
-	if len(hub.Events.Recent(obs.KindMode, 0)) == 0 {
-		t.Error("SetConfig published no mode event")
+	if len(sep.Logger().Recent("mode", 0)) == 0 {
+		t.Error("SetConfig recorded no mode event")
 	}
-	if len(hub.Events.Recent(obs.KindStore, 0)) == 0 {
-		t.Error("model learning published no store event")
+	if len(sep.Logger().Recent("store", 0)) == 0 {
+		t.Error("model learning recorded no store event")
 	}
 }
 
@@ -107,17 +106,17 @@ func TestObsEndToEnd(t *testing.T) {
 // node count, mismatching nodes) and checks the syntactical detector
 // and the first-mismatch distance are reported.
 func TestObsSyntacticalDistance(t *testing.T) {
-	hub, db, _ := obsDeployment(t)
+	_, db, sep := obsDeployment(t)
 	mimicry := "SELECT * FROM tickets WHERE reservID = 'ID34FG' AND 1=1-- ' AND creditCard = 0"
 	if _, err := db.Exec(mimicry); err == nil {
 		t.Fatal("Fig. 4 mimicry executed in prevention mode")
 	}
-	attacks := hub.Events.Recent(obs.KindAttack, 0)
+	attacks := sep.Logger().Attacks()
 	if len(attacks) != 1 {
 		t.Fatalf("attack events = %d, want 1", len(attacks))
 	}
-	if attacks[0].Detector != "sqli/syntactical" {
-		t.Errorf("detector = %q, want sqli/syntactical", attacks[0].Detector)
+	if attacks[0].Detector() != "sqli/syntactical" {
+		t.Errorf("detector = %q, want sqli/syntactical", attacks[0].Detector())
 	}
 	if attacks[0].Distance == 0 {
 		t.Error("syntactical distance should point at the first mismatching node index")
@@ -125,9 +124,9 @@ func TestObsSyntacticalDistance(t *testing.T) {
 }
 
 // TestObsCacheInvalidationEvent checks a config bump surfaces as a
-// KindCache event when the stale entry is next looked up.
+// cache event when the stale entry is next looked up.
 func TestObsCacheInvalidationEvent(t *testing.T) {
-	hub, db, sep := obsDeployment(t)
+	_, db, sep := obsDeployment(t)
 	if _, err := db.Exec(fig2Benign); err != nil { // populate the cache
 		t.Fatalf("benign: %v", err)
 	}
@@ -137,9 +136,9 @@ func TestObsCacheInvalidationEvent(t *testing.T) {
 	if _, err := db.Exec(fig2Benign); err != nil {
 		t.Fatalf("benign after config change: %v", err)
 	}
-	events := hub.Events.Recent(obs.KindCache, 0)
+	events := sep.Logger().Recent("cache", 0)
 	if len(events) == 0 {
-		t.Fatal("stale lookup published no cache event")
+		t.Fatal("stale lookup recorded no cache event")
 	}
 	if !strings.Contains(events[0].Detail, "configuration generation") {
 		t.Errorf("cache event detail = %q, want a configuration-generation cause", events[0].Detail)
@@ -152,7 +151,7 @@ func TestObsCacheInvalidationEvent(t *testing.T) {
 // under -race (where it also exercises the counters for data races)
 // but asserts the ordering invariant in every mode.
 func TestStatsNeverOverReports(t *testing.T) {
-	sep := New(DefaultConfig(), WithLogger(NewLogger(WithCheckedSampling(0))))
+	sep := New(DefaultConfig())
 	benign := hookCtxFor(t, fig2Benign)
 	if err := func() error { // learn under training so the attack has a model
 		sep.SetMode(ModeTraining)

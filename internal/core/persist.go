@@ -268,14 +268,14 @@ func (s *Septic) AttachPersistence(opts PersistenceOptions) (*Persistence, error
 
 	if s.obs != nil {
 		p.registerGauges(s.obs.Metrics)
-		detail := fmt.Sprintf("durability attached: %d record(s) replayed, %d skipped",
-			p.recoveredRecords.Load(), p.recoveredSkipped.Load())
-		if info.Truncated {
-			detail += fmt.Sprintf(" (torn tail truncated: %d segment(s), %d record(s) dropped)",
-				info.TornSegments, info.DroppedRecords)
-		}
-		s.obs.Publish(obs.Event{Kind: obs.KindWAL, Detail: detail})
 	}
+	detail := fmt.Sprintf("durability attached: %d record(s) replayed, %d skipped",
+		p.recoveredRecords.Load(), p.recoveredSkipped.Load())
+	if info.Truncated {
+		detail += fmt.Sprintf(" (torn tail truncated: %d segment(s), %d record(s) dropped)",
+			info.TornSegments, info.DroppedRecords)
+	}
+	s.logger.Log(Event{Kind: EventDurability, Detail: detail})
 
 	if opts.CheckpointInterval > 0 {
 		p.stopc = make(chan struct{})
@@ -387,10 +387,6 @@ func (p *Persistence) append(domain string, rec *walRecord) error {
 		p.sep.logger.Log(Event{Kind: EventDurability, Domain: domain,
 			QueryID: rec.ID,
 			Detail:  fmt.Sprintf("wal append failed (%s): %v", rec.Op, err)})
-		if p.sep.obs != nil {
-			p.sep.obs.Publish(obs.Event{Kind: obs.KindWAL, QueryID: rec.ID,
-				Detail: fmt.Sprintf("wal append failed (%s, domain %s): %v", rec.Op, domain, err)})
-		}
 		return err
 	}
 	return nil
@@ -438,10 +434,8 @@ func (p *Persistence) Checkpoint() error {
 		p.checkpointFaults.Add(1)
 		return fmt.Errorf("persistence: trim wal: %w", err)
 	}
-	if p.sep.obs != nil {
-		p.sep.obs.Publish(obs.Event{Kind: obs.KindWAL,
-			Detail: fmt.Sprintf("checkpoint at wal seq %d", seq)})
-	}
+	p.sep.logger.Log(Event{Kind: EventDurability,
+		Detail: fmt.Sprintf("checkpoint at wal seq %d", seq)})
 	return nil
 }
 

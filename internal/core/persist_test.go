@@ -354,7 +354,7 @@ func TestPersistenceRejectsCorruptCheckpoint(t *testing.T) {
 // counters move with real traffic.
 func TestPersistenceGauges(t *testing.T) {
 	dir := t.TempDir()
-	hub := obs.NewHub(16)
+	hub := obs.NewHub()
 	s := New(DefaultConfig(), WithObserver(hub))
 	p, err := s.AttachPersistence(PersistenceOptions{Dir: dir, Fsync: wal.FsyncAlways})
 	if err != nil {
@@ -396,7 +396,7 @@ func TestPersistenceGauges(t *testing.T) {
 		t.Fatalf("group size gauges: %d (max %d), want 1 (1)",
 			snap.Gauges["wal.group_size"], snap.Gauges["wal.group_size_max"])
 	}
-	if evs := hub.Events.Recent(obs.KindWAL, 0); len(evs) == 0 {
+	if evs := s.Logger().Recent("wal", 0); len(evs) == 0 {
 		t.Fatal("no wal attach event published")
 	}
 }

@@ -205,10 +205,8 @@ func (rs *ReplicaState) ApplySnapshot(barrier uint64, data []byte) error {
 	}
 	rs.applied.Store(barrier)
 	rs.observeSeq(barrier)
-	if rs.sep.obs != nil {
-		rs.sep.obs.Publish(obs.Event{Kind: obs.KindWAL,
-			Detail: fmt.Sprintf("replication snapshot installed (%d bytes, barrier seq %d)", len(data), barrier)})
-	}
+	rs.sep.logger.Log(Event{Kind: EventDurability,
+		Detail: fmt.Sprintf("replication snapshot installed (%d bytes, barrier seq %d)", len(data), barrier)})
 	return nil
 }
 
@@ -314,10 +312,6 @@ func (rs *ReplicaState) Promote() {
 	s.regMu.Unlock()
 	s.logger.Log(Event{Kind: EventModeChanged,
 		Detail: fmt.Sprintf("replica promoted to primary at seq %d", rs.applied.Load())})
-	if s.obs != nil {
-		s.obs.Publish(obs.Event{Kind: obs.KindMode,
-			Detail: fmt.Sprintf("replica promoted to primary at seq %d", rs.applied.Load())})
-	}
 }
 
 // Promoted reports whether the failover hook has fired.

@@ -35,7 +35,7 @@ func putRecord(t *testing.T, dom, id, query string) []byte {
 
 func newReplica(t *testing.T) (*Septic, *ReplicaState) {
 	t.Helper()
-	sep := New(DefaultConfig(), WithLogger(NewLogger(WithCheckedSampling(0))))
+	sep := New(DefaultConfig())
 	if _, err := sep.RegisterDomain("shop", DefaultConfig()); err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestReplicaApplyRecordOps(t *testing.T) {
 
 func TestReplicaApplySnapshot(t *testing.T) {
 	// A real primary builds the snapshot; the replica installs it.
-	primary := New(DefaultConfig(), WithLogger(NewLogger(WithCheckedSampling(0))))
+	primary := New(DefaultConfig())
 	pshop, err := primary.RegisterDomain("shop", DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -204,7 +204,7 @@ func TestReplicaApplySnapshot(t *testing.T) {
 // applied records, so a rebooted incarnation resumes after its durable
 // position instead of starting over.
 func TestReplicaLocalDurabilityResume(t *testing.T) {
-	primary := New(DefaultConfig(), WithLogger(NewLogger(WithCheckedSampling(0))))
+	primary := New(DefaultConfig())
 	pshop, err := primary.RegisterDomain("shop", DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -222,7 +222,7 @@ func TestReplicaLocalDurabilityResume(t *testing.T) {
 
 	dir := t.TempDir()
 	boot := func() (*Septic, *ReplicaState, *Persistence) {
-		sep := New(DefaultConfig(), WithLogger(NewLogger(WithCheckedSampling(0))))
+		sep := New(DefaultConfig())
 		if _, err := sep.RegisterDomain("shop", DefaultConfig()); err != nil {
 			t.Fatal(err)
 		}
@@ -272,7 +272,7 @@ func TestReplicaLocalDurabilityResume(t *testing.T) {
 // counted, the memory apply stands, and the durable floor stays behind
 // so a restart re-fetches the record.
 func TestReplicaApplyErrorOnDeadPersistence(t *testing.T) {
-	sep := New(DefaultConfig(), WithLogger(NewLogger(WithCheckedSampling(0))))
+	sep := New(DefaultConfig())
 	if _, err := sep.RegisterDomain("shop", DefaultConfig()); err != nil {
 		t.Fatal(err)
 	}
@@ -299,9 +299,9 @@ func TestReplicaApplyErrorOnDeadPersistence(t *testing.T) {
 }
 
 func TestReplicaReadOnlyAndPromote(t *testing.T) {
-	hub := obs.NewHub(16)
+	hub := obs.NewHub()
 	sep := New(DefaultConfig(),
-		WithLogger(NewLogger(WithCheckedSampling(0))), WithObserver(hub))
+		WithObserver(hub))
 	if _, err := sep.RegisterDomain("shop", DefaultConfig()); err != nil {
 		t.Fatal(err)
 	}
@@ -374,7 +374,7 @@ func TestReplConnStateString(t *testing.T) {
 // fires for appends made after subscription, and ReplLastSeq tracks the
 // head the replicas chase.
 func TestReplWatchAndLastSeq(t *testing.T) {
-	sep := New(DefaultConfig(), WithLogger(NewLogger(WithCheckedSampling(0))))
+	sep := New(DefaultConfig())
 	shop, err := sep.RegisterDomain("shop", DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -412,7 +412,7 @@ func TestReplWatchAndLastSeq(t *testing.T) {
 // that applied it could hold a record the primary loses in a crash and
 // re-issues, different, under the same sequence number.
 func TestChaosReplHeadStopsAtDurableHorizon(t *testing.T) {
-	sep := New(DefaultConfig(), WithLogger(NewLogger(WithCheckedSampling(0))))
+	sep := New(DefaultConfig())
 	p, err := sep.AttachPersistence(PersistenceOptions{Dir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
@@ -472,7 +472,7 @@ func TestChaosReplHeadStopsAtDurableHorizon(t *testing.T) {
 func TestReplicaSnapshotLeavesConfigAlone(t *testing.T) {
 	training := DefaultConfig()
 	training.Mode = ModeTraining
-	primary := New(training, WithLogger(NewLogger(WithCheckedSampling(0))))
+	primary := New(training)
 	pshop, err := primary.RegisterDomain("shop", training)
 	if err != nil {
 		t.Fatal(err)
@@ -491,7 +491,7 @@ func TestReplicaSnapshotLeavesConfigAlone(t *testing.T) {
 	for name, data := range map[string][]byte{"current": snap, "legacy": []byte(legacyCheckpoint)} {
 		detection := DefaultConfig()
 		detection.Mode = ModeDetection
-		sep := New(detection, WithLogger(NewLogger(WithCheckedSampling(0))))
+		sep := New(detection)
 		shop, err := sep.RegisterDomain("shop", detection)
 		if err != nil {
 			t.Fatal(err)
@@ -521,8 +521,8 @@ func TestReplicaSnapshotLeavesConfigAlone(t *testing.T) {
 // refuses the whole snapshot, before any of the sound domains beside it
 // has been replaced.
 func TestReplicaSnapshotIsAllOrNothing(t *testing.T) {
-	primary := New(DefaultConfig(), WithLogger(NewLogger(WithCheckedSampling(0))))
-	replica := New(DefaultConfig(), WithLogger(NewLogger(WithCheckedSampling(0))))
+	primary := New(DefaultConfig())
+	replica := New(DefaultConfig())
 	names := []string{"d0", "d1", "d2", "d3", "d4", "d5", "d6", "d7"}
 	for _, name := range names {
 		pd, err := primary.RegisterDomain(name, DefaultConfig())

@@ -84,8 +84,14 @@ func DefaultConfig() Config {
 
 // Stats aggregates SEPTIC's work counters.
 type Stats struct {
-	QueriesSeen    int64
-	ModelsLearned  int64
+	QueriesSeen   int64
+	ModelsLearned int64
+	// NewQueries counts the subset of ModelsLearned learned incrementally,
+	// outside training mode (pending administrator review).
+	NewQueries int64
+	// QueriesChecked counts queries compared against their model and
+	// passed, verdict-cache hits included.
+	QueriesChecked int64
 	AttacksFound   int64
 	AttacksBlocked int64
 	// GuardFaults counts contained panics in the protection path.
@@ -106,6 +112,8 @@ type Stats struct {
 func (s *Stats) add(o Stats) {
 	s.QueriesSeen += o.QueriesSeen
 	s.ModelsLearned += o.ModelsLearned
+	s.NewQueries += o.NewQueries
+	s.QueriesChecked += o.QueriesChecked
 	s.AttacksFound += o.AttacksFound
 	s.AttacksBlocked += o.AttacksBlocked
 	s.GuardFaults += o.GuardFaults
@@ -195,11 +203,10 @@ func WithIDGenerator(g *IDGenerator) SepticOption {
 	return func(s *Septic) { s.idgen = g }
 }
 
-// WithObserver installs an observability hub: hook latency histograms,
-// pipeline counters exported as gauge funcs, and structured events
-// (attacks, guard faults, store mutations, cache invalidations, mode
-// changes) published to the hub's ring. A nil hub — the default — keeps
-// every instrumentation site on its single-pointer-check disabled path.
+// WithObserver installs an observability hub: hook latency histograms
+// and pipeline counters exported as gauge funcs. A nil hub — the default
+// — keeps every instrumentation site on its single-pointer-check disabled
+// path. Events do not go through it: they are the Logger's.
 func WithObserver(h *obs.Hub) SepticOption {
 	return func(s *Septic) { s.obs = h }
 }
@@ -258,10 +265,8 @@ func (s *Septic) newDomain(name string, cfg Config, store *Store) *Domain {
 		verdicts: newVerdictCache(s.verdictCap)}
 	d.cfg.Store(&cfg)
 	d.ovl.Store(overload.NewControls(nil, nil))
-	if s.obs != nil {
-		store.SetObserver(s.obs)
-		d.verdicts.setObserver(s.obs)
-	}
+	store.log, store.domain = s.logger, name
+	d.verdicts.log, d.verdicts.domain = s.logger, name
 	return d
 }
 
@@ -412,7 +417,7 @@ func (s *Septic) BeforeExecute(ctx *engine.HookContext) (err error) {
 				v.set.hits.Add(1) // keep the admin usage report exact
 			}
 			if v.checked {
-				s.logger.LogQueryChecked(v.id, ctx.Decoded)
+				s.checked(d, v.id, ctx.Decoded)
 			}
 			if s.obs != nil {
 				s.hookHit.Observe(time.Since(obsStart))
@@ -526,10 +531,20 @@ func (s *Septic) runMiss(d *Domain, ctx *engine.HookContext, cfg Config,
 	}
 	*sp = qs
 	stackPool.Put(sp)
-	s.logger.LogQueryChecked(id, ctx.Decoded)
+	s.checked(d, id, ctx.Decoded)
 	d.verdicts.insert(ctx.Decoded, &verdict{id: id, checked: true, set: set, cfgGen: cfgGen, storeGen: storeGen})
 	s.observeFull(obsStart)
 	return nil
+}
+
+// checked books a query that passed detection: always counted, and
+// recorded when a stream is attached to show it — with nobody watching,
+// a register slot per benign repeat would only push real events out.
+func (s *Septic) checked(d *Domain, id, query string) {
+	d.queriesChecked.Add(1)
+	if s.logger.streaming() {
+		s.logger.Log(Event{Kind: EventQueryChecked, QueryID: id, Query: query})
+	}
 }
 
 // observeFull records one full-pipeline hook duration; a no-op when
@@ -554,9 +569,9 @@ func (s *Septic) containFault(d *Domain, ctx *engine.HookContext, r any) error {
 	// pipeline browns out instead of panicking per-query forever.
 	d.ovl.Load().Breaker.RecordResult(true, 0)
 	cfg := *d.cfg.Load()
-	policy := "fail-closed"
+	policy, action := "fail-closed", "blocked"
 	if cfg.FailOpen {
-		policy = "fail-open"
+		policy, action = "fail-open", "admitted"
 	}
 	stack := debug.Stack()
 	if len(stack) > 4096 {
@@ -566,20 +581,9 @@ func (s *Septic) containFault(d *Domain, ctx *engine.HookContext, r any) error {
 		Kind:   EventGuardFault,
 		Domain: d.name,
 		Query:  ctx.Decoded,
+		Action: action,
 		Detail: fmt.Sprintf("panic in protection path (%s): %v\n%s", policy, r, stack),
 	})
-	if s.obs != nil {
-		action := "blocked"
-		if cfg.FailOpen {
-			action = "admitted"
-		}
-		s.obs.Publish(obs.Event{
-			Kind:   obs.KindGuardFault,
-			Query:  ctx.Decoded,
-			Action: action,
-			Detail: fmt.Sprintf("panic in protection path (%s, domain %s): %v", policy, d.name, r),
-		})
-	}
 	if cfg.FailOpen {
 		return nil
 	}
@@ -596,6 +600,9 @@ func (s *Septic) learn(d *Domain, id, query string, qs qstruct.Stack, kind Event
 		return
 	}
 	d.modelsLearned.Add(1)
+	if kind == EventNewQuery {
+		d.newQueries.Add(1)
+	}
 	s.logger.Log(Event{Kind: kind, Domain: d.name, QueryID: id, Query: query,
 		Detail: fmt.Sprintf("model learned (%d nodes)", len(qm.Nodes))})
 }
@@ -609,44 +616,25 @@ func (s *Septic) report(d *Domain, cfg Config, id string, ctx *engine.HookContex
 		d.attacksBlocked.Add(1)
 	}
 
-	kind := EventAttackDetected
+	kind, action := EventAttackDetected, "logged"
 	if blocked {
-		kind = EventAttackBlocked
+		kind, action = EventAttackBlocked, "blocked"
 	}
+	// The skeleton render is attack-path-only work: attacks are rare and
+	// never cached, so the formatting cost stays off benign traffic.
 	s.logger.Log(Event{
-		Kind:    kind,
-		Domain:  d.name,
-		QueryID: id,
-		Query:   ctx.Decoded,
-		Attack:  det.Attack,
-		Step:    det.Step,
-		Plugin:  det.Plugin,
-		Detail:  det.Detail,
+		Kind:     kind,
+		Domain:   d.name,
+		QueryID:  id,
+		Query:    ctx.Decoded,
+		Attack:   det.Attack,
+		Step:     det.Step,
+		Plugin:   det.Plugin,
+		Distance: det.Distance,
+		Skeleton: qstruct.Skeleton(ctx.Stmt),
+		Action:   action,
+		Detail:   det.Detail,
 	})
-	if s.obs != nil {
-		// The skeleton render is attack-path-only work: attacks are rare
-		// and never cached, so the formatting cost stays off benign
-		// traffic entirely.
-		detector := "sqli/" + det.Step.String()
-		if det.Attack == AttackStored {
-			detector = "stored/" + det.Plugin
-		}
-		action := "logged"
-		if blocked {
-			action = "blocked"
-		}
-		s.obs.Publish(obs.Event{
-			Kind:     obs.KindAttack,
-			Query:    ctx.Decoded,
-			Skeleton: qstruct.Skeleton(ctx.Stmt),
-			QueryID:  id,
-			Detector: detector,
-			Distance: det.Distance,
-			Class:    det.Attack.String(),
-			Action:   action,
-			Detail:   det.Detail,
-		})
-	}
 	if !blocked {
 		return nil // detection mode: log only, let the query run
 	}

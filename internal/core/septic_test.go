@@ -62,7 +62,7 @@ func TestTrainingLearnsOneModelPerQuery(t *testing.T) {
 	if got := sep.Store().Len(); got != before+1 {
 		t.Errorf("store grew by %d models, want 1 (same shape learned once)", got-before)
 	}
-	if c := sep.Logger().Counters(); c.ModelsLearned == 0 {
+	if c := sep.Stats(); c.ModelsLearned == 0 {
 		t.Error("no model-learned events logged")
 	}
 }
@@ -197,7 +197,7 @@ func TestTableIModeMatrix(t *testing.T) {
 func TestIncrementalLearningInNormalMode(t *testing.T) {
 	db, sep := newProtectedDB(t, Config{Mode: ModePrevention, DetectSQLI: true, IncrementalLearning: true})
 	before := sep.Store().Len()
-	c0 := sep.Logger().Counters()
+	c0 := sep.Stats()
 	// Never-trained query: learned on the fly and executed.
 	if _, err := db.Exec("SELECT name FROM users WHERE id = 1"); err != nil {
 		t.Fatalf("unknown query should execute under incremental learning: %v", err)
@@ -205,14 +205,14 @@ func TestIncrementalLearningInNormalMode(t *testing.T) {
 	if sep.Store().Len() != before+1 {
 		t.Error("model not learned incrementally")
 	}
-	if c := sep.Logger().Counters(); c.NewQueries != c0.NewQueries+1 {
+	if c := sep.Stats(); c.NewQueries != c0.NewQueries+1 {
 		t.Errorf("new-query events = %d, want %d", c.NewQueries, c0.NewQueries+1)
 	}
 	// Second time: model exists, query is checked.
 	if _, err := db.Exec("SELECT name FROM users WHERE id = 2"); err != nil {
 		t.Fatalf("known-shape query: %v", err)
 	}
-	if c := sep.Logger().Counters(); c.QueriesChecked == 0 {
+	if c := sep.Stats(); c.QueriesChecked == 0 {
 		t.Error("second execution should be checked against the learned model")
 	}
 }

@@ -12,7 +12,6 @@ import (
 	"sync/atomic"
 
 	"github.com/septic-db/septic/internal/faultinject"
-	"github.com/septic-db/septic/internal/obs"
 	"github.com/septic-db/septic/internal/qstruct"
 	"github.com/septic-db/septic/internal/wal"
 )
@@ -53,9 +52,13 @@ type Store struct {
 	// state and its entry is correctly invalidated by the bump.
 	gen atomic.Uint64
 
-	// obs receives a KindStore event for every mutation; nil disables.
-	// Set once at construction (core.New), before the store is shared.
-	obs *obs.Hub
+	// log receives an EventStoreChanged for every administrative mutation
+	// (Delete, Approve, Load), tagged with the owning domain; nil — a
+	// store outside any Septic — records nothing. Set once by newDomain,
+	// before the store is shared. Learned models are recorded by the hook
+	// (Septic.learn), which knows the query.
+	log    *Logger
+	domain string
 
 	// sink, when installed (Persistence.bind), receives every mutation
 	// as a WAL record BEFORE it is published in memory, while the shard
@@ -120,13 +123,6 @@ func (s *Store) shard(id string) *storeShard {
 	h := fnv.New32a()
 	_, _ = h.Write([]byte(id))
 	return &s.shards[h.Sum32()%storeShardCount]
-}
-
-// SetObserver installs the observability hub the store publishes
-// mutation events to. Must be called before the store is shared across
-// goroutines (core.New does).
-func (s *Store) SetObserver(h *obs.Hub) {
-	s.obs = h
 }
 
 // Generation returns the store's mutation counter. It changes whenever
@@ -234,14 +230,6 @@ func (s *Store) Put(id string, m qstruct.Model, incremental bool) bool {
 		sh.models[id] = set
 	}
 	s.publish(set, m, incremental)
-	if s.obs != nil {
-		detail := fmt.Sprintf("model stored (%d nodes, %d model(s) for id)",
-			len(m.Nodes), len(set.models))
-		if incremental {
-			detail += ", incremental — pending review"
-		}
-		s.obs.Publish(obs.Event{Kind: obs.KindStore, QueryID: id, Detail: detail})
-	}
 	return true
 }
 
@@ -308,7 +296,7 @@ func (s *Store) Delete(id string) {
 	}
 	delete(sh.models, id)
 	s.gen.Add(1)
-	s.obs.Publish(obs.Event{Kind: obs.KindStore, QueryID: id, Detail: "identifier deleted"})
+	s.log.Log(Event{Kind: EventStoreChanged, Domain: s.domain, QueryID: id, Detail: "identifier deleted"})
 }
 
 // replayDelete applies a recovered delete record.
@@ -342,7 +330,7 @@ func (s *Store) Approve(id string) bool {
 		_ = s.sink(&walRecord{Op: opApprove, ID: id})
 	}
 	set.incremental = false
-	s.obs.Publish(obs.Event{Kind: obs.KindStore, QueryID: id, Detail: "identifier approved"})
+	s.log.Log(Event{Kind: EventStoreChanged, Domain: s.domain, QueryID: id, Detail: "identifier approved"})
 	return true
 }
 
@@ -697,7 +685,7 @@ func (s *Store) Load(path string) error {
 		return err
 	}
 	s.restoreSets(file.Sets)
-	s.obs.Publish(obs.Event{Kind: obs.KindStore,
+	s.log.Log(Event{Kind: EventStoreChanged, Domain: s.domain,
 		Detail: fmt.Sprintf("store reloaded: %d identifier(s)", len(file.Sets))})
 	return nil
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"sync/atomic"
 
-	"github.com/septic-db/septic/internal/obs"
 	"github.com/septic-db/septic/internal/txtcache"
 )
 
@@ -51,9 +50,10 @@ type verdictCache struct {
 	// runs in full) but are reported separately: a high rate means the
 	// store or configuration is churning under the cache.
 	invalidations atomic.Int64
-	// obs receives a KindCache event per invalidation; nil disables. Set
-	// once at construction (core.New), before the cache is shared.
-	obs *obs.Hub
+	// log receives an EventCacheInvalidated per invalidation, tagged with
+	// the owning domain. Set once by newDomain, before the cache is shared.
+	log    *Logger
+	domain string
 }
 
 // CacheStats reports verdict-cache effectiveness counters.
@@ -92,12 +92,6 @@ func newVerdictCache(capacity int) *verdictCache {
 	return &verdictCache{cache: txtcache.New[*verdict](capacity)}
 }
 
-// setObserver installs the hub invalidation events are published to.
-// Must be called before the cache is shared (core.New does).
-func (c *verdictCache) setObserver(h *obs.Hub) {
-	c.obs = h
-}
-
 // lookup returns the cached verdict for text if it is stamped with the
 // current generations. A stale entry counts as an invalidation and a
 // miss; the caller recomputes and re-inserts, overwriting the stale
@@ -109,14 +103,12 @@ func (c *verdictCache) lookup(text string, cfgGen, storeGen uint64) (*verdict, b
 	}
 	if v.cfgGen != cfgGen || v.storeGen != storeGen {
 		c.invalidations.Add(1)
-		if c.obs != nil {
-			cause := "store generation moved"
-			if v.cfgGen != cfgGen {
-				cause = "configuration generation moved"
-			}
-			c.obs.Publish(obs.Event{Kind: obs.KindCache, QueryID: v.id,
-				Detail: "cached verdict invalidated: " + cause})
+		cause := "store generation moved"
+		if v.cfgGen != cfgGen {
+			cause = "configuration generation moved"
 		}
+		c.log.Log(Event{Kind: EventCacheInvalidated, Domain: c.domain, QueryID: v.id,
+			Detail: "cached verdict invalidated: " + cause})
 		return nil, false
 	}
 	return v, true

@@ -28,8 +28,8 @@ func TestVerdictCacheServesRepeats(t *testing.T) {
 		t.Errorf("cache hits = %d, want %d", cs.Hits, repeats-1)
 	}
 	// The cached path must keep the per-query audit trail: every passed
-	// check is counted (and, at default sampling, logged).
-	if got := sep.Logger().Counters().QueriesChecked; got != repeats {
+	// check is counted (and, with a stream attached, recorded).
+	if got := sep.Stats().QueriesChecked; got != repeats {
 		t.Errorf("QueriesChecked = %d, want %d", got, repeats)
 	}
 	// And the admin usage report stays exact: one store hit per execution.

@@ -29,7 +29,8 @@ func WithHealth(ready func() (ok bool, detail map[string]any)) HandlerOption {
 //	/metrics        — metrics snapshot as JSON; ?format=prometheus for
 //	                  the Prometheus text exposition format
 //	/events         — recent structured events, oldest first;
-//	                  ?kind=attack filters, ?n=50 limits
+//	                  ?kind=attack filters, ?n=50 limits; served only
+//	                  when events != nil
 //	/qm             — live QM store dump (the demo's "query models
 //	                  learned" view); served only when qmDump != nil.
 //	                  ?domain=NAME selects one protection domain's
@@ -41,9 +42,11 @@ func WithHealth(ready func() (ok bool, detail map[string]any)) HandlerOption {
 //
 // qmDump returns a JSON-serializable view of the named protection
 // domain's learned model store, or nil when no such domain exists
-// (rendered as 404); the empty name means the default domain. It is
-// injected as a closure so obs stays dependency-free.
-func Handler(h *Hub, qmDump func(domain string) any, opts ...HandlerOption) http.Handler {
+// (rendered as 404); the empty name means the default domain. events
+// returns a JSON-serializable list of up to n (0 = all) recent events of
+// the given kind (empty = every kind) — the guard's event register. Both
+// are injected as closures so obs stays dependency-free.
+func Handler(h *Hub, qmDump func(domain string) any, events func(kind string, n int) any, opts ...HandlerOption) http.Handler {
 	var ho handlerOptions
 	for _, opt := range opts {
 		opt(&ho)
@@ -58,23 +61,20 @@ func Handler(h *Hub, qmDump func(domain string) any, opts ...HandlerOption) http
 		}
 		writeJSON(w, snap)
 	})
-	mux.HandleFunc("/events", func(w http.ResponseWriter, r *http.Request) {
-		kind := r.URL.Query().Get("kind")
-		n := 0
-		if s := r.URL.Query().Get("n"); s != "" {
-			v, err := strconv.Atoi(s)
-			if err != nil || v < 0 {
-				http.Error(w, "n must be a non-negative integer", http.StatusBadRequest)
-				return
+	if events != nil {
+		mux.HandleFunc("/events", func(w http.ResponseWriter, r *http.Request) {
+			n := 0
+			if s := r.URL.Query().Get("n"); s != "" {
+				v, err := strconv.Atoi(s)
+				if err != nil || v < 0 {
+					http.Error(w, "n must be a non-negative integer", http.StatusBadRequest)
+					return
+				}
+				n = v
 			}
-			n = v
-		}
-		events := h.Events.Recent(kind, n)
-		if events == nil {
-			events = []Event{} // render [], not null
-		}
-		writeJSON(w, events)
-	})
+			writeJSON(w, events(r.URL.Query().Get("kind"), n))
+		})
+	}
 	if qmDump != nil {
 		mux.HandleFunc("/qm", func(w http.ResponseWriter, r *http.Request) {
 			dump := qmDump(r.URL.Query().Get("domain"))

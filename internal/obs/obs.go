@@ -1,10 +1,11 @@
 // Package obs is the observability layer: a dependency-free metrics
-// registry (counters, gauges, latency histograms) plus a bounded
-// structured-event ring, exposed over the introspection HTTP endpoints
-// of http.go. It exists so the paper's demo can be *watched* on a live
-// septicd — queries crossing the validation→execution boundary, the QM
-// store training, attacks flagged with their detector and distance —
-// instead of read off opaque counters after the fact.
+// registry (counters, gauges, latency histograms) and the introspection
+// HTTP endpoints of http.go, which also serve what the process hands
+// them as closures — the guard's event register, its QM store. It exists
+// so the paper's demo can be *watched* on a live septicd — queries
+// crossing the validation→execution boundary, the QM store training,
+// attacks flagged with their detector and distance — instead of read off
+// opaque counters after the fact.
 //
 // Design constraints, in order:
 //
@@ -12,13 +13,13 @@
 //     *Hub (or nil *Histogram etc.) by default and guards its
 //     instrumentation behind one pointer check, so the cached hot path
 //     keeps its zero-allocation guarantee and its nanosecond budget.
-//   - Enabled must be cheap: counters and gauges are single atomics,
-//     histogram observation is two atomic adds into fixed buckets, and
-//     event publication takes one short mutex for a ring slot. Nothing
-//     on the query path formats strings or allocates per observation.
-//   - No dependencies: the package imports only the standard library,
-//     and nothing under internal/ imports it except the leaves being
-//     instrumented — obs must never create an import cycle.
+//   - Enabled must be cheap: counters and gauges are single atomics and
+//     histogram observation is two atomic adds into fixed buckets.
+//     Nothing on the query path formats strings or allocates per
+//     observation.
+//   - No dependencies: the package imports only the standard library
+//     (TestLeafPackage holds it to that), so instrumenting a package can
+//     never create an import cycle.
 package obs
 
 import (
@@ -214,25 +215,14 @@ func sortedKeys[V any](m map[string]V) []string {
 	return out
 }
 
-// Hub bundles the registry and the event ring: the single handle an
-// instrumented component takes. A nil *Hub disables observability
-// entirely — components must guard timing work behind a nil check and
-// may call Publish/metric methods unconditionally (all are nil-safe).
+// Hub is the single handle an instrumented component takes. A nil *Hub
+// disables observability entirely — components must guard timing work
+// behind a nil check; the metric methods are nil-safe on their own.
 type Hub struct {
 	Metrics *Registry
-	Events  *Ring
 }
 
-// NewHub builds a hub with a fresh registry and an event ring bounded to
-// capacity entries (DefaultRingCapacity if capacity <= 0).
-func NewHub(capacity int) *Hub {
-	return &Hub{Metrics: NewRegistry(), Events: NewRing(capacity)}
-}
-
-// Publish appends an event to the hub's ring. Safe on a nil hub.
-func (h *Hub) Publish(e Event) {
-	if h == nil {
-		return
-	}
-	h.Events.Publish(e)
+// NewHub builds a hub with a fresh registry.
+func NewHub() *Hub {
+	return &Hub{Metrics: NewRegistry()}
 }

@@ -26,11 +26,6 @@ func TestNilSafety(t *testing.T) {
 	if s := h.Snapshot(); s.Count != 0 {
 		t.Error("nil histogram observed something")
 	}
-	var r *Ring
-	r.Publish(Event{Kind: KindAttack})
-	if r.Len() != 0 || r.Recent("", 0) != nil {
-		t.Error("nil ring buffered an event")
-	}
 	var reg *Registry
 	if reg.Counter("x") != nil || reg.Gauge("x") != nil || reg.Histogram("x") != nil {
 		t.Error("nil registry returned live metrics")
@@ -39,8 +34,6 @@ func TestNilSafety(t *testing.T) {
 	if s := reg.Snapshot(); len(s.Counters) != 0 {
 		t.Error("nil registry snapshot non-empty")
 	}
-	var hub *Hub
-	hub.Publish(Event{Kind: KindAttack}) // must not panic
 }
 
 func TestRegistryHandlesAreStable(t *testing.T) {
@@ -124,48 +117,8 @@ func TestBucketIndexMatchesLinearScan(t *testing.T) {
 	}
 }
 
-func TestRingOverwritesOldest(t *testing.T) {
-	r := NewRing(4)
-	fixed := time.Date(2026, 8, 6, 12, 0, 0, 0, time.UTC)
-	r.SetClock(func() time.Time { return fixed })
-	for i := 0; i < 6; i++ {
-		kind := KindStore
-		if i%2 == 1 {
-			kind = KindAttack
-		}
-		r.Publish(Event{Kind: kind, Detail: string(rune('a' + i))})
-	}
-	if r.Len() != 4 {
-		t.Fatalf("len = %d, want 4", r.Len())
-	}
-	all := r.Recent("", 0)
-	if len(all) != 4 {
-		t.Fatalf("recent = %d events", len(all))
-	}
-	// Oldest first, and the first two (seq 1,2) were overwritten.
-	if all[0].Seq != 3 || all[3].Seq != 6 {
-		t.Errorf("sequence window = [%d, %d], want [3, 6]", all[0].Seq, all[3].Seq)
-	}
-	attacks := r.Recent(KindAttack, 0)
-	for _, e := range attacks {
-		if e.Kind != KindAttack {
-			t.Errorf("filter leaked kind %q", e.Kind)
-		}
-	}
-	if len(attacks) != 2 {
-		t.Errorf("attack events = %d, want 2 (seq 4 and 6)", len(attacks))
-	}
-	if latest := r.Recent("", 1); len(latest) != 1 || latest[0].Seq != 6 {
-		t.Errorf("n=1 window = %+v, want the newest event", latest)
-	}
-	if !all[0].Time.Equal(fixed) {
-		t.Errorf("event time = %v, want the injected clock", all[0].Time)
-	}
-}
-
 func TestConcurrentObservation(t *testing.T) {
 	r := NewRegistry()
-	ring := NewRing(64)
 	h := r.Histogram("x")
 	c := r.Counter("c")
 	var wg sync.WaitGroup
@@ -176,7 +129,6 @@ func TestConcurrentObservation(t *testing.T) {
 			for i := 0; i < 500; i++ {
 				h.Observe(time.Microsecond)
 				c.Inc()
-				ring.Publish(Event{Kind: KindCache})
 				_ = r.Snapshot()
 			}
 		}()
@@ -187,8 +139,5 @@ func TestConcurrentObservation(t *testing.T) {
 	}
 	if s := h.Snapshot(); s.Count != 4000 {
 		t.Errorf("histogram count = %d, want 4000", s.Count)
-	}
-	if ring.Len() != 64 {
-		t.Errorf("ring len = %d, want full (64)", ring.Len())
 	}
 }

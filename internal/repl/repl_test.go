@@ -38,11 +38,6 @@ func snapshotGoroutines(t *testing.T) {
 	})
 }
 
-// quiet builds a Septic option set that keeps test logs quiet.
-func quiet() []core.SepticOption {
-	return []core.SepticOption{core.WithLogger(core.NewLogger(core.WithCheckedSampling(0)))}
-}
-
 // testDomains are the protection domains both sides register.
 var testDomains = []string{"shop", "crm"}
 
@@ -60,7 +55,7 @@ func modelFor(t *testing.T, q string) qstruct.Model {
 // the test domains registered.
 func newPrimary(t *testing.T, dir string) (*core.Septic, *core.Persistence) {
 	t.Helper()
-	s := core.New(core.DefaultConfig(), quiet()...)
+	s := core.New(core.DefaultConfig())
 	for _, name := range testDomains {
 		if _, err := s.RegisterDomain(name, core.DefaultConfig()); err != nil {
 			t.Fatal(err)
@@ -111,7 +106,7 @@ func newReplicaSepticPersist(t *testing.T, dir string) (*core.Septic, *core.Repl
 	s := core.New(core.Config{
 		Mode: core.ModeDetection, DetectSQLI: true, DetectStored: true,
 		IncrementalLearning: true,
-	}, quiet()...)
+	})
 	for _, name := range testDomains {
 		if _, err := s.RegisterDomain(name, core.Config{Mode: core.ModeDetection}); err != nil {
 			t.Fatal(err)

@@ -65,8 +65,7 @@ func RunRepl(dir string, updates, loops int) (*ReplResult, error) {
 	spec := benchlab.PaperSpecs()[0] // Address Book
 
 	// Primary: training mode over a WAL — the replication source.
-	guard := core.New(core.Config{Mode: core.ModeTraining},
-		core.WithLogger(core.NewLogger(core.WithCheckedSampling(0))))
+	guard := core.New(core.Config{Mode: core.ModeTraining})
 	persist, err := guard.AttachPersistence(core.PersistenceOptions{
 		Dir: dir + "/primary", Fsync: wal.FsyncNever,
 	})
@@ -102,7 +101,7 @@ func RunRepl(dir string, updates, loops int) (*ReplResult, error) {
 	rguard := core.New(core.Config{
 		Mode: core.ModeDetection, DetectSQLI: true, DetectStored: true,
 		IncrementalLearning: true,
-	}, core.WithLogger(core.NewLogger(core.WithCheckedSampling(0))))
+	})
 	rs, err := rguard.AttachReplicaSource()
 	if err != nil {
 		return nil, err

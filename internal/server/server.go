@@ -78,7 +78,7 @@ func start(cfg Config, listen func(network, addr string) (net.Listener, error)) 
 	}
 	var hub *obs.Hub // nil = observability off, at zero cost
 	if cfg.ObsAddr != "" {
-		hub = obs.NewHub(obs.DefaultRingCapacity)
+		hub = obs.NewHub()
 	}
 	if cfg.ShedTarget > 0 {
 		capacity := cfg.MaxConcurrent
@@ -197,7 +197,7 @@ func start(cfg Config, listen func(network, addr string) (net.Listener, error)) 
 			return nil, fmt.Errorf("obs listen %s: %w", cfg.ObsAddr, err)
 		}
 		st.ObsAddr = obsLn.Addr().String()
-		st.obsSrv = &http.Server{Handler: obs.Handler(hub, st.qmDump, obs.WithHealth(st.ready))}
+		st.obsSrv = &http.Server{Handler: obs.Handler(hub, st.qmDump, st.events, obs.WithHealth(st.ready))}
 		st.background("obs", func() error { return st.obsSrv.Serve(obsLn) })
 	}
 	// Last, because nothing after it can fail: a started replica is
@@ -268,6 +268,11 @@ func (st *Stack) qmDump(domain string) any {
 		return nil
 	}
 	return d.Store().Dump()
+}
+
+// events serves /events from the guard's register.
+func (st *Stack) events(kind string, n int) any {
+	return st.Guard.Logger().Recent(kind, n)
 }
 
 // ready is /healthz: 503 while the server drains or the admission

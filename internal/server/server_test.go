@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"net"
 	"net/http"
@@ -13,7 +14,10 @@ import (
 	"time"
 
 	"github.com/septic-db/septic/internal/core"
+	"github.com/septic-db/septic/internal/engine"
 	"github.com/septic-db/septic/internal/faultinject"
+	"github.com/septic-db/septic/internal/raceflag"
+	"github.com/septic-db/septic/internal/sqlparser"
 	"github.com/septic-db/septic/internal/wire"
 )
 
@@ -516,5 +520,105 @@ func TestDetectionReplicaOfTrainingPrimary(t *testing.T) {
 	mustExec(t, rc, benignQuery, attackQuery) // detection logs, and lets through
 	if stats := replica.Guard.Stats(); stats.AttacksFound != 1 || stats.AttacksBlocked != 0 {
 		t.Errorf("%d attacks found (%d blocked) on the replica, want 1 (0)", stats.AttacksFound, stats.AttacksBlocked)
+	}
+}
+
+// TestEventsNamesTheDomain: /events on the shipped stack is the guard's
+// register, so an attack record says which domain it was blocked in, and
+// ?kind= / ?n= filter as they always did.
+func TestEventsNamesTheDomain(t *testing.T) {
+	cfg := testConfig()
+	cfg.ObsAddr = "127.0.0.1:0"
+	cfg.Domains = map[string]DomainSpec{"shop": {Mode: "training"}, "crm": {Mode: "training"}}
+	st := mustStart(t, cfg)
+	defer st.Shutdown(context.Background())
+
+	for _, name := range []string{"crm", "shop"} {
+		c := dial(t, st.Addr, wire.WithHello(name))
+		mustExec(t, c, "CREATE TABLE "+name+"_t (id INT, name TEXT)",
+			"SELECT name FROM "+name+"_t WHERE id = 1")
+		d, _ := st.Guard.Domain(name)
+		d.SetMode(core.ModePrevention)
+		if _, err := c.Exec("SELECT name FROM " + name + "_t WHERE id = 1 OR 1 = 1"); err == nil {
+			t.Fatalf("%s: the tautology ran", name)
+		}
+	}
+	events := func(query string) []map[string]any {
+		resp, err := http.Get("http://" + st.ObsAddr + "/events" + query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var out []map[string]any
+		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+			t.Fatalf("/events%s: %v", query, err)
+		}
+		return out
+	}
+	attacks := events("?kind=attack")
+	if len(attacks) != 2 || attacks[0]["domain"] != "crm" || attacks[1]["domain"] != "shop" {
+		t.Fatalf("/events?kind=attack = %v, want one attack in crm, then one in shop", attacks)
+	}
+	for _, a := range attacks {
+		if a["kind"] != "attack" || a["action"] != "blocked" || a["detector"] != "sqli/structural" {
+			t.Errorf("attack record = %v", a)
+		}
+	}
+	if last := events("?kind=attack&n=1"); len(last) != 1 || last[0]["domain"] != "shop" {
+		t.Errorf("?n=1 = %v, want the newest attack only", last)
+	}
+	for _, m := range events("?kind=mode") {
+		if m["kind"] != "mode" || m["domain"] == nil {
+			t.Errorf("?kind=mode returned %v", m)
+		}
+	}
+	if all := events(""); len(all) <= len(attacks) {
+		t.Errorf("/events holds %d records, want the learned models and mode changes too", len(all))
+	}
+}
+
+// TestCachedHitAllocFreeOnShippedStack measures the configuration that
+// ships, not a test's: the guard server.Start assembles for a -quiet,
+// audit-less septicd serves a verdict-cache hit without allocating and
+// without touching the register — the check is counted, not recorded.
+func TestCachedHitAllocFreeOnShippedStack(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("race instrumentation adds allocations")
+	}
+	cfg := testConfig()
+	cfg.Mode = "training"
+	st := mustStart(t, cfg)
+	defer st.Shutdown(context.Background())
+	guard := st.Guard
+
+	const q = "SELECT * FROM tickets WHERE reservID = 'ID34FG' AND creditCard = 1234"
+	stmt, err := sqlparser.Parse(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hctx := &engine.HookContext{Raw: q, Decoded: q, Stmt: stmt}
+	hit := func() {
+		if err := guard.BeforeExecute(hctx); err != nil {
+			t.Fatalf("benign query: %v", err)
+		}
+	}
+	hit() // learn the model
+	guard.SetMode(core.ModePrevention)
+	hit() // miss: populate the cache
+	events := guard.Logger().Events()
+	seq, checked := events[len(events)-1].Seq, guard.Stats().QueriesChecked
+
+	if allocs := testing.AllocsPerRun(1000, hit); allocs != 0 {
+		t.Errorf("cached hit on the shipped guard allocates %.1f objects/op, want 0", allocs)
+	}
+	events = guard.Logger().Events()
+	if got := events[len(events)-1].Seq; got != seq {
+		t.Errorf("register sequence moved %d -> %d over cached hits nobody is watching", seq, got)
+	}
+	if got := guard.Stats().QueriesChecked - checked; got < 1000 {
+		t.Errorf("QueriesChecked moved by %d over 1000 cached hits", got)
+	}
+	if guard.CacheStats().Hits < 1000 {
+		t.Fatal("cache never hit — the guard measured the wrong path")
 	}
 }

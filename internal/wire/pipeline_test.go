@@ -302,7 +302,7 @@ func TestMaxInFlightIsExact(t *testing.T) {
 // TestAnsweredCounterCountsPipelined: wire.queries.answered counts every
 // answered request, whichever framing carried it.
 func TestAnsweredCounterCountsPipelined(t *testing.T) {
-	hub := obs.NewHub(0)
+	hub := obs.NewHub()
 	addr, _, db := startServerOpts(t, core.Config{Mode: core.ModeTraining}, WithServerObs(hub))
 	if _, err := db.Exec("CREATE TABLE t (id INT)"); err != nil {
 		t.Fatal(err)
