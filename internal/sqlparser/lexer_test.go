@@ -317,3 +317,22 @@ func TestStringRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// lexerInputs lists every text the tests above tokenize, for the golden
+// differential (golden_test.go) to replay through Tokenize and Parse.
+var lexerInputs = []string{
+	"SELECT * FROM tickets WHERE reservID = 'ID34FG' AND creditCard = 1234",
+	"select FrOm where AnD",
+	`'a\'b'`, `'a''b'`, `'a\\b'`, `'a\nb'`, `'a\tb'`, `'a\0b'`, `'a\Zb'`, `'a\qb'`,
+	`"hello"`, `'100\%'`, `'a\_b'`,
+	"SELECT 'oops",
+	"/* id42 */ SELECT 1", "SELECT 1 -- trailing", "SELECT 1 # trailing",
+	"SELECT 5--3", "SELECT 5-- 3",
+	"42", "0", "3.14", ".5", "1e9", "2E-3", "6.02e+23",
+	"0x41", "0x6f70657261746f72", "0X41", "0xA", "0x",
+	"SELECT * FROM u WHERE name = 0x6f70657261746f72",
+	"= <> != <= >= < > + - * / %",
+	"SELECT `select` FROM `weird table`",
+	"SELECT ? , ?",
+	"/* a */ SELECT 1 /* b */",
+}
