@@ -20,11 +20,14 @@ var fuzzSeeds = []string{
 	"SELECT * FROM a JOIN b ON a.id = b.id WHERE EXISTS (SELECT 1 FROM c)",
 }
 
-// FuzzBuildStack asserts the three properties detection rests on: stack
+// FuzzBuildStack asserts the properties detection rests on: stack
 // building never panics on a parsed statement, it is deterministic (two
-// builds of one AST agree — the verdict cache assumes this), and
+// builds of one AST agree — the verdict cache assumes this),
 // ModelOf blanks every data node to ⊥ so no user value survives into a
-// stored model.
+// stored model, and the query structure is a function of the statement,
+// not of its spelling: the canonical text Format renders parses back to
+// the same stack and the same skeleton hash, so QS(format(parse(q))) ==
+// QS(q).
 func FuzzBuildStack(f *testing.F) {
 	for _, s := range fuzzSeeds {
 		f.Add(s)
@@ -40,6 +43,17 @@ func FuzzBuildStack(f *testing.F) {
 		}
 		if again := BuildStack(stmt); !reflect.DeepEqual(qs, again) {
 			t.Fatalf("BuildStack not deterministic for %q:\n%v\nvs\n%v", query, qs, again)
+		}
+		text := sqlparser.Format(stmt)
+		respelled, err := sqlparser.Parse(text)
+		if err != nil {
+			t.Fatalf("Format output does not re-parse\n input: %q\nformat: %q\n  err: %v", query, text, err)
+		}
+		if again := BuildStack(respelled); !reflect.DeepEqual(qs, again) {
+			t.Fatalf("stack changed across Format for %q (%q):\n%v\nvs\n%v", query, text, qs, again)
+		}
+		if a, b := SkeletonHash(stmt), SkeletonHash(respelled); a != b {
+			t.Fatalf("skeleton hash changed across Format for %q (%q): %x vs %x", query, text, a, b)
 		}
 		m := ModelOf(qs)
 		if len(m.Nodes) != len(qs) {

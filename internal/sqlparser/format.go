@@ -32,16 +32,33 @@ func formatStatement(b *strings.Builder, stmt Statement) {
 		if s.IfExists {
 			b.WriteString("IF EXISTS ")
 		}
-		b.WriteString(s.Table)
+		writeIdent(b, s.Table)
 	case *ShowTablesStmt:
 		b.WriteString("SHOW TABLES")
 	case *DescribeStmt:
 		b.WriteString("DESCRIBE ")
-		b.WriteString(s.Table)
+		writeIdent(b, s.Table)
 	case *ExplainStmt:
 		b.WriteString("EXPLAIN ")
 		formatSelect(b, s.Select)
 	}
+}
+
+// writeIdent writes a name so that it scans back as the same identifier:
+// bare when it is a word the scanner reads as an identifier, backticked
+// when it is not one (`weird table`, `0`) or is a reserved word (`select`).
+func writeIdent(b *strings.Builder, name string) {
+	bare := name != "" && isIdentStart(name[0])
+	for i := 1; bare && i < len(name); i++ {
+		bare = isIdentPart(name[i])
+	}
+	if _, reserved := keywords[strings.ToUpper(name)]; bare && !reserved {
+		b.WriteString(name)
+		return
+	}
+	b.WriteByte('`')
+	b.WriteString(name)
+	b.WriteByte('`')
 }
 
 func formatSelect(b *strings.Builder, s *SelectStmt) {
@@ -57,13 +74,13 @@ func formatSelect(b *strings.Builder, s *SelectStmt) {
 		case f.Star:
 			b.WriteString("*")
 		case f.TableStar != "":
-			b.WriteString(f.TableStar)
+			writeIdent(b, f.TableStar)
 			b.WriteString(".*")
 		default:
 			formatExpr(b, f.Expr)
 			if f.Alias != "" {
 				b.WriteString(" AS ")
-				b.WriteString(f.Alias)
+				writeIdent(b, f.Alias)
 			}
 		}
 	}
@@ -84,11 +101,11 @@ func formatSelect(b *strings.Builder, s *SelectStmt) {
 				formatSelect(b, t.Subquery)
 				b.WriteString(")")
 			} else {
-				b.WriteString(t.Name)
+				writeIdent(b, t.Name)
 			}
 			if t.Alias != "" {
 				b.WriteString(" AS ")
-				b.WriteString(t.Alias)
+				writeIdent(b, t.Alias)
 			}
 			if t.On != nil {
 				b.WriteString(" ON ")
@@ -148,10 +165,15 @@ func formatOrderLimit(b *strings.Builder, orderBy []OrderItem, limit *Limit) {
 
 func formatInsert(b *strings.Builder, s *InsertStmt) {
 	b.WriteString("INSERT INTO ")
-	b.WriteString(s.Table)
+	writeIdent(b, s.Table)
 	if len(s.Columns) > 0 {
 		b.WriteString(" (")
-		b.WriteString(strings.Join(s.Columns, ", "))
+		for i, col := range s.Columns {
+			if i > 0 {
+				b.WriteString(", ")
+			}
+			writeIdent(b, col)
+		}
 		b.WriteString(")")
 	}
 	if s.Select != nil {
@@ -177,13 +199,13 @@ func formatInsert(b *strings.Builder, s *InsertStmt) {
 
 func formatUpdate(b *strings.Builder, s *UpdateStmt) {
 	b.WriteString("UPDATE ")
-	b.WriteString(s.Table)
+	writeIdent(b, s.Table)
 	b.WriteString(" SET ")
 	for i, a := range s.Sets {
 		if i > 0 {
 			b.WriteString(", ")
 		}
-		b.WriteString(a.Column)
+		writeIdent(b, a.Column)
 		b.WriteString(" = ")
 		formatExpr(b, a.Value)
 	}
@@ -196,7 +218,7 @@ func formatUpdate(b *strings.Builder, s *UpdateStmt) {
 
 func formatDelete(b *strings.Builder, s *DeleteStmt) {
 	b.WriteString("DELETE FROM ")
-	b.WriteString(s.Table)
+	writeIdent(b, s.Table)
 	if s.Where != nil {
 		b.WriteString(" WHERE ")
 		formatExpr(b, s.Where)
@@ -209,13 +231,13 @@ func formatCreateTable(b *strings.Builder, s *CreateTableStmt) {
 	if s.IfNotExists {
 		b.WriteString("IF NOT EXISTS ")
 	}
-	b.WriteString(s.Table)
+	writeIdent(b, s.Table)
 	b.WriteString(" (")
 	for i, c := range s.Columns {
 		if i > 0 {
 			b.WriteString(", ")
 		}
-		b.WriteString(c.Name)
+		writeIdent(b, c.Name)
 		b.WriteString(" ")
 		b.WriteString(c.Type)
 		if c.PrimaryKey {
@@ -244,10 +266,10 @@ func formatExpr(b *strings.Builder, e Expr) {
 		formatLiteral(b, x)
 	case *ColumnRef:
 		if x.Table != "" {
-			b.WriteString(x.Table)
+			writeIdent(b, x.Table)
 			b.WriteString(".")
 		}
-		b.WriteString(x.Name)
+		writeIdent(b, x.Name)
 	case *BinaryExpr:
 		b.WriteString("(")
 		formatExpr(b, x.Left)
@@ -261,7 +283,12 @@ func formatExpr(b *strings.Builder, e Expr) {
 		b.WriteString(" ")
 		formatExpr(b, x.Operand)
 	case *FuncCall:
-		b.WriteString(x.Name)
+		switch x.Name {
+		case "IF", "LEFT", "RIGHT": // reserved words that are function names too
+			b.WriteString(x.Name)
+		default:
+			writeIdent(b, x.Name)
+		}
 		b.WriteString("(")
 		if x.Star {
 			b.WriteString("*")
@@ -347,7 +374,14 @@ func formatLiteral(b *strings.Builder, l *Literal) {
 	case LiteralInt:
 		b.WriteString(strconv.FormatInt(l.Int, 10))
 	case LiteralFloat:
-		b.WriteString(strconv.FormatFloat(l.Float, 'g', -1, 64))
+		text := strconv.FormatFloat(l.Float, 'g', -1, 64)
+		b.WriteString(text)
+		if !strings.ContainsAny(text, ".eInN") {
+			// An integral double prints without a fraction; say it has
+			// one, or the text would parse back as an integer and the
+			// query structure would change type across Format.
+			b.WriteString(".0")
+		}
 	case LiteralString:
 		b.WriteString("'")
 		b.WriteString(EscapeString(l.Str))
