@@ -37,27 +37,23 @@ func NewIDGenerator() *IDGenerator {
 	return &IDGenerator{UseExternal: true}
 }
 
-// ID computes the query identifier for a validated statement.
+// ID computes the query identifier for a validated statement: the
+// external identifier and a '#', when there is one and it participates,
+// then the internal one — 'q' and the statement skeleton's hash in hex.
+// The skeleton is streamed into the hash (qstruct.SkeletonHash) and the
+// parts are appended into one stack buffer, so the identifier is built
+// and allocated once. Identifiers are store keys in WAL directories on
+// disk: these bytes may not change.
 func (g *IDGenerator) ID(stmt sqlparser.Statement, comments []string) string {
-	internal := g.internal(stmt)
-	if !g.UseExternal {
-		return internal
+	var buf [MaxExternalIDLen + 18]byte // ext + '#' + 'q' + up to 16 hex digits
+	id := buf[:0]
+	if g.UseExternal {
+		if ext := ExternalID(comments); ext != "" {
+			id = append(append(id, ext...), '#')
+		}
 	}
-	if ext := ExternalID(comments); ext != "" {
-		return ext + "#" + internal
-	}
-	return internal
-}
-
-// internal hashes the statement skeleton to a fixed-width hex token. The
-// skeleton is streamed into the hash (qstruct.SkeletonHash), so the only
-// allocation is the identifier string itself; the token bytes are
-// identical to the former materialize-then-hash path, keeping persisted
-// model stores valid.
-func (g *IDGenerator) internal(stmt sqlparser.Statement) string {
-	var buf [17]byte // 'q' + up to 16 hex digits
-	buf[0] = 'q'
-	return string(strconv.AppendUint(buf[:1], qstruct.SkeletonHash(stmt), 16))
+	id = append(id, 'q')
+	return string(strconv.AppendUint(id, qstruct.SkeletonHash(stmt), 16))
 }
 
 // MaxExternalIDLen bounds the accepted external identifier (after

@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/septic-db/septic/internal/qstruct"
+	"github.com/septic-db/septic/internal/raceflag"
 	"github.com/septic-db/septic/internal/sqlparser"
 )
 
@@ -173,5 +175,48 @@ func TestMalformedExternalIDFallsBackToInternal(t *testing.T) {
 		if got := g.ID(stmt, []string{body}); got != plain {
 			t.Errorf("malformed comment %q altered the ID: %q vs %q", body, got, plain)
 		}
+	}
+}
+
+// TestIDBytesPinned: identifiers are store keys in WAL directories on
+// disk, so their bytes are a format. These were computed by the generator
+// of PR 21, which built the internal part and the composition as two
+// strings; the one-buffer generator must produce the same, up to the
+// longest external identifier it accepts.
+func TestIDBytesPinned(t *testing.T) {
+	longest := strings.Repeat("x", MaxExternalIDLen)
+	const view = "/* ab:view */ SELECT name, phone, email, address FROM contacts WHERE id = 7"
+	g := NewIDGenerator()
+	for q, want := range map[string]string{
+		"SELECT * FROM tickets WHERE reservID = 'ID34FG' AND creditCard = 1234": "qa95d8bec424f7d24",
+		view: "ab:view#qc622d1086d3fae33",
+		"/* " + longest + " */ DELETE FROM t WHERE id = 1":  longest + "#q485e4ce6c52e6e82",
+		"/* " + longest + "x */ DELETE FROM t WHERE id = 1": "q485e4ce6c52e6e82",
+		"/* multi\nline */ SELECT 1":                        "q1ffcce9d5efb1670",
+	} {
+		if got := idOf(t, g, q); got != want {
+			t.Errorf("ID(%q) = %q, want %q", q, got, want)
+		}
+	}
+	if got, want := idOf(t, &IDGenerator{}, view), "qc622d1086d3fae33"; got != want {
+		t.Errorf("without external identifiers ID = %q, want %q", got, want)
+	}
+}
+
+// TestIDAllocOnce (named for CI's uninstrumented `-run Alloc` step): the
+// identifier is appended into one stack buffer and converted once.
+func TestIDAllocOnce(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("race instrumentation adds allocations")
+	}
+	g := NewIDGenerator()
+	stmt, err := sqlparser.Parse("/* ab:view */ SELECT name, phone, email, address FROM contacts WHERE id = 7")
+	if err != nil {
+		t.Fatal(err)
+	}
+	comments := stmt.StatementComments()
+	hashing := testing.AllocsPerRun(200, func() { qstruct.SkeletonHash(stmt) })
+	if n := testing.AllocsPerRun(200, func() { g.ID(stmt, comments) }); n != hashing+1 {
+		t.Errorf("ID allocates %.1f objects and SkeletonHash %.1f of them: want exactly 1 more, the identifier", n, hashing)
 	}
 }

@@ -298,7 +298,7 @@ func (db *DB) exec(ctx context.Context, query, app string, args []Value) (*Resul
 	pq, cached := db.parsed.Get(query)
 	if !cached {
 		decoded := sqlparser.DecodeCharset(query)
-		stmt, err := sqlparser.Parse(query)
+		stmt, err := sqlparser.ParseDecoded(decoded)
 		if err != nil {
 			db.countFailed()
 			return nil, fmt.Errorf("parse: %w", err)

@@ -1,8 +1,10 @@
 package sqlparser
 
 import (
+	"encoding/hex"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 )
 
 // Format renders a statement back to SQL text. The output is canonical
@@ -52,7 +54,7 @@ func writeIdent(b *strings.Builder, name string) {
 	for i := 1; bare && i < len(name); i++ {
 		bare = isIdentPart(name[i])
 	}
-	if _, reserved := keywords[strings.ToUpper(name)]; bare && !reserved {
+	if _, reserved := lookupKeyword(name); bare && !reserved {
 		b.WriteString(name)
 		return
 	}
@@ -383,6 +385,15 @@ func formatLiteral(b *strings.Builder, l *Literal) {
 			b.WriteString(".0")
 		}
 	case LiteralString:
+		if !utf8.ValidString(l.Str) {
+			// Bytes that are not UTF-8 can only have come from a hex
+			// literal (a quoted string is charset-decoded before it is
+			// scanned, which replaces them), and only a hex literal
+			// parses back to them.
+			b.WriteString("0x")
+			b.WriteString(hex.EncodeToString([]byte(l.Str)))
+			break
+		}
 		b.WriteString("'")
 		b.WriteString(EscapeString(l.Str))
 		b.WriteString("'")

@@ -53,3 +53,28 @@ func TestFormatQuotesIdentifiers(t *testing.T) {
 		}
 	}
 }
+
+// TestFormatKeepsBinaryStringsBinary: a hex literal may decode to bytes
+// that are not UTF-8. Written between quotes they would be replaced by
+// U+FFFD when the text is charset-decoded again, so Format spells such a
+// value as the hex literal it came from. Found by FuzzParse on "SELECT
+// 0X0080X00".
+func TestFormatKeepsBinaryStringsBinary(t *testing.T) {
+	for q, want := range map[string]string{
+		"SELECT 0X0080X00":                      "SELECT 0x0080 AS X00",
+		"SELECT a FROM t WHERE b = 0xfffe":      "SELECT a FROM t WHERE (b = 0xfffe)",
+		"SELECT 0x6f70657261746f72, 0xc3a9, ''": "SELECT 'operator', 'é', ''",
+	} {
+		stmt := mustParse(t, q)
+		text := Format(stmt)
+		if text != want {
+			t.Errorf("Format(Parse(%q)) = %q, want %q", q, text, want)
+		}
+		again := mustParse(t, text)
+		for i, f := range again.(*SelectStmt).Fields {
+			if lit, ok := f.Expr.(*Literal); ok && lit.Str != stmt.(*SelectStmt).Fields[i].Expr.(*Literal).Str {
+				t.Errorf("%q: field %d came back as %q", q, i, lit.Str)
+			}
+		}
+	}
+}

@@ -250,6 +250,11 @@ func renderGolden(t *testing.T) []byte {
 // statement text the repository's applications, attack corpus, payload
 // generators, fuzz seeds and lexer tests produce it holds the formatted
 // statement and its comments, or the exact error with its position.
+//
+// A new file under testdata/fuzz/FuzzParse (the fuzzer writes one for
+// every failure it finds) or a new fuzz seed adds an entry, so the test
+// fails until the file is re-recorded; the re-recording's diff must then
+// be added lines only.
 func TestParseGolden(t *testing.T) {
 	got := renderGolden(t)
 	if *update {

@@ -117,18 +117,14 @@ func TestTokenizeComments(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			lx := NewLexer(tt.input)
+			toks, err := Tokenize(tt.input)
+			if err != nil {
+				t.Fatalf("Tokenize: %v", err)
+			}
 			var comment string
-			for {
-				tok, err := lx.Next()
-				if err != nil {
-					t.Fatalf("Next: %v", err)
-				}
+			for _, tok := range toks {
 				if tok.Kind == TokenComment {
 					comment = tok.Text
-				}
-				if tok.Kind == TokenEOF {
-					break
 				}
 			}
 			if comment != tt.wantBody {
@@ -270,20 +266,21 @@ func TestTokenizePlaceholder(t *testing.T) {
 	}
 }
 
+// TestLexerCommentsAccumulate: comments stay in the token stream, in
+// source order, for the parser to attach to statements.
 func TestLexerCommentsAccumulate(t *testing.T) {
-	lx := NewLexer("/* a */ SELECT 1 /* b */")
-	for {
-		tok, err := lx.Next()
-		if err != nil {
-			t.Fatalf("Next: %v", err)
-		}
-		if tok.Kind == TokenEOF {
-			break
+	toks, err := Tokenize("/* a */ SELECT 1 /* b */")
+	if err != nil {
+		t.Fatalf("Tokenize: %v", err)
+	}
+	var got []string
+	for _, tok := range toks {
+		if tok.Kind == TokenComment {
+			got = append(got, tok.Text)
 		}
 	}
-	got := lx.Comments()
 	if len(got) != 2 || got[0] != "a" || got[1] != "b" {
-		t.Errorf("Comments() = %v, want [a b]", got)
+		t.Errorf("comments = %v, want [a b]", got)
 	}
 }
 

@@ -4,18 +4,145 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"sync"
 )
 
-// Parser is a recursive-descent parser over the token stream produced by
-// Lexer. It implements the subset of MySQL's grammar needed by the engine
-// and by SEPTIC's query-structure extraction: SELECT (joins, subqueries,
-// UNION, GROUP BY/HAVING/ORDER BY/LIMIT), INSERT, UPDATE, DELETE,
-// CREATE/DROP TABLE, SHOW TABLES and DESCRIBE.
+// The grammar this parser accepts — the subset of MySQL's needed by the
+// engine and by SEPTIC's query-structure extraction. Keywords match in any
+// letter case; [x] is optional, {x} repeats zero or more times, | separates
+// alternatives, quoted words are keyword or punctuation tokens.
+//
+//	script    := statement {";"} {statement {";"}}
+//	statement := select | insert | update | delete | create | drop
+//	           | "SHOW" "TABLES" | "DESCRIBE" name | "EXPLAIN" select
+//	select    := "SELECT" ["DISTINCT" | "ALL"] field {"," field}
+//	             ["FROM" tableref {"," tableref | join}]
+//	             ["WHERE" expr] ["GROUP" "BY" expr {"," expr}] ["HAVING" expr]
+//	             [orderby] [limit] ["UNION" ["ALL" | "DISTINCT"] select]
+//	field     := "*" | ident "." "*" | expr ["AS" name | ident]
+//	tableref  := (name | "(" select ")") ["AS" name | ident]
+//	join      := ["INNER" | ("LEFT" | "RIGHT") ["OUTER"]] "JOIN" tableref "ON" expr
+//	           | "CROSS" ["OUTER"] "JOIN" tableref
+//	orderby   := "ORDER" "BY" expr ["ASC" | "DESC"] {"," expr ["ASC" | "DESC"]}
+//	limit     := "LIMIT" primary ["," primary | "OFFSET" primary]
+//	insert    := "INSERT" "INTO" name ["(" name {"," name} ")"]
+//	             (select | "VALUES" tuple {"," tuple})
+//	tuple     := "(" expr {"," expr} ")"
+//	update    := "UPDATE" name "SET" name "=" expr {"," name "=" expr}
+//	             ["WHERE" expr] [orderby] [limit]
+//	delete    := "DELETE" "FROM" name ["WHERE" expr] [orderby] [limit]
+//	create    := "CREATE" "TABLE" ["IF" "NOT" "EXISTS"] name "(" column {"," column} ")"
+//	column    := name type ["(" int ")"] {"PRIMARY" "KEY" | "AUTO_INCREMENT" | "UNIQUE"
+//	             | "NOT" "NULL" | "NULL" | "DEFAULT" primary}
+//	type      := INT | INTEGER | BIGINT | FLOAT | DOUBLE | REAL | TEXT | VARCHAR
+//	           | CHAR | BOOL | BOOLEAN | DATETIME
+//	drop      := "DROP" "TABLE" ["IF" "EXISTS"] name
+//	name      := ident | KEY | DATETIME | TEXT | ALL | SET | SHOW | TABLES   (* lower-cased *)
+//
+// Expressions, loosest binding first; each level is left-associative:
+//
+//	expr      := and {("OR" | "||" | "XOR") and}
+//	and       := not {("AND" | "&&") not}
+//	not       := "NOT" not | cmp
+//	cmp       := add {("=" | "<>" | "!=" | "<" | "<=" | ">" | ">=" | "LIKE") add
+//	           | "IS" ["NOT"] "NULL"
+//	           | ["NOT"] "IN" "(" (select | expr {"," expr}) ")"
+//	           | ["NOT"] "BETWEEN" add "AND" add
+//	           | "NOT" "LIKE" add}
+//	add       := mul {("+" | "-") mul}
+//	mul       := unary {("*" | "/" | "%") unary}
+//	unary     := ("-" | "+") unary | primary      (* "-" folds into a numeric literal *)
+//	primary   := int | float | string | "?" | "NULL" | "TRUE" | "FALSE"
+//	           | "(" (select | expr) ")" | "EXISTS" "(" select ")" | "NOT" primary
+//	           | "CASE" [expr] "WHEN" expr "THEN" expr {"WHEN" expr "THEN" expr} ["ELSE" expr] "END"
+//	           | (ident | "IF" | "LEFT" | "RIGHT") "(" ["*" | ["DISTINCT"] expr {"," expr}] ")"
+//	           | ident ["." name]
+//
+// Tokens (see scan and token): an ident is a bare word [A-Za-z_$][A-Za-z0-9_$]*
+// that is not reserved, or any non-empty `backticked` text; int and float are
+// decimal (an int too large for int64 widens to a float); a string is
+// '...' or "..." with MySQL's backslash escapes and quote doubling, or
+// 0x followed by hex digits; a comment is /* ... */, "-- " or "#" to the end
+// of the line, and may stand between any two tokens.
+//
+// Comments seen before a statement's (or a nested select's) first keyword
+// are attached to it; one seen later goes to the next statement or nested
+// select that starts after it, or nowhere.
+
+// Parser is a recursive-descent parser over the token slice of one text.
+// The scanner has run to the end (or to its first lexical error) before
+// the first statement is parsed, and the parser walks the slice by index;
+// the slice is scratch space reused by the next text, so nothing the parser
+// returns may point into it.
 type Parser struct {
-	lexer *Lexer
-	tok   Token
-	// pending comments seen since the previous statement boundary.
-	comments []string
+	src  string
+	toks []token
+	pos  int   // index in toks of tok
+	tok  token // the current token; never a comment
+	// lexErr is set when tok becomes the scan's error token, which is when
+	// a scanner run on demand would have failed. From then on it is the
+	// error every failing rule reports (see errorf), so a lexical error
+	// that the grammar reaches wins over whatever follows from it, and one
+	// it never reaches is never reported.
+	lexErr error
+	// commentsFrom is the index of the first token whose comments no
+	// statement has taken yet.
+	commentsFrom int
+	slab         slab
+}
+
+// slab hands out the three node types that make up most of a statement
+// from one array each, sized for the statement before it is parsed:
+// identifier tokens bound its ColumnRefs, literal tokens its Literals,
+// operator tokens (and AND/OR/XOR/LIKE) its BinaryExprs. An array is
+// allocated when its first node is asked for, so a statement pays one
+// allocation per node type it uses, not one per node.
+type slab struct {
+	nCols, nLits, nBins int
+	cols                []ColumnRef
+	lits                []Literal
+	bins                []BinaryExpr
+}
+
+// take returns the next free element of *s, allocating the array with
+// capacity n on first use; past n (which the sizing pass makes an upper
+// bound) it falls back to an allocation of its own.
+func take[T any](s *[]T, n int) *T {
+	if *s == nil && n > 0 {
+		*s = make([]T, 0, n)
+	}
+	if len(*s) == cap(*s) {
+		return new(T)
+	}
+	*s = (*s)[:len(*s)+1]
+	return &(*s)[len(*s)-1]
+}
+
+// maxPooledTokens bounds the token scratch a pooled parser keeps, so one
+// huge script does not pin its scratch for good.
+const maxPooledTokens = 4096
+
+var parserPool = sync.Pool{New: func() any { return new(Parser) }}
+
+// newParser scans src and returns a parser positioned at its first token.
+func newParser(src string) *Parser {
+	p := parserPool.Get().(*Parser)
+	p.src = src
+	p.toks = scan(src, p.toks[:0])
+	p.pos = -1
+	p.advance()
+	return p
+}
+
+// release returns the parser and its token scratch to the pool, dropping
+// every reference to the text and the nodes parsed from it.
+func (p *Parser) release() {
+	toks := p.toks
+	if cap(toks) > maxPooledTokens {
+		toks = nil
+	}
+	*p = Parser{toks: toks}
+	parserPool.Put(p)
 }
 
 // Parse decodes, lexes and parses a single SQL statement. It fails if more
@@ -23,35 +150,47 @@ type Parser struct {
 // mysql_query, which is why classic piggy-backed injections ("; DROP
 // TABLE ...") fail against MySQL and are not SEPTIC's main concern.
 func Parse(query string) (Statement, error) {
-	stmts, err := ParseAll(query)
-	if err != nil {
-		return nil, err
+	return ParseDecoded(DecodeCharset(query))
+}
+
+// ParseDecoded is Parse over a text that DecodeCharset has already been
+// applied to, for a caller that keeps the decoded text anyway.
+func ParseDecoded(decoded string) (Statement, error) {
+	p := newParser(decoded)
+	defer p.release()
+	// Every statement is parsed, so an error in a later one is reported
+	// before the count is; only the first is kept.
+	var first Statement
+	n := 0
+	for ; p.tok.kind != TokenEOF; n++ {
+		stmt, err := p.parseStatement()
+		if err != nil {
+			return nil, err
+		}
+		if n == 0 {
+			first = stmt
+		}
 	}
-	if len(stmts) != 1 {
-		return nil, fmt.Errorf("expected a single statement, got %d", len(stmts))
+	switch n {
+	case 0:
+		return nil, p.errorf("empty statement")
+	case 1:
+		return first, nil
 	}
-	return stmts[0], nil
+	return nil, fmt.Errorf("expected a single statement, got %d", n)
 }
 
 // ParseAll decodes, lexes and parses a semicolon-separated script.
 func ParseAll(query string) ([]Statement, error) {
-	decoded := DecodeCharset(query)
-	p := &Parser{lexer: NewLexer(decoded)}
-	if err := p.advance(); err != nil {
-		return nil, err
-	}
+	p := newParser(DecodeCharset(query))
+	defer p.release()
 	var stmts []Statement
-	for p.tok.Kind != TokenEOF {
+	for p.tok.kind != TokenEOF {
 		stmt, err := p.parseStatement()
 		if err != nil {
 			return nil, err
 		}
 		stmts = append(stmts, stmt)
-		for p.tok.Kind == TokenSemicolon {
-			if err := p.advance(); err != nil {
-				return nil, err
-			}
-		}
 	}
 	if len(stmts) == 0 {
 		return nil, p.errorf("empty statement")
@@ -59,104 +198,215 @@ func ParseAll(query string) ([]Statement, error) {
 	return stmts, nil
 }
 
-// advance moves to the next non-comment token, collecting comment bodies.
-func (p *Parser) advance() error {
-	for {
-		t, err := p.lexer.Next()
-		if err != nil {
-			return err
-		}
-		if t.Kind == TokenComment {
-			p.comments = append(p.comments, t.Text)
-			continue
-		}
-		p.tok = t
-		return nil
+// advance moves to the next non-comment token. The last token of the
+// slice (end of input, or the lexical error) is where it stays.
+func (p *Parser) advance() {
+	if p.pos == len(p.toks)-1 {
+		return
+	}
+	for p.pos++; p.toks[p.pos].kind == TokenComment; p.pos++ {
+	}
+	p.tok = p.toks[p.pos]
+	if p.tok.kind == tokenError && p.lexErr == nil {
+		p.lexErr = lexError(p.src, p.tok)
 	}
 }
 
+// text is the decoded text of the current token.
+func (p *Parser) text() string { return p.tok.text(p.src) }
+
 func (p *Parser) errorf(format string, args ...any) error {
-	return &SyntaxError{Pos: p.tok.Pos, Msg: fmt.Sprintf(format, args...)}
+	if p.lexErr != nil {
+		return p.lexErr
+	}
+	return &SyntaxError{Pos: int(p.tok.start), Msg: fmt.Sprintf(format, args...)}
 }
 
-// takeComments returns and clears the pending comments.
+// takeComments returns the bodies of the comments between the last call
+// and the current token.
 func (p *Parser) takeComments() []string {
-	c := p.comments
-	p.comments = nil
-	return c
+	pending := p.toks[p.commentsFrom:p.pos]
+	p.commentsFrom = p.pos
+	n := 0
+	for _, t := range pending {
+		if t.kind == TokenComment {
+			n++
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+	comments := make([]string, 0, n)
+	for _, t := range pending {
+		if t.kind == TokenComment {
+			comments = append(comments, t.text(p.src))
+		}
+	}
+	return comments
 }
 
-func (p *Parser) atKeyword(kw string) bool {
-	return p.tok.Kind == TokenKeyword && p.tok.Text == kw
+// keyword returns the canonical spelling of the current token if it is a
+// keyword, and "" otherwise.
+func (p *Parser) keyword() string {
+	if p.tok.kind != TokenKeyword {
+		return ""
+	}
+	return keywordNames[p.tok.aux]
+}
+
+func (p *Parser) atKeyword(kw string) bool { return p.keyword() == kw }
+
+// atOp reports whether the current token is the operator spelled op.
+func (p *Parser) atOp(op string) bool {
+	return p.tok.kind == TokenOperator && p.src[p.tok.start:p.tok.end] == op
 }
 
 // acceptKeyword consumes kw if present and reports whether it did.
-func (p *Parser) acceptKeyword(kw string) (bool, error) {
+func (p *Parser) acceptKeyword(kw string) bool {
 	if !p.atKeyword(kw) {
-		return false, nil
+		return false
 	}
-	return true, p.advance()
+	p.advance()
+	return true
+}
+
+// accept consumes a token of the given kind if present and reports
+// whether it did.
+func (p *Parser) accept(kind TokenKind) bool {
+	if p.tok.kind != kind {
+		return false
+	}
+	p.advance()
+	return true
 }
 
 func (p *Parser) expectKeyword(kw string) error {
-	if !p.atKeyword(kw) {
-		return p.errorf("expected %s, found %s %q", kw, p.tok.Kind, p.tok.Text)
+	if !p.acceptKeyword(kw) {
+		return p.errorf("expected %s, found %s %q", kw, p.tok.kind, p.text())
 	}
-	return p.advance()
+	return nil
 }
 
-func (p *Parser) expect(kind TokenKind) (Token, error) {
-	if p.tok.Kind != kind {
-		return Token{}, p.errorf("expected %s, found %s %q", kind, p.tok.Kind, p.tok.Text)
+func (p *Parser) expect(kind TokenKind) error {
+	if !p.accept(kind) {
+		return p.errorf("expected %s, found %s %q", kind, p.tok.kind, p.text())
 	}
-	t := p.tok
-	return t, p.advance()
+	return nil
 }
 
 // expectIdent accepts an identifier, also tolerating non-reserved keywords
 // used as names (MySQL allows e.g. a column called "key" when quoted; we
 // are more permissive for type-name keywords).
 func (p *Parser) expectIdent() (string, error) {
-	if p.tok.Kind == TokenIdent {
-		name := p.tok.Text
-		return name, p.advance()
-	}
-	if p.tok.Kind == TokenKeyword {
-		switch p.tok.Text {
-		case "KEY", "DATETIME", "TEXT", "ALL", "SET", "SHOW", "TABLES":
-			name := p.tok.Text
-			return strings.ToLower(name), p.advance()
+	name := ""
+	switch p.keyword() {
+	case "":
+		if p.tok.kind == TokenIdent {
+			name = p.text()
 		}
+	case "KEY", "DATETIME", "TEXT", "ALL", "SET", "SHOW", "TABLES":
+		name = strings.ToLower(p.keyword())
 	}
-	return "", p.errorf("expected identifier, found %s %q", p.tok.Kind, p.tok.Text)
+	if name == "" {
+		return "", p.errorf("expected identifier, found %s %q", p.tok.kind, p.text())
+	}
+	p.advance()
+	return name, nil
 }
 
+// listLen bounds the length of the comma-separated list that starts at
+// the current token: one more than the commas ahead of whatever ends the
+// list — its closing parenthesis, a clause keyword at the list's own
+// depth, or the end of the statement. It is a capacity hint, so it looks
+// no further than listScan tokens ahead.
+func (p *Parser) listLen() int {
+	const listScan = 512
+	n, depth := 1, 0
+	for _, t := range p.toks[p.pos:min(p.pos+listScan, len(p.toks))] {
+		switch t.kind {
+		case TokenLParen:
+			depth++
+		case TokenRParen:
+			if depth--; depth < 0 {
+				return n
+			}
+		case TokenComma:
+			if depth == 0 {
+				n++
+			}
+		case TokenKeyword:
+			if depth == 0 && t.aux >= kwBinaryEnd && t.aux < kwClauseEnd {
+				return n
+			}
+		case TokenSemicolon, TokenEOF, tokenError:
+			return n
+		}
+	}
+	return n
+}
+
+// sizeSlab counts, in the statement that starts at the current token, the
+// tokens that bound how many nodes of each slab type it can hold.
+func (p *Parser) sizeSlab() slab {
+	var s slab
+	for _, t := range p.toks[p.pos:] {
+		switch t.kind {
+		case TokenIdent:
+			s.nCols++
+		case TokenString, TokenInt, TokenFloat:
+			s.nLits++
+		case TokenOperator:
+			s.nBins++
+		case TokenKeyword:
+			if t.aux < kwLiteralEnd {
+				s.nLits++
+			} else if t.aux < kwBinaryEnd {
+				s.nBins++
+			}
+		case TokenSemicolon, TokenEOF, tokenError:
+			return s
+		}
+	}
+	return s
+}
+
+// parseStatement parses one statement and the semicolons after it.
 func (p *Parser) parseStatement() (Statement, error) {
-	if p.tok.Kind != TokenKeyword {
-		return nil, p.errorf("expected statement keyword, found %s %q", p.tok.Kind, p.tok.Text)
-	}
-	switch p.tok.Text {
+	p.slab = p.sizeSlab()
+	var (
+		stmt Statement
+		err  error
+	)
+	switch p.keyword() {
+	case "":
+		return nil, p.errorf("expected statement keyword, found %s %q", p.tok.kind, p.text())
 	case "SELECT":
-		return p.parseSelect()
+		stmt, err = p.parseSelect()
 	case "INSERT":
-		return p.parseInsert()
+		stmt, err = p.parseInsert()
 	case "UPDATE":
-		return p.parseUpdate()
+		stmt, err = p.parseUpdate()
 	case "DELETE":
-		return p.parseDelete()
+		stmt, err = p.parseDelete()
 	case "CREATE":
-		return p.parseCreateTable()
+		stmt, err = p.parseCreateTable()
 	case "DROP":
-		return p.parseDropTable()
+		stmt, err = p.parseDropTable()
 	case "SHOW":
-		return p.parseShowTables()
+		stmt, err = p.parseShowTables()
 	case "DESCRIBE":
-		return p.parseDescribe()
+		stmt, err = p.parseDescribe()
 	case "EXPLAIN":
-		return p.parseExplain()
+		stmt, err = p.parseExplain()
 	default:
-		return nil, p.errorf("unsupported statement %q", p.tok.Text)
+		return nil, p.errorf("unsupported statement %q", p.text())
 	}
+	if err != nil {
+		return nil, err
+	}
+	for p.accept(TokenSemicolon) {
+	}
+	return stmt, nil
 }
 
 func (p *Parser) parseSelect() (*SelectStmt, error) {
@@ -165,97 +415,60 @@ func (p *Parser) parseSelect() (*SelectStmt, error) {
 		return nil, err
 	}
 	stmt := &SelectStmt{commentHolder: commentHolder{Comments: comments}}
+	var err error
 
-	if ok, err := p.acceptKeyword("DISTINCT"); err != nil {
-		return nil, err
-	} else if ok {
+	if p.acceptKeyword("DISTINCT") {
 		stmt.Distinct = true
-	} else if _, err := p.acceptKeyword("ALL"); err != nil {
-		return nil, err
+	} else {
+		p.acceptKeyword("ALL")
 	}
 
-	fields, err := p.parseSelectFields()
-	if err != nil {
-		return nil, err
-	}
-	stmt.Fields = fields
-
-	if ok, err := p.acceptKeyword("FROM"); err != nil {
-		return nil, err
-	} else if ok {
-		from, err := p.parseTableRefs()
+	stmt.Fields = make([]SelectField, 0, p.listLen())
+	for {
+		f, err := p.parseSelectField()
 		if err != nil {
 			return nil, err
 		}
-		stmt.From = from
+		stmt.Fields = append(stmt.Fields, f)
+		if !p.accept(TokenComma) {
+			break
+		}
 	}
 
-	if ok, err := p.acceptKeyword("WHERE"); err != nil {
-		return nil, err
-	} else if ok {
-		where, err := p.parseExpr()
-		if err != nil {
+	if p.acceptKeyword("FROM") {
+		if stmt.From, err = p.parseTableRefs(); err != nil {
 			return nil, err
 		}
-		stmt.Where = where
 	}
-
-	if p.atKeyword("GROUP") {
-		if err := p.advance(); err != nil {
+	if p.acceptKeyword("WHERE") {
+		if stmt.Where, err = p.parseExpr(); err != nil {
 			return nil, err
 		}
+	}
+	if p.acceptKeyword("GROUP") {
 		if err := p.expectKeyword("BY"); err != nil {
 			return nil, err
 		}
-		for {
-			e, err := p.parseExpr()
-			if err != nil {
-				return nil, err
-			}
-			stmt.GroupBy = append(stmt.GroupBy, e)
-			if p.tok.Kind != TokenComma {
-				break
-			}
-			if err := p.advance(); err != nil {
-				return nil, err
-			}
-		}
-	}
-
-	if ok, err := p.acceptKeyword("HAVING"); err != nil {
-		return nil, err
-	} else if ok {
-		having, err := p.parseExpr()
-		if err != nil {
+		if stmt.GroupBy, err = p.parseExprList(); err != nil {
 			return nil, err
 		}
-		stmt.Having = having
 	}
-
-	orderBy, err := p.parseOrderBy()
-	if err != nil {
-		return nil, err
-	}
-	stmt.OrderBy = orderBy
-
-	limit, err := p.parseLimit()
-	if err != nil {
-		return nil, err
-	}
-	stmt.Limit = limit
-
-	if p.atKeyword("UNION") {
-		if err := p.advance(); err != nil {
+	if p.acceptKeyword("HAVING") {
+		if stmt.Having, err = p.parseExpr(); err != nil {
 			return nil, err
 		}
-		all, err := p.acceptKeyword("ALL")
-		if err != nil {
-			return nil, err
-		}
+	}
+	if stmt.OrderBy, err = p.parseOrderBy(); err != nil {
+		return nil, err
+	}
+	if stmt.Limit, err = p.parseLimit(); err != nil {
+		return nil, err
+	}
+
+	if p.acceptKeyword("UNION") {
+		all := p.acceptKeyword("ALL")
 		if !all {
-			if _, err := p.acceptKeyword("DISTINCT"); err != nil {
-				return nil, err
-			}
+			p.acceptKeyword("DISTINCT")
 		}
 		next, err := p.parseSelect()
 		if err != nil {
@@ -266,227 +479,144 @@ func (p *Parser) parseSelect() (*SelectStmt, error) {
 	return stmt, nil
 }
 
-func (p *Parser) parseSelectFields() ([]SelectField, error) {
-	var fields []SelectField
-	for {
-		f, err := p.parseSelectField()
-		if err != nil {
-			return nil, err
-		}
-		fields = append(fields, f)
-		if p.tok.Kind != TokenComma {
-			return fields, nil
-		}
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
-	}
-}
-
 func (p *Parser) parseSelectField() (SelectField, error) {
-	if p.tok.Kind == TokenOperator && p.tok.Text == "*" {
-		if err := p.advance(); err != nil {
-			return SelectField{}, err
-		}
+	if p.atOp("*") {
+		p.advance()
 		return SelectField{Star: true}, nil
 	}
-	// Lookahead for "ident.*".
-	if p.tok.Kind == TokenIdent {
-		name := p.tok.Text
-		save := *p.lexer
-		saveTok := p.tok
-		if err := p.advance(); err != nil {
-			return SelectField{}, err
+	// Look ahead for "ident.*"; anything else rewinds to the identifier
+	// and is parsed as an expression.
+	if p.tok.kind == TokenIdent {
+		save := p.pos
+		name := p.text()
+		p.advance()
+		if p.accept(TokenDot) && p.atOp("*") {
+			p.advance()
+			return SelectField{TableStar: name}, nil
 		}
-		if p.tok.Kind == TokenDot {
-			if err := p.advance(); err != nil {
-				return SelectField{}, err
-			}
-			if p.tok.Kind == TokenOperator && p.tok.Text == "*" {
-				if err := p.advance(); err != nil {
-					return SelectField{}, err
-				}
-				return SelectField{TableStar: name}, nil
-			}
-			// Not a ".*": rewind and parse as a normal expression.
-			*p.lexer = save
-			p.tok = saveTok
-		} else {
-			*p.lexer = save
-			p.tok = saveTok
-		}
+		p.pos, p.tok = save, p.toks[save]
 	}
 	expr, err := p.parseExpr()
 	if err != nil {
 		return SelectField{}, err
 	}
-	field := SelectField{Expr: expr}
-	if ok, err := p.acceptKeyword("AS"); err != nil {
+	alias, err := p.parseAlias()
+	if err != nil {
 		return SelectField{}, err
-	} else if ok {
-		alias, err := p.expectIdent()
-		if err != nil {
-			return SelectField{}, err
-		}
-		field.Alias = alias
-	} else if p.tok.Kind == TokenIdent {
-		field.Alias = p.tok.Text
-		if err := p.advance(); err != nil {
-			return SelectField{}, err
-		}
 	}
-	return field, nil
+	return SelectField{Expr: expr, Alias: alias}, nil
+}
+
+// parseAlias parses the optional alias of a select field or table: "AS
+// name", or a bare identifier.
+func (p *Parser) parseAlias() (string, error) {
+	if p.acceptKeyword("AS") {
+		return p.expectIdent()
+	}
+	if p.tok.kind != TokenIdent {
+		return "", nil
+	}
+	alias := p.text()
+	p.advance()
+	return alias, nil
 }
 
 func (p *Parser) parseTableRefs() ([]TableRef, error) {
+	refs := make([]TableRef, 0, p.listLen())
 	first, err := p.parseTableRef("")
 	if err != nil {
 		return nil, err
 	}
-	refs := []TableRef{first}
+	refs = append(refs, first)
 	for {
-		switch {
-		case p.tok.Kind == TokenComma:
-			if err := p.advance(); err != nil {
-				return nil, err
-			}
-			ref, err := p.parseTableRef("CROSS")
-			if err != nil {
-				return nil, err
-			}
-			refs = append(refs, ref)
-		case p.atKeyword("JOIN"), p.atKeyword("INNER"), p.atKeyword("LEFT"),
-			p.atKeyword("RIGHT"), p.atKeyword("CROSS"):
-			joinType, err := p.parseJoinType()
-			if err != nil {
-				return nil, err
-			}
-			ref, err := p.parseTableRef(joinType)
-			if err != nil {
-				return nil, err
-			}
-			if joinType != "CROSS" {
-				if err := p.expectKeyword("ON"); err != nil {
+		joinType := "CROSS" // what a comma means
+		if !p.accept(TokenComma) {
+			switch p.keyword() {
+			case "JOIN", "INNER", "LEFT", "RIGHT", "CROSS":
+				if joinType, err = p.parseJoinType(); err != nil {
 					return nil, err
 				}
-				on, err := p.parseExpr()
-				if err != nil {
-					return nil, err
-				}
-				ref.On = on
+			default:
+				return refs, nil
 			}
-			refs = append(refs, ref)
-		default:
-			return refs, nil
 		}
+		ref, err := p.parseTableRef(joinType)
+		if err != nil {
+			return nil, err
+		}
+		if joinType != "CROSS" {
+			if err := p.expectKeyword("ON"); err != nil {
+				return nil, err
+			}
+			if ref.On, err = p.parseExpr(); err != nil {
+				return nil, err
+			}
+		}
+		refs = append(refs, ref)
 	}
 }
 
 func (p *Parser) parseJoinType() (string, error) {
 	joinType := "INNER"
-	switch p.tok.Text {
+	switch kw := p.keyword(); kw {
 	case "LEFT", "RIGHT", "CROSS":
-		joinType = p.tok.Text
-		if err := p.advance(); err != nil {
-			return "", err
-		}
-		if _, err := p.acceptKeyword("OUTER"); err != nil {
-			return "", err
-		}
+		joinType = kw
+		p.advance()
+		p.acceptKeyword("OUTER")
 	case "INNER":
-		if err := p.advance(); err != nil {
-			return "", err
-		}
+		p.advance()
 	}
 	return joinType, p.expectKeyword("JOIN")
 }
 
 func (p *Parser) parseTableRef(join string) (TableRef, error) {
-	if p.tok.Kind == TokenLParen {
-		if err := p.advance(); err != nil {
+	ref := TableRef{Join: join}
+	var err error
+	if p.accept(TokenLParen) {
+		if ref.Subquery, err = p.parseSelect(); err != nil {
 			return TableRef{}, err
 		}
-		sub, err := p.parseSelect()
-		if err != nil {
+		if err := p.expect(TokenRParen); err != nil {
 			return TableRef{}, err
 		}
-		if _, err := p.expect(TokenRParen); err != nil {
-			return TableRef{}, err
-		}
-		ref := TableRef{Join: join, Subquery: sub}
-		if ok, err := p.acceptKeyword("AS"); err != nil {
-			return TableRef{}, err
-		} else if ok || p.tok.Kind == TokenIdent {
-			alias, err := p.expectIdent()
-			if err != nil {
-				return TableRef{}, err
-			}
-			ref.Alias = alias
-		}
-		return ref, nil
-	}
-	name, err := p.expectIdent()
-	if err != nil {
+	} else if ref.Name, err = p.expectIdent(); err != nil {
 		return TableRef{}, err
 	}
-	ref := TableRef{Name: name, Join: join}
-	if ok, err := p.acceptKeyword("AS"); err != nil {
+	if ref.Alias, err = p.parseAlias(); err != nil {
 		return TableRef{}, err
-	} else if ok {
-		alias, err := p.expectIdent()
-		if err != nil {
-			return TableRef{}, err
-		}
-		ref.Alias = alias
-	} else if p.tok.Kind == TokenIdent {
-		ref.Alias = p.tok.Text
-		if err := p.advance(); err != nil {
-			return TableRef{}, err
-		}
 	}
 	return ref, nil
 }
 
 func (p *Parser) parseOrderBy() ([]OrderItem, error) {
-	if !p.atKeyword("ORDER") {
+	if !p.acceptKeyword("ORDER") {
 		return nil, nil
-	}
-	if err := p.advance(); err != nil {
-		return nil, err
 	}
 	if err := p.expectKeyword("BY"); err != nil {
 		return nil, err
 	}
-	var items []OrderItem
+	items := make([]OrderItem, 0, p.listLen())
 	for {
 		e, err := p.parseExpr()
 		if err != nil {
 			return nil, err
 		}
 		item := OrderItem{Expr: e}
-		if ok, err := p.acceptKeyword("DESC"); err != nil {
-			return nil, err
-		} else if ok {
+		if p.acceptKeyword("DESC") {
 			item.Desc = true
-		} else if _, err := p.acceptKeyword("ASC"); err != nil {
-			return nil, err
+		} else {
+			p.acceptKeyword("ASC")
 		}
 		items = append(items, item)
-		if p.tok.Kind != TokenComma {
+		if !p.accept(TokenComma) {
 			return items, nil
-		}
-		if err := p.advance(); err != nil {
-			return nil, err
 		}
 	}
 }
 
 func (p *Parser) parseLimit() (*Limit, error) {
-	if !p.atKeyword("LIMIT") {
+	if !p.acceptKeyword("LIMIT") {
 		return nil, nil
-	}
-	if err := p.advance(); err != nil {
-		return nil, err
 	}
 	first, err := p.parsePrimary()
 	if err != nil {
@@ -494,28 +624,32 @@ func (p *Parser) parseLimit() (*Limit, error) {
 	}
 	limit := &Limit{Count: first}
 	switch {
-	case p.tok.Kind == TokenComma:
+	case p.accept(TokenComma):
 		// LIMIT offset, count
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
-		count, err := p.parsePrimary()
-		if err != nil {
-			return nil, err
-		}
 		limit.Offset = first
-		limit.Count = count
-	case p.atKeyword("OFFSET"):
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
-		off, err := p.parsePrimary()
-		if err != nil {
-			return nil, err
-		}
-		limit.Offset = off
+		limit.Count, err = p.parsePrimary()
+	case p.acceptKeyword("OFFSET"):
+		limit.Offset, err = p.parsePrimary()
+	}
+	if err != nil {
+		return nil, err
 	}
 	return limit, nil
+}
+
+// parseNames parses a comma-separated list of names.
+func (p *Parser) parseNames() ([]string, error) {
+	names := make([]string, 0, p.listLen())
+	for {
+		name, err := p.expectIdent()
+		if err != nil {
+			return nil, err
+		}
+		names = append(names, name)
+		if !p.accept(TokenComma) {
+			return names, nil
+		}
+	}
 }
 
 func (p *Parser) parseInsert() (*InsertStmt, error) {
@@ -532,67 +666,40 @@ func (p *Parser) parseInsert() (*InsertStmt, error) {
 	}
 	stmt := &InsertStmt{commentHolder: commentHolder{Comments: comments}, Table: table}
 
-	if p.tok.Kind == TokenLParen {
-		if err := p.advance(); err != nil {
+	if p.accept(TokenLParen) {
+		if stmt.Columns, err = p.parseNames(); err != nil {
 			return nil, err
 		}
-		for {
-			col, err := p.expectIdent()
-			if err != nil {
-				return nil, err
-			}
-			stmt.Columns = append(stmt.Columns, col)
-			if p.tok.Kind != TokenComma {
-				break
-			}
-			if err := p.advance(); err != nil {
-				return nil, err
-			}
-		}
-		if _, err := p.expect(TokenRParen); err != nil {
+		if err := p.expect(TokenRParen); err != nil {
 			return nil, err
 		}
 	}
 
 	if p.atKeyword("SELECT") {
-		sel, err := p.parseSelect()
-		if err != nil {
+		if stmt.Select, err = p.parseSelect(); err != nil {
 			return nil, err
 		}
-		stmt.Select = sel
 		return stmt, nil
 	}
 
 	if err := p.expectKeyword("VALUES"); err != nil {
 		return nil, err
 	}
+	stmt.Rows = make([][]Expr, 0, p.listLen())
 	for {
-		if _, err := p.expect(TokenLParen); err != nil {
+		if err := p.expect(TokenLParen); err != nil {
 			return nil, err
 		}
-		var row []Expr
-		for {
-			e, err := p.parseExpr()
-			if err != nil {
-				return nil, err
-			}
-			row = append(row, e)
-			if p.tok.Kind != TokenComma {
-				break
-			}
-			if err := p.advance(); err != nil {
-				return nil, err
-			}
+		row, err := p.parseExprList()
+		if err != nil {
+			return nil, err
 		}
-		if _, err := p.expect(TokenRParen); err != nil {
+		if err := p.expect(TokenRParen); err != nil {
 			return nil, err
 		}
 		stmt.Rows = append(stmt.Rows, row)
-		if p.tok.Kind != TokenComma {
+		if !p.accept(TokenComma) {
 			return stmt, nil
-		}
-		if err := p.advance(); err != nil {
-			return nil, err
 		}
 	}
 }
@@ -610,49 +717,46 @@ func (p *Parser) parseUpdate() (*UpdateStmt, error) {
 		return nil, err
 	}
 	stmt := &UpdateStmt{commentHolder: commentHolder{Comments: comments}, Table: table}
+	stmt.Sets = make([]Assignment, 0, p.listLen())
 	for {
 		col, err := p.expectIdent()
 		if err != nil {
 			return nil, err
 		}
-		if p.tok.Kind != TokenOperator || p.tok.Text != "=" {
-			return nil, p.errorf("expected '=' in SET clause, found %q", p.tok.Text)
+		if !p.atOp("=") {
+			return nil, p.errorf("expected '=' in SET clause, found %q", p.text())
 		}
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
+		p.advance()
 		val, err := p.parseExpr()
 		if err != nil {
 			return nil, err
 		}
 		stmt.Sets = append(stmt.Sets, Assignment{Column: col, Value: val})
-		if p.tok.Kind != TokenComma {
+		if !p.accept(TokenComma) {
 			break
 		}
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
 	}
-	if ok, err := p.acceptKeyword("WHERE"); err != nil {
-		return nil, err
-	} else if ok {
-		where, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		stmt.Where = where
-	}
-	orderBy, err := p.parseOrderBy()
-	if err != nil {
+	if stmt.Where, stmt.OrderBy, stmt.Limit, err = p.parseRowFilter(); err != nil {
 		return nil, err
 	}
-	stmt.OrderBy = orderBy
-	limit, err := p.parseLimit()
-	if err != nil {
-		return nil, err
-	}
-	stmt.Limit = limit
 	return stmt, nil
+}
+
+// parseRowFilter parses the tail UPDATE and DELETE share: [WHERE expr]
+// [ORDER BY ...] [LIMIT ...].
+func (p *Parser) parseRowFilter() (where Expr, orderBy []OrderItem, limit *Limit, err error) {
+	if p.acceptKeyword("WHERE") {
+		if where, err = p.parseExpr(); err != nil {
+			return nil, nil, nil, err
+		}
+	}
+	if orderBy, err = p.parseOrderBy(); err != nil {
+		return nil, nil, nil, err
+	}
+	if limit, err = p.parseLimit(); err != nil {
+		return nil, nil, nil, err
+	}
+	return where, orderBy, limit, nil
 }
 
 func (p *Parser) parseDelete() (*DeleteStmt, error) {
@@ -668,25 +772,9 @@ func (p *Parser) parseDelete() (*DeleteStmt, error) {
 		return nil, err
 	}
 	stmt := &DeleteStmt{commentHolder: commentHolder{Comments: comments}, Table: table}
-	if ok, err := p.acceptKeyword("WHERE"); err != nil {
-		return nil, err
-	} else if ok {
-		where, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		stmt.Where = where
-	}
-	orderBy, err := p.parseOrderBy()
-	if err != nil {
+	if stmt.Where, stmt.OrderBy, stmt.Limit, err = p.parseRowFilter(); err != nil {
 		return nil, err
 	}
-	stmt.OrderBy = orderBy
-	limit, err := p.parseLimit()
-	if err != nil {
-		return nil, err
-	}
-	stmt.Limit = limit
 	return stmt, nil
 }
 
@@ -699,10 +787,7 @@ func (p *Parser) parseCreateTable() (*CreateTableStmt, error) {
 		return nil, err
 	}
 	stmt := &CreateTableStmt{commentHolder: commentHolder{Comments: comments}}
-	if p.atKeyword("IF") {
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
+	if p.acceptKeyword("IF") {
 		if err := p.expectKeyword("NOT"); err != nil {
 			return nil, err
 		}
@@ -711,28 +796,25 @@ func (p *Parser) parseCreateTable() (*CreateTableStmt, error) {
 		}
 		stmt.IfNotExists = true
 	}
-	table, err := p.expectIdent()
-	if err != nil {
+	var err error
+	if stmt.Table, err = p.expectIdent(); err != nil {
 		return nil, err
 	}
-	stmt.Table = table
-	if _, err := p.expect(TokenLParen); err != nil {
+	if err := p.expect(TokenLParen); err != nil {
 		return nil, err
 	}
+	stmt.Columns = make([]ColumnDef, 0, p.listLen())
 	for {
 		col, err := p.parseColumnDef()
 		if err != nil {
 			return nil, err
 		}
 		stmt.Columns = append(stmt.Columns, col)
-		if p.tok.Kind != TokenComma {
+		if !p.accept(TokenComma) {
 			break
 		}
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
 	}
-	if _, err := p.expect(TokenRParen); err != nil {
+	if err := p.expect(TokenRParen); err != nil {
 		return nil, err
 	}
 	return stmt, nil
@@ -753,70 +835,45 @@ func (p *Parser) parseColumnDef() (ColumnDef, error) {
 	if err != nil {
 		return ColumnDef{}, err
 	}
-	if p.tok.Kind != TokenKeyword {
-		return ColumnDef{}, p.errorf("expected column type, found %s %q", p.tok.Kind, p.tok.Text)
+	if p.tok.kind != TokenKeyword {
+		return ColumnDef{}, p.errorf("expected column type, found %s %q", p.tok.kind, p.text())
 	}
-	canonical, ok := canonicalColumnTypes[p.tok.Text]
+	canonical, ok := canonicalColumnTypes[p.keyword()]
 	if !ok {
-		return ColumnDef{}, p.errorf("unsupported column type %q", p.tok.Text)
+		return ColumnDef{}, p.errorf("unsupported column type %q", p.text())
 	}
-	if err := p.advance(); err != nil {
-		return ColumnDef{}, err
-	}
+	p.advance()
 	// Optional length: VARCHAR(255), INT(11) — parsed and ignored.
-	if p.tok.Kind == TokenLParen {
-		if err := p.advance(); err != nil {
+	if p.accept(TokenLParen) {
+		if err := p.expect(TokenInt); err != nil {
 			return ColumnDef{}, err
 		}
-		if _, err := p.expect(TokenInt); err != nil {
-			return ColumnDef{}, err
-		}
-		if _, err := p.expect(TokenRParen); err != nil {
+		if err := p.expect(TokenRParen); err != nil {
 			return ColumnDef{}, err
 		}
 	}
 	def := ColumnDef{Name: name, Type: canonical}
 	for {
 		switch {
-		case p.atKeyword("PRIMARY"):
-			if err := p.advance(); err != nil {
-				return ColumnDef{}, err
-			}
+		case p.acceptKeyword("PRIMARY"):
 			if err := p.expectKeyword("KEY"); err != nil {
 				return ColumnDef{}, err
 			}
 			def.PrimaryKey = true
-		case p.atKeyword("AUTO_INCREMENT"):
-			if err := p.advance(); err != nil {
-				return ColumnDef{}, err
-			}
+		case p.acceptKeyword("AUTO_INCREMENT"):
 			def.AutoIncrement = true
-		case p.atKeyword("UNIQUE"):
-			if err := p.advance(); err != nil {
-				return ColumnDef{}, err
-			}
+		case p.acceptKeyword("UNIQUE"):
 			def.Unique = true
-		case p.atKeyword("NOT"):
-			if err := p.advance(); err != nil {
-				return ColumnDef{}, err
-			}
+		case p.acceptKeyword("NOT"):
 			if err := p.expectKeyword("NULL"); err != nil {
 				return ColumnDef{}, err
 			}
 			def.NotNull = true
-		case p.atKeyword("NULL"):
-			if err := p.advance(); err != nil {
+		case p.acceptKeyword("NULL"):
+		case p.acceptKeyword("DEFAULT"):
+			if def.Default, err = p.parsePrimary(); err != nil {
 				return ColumnDef{}, err
 			}
-		case p.atKeyword("DEFAULT"):
-			if err := p.advance(); err != nil {
-				return ColumnDef{}, err
-			}
-			dflt, err := p.parsePrimary()
-			if err != nil {
-				return ColumnDef{}, err
-			}
-			def.Default = dflt
 		default:
 			return def, nil
 		}
@@ -832,20 +889,16 @@ func (p *Parser) parseDropTable() (*DropTableStmt, error) {
 		return nil, err
 	}
 	stmt := &DropTableStmt{commentHolder: commentHolder{Comments: comments}}
-	if p.atKeyword("IF") {
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
+	if p.acceptKeyword("IF") {
 		if err := p.expectKeyword("EXISTS"); err != nil {
 			return nil, err
 		}
 		stmt.IfExists = true
 	}
-	table, err := p.expectIdent()
-	if err != nil {
+	var err error
+	if stmt.Table, err = p.expectIdent(); err != nil {
 		return nil, err
 	}
-	stmt.Table = table
 	return stmt, nil
 }
 
@@ -884,71 +937,70 @@ func (p *Parser) parseExplain() (*ExplainStmt, error) {
 	return &ExplainStmt{commentHolder: commentHolder{Comments: comments}, Select: sel}, nil
 }
 
-// Expression parsing: precedence climbing.
-//
-//	OR/XOR < AND < NOT < comparison/IN/LIKE/BETWEEN/IS < additive <
-//	multiplicative < unary < primary
+// Expression parsing: precedence climbing, one function per level of the
+// grammar above.
 
 func (p *Parser) parseExpr() (Expr, error) {
-	return p.parseOr()
-}
-
-func (p *Parser) parseOr() (Expr, error) {
 	left, err := p.parseAnd()
-	if err != nil {
-		return nil, err
-	}
-	for {
-		var op string
+	for err == nil {
+		op := "OR"
 		switch {
-		case p.atKeyword("OR"), p.tok.Kind == TokenOperator && p.tok.Text == "||":
-			op = "OR"
+		case p.atKeyword("OR"), p.atOp("||"):
 		case p.atKeyword("XOR"):
 			op = "XOR"
 		default:
 			return left, nil
 		}
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
-		right, err := p.parseAnd()
+		left, err = p.parseBinary(op, left, p.parseAnd)
+	}
+	return nil, err
+}
+
+// parseExprList parses a comma-separated list of expressions.
+func (p *Parser) parseExprList() ([]Expr, error) {
+	list := make([]Expr, 0, p.listLen())
+	for {
+		e, err := p.parseExpr()
 		if err != nil {
 			return nil, err
 		}
-		left = &BinaryExpr{Op: op, Left: left, Right: right}
+		list = append(list, e)
+		if !p.accept(TokenComma) {
+			return list, nil
+		}
 	}
+}
+
+// parseBinary consumes the operator at the current token, parses its
+// right operand with next and returns the node for "left op right".
+func (p *Parser) parseBinary(op string, left Expr, next func() (Expr, error)) (Expr, error) {
+	p.advance()
+	right, err := next()
+	if err != nil {
+		return nil, err
+	}
+	b := take(&p.slab.bins, p.slab.nBins)
+	*b = BinaryExpr{Op: op, Left: left, Right: right}
+	return b, nil
 }
 
 func (p *Parser) parseAnd() (Expr, error) {
 	left, err := p.parseNot()
-	if err != nil {
-		return nil, err
+	for err == nil && (p.atKeyword("AND") || p.atOp("&&")) {
+		left, err = p.parseBinary("AND", left, p.parseNot)
 	}
-	for p.atKeyword("AND") || (p.tok.Kind == TokenOperator && p.tok.Text == "&&") {
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
-		right, err := p.parseNot()
-		if err != nil {
-			return nil, err
-		}
-		left = &BinaryExpr{Op: "AND", Left: left, Right: right}
-	}
-	return left, nil
+	return left, err
 }
 
 func (p *Parser) parseNot() (Expr, error) {
-	if p.atKeyword("NOT") {
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
-		operand, err := p.parseNot()
-		if err != nil {
-			return nil, err
-		}
-		return &UnaryExpr{Op: "NOT", Operand: operand}, nil
+	if !p.acceptKeyword("NOT") {
+		return p.parseComparison()
 	}
-	return p.parseComparison()
+	operand, err := p.parseNot()
+	if err != nil {
+		return nil, err
+	}
+	return &UnaryExpr{Op: "NOT", Operand: operand}, nil
 }
 
 // comparisonOps maps operator spellings to canonical forms.
@@ -959,137 +1011,77 @@ var comparisonOps = map[string]string{
 
 func (p *Parser) parseComparison() (Expr, error) {
 	left, err := p.parseAdditive()
-	if err != nil {
-		return nil, err
-	}
-	for {
-		switch {
-		case p.tok.Kind == TokenOperator && comparisonOps[p.tok.Text] != "":
-			op := comparisonOps[p.tok.Text]
-			if err := p.advance(); err != nil {
-				return nil, err
+	for err == nil {
+		if p.tok.kind == TokenOperator {
+			op := comparisonOps[p.src[p.tok.start:p.tok.end]]
+			if op == "" {
+				return left, nil
 			}
-			right, err := p.parseAdditive()
-			if err != nil {
-				return nil, err
-			}
-			left = &BinaryExpr{Op: op, Left: left, Right: right}
-		case p.atKeyword("LIKE"):
-			if err := p.advance(); err != nil {
-				return nil, err
-			}
-			right, err := p.parseAdditive()
-			if err != nil {
-				return nil, err
-			}
-			left = &BinaryExpr{Op: "LIKE", Left: left, Right: right}
-		case p.atKeyword("IS"):
-			if err := p.advance(); err != nil {
-				return nil, err
-			}
-			not, err := p.acceptKeyword("NOT")
-			if err != nil {
-				return nil, err
-			}
+			left, err = p.parseBinary(op, left, p.parseAdditive)
+			continue
+		}
+		switch p.keyword() {
+		case "LIKE":
+			left, err = p.parseBinary("LIKE", left, p.parseAdditive)
+		case "IS":
+			p.advance()
+			not := p.acceptKeyword("NOT")
 			if err := p.expectKeyword("NULL"); err != nil {
 				return nil, err
 			}
 			left = &IsNullExpr{Not: not, Expr: left}
-		case p.atKeyword("IN"):
-			if err := p.advance(); err != nil {
-				return nil, err
-			}
-			in, err := p.parseInTail(left, false)
-			if err != nil {
-				return nil, err
-			}
-			left = in
-		case p.atKeyword("NOT"):
+		case "IN":
+			left, err = p.parseInTail(left, false)
+		case "BETWEEN":
+			left, err = p.parseBetweenTail(left, false)
+		case "NOT":
 			// expr NOT IN / NOT LIKE / NOT BETWEEN
-			if err := p.advance(); err != nil {
-				return nil, err
-			}
-			switch {
-			case p.atKeyword("IN"):
-				if err := p.advance(); err != nil {
-					return nil, err
+			p.advance()
+			switch p.keyword() {
+			case "IN":
+				left, err = p.parseInTail(left, true)
+			case "LIKE":
+				if left, err = p.parseBinary("LIKE", left, p.parseAdditive); err == nil {
+					left = &UnaryExpr{Op: "NOT", Operand: left}
 				}
-				in, err := p.parseInTail(left, true)
-				if err != nil {
-					return nil, err
-				}
-				left = in
-			case p.atKeyword("LIKE"):
-				if err := p.advance(); err != nil {
-					return nil, err
-				}
-				right, err := p.parseAdditive()
-				if err != nil {
-					return nil, err
-				}
-				left = &UnaryExpr{Op: "NOT", Operand: &BinaryExpr{Op: "LIKE", Left: left, Right: right}}
-			case p.atKeyword("BETWEEN"):
-				if err := p.advance(); err != nil {
-					return nil, err
-				}
-				between, err := p.parseBetweenTail(left, true)
-				if err != nil {
-					return nil, err
-				}
-				left = between
+			case "BETWEEN":
+				left, err = p.parseBetweenTail(left, true)
 			default:
 				return nil, p.errorf("expected IN, LIKE or BETWEEN after NOT")
 			}
-		case p.atKeyword("BETWEEN"):
-			if err := p.advance(); err != nil {
-				return nil, err
-			}
-			between, err := p.parseBetweenTail(left, false)
-			if err != nil {
-				return nil, err
-			}
-			left = between
 		default:
 			return left, nil
 		}
 	}
+	return nil, err
 }
 
+// parseInTail parses what follows "left [NOT] IN", the current token.
 func (p *Parser) parseInTail(left Expr, not bool) (Expr, error) {
-	if _, err := p.expect(TokenLParen); err != nil {
+	p.advance()
+	if err := p.expect(TokenLParen); err != nil {
 		return nil, err
 	}
+	in := &InExpr{Not: not, Left: left}
+	var err error
 	if p.atKeyword("SELECT") {
-		sub, err := p.parseSelect()
-		if err != nil {
-			return nil, err
-		}
-		if _, err := p.expect(TokenRParen); err != nil {
-			return nil, err
-		}
-		return &InExpr{Not: not, Left: left, Subquery: sub}, nil
+		in.Subquery, err = p.parseSelect()
+	} else {
+		in.List, err = p.parseExprList()
 	}
-	var list []Expr
-	for {
-		e, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		list = append(list, e)
-		if p.tok.Kind != TokenComma {
-			break
-		}
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
-	}
-	if _, err := p.expect(TokenRParen); err != nil {
+	if err != nil {
 		return nil, err
 	}
-	return &InExpr{Not: not, Left: left, List: list}, nil
+	if err := p.expect(TokenRParen); err != nil {
+		return nil, err
+	}
+	return in, nil
 }
 
+// parseBetweenTail parses what follows "left [NOT] BETWEEN", the current
+// token.
 func (p *Parser) parseBetweenTail(left Expr, not bool) (Expr, error) {
+	p.advance()
 	low, err := p.parseAdditive()
 	if err != nil {
 		return nil, err
@@ -1106,169 +1098,119 @@ func (p *Parser) parseBetweenTail(left Expr, not bool) (Expr, error) {
 
 func (p *Parser) parseAdditive() (Expr, error) {
 	left, err := p.parseMultiplicative()
-	if err != nil {
-		return nil, err
+	for err == nil && (p.atOp("+") || p.atOp("-")) {
+		left, err = p.parseBinary(p.text(), left, p.parseMultiplicative)
 	}
-	for p.tok.Kind == TokenOperator && (p.tok.Text == "+" || p.tok.Text == "-") {
-		op := p.tok.Text
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
-		right, err := p.parseMultiplicative()
-		if err != nil {
-			return nil, err
-		}
-		left = &BinaryExpr{Op: op, Left: left, Right: right}
-	}
-	return left, nil
+	return left, err
 }
 
 func (p *Parser) parseMultiplicative() (Expr, error) {
 	left, err := p.parseUnary()
-	if err != nil {
-		return nil, err
+	for err == nil && (p.atOp("*") || p.atOp("/") || p.atOp("%")) {
+		left, err = p.parseBinary(p.text(), left, p.parseUnary)
 	}
-	for p.tok.Kind == TokenOperator && (p.tok.Text == "*" || p.tok.Text == "/" || p.tok.Text == "%") {
-		op := p.tok.Text
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
-		right, err := p.parseUnary()
-		if err != nil {
-			return nil, err
-		}
-		left = &BinaryExpr{Op: op, Left: left, Right: right}
-	}
-	return left, nil
+	return left, err
 }
 
 func (p *Parser) parseUnary() (Expr, error) {
-	if p.tok.Kind == TokenOperator && (p.tok.Text == "-" || p.tok.Text == "+") {
-		op := p.tok.Text
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
-		operand, err := p.parseUnary()
-		if err != nil {
-			return nil, err
-		}
-		// Fold unary minus into integer/float literals the way MySQL's
-		// parser does, so "-1" is a single INT_ITEM in the QS.
-		if op == "-" {
-			if lit, ok := operand.(*Literal); ok {
-				switch lit.Kind {
-				case LiteralInt:
-					return &Literal{Kind: LiteralInt, Int: -lit.Int}, nil
-				case LiteralFloat:
-					return &Literal{Kind: LiteralFloat, Float: -lit.Float}, nil
-				}
-			}
-		}
-		if op == "+" {
-			return operand, nil
-		}
-		return &UnaryExpr{Op: op, Operand: operand}, nil
+	minus := p.atOp("-")
+	if !minus && !p.atOp("+") {
+		return p.parsePrimary()
 	}
-	return p.parsePrimary()
+	p.advance()
+	operand, err := p.parseUnary()
+	if err != nil || !minus {
+		return operand, err
+	}
+	// Fold unary minus into integer/float literals the way MySQL's parser
+	// does, so "-1" is a single INT_ITEM in the QS. The literal was made
+	// for this operand alone, so it is negated in place.
+	if lit, ok := operand.(*Literal); ok {
+		switch lit.Kind {
+		case LiteralInt:
+			lit.Int = -lit.Int
+			return lit, nil
+		case LiteralFloat:
+			lit.Float = -lit.Float
+			return lit, nil
+		}
+	}
+	return &UnaryExpr{Op: "-", Operand: operand}, nil
+}
+
+// literal consumes the current token and returns lit as its node.
+func (p *Parser) literal(lit Literal) (Expr, error) {
+	p.advance()
+	l := take(&p.slab.lits, p.slab.nLits)
+	*l = lit
+	return l, nil
 }
 
 func (p *Parser) parsePrimary() (Expr, error) {
-	switch p.tok.Kind {
+	switch p.tok.kind {
 	case TokenInt:
-		n, err := strconv.ParseInt(p.tok.Text, 10, 64)
+		n, err := strconv.ParseInt(p.text(), 10, 64)
+		if err == nil {
+			return p.literal(Literal{Kind: LiteralInt, Int: n})
+		}
+		// Out-of-range integer literal: MySQL widens to double.
+		f, err := strconv.ParseFloat(p.text(), 64)
 		if err != nil {
-			// Out-of-range integer literal: MySQL widens to double.
-			f, ferr := strconv.ParseFloat(p.tok.Text, 64)
-			if ferr != nil {
-				return nil, p.errorf("invalid numeric literal %q", p.tok.Text)
-			}
-			if err := p.advance(); err != nil {
-				return nil, err
-			}
-			return &Literal{Kind: LiteralFloat, Float: f}, nil
+			return nil, p.errorf("invalid numeric literal %q", p.text())
 		}
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
-		return &Literal{Kind: LiteralInt, Int: n}, nil
+		return p.literal(Literal{Kind: LiteralFloat, Float: f})
 	case TokenFloat:
-		f, err := strconv.ParseFloat(p.tok.Text, 64)
+		f, err := strconv.ParseFloat(p.text(), 64)
 		if err != nil {
-			return nil, p.errorf("invalid float literal %q", p.tok.Text)
+			return nil, p.errorf("invalid float literal %q", p.text())
 		}
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
-		return &Literal{Kind: LiteralFloat, Float: f}, nil
+		return p.literal(Literal{Kind: LiteralFloat, Float: f})
 	case TokenString:
-		s := p.tok.Text
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
-		return &Literal{Kind: LiteralString, Str: s}, nil
+		return p.literal(Literal{Kind: LiteralString, Str: p.text()})
 	case TokenPlaceholder:
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
+		p.advance()
 		return &Placeholder{}, nil
 	case TokenLParen:
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
+		p.advance()
+		var (
+			inner Expr
+			err   error
+		)
 		if p.atKeyword("SELECT") {
-			sub, err := p.parseSelect()
-			if err != nil {
-				return nil, err
-			}
-			if _, err := p.expect(TokenRParen); err != nil {
-				return nil, err
-			}
-			return &SubqueryExpr{Select: sub}, nil
+			var sub *SelectStmt
+			sub, err = p.parseSelect()
+			inner = &SubqueryExpr{Select: sub}
+		} else {
+			inner, err = p.parseExpr()
 		}
-		inner, err := p.parseExpr()
 		if err != nil {
 			return nil, err
 		}
-		if _, err := p.expect(TokenRParen); err != nil {
+		if err := p.expect(TokenRParen); err != nil {
 			return nil, err
 		}
 		return inner, nil
 	case TokenKeyword:
-		switch p.tok.Text {
+		switch name := p.keyword(); name {
 		case "NULL":
-			if err := p.advance(); err != nil {
-				return nil, err
-			}
-			return &Literal{Kind: LiteralNull}, nil
-		case "TRUE":
-			if err := p.advance(); err != nil {
-				return nil, err
-			}
-			return &Literal{Kind: LiteralBool, Bool: true}, nil
-		case "FALSE":
-			if err := p.advance(); err != nil {
-				return nil, err
-			}
-			return &Literal{Kind: LiteralBool, Bool: false}, nil
+			return p.literal(Literal{Kind: LiteralNull})
+		case "TRUE", "FALSE":
+			return p.literal(Literal{Kind: LiteralBool, Bool: name == "TRUE"})
 		case "EXISTS":
-			if err := p.advance(); err != nil {
-				return nil, err
-			}
-			if _, err := p.expect(TokenLParen); err != nil {
+			p.advance()
+			if err := p.expect(TokenLParen); err != nil {
 				return nil, err
 			}
 			sub, err := p.parseSelect()
 			if err != nil {
 				return nil, err
 			}
-			if _, err := p.expect(TokenRParen); err != nil {
+			if err := p.expect(TokenRParen); err != nil {
 				return nil, err
 			}
 			return &ExistsExpr{Select: sub}, nil
 		case "NOT":
-			if err := p.advance(); err != nil {
-				return nil, err
-			}
+			p.advance()
 			operand, err := p.parsePrimary()
 			if err != nil {
 				return nil, err
@@ -1279,38 +1221,31 @@ func (p *Parser) parsePrimary() (Expr, error) {
 		case "IF", "LEFT", "RIGHT":
 			// Keywords that double as function names: IF(c,a,b),
 			// LEFT(s,n), RIGHT(s,n).
-			name := p.tok.Text
-			if err := p.advance(); err != nil {
-				return nil, err
-			}
-			if p.tok.Kind != TokenLParen {
+			p.advance()
+			if p.tok.kind != TokenLParen {
 				return nil, p.errorf("expected '(' after %s", name)
 			}
 			return p.parseFuncCall(name)
 		}
-		return nil, p.errorf("unexpected keyword %q in expression", p.tok.Text)
+		return nil, p.errorf("unexpected keyword %q in expression", p.text())
 	case TokenIdent:
-		name := p.tok.Text
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
-		switch p.tok.Kind {
-		case TokenLParen:
+		name := p.text()
+		p.advance()
+		if p.tok.kind == TokenLParen {
 			return p.parseFuncCall(name)
-		case TokenDot:
-			if err := p.advance(); err != nil {
-				return nil, err
-			}
-			col, err := p.expectIdent()
+		}
+		col := take(&p.slab.cols, p.slab.nCols)
+		*col = ColumnRef{Name: name}
+		if p.accept(TokenDot) {
+			field, err := p.expectIdent()
 			if err != nil {
 				return nil, err
 			}
-			return &ColumnRef{Table: name, Name: col}, nil
-		default:
-			return &ColumnRef{Name: name}, nil
+			*col = ColumnRef{Table: name, Name: field}
 		}
+		return col, nil
 	default:
-		return nil, p.errorf("unexpected %s %q in expression", p.tok.Kind, p.tok.Text)
+		return nil, p.errorf("unexpected %s %q in expression", p.tok.kind, p.text())
 	}
 }
 
@@ -1320,41 +1255,32 @@ func (p *Parser) parseCase() (Expr, error) {
 		return nil, err
 	}
 	c := &CaseExpr{}
+	var err error
 	if !p.atKeyword("WHEN") {
-		operand, err := p.parseExpr()
-		if err != nil {
+		if c.Operand, err = p.parseExpr(); err != nil {
 			return nil, err
 		}
-		c.Operand = operand
 	}
-	for p.atKeyword("WHEN") {
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
-		cond, err := p.parseExpr()
-		if err != nil {
+	for p.acceptKeyword("WHEN") {
+		var when WhenClause
+		if when.Cond, err = p.parseExpr(); err != nil {
 			return nil, err
 		}
 		if err := p.expectKeyword("THEN"); err != nil {
 			return nil, err
 		}
-		result, err := p.parseExpr()
-		if err != nil {
+		if when.Result, err = p.parseExpr(); err != nil {
 			return nil, err
 		}
-		c.Whens = append(c.Whens, WhenClause{Cond: cond, Result: result})
+		c.Whens = append(c.Whens, when)
 	}
 	if len(c.Whens) == 0 {
 		return nil, p.errorf("CASE needs at least one WHEN arm")
 	}
-	if ok, err := p.acceptKeyword("ELSE"); err != nil {
-		return nil, err
-	} else if ok {
-		elseExpr, err := p.parseExpr()
-		if err != nil {
+	if p.acceptKeyword("ELSE") {
+		if c.Else, err = p.parseExpr(); err != nil {
 			return nil, err
 		}
-		c.Else = elseExpr
 	}
 	if err := p.expectKeyword("END"); err != nil {
 		return nil, err
@@ -1362,40 +1288,23 @@ func (p *Parser) parseCase() (Expr, error) {
 	return c, nil
 }
 
+// parseFuncCall parses the call of the function name; the current token
+// is its '('.
 func (p *Parser) parseFuncCall(name string) (Expr, error) {
-	if err := p.advance(); err != nil { // consume '('
-		return nil, err
-	}
+	p.advance()
 	call := &FuncCall{Name: strings.ToUpper(name)}
-	if p.tok.Kind == TokenRParen {
-		return call, p.advance()
-	}
-	if p.tok.Kind == TokenOperator && p.tok.Text == "*" {
+	switch {
+	case p.accept(TokenRParen):
+		return call, nil
+	case p.atOp("*"):
 		call.Star = true
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
-		_, err := p.expect(TokenRParen)
-		return call, err
-	}
-	if ok, err := p.acceptKeyword("DISTINCT"); err != nil {
-		return nil, err
-	} else if ok {
-		call.Distinct = true
-	}
-	for {
-		arg, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		call.Args = append(call.Args, arg)
-		if p.tok.Kind != TokenComma {
-			break
-		}
-		if err := p.advance(); err != nil {
+		p.advance()
+	default:
+		call.Distinct = p.acceptKeyword("DISTINCT")
+		var err error
+		if call.Args, err = p.parseExprList(); err != nil {
 			return nil, err
 		}
 	}
-	_, err := p.expect(TokenRParen)
-	return call, err
+	return call, p.expect(TokenRParen)
 }

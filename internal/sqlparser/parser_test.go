@@ -365,6 +365,43 @@ func TestParseDecodesCharsetBeforeLexing(t *testing.T) {
 	}
 }
 
+// TestParseCommentBeforeDotAttachedOnce: looking ahead for "ident.*" in a
+// select list and rewinding must not count the comments it passed twice.
+// (When the look-ahead re-ran the lexer it did: the statement after "t /* c
+// */ . a" got the comment two times. It is the one output of the token-slice
+// parser that differs from its predecessor's.)
+func TestParseCommentBeforeDotAttachedOnce(t *testing.T) {
+	stmts, err := ParseAll("SELECT t /* c */ . a, t /* d */ . * FROM t; SELECT 2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := stmts[1].StatementComments(); len(got) != 2 || got[0] != "c" || got[1] != "d" {
+		t.Errorf("second statement's comments = %q, want [c d]", got)
+	}
+	if got, want := Format(stmts[0]), "SELECT t.a, t.* FROM t"; got != want {
+		t.Errorf("first statement = %q, want %q", got, want)
+	}
+}
+
+// TestParseDecodedIsParseAfterDecode: the two entries differ only in who
+// applies DecodeCharset.
+func TestParseDecodedIsParseAfterDecode(t *testing.T) {
+	for _, q := range fuzzSeeds {
+		a, aerr := Parse(q)
+		b, berr := ParseDecoded(DecodeCharset(q))
+		if (aerr == nil) != (berr == nil) || (aerr != nil && aerr.Error() != berr.Error()) {
+			t.Errorf("%q: Parse error %v, ParseDecoded error %v", q, aerr, berr)
+		}
+		if aerr == nil && Format(a) != Format(b) {
+			t.Errorf("%q: Parse gives %s, ParseDecoded %s", q, Format(a), Format(b))
+		}
+	}
+	// Undecoded, the confusable is just a byte the scanner does not know.
+	if _, err := ParseDecoded("SELECT * FROM t WHERE a = \u02bcx\u02bc"); err == nil {
+		t.Error("ParseDecoded folded U+02BC itself")
+	}
+}
+
 func TestParseErrors(t *testing.T) {
 	bad := []string{
 		"",
@@ -450,5 +487,123 @@ func TestFormatEscapesStrings(t *testing.T) {
 	text := Format(stmt)
 	if !strings.Contains(text, `\'`) {
 		t.Errorf("Format should re-escape quote: %q", text)
+	}
+}
+
+// TestParseErrorPaths drives every production into its error returns and
+// pins the message: a rule that fails must say what it wanted and where.
+func TestParseErrorPaths(t *testing.T) {
+	for q, want := range map[string]string{
+		"SELECT a FROM":                  `syntax error at byte 13: expected identifier, found end of input ""`,
+		"SELECT a FROM t WHERE":          `syntax error at byte 21: unexpected end of input "" in expression`,
+		"SELECT a FROM t GROUP a":        `syntax error at byte 22: expected BY, found identifier "a"`,
+		"SELECT a FROM t GROUP BY":       `syntax error at byte 24: unexpected end of input "" in expression`,
+		"SELECT a FROM t HAVING":         `syntax error at byte 22: unexpected end of input "" in expression`,
+		"SELECT a FROM t ORDER a":        `syntax error at byte 22: expected BY, found identifier "a"`,
+		"SELECT a FROM t ORDER BY":       `syntax error at byte 24: unexpected end of input "" in expression`,
+		"SELECT a FROM t LIMIT":          `syntax error at byte 21: unexpected end of input "" in expression`,
+		"SELECT a FROM t LIMIT 1,":       `syntax error at byte 24: unexpected end of input "" in expression`,
+		"SELECT a FROM t LIMIT 1 OFFSET": `syntax error at byte 30: unexpected end of input "" in expression`,
+		"SELECT a FROM t UNION DELETE":   `syntax error at byte 22: expected SELECT, found keyword "DELETE"`,
+		"SELECT a AS FROM t":             `syntax error at byte 12: expected identifier, found keyword "FROM"`,
+		"SELECT a FROM t AS":             `syntax error at byte 18: expected identifier, found end of input ""`,
+		"SELECT a FROM (DELETE)":         `syntax error at byte 15: expected SELECT, found keyword "DELETE"`,
+		"SELECT a FROM (SELECT 1":        `syntax error at byte 23: expected right parenthesis, found end of input ""`,
+		"SELECT a FROM t LEFT u":         `syntax error at byte 21: expected JOIN, found identifier "u"`,
+		"SELECT a FROM t JOIN":           `syntax error at byte 20: expected identifier, found end of input ""`,
+		"SELECT a FROM t JOIN u":         `syntax error at byte 22: expected ON, found end of input ""`,
+		"SELECT a FROM t JOIN u ON":      `syntax error at byte 25: unexpected end of input "" in expression`,
+		"SELECT a FROM t,":               `syntax error at byte 16: expected identifier, found end of input ""`,
+		"INSERT t":                       `syntax error at byte 7: expected INTO, found identifier "t"`,
+		"INSERT INTO":                    `syntax error at byte 11: expected identifier, found end of input ""`,
+		"INSERT INTO t (":                `syntax error at byte 15: expected identifier, found end of input ""`,
+		"INSERT INTO t (a":               `syntax error at byte 16: expected right parenthesis, found end of input ""`,
+		"INSERT INTO t (a) SELECT":       `syntax error at byte 24: unexpected end of input "" in expression`,
+		"INSERT INTO t (a) 1":            `syntax error at byte 18: expected VALUES, found integer "1"`,
+		"INSERT INTO t VALUES 1":         `syntax error at byte 21: expected left parenthesis, found integer "1"`,
+		"INSERT INTO t VALUES (":         `syntax error at byte 22: unexpected end of input "" in expression`,
+		"INSERT INTO t VALUES (1":        `syntax error at byte 23: expected right parenthesis, found end of input ""`,
+		"UPDATE":                         `syntax error at byte 6: expected identifier, found end of input ""`,
+		"UPDATE t a":                     `syntax error at byte 9: expected SET, found identifier "a"`,
+		"UPDATE t SET":                   `syntax error at byte 12: expected identifier, found end of input ""`,
+		"UPDATE t SET a":                 `syntax error at byte 14: expected '=' in SET clause, found ""`,
+		"UPDATE t SET a =":               `syntax error at byte 16: unexpected end of input "" in expression`,
+		"UPDATE t SET a = 1 WHERE":       `syntax error at byte 24: unexpected end of input "" in expression`,
+		"UPDATE t SET a = 1 ORDER BY":    `syntax error at byte 27: unexpected end of input "" in expression`,
+		"UPDATE t SET a = 1 LIMIT":       `syntax error at byte 24: unexpected end of input "" in expression`,
+		"DELETE t":                       `syntax error at byte 7: expected FROM, found identifier "t"`,
+		"DELETE FROM":                    `syntax error at byte 11: expected identifier, found end of input ""`,
+		"DELETE FROM t WHERE":            `syntax error at byte 19: unexpected end of input "" in expression`,
+		"CREATE t":                       `syntax error at byte 7: expected TABLE, found identifier "t"`,
+		"CREATE TABLE IF t":              `syntax error at byte 16: expected NOT, found identifier "t"`,
+		"CREATE TABLE IF NOT t":          `syntax error at byte 20: expected EXISTS, found identifier "t"`,
+		"CREATE TABLE":                   `syntax error at byte 12: expected identifier, found end of input ""`,
+		"CREATE TABLE t a":               `syntax error at byte 15: expected left parenthesis, found identifier "a"`,
+		"CREATE TABLE t (":               `syntax error at byte 16: expected identifier, found end of input ""`,
+		"CREATE TABLE t (a":              `syntax error at byte 17: expected column type, found end of input ""`,
+		"CREATE TABLE t (a SELECT)":      `syntax error at byte 18: unsupported column type "SELECT"`,
+		"CREATE TABLE t (a INT(":         `syntax error at byte 22: expected integer, found end of input ""`,
+		"CREATE TABLE t (a INT(1":        `syntax error at byte 23: expected right parenthesis, found end of input ""`,
+		"CREATE TABLE t (a INT PRIMARY)": `syntax error at byte 29: expected KEY, found right parenthesis ")"`,
+		"CREATE TABLE t (a INT NOT)":     `syntax error at byte 25: expected NULL, found right parenthesis ")"`,
+		"CREATE TABLE t (a INT DEFAULT)": `syntax error at byte 29: unexpected right parenthesis ")" in expression`,
+		"CREATE TABLE t (a INT":          `syntax error at byte 21: expected right parenthesis, found end of input ""`,
+		"DROP t":                         `syntax error at byte 5: expected TABLE, found identifier "t"`,
+		"DROP TABLE IF t":                `syntax error at byte 14: expected EXISTS, found identifier "t"`,
+		"DROP TABLE":                     `syntax error at byte 10: expected identifier, found end of input ""`,
+		"SHOW t":                         `syntax error at byte 5: expected TABLES, found identifier "t"`,
+		"DESCRIBE":                       `syntax error at byte 8: expected identifier, found end of input ""`,
+		"EXPLAIN DELETE":                 `syntax error at byte 8: expected SELECT, found keyword "DELETE"`,
+		"BEGIN":                          `syntax error at byte 0: unsupported statement "BEGIN"`,
+		"SELECT a OR":                    `syntax error at byte 11: unexpected end of input "" in expression`,
+		"SELECT a AND":                   `syntax error at byte 12: unexpected end of input "" in expression`,
+		"SELECT NOT":                     `syntax error at byte 10: unexpected end of input "" in expression`,
+		"SELECT a =":                     `syntax error at byte 10: unexpected end of input "" in expression`,
+		"SELECT a LIKE":                  `syntax error at byte 13: unexpected end of input "" in expression`,
+		"SELECT a IS 1":                  `syntax error at byte 12: expected NULL, found integer "1"`,
+		"SELECT a IN 1":                  `syntax error at byte 12: expected left parenthesis, found integer "1"`,
+		"SELECT a IN (":                  `syntax error at byte 13: unexpected end of input "" in expression`,
+		"SELECT a IN (1":                 `syntax error at byte 14: expected right parenthesis, found end of input ""`,
+		"SELECT a IN (SELECT":            `syntax error at byte 19: unexpected end of input "" in expression`,
+		"SELECT a NOT LIKE":              `syntax error at byte 17: unexpected end of input "" in expression`,
+		"SELECT a BETWEEN":               `syntax error at byte 16: unexpected end of input "" in expression`,
+		"SELECT a BETWEEN 1":             `syntax error at byte 18: expected AND, found end of input ""`,
+		"SELECT a BETWEEN 1 AND":         `syntax error at byte 22: unexpected end of input "" in expression`,
+		"SELECT a +":                     `syntax error at byte 10: unexpected end of input "" in expression`,
+		"SELECT a *":                     `syntax error at byte 10: unexpected end of input "" in expression`,
+		"SELECT -":                       `syntax error at byte 8: unexpected end of input "" in expression`,
+		"SELECT (SELECT":                 `syntax error at byte 14: unexpected end of input "" in expression`,
+		"SELECT (1":                      `syntax error at byte 9: expected right parenthesis, found end of input ""`,
+		"SELECT EXISTS 1":                `syntax error at byte 14: expected left parenthesis, found integer "1"`,
+		"SELECT EXISTS (1":               `syntax error at byte 15: expected SELECT, found integer "1"`,
+		"SELECT EXISTS (SELECT 1":        `syntax error at byte 23: expected right parenthesis, found end of input ""`,
+		"SELECT a FROM t WHERE NOT NOT":  `syntax error at byte 29: unexpected end of input "" in expression`,
+		"SELECT 1 + NOT":                 `syntax error at byte 14: unexpected end of input "" in expression`,
+		"SELECT IF":                      `syntax error at byte 9: expected '(' after IF`,
+		"SELECT t.":                      `syntax error at byte 9: expected identifier, found end of input ""`,
+		"SELECT f(":                      `syntax error at byte 9: unexpected end of input "" in expression`,
+		"SELECT f(*":                     `syntax error at byte 10: expected right parenthesis, found end of input ""`,
+		"SELECT f(1":                     `syntax error at byte 10: expected right parenthesis, found end of input ""`,
+		"SELECT CASE a":                  `syntax error at byte 13: CASE needs at least one WHEN arm`,
+		"SELECT CASE":                    `syntax error at byte 11: unexpected end of input "" in expression`,
+		"SELECT CASE WHEN":               `syntax error at byte 16: unexpected end of input "" in expression`,
+		"SELECT CASE WHEN a":             `syntax error at byte 18: expected THEN, found end of input ""`,
+		"SELECT CASE WHEN a THEN":        `syntax error at byte 23: unexpected end of input "" in expression`,
+		"SELECT CASE WHEN a THEN 1 ELSE": `syntax error at byte 30: unexpected end of input "" in expression`,
+		"SELECT CASE WHEN a THEN 1":      `syntax error at byte 25: expected END, found end of input ""`,
+		"SELECT 1e999":                   `syntax error at byte 7: invalid float literal "1e999"`,
+		"SELECT 1; SELECT":               `syntax error at byte 16: unexpected end of input "" in expression`,
+		"SELECT 1; SELECT 2":             `expected a single statement, got 2`,
+	} {
+		_, err := Parse(q)
+		if err == nil || err.Error() != want {
+			t.Errorf("Parse(%q)\n got: %v\nwant: %s", q, err, want)
+		}
+	}
+	if _, err := ParseAll("SELECT 1; SELEC 2"); err == nil || !strings.Contains(err.Error(), "expected statement keyword") {
+		t.Errorf("ParseAll must report a later statement's error, got %v", err)
+	}
+	if _, err := ParseAll(" -- nothing\n"); err == nil || !strings.Contains(err.Error(), "empty statement") {
+		t.Errorf("ParseAll of a comment alone: got %v, want empty statement", err)
 	}
 }

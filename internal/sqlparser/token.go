@@ -13,7 +13,7 @@ package sqlparser
 import "fmt"
 
 // TokenKind identifies the lexical class of a token.
-type TokenKind int
+type TokenKind uint8
 
 // Token kinds. Enums start at 1 so the zero value is invalid.
 const (
@@ -32,6 +32,10 @@ const (
 	TokenComment
 	TokenPlaceholder // '?' parameter marker
 	TokenEOF
+	// tokenError ends a scan that met a lexical error; its aux field says
+	// which. Tokenize and the parser turn it into a *SyntaxError, so it is
+	// never handed out as a Token.
+	tokenError
 )
 
 var tokenKindNames = map[TokenKind]string{
@@ -77,37 +81,76 @@ func (t Token) String() string {
 	return fmt.Sprintf("%s(%q)@%d", t.Kind, t.Text, t.Pos)
 }
 
-// keywords is the set of reserved words recognised by the lexer. The map
-// value is always the canonical upper-case spelling.
-var keywords = map[string]string{
-	"SELECT": "SELECT", "FROM": "FROM", "WHERE": "WHERE",
-	"AND": "AND", "OR": "OR", "NOT": "NOT", "XOR": "XOR",
-	"INSERT": "INSERT", "INTO": "INTO", "VALUES": "VALUES",
-	"UPDATE": "UPDATE", "SET": "SET",
-	"DELETE": "DELETE",
-	"CREATE": "CREATE", "TABLE": "TABLE", "DROP": "DROP",
-	"IF": "IF", "EXISTS": "EXISTS",
-	"PRIMARY": "PRIMARY", "KEY": "KEY", "AUTO_INCREMENT": "AUTO_INCREMENT",
-	"INT": "INT", "INTEGER": "INTEGER", "BIGINT": "BIGINT",
-	"FLOAT": "FLOAT", "DOUBLE": "DOUBLE", "REAL": "REAL",
-	"TEXT": "TEXT", "VARCHAR": "VARCHAR", "CHAR": "CHAR",
-	"BOOL": "BOOL", "BOOLEAN": "BOOLEAN", "DATETIME": "DATETIME",
-	"ORDER": "ORDER", "GROUP": "GROUP", "BY": "BY", "HAVING": "HAVING",
-	"ASC": "ASC", "DESC": "DESC",
-	"LIMIT": "LIMIT", "OFFSET": "OFFSET",
-	"AS": "AS", "DISTINCT": "DISTINCT", "ALL": "ALL",
-	"UNION": "UNION",
-	"JOIN":  "JOIN", "INNER": "INNER", "LEFT": "LEFT", "RIGHT": "RIGHT",
-	"OUTER": "OUTER", "CROSS": "CROSS", "ON": "ON",
-	"IN": "IN", "IS": "IS", "NULL": "NULL", "LIKE": "LIKE",
-	"BETWEEN": "BETWEEN",
-	"TRUE":    "TRUE", "FALSE": "FALSE",
-	"BEGIN": "BEGIN", "COMMIT": "COMMIT", "ROLLBACK": "ROLLBACK",
-	"SHOW": "SHOW", "TABLES": "TABLES", "DESCRIBE": "DESCRIBE",
-	"EXPLAIN": "EXPLAIN",
-	"CASE":    "CASE", "WHEN": "WHEN", "THEN": "THEN", "ELSE": "ELSE", "END": "END",
-	"DEFAULT": "DEFAULT", "UNIQUE": "UNIQUE",
+// token is a token as the scanner records it: its kind and the byte range
+// of its spelling in the scanned text, delimiters included (quotes,
+// backticks, comment markers, "0x"). No text is copied until something
+// keeps it: see text.
+type token struct {
+	kind TokenKind
+	// aux depends on kind: the index into keywordNames of a TokenKeyword;
+	// 1 for a quoted TokenString whose body holds a backslash escape or a
+	// doubled quote (0: the value is the body as spelled); the lexical
+	// error code of a tokenError.
+	aux        uint8
+	start, end int32
 }
+
+// keywordNames lists the reserved words in their canonical upper-case
+// spelling. The order of the first entries is load-bearing: the parser's
+// sizing passes classify a keyword token by comparing its index with the
+// three bounds below instead of comparing strings.
+var keywordNames = [...]string{
+	// Literal keywords: each becomes a Literal node.
+	"NULL", "TRUE", "FALSE",
+	// Operator keywords: each becomes a BinaryExpr node.
+	"AND", "OR", "XOR", "LIKE",
+	// Clause keywords: each ends the comma-separated list before it.
+	"FROM", "WHERE", "GROUP", "HAVING", "ORDER", "LIMIT", "UNION",
+	"SELECT", "NOT",
+	"INSERT", "INTO", "VALUES",
+	"UPDATE", "SET",
+	"DELETE",
+	"CREATE", "TABLE", "DROP",
+	"IF", "EXISTS",
+	"PRIMARY", "KEY", "AUTO_INCREMENT",
+	"INT", "INTEGER", "BIGINT",
+	"FLOAT", "DOUBLE", "REAL",
+	"TEXT", "VARCHAR", "CHAR",
+	"BOOL", "BOOLEAN", "DATETIME",
+	"BY", "ASC", "DESC", "OFFSET",
+	"AS", "DISTINCT", "ALL",
+	"JOIN", "INNER", "LEFT", "RIGHT",
+	"OUTER", "CROSS", "ON",
+	"IN", "IS", "BETWEEN",
+	"BEGIN", "COMMIT", "ROLLBACK",
+	"SHOW", "TABLES", "DESCRIBE",
+	"EXPLAIN",
+	"CASE", "WHEN", "THEN", "ELSE", "END",
+	"DEFAULT", "UNIQUE",
+}
+
+// Upper index bounds of the keyword classes at the head of keywordNames.
+const (
+	kwLiteralEnd = 3
+	kwBinaryEnd  = 7
+	kwClauseEnd  = 14
+)
+
+// maxKeywordLen is the length of the longest reserved word
+// (AUTO_INCREMENT, with room to spare): a longer word is an identifier
+// without a lookup, and a shorter one is upper-cased into a stack buffer
+// of this size.
+const maxKeywordLen = 16
+
+// keywords maps a reserved word's canonical spelling to its index in
+// keywordNames.
+var keywords = func() map[string]uint8 {
+	m := make(map[string]uint8, len(keywordNames))
+	for i, kw := range keywordNames {
+		m[kw] = uint8(i)
+	}
+	return m
+}()
 
 // operatorStarts lists the runes that can begin an operator token.
 const operatorStarts = "=<>!+-*/%&|^~"
