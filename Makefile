@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race chaos cover cover-gate vuln bench bench-hook bench-engine bench-overload bench-record demo fig5 accuracy sweep parallel fuzz obs-demo clean
+.PHONY: all build vet test race chaos cover cover-gate vuln bench bench-overload bench-record demo fig5 accuracy sweep fuzz obs-demo clean
 
 all: build vet test race
 
@@ -75,20 +75,15 @@ fuzz:
 	$(GO) test ./internal/wal/ -fuzz=FuzzWALRecover -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/repl/ -fuzz=FuzzReplFrameDecode -fuzztime=$(FUZZTIME)
 
+# The ablations of DESIGN.md §3 (root bench_test.go) and the packages'
+# own micro-benchmarks. Per-request and per-layer numbers of the shipped
+# stack are bench/'s: go run -C bench . [--workload NAME]
 # COUNT > 1 gives benchstat-comparable samples, e.g.:
-#   make bench-hook COUNT=10 > new.txt && benchstat old.txt new.txt
+#   make bench COUNT=10 > new.txt && benchstat old.txt new.txt
 COUNT ?= 1
 
 bench:
 	$(GO) test -bench=. -benchmem -count=$(COUNT) ./...
-
-# The verdict-cache hot path: cached hit vs full miss vs churn.
-bench-hook:
-	$(GO) test -run='^$$' -bench='BenchmarkHook|BenchmarkDetectionPlacement' -benchmem -count=$(COUNT) .
-
-# The engine execution path (parse cache + lock plan + executor).
-bench-engine:
-	$(GO) test -run='^$$' -bench='BenchmarkEngineExec|BenchmarkParse|BenchmarkQSBuild' -benchmem -count=$(COUNT) .
 
 # Overload sweep: drive the shipped server (internal/server) at 1×/2×/4×
 # of its execution capacity and print shed rate plus admitted p50/p99 per
@@ -98,10 +93,10 @@ bench-engine:
 bench-overload:
 	$(GO) run ./cmd/septic-bench overload
 
-# Record the durability ablation into BENCH_durability.json and the
-# overload sweep into BENCH_overload.json; commit the files to refresh
-# the recorded numbers. The wire protocol's numbers are bench/'s:
-#   go run -C bench . --workload wire_hit|app_replay
+# Record the overload sweep into BENCH_overload.json; commit the file to
+# refresh the recorded numbers. A training update's cost under the WAL is
+# bench/'s (go run -C bench . --workload train_wal), the per-policy table
+# `septic-bench durability`.
 bench-record:
 	bash scripts/bench-record.sh
 
@@ -117,9 +112,6 @@ accuracy:
 
 sweep:
 	$(GO) run ./cmd/septic-bench sweep -loops 4
-
-parallel:
-	$(GO) run ./cmd/septic-bench parallel
 
 # Live observability tour: septicd with -obs-addr, the Address Book
 # workload plus one attack per detector replayed over the wire, then

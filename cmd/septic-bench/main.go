@@ -10,10 +10,6 @@
 //	septic-bench sweep     — extra scalability sweep: overhead vs number
 //	                         of concurrent browsers (the shape of the
 //	                         paper's 1→20-browser ramp).
-//	septic-bench parallel  — parallel replay: aggregate throughput as
-//	                         client machines are added (1→8), baseline
-//	                         vs the YY configuration, demonstrating the
-//	                         contention-free hot path under load.
 //	septic-bench table1    — Table I regenerated behaviourally: which
 //	                         actions each operation mode takes.
 //	septic-bench durability — crash-safety overhead: per-update training
@@ -35,10 +31,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"sort"
 	"time"
 
@@ -50,6 +46,10 @@ import (
 	"github.com/septic-db/septic/internal/repllab"
 	"github.com/septic-db/septic/internal/waf"
 )
+
+// usage lists every subcommand; TestToolingNamesWhatExists holds the
+// Makefile, CI and scripts to it.
+const usage = "usage: septic-bench table1|fig5|accuracy|sweep|durability|overload|repl [flags]"
 
 func main() {
 	if err := run(); err != nil {
@@ -75,15 +75,6 @@ func run() error {
 	sweepFlags := flag.NewFlagSet("sweep", flag.ExitOnError)
 	sweepLoops := sweepFlags.Int("loops", 3, "workload replays per browser")
 
-	parFlags := flag.NewFlagSet("parallel", flag.ExitOnError)
-	parBrowsers := parFlags.Int("browsers", 2, "browsers per machine")
-	parLoops := parFlags.Int("loops", 20, "workload replays per browser")
-	parMax := parFlags.Int("maxmachines", 8, "largest machine count (doubling from 1)")
-	parDomains := parFlags.Int("domains", 0,
-		"replay N applications concurrently, each behind its own protection domain, and report per-domain hit-rate and blocked counts (0 = single-app scaling run)")
-	parObs := parFlags.Bool("obs", false,
-		"instrument the replayed deployments and print the pipeline stage-latency percentiles")
-
 	accFlags := flag.NewFlagSet("accuracy", flag.ExitOnError)
 	paranoia := accFlags.Int("paranoia", 1, "WAF paranoia level (1 or 2)")
 
@@ -104,7 +95,7 @@ func run() error {
 	replLoops := replFlags.Int("loops", 200, "Address Book workload replays on the replica while the stream applies")
 
 	if len(os.Args) < 2 {
-		return fmt.Errorf("usage: septic-bench fig5|accuracy|sweep|parallel|table1|durability|overload|repl [flags]")
+		return errors.New(usage)
 	}
 	switch os.Args[1] {
 	case "table1":
@@ -138,23 +129,6 @@ func run() error {
 			return err
 		}
 		return runSweep(*sweepLoops)
-	case "parallel":
-		if err := parFlags.Parse(os.Args[2:]); err != nil {
-			return err
-		}
-		var hub *obs.Hub
-		if *parObs {
-			hub = obs.NewHub()
-		}
-		if *parDomains > 0 {
-			if err := runDomains(*parDomains, *parBrowsers, *parLoops, *parMax, hub); err != nil {
-				return err
-			}
-		} else if err := runParallel(*parBrowsers, *parLoops, *parMax, hub); err != nil {
-			return err
-		}
-		printStageTable(hub)
-		return nil
 	case "durability":
 		if err := durFlags.Parse(os.Args[2:]); err != nil {
 			return err
@@ -171,7 +145,7 @@ func run() error {
 		}
 		return runRepl(*replUpdates, *replLoops)
 	default:
-		return fmt.Errorf("unknown subcommand %q", os.Args[1])
+		return fmt.Errorf("unknown subcommand %q\n%s", os.Args[1], usage)
 	}
 }
 
@@ -286,87 +260,6 @@ func printStageTable(hub *obs.Hub) {
 			time.Duration(h.P50NS), time.Duration(h.P95NS),
 			time.Duration(h.P99NS), time.Duration(h.MaxNS))
 	}
-}
-
-// runParallel replays the largest workload from a growing number of
-// client machines and reports aggregate throughput, baseline vs YY. On
-// a multi-core host both series should scale with machines until cores
-// saturate; the YY/base ratio staying flat shows SEPTIC adds no
-// contention of its own.
-func runParallel(browsersPer, loops, maxMachines int, hub *obs.Hub) error {
-	if browsersPer < 1 || loops < 1 || maxMachines < 1 {
-		return fmt.Errorf("parallel: -browsers, -loops and -maxmachines must all be >= 1")
-	}
-	spec := benchlab.PaperSpecs()[2] // ZeroCMS: the largest workload
-	fmt.Printf("parallel replay — %s workload, %d browsers/machine, %d loops (GOMAXPROCS=%d)\n\n",
-		spec.Name, browsersPer, loops, runtime.GOMAXPROCS(0))
-	fmt.Printf("%10s %14s %14s %10s %10s\n", "machines", "base req/s", "YY req/s", "YY/base", "cache hit")
-	for n := 1; n <= maxMachines; n *= 2 {
-		p := benchlab.Params{Machines: n, BrowsersPerMachine: browsersPer, Loops: loops,
-			WebTierWork: benchlab.DefaultWebTierWork, Obs: hub}
-		base, err := benchlab.RunParallel(spec, benchlab.ConfigBaseline, p)
-		if err != nil {
-			return err
-		}
-		yy, err := benchlab.RunParallel(spec, benchlab.ConfigYY, p)
-		if err != nil {
-			return err
-		}
-		if base.Errors > 0 || yy.Errors > 0 {
-			return fmt.Errorf("machines=%d: %d/%d request errors", n, base.Errors, yy.Errors)
-		}
-		fmt.Printf("%10d %14.0f %14.0f %9.2f%% %9.1f%%\n",
-			n, base.PerSecond(), yy.PerSecond(), 100*yy.PerSecond()/base.PerSecond(),
-			100*yy.CacheHitRate())
-	}
-	return nil
-}
-
-// runDomains replays n applications concurrently against ONE server,
-// each behind its own protection domain, and prints the per-domain
-// ledger: requests, cache hit-rate, queries seen, attacks blocked and
-// models learned never cross domains, which makes the isolation claim
-// of the multi-tenant deployment measurable.
-func runDomains(n, browsersPer, loops, machines int, hub *obs.Hub) error {
-	if browsersPer < 1 || loops < 1 || machines < 1 {
-		return fmt.Errorf("parallel: -browsers, -loops and -maxmachines must all be >= 1")
-	}
-	specs := append(benchlab.PaperSpecs(), benchlab.WaspMonSpec())
-	if n > len(specs) {
-		return fmt.Errorf("parallel: -domains %d exceeds the %d available applications", n, len(specs))
-	}
-	specs = specs[:n]
-	p := benchlab.Params{Machines: machines, BrowsersPerMachine: browsersPer, Loops: loops,
-		WebTierWork: benchlab.DefaultWebTierWork, Obs: hub}
-	fmt.Printf("multi-domain replay — %d applications on one server, %d browsers each, %d loops (GOMAXPROCS=%d)\n\n",
-		n, machines*browsersPer, loops, runtime.GOMAXPROCS(0))
-	res, err := benchlab.RunDomains(specs, p)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("%-14s %-10s %10s %8s %10s %10s %10s %8s\n",
-		"app", "domain", "requests", "errors", "cache hit", "seen", "blocked", "models")
-	for _, d := range res.Domains {
-		fmt.Printf("%-14s %-10s %10d %8d %9.1f%% %10d %10d %8d\n",
-			d.App, d.Domain, d.Requests, d.Errors, 100*d.CacheHitRate(),
-			d.Stats.QueriesSeen, d.Stats.AttacksBlocked, d.Models)
-	}
-	agg := res.Domains[0].Stats
-	for _, d := range res.Domains[1:] {
-		agg = aggStats(agg, d.Stats)
-	}
-	fmt.Printf("\n%d domains, %v elapsed, %d queries total; blocked counts stay per-domain (benign replay: all 0)\n",
-		n, res.Elapsed.Round(time.Millisecond), agg.QueriesSeen)
-	return nil
-}
-
-// aggStats sums two per-domain snapshots for the closing total line.
-func aggStats(a, b core.Stats) core.Stats {
-	a.QueriesSeen += b.QueriesSeen
-	a.AttacksFound += b.AttacksFound
-	a.AttacksBlocked += b.AttacksBlocked
-	a.ModelsLearned += b.ModelsLearned
-	return a
 }
 
 func runSweep(loops int) error {

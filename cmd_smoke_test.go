@@ -4,9 +4,11 @@ import (
 	"bufio"
 	"bytes"
 	"fmt"
+	"os"
 	"os/exec"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"syscall"
 	"testing"
@@ -70,6 +72,69 @@ func TestSepticBenchFig5CommandTiny(t *testing.T) {
 	for _, want := range []string{"Fig. 5", "Address Book", "refbase", "ZeroCMS", "NN", "YY"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("fig5 output missing %q:\n%s", want, out)
+		}
+	}
+}
+
+// septicBenchSubcommands asks septic-bench for a lane it does not have —
+// the parallel replay, deleted once bench/ reported its figures — and
+// returns the subcommands the usage text lists: the command must exit
+// non-zero and say what it does know.
+func septicBenchSubcommands(t *testing.T) []string {
+	t.Helper()
+	out, err := exec.Command("go", "run", "./cmd/septic-bench", "parallel").CombinedOutput()
+	if err == nil {
+		t.Fatalf("septic-bench parallel exited 0:\n%s", out)
+	}
+	m := regexp.MustCompile(`usage: septic-bench (\S+) \[flags\]`).FindSubmatch(out)
+	if m == nil {
+		t.Fatalf("septic-bench parallel printed no usage text:\n%s", out)
+	}
+	return strings.Split(string(m[1]), "|")
+}
+
+func TestSepticBenchUnknownSubcommandPrintsUsage(t *testing.T) {
+	if testing.Short() {
+		t.Skip("skipping command smoke test in -short mode")
+	}
+	got := septicBenchSubcommands(t)
+	want := []string{"table1", "fig5", "accuracy", "sweep", "durability", "overload", "repl"}
+	if !slices.Equal(got, want) {
+		t.Errorf("usage lists %v, want exactly %v", got, want)
+	}
+}
+
+// TestToolingNamesWhatExists reads the Makefile, the CI workflow and the
+// scripts they call: every Benchmark name they select and every
+// septic-bench subcommand they run must be one `go test -list` or the
+// command's usage still knows, so a deletion cannot leave a target that
+// silently runs nothing.
+func TestToolingNamesWhatExists(t *testing.T) {
+	if testing.Short() {
+		t.Skip("skipping command smoke test in -short mode")
+	}
+	benchmarks := "\n" + runCommand(t, "test", "-list", "^Benchmark", "./...")
+	subcommands := septicBenchSubcommands(t)
+	files, err := filepath.Glob("scripts/*.sh")
+	if err != nil {
+		t.Fatal(err)
+	}
+	benchName := regexp.MustCompile(`Benchmark[A-Z]\w*`)
+	benchLane := regexp.MustCompile(`septic-bench (\w+)`)
+	for _, file := range append(files, "Makefile", ".github/workflows/ci.yml") {
+		text, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range benchName.FindAllString(string(text), -1) {
+			if !strings.Contains(benchmarks, "\n"+name) {
+				t.Errorf("%s selects %s: no benchmark of that name is left", file, name)
+			}
+		}
+		for _, m := range benchLane.FindAllStringSubmatch(string(text), -1) {
+			if !slices.Contains(subcommands, m[1]) {
+				t.Errorf("%s runs septic-bench %s: the command knows only %v", file, m[1], subcommands)
+			}
 		}
 	}
 }

@@ -21,7 +21,6 @@ import (
 	"net/url"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/septic-db/septic/internal/core"
@@ -225,8 +224,8 @@ var webTierSink byte
 
 // deploy builds one application deployment for the given configuration:
 // schema applied, SEPTIC trained (when installed) and switched to the
-// measured configuration. The returned guard is nil for the baseline.
-func deploy(spec AppSpec, cfg SepticConfig, hub *obs.Hub) (*webapp.App, *core.Septic, error) {
+// measured configuration.
+func deploy(spec AppSpec, cfg SepticConfig, hub *obs.Hub) (*webapp.App, error) {
 	var (
 		db    *engine.DB
 		guard *core.Septic
@@ -247,7 +246,7 @@ func deploy(spec AppSpec, cfg SepticConfig, hub *obs.Hub) (*webapp.App, *core.Se
 	}
 	for _, q := range spec.Schema {
 		if _, err := db.Exec(q); err != nil {
-			return nil, nil, fmt.Errorf("schema: %w", err)
+			return nil, fmt.Errorf("schema: %w", err)
 		}
 	}
 	app := spec.Build(db)
@@ -255,20 +254,20 @@ func deploy(spec AppSpec, cfg SepticConfig, hub *obs.Hub) (*webapp.App, *core.Se
 	// sides measure a populated database).
 	for _, req := range spec.Training {
 		if resp := app.Serve(req.Clone()); resp.Status != 200 {
-			return nil, nil, fmt.Errorf("training %s: %v", req, resp.Err)
+			return nil, fmt.Errorf("training %s: %v", req, resp.Err)
 		}
 	}
 	if guard != nil {
 		guard.SetConfig(coreConfig(cfg))
 	}
-	return app, guard, nil
+	return app, nil
 }
 
 // Run measures one application under one configuration: it builds a
 // fresh deployment, trains SEPTIC (when installed), then replays the
 // workload from Machines×BrowsersPerMachine concurrent browsers.
 func Run(spec AppSpec, cfg SepticConfig, p Params) (*Sample, error) {
-	app, _, err := deploy(spec, cfg, p.Obs)
+	app, err := deploy(spec, cfg, p.Obs)
 	if err != nil {
 		return nil, err
 	}
@@ -334,81 +333,6 @@ func Run(spec AppSpec, cfg SepticConfig, p Params) (*Sample, error) {
 	}
 	wg.Wait()
 	return sample, nil
-}
-
-// Throughput is the result of one parallel replay: aggregate requests
-// over wall-clock time, the load-test view of the Fig. 5 deployment.
-type Throughput struct {
-	Config   SepticConfig
-	Machines int
-	Browsers int
-	Requests int
-	Errors   int
-	Elapsed  time.Duration
-	// Cache reports SEPTIC's verdict-cache counters for the replay
-	// (zero-valued for the baseline, which has no guard installed).
-	Cache core.CacheStats
-}
-
-// CacheHitRate returns the fraction of verdict-cache lookups served from
-// cache, in [0,1]; 0 when no lookups happened.
-func (t *Throughput) CacheHitRate() float64 {
-	total := t.Cache.Hits + t.Cache.Misses
-	if total == 0 {
-		return 0
-	}
-	return float64(t.Cache.Hits) / float64(total)
-}
-
-// PerSecond returns the aggregate request rate.
-func (t *Throughput) PerSecond() float64 {
-	if t.Elapsed <= 0 {
-		return 0
-	}
-	return float64(t.Requests) / t.Elapsed.Seconds()
-}
-
-// RunParallel is the parallel replay mode: K = Machines client machines,
-// each running BrowsersPerMachine browser goroutines, replay the
-// workload concurrently against one deployment, and the aggregate
-// throughput is measured. Where Run answers Fig. 5's latency-overhead
-// question, RunParallel answers the scaling question behind it: does the
-// SEPTIC-enabled server keep serving as client machines are added? With
-// the contention-free hot path, throughput should grow with machines
-// until the host's cores saturate.
-func RunParallel(spec AppSpec, cfg SepticConfig, p Params) (*Throughput, error) {
-	app, guard, err := deploy(spec, cfg, p.Obs)
-	if err != nil {
-		return nil, err
-	}
-	browsers := p.Machines * p.BrowsersPerMachine
-	out := &Throughput{Config: cfg, Machines: p.Machines, Browsers: browsers}
-	var errs atomic.Int64
-	var wg sync.WaitGroup
-	start := time.Now()
-	for b := 0; b < browsers; b++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for loop := 0; loop < p.Loops; loop++ {
-				for _, req := range spec.Workload {
-					resp := app.Serve(req.Clone())
-					webTier(resp.Body, p.WebTierWork)
-					if resp.Status != 200 {
-						errs.Add(1)
-					}
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	out.Elapsed = time.Since(start)
-	out.Requests = browsers * p.Loops * len(spec.Workload)
-	out.Errors = int(errs.Load())
-	if guard != nil {
-		out.Cache = guard.CacheStats()
-	}
-	return out, nil
 }
 
 // Overhead is one Fig. 5 data point: a configuration's mean latency

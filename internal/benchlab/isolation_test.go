@@ -10,42 +10,6 @@ import (
 	"github.com/septic-db/septic/internal/engine"
 )
 
-// TestRunDomainsIsolatedStores replays every paper application
-// concurrently against ONE server, each behind its own protection
-// domain, and checks the isolation ledger: every domain learned its own
-// models, every learned identifier carries the domain's own prefix, and
-// nothing was blocked (the workloads are benign and trained).
-func TestRunDomainsIsolatedStores(t *testing.T) {
-	specs := append(PaperSpecs(), WaspMonSpec())
-	p := Params{Machines: 1, BrowsersPerMachine: 2, Loops: 2}
-	res, err := RunDomains(specs, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Domains) != len(specs) {
-		t.Fatalf("domains = %d, want %d", len(res.Domains), len(specs))
-	}
-	for i, d := range res.Domains {
-		spec := specs[i]
-		wantReqs := 2 * p.Loops * len(spec.Workload)
-		if d.Requests != wantReqs {
-			t.Errorf("%s: requests = %d, want %d", d.App, d.Requests, wantReqs)
-		}
-		if d.Errors != 0 {
-			t.Errorf("%s: %d request errors", d.App, d.Errors)
-		}
-		if d.Models == 0 {
-			t.Errorf("%s: no models learned in its domain", d.App)
-		}
-		if d.Stats.AttacksBlocked != 0 {
-			t.Errorf("%s: %d benign requests blocked", d.App, d.Stats.AttacksBlocked)
-		}
-		if d.Stats.QueriesSeen == 0 {
-			t.Errorf("%s: domain saw no queries", d.App)
-		}
-	}
-}
-
 // TestDomainIsolationConcurrentReplay is the acceptance scenario of the
 // protection-domain refactor: one SEPTIC, one DBMS, two applications —
 // Address Book still in ModeTraining (learning on every request) while
@@ -133,6 +97,10 @@ func TestDomainIsolationConcurrentReplay(t *testing.T) {
 		if resp := bApp.Serve(req.Clone()); resp.Status != 200 {
 			t.Errorf("benign %s failed under prevention: %v", req, resp.Err)
 		}
+	}
+	if st := bDom.Stats(); st.QueriesSeen == 0 || st.AttacksFound != 0 {
+		t.Errorf("B after its benign replay: %d queries seen, %d attacks found; want its own queries counted and none flagged",
+			st.QueriesSeen, st.AttacksFound)
 	}
 	// ... and the Fig. 2–4 corpus must be blocked, every case, while A's
 	// training churns in the background.

@@ -37,7 +37,7 @@ func PaperSpecs() []AppSpec {
 }
 
 // WaspMonSpec returns the §III scenario application as a harness spec
-// (used by the extra scalability sweeps).
+// (bench/ replays it beside the three, as the fourth domain).
 func WaspMonSpec() AppSpec {
 	return AppSpec{
 		Name:     "WaspMon",

@@ -352,11 +352,11 @@ func (s *Septic) applyRecord(data []byte) (rec walRecord, ok bool) {
 		if rec.Model == nil || rec.Model.Fingerprint() != rec.Sum {
 			return rec, false
 		}
-		d.store.replayPut(rec.ID, *rec.Model, rec.Inc)
+		d.store.put(rec.ID, *rec.Model, rec.Inc, true)
 	case opDelete:
-		d.store.replayDelete(rec.ID)
+		d.store.remove(rec.ID, true)
 	case opApprove:
-		d.store.replayApprove(rec.ID)
+		d.store.approve(rec.ID, true)
 	case opLegacyConfig:
 	default:
 		return rec, false

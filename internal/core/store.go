@@ -71,9 +71,8 @@ type Store struct {
 
 	// readOnly refuses local mutations (Put/Delete/Approve) while the
 	// store is fed by a replication stream: on a replica the only writer
-	// is the applier (ReplicaState), which goes through the replay*
-	// methods and is exempt. Cleared by ReplicaState.Promote on
-	// failover.
+	// is the applier (ReplicaState), which applies records as replays
+	// and is exempt. Cleared by ReplicaState.Promote on failover.
 	readOnly atomic.Bool
 }
 
@@ -205,7 +204,17 @@ func (s *Store) getSet(id string) (ModelView, *modelSet, bool) {
 // updates that were never acknowledged. The retry is free — the next
 // occurrence of the same query learns it again.
 func (s *Store) Put(id string, m qstruct.Model, incremental bool) bool {
-	if s.readOnly.Load() {
+	return s.put(id, m, incremental, false)
+}
+
+// put is the one body of a put. A local caller (Put) passes replay
+// false; applyRecord — a record recovered from the local log or received
+// from the primary — passes true and skips exactly what a logged record
+// has behind it: the read-only gate and the sink append. Deduplication
+// applies to both, which is what makes replay over a checkpoint that may
+// already contain the record idempotent.
+func (s *Store) put(id string, m qstruct.Model, incremental, replay bool) bool {
+	if !replay && s.readOnly.Load() {
 		return false
 	}
 	fp := m.Fingerprint()
@@ -220,7 +229,7 @@ func (s *Store) Put(id string, m qstruct.Model, incremental bool) bool {
 			}
 		}
 	}
-	if s.sink != nil {
+	if !replay && s.sink != nil {
 		if err := s.sink(&walRecord{Op: opPut, ID: id, Model: &m, Sum: fp, Inc: incremental}); err != nil {
 			return false
 		}
@@ -229,13 +238,6 @@ func (s *Store) Put(id string, m qstruct.Model, incremental bool) bool {
 		set = &modelSet{incremental: incremental}
 		sh.models[id] = set
 	}
-	s.publish(set, m, incremental)
-	return true
-}
-
-// publish appends m to set copy-on-write and bumps the store
-// generation. Caller holds the shard lock and has already deduplicated.
-func (s *Store) publish(set *modelSet, m qstruct.Model, incremental bool) {
 	// Copy-on-write: publish a new slice so concurrent readers keep a
 	// consistent view of the one they already fetched.
 	next := make([]qstruct.Model, len(set.models)+1)
@@ -249,29 +251,7 @@ func (s *Store) publish(set *modelSet, m qstruct.Model, incremental bool) {
 	// against the pre-bump generation is invalidated, and any reader that
 	// already sees the new generation also sees the new model slice.
 	s.gen.Add(1)
-}
-
-// replayPut applies a recovered put record: Put minus the sink (the
-// record is already in the log) and minus the boot-time event noise.
-// Deduplication still applies, which is what makes replay over a
-// checkpoint that may already contain the record idempotent.
-func (s *Store) replayPut(id string, m qstruct.Model, incremental bool) {
-	fp := m.Fingerprint()
-	sh := s.shard(id)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	set, ok := sh.models[id]
-	if ok {
-		for _, existing := range set.models {
-			if existing.Fingerprint() == fp {
-				return
-			}
-		}
-	} else {
-		set = &modelSet{incremental: incremental}
-		sh.models[id] = set
-	}
-	s.publish(set, m, incremental)
+	return true
 }
 
 // Delete removes every model learned for id (administrator review
@@ -281,8 +261,12 @@ func (s *Store) replayPut(id string, m qstruct.Model, incremental bool) {
 // choice — the worst a crash can do is resurrect the identifier, which
 // the pending-review list resurfaces. The failure is still counted and
 // logged by the persistence layer.
-func (s *Store) Delete(id string) {
-	if s.readOnly.Load() {
+func (s *Store) Delete(id string) { s.remove(id, false) }
+
+// remove is the one body of a delete; replay as for put, and a replayed
+// delete records no event (boot-time noise).
+func (s *Store) remove(id string, replay bool) {
+	if !replay && s.readOnly.Load() {
 		return
 	}
 	sh := s.shard(id)
@@ -291,32 +275,25 @@ func (s *Store) Delete(id string) {
 	if _, ok := sh.models[id]; !ok {
 		return
 	}
-	if s.sink != nil {
+	if !replay && s.sink != nil {
 		_ = s.sink(&walRecord{Op: opDelete, ID: id})
 	}
 	delete(sh.models, id)
 	s.gen.Add(1)
-	s.log.Log(Event{Kind: EventStoreChanged, Domain: s.domain, QueryID: id, Detail: "identifier deleted"})
-}
-
-// replayDelete applies a recovered delete record.
-func (s *Store) replayDelete(id string) {
-	sh := s.shard(id)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if _, ok := sh.models[id]; !ok {
-		return
+	if !replay {
+		s.log.Log(Event{Kind: EventStoreChanged, Domain: s.domain, QueryID: id, Detail: "identifier deleted"})
 	}
-	delete(sh.models, id)
-	s.gen.Add(1)
 }
 
 // Approve clears an identifier's incremental flag: the administrator
 // reviewed the query and deemed it benign. Like Delete, a failed
 // durability append is counted but does not refuse the approval (the
 // crash-worst-case is the identifier reappearing on the review list).
-func (s *Store) Approve(id string) bool {
-	if s.readOnly.Load() {
+func (s *Store) Approve(id string) bool { return s.approve(id, false) }
+
+// approve is the one body of an approval; replay as for remove.
+func (s *Store) approve(id string, replay bool) bool {
+	if !replay && s.readOnly.Load() {
 		return false
 	}
 	sh := s.shard(id)
@@ -326,22 +303,14 @@ func (s *Store) Approve(id string) bool {
 	if !ok {
 		return false
 	}
-	if s.sink != nil {
+	if !replay && s.sink != nil {
 		_ = s.sink(&walRecord{Op: opApprove, ID: id})
 	}
 	set.incremental = false
-	s.log.Log(Event{Kind: EventStoreChanged, Domain: s.domain, QueryID: id, Detail: "identifier approved"})
-	return true
-}
-
-// replayApprove applies a recovered approve record.
-func (s *Store) replayApprove(id string) {
-	sh := s.shard(id)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if set, ok := sh.models[id]; ok {
-		set.incremental = false
+	if !replay {
+		s.log.Log(Event{Kind: EventStoreChanged, Domain: s.domain, QueryID: id, Detail: "identifier approved"})
 	}
+	return true
 }
 
 // setSink installs the durability sink. Must be called before the store

@@ -1,7 +1,6 @@
 package qstruct
 
 import (
-	"io"
 	"strings"
 
 	"github.com/septic-db/septic/internal/sqlparser"
@@ -21,9 +20,9 @@ import (
 // model. Hashing only the skeleton guarantees the attacked query finds
 // the victim query's model and fails the comparison instead.
 func Skeleton(stmt sqlparser.Statement) string {
-	var b strings.Builder
-	writeSkeleton(&b, stmt)
-	return b.String()
+	w := skeletonWriter{text: new(strings.Builder)}
+	w.statement(stmt)
+	return w.text.String()
 }
 
 // SkeletonHash returns the FNV-1a hash of the statement's skeleton,
@@ -33,9 +32,9 @@ func Skeleton(stmt sqlparser.Statement) string {
 // persisted model stores) are stable across the two paths — but the hot
 // path allocates nothing.
 func SkeletonHash(stmt sqlparser.Statement) uint64 {
-	h := skeletonHasher(fnv64Offset)
-	writeSkeleton(&h, stmt)
-	return uint64(h)
+	w := skeletonWriter{hash: fnv64Offset}
+	w.statement(stmt)
+	return w.hash
 }
 
 // FNV-1a 64-bit parameters, matching hash/fnv.
@@ -44,26 +43,25 @@ const (
 	fnv64Prime  = 1099511628211
 )
 
-// skeletonHasher is an io.StringWriter adapter over the raw FNV-1a state:
-// writeSkeleton streams skeleton fragments into it and the hash updates
-// in place, with no buffer and no heap allocation.
-type skeletonHasher uint64
-
-// WriteString implements io.StringWriter over the FNV-1a state.
-func (h *skeletonHasher) WriteString(s string) (int, error) {
-	v := uint64(*h)
-	for i := 0; i < len(s); i++ {
-		v ^= uint64(s[i])
-		v *= fnv64Prime
-	}
-	*h = skeletonHasher(v)
-	return len(s), nil
+// skeletonWriter receives the skeleton's fragments: it folds them into
+// the FNV-1a state and, when there is a text, appends them to it. One
+// concrete type, so the hashing caller's writer stays on its stack.
+type skeletonWriter struct {
+	text *strings.Builder
+	hash uint64
 }
 
-// writeSkeleton streams the skeleton to any string writer. It is generic
-// (instantiated for *strings.Builder and *skeletonHasher) so the hashing
-// path avoids an interface conversion and keeps the hasher off the heap.
-func writeSkeleton[W io.StringWriter](b W, stmt sqlparser.Statement) {
+func (b *skeletonWriter) WriteString(s string) {
+	if b.text != nil {
+		b.text.WriteString(s)
+	}
+	for i := 0; i < len(s); i++ {
+		b.hash = (b.hash ^ uint64(s[i])) * fnv64Prime
+	}
+}
+
+// statement streams stmt's skeleton into the writer.
+func (b *skeletonWriter) statement(stmt sqlparser.Statement) {
 	switch s := stmt.(type) {
 	case *sqlparser.SelectStmt:
 		b.WriteString("SELECT|")
@@ -128,6 +126,6 @@ func writeSkeleton[W io.StringWriter](b W, stmt sqlparser.Statement) {
 		b.WriteString(s.Table)
 	case *sqlparser.ExplainStmt:
 		b.WriteString("EXPLAIN|")
-		writeSkeleton(b, s.Select)
+		b.statement(s.Select)
 	}
 }

@@ -4,8 +4,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"net"
+	"os"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -118,6 +121,94 @@ func TestSlowLorisHalfFrameDisconnectedByReadTimeout(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed > 2*time.Second {
 		t.Fatalf("half-frame disconnect took %v, want ~100ms", elapsed)
+	}
+}
+
+// TestStalledReaderCutOffByWriteTimeout: a client that sends and never
+// reads parks its serving goroutine in conn.Write, where neither the idle
+// deadline (read side) nor the query timeout (engine) fires. The write
+// deadline closes the connection and frees its -max-conns slot, on both
+// framings; NewServer arms it unasked.
+func TestStalledReaderCutOffByWriteTimeout(t *testing.T) {
+	if got := NewServer(engine.New()).writeTimeout; got != DefaultWriteTimeout {
+		t.Errorf("NewServer(db) write timeout = %v, want DefaultWriteTimeout (%v)", got, DefaultWriteTimeout)
+	}
+	const query = "SELECT id, s FROM t"
+	for _, pipelined := range []bool{false, true} {
+		t.Run(fmt.Sprintf("pipelined=%v", pipelined), func(t *testing.T) {
+			snapshotGoroutines(t)
+			addr, _, db := startServerOpts(t, core.Config{Mode: core.ModeTraining},
+				WithMaxConns(1), WithAcceptBacklog(0, 0),
+				WithIdleTimeout(200*time.Millisecond), WithWriteTimeout(200*time.Millisecond))
+			if _, err := db.Exec("CREATE TABLE t (id INT PRIMARY KEY AUTO_INCREMENT, s TEXT)"); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 400; i++ {
+				if _, err := db.Exec("INSERT INTO t (s) VALUES ('" + strings.Repeat("x", 200) + "')"); err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			// The stalled client: 84 kB of answer per request, none read.
+			// One exchange first — the handshake, or a point read — so it
+			// is the admitted session when the second client arrives.
+			conn := rawDial(t, addr)
+			first := &Request{Query: "SELECT id FROM t WHERE id = 1"}
+			if pipelined {
+				first = &Request{Hello: &Hello{Version: HelloVersion}}
+			}
+			if err := WriteJSONFrame(conn, first); err != nil {
+				t.Fatal(err)
+			}
+			var resp Response
+			if err := ReadJSONFrame(conn, &resp); err != nil || resp.Error != "" {
+				t.Fatalf("first exchange: %v %q", err, resp.Error)
+			}
+			sent := make(chan struct{})
+			go func() {
+				defer close(sent)
+				var frame []byte
+				for seq := uint64(1); seq <= 2000; seq++ {
+					var err error
+					if pipelined {
+						frame, err = appendRequestFrame(frame[:0], seq, &Request{Query: query})
+					} else {
+						frame, err = jsonFrame(&Request{Query: query})
+					}
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					if _, err := conn.Write(frame); err != nil {
+						return // the server hung up
+					}
+				}
+			}()
+
+			// Its slot comes back: a second client is served.
+			deadline := time.Now().Add(10 * time.Second)
+			for {
+				c, err := Dial(addr)
+				if err == nil {
+					_, err = c.Exec("SELECT id FROM t WHERE id = 1")
+					c.Close()
+					if err == nil {
+						break
+					}
+				}
+				if time.Now().After(deadline) {
+					t.Fatalf("slot still held by the stalled reader: %v", err)
+				}
+				time.Sleep(20 * time.Millisecond)
+			}
+			// And the stalled connection is closed: what the kernel had
+			// buffered drains to EOF or a reset, not to a live session.
+			_ = conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+			if _, err := io.Copy(io.Discard, conn); errors.Is(err, os.ErrDeadlineExceeded) {
+				t.Error("stalled connection still open after the write timeout")
+			}
+			<-sent
+		})
 	}
 }
 

@@ -31,6 +31,9 @@ const (
 	DefaultQueryTimeout = 30 * time.Second
 	// DefaultIdleTimeout disconnects a session that sends nothing.
 	DefaultIdleTimeout = 5 * time.Minute
+	// DefaultWriteTimeout disconnects a client that stops reading its
+	// answers, so a stalled reader cannot hold a connection slot.
+	DefaultWriteTimeout = 30 * time.Second
 	// DefaultPipelineWorkers is the per-session worker pool size.
 	DefaultPipelineWorkers = 4
 	// DefaultMaxInFlight bounds requests inside the server for one
@@ -44,9 +47,10 @@ const (
 //
 // NewServer(db) with no options is the server septicd ships: the
 // Default* limits above — an idle deadline, a per-query execution
-// timeout, a max-connections admission gate with a bounded backlog —
-// and graceful drain via Shutdown; an option set to zero turns its
-// limit off, and read/write deadlines are opt-in. Every query is
+// timeout, a write deadline on every answer, a max-connections admission
+// gate with a bounded backlog — and graceful drain via Shutdown; an
+// option set to zero turns its limit off, and the torn-frame read
+// deadline is opt-in. Every query is
 // panic-contained — a crash in the engine or a hook that escapes the
 // guard's own containment is converted into an error response for that
 // query, never a server crash.
@@ -159,7 +163,8 @@ func WithReadTimeout(d time.Duration) ServerOption {
 }
 
 // WithWriteTimeout bounds each response write; a client that stops
-// draining its receive window cannot wedge the serving goroutine.
+// draining its receive window cannot wedge the serving goroutine. The
+// default is DefaultWriteTimeout; zero turns the deadline off.
 func WithWriteTimeout(d time.Duration) ServerOption {
 	return func(s *Server) { s.writeTimeout = d }
 }
@@ -289,6 +294,7 @@ func NewServer(db *engine.DB, opts ...ServerOption) *Server {
 		done:         make(chan struct{}),
 		idleTimeout:  DefaultIdleTimeout,
 		queryTimeout: DefaultQueryTimeout,
+		writeTimeout: DefaultWriteTimeout,
 		maxConns:     DefaultMaxConns,
 		backlog:      -1, // "unset": defaulted from maxConns below
 		backlogWait:  time.Second,
