@@ -70,6 +70,7 @@ fuzz:
 	$(GO) test ./internal/qstruct/ -fuzz=FuzzSkeletonHash -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/core/ -fuzz=FuzzBeforeExecute -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/engine/ -fuzz=FuzzLikeMatch -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/txtcache/ -fuzz=FuzzCacheModel -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/wire/ -fuzz=FuzzBinaryDecode -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/wire/ -fuzz=FuzzJSONDecode -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/wal/ -fuzz=FuzzWALRecover -fuzztime=$(FUZZTIME)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"github.com/septic-db/septic/internal/engine"
@@ -224,5 +225,52 @@ func TestExecPointSelectAllocCeiling(t *testing.T) {
 	if allocs > execAllocCeiling {
 		t.Errorf("protected point SELECT allocates %.1f objects/op, want <= %d",
 			allocs, execAllocCeiling)
+	}
+}
+
+// TestExecColdTextFullCachesAllocCeiling is embed_miss in one unit: both
+// caches full, every text new. Such a text allocates 16 objects while the
+// caches have room — its parse, its plan, its result, and three for the
+// caches: an entry in each and the verdict. Full caches refuse it, so it
+// must cost exactly those three less; a change that inserts on refusal
+// again fails here before it reaches the benchmark.
+func TestExecColdTextFullCachesAllocCeiling(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("race instrumentation adds allocations")
+	}
+	const capacity = 16
+	sep := New(Config{Mode: ModeTraining}, WithVerdictCacheCapacity(capacity))
+	db := engine.New(engine.WithQueryHook(sep), engine.WithParseCacheCapacity(capacity))
+	for _, q := range []string{
+		"CREATE TABLE tickets (id INT PRIMARY KEY AUTO_INCREMENT, reservID TEXT, creditCard INT)",
+		"INSERT INTO tickets (reservID, creditCard) VALUES ('ID34FG', 1234)",
+		"SELECT * FROM tickets WHERE reservID = 'ID34FG' AND creditCard = 1234", // learn
+	} {
+		if _, err := db.Exec(q); err != nil {
+			t.Fatalf("setup %q: %v", q, err)
+		}
+	}
+	sep.SetConfig(DefaultConfig())
+	texts := make([]string, 1000)
+	for i := range texts {
+		texts[i] = fmt.Sprintf("SELECT * FROM tickets WHERE reservID = 'ID34FG' AND creditCard = %d", 5000+i)
+	}
+	next := 0
+	exec := func() {
+		if _, err := db.Exec(texts[next]); err != nil {
+			t.Fatalf("exec: %v", err)
+		}
+		next++
+	}
+	for next < 500 { // fill every shard of both caches
+		exec()
+	}
+	before := sep.CacheStats()
+	if allocs := testing.AllocsPerRun(400, exec); allocs > 13 {
+		t.Errorf("a never-seen text against full caches allocates %.1f objects/op, want <= 13", allocs)
+	}
+	after := sep.CacheStats()
+	if after.Refused-before.Refused != 401 || after.Evictions != 0 || after.Entries != capacity {
+		t.Fatalf("the guard measured the wrong path: %+v, then %+v", before, after)
 	}
 }

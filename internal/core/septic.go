@@ -253,6 +253,7 @@ func New(cfg Config, opts ...SepticOption) *Septic {
 		m.GaugeFunc("core.verdict_cache.hits", func() int64 { return s.CacheStats().Hits })
 		m.GaugeFunc("core.verdict_cache.misses", func() int64 { return s.CacheStats().Misses })
 		m.GaugeFunc("core.verdict_cache.evictions", func() int64 { return s.CacheStats().Evictions })
+		m.GaugeFunc("core.verdict_cache.refused", func() int64 { return s.CacheStats().Refused })
 		m.GaugeFunc("core.verdict_cache.invalidations", func() int64 { return s.CacheStats().Invalidations })
 	}
 	return s
@@ -499,14 +500,14 @@ func (s *Septic) runMiss(d *Domain, ctx *engine.HookContext, cfg Config,
 		}
 		// Unknown identifier with learning off: executes unchecked by
 		// design; memoize so repeats skip the ID recomputation.
-		d.verdicts.insert(ctx.Decoded, &verdict{id: id, cfgGen: cfgGen, storeGen: storeGen})
+		d.verdicts.insert(ctx.Decoded, verdict{id: id, cfgGen: cfgGen, storeGen: storeGen})
 		s.observeFull(obsStart)
 		return nil
 	}
 
 	if !cfg.DetectSQLI && !cfg.DetectStored {
 		// NN: nothing to check.
-		d.verdicts.insert(ctx.Decoded, &verdict{id: id, set: set, cfgGen: cfgGen, storeGen: storeGen})
+		d.verdicts.insert(ctx.Decoded, verdict{id: id, set: set, cfgGen: cfgGen, storeGen: storeGen})
 		s.observeFull(obsStart)
 		return nil
 	}
@@ -532,7 +533,7 @@ func (s *Septic) runMiss(d *Domain, ctx *engine.HookContext, cfg Config,
 	*sp = qs
 	stackPool.Put(sp)
 	s.checked(d, id, ctx.Decoded)
-	d.verdicts.insert(ctx.Decoded, &verdict{id: id, checked: true, set: set, cfgGen: cfgGen, storeGen: storeGen})
+	d.verdicts.insert(ctx.Decoded, verdict{id: id, checked: true, set: set, cfgGen: cfgGen, storeGen: storeGen})
 	s.observeFull(obsStart)
 	return nil
 }

@@ -65,6 +65,10 @@ type CacheStats struct {
 	Misses int64
 	// Evictions counts entries recycled by the capacity bound.
 	Evictions int64
+	// Refused counts texts a full cache declined to store at first sight;
+	// far above Hits it means a scan, or an application that inlines
+	// unique values into its query texts.
+	Refused int64
 	// Invalidations counts the subset of Misses caused by generation
 	// staleness (mode/config change or model-store mutation).
 	Invalidations int64
@@ -81,6 +85,7 @@ func (s *CacheStats) add(o CacheStats) {
 	s.Hits += o.Hits
 	s.Misses += o.Misses
 	s.Evictions += o.Evictions
+	s.Refused += o.Refused
 	s.Invalidations += o.Invalidations
 	s.Entries += o.Entries
 	s.Brownouts += o.Brownouts
@@ -117,9 +122,15 @@ func (c *verdictCache) lookup(text string, cfgGen, storeGen uint64) (*verdict, b
 // insert memoizes a benign verdict computed against the given generation
 // stamps. The stamps must have been read BEFORE the pipeline ran: if a
 // mutation landed mid-computation the current generation differs from
-// the stamp and the entry self-invalidates on its first lookup.
-func (c *verdictCache) insert(text string, v *verdict) {
-	c.cache.Put(text, v)
+// the stamp and the entry self-invalidates on its first lookup. The
+// verdict arrives by value and reaches the heap only once the cache
+// admits the text, so a never-repeating query allocates nothing here.
+func (c *verdictCache) insert(text string, v verdict) {
+	if c.cache.Admits(text) {
+		p := new(verdict)
+		*p = v
+		c.cache.Put(text, p)
+	}
 }
 
 // stats snapshots the counters. Hits from the underlying text cache
@@ -132,6 +143,7 @@ func (c *verdictCache) stats() CacheStats {
 		Hits:          s.Hits - inv,
 		Misses:        s.Misses + inv,
 		Evictions:     s.Evictions,
+		Refused:       s.Refused,
 		Invalidations: inv,
 		Entries:       s.Entries,
 	}

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"github.com/septic-db/septic/internal/engine"
+	"github.com/septic-db/septic/internal/obs"
 )
 
 // TestVerdictCacheServesRepeats: a byte-identical repeat of a checked
@@ -189,28 +190,55 @@ func TestDeleteInvalidatesVerdicts(t *testing.T) {
 	}
 }
 
-// TestVerdictCacheBounded: the cache never exceeds its capacity under a
-// flood of distinct texts, and evictions are accounted.
+// TestVerdictCacheBounded: under a flood of distinct texts the cache
+// fills and then refuses them — none evicts a resident — and a text that
+// does come back is stored at its second sighting for one eviction.
 func TestVerdictCacheBounded(t *testing.T) {
 	const capacity = 64
-	sep := New(DefaultConfig(), WithVerdictCacheCapacity(capacity))
-	db := engine.New(engine.WithQueryHook(sep), engine.WithParseCacheCapacity(capacity))
+	hub := obs.NewHub()
+	sep := New(DefaultConfig(), WithVerdictCacheCapacity(capacity), WithObserver(hub))
+	db := engine.New(engine.WithQueryHook(sep), engine.WithParseCacheCapacity(capacity), engine.WithObs(hub))
 	if _, err := db.Exec("CREATE TABLE t (id INT, v TEXT)"); err != nil {
 		t.Fatal(err)
 	}
 	sep.SetConfig(Config{Mode: ModePrevention, IncrementalLearning: false})
-	for i := 0; i < capacity*10; i++ {
-		q := fmt.Sprintf("SELECT v FROM t WHERE id = %d", i)
-		if _, err := db.Exec(q); err != nil {
+	exec := func(i int) {
+		t.Helper()
+		if _, err := db.Exec(fmt.Sprintf("SELECT v FROM t WHERE id = %d", i)); err != nil {
 			t.Fatalf("exec %d: %v", i, err)
 		}
 	}
-	cs := sep.CacheStats()
-	if cs.Entries > capacity {
-		t.Errorf("entries = %d, want <= %d", cs.Entries, capacity)
+	const flood = capacity * 100
+	for i := 0; i < flood; i++ {
+		exec(i)
 	}
-	if cs.Evictions == 0 {
-		t.Error("evictions = 0, want > 0 under flood")
+	cs := sep.CacheStats()
+	if cs.Entries != capacity {
+		t.Errorf("entries = %d, want the flood to fill all %d", cs.Entries, capacity)
+	}
+	if cs.Evictions != 0 {
+		t.Errorf("evictions = %d, want 0: one-shot texts must not displace residents", cs.Evictions)
+	}
+	if cs.Refused != int64(flood-cs.Entries) {
+		t.Errorf("refused = %d, want every text not stored (%d)", cs.Refused, flood-cs.Entries)
+	}
+	// The parse cache saw the same flood, one text (the CREATE) ahead.
+	gauges := hub.Metrics.Snapshot().Gauges
+	if got := gauges["core.verdict_cache.refused"]; got != cs.Refused {
+		t.Errorf("core.verdict_cache.refused = %d, want %d", got, cs.Refused)
+	}
+	if got := gauges["engine.parse_cache.refused"]; got != flood+1-capacity || gauges["engine.parse_cache.evictions"] != 0 {
+		t.Errorf("engine.parse_cache.refused = %d, evictions %d; want %d and 0",
+			got, gauges["engine.parse_cache.evictions"], flood+1-capacity)
+	}
+
+	exec(flood) // first sighting: refused
+	exec(flood) // second: admitted, one resident goes
+	exec(flood) // third: served
+	after := sep.CacheStats()
+	if after.Hits != cs.Hits+1 || after.Evictions != 1 || after.Entries != capacity {
+		t.Errorf("a text offered twice: hits %d → %d, evictions %d, entries %d; want one hit, one eviction, %d entries",
+			cs.Hits, after.Hits, after.Evictions, after.Entries, capacity)
 	}
 }
 

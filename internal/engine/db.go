@@ -188,6 +188,7 @@ func New(opts ...Option) *DB {
 		m.GaugeFunc("engine.parse_cache.hits", func() int64 { return db.parsed.Stats().Hits })
 		m.GaugeFunc("engine.parse_cache.misses", func() int64 { return db.parsed.Stats().Misses })
 		m.GaugeFunc("engine.parse_cache.evictions", func() int64 { return db.parsed.Stats().Evictions })
+		m.GaugeFunc("engine.parse_cache.refused", func() int64 { return db.parsed.Stats().Refused })
 	}
 	return db
 }

@@ -9,16 +9,21 @@
 //     map probe, reads the value, and touches only an atomic reference
 //     bit afterwards. Repeated queries from parallel sessions land on
 //     independent shards and never serialize on one lock.
-//   - Memory is bounded: a flood of unique keys (an adversary generating
-//     never-repeating queries) evicts instead of growing. New entries are
-//     inserted with the reference bit clear, so a scan of one-shot keys
-//     cannibalizes itself and leaves frequently-hit entries resident —
-//     the classic second-chance scan resistance.
+//   - Memory is bounded, and a key seen once evicts nothing: a shard with
+//     room stores a key at first sight, a full shard only remembers a
+//     32-bit tag of it and stores it when it is offered again while the
+//     tag survives (about a capacity of distinct keys). A flood of
+//     never-repeating queries therefore costs one tag write each — no
+//     entry, no map insert, no eviction — and every resident stays. Two
+//     keys sharing a tag can only admit one of them at its first sight;
+//     a hit is decided by the map's full key, never by a tag. Among
+//     admitted keys the second-chance sweep evicts the unreferenced first.
 //   - Values are published once and treated as immutable by readers;
 //     callers that need to replace a value Put a fresh one.
 package txtcache
 
 import (
+	"hash/maphash"
 	"sync"
 	"sync/atomic"
 )
@@ -34,10 +39,12 @@ const shardCount = 16
 type Cache[V any] struct {
 	shards   [shardCount]shard[V]
 	perShard int
+	seed     maphash.Seed
 
 	hits      atomic.Int64
 	misses    atomic.Int64
 	evictions atomic.Int64
+	refused   atomic.Int64
 }
 
 type shard[V any] struct {
@@ -47,6 +54,9 @@ type shard[V any] struct {
 	// hand sweeps it looking for an unreferenced victim.
 	ring []*entry[V]
 	hand int
+	// door is the admission filter of a full shard: direct-mapped tags of
+	// the absent keys last offered to it, one slot per resident.
+	door []uint32
 }
 
 type entry[V any] struct {
@@ -62,36 +72,22 @@ type entry[V any] struct {
 // Get always misses and Put is a no-op, which gives callers a natural
 // off switch for ablation benchmarks.
 func New[V any](capacity int) *Cache[V] {
-	c := &Cache[V]{}
+	c := &Cache[V]{seed: maphash.MakeSeed()}
 	if capacity > 0 {
 		c.perShard = (capacity + shardCount - 1) / shardCount
 	}
 	for i := range c.shards {
 		c.shards[i].m = make(map[string]*entry[V])
+		c.shards[i].door = make([]uint32, c.perShard)
 	}
 	return c
 }
 
-// shardOf hashes the key (inline FNV-1a, no allocation) to its shard.
-// Only the length and the final 16 bytes are hashed: shard selection
-// needs consistency and spread, not full coverage, and for query texts
-// the tail (literal values, trailing clauses) is the discriminating part
-// while the head ("SELECT * FROM …") is shared boilerplate. Capping the
-// loop keeps Get O(1) in key length on the hit path.
-func (c *Cache[V]) shardOf(key string) *shard[V] {
-	const fnvPrime = 16777619
-	h := uint32(2166136261)
-	h ^= uint32(len(key))
-	h *= fnvPrime
-	i := 0
-	if len(key) > 16 {
-		i = len(key) - 16
-	}
-	for ; i < len(key); i++ {
-		h ^= uint32(key[i])
-		h *= fnvPrime
-	}
-	return &c.shards[h%shardCount]
+// locate hashes the whole key once and derives the shard from the low
+// bits; refuse takes the admission slot and tag from the rest.
+func (c *Cache[V]) locate(key string) (*shard[V], uint64) {
+	h := maphash.String(c.seed, key)
+	return &c.shards[h%shardCount], h
 }
 
 // Get returns the cached value for key. A hit marks the entry referenced
@@ -102,7 +98,7 @@ func (c *Cache[V]) Get(key string) (V, bool) {
 		c.misses.Add(1)
 		return zero, false
 	}
-	sh := c.shardOf(key)
+	sh, _ := c.locate(key)
 	sh.mu.RLock()
 	e, ok := sh.m[key]
 	if !ok {
@@ -121,13 +117,30 @@ func (c *Cache[V]) Get(key string) (V, bool) {
 	return v, true
 }
 
-// Put inserts or replaces the value for key, evicting a victim via the
-// clock sweep when the shard is full.
+// refuse, with sh locked and full, is the doorkeeper: it reports whether
+// an absent key hashing to h is being offered for the first time, and
+// then leaves the key's tag in its slot and counts the refusal. A tag
+// found stays until Put clears the slot; tags are odd, so a cleared slot
+// matches no key.
+func (c *Cache[V]) refuse(sh *shard[V], h uint64) (slot *uint32, first bool) {
+	slot, tag := &sh.door[(h>>4)%uint64(len(sh.door))], uint32(h>>32)|1
+	if *slot == tag {
+		return slot, false
+	}
+	*slot = tag
+	c.refused.Add(1)
+	return slot, true
+}
+
+// Put inserts or replaces the value for key. A shard with room stores an
+// absent key at once; a full shard refuses it at first sight, leaving
+// only its tag at the door, and at the second evicts a victim via the
+// clock sweep.
 func (c *Cache[V]) Put(key string, val V) {
 	if c.perShard == 0 {
 		return
 	}
-	sh := c.shardOf(key)
+	sh, h := c.locate(key)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if e, ok := sh.m[key]; ok {
@@ -135,14 +148,20 @@ func (c *Cache[V]) Put(key string, val V) {
 		e.ref.Store(true)
 		return
 	}
-	// New entries start with the reference bit clear: a burst of one-shot
-	// keys then evicts other one-shot keys, not the resident hot set.
-	e := &entry[V]{key: key, val: val}
 	if len(sh.ring) < c.perShard {
+		e := &entry[V]{key: key, val: val}
 		sh.m[key] = e
 		sh.ring = append(sh.ring, e)
 		return
 	}
+	slot, first := c.refuse(sh, h)
+	if first {
+		return
+	}
+	*slot = 0
+	// New entries start with the reference bit clear: of two admitted
+	// keys, the one never hit goes first.
+	e := &entry[V]{key: key, val: val}
 	// Clock sweep: clear reference bits until an unreferenced victim
 	// turns up. Two full laps always suffice — the first lap clears
 	// every bit it does not evict.
@@ -159,6 +178,24 @@ func (c *Cache[V]) Put(key string, val V) {
 		c.evictions.Add(1)
 		return
 	}
+}
+
+// Admits reports whether Put would store key now, for a caller whose
+// value costs an allocation to build. False is the refusal itself — the
+// tag is left and counted, and the caller skips the Put; true leaves the
+// door as it is for the Put that follows.
+func (c *Cache[V]) Admits(key string) bool {
+	if c.perShard == 0 {
+		return false
+	}
+	sh, h := c.locate(key)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if _, ok := sh.m[key]; ok || len(sh.ring) < c.perShard {
+		return true
+	}
+	_, first := c.refuse(sh, h)
+	return !first
 }
 
 // Len returns the number of resident entries.
@@ -178,7 +215,9 @@ type Stats struct {
 	Hits      int64
 	Misses    int64
 	Evictions int64
-	Entries   int
+	// Refused counts Puts a full shard turned away at first sight.
+	Refused int64
+	Entries int
 }
 
 // Stats returns the counter snapshot.
@@ -187,6 +226,7 @@ func (c *Cache[V]) Stats() Stats {
 		Hits:      c.hits.Load(),
 		Misses:    c.misses.Load(),
 		Evictions: c.evictions.Load(),
+		Refused:   c.refused.Load(),
 		Entries:   c.Len(),
 	}
 }

@@ -36,17 +36,114 @@ func TestZeroCapacityDisables(t *testing.T) {
 	}
 }
 
+// TestBoundedUnderFlood: one-shot keys fill the cache and are then
+// refused one by one; none of them displaces a resident.
 func TestBoundedUnderFlood(t *testing.T) {
 	const capacity = 128
 	c := New[int](capacity)
-	for i := 0; i < 100*capacity; i++ {
+	const flood = 100 * capacity
+	for i := 0; i < flood; i++ {
 		c.Put(fmt.Sprintf("key-%d", i), i)
 	}
-	if n := c.Len(); n > c.Capacity() {
-		t.Fatalf("flood grew cache to %d entries, cap %d", n, c.Capacity())
+	s := c.Stats()
+	if s.Entries > c.Capacity() {
+		t.Fatalf("flood grew cache to %d entries, cap %d", s.Entries, c.Capacity())
 	}
-	if s := c.Stats(); s.Evictions == 0 {
-		t.Fatalf("flood caused no evictions: %+v", s)
+	if s.Evictions != 0 {
+		t.Fatalf("one-shot keys evicted residents: %+v", s)
+	}
+	if s.Refused+int64(s.Entries) != flood {
+		t.Fatalf("refused %d + resident %d, want every one of %d Puts stored or refused", s.Refused, s.Entries, flood)
+	}
+}
+
+// fill offers distinct keys until every shard is full and returns the
+// ones that became resident, without hitting any of them.
+func fill(c *Cache[int], prefix string) []string {
+	var resident []string
+	for i := 0; c.Len() < c.Capacity(); i++ {
+		key, before := fmt.Sprintf("%s-%d", prefix, i), c.Len()
+		c.Put(key, i)
+		if c.Len() > before {
+			resident = append(resident, key)
+		}
+	}
+	return resident
+}
+
+// TestSecondOfferIsAdmitted: a full shard stores a key the second time
+// it is offered, at the price of exactly one resident.
+func TestSecondOfferIsAdmitted(t *testing.T) {
+	c := New[int](64)
+	fill(c, "resident")
+	c.Put("twice", 1)
+	if _, ok := c.Get("twice"); ok {
+		t.Fatal("full shard stored a key at first sight")
+	}
+	if s := c.Stats(); s.Evictions != 0 {
+		t.Fatalf("first offer evicted: %+v", s)
+	}
+	c.Put("twice", 2)
+	if v, ok := c.Get("twice"); !ok || v != 2 {
+		t.Fatalf("after the second offer Get = %d, %t", v, ok)
+	}
+	if s := c.Stats(); s.Evictions != 1 || s.Entries != c.Capacity() {
+		t.Fatalf("second offer: %+v, want 1 eviction at capacity %d", s, c.Capacity())
+	}
+}
+
+// TestScanDoesNotEvictResidents: residents that are never hit still
+// outlive a scan a hundred times the cache, which the clock alone did not
+// give them (its hand lapped the ring).
+func TestScanDoesNotEvictResidents(t *testing.T) {
+	c := New[int](128)
+	resident := fill(c, "resident")
+	for i := 0; i < 100*c.Capacity(); i++ {
+		c.Put(fmt.Sprintf("scan-%d", i), i)
+	}
+	for _, key := range resident {
+		if _, ok := c.Get(key); !ok {
+			t.Fatalf("%s evicted by a scan of one-shot keys: %+v", key, c.Stats())
+		}
+	}
+}
+
+// TestRefusalAllocatesNothing: turning a key away, by Put or by Admits,
+// costs no entry and no other allocation.
+func TestRefusalAllocatesNothing(t *testing.T) {
+	c := New[int](64)
+	fill(c, "resident")
+	keys := make([]string, 2000)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("scan-%d", i)
+	}
+	i := 0
+	if n := testing.AllocsPerRun(len(keys)/2-1, func() { c.Put(keys[i], i); i++ }); n != 0 {
+		t.Errorf("a refused Put allocates %v", n)
+	}
+	if n := testing.AllocsPerRun(len(keys)/2-1, func() { c.Admits(keys[i]); i++ }); n != 0 {
+		t.Errorf("a refusing Admits allocates %v", n)
+	}
+	if s := c.Stats(); s.Refused < int64(len(keys)) || s.Evictions != 0 {
+		t.Fatalf("the %d offers above were not all refused: %+v", len(keys), s)
+	}
+}
+
+// TestShardChoiceReadsWholeKey: keys of one length that share their last
+// 16 bytes, as the address book's search texts do, spread over the shards.
+func TestShardChoiceReadsWholeKey(t *testing.T) {
+	c := New[int](1 << 16)
+	for i := 0; i < 1000; i++ {
+		c.Put(fmt.Sprintf("SELECT * FROM contacts WHERE name LIKE '%%%04d%%' ORDER BY name", i), i)
+	}
+	used := 0
+	for i := range c.shards {
+		if len(c.shards[i].m) > 0 {
+			used++
+		}
+	}
+	if used < 12 {
+		t.Fatalf("1000 keys with one 16-byte tail occupy %d of %d shards", used, shardCount)
 	}
 }
 
