@@ -12,7 +12,8 @@ import (
 // whole protection path — decode, stack building, identifier hashing,
 // model lookup, both detection steps, the stored-injection plugin chain
 // and the verdict cache — against a guard trained on the paper's Fig. 2
-// query. Two invariants:
+// query and its prepared INSERT; arg is bound, as a string, to every '?'
+// the statement has. Three invariants:
 //
 //  1. The hook NEVER panics. Detector panics must be swallowed by the
 //     fault containment layer; one escaping to the fuzzer is a bug in
@@ -22,6 +23,10 @@ import (
 //     be served by the full path (or learn the model incrementally) and
 //     the second by the verdict cache, so this pins cache/full-path
 //     agreement — the exact property a poisoned cache entry would break.
+//     (A first call that learned the statement incrementally executed it
+//     unchecked, by design, and promises nothing about the second.)
+//  3. The verdict is the values' as much as the text's: a call of the same
+//     text with other values in between changes nothing.
 func FuzzBeforeExecute(f *testing.F) {
 	seeds := []string{
 		"SELECT * FROM tickets WHERE reservID = 'ID34FG' AND creditCard = 1234",
@@ -46,18 +51,36 @@ func FuzzBeforeExecute(f *testing.F) {
 		"/**/ SELECT * FROM tickets WHERE reservID = 'a' AND creditCard = 1",
 	}
 	for _, s := range seeds {
-		f.Add(s)
+		f.Add(s, "")
 	}
-	const trainQ = "SELECT * FROM tickets WHERE reservID = 'ID34FG' AND creditCard = 1234"
-	f.Fuzz(func(t *testing.T, query string) {
+	const (
+		trainQ = "SELECT * FROM tickets WHERE reservID = 'ID34FG' AND creditCard = 1234"
+		trainP = "INSERT INTO tickets (reservID, creditCard) VALUES (?, ?)"
+	)
+	f.Add(trainP, "ID34FG")
+	f.Add(trainP, "<script>alert(1)</script>")
+	f.Add("SELECT * FROM tickets WHERE reservID = ? AND creditCard = 1234", "x' OR '1'='1")
+	f.Add("UPDATE tickets SET reservID = ? WHERE creditCard = ?", "http://evil/x.php")
+	f.Fuzz(func(t *testing.T, query, arg string) {
 		decoded := sqlparser.DecodeCharset(query)
 		stmt, err := sqlparser.Parse(decoded)
 		if err != nil {
 			return // the engine rejects it before the hook runs
 		}
+		bind := func(stmt sqlparser.Statement, v string) []engine.Value {
+			var args []engine.Value
+			for i := 0; i < stmt.NumParams(); i++ {
+				args = append(args, engine.Str(v))
+			}
+			return args
+		}
 		sep := New(Config{Mode: ModeTraining})
-		if err := sep.BeforeExecute(hookCtxFor(t, trainQ)); err != nil {
-			t.Fatalf("training: %v", err)
+		prepared := hookCtxFor(t, trainP)
+		prepared.Args = bind(prepared.Stmt, "ID34FG")
+		for _, train := range []*engine.HookContext{hookCtxFor(t, trainQ), prepared} {
+			if err := sep.BeforeExecute(train); err != nil {
+				t.Fatalf("training: %v", err)
+			}
 		}
 		sep.SetConfig(DefaultConfig())
 
@@ -66,12 +89,21 @@ func FuzzBeforeExecute(f *testing.F) {
 			Decoded:  decoded,
 			Stmt:     stmt,
 			Comments: stmt.StatementComments(),
+			Args:     bind(stmt, arg),
 		}
 		err1 := sep.BeforeExecute(hctx)
+		learned := sep.Stats().NewQueries > 0
 		err2 := sep.BeforeExecute(hctx)
-		if (err1 == nil) != (err2 == nil) {
-			t.Fatalf("verdict flipped between calls for %q:\n first: %v\nsecond: %v",
-				decoded, err1, err2)
+		if !learned && (err1 == nil) != (err2 == nil) {
+			t.Fatalf("verdict flipped between calls for %q %q:\n first: %v\nsecond: %v",
+				decoded, arg, err1, err2)
+		}
+		other := *hctx
+		other.Args = bind(stmt, "benign")
+		_ = sep.BeforeExecute(&other)
+		if err3 := sep.BeforeExecute(hctx); (err2 == nil) != (err3 == nil) {
+			t.Fatalf("verdict for %q %q flipped after a call with other values:\nbefore: %v\n after: %v",
+				decoded, arg, err2, err3)
 		}
 	})
 }

@@ -198,11 +198,6 @@ func WithPlugins(plugins []Plugin) SepticOption {
 	return func(s *Septic) { s.detector = NewDetector(plugins) }
 }
 
-// WithIDGenerator replaces the query-identifier generator.
-func WithIDGenerator(g *IDGenerator) SepticOption {
-	return func(s *Septic) { s.idgen = g }
-}
-
 // WithObserver installs an observability hub: hook latency histograms
 // and pipeline counters exported as gauge funcs. A nil hub — the default
 // — keeps every instrumentation site on its single-pointer-check disabled
@@ -358,9 +353,10 @@ var stackPool = sync.Pool{
 // query already found benign under the domain's current configuration
 // and model store skips ID generation, the store lookup and detection
 // entirely. The memo is keyed on ctx.Decoded, which is sound because
-// the parser derives the AST from exactly that text (identical decoded
-// text ⇒ identical AST ⇒ identical verdict while configuration and
-// models are unchanged), and generation stamps guarantee the
+// the parser derives the AST from exactly that text and nothing writes
+// to an AST afterwards (identical decoded text ⇒ identical AST ⇒
+// identical verdict while configuration and models are unchanged), and
+// generation stamps guarantee the
 // "unchanged" part: any SetMode/SetConfig or store mutation ON THAT
 // DOMAIN bumps a counter and orphans every older entry. Partitioning
 // per domain is what makes the cache sound under multi-tenancy: the key
@@ -385,6 +381,13 @@ var stackPool = sync.Pool{
 // preserving the cached hit's 0-alloc profile (TestCachedHitAllocationFree).
 // The miss pipeline lives in runMiss; the extra call is nanoseconds
 // against a pipeline measured in hundreds.
+//
+// A statement that carries bound values (ctx.Args, a prepared statement)
+// neither consults nor feeds the verdict cache: its verdict depends on
+// the values — the type of every data node, every written string through
+// the plugin chain — and the text is the same for all of them. Every
+// execution of one is a miss, so while the breaker is open prepared
+// statements are answered by the fail policy, never from the cache.
 func (s *Septic) BeforeExecute(ctx *engine.HookContext) (err error) {
 	// Domain routing runs outside the containment shell: it is a map
 	// lookup plus byte scans over a bounded comment — no panic surface —
@@ -411,9 +414,13 @@ func (s *Septic) BeforeExecute(ctx *engine.HookContext) (err error) {
 	storeGen := d.store.Generation()
 	cfg := *d.cfg.Load()
 	d.queriesSeen.Add(1)
+	memo := d.verdicts
+	if len(ctx.Args) > 0 {
+		memo = nil // the text is not the whole statement: nothing to look up, nothing to leave
+	}
 
 	if cfg.Mode != ModeTraining {
-		if v, ok := d.verdicts.lookup(ctx.Decoded, cfgGen, storeGen); ok {
+		if v, ok := memo.lookup(ctx.Decoded, cfgGen, storeGen); ok {
 			if v.set != nil {
 				v.set.hits.Add(1) // keep the admin usage report exact
 			}
@@ -433,7 +440,7 @@ func (s *Septic) BeforeExecute(ctx *engine.HookContext) (err error) {
 				return s.brownout(d, cfg)
 			}
 			start := time.Now()
-			err := s.runMiss(d, ctx, cfg, cfgGen, storeGen, obsStart)
+			err := s.runMiss(d, memo, ctx, cfg, cfgGen, storeGen, obsStart)
 			// A blocked attack is a SUCCESSFUL pipeline run; failures
 			// reach the breaker through containFault (panics), and slow
 			// runs through the elapsed time.
@@ -441,7 +448,7 @@ func (s *Septic) BeforeExecute(ctx *engine.HookContext) (err error) {
 			return err
 		}
 	}
-	return s.runMiss(d, ctx, cfg, cfgGen, storeGen, obsStart)
+	return s.runMiss(d, memo, ctx, cfg, cfgGen, storeGen, obsStart)
 }
 
 // brownout answers a verdict-cache miss while the domain's detection
@@ -465,8 +472,9 @@ func (s *Septic) brownout(d *Domain, cfg Config) error {
 // training/incremental learning, store lookup, and detection. Split
 // from BeforeExecute so the breaker can time one complete run; it
 // executes under BeforeExecute's containment shell (a panic here
-// unwinds to containFault, which also books the breaker failure).
-func (s *Septic) runMiss(d *Domain, ctx *engine.HookContext, cfg Config,
+// unwinds to containFault, which also books the breaker failure). memo
+// is where a benign verdict is left: the domain's cache, or nil.
+func (s *Septic) runMiss(d *Domain, memo *verdictCache, ctx *engine.HookContext, cfg Config,
 	cfgGen, storeGen uint64, obsStart time.Time) error {
 	id := s.idgen.ID(ctx.Stmt, ctx.Comments)
 
@@ -481,7 +489,7 @@ func (s *Septic) runMiss(d *Domain, ctx *engine.HookContext, cfg Config,
 		}
 		// Training never consults or feeds the cache: every execution
 		// must reach the store so variants keep being learned.
-		s.learn(d, id, ctx.Decoded, qstruct.BuildStack(ctx.Stmt), EventModelLearned)
+		s.learn(d, id, ctx.Decoded, qstruct.BuildStack(ctx.Stmt, ctx.Args...), EventModelLearned)
 		s.observeFull(obsStart)
 		return nil
 	}
@@ -494,26 +502,26 @@ func (s *Septic) runMiss(d *Domain, ctx *engine.HookContext, cfg Config,
 			// from a benign query. Not cached — the Put just bumped the
 			// store generation, so the entry would be stillborn anyway,
 			// and the next repeat takes the known-identifier path.
-			s.learn(d, id, ctx.Decoded, qstruct.BuildStack(ctx.Stmt), EventNewQuery)
+			s.learn(d, id, ctx.Decoded, qstruct.BuildStack(ctx.Stmt, ctx.Args...), EventNewQuery)
 			s.observeFull(obsStart)
 			return nil
 		}
 		// Unknown identifier with learning off: executes unchecked by
 		// design; memoize so repeats skip the ID recomputation.
-		d.verdicts.insert(ctx.Decoded, verdict{id: id, cfgGen: cfgGen, storeGen: storeGen})
+		memo.insert(ctx.Decoded, verdict{id: id, cfgGen: cfgGen, storeGen: storeGen})
 		s.observeFull(obsStart)
 		return nil
 	}
 
 	if !cfg.DetectSQLI && !cfg.DetectStored {
 		// NN: nothing to check.
-		d.verdicts.insert(ctx.Decoded, verdict{id: id, set: set, cfgGen: cfgGen, storeGen: storeGen})
+		memo.insert(ctx.Decoded, verdict{id: id, set: set, cfgGen: cfgGen, storeGen: storeGen})
 		s.observeFull(obsStart)
 		return nil
 	}
 	faultinject.Hit(faultinject.SiteCoreDetect)
 	sp := stackPool.Get().(*qstruct.Stack)
-	qs := qstruct.BuildStackInto((*sp)[:0], ctx.Stmt)
+	qs := qstruct.BuildStackInto((*sp)[:0], ctx.Stmt, ctx.Args...)
 	if cfg.DetectSQLI {
 		if det, attack := s.detector.DetectSQLI(qs, models); attack {
 			*sp = qs
@@ -533,7 +541,7 @@ func (s *Septic) runMiss(d *Domain, ctx *engine.HookContext, cfg Config,
 	*sp = qs
 	stackPool.Put(sp)
 	s.checked(d, id, ctx.Decoded)
-	d.verdicts.insert(ctx.Decoded, verdict{id: id, checked: true, set: set, cfgGen: cfgGen, storeGen: storeGen})
+	memo.insert(ctx.Decoded, verdict{id: id, checked: true, set: set, cfgGen: cfgGen, storeGen: storeGen})
 	s.observeFull(obsStart)
 	return nil
 }

@@ -100,8 +100,12 @@ func newVerdictCache(capacity int) *verdictCache {
 // lookup returns the cached verdict for text if it is stamped with the
 // current generations. A stale entry counts as an invalidation and a
 // miss; the caller recomputes and re-inserts, overwriting the stale
-// entry in place.
+// entry in place. A nil cache — what a statement whose text is not all of
+// it is given — holds nothing and counts nothing.
 func (c *verdictCache) lookup(text string, cfgGen, storeGen uint64) (*verdict, bool) {
+	if c == nil {
+		return nil, false
+	}
 	v, ok := c.cache.Get(text)
 	if !ok {
 		return nil, false
@@ -126,7 +130,7 @@ func (c *verdictCache) lookup(text string, cfgGen, storeGen uint64) (*verdict, b
 // verdict arrives by value and reaches the heap only once the cache
 // admits the text, so a never-repeating query allocates nothing here.
 func (c *verdictCache) insert(text string, v verdict) {
-	if c.cache.Admits(text) {
+	if c != nil && c.cache.Admits(text) {
 		p := new(verdict)
 		*p = v
 		c.cache.Put(text, p)

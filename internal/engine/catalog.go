@@ -169,7 +169,7 @@ func newTable(stmt *sqlparser.CreateTableStmt) (*Table, error) {
 			if !ok {
 				return nil, fmt.Errorf("column %q: DEFAULT must be a literal", def.Name)
 			}
-			v := literalValue(lit)
+			v := LiteralValue(lit)
 			cv, err := col.coerce(v)
 			if err != nil {
 				return nil, err
@@ -190,8 +190,10 @@ func newTable(stmt *sqlparser.CreateTableStmt) (*Table, error) {
 	return t, nil
 }
 
-// literalValue converts a parsed literal to a runtime value.
-func literalValue(l *sqlparser.Literal) Value {
+// LiteralValue converts a parsed literal to a runtime value: what a '?'
+// in its place would have to be bound to for the statement to mean, and
+// look to the guard, the same.
+func LiteralValue(l *sqlparser.Literal) Value {
 	switch l.Kind {
 	case sqlparser.LiteralInt:
 		return Int(l.Int)

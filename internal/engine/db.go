@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -44,6 +45,11 @@ type HookContext struct {
 	// ExecAppContext; hooks use it to route the query to its protection
 	// domain, with priority over any comment-borne prefix.
 	App string
+	// Args are the values this execution binds to Stmt's placeholders:
+	// the Placeholder with Index i stands for Args[i], and there are
+	// exactly Stmt.NumParams() of them. Nil for a statement executed
+	// without arguments. The slice is the caller's: read-only, like Stmt.
+	Args []Value
 }
 
 // QueryHook observes validated queries immediately before execution.
@@ -120,8 +126,8 @@ type DB struct {
 
 	// parsed caches parse results by raw query text, so a repeated
 	// statement skips lexing and parsing entirely. Cached ASTs are
-	// shared — the no-args execution path and the hook only read them;
-	// ExecArgs clones before binding (see exec).
+	// shared and nothing writes to one: the hook and the executors read
+	// an execution's arguments beside it (see exec).
 	parsed   *txtcache.Cache[*parsedQuery]
 	parseCap int
 
@@ -229,12 +235,13 @@ func (db *DB) Exec(query string) (*Result, error) {
 	return db.exec(context.Background(), query, "", nil)
 }
 
-// ExecArgs executes a parameterized statement: every '?' placeholder in
-// the query is bound to the corresponding value from args after parsing.
-// Because binding happens in the AST — never by text substitution — the
-// query's structure is fixed before user data enters it. This is the
-// engine's "prepared statement" path, the textbook-safe alternative the
-// paper's vulnerable applications fail to use.
+// ExecArgs executes a parameterized statement: the '?' placeholders of
+// the query, in source order, stand for the values in args. A value never
+// enters the text or the parsed statement — the hook and the executors
+// read it where the placeholder is — so the query's structure is fixed
+// before user data meets it. This is the engine's "prepared statement"
+// path, the textbook-safe alternative the paper's vulnerable applications
+// fail to use.
 func (db *DB) ExecArgs(query string, args ...Value) (*Result, error) {
 	return db.exec(context.Background(), query, "", args)
 }
@@ -259,9 +266,9 @@ func (db *DB) ExecArgsContext(ctx context.Context, query string, args ...Value) 
 // application: app is handed to the query hook as HookContext.App, where
 // SEPTIC uses it to route the query to the application's protection
 // domain. An empty app is exactly ExecArgsContext. Calling with zero
-// args keeps the no-args execution path (shared cached AST, no clone):
-// the variadic parameter is a nil slice then, and exec distinguishes
-// nil from empty.
+// args is Exec: the variadic parameter is a nil slice then, which exec
+// takes for "no arguments given" and does not count against the
+// statement's placeholders (one left unbound fails when it is evaluated).
 func (db *DB) ExecAppContext(ctx context.Context, app, query string, args ...Value) (*Result, error) {
 	return db.exec(ctx, query, app, args)
 }
@@ -293,8 +300,7 @@ func (db *DB) exec(ctx context.Context, query, app string, args []Value) (*Resul
 	// Parse cache: a byte-identical repeat of a statement text reuses the
 	// memoized AST, decoded text and comments. The cached AST is shared
 	// between sessions, which is safe because every execution path only
-	// reads it — the one mutator is bindArgs, and the args path works on
-	// a deep clone. Parse errors are not cached: a failing text re-parses
+	// reads it. Parse errors are not cached: a failing text re-parses
 	// (and re-fails) each time, keeping the cache free of junk keys.
 	pq, cached := db.parsed.Get(query)
 	if !cached {
@@ -309,10 +315,8 @@ func (db *DB) exec(ctx context.Context, query, app string, args []Value) (*Resul
 	}
 	stmt := pq.stmt
 	if args != nil {
-		// Clone before binding: binding rewrites placeholder nodes in
-		// place, and the cached AST must stay pristine for other sessions.
-		stmt = sqlparser.Clone(stmt)
-		if err := bindArgs(stmt, args); err != nil {
+		var err error
+		if args, err = checkArgs(stmt.NumParams(), args); err != nil {
 			db.countFailed()
 			return nil, err
 		}
@@ -355,6 +359,7 @@ func (db *DB) exec(ctx context.Context, query, app string, args []Value) (*Resul
 			Stmt:     stmt,
 			Comments: pq.comments,
 			App:      app,
+			Args:     args,
 		}
 		err := hook.BeforeExecute(hctx)
 		*hctx = HookContext{} // pin nothing while pooled
@@ -385,10 +390,7 @@ func (db *DB) exec(ctx context.Context, query, app string, args []Value) (*Resul
 	if err := db.stageErr(ctx, "execute"); err != nil {
 		return nil, err
 	}
-	if args != nil {
-		pq = nil // the plan beside the cached AST is not the bound clone's
-	}
-	res, err := db.execute(stmt, pq)
+	res, err := db.execute(stmt, pq, args)
 	if err != nil {
 		db.countFailed()
 		return nil, err
@@ -514,11 +516,11 @@ func (db *DB) validateSelect(s *sqlparser.SelectStmt) error {
 // per-statement executors. DDL serializes on the catalog write lock;
 // everything else shares the catalog and locks only the tables it
 // touches (lockplan.go), so sessions on disjoint tables never contend.
-// pq is the cache entry stmt came from, nil when stmt is a bound clone.
-func (db *DB) execute(stmt sqlparser.Statement, pq *parsedQuery) (*Result, error) {
+// pq is the cache entry stmt came from, args the execution's arguments.
+func (db *DB) execute(stmt sqlparser.Statement, pq *parsedQuery, args []Value) (*Result, error) {
 	switch s := stmt.(type) {
 	case *sqlparser.SelectStmt, *sqlparser.UpdateStmt, *sqlparser.DeleteStmt:
-		return db.runPlanned(stmt, pq)
+		return db.runPlanned(stmt, pq, args)
 	case *sqlparser.CreateTableStmt:
 		db.catalog.Lock()
 		defer db.catalog.Unlock()
@@ -543,11 +545,11 @@ func (db *DB) execute(stmt sqlparser.Statement, pq *parsedQuery) (*Result, error
 
 	switch s := stmt.(type) {
 	case *sqlparser.InsertStmt:
-		return db.execInsert(s)
+		return db.execInsert(s, args)
 	case *sqlparser.DescribeStmt:
 		return db.execDescribe(s)
 	case *sqlparser.ExplainStmt:
-		return db.execExplain(s)
+		return db.execExplain(s, args)
 	default:
 		return nil, fmt.Errorf("unsupported statement %T", stmt)
 	}
@@ -562,29 +564,24 @@ func (db *DB) execute(stmt sqlparser.Statement, pq *parsedQuery) (*Result, error
 // exist — what a plan cannot resolve it leaves to execution — so every
 // error of a planned statement keeps coming from the execute stage, after
 // the hook ran and counted.
-func (db *DB) runPlanned(stmt sqlparser.Statement, pq *parsedQuery) (*Result, error) {
+func (db *DB) runPlanned(stmt sqlparser.Statement, pq *parsedQuery, args []Value) (*Result, error) {
 	db.catalog.RLock()
 	defer db.catalog.RUnlock()
-	var p *plan
-	if pq != nil {
-		p = pq.plan.Load()
-	}
+	p := pq.plan.Load()
 	if p == nil || p.gen != db.gen {
 		p = db.planStatement(stmt)
-		if pq != nil {
-			pq.plan.Store(p)
-		}
+		pq.plan.Store(p)
 	}
 	db.lockTables(&p.locks)
 	defer db.unlockTables(&p.locks)
 	var frames [4]frame // the statement's frame stack (eval.go)
 	switch s := stmt.(type) {
 	case *sqlparser.UpdateStmt:
-		return db.execUpdate(s, p, frames[:0])
+		return db.execUpdate(s, p, frames[:0], args)
 	case *sqlparser.DeleteStmt:
-		return db.execDelete(s, p, frames[:0])
+		return db.execDelete(s, p, frames[:0], args)
 	default:
-		return db.execSelect(stmt.(*sqlparser.SelectStmt), frames[:0], p)
+		return db.execSelect(stmt.(*sqlparser.SelectStmt), frames[:0], p, args)
 	}
 }
 
@@ -659,41 +656,26 @@ func (db *DB) execDropTable(s *sqlparser.DropTableStmt) (*Result, error) {
 	return &Result{}, nil
 }
 
-// bindArgs substitutes positional args for the '?' placeholders of a
-// parsed statement, in source order.
-func bindArgs(stmt sqlparser.Statement, args []Value) error {
-	n := 0
-	err := sqlparser.RewriteExprs(stmt, func(e sqlparser.Expr) (sqlparser.Expr, error) {
-		if _, ok := e.(*sqlparser.Placeholder); !ok {
-			return e, nil
+// checkArgs holds an execution's arguments to the statement's n
+// placeholders and returns them as the hook and the executors will read
+// them. An argument of no kind the engine knows — a zero Value, any kind
+// number a client put on the wire — is NULL; the caller's slice is not
+// written to, so only then is there a copy.
+func checkArgs(n int, args []Value) ([]Value, error) {
+	if n > len(args) {
+		return nil, fmt.Errorf("not enough arguments: placeholder %d of %d bound", len(args)+1, len(args))
+	}
+	if n < len(args) {
+		return nil, fmt.Errorf("too many arguments: %d placeholders, %d args", n, len(args))
+	}
+	unknown := func(v Value) bool { return v.Kind < KindNull || v.Kind > KindBool }
+	if slices.ContainsFunc(args, unknown) {
+		args = slices.Clone(args)
+		for i := range args {
+			if unknown(args[i]) {
+				args[i] = Null()
+			}
 		}
-		if n >= len(args) {
-			return nil, fmt.Errorf("not enough arguments: placeholder %d of %d bound", n+1, len(args))
-		}
-		v := args[n]
-		n++
-		return valueLiteral(v), nil
-	})
-	if err != nil {
-		return err
 	}
-	if n != len(args) {
-		return fmt.Errorf("too many arguments: %d placeholders, %d args", n, len(args))
-	}
-	return nil
-}
-
-func valueLiteral(v Value) *sqlparser.Literal {
-	switch v.Kind {
-	case KindInt:
-		return &sqlparser.Literal{Kind: sqlparser.LiteralInt, Int: v.I}
-	case KindFloat:
-		return &sqlparser.Literal{Kind: sqlparser.LiteralFloat, Float: v.F}
-	case KindString:
-		return &sqlparser.Literal{Kind: sqlparser.LiteralString, Str: v.S}
-	case KindBool:
-		return &sqlparser.Literal{Kind: sqlparser.LiteralBool, Bool: v.B}
-	default:
-		return &sqlparser.Literal{Kind: sqlparser.LiteralNull}
-	}
+	return args, nil
 }

@@ -117,6 +117,21 @@ func TestOrderByOrdinalOutOfRange(t *testing.T) {
 	}
 }
 
+// TestOrderByPlaceholderIsAValue: a '?' is a value wherever it stands, as
+// in MySQL's prepared statements — in ORDER BY a constant sort key, never
+// the ordinal its value would be as a literal — and a result column that
+// is one is named "?".
+func TestOrderByPlaceholderIsAValue(t *testing.T) {
+	db := testDB(t)
+	res, err := db.ExecArgs("SELECT name, ? FROM users ORDER BY ?, id", Str("x"), Int(5))
+	if err != nil {
+		t.Fatalf("ORDER BY ? bound to 5 on a two-column list: %v", err)
+	}
+	if len(res.Rows) != 4 || res.Rows[0][0].S != "ann" || res.Rows[3][0].S != "dee" || res.Columns[1] != "?" {
+		t.Errorf("columns %v, rows %v: want the four users by id", res.Columns, res.Rows)
+	}
+}
+
 func TestExecArgsInLimit(t *testing.T) {
 	db := testDB(t)
 	res, err := db.ExecArgs("SELECT id FROM logs ORDER BY ts LIMIT ?", Int(2))

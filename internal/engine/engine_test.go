@@ -647,16 +647,61 @@ func TestExecArgsIsInjectionProof(t *testing.T) {
 	}
 }
 
+// TestExecArgsArityErrors: arguments are held to the statement's
+// placeholder count before validation — the hook never sees the call —
+// and a '?' executed with no arguments at all fails when a row evaluates
+// it, after the hook has; each is a failed query, worded as ever.
 func TestExecArgsArityErrors(t *testing.T) {
+	var hooked int
 	db := testDB(t)
+	db.SetHook(hookFunc(func(*HookContext) error { hooked++; return nil }))
+	const byCity = "SELECT name FROM users WHERE city = ? AND id > ?"
+	for _, c := range []struct {
+		args   []Value
+		err    string
+		hooked int
+	}{
+		{[]Value{Str("lisbon")}, "not enough arguments: placeholder 2 of 1 bound", 0},
+		{[]Value{}, "not enough arguments: placeholder 1 of 0 bound", 0},
+		{[]Value{Str("lisbon"), Int(0), Int(1)}, "too many arguments: 2 placeholders, 3 args", 0},
+		{nil, "unbound placeholder: use ExecArgs", 1},
+	} {
+		hooked = 0
+		failed := db.Stats().Failed
+		_, err := db.ExecArgs(byCity, c.args...)
+		if err == nil || err.Error() != c.err {
+			t.Errorf("%d arguments: err = %v, want %q", len(c.args), err, c.err)
+		}
+		if hooked != c.hooked || db.Stats().Failed != failed+1 {
+			t.Errorf("%d arguments: the hook ran %d times (want %d), Failed moved by %d (want 1)",
+				len(c.args), hooked, c.hooked, db.Stats().Failed-failed)
+		}
+	}
+	if _, err := db.ExecArgs("SELECT 1 FROM users", Int(1)); err == nil || err.Error() != "too many arguments: 0 placeholders, 1 args" {
+		t.Errorf("an argument for a text without placeholders: err = %v", err)
+	}
 	if _, err := db.ExecArgs("SELECT ? FROM users"); err == nil {
 		t.Error("missing arg must fail")
 	}
-	if _, err := db.ExecArgs("SELECT 1 FROM users", Int(1)); err == nil {
-		t.Error("extra arg must fail")
+}
+
+// TestExecArgsOfAnyKind: an argument whose kind is none the engine knows
+// — a zero Value, any kind number a client put on the wire — is NULL to
+// the hook and to execution, and the caller's slice is left as it was.
+func TestExecArgsOfAnyKind(t *testing.T) {
+	var seen []Value
+	db := testDB(t)
+	db.SetHook(hookFunc(func(ctx *HookContext) error { seen = ctx.Args; return nil }))
+	args := []Value{{}, {Kind: 99, S: "x"}, Str("porto")}
+	res, err := db.ExecArgs("SELECT ? IS NULL, ? IS NULL, ? IS NULL FROM users LIMIT 1", args...)
+	if err != nil || !res.Rows[0][0].B || !res.Rows[0][1].B || res.Rows[0][2].B {
+		t.Fatalf("res = %v, err = %v", res, err)
 	}
-	if _, err := db.Exec("SELECT name FROM users WHERE city = ?"); err == nil {
-		t.Error("unbound placeholder must fail at evaluation")
+	if !seen[0].IsNull() || !seen[1].IsNull() || seen[2] != Str("porto") {
+		t.Errorf("the hook saw %v", seen)
+	}
+	if args[0].Kind != KindInvalid || args[1].Kind != 99 {
+		t.Errorf("the caller's arguments were written to: %v", args)
 	}
 }
 

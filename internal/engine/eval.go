@@ -4,6 +4,7 @@ import (
 	"crypto/md5"
 	"crypto/sha1"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"math"
 	"strings"
@@ -70,10 +71,11 @@ type frame struct {
 type bop uint8
 
 const (
-	opLit  bop = iota // val
-	opCol             // row[n] of the frame kid levels up
-	opErr             // err, raised when a row is evaluated
-	opFail            // err, raised when reached, row or no row: it is the statement's, not an expression's
+	opLit   bop = iota // val
+	opCol              // row[n] of the frame kid levels up
+	opParam            // args[n]: the value this execution binds to a '?'
+	opErr              // err, raised when a row is evaluated
+	opFail             // err, raised when reached, row or no row: it is the statement's, not an expression's
 	// Binary operators over nodes[kid] and nodes[kid+1], opAnd to opMod.
 	opAnd
 	opOr
@@ -133,12 +135,14 @@ type bexpr struct {
 }
 
 // evaluator computes the bound expressions of one query level. It is a
-// stack value of that level's executor: nodes is the level's arena and
-// frames end with the level's own frame.
+// stack value of that level's executor: nodes is the level's arena,
+// frames end with the level's own frame, and args are the execution's
+// arguments, the same at every level.
 type evaluator struct {
 	db     *DB
 	nodes  []bexpr
 	frames []frame
+	args   []Value
 }
 
 // setRow puts row under evaluation at this level.
@@ -147,7 +151,7 @@ func (ev *evaluator) setRow(row []Value) { ev.frames[len(ev.frames)-1].row = row
 // rowless returns ev with no frame in sight: a LIMIT clause was bound
 // seeing no row, and a subquery in it must not see one either.
 func (ev *evaluator) rowless() evaluator {
-	return evaluator{db: ev.db, nodes: ev.nodes, frames: ev.frames[len(ev.frames):]}
+	return evaluator{db: ev.db, nodes: ev.nodes, frames: ev.frames[len(ev.frames):], args: ev.args}
 }
 
 // eval evaluates node i. It keeps to the nodes a scan evaluates per row —
@@ -187,14 +191,18 @@ func (ev *evaluator) eval(i int32) (Value, error) {
 	return n.apply(left, right), nil
 }
 
-// leaf returns where node i's value is if it is a column or a literal,
-// else nil.
+// leaf returns where node i's value is if it is a column, a literal or a
+// bound argument, else nil.
 func (ev *evaluator) leaf(i int32) *Value {
 	switch n := &ev.nodes[i]; n.op {
 	case opLit:
 		return &n.val
 	case opCol:
 		return &ev.frames[len(ev.frames)-1-int(n.kid)].row[n.n]
+	case opParam:
+		if int(n.n) < len(ev.args) {
+			return &ev.args[n.n]
+		}
 	}
 	return nil
 }
@@ -203,6 +211,8 @@ func (ev *evaluator) evalOther(n *bexpr) (Value, error) {
 	switch n.op {
 	case opErr, opFail:
 		return Value{}, n.err
+	case opParam: // leaf found no argument for it
+		return Value{}, errors.New("unbound placeholder: use ExecArgs")
 	case opNot, opNeg:
 		v, err := ev.eval(n.kid)
 		if err != nil {
@@ -238,7 +248,7 @@ func (ev *evaluator) evalOther(n *bexpr) (Value, error) {
 	case opSubquery, opExists:
 		// The subquery runs one level below: it sees this level's frames,
 		// its row included.
-		res, err := ev.db.execSelect(n.sel, ev.frames, nil)
+		res, err := ev.db.execSelect(n.sel, ev.frames, nil, ev.args)
 		switch {
 		case err != nil:
 			return Value{}, err
@@ -400,7 +410,7 @@ func (ev *evaluator) evalIn(n *bexpr) (Value, error) {
 		found = found || Equal(left, c)
 	}
 	if n.op == opInSub {
-		res, err := ev.db.execSelect(n.sel, ev.frames, nil)
+		res, err := ev.db.execSelect(n.sel, ev.frames, nil, ev.args)
 		if err != nil {
 			return Value{}, err
 		}

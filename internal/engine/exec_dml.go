@@ -10,7 +10,7 @@ import (
 )
 
 // execInsert runs an INSERT under the caller-held write lock.
-func (db *DB) execInsert(s *sqlparser.InsertStmt) (*Result, error) {
+func (db *DB) execInsert(s *sqlparser.InsertStmt, args []Value) (*Result, error) {
 	t := db.tables[strings.ToLower(s.Table)]
 	if t == nil {
 		return nil, fmt.Errorf("%w: %s", ErrNoSuchTable, s.Table)
@@ -37,7 +37,7 @@ func (db *DB) execInsert(s *sqlparser.InsertStmt) (*Result, error) {
 	var tuples [][]Value
 	var frameBuf [4]frame // for the subqueries of the statement, which has no row of its own
 	if s.Select != nil {
-		res, err := db.execSelect(s.Select, frameBuf[:0], nil)
+		res, err := db.execSelect(s.Select, frameBuf[:0], nil, args)
 		if err != nil {
 			return nil, err
 		}
@@ -49,16 +49,22 @@ func (db *DB) execInsert(s *sqlparser.InsertStmt) (*Result, error) {
 			tuples = append(tuples, r)
 		}
 	} else {
-		var b binder // of the VALUES that are not plain literals
+		var b binder // of the VALUES that are neither plain literals nor bound arguments
 		for _, row := range s.Rows {
 			tuple := make([]Value, 0, len(row))
 			for _, e := range row {
-				if lit, ok := e.(*sqlparser.Literal); ok {
-					tuple = append(tuple, literalValue(lit))
+				switch x := e.(type) {
+				case *sqlparser.Literal:
+					tuple = append(tuple, LiteralValue(x))
 					continue
+				case *sqlparser.Placeholder:
+					if x.Index < len(args) {
+						tuple = append(tuple, args[x.Index])
+						continue
+					}
 				}
 				at := b.bind(e, nil)
-				ev := evaluator{db: db, nodes: b.nodes, frames: frameBuf[:0]}
+				ev := evaluator{db: db, nodes: b.nodes, frames: frameBuf[:0], args: args}
 				v, err := ev.eval(at)
 				if err != nil {
 					return nil, err
@@ -149,12 +155,12 @@ func (t *Table) checkUnique(candidate, old []Value, skip int) error {
 
 // execUpdate runs an UPDATE off its plan under the caller-held write
 // lock. frames is empty: the statement's own row is the outermost level.
-func (db *DB) execUpdate(s *sqlparser.UpdateStmt, p *plan, frames []frame) (*Result, error) {
+func (db *DB) execUpdate(s *sqlparser.UpdateStmt, p *plan, frames []frame, args []Value) (*Result, error) {
 	t := p.table
 	if t == nil {
 		return nil, fmt.Errorf("%w: %s", ErrNoSuchTable, s.Table)
 	}
-	ev := evaluator{db: db, nodes: p.nodes, frames: append(frames, frame{layout: &p.layout})}
+	ev := evaluator{db: db, nodes: p.nodes, frames: append(frames, frame{layout: &p.layout}), args: args}
 	var one [1]int
 	targets, err := ev.dmlTargets(p, s.OrderBy, one[:0])
 	if err != nil {
@@ -201,12 +207,12 @@ func (db *DB) execUpdate(s *sqlparser.UpdateStmt, p *plan, frames []frame) (*Res
 }
 
 // execDelete runs a DELETE off its plan under the caller-held write lock.
-func (db *DB) execDelete(s *sqlparser.DeleteStmt, p *plan, frames []frame) (*Result, error) {
+func (db *DB) execDelete(s *sqlparser.DeleteStmt, p *plan, frames []frame, args []Value) (*Result, error) {
 	t := p.table
 	if t == nil {
 		return nil, fmt.Errorf("%w: %s", ErrNoSuchTable, s.Table)
 	}
-	ev := evaluator{db: db, nodes: p.nodes, frames: append(frames, frame{layout: &p.layout})}
+	ev := evaluator{db: db, nodes: p.nodes, frames: append(frames, frame{layout: &p.layout}), args: args}
 	var one [1]int
 	targets, err := ev.dmlTargets(p, s.OrderBy, one[:0])
 	if err != nil {
@@ -226,12 +232,12 @@ func (db *DB) execDelete(s *sqlparser.DeleteStmt, p *plan, frames []frame) (*Res
 func (ev *evaluator) dmlTargets(p *plan, orderBy []sqlparser.OrderItem, buf []int) ([]int, error) {
 	t := p.table
 	var targets []int
-	if p.indexCol < 0 {
+	if ri, found, answered := p.probe(ev.args); !answered {
 		var err error
 		if targets, err = filterRows(ev, p.where, t.Rows, keepPos); err != nil {
 			return nil, err
 		}
-	} else if ri, ok := t.indexes[p.indexCol][p.key]; ok {
+	} else if found {
 		targets = append(buf, ri)
 	}
 	if len(orderBy) > 0 {

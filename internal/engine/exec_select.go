@@ -11,15 +11,15 @@ import (
 // execSelect runs a SELECT under the caller-held locks. outer are the
 // frames of the enclosing levels for correlated subqueries (empty at top
 // level); p is the statement's plan at top level and nil for a subquery,
-// which plans itself as it runs.
-func (db *DB) execSelect(s *sqlparser.SelectStmt, outer []frame, p *plan) (*Result, error) {
-	res, err := db.execSelectBranch(s, outer, p)
+// which plans itself as it runs; args are the execution's arguments.
+func (db *DB) execSelect(s *sqlparser.SelectStmt, outer []frame, p *plan, args []Value) (*Result, error) {
+	res, err := db.execSelectBranch(s, outer, p, args)
 	if err != nil {
 		return nil, err
 	}
 	// UNION chain: evaluate each branch and merge.
 	for u := s.Union; u != nil; u = u.Next.Union {
-		branch, err := db.execSelectBranch(u.Next, outer, nil)
+		branch, err := db.execSelectBranch(u.Next, outer, nil, args)
 		if err != nil {
 			return nil, err
 		}
@@ -40,12 +40,12 @@ func (db *DB) execSelect(s *sqlparser.SelectStmt, outer []frame, p *plan) (*Resu
 // built here and dropped; anything else materialises its FROM clause
 // first and then binds the statement over the layout that produced.
 // Either way the rows end up in one rowBlock.
-func (db *DB) execSelectBranch(s *sqlparser.SelectStmt, outer []frame, p *plan) (*Result, error) {
+func (db *DB) execSelectBranch(s *sqlparser.SelectStmt, outer []frame, p *plan, args []Value) (*Result, error) {
 	stored := p != nil && p.table != nil
 	if !stored {
 		p = new(plan)
 	}
-	ev := evaluator{db: db, frames: append(outer, frame{layout: &p.layout})}
+	ev := evaluator{db: db, frames: append(outer, frame{layout: &p.layout}), args: args}
 	if !stored {
 		db.planSelect(p, s, ev.frames)
 	}
@@ -53,11 +53,12 @@ func (db *DB) execSelectBranch(s *sqlparser.SelectStmt, outer []frame, p *plan) 
 	var rows [][]Value
 	var err error
 	if t := p.table; t != nil {
+		ri, found, answered := p.probe(args)
 		switch {
-		case p.indexCol >= 0:
+		case answered:
 			// The probe consumed the WHERE clause; a window into the
 			// table's own row headers holds the hit.
-			if ri, ok := t.indexes[p.indexCol][p.key]; ok {
+			if found {
 				rows = t.Rows[ri : ri+1]
 			}
 		case p.where == noExpr:
@@ -237,7 +238,7 @@ func (ev *evaluator) buildRowSource(from []sqlparser.TableRef, p *plan) ([][]Val
 	outer := ev.frames[: len(ev.frames)-1 : len(ev.frames)-1]
 	var rows [][]Value
 	for i, ref := range from {
-		name, cols, tblRows, err := ev.db.resolveTableRef(ref, outer)
+		name, cols, tblRows, err := ev.db.resolveTableRef(ref, outer, ev.args)
 		if err != nil {
 			return nil, err
 		}
@@ -286,9 +287,9 @@ func (ev *evaluator) buildRowSource(from []sqlparser.TableRef, p *plan) ([][]Val
 // resolveTableRef returns the scope name, column names and rows of one
 // FROM entry. A base table's rows are its own row headers, read in
 // place: joins build new rows and sorting permutes row numbers.
-func (db *DB) resolveTableRef(ref sqlparser.TableRef, outer []frame) (string, []string, [][]Value, error) {
+func (db *DB) resolveTableRef(ref sqlparser.TableRef, outer []frame, args []Value) (string, []string, [][]Value, error) {
 	if ref.Subquery != nil {
-		res, err := db.execSelect(ref.Subquery, outer, nil)
+		res, err := db.execSelect(ref.Subquery, outer, nil, args)
 		if err != nil {
 			return "", nil, nil, err
 		}

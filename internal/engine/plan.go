@@ -26,9 +26,13 @@ import (
 // relation the verdict cache has to Store.Generation (DESIGN §6.2). A
 // published plan is never modified; a stale one is replaced by a new one.
 //
-// Everything else — subqueries, UNION tails, statements bound from
-// ExecArgs, a DB without a parse cache — plans the same way per
-// execution and drops the plan afterwards (execSelectBranch).
+// A plan holds nothing of one execution: a '?' placeholder binds to a leaf
+// that reads the execution's arguments when it is evaluated (opParam), so
+// a parameterized text runs off its stored plan like any other.
+//
+// Everything else — subqueries, UNION tails, a DB without a parse cache —
+// plans the same way per execution and drops the plan afterwards
+// (execSelectBranch).
 
 // binder is an arena of bound expressions. Binding cannot fail: what
 // does not resolve becomes a node that fails when it is evaluated.
@@ -55,14 +59,20 @@ type plan struct {
 	table *Table
 	// layout is the layout of the rows the statement reads.
 	layout
-	// indexCol is the access path: ≥ 0 probes that column's unique index
-	// with key, which answers the whole WHERE clause; -1 scans.
+	// indexCol is the access path: ≥ 0 is the unique column the WHERE
+	// clause equates with one value, -1 scans. Probing that column's index
+	// answers the whole clause if the value is provably a key (probeKey).
+	// A literal was put to that proof when the plan was built and key is
+	// what it coerced to; keyArg ≥ 0 is the argument a '?' stands for,
+	// which is put to it per execution (probe), and -1 for a literal.
 	indexCol int
 	key      string
+	keyArg   int
 
 	// The statement's expressions, bound: indices into nodes, or noExpr.
-	// where stays unbound when the access path answers it, the GROUP BY
-	// list is nodes[groupBy:] and an UPDATE's SET values nodes[sets:].
+	// where stays unbound when the access path is sure to answer it, the
+	// GROUP BY list is nodes[groupBy:] and an UPDATE's SET values
+	// nodes[sets:].
 	binder
 	where, having, groupBy, sets int32
 	limitCount, limitOffset      int32
@@ -161,66 +171,104 @@ func (db *DB) planAccess(p *plan, name, alias string, where sqlparser.Expr) bool
 		p.aliasBuf[0] = strings.ToLower(alias)
 		p.tables = p.aliasBuf[:]
 	}
-	p.indexCol, p.key = accessPath(t, p.tables[0], where)
+	p.indexCol, p.keyArg = -1, -1
+	ci, value := accessPath(t, p.tables[0], where)
+	switch x := value.(type) {
+	case *sqlparser.Literal:
+		if key, ok := t.Columns[ci].probeKey(LiteralValue(x)); ok {
+			p.indexCol, p.key = ci, indexKey(key)
+		}
+	case *sqlparser.Placeholder:
+		p.indexCol, p.keyArg = ci, x.Index
+	}
 	return true
 }
 
-// accessPath decides how a single-table SELECT branch, an UPDATE or a
-// DELETE finds its rows: it returns the unique column and the index key
-// to probe it with when the WHERE clause is "col = literal" and the probe
-// is provably the scan's answer, else -1. EXPLAIN reports the same
-// decision.
-//
-// A scan compares the stored value with the literal under Compare:
-// numerically unless both are strings. The index compares the literal
-// coerced to the column type with the stored value exactly. The two
-// agree when coercion did not change the literal's value (1.5 on an INT
-// column becomes 1: scan) and the scan's comparison is the exact one
-// for that column (a TEXT column probed with a number compares numeric
-// prefixes, so ' 5' and '5x' both match 5: scan).
-func accessPath(t *Table, alias string, where sqlparser.Expr) (int, string) {
+// accessPath finds the index a single-table SELECT branch, an UPDATE or a
+// DELETE could reach its rows through: when the WHERE clause is "col =
+// value" over a unique column of the table it returns the column and the
+// value's expression, else -1. Whether the probe may stand for the scan
+// depends on the value: probeKey.
+func accessPath(t *Table, alias string, where sqlparser.Expr) (int, sqlparser.Expr) {
 	eq, ok := where.(*sqlparser.BinaryExpr)
 	if !ok || eq.Op != "=" {
-		return -1, ""
+		return -1, nil
 	}
 	col, _ := eq.Left.(*sqlparser.ColumnRef)
-	lit, _ := eq.Right.(*sqlparser.Literal)
-	if col == nil || lit == nil {
+	value := eq.Right
+	if col == nil {
 		col, _ = eq.Right.(*sqlparser.ColumnRef)
-		lit, _ = eq.Left.(*sqlparser.Literal)
-	}
-	if col == nil || lit == nil {
-		return -1, ""
+		value = eq.Left
 	}
 	// A qualified reference must name this table (or its alias).
-	if col.Table != "" && !strings.EqualFold(col.Table, alias) {
-		return -1, ""
+	if col == nil || (col.Table != "" && !strings.EqualFold(col.Table, alias)) {
+		return -1, nil
 	}
 	ci := t.colIndex(col.Name)
 	if ci < 0 || !t.Columns[ci].Unique {
-		return -1, ""
+		return -1, nil
 	}
-	probe := literalValue(lit)
-	key, err := t.Columns[ci].coerce(probe)
+	return ci, value
+}
+
+// probeKey reports whether probing the column's unique index with probe
+// is provably what a scan for "col = probe" finds, and returns the probe
+// coerced to the column type: the key. One body judges literals when the
+// plan is built and arguments when it runs; EXPLAIN reports the outcome.
+//
+// A scan compares the stored value with the probe under Compare:
+// numerically unless both are strings. The index compares the probe
+// coerced to the column type with the stored value exactly. The two
+// agree when coercion did not change the probe's value (1.5 on an INT
+// column becomes 1: scan) and the scan's comparison is the exact one
+// for that column (a TEXT column probed with a number compares numeric
+// prefixes, so ' 5' and '5x' both match 5: scan).
+func (c *Column) probeKey(probe Value) (Value, bool) {
+	key, err := c.coerce(probe)
 	if err != nil || !Equal(key, probe) { // NULL equals nothing
-		return -1, ""
+		return Value{}, false
 	}
 	const exactInt = 1 << 53 // below it float64, which Compare uses, tells all integers apart
-	switch t.Columns[ci].Type {
+	switch c.Type {
 	case ColText, ColDatetime:
 		if probe.Kind != KindString {
-			return -1, ""
+			return Value{}, false
 		}
 	case ColInt:
 		if key.I <= -exactInt || key.I >= exactInt {
-			return -1, ""
+			return Value{}, false
 		}
 	case ColFloat:
 		if key.F == 0 { // 0 and -0 are equal but index apart
-			return -1, ""
+			return Value{}, false
 		}
 	}
-	return ci, indexKey(key)
+	return key, true
+}
+
+// probe runs the access path for one execution. answered says whether the
+// index stood for the WHERE clause — the plan has a unique column and the
+// value is provably a key — and then found whether row ri holds it. When
+// it did not the caller scans: an unbound '?' is left for the scan to
+// raise, row by row, as any other expression's error is.
+func (p *plan) probe(args []Value) (ri int, found, answered bool) {
+	if p.indexCol < 0 {
+		return 0, false, false
+	}
+	idx := p.table.indexes[p.indexCol]
+	if p.keyArg < 0 {
+		ri, found = idx[p.key]
+		return ri, found, true
+	}
+	if p.keyArg >= len(args) {
+		return 0, false, false
+	}
+	key, ok := p.table.Columns[p.indexCol].probeKey(args[p.keyArg])
+	if !ok {
+		return 0, false, false
+	}
+	ri, found = indexFind(idx, key)
+	return ri, found, true
 }
 
 // fieldWidth is the number of result columns a SELECT-list entry
@@ -242,10 +290,11 @@ func (l *layout) fieldWidth(f *sqlparser.SelectField) int {
 	}
 }
 
-// bindWhere binds the WHERE clause unless the access path answers it.
+// bindWhere binds the WHERE clause unless the access path is sure to
+// answer it: an argument may turn out not to be a key.
 func (p *plan) bindWhere(where sqlparser.Expr, frames []frame) {
 	p.where = noExpr
-	if p.table == nil || p.indexCol < 0 {
+	if p.table == nil || p.indexCol < 0 || p.keyArg >= 0 {
 		p.where = p.bind(where, frames)
 	}
 }
@@ -379,7 +428,7 @@ func (b *binder) bindInto(at int32, e sqlparser.Expr, frames []frame) {
 	var n bexpr
 	switch x := e.(type) {
 	case *sqlparser.Literal:
-		n = bexpr{op: opLit, val: literalValue(x)}
+		n = bexpr{op: opLit, val: LiteralValue(x)}
 	case *sqlparser.ColumnRef:
 		// Innermost level first: a correlated subquery sees its enclosing
 		// queries' rows.
@@ -401,7 +450,7 @@ func (b *binder) bindInto(at int32, e sqlparser.Expr, frames []frame) {
 		n.op = op
 		b.operands(&n, 2, frames, x.Left, x.Right)
 		if lit, ok := x.Right.(*sqlparser.Literal); ok && op == opLike && lit.Kind != sqlparser.LiteralNull {
-			n.setPattern(literalValue(lit).String())
+			n.setPattern(LiteralValue(lit).String())
 		}
 	case *sqlparser.UnaryExpr:
 		switch x.Op {
@@ -449,7 +498,7 @@ func (b *binder) bindInto(at int32, e sqlparser.Expr, frames []frame) {
 	case *sqlparser.ExistsExpr:
 		n = bexpr{op: opExists, sel: x.Select, flags: notFlag(x.Not)}
 	case *sqlparser.Placeholder:
-		n = bexpr{op: opErr, err: fmt.Errorf("unbound placeholder: use ExecArgs")}
+		n = bexpr{op: opParam, n: int32(x.Index)}
 	case *sqlparser.CaseExpr:
 		n.op = opCase
 		count := 2 * len(x.Whens)

@@ -10,6 +10,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"github.com/septic-db/septic/internal/sqlparser"
 )
 
 // accessType returns the access_type EXPLAIN reports for q's first source.
@@ -18,10 +20,23 @@ func accessType(t *testing.T, db *DB, q string) string {
 	return mustExec(t, db, "EXPLAIN "+q).Rows[0][1].S
 }
 
+// literalArg returns the value a '?' has to be bound to to stand for the
+// literal spelled lit.
+func literalArg(t *testing.T, lit string) Value {
+	t.Helper()
+	stmt, err := sqlparser.Parse("SELECT " + lit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return LiteralValue(stmt.(*sqlparser.SelectStmt).Fields[0].Expr.(*sqlparser.Literal))
+}
+
 // TestIndexProbeIsTheScansAnswer: the unique index is probed only when
 // that provably finds what the scan's weakly typed comparison finds. The
 // oracle is the same table declared without PRIMARY KEY/UNIQUE, which
-// has no index to take.
+// has no index to take. Every probe is put as a literal, judged when the
+// plan is built, and as the argument of one cached '?' text, judged per
+// execution off a plan all the probes share.
 func TestIndexProbeIsTheScansAnswer(t *testing.T) {
 	indexed, plain := New(), New()
 	mustExec(t, indexed, "CREATE TABLE n (id INT PRIMARY KEY, v TEXT)")
@@ -37,6 +52,7 @@ func TestIndexProbeIsTheScansAnswer(t *testing.T) {
 		probe             string
 		intPath, textPath string
 	}{
+		{"1", "const", "ALL"},
 		{"1.5", "ALL", "ALL"},         // INT: coercion truncates; TEXT: numeric comparison
 		{"'12abc'", "const", "const"}, // INT: 12 either way; TEXT: string equality
 		{"' 9'", "const", "const"},
@@ -48,10 +64,12 @@ func TestIndexProbeIsTheScansAnswer(t *testing.T) {
 	}
 	for _, c := range cases {
 		for _, q := range []struct{ sql, path string }{
-			{"SELECT v FROM n WHERE id = " + c.probe, c.intPath},
-			{"SELECT v FROM s WHERE code = " + c.probe, c.textPath},
-			{"SELECT v FROM s WHERE " + c.probe + " = code", c.textPath},
+			{"SELECT v FROM n WHERE id = @", c.intPath},
+			{"SELECT v FROM s WHERE code = @", c.textPath},
+			{"SELECT v FROM s WHERE @ = code", c.textPath},
 		} {
+			bound, arg := strings.Replace(q.sql, "@", "?", 1), literalArg(t, c.probe)
+			q.sql = strings.Replace(q.sql, "@", c.probe, 1)
 			got, want := mustExec(t, indexed, q.sql), mustExec(t, plain, q.sql)
 			if !reflect.DeepEqual(got.Rows, want.Rows) {
 				t.Errorf("%s: indexed table returns %v, scan returns %v", q.sql, got.Rows, want.Rows)
@@ -61,6 +79,14 @@ func TestIndexProbeIsTheScansAnswer(t *testing.T) {
 			}
 			if path := accessType(t, plain, q.sql); path != "ALL" {
 				t.Errorf("%s: no index, yet access path %s", q.sql, path)
+			}
+			for _, db := range []*DB{indexed, plain} {
+				if got, err := db.ExecArgs(bound, arg); err != nil || !reflect.DeepEqual(got.Rows, want.Rows) {
+					t.Errorf("%s bound to %s: returns %v, %v; the scan for the literal returns %v", bound, c.probe, got, err, want.Rows)
+				}
+			}
+			if res, err := indexed.ExecArgs("EXPLAIN "+bound, arg); err != nil || res.Rows[0][1].S != q.path {
+				t.Errorf("%s bound to %s: access path %v, %v, want %s", bound, c.probe, res, err, q.path)
 			}
 		}
 	}
@@ -92,7 +118,8 @@ func TestIndexProbeIsTheScansAnswer(t *testing.T) {
 // TestDMLProbeIsTheScansAnswer: UPDATE and DELETE find their rows by the
 // select's access path, so every literal form above must change the
 // indexed table exactly as it changes the twin declared without an index:
-// the same affected count, the same table afterwards.
+// the same affected count, the same table afterwards. So must the same
+// statement with the probe bound to a '?'.
 func TestDMLProbeIsTheScansAnswer(t *testing.T) {
 	setUp := func() (indexed, plain *DB) {
 		indexed, plain = New(), New()
@@ -113,32 +140,42 @@ func TestDMLProbeIsTheScansAnswer(t *testing.T) {
 	}
 	probes := []string{"'42'", "42", "TRUE", "1.5", "NULL", "' 9'", "9", "'9'", "9007199254740993", "0", "0.0", "'2.5'", "1e0"}
 	for _, probe := range probes {
-		for _, stmt := range []string{
-			"UPDATE n SET v = 'hit' WHERE id = " + probe,
-			"UPDATE s SET v = 'hit' WHERE code = " + probe,
-			"UPDATE s SET v = 'hit' WHERE " + probe + " = code",
-			"UPDATE f SET v = 'hit' WHERE x = " + probe,
-			"UPDATE n SET id = id + 100 WHERE id = " + probe,
-			"UPDATE s SET v = 'hit' WHERE code = " + probe + " ORDER BY v DESC LIMIT 1",
-			"DELETE FROM n WHERE id = " + probe,
-			"DELETE FROM s WHERE code = " + probe,
-			"DELETE FROM f WHERE x = " + probe,
-			"DELETE FROM s WHERE code = " + probe + " ORDER BY v LIMIT 1",
+		for _, tmpl := range []string{
+			"UPDATE n SET v = 'hit' WHERE id = @",
+			"UPDATE s SET v = 'hit' WHERE code = @",
+			"UPDATE s SET v = 'hit' WHERE @ = code",
+			"UPDATE f SET v = 'hit' WHERE x = @",
+			"UPDATE n SET id = id + 100 WHERE id = @",
+			"UPDATE s SET v = 'hit' WHERE code = @ ORDER BY v DESC LIMIT 1",
+			"DELETE FROM n WHERE id = @",
+			"DELETE FROM s WHERE code = @",
+			"DELETE FROM f WHERE x = @",
+			"DELETE FROM s WHERE code = @ ORDER BY v LIMIT 1",
 		} {
-			indexed, plain := setUp()
-			for run := 0; run < 2; run++ { // built plan, then stored plan (which finds less: the first run changed the table)
-				got, gotErr := indexed.Exec(stmt)
-				want, wantErr := plain.Exec(stmt)
-				if (gotErr == nil) != (wantErr == nil) {
-					t.Fatalf("%s: indexed err %v, scan err %v", stmt, gotErr, wantErr)
-				}
-				if gotErr == nil && got.Affected != want.Affected {
-					t.Errorf("%s (run %d): %d rows affected on the indexed table, %d by the scan", stmt, run, got.Affected, want.Affected)
-				}
-				for _, table := range []string{"n", "s", "f"} {
-					all := "SELECT * FROM " + table
-					if got, want := mustExec(t, indexed, all), mustExec(t, plain, all); !reflect.DeepEqual(got.Rows, want.Rows) {
-						t.Errorf("%s (run %d) leaves %s as\n %v on the indexed table\n %v by the scan", stmt, run, table, got.Rows, want.Rows)
+			stmt := strings.Replace(tmpl, "@", probe, 1)
+			// The indexed side runs the literal text, then the text with the
+			// probe bound; the scan's side always runs the literal text.
+			for _, run := range []struct {
+				text string
+				args []Value
+			}{{text: stmt}, {strings.Replace(tmpl, "@", "?", 1), []Value{literalArg(t, probe)}}} {
+				indexed, plain := setUp()
+				for i := 0; i < 2; i++ { // built plan, then stored plan (which finds less: the first run changed the table)
+					got, gotErr := indexed.ExecArgs(run.text, run.args...)
+					want, wantErr := plain.Exec(stmt)
+					if (gotErr == nil) != (wantErr == nil) {
+						t.Fatalf("%s %v: indexed err %v, scan err %v", run.text, run.args, gotErr, wantErr)
+					}
+					if gotErr == nil && got.Affected != want.Affected {
+						t.Errorf("%s %v (run %d): %d rows affected on the indexed table, %d by the scan",
+							run.text, run.args, i, got.Affected, want.Affected)
+					}
+					for _, table := range []string{"n", "s", "f"} {
+						all := "SELECT * FROM " + table
+						if got, want := mustExec(t, indexed, all), mustExec(t, plain, all); !reflect.DeepEqual(got.Rows, want.Rows) {
+							t.Errorf("%s %v (run %d) leaves %s as\n %v on the indexed table\n %v by the scan",
+								run.text, run.args, i, table, got.Rows, want.Rows)
+						}
 					}
 				}
 			}
@@ -163,13 +200,16 @@ func TestPlanFollowsSchema(t *testing.T) {
 	db := New()
 	mustExec(t, db, "CREATE TABLE t (id INT PRIMARY KEY, name TEXT, tag TEXT)")
 	mustExec(t, db, "INSERT INTO t (id, name, tag) VALUES (1, 'ann', 'x'), (2, 'bob', 'y')")
-	const star, point = "SELECT * FROM t", "SELECT name FROM t WHERE id = 2"
+	const star, point, bound = "SELECT * FROM t", "SELECT name FROM t WHERE id = 2", "SELECT name FROM t WHERE id = ?"
 	for i := 0; i < 2; i++ { // the second run executes the stored plans
 		if res := mustExec(t, db, star); !reflect.DeepEqual(res.Columns, []string{"id", "name", "tag"}) || len(res.Rows) != 2 {
 			t.Fatalf("before: %v %v", res.Columns, res.Rows)
 		}
 		if res := mustExec(t, db, point); len(res.Rows) != 1 || res.Rows[0][0].S != "bob" {
 			t.Fatalf("before: %v", res.Rows)
+		}
+		if res, err := db.ExecArgs(bound, Int(2)); err != nil || !reflect.DeepEqual(res, mustExec(t, db, point)) {
+			t.Fatalf("before: id = ? bound to 2 returns %v, %v", res, err)
 		}
 	}
 	if got := accessType(t, db, point); got != "const" {
@@ -187,6 +227,9 @@ func TestPlanFollowsSchema(t *testing.T) {
 		// id is no longer unique: both rows with id 2, by a scan.
 		if res := mustExec(t, db, point); len(res.Rows) != 2 || res.Rows[0][0].S != "cal" || res.Rows[1][0].S != "dee" {
 			t.Fatalf("after: %v", res.Rows)
+		}
+		if res, err := db.ExecArgs(bound, Int(2)); err != nil || !reflect.DeepEqual(res, mustExec(t, db, point)) {
+			t.Fatalf("after: id = ? bound to 2 returns %v, %v", res, err)
 		}
 	}
 	if got := accessType(t, db, point); got != "ALL" {
@@ -559,3 +602,62 @@ func TestPlanRaceStress(t *testing.T) {
 type hookFunc func(*HookContext) error
 
 func (f hookFunc) BeforeExecute(ctx *HookContext) error { return f(ctx) }
+
+// TestBoundEqualsWrittenOut: a text whose '?' placeholders are bound to
+// values answers as the text with the values written out as literals
+// does — results, rows affected, errors, the tables afterwards — in every
+// clause a placeholder can stand in, run twice so the second execution is
+// off the stored plan, then once more with other values off that same
+// plan. It is what binding into a copy of the AST gave by construction.
+func TestBoundEqualsWrittenOut(t *testing.T) {
+	bound, written := testDB(t), testDB(t)
+	for _, c := range []struct {
+		text string // '@' where a value goes
+		vals [][]string
+	}{
+		{"SELECT name FROM users WHERE city = @ AND age > @ ORDER BY name", [][]string{{"'lisbon'", "30"}, {"'porto'", "'4x'"}, {"NULL", "0"}}},
+		{"SELECT name, age + @ FROM users WHERE name LIKE @ OR city LIKE @ ORDER BY id", [][]string{{"1", "'A%'", "'%OR%'"}, {"2.5", "'%'", "NULL"}, {"'3'", "'b_b'", "'ÃO'"}}},
+		{"SELECT name FROM users WHERE age IN (@, 42, @) AND id NOT IN (SELECT uid FROM tickets WHERE creditCard = @) ORDER BY name", [][]string{{"31", "27", "1234"}, {"'31'", "NULL", "0"}}},
+		{"SELECT name FROM users WHERE age BETWEEN @ AND @ ORDER BY name LIMIT @ OFFSET @", [][]string{{"20", "40", "1", "1"}, {"'27'", "31.5", "5", "0"}}},
+		{"SELECT name FROM users ORDER BY id LIMIT @, @", [][]string{{"1", "2"}, {"0", "1"}}},
+		{"SELECT city, COUNT(*), MAX(age) + @ FROM users WHERE vip = @ OR @ GROUP BY city HAVING COUNT(*) >= @ ORDER BY city", [][]string{{"1", "TRUE", "FALSE", "1"}, {"0.5", "FALSE", "TRUE", "2"}}},
+		{"SELECT CASE WHEN age > @ THEN @ ELSE @ END, (SELECT COUNT(*) FROM tickets WHERE uid = users.id AND reservID <> @) FROM users WHERE EXISTS (SELECT 1 FROM logs WHERE ts > @) ORDER BY id", [][]string{{"30", "'old'", "'young'", "'x'", "0"}, {"NULL", "1", "2", "'ID34FG'", "99999"}}},
+		{"SELECT u.name FROM users u JOIN tickets k ON k.uid = u.id + @ WHERE k.creditCard > @ UNION SELECT msg FROM (SELECT msg FROM logs WHERE ts > @) d ORDER BY 1", [][]string{{"0", "0", "0"}, {"1", "'1000'", "150"}}},
+		{"INSERT INTO logs (ts, msg) VALUES (@, @), (@ + 1, 'lit')", [][]string{{"700", "'seven'", "700"}, {"'800'", "NULL", "1.5"}}},
+		{"INSERT INTO logs (ts, msg) SELECT age + @, name FROM users WHERE city = @", [][]string{{"1000", "'lisbon'"}, {"2000", "'nowhere'"}}},
+		{"UPDATE users SET age = age + @, city = @ WHERE id = @", [][]string{{"1", "'braga'", "2"}, {"0", "'braga'", "'2'"}, {"1", "NULL", "2.5"}}},
+		{"UPDATE users SET pass = @ WHERE city = @ ORDER BY age DESC LIMIT @", [][]string{{"'reset'", "'lisbon'", "1"}, {"NULL", "'lisbon'", "5"}}},
+		{"DELETE FROM logs WHERE ts = @ OR msg = @", [][]string{{"700", "'lit'"}, {"NULL", "'seven'"}}},
+		{"DELETE FROM tickets WHERE id = @", [][]string{{"1"}, {"'2abc'"}, {"TRUE"}}},
+		{"INSERT INTO users (name, age) VALUES (@, @)", [][]string{{"'eve'", "'abc'"}, {"NULL", "1"}}}, // errors at execute
+		{"SELECT name FROM users WHERE nosuch = @", [][]string{{"1"}}},
+	} {
+		param := strings.ReplaceAll(c.text, "@", "?")
+		for run, vals := range append(c.vals[:1:1], c.vals...) { // the first values twice
+			lit, args := c.text, make([]Value, len(vals))
+			for i, v := range vals {
+				lit, args[i] = strings.Replace(lit, "@", v, 1), literalArg(t, v)
+			}
+			got, gotErr := bound.ExecArgs(param, args...)
+			want, wantErr := written.Exec(lit)
+			if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+				t.Fatalf("%s (run %d): bound err %v, written out err %v", lit, run, gotErr, wantErr)
+			}
+			if gotErr == nil && (!reflect.DeepEqual(got.Rows, want.Rows) || got.Affected != want.Affected || got.LastInsertID != want.LastInsertID) {
+				t.Errorf("%s (run %d):\n      bound %+v\nwritten out %+v", lit, run, got, want)
+			}
+			for _, table := range []string{"users", "tickets", "logs"} {
+				all := "SELECT * FROM " + table
+				if got, want := mustExec(t, bound, all), mustExec(t, written, all); !reflect.DeepEqual(got.Rows, want.Rows) {
+					t.Fatalf("%s (run %d) leaves %s as\n %v bound\n %v written out", lit, run, table, got.Rows, want.Rows)
+				}
+			}
+		}
+		// Nothing of an execution stays in the cached statement or its plan.
+		if n := strings.Count(c.text, "@"); n > 0 {
+			if _, err := bound.ExecArgs(param, make([]Value, n-1)...); err == nil || !strings.Contains(err.Error(), "not enough arguments") {
+				t.Errorf("%s with an argument short: err = %v", param, err)
+			}
+		}
+	}
+}

@@ -19,6 +19,7 @@ import (
 	"strings"
 	"sync"
 
+	"github.com/septic-db/septic/internal/engine"
 	"github.com/septic-db/septic/internal/sqlparser"
 )
 
@@ -238,12 +239,19 @@ func fingerprintOf(nodes Stack) uint64 {
 }
 
 // BuildStack flattens a validated statement into its query structure.
+// args are the values one execution binds to the statement's '?'
+// placeholders (engine.HookContext.Args): a placeholder pushes the data
+// node the literal of its value would, so a prepared statement and the
+// text with the values written out have one structure and one model. A
+// placeholder with no argument — a statement looked at outside an
+// execution — pushes a PARAM_ITEM.
+//
 // Construction runs in a pooled scratch buffer and the result is copied
 // out at exactly the built size: one right-sized allocation per call
 // instead of a geometric append-growth chain.
-func BuildStack(stmt sqlparser.Statement) Stack {
+func BuildStack(stmt sqlparser.Statement, args ...engine.Value) Stack {
 	sp := scratchPool.Get().(*Stack)
-	scratch := BuildStackInto(*sp, stmt)
+	scratch := BuildStackInto(*sp, stmt, args...)
 	out := make(Stack, len(scratch))
 	copy(out, scratch)
 	*sp = scratch[:0]
@@ -256,8 +264,8 @@ func BuildStack(stmt sqlparser.Statement) Stack {
 // use the stack transiently (the detection pipeline) pass a pooled buffer
 // so steady-state QS construction allocates nothing; the returned stack
 // aliases buf and must not outlive the caller's ownership of it.
-func BuildStackInto(buf Stack, stmt sqlparser.Statement) Stack {
-	b := stackBuilder{nodes: buf[:0]}
+func BuildStackInto(buf Stack, stmt sqlparser.Statement, args ...engine.Value) Stack {
+	b := stackBuilder{nodes: buf[:0], args: args}
 	b.statement(stmt)
 	return b.nodes
 }
@@ -270,6 +278,7 @@ var scratchPool = sync.Pool{New: func() any {
 
 type stackBuilder struct {
 	nodes Stack
+	args  []engine.Value
 }
 
 func (b *stackBuilder) push(cat Category, data string) {
@@ -440,7 +449,7 @@ func (b *stackBuilder) orderLimit(orderBy []sqlparser.OrderItem, limit *sqlparse
 func (b *stackBuilder) expr(e sqlparser.Expr) {
 	switch x := e.(type) {
 	case *sqlparser.Literal:
-		b.literal(x)
+		b.value(engine.LiteralValue(x))
 	case *sqlparser.ColumnRef:
 		b.push(CatField, columnName(x))
 	case *sqlparser.BinaryExpr:
@@ -514,7 +523,11 @@ func (b *stackBuilder) expr(e sqlparser.Expr) {
 		}
 		b.push(CatFunc, op)
 	case *sqlparser.Placeholder:
-		b.push(CatPlaceholder, "?")
+		if x.Index < len(b.args) {
+			b.value(b.args[x.Index])
+		} else {
+			b.push(CatPlaceholder, "?")
+		}
 	case *sqlparser.CaseExpr:
 		if x.Operand != nil {
 			b.expr(x.Operand)
@@ -532,17 +545,18 @@ func (b *stackBuilder) expr(e sqlparser.Expr) {
 	}
 }
 
-func (b *stackBuilder) literal(l *sqlparser.Literal) {
-	switch l.Kind {
-	case sqlparser.LiteralInt:
-		b.push(CatInt, strconv.FormatInt(l.Int, 10))
-	case sqlparser.LiteralFloat:
-		b.push(CatReal, strconv.FormatFloat(l.Float, 'g', -1, 64))
-	case sqlparser.LiteralString:
-		b.push(CatString, l.Str)
-	case sqlparser.LiteralBool:
-		b.push(CatBool, strconv.FormatBool(l.Bool))
-	case sqlparser.LiteralNull:
+// value pushes the data node of a literal or of a bound argument.
+func (b *stackBuilder) value(v engine.Value) {
+	switch v.Kind {
+	case engine.KindInt:
+		b.push(CatInt, strconv.FormatInt(v.I, 10))
+	case engine.KindFloat:
+		b.push(CatReal, strconv.FormatFloat(v.F, 'g', -1, 64))
+	case engine.KindString:
+		b.push(CatString, v.S)
+	case engine.KindBool:
+		b.push(CatBool, strconv.FormatBool(v.B))
+	default:
 		b.push(CatNull, "NULL")
 	}
 }

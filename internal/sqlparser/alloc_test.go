@@ -71,8 +71,7 @@ func TestParseAllocs(t *testing.T) {
 // per-statement arrays and its text fields are substrings of the decoded
 // text, while the token slice it was parsed from goes back to a pool and is
 // overwritten by the next text. Nothing in the tree may depend on that
-// slice, every node must be its own, and Clone must copy nodes out of the
-// slabs rather than share them.
+// slice, and every node must be its own.
 func TestSlabNodesOutliveTheParse(t *testing.T) {
 	const q = "/* id */ SELECT a, t.b, -3, 'lit', 'it''s' FROM t WHERE a = 1 AND t.b < 2.5 OR c LIKE 'x%' ORDER BY a"
 	stmt := mustParse(t, q)
@@ -93,43 +92,15 @@ func TestSlabNodesOutliveTheParse(t *testing.T) {
 		t.Errorf("comments = %q, want [id]", c)
 	}
 
-	nodes := func(s Statement) map[Expr]bool {
-		seen := map[Expr]bool{}
-		WalkExprs(s, func(e Expr) {
-			if seen[e] {
-				t.Errorf("node %T %+v is reachable twice", e, e)
-			}
-			seen[e] = true
-		})
-		return seen
-	}
-	orig := nodes(stmt)
-	if len(orig) != 17 {
-		t.Errorf("walked %d nodes, want 17", len(orig))
-	}
-
-	clone := Clone(stmt)
-	if got := Format(clone); got != want {
-		t.Fatalf("clone formats differently\n got: %s\nwant: %s", got, want)
-	}
-	for e := range nodes(clone) {
-		if orig[e] {
-			t.Errorf("clone shares node %T %+v with the original", e, e)
+	seen := map[Expr]bool{}
+	WalkExprs(stmt, func(e Expr) {
+		if seen[e] {
+			t.Errorf("node %T %+v is reachable twice", e, e)
 		}
-	}
-	// Writing through every node of the clone leaves the original alone.
-	WalkExprs(clone, func(e Expr) {
-		switch n := e.(type) {
-		case *ColumnRef:
-			n.Name = "clobbered"
-		case *Literal:
-			*n = Literal{Kind: LiteralNull}
-		case *BinaryExpr:
-			n.Op = "+"
-		}
+		seen[e] = true
 	})
-	if got := Format(stmt); got != want {
-		t.Fatalf("writing to the clone changed the original\n got: %s\nwant: %s", got, want)
+	if len(seen) != 17 {
+		t.Errorf("walked %d nodes, want 17", len(seen))
 	}
 }
 

@@ -7,15 +7,26 @@ type Statement interface {
 	// statement, in source order. The first comment may carry SEPTIC's
 	// optional external query identifier.
 	StatementComments() []string
+	// NumParams returns the number of '?' placeholders in the statement,
+	// nested selects included: their Index values are 0 to NumParams()-1.
+	NumParams() int
+	setParams(n int)
 }
 
-// commentHolder carries the comments attached to a statement.
+// commentHolder carries what the parser records about a statement as a
+// whole: the comments attached to it and how many placeholders it holds.
 type commentHolder struct {
 	Comments []string
+	Params   int
 }
 
 // StatementComments implements Statement.
 func (c *commentHolder) StatementComments() []string { return c.Comments }
+
+// NumParams implements Statement.
+func (c *commentHolder) NumParams() int { return c.Params }
+
+func (c *commentHolder) setParams(n int) { c.Params = n }
 
 // SelectStmt is a SELECT query, possibly with UNION branches.
 type SelectStmt struct {
@@ -280,8 +291,14 @@ type ExistsExpr struct {
 
 func (*ExistsExpr) exprNode() {}
 
-// Placeholder is a '?' parameter marker (prepared-statement style).
-type Placeholder struct{}
+// Placeholder is a '?' parameter marker (prepared-statement style). Index
+// is its position among the statement's placeholders in source order,
+// from 0: the argument of an execution it stands for. The value never
+// enters the tree — whoever reads the statement for one execution reads
+// that execution's arguments beside it.
+type Placeholder struct {
+	Index int
+}
 
 func (*Placeholder) exprNode() {}
 

@@ -88,7 +88,11 @@ type Parser struct {
 	// commentsFrom is the index of the first token whose comments no
 	// statement has taken yet.
 	commentsFrom int
-	slab         slab
+	// params counts the placeholders of the statement being parsed. No
+	// rule that consumes one backtracks, so the count at a placeholder is
+	// its place in source order.
+	params int
+	slab   slab
 }
 
 // slab hands out the three node types that make up most of a statement
@@ -373,6 +377,7 @@ func (p *Parser) sizeSlab() slab {
 // parseStatement parses one statement and the semicolons after it.
 func (p *Parser) parseStatement() (Statement, error) {
 	p.slab = p.sizeSlab()
+	p.params = 0
 	var (
 		stmt Statement
 		err  error
@@ -404,6 +409,7 @@ func (p *Parser) parseStatement() (Statement, error) {
 	if err != nil {
 		return nil, err
 	}
+	stmt.setParams(p.params)
 	for p.accept(TokenSemicolon) {
 	}
 	return stmt, nil
@@ -1169,7 +1175,8 @@ func (p *Parser) parsePrimary() (Expr, error) {
 		return p.literal(Literal{Kind: LiteralString, Str: p.text()})
 	case TokenPlaceholder:
 		p.advance()
-		return &Placeholder{}, nil
+		p.params++
+		return &Placeholder{Index: p.params - 1}, nil
 	case TokenLParen:
 		p.advance()
 		var (

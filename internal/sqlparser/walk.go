@@ -1,31 +1,17 @@
 package sqlparser
 
-// RewriteFunc transforms one expression node. Returning the input
-// unchanged leaves the tree as is; returning a different Expr replaces
-// the node. Children are rewritten before their parents (post-order).
-type RewriteFunc func(Expr) (Expr, error)
-
-// RewriteExprs applies fn to every expression in the statement, in
-// source order, replacing nodes with the returned values. It is used to
-// bind placeholder parameters in the AST (engine.ExecArgs) without ever
-// touching query text.
-func RewriteExprs(stmt Statement, fn RewriteFunc) error {
-	r := rewriter{fn: fn}
-	return r.statement(stmt)
-}
-
-// WalkExprs calls visit for every expression in the statement, in source
-// order. Unlike RewriteExprs it never writes to the tree — not even a
-// store of an identical pointer — so it is safe to run concurrently on a
-// statement shared between sessions (the engine's parse cache hands the
-// same AST to every session executing the same text).
+// WalkExprs calls visit for every expression in the statement, children
+// before their parents, clauses in the order the AST lists them. It never
+// writes to the tree, so it is safe to run concurrently on a statement
+// shared between sessions (the engine's parse cache hands the same AST to
+// every session executing the same text). Nothing in the package writes
+// to a parsed statement: a '?' placeholder is bound by reading the
+// execution's arguments at Placeholder.Index, never by replacing the node.
 func WalkExprs(stmt Statement, visit func(Expr)) {
 	w := walker{visit: visit}
 	w.statement(stmt)
 }
 
-// walker is the read-only twin of rewriter: same post-order traversal,
-// no assignments.
 type walker struct {
 	visit func(Expr)
 }
@@ -92,8 +78,8 @@ func (w *walker) orderLimit(orderBy []OrderItem, limit *Limit) {
 	}
 }
 
-// expr visits e's children, then e itself (post-order, matching
-// rewriter). A nil expression — an absent optional clause — is skipped.
+// expr visits e's children, then e itself. A nil expression — an absent
+// optional clause — is skipped.
 func (w *walker) expr(e Expr) {
 	if e == nil {
 		return
@@ -139,196 +125,4 @@ func (w *walker) expr(e Expr) {
 		}
 	}
 	w.visit(e)
-}
-
-type rewriter struct {
-	fn RewriteFunc
-}
-
-func (r *rewriter) statement(stmt Statement) error {
-	switch s := stmt.(type) {
-	case *SelectStmt:
-		return r.selectStmt(s)
-	case *InsertStmt:
-		for _, row := range s.Rows {
-			for i := range row {
-				if err := r.rewrite(&row[i]); err != nil {
-					return err
-				}
-			}
-		}
-		if s.Select != nil {
-			return r.selectStmt(s.Select)
-		}
-		return nil
-	case *UpdateStmt:
-		for i := range s.Sets {
-			if err := r.rewrite(&s.Sets[i].Value); err != nil {
-				return err
-			}
-		}
-		if err := r.rewriteOpt(&s.Where); err != nil {
-			return err
-		}
-		return r.orderLimit(s.OrderBy, s.Limit)
-	case *DeleteStmt:
-		if err := r.rewriteOpt(&s.Where); err != nil {
-			return err
-		}
-		return r.orderLimit(s.OrderBy, s.Limit)
-	default:
-		return nil
-	}
-}
-
-func (r *rewriter) selectStmt(s *SelectStmt) error {
-	for i := range s.Fields {
-		if s.Fields[i].Expr != nil {
-			if err := r.rewrite(&s.Fields[i].Expr); err != nil {
-				return err
-			}
-		}
-	}
-	for i := range s.From {
-		if s.From[i].Subquery != nil {
-			if err := r.selectStmt(s.From[i].Subquery); err != nil {
-				return err
-			}
-		}
-		if s.From[i].On != nil {
-			if err := r.rewrite(&s.From[i].On); err != nil {
-				return err
-			}
-		}
-	}
-	if err := r.rewriteOpt(&s.Where); err != nil {
-		return err
-	}
-	for i := range s.GroupBy {
-		if err := r.rewrite(&s.GroupBy[i]); err != nil {
-			return err
-		}
-	}
-	if err := r.rewriteOpt(&s.Having); err != nil {
-		return err
-	}
-	if err := r.orderLimit(s.OrderBy, s.Limit); err != nil {
-		return err
-	}
-	if s.Union != nil {
-		return r.selectStmt(s.Union.Next)
-	}
-	return nil
-}
-
-func (r *rewriter) orderLimit(orderBy []OrderItem, limit *Limit) error {
-	for i := range orderBy {
-		if err := r.rewrite(&orderBy[i].Expr); err != nil {
-			return err
-		}
-	}
-	if limit != nil {
-		if err := r.rewrite(&limit.Count); err != nil {
-			return err
-		}
-		if limit.Offset != nil {
-			if err := r.rewrite(&limit.Offset); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// rewriteOpt rewrites an optional expression slot (may hold nil).
-func (r *rewriter) rewriteOpt(e *Expr) error {
-	if *e == nil {
-		return nil
-	}
-	return r.rewrite(e)
-}
-
-// rewrite descends into the expression's children, then applies fn to
-// the node itself, storing the replacement through the pointer.
-func (r *rewriter) rewrite(e *Expr) error {
-	switch x := (*e).(type) {
-	case *BinaryExpr:
-		if err := r.rewrite(&x.Left); err != nil {
-			return err
-		}
-		if err := r.rewrite(&x.Right); err != nil {
-			return err
-		}
-	case *UnaryExpr:
-		if err := r.rewrite(&x.Operand); err != nil {
-			return err
-		}
-	case *FuncCall:
-		for i := range x.Args {
-			if err := r.rewrite(&x.Args[i]); err != nil {
-				return err
-			}
-		}
-	case *InExpr:
-		if err := r.rewrite(&x.Left); err != nil {
-			return err
-		}
-		for i := range x.List {
-			if err := r.rewrite(&x.List[i]); err != nil {
-				return err
-			}
-		}
-		if x.Subquery != nil {
-			if err := r.selectStmt(x.Subquery); err != nil {
-				return err
-			}
-		}
-	case *BetweenExpr:
-		if err := r.rewrite(&x.Expr); err != nil {
-			return err
-		}
-		if err := r.rewrite(&x.Low); err != nil {
-			return err
-		}
-		if err := r.rewrite(&x.High); err != nil {
-			return err
-		}
-	case *IsNullExpr:
-		if err := r.rewrite(&x.Expr); err != nil {
-			return err
-		}
-	case *SubqueryExpr:
-		if err := r.selectStmt(x.Select); err != nil {
-			return err
-		}
-	case *ExistsExpr:
-		if err := r.selectStmt(x.Select); err != nil {
-			return err
-		}
-	case *CaseExpr:
-		if x.Operand != nil {
-			if err := r.rewrite(&x.Operand); err != nil {
-				return err
-			}
-		}
-		for i := range x.Whens {
-			if err := r.rewrite(&x.Whens[i].Cond); err != nil {
-				return err
-			}
-			if err := r.rewrite(&x.Whens[i].Result); err != nil {
-				return err
-			}
-		}
-		if x.Else != nil {
-			if err := r.rewrite(&x.Else); err != nil {
-				return err
-			}
-		}
-	}
-	replaced, err := r.fn(*e)
-	if err != nil {
-		return err
-	}
-	*e = replaced
-	return nil
 }

@@ -1,7 +1,6 @@
 package sqlparser
 
 import (
-	"errors"
 	"fmt"
 	"testing"
 )
@@ -43,111 +42,59 @@ func TestWalkExprsVisitsEverything(t *testing.T) {
 	}
 }
 
-func TestRewriteExprsReplacesInAllClauses(t *testing.T) {
-	stmt := mustParse(t, `UPDATE t SET a = ?, b = ? WHERE c = ? ORDER BY d LIMIT ?`)
-	n := 0
-	err := RewriteExprs(stmt, func(e Expr) (Expr, error) {
-		if _, ok := e.(*Placeholder); ok {
-			n++
-			return &Literal{Kind: LiteralInt, Int: int64(n)}, nil
+// TestPlaceholdersNumberedInSourceOrder: the parser gives each '?' its
+// place among the statement's placeholders as it consumes it, in every
+// clause, VALUES row and nested select, and records the count on the
+// statement; an execution binds argument i to the placeholder numbered i.
+// walk is the order WalkExprs meets them in, which is the source's except
+// where the AST lists a clause out of it: "LIMIT offset, count".
+func TestPlaceholdersNumberedInSourceOrder(t *testing.T) {
+	for _, c := range []struct {
+		text string
+		n    int
+		walk []int
+	}{
+		{"UPDATE t SET a = ?, b = ? WHERE c = ? ORDER BY d LIMIT ?", 4, []int{0, 1, 2, 3}},
+		{"INSERT INTO t (a, b) VALUES (?, ?), (?, 4)", 3, []int{0, 1, 2}},
+		{"INSERT INTO t (a) SELECT a + ? FROM u WHERE b = ?", 2, []int{0, 1}},
+		{"DELETE FROM t WHERE a BETWEEN ? AND ? AND b IN (?, 2, ?) ORDER BY ? LIMIT ?", 6, []int{0, 1, 2, 3, 4, 5}},
+		{"SELECT (SELECT ? FROM u) FROM t WHERE id IN (SELECT v FROM w WHERE k = ?)", 2, []int{0, 1}},
+		{"SELECT ?, CASE ? WHEN ? THEN ? ELSE ? END FROM t a JOIN (SELECT ? FROM v) d ON a.x = ? WHERE -? < a.y " +
+			"GROUP BY ? HAVING COUNT(*) > ? ORDER BY ? LIMIT ? OFFSET ? UNION SELECT ? FROM v WHERE EXISTS (SELECT ?)",
+			15, []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14}},
+		{"SELECT a FROM t WHERE b = ? LIMIT ?, ?", 3, []int{0, 2, 1}},
+		{"EXPLAIN SELECT a FROM t WHERE id = ?", 1, nil}, // the walker has no EXPLAIN case
+		{"SELECT a FROM t WHERE b = '?' /* ? */", 0, nil},
+	} {
+		stmt := mustParse(t, c.text)
+		if stmt.NumParams() != c.n {
+			t.Errorf("%s: NumParams = %d, want %d", c.text, stmt.NumParams(), c.n)
 		}
-		return e, nil
-	})
+		var walk []int
+		WalkExprs(stmt, func(e Expr) {
+			if p, ok := e.(*Placeholder); ok {
+				walk = append(walk, p.Index)
+			}
+		})
+		if fmt.Sprint(walk) != fmt.Sprint(c.walk) {
+			t.Errorf("%s: placeholders walked as %v, want %v", c.text, walk, c.walk)
+		}
+	}
+	limit := mustParse(t, "SELECT a FROM t LIMIT ?, ?").(*SelectStmt).Limit
+	if off, cnt := limit.Offset.(*Placeholder).Index, limit.Count.(*Placeholder).Index; off != 0 || cnt != 1 {
+		t.Errorf("LIMIT ?, ?: offset is argument %d and count argument %d, want 0 and 1", off, cnt)
+	}
+	// Each statement of a script counts its own.
+	stmts, err := ParseAll("SELECT ?; SELECT ?, ? ; SELECT 1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != 4 {
-		t.Fatalf("replaced %d placeholders, want 4", n)
-	}
-	text := Format(stmt)
-	for _, want := range []string{"a = 1", "b = 2", "(c = 3)", "LIMIT 4"} {
-		if !contains(text, want) {
-			t.Errorf("formatted %q missing %q", text, want)
+	for i, want := range []int{1, 2, 0} {
+		if stmts[i].NumParams() != want {
+			t.Errorf("statement %d of the script: NumParams = %d, want %d", i, stmts[i].NumParams(), want)
 		}
 	}
-}
-
-func TestRewriteExprsInInsertRows(t *testing.T) {
-	stmt := mustParse(t, "INSERT INTO t (a, b) VALUES (?, ?), (?, 4)")
-	n := 0
-	err := RewriteExprs(stmt, func(e Expr) (Expr, error) {
-		if _, ok := e.(*Placeholder); ok {
-			n++
-		}
-		return e, nil
-	})
-	if err != nil || n != 3 {
-		t.Fatalf("n = %d err = %v, want 3 placeholders", n, err)
-	}
-}
-
-func TestRewriteExprsPropagatesError(t *testing.T) {
-	stmt := mustParse(t, "SELECT a, b FROM t")
-	boom := errors.New("boom")
-	err := RewriteExprs(stmt, func(e Expr) (Expr, error) {
-		if col, ok := e.(*ColumnRef); ok && col.Name == "b" {
-			return nil, boom
-		}
-		return e, nil
-	})
-	if !errors.Is(err, boom) {
-		t.Fatalf("err = %v", err)
-	}
-}
-
-func TestRewriteExprsDescendsSubqueries(t *testing.T) {
-	stmt := mustParse(t, `SELECT (SELECT ? FROM u) FROM t WHERE id IN (SELECT v FROM w WHERE k = ?)`)
-	n := 0
-	err := RewriteExprs(stmt, func(e Expr) (Expr, error) {
-		if _, ok := e.(*Placeholder); ok {
-			n++
-		}
-		return e, nil
-	})
-	if err != nil || n != 2 {
-		t.Fatalf("n = %d err = %v, want 2", n, err)
-	}
-}
-
-func contains(haystack, needle string) bool {
-	return len(haystack) >= len(needle) && indexOf(haystack, needle) >= 0
-}
-
-func indexOf(haystack, needle string) int {
-	for i := 0; i+len(needle) <= len(haystack); i++ {
-		if haystack[i:i+len(needle)] == needle {
-			return i
-		}
-	}
-	return -1
-}
-
-// TestWalkExprsMatchesRewriteTraversal: the read-only walker must visit
-// exactly the nodes the rewriter visits, in the same order — the two
-// traversals are twins and must not drift apart.
-func TestWalkExprsMatchesRewriteTraversal(t *testing.T) {
-	for _, q := range cloneCorpus {
-		stmt := mustParse(t, q)
-		var walked []string
-		WalkExprs(stmt, func(e Expr) {
-			walked = append(walked, fmt.Sprintf("%T", e))
-		})
-		var rewritten []string
-		err := RewriteExprs(stmt, func(e Expr) (Expr, error) {
-			rewritten = append(rewritten, fmt.Sprintf("%T", e))
-			return e, nil
-		})
-		if err != nil {
-			t.Fatalf("rewrite %q: %v", q, err)
-		}
-		if len(walked) != len(rewritten) {
-			t.Fatalf("%q: walker visited %d nodes, rewriter %d\nwalked:    %v\nrewritten: %v",
-				q, len(walked), len(rewritten), walked, rewritten)
-		}
-		for i := range walked {
-			if walked[i] != rewritten[i] {
-				t.Errorf("%q: visit %d: walker %s, rewriter %s", q, i, walked[i], rewritten[i])
-			}
-		}
+	if second := stmts[1].(*SelectStmt).Fields[0].Expr.(*Placeholder).Index; second != 0 {
+		t.Errorf("the second statement's first placeholder is numbered %d, want 0", second)
 	}
 }

@@ -165,7 +165,7 @@ func NewWaspMon(db webapp.Executor) *webapp.App {
 	})
 
 	// POST /user/register2 — the "modernized" registration endpoint: it
-	// uses a prepared statement, so the value is bound in the AST and
+	// uses a prepared statement, so the value travels beside the text and
 	// bypasses the text pipeline entirely — including the DBMS charset
 	// decode, exactly like MySQL's binary protocol. The write is safe;
 	// the stored bytes are verbatim. (Which is how a confusable payload

@@ -24,7 +24,7 @@ import (
 // Executor runs SQL. Both *engine.DB and *wire.Client satisfy it, so an
 // application can sit in-process (benchmarks) or behind the wire
 // protocol (the demo deployment). ExecArgs is the prepared-statement
-// path: placeholders bound in the AST, never by text substitution.
+// path: values carried beside the text, never substituted into it.
 type Executor interface {
 	Exec(query string) (*engine.Result, error)
 	ExecArgs(query string, args ...engine.Value) (*engine.Result, error)

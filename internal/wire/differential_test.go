@@ -2,6 +2,7 @@ package wire
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
@@ -190,5 +191,47 @@ func TestV1V2Differential(t *testing.T) {
 	if ok := len(stream) - blocked - failed; ok == 0 || blocked == 0 || failed < 2 {
 		t.Errorf("stream of %d: %d answered, %d blocked, %d failed — want some of each",
 			len(stream), ok, blocked, failed)
+	}
+}
+
+// TestBoundValuesOverTheWire: a prepared statement's verdict is its
+// values', over either framing as in-process. One text goes through
+// Request.Args with a benign value, then with one payload per
+// stored-injection plugin, then benign again: each call is answered as the
+// same call made on the engine directly — the payloads blocked, typed
+// ErrServerBlocked — and the session goes on.
+func TestBoundValuesOverTheWire(t *testing.T) {
+	snapshotGoroutines(t)
+	const register2 = "/* waspmon:register2 */ INSERT INTO wm_users (username, email, notes) VALUES (?, ?, ?)"
+	notes := []string{"likes graphs", "<script>alert(document.cookie)</script>", "http://evil/x.php", "done; rm -rf uploads", "likes charts"}
+	for version, opts := range [][]ClientOption{nil, {WithPipeline(8)}} {
+		ref, _ := diffDeployment(t, nil)
+		db, _ := diffDeployment(t, nil)
+		srv := NewServer(db)
+		addr, err := srv.Listen("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = srv.Close() })
+		client := dialOpts(t, addr, opts...)
+		blocked := 0
+		for i, n := range notes {
+			args := []engine.Value{engine.Str("user"), engine.Str("u@example.com"), engine.Str(n)}
+			want, wantErr := ref.ExecArgs(register2, args...)
+			got := outcomeOf(client.ExecArgs(register2, args...))
+			if got.blocked != errors.Is(wantErr, engine.ErrQueryBlocked) || (got.errText == "") != (wantErr == nil) || fmt.Sprint(got.res) != fmt.Sprint(want) { // Sprint: nil and empty slices are one
+				t.Errorf("v%d call %d, notes %q: over the wire %+v %+v, in-process %+v %v", version+1, i, n, got, got.res, want, wantErr)
+			}
+			if got.blocked {
+				blocked++
+			}
+		}
+		if blocked != 3 {
+			t.Errorf("v%d: %d of the 3 payloads blocked", version+1, blocked)
+		}
+		const count = "SELECT COUNT(*) FROM wm_users"
+		if got, want := outcomeOf(client.Exec(count)), outcomeOf(ref.Exec(count)); !reflect.DeepEqual(got, want) || got.res.Rows[0][0].I != 5 {
+			t.Errorf("v%d after the sequence: %s over the wire %+v %+v, in-process %+v %+v", version+1, count, got, got.res, want, want.res)
+		}
 	}
 }
