@@ -11,7 +11,8 @@ import (
 )
 
 // hookCtxFor parses q into the HookContext shape the engine hands to the
-// hook.
+// hook for a text its parse cache holds: a context used again is the same
+// entry executed again, slot included.
 func hookCtxFor(t testing.TB, q string) *engine.HookContext {
 	t.Helper()
 	stmt, err := sqlparser.Parse(q)
@@ -23,6 +24,7 @@ func hookCtxFor(t testing.TB, q string) *engine.HookContext {
 		Decoded:  sqlparser.DecodeCharset(q),
 		Stmt:     stmt,
 		Comments: stmt.StatementComments(),
+		Memo:     new(engine.Memo),
 	}
 }
 
@@ -228,18 +230,20 @@ func TestExecPointSelectAllocCeiling(t *testing.T) {
 	}
 }
 
-// TestExecColdTextFullCachesAllocCeiling is embed_miss in one unit: both
-// caches full, every text new. Such a text allocates 16 objects while the
-// caches have room — its parse, its plan, its result, and three for the
-// caches: an entry in each and the verdict. Full caches refuse it, so it
-// must cost exactly those three less; a change that inserts on refusal
-// again fails here before it reaches the benchmark.
+// TestExecColdTextFullCachesAllocCeiling is embed_miss in one unit: the
+// parse cache full, every text new. Such a text allocates 18 objects
+// while the cache has room — its parse, its plan, its result, the cache
+// entry and what the guard leaves in the entry's slot: the verdict, the
+// one-element list and its two boxes. A full cache refuses it, the engine
+// hands the guard no slot, and it must cost exactly those less; a change
+// that builds a verdict for a refused text again fails here before it
+// reaches the benchmark.
 func TestExecColdTextFullCachesAllocCeiling(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("race instrumentation adds allocations")
 	}
 	const capacity = 16
-	sep := New(Config{Mode: ModeTraining}, WithVerdictCacheCapacity(capacity))
+	sep := New(Config{Mode: ModeTraining})
 	db := engine.New(engine.WithQueryHook(sep), engine.WithParseCacheCapacity(capacity))
 	for _, q := range []string{
 		"CREATE TABLE tickets (id INT PRIMARY KEY AUTO_INCREMENT, reservID TEXT, creditCard INT)",
@@ -262,15 +266,16 @@ func TestExecColdTextFullCachesAllocCeiling(t *testing.T) {
 		}
 		next++
 	}
-	for next < 500 { // fill every shard of both caches
+	for next < 500 { // fill every shard of the parse cache
 		exec()
 	}
-	before := sep.CacheStats()
+	before := sep.Stats()
 	if allocs := testing.AllocsPerRun(400, exec); allocs > 13 {
-		t.Errorf("a never-seen text against full caches allocates %.1f objects/op, want <= 13", allocs)
+		t.Errorf("a never-seen text against a full parse cache allocates %.1f objects/op, want <= 13", allocs)
 	}
-	after := sep.CacheStats()
-	if after.Refused-before.Refused != 401 || after.Evictions != 0 || after.Entries != capacity {
+	after := sep.Stats()
+	if after.Cache.Misses-before.Cache.Misses != 401 || after.Cache.Hits != before.Cache.Hits ||
+		after.QueriesChecked-before.QueriesChecked != 401 {
 		t.Fatalf("the guard measured the wrong path: %+v, then %+v", before, after)
 	}
 }

@@ -28,9 +28,9 @@ const DefaultDomain = "default"
 //   - an independent operation Mode and detection Config (one app can
 //     still be training while another already blocks),
 //   - its own FailOpen policy,
-//   - a private verdict-cache partition (a benign verdict for app A can
-//     never be served to app B, and A's store churn never invalidates
-//     B's cache), and
+//   - its own verdicts (each is tagged with the domain it was computed
+//     in: a benign verdict for app A can never be served to app B, and
+//     A's store churn never invalidates B's), and
 //   - its own Stats counters.
 //
 // The ID generator, detector plugin chain, logger and metrics registry
@@ -51,11 +51,16 @@ type Domain struct {
 
 	// cfgGen counts this domain's configuration changes; stamps verdicts
 	// (see Septic.cfgGen — the mechanism is per-domain so one domain's
-	// mode flip never invalidates another domain's cache).
+	// mode flip never invalidates another domain's verdicts).
 	cfgGen atomic.Uint64
 
-	// verdicts is the domain's private verdict-cache partition.
-	verdicts *verdictCache
+	// cacheHits and cacheMisses count the domain's verdict lookups (recall);
+	// invalidations the misses that found a verdict of this domain with
+	// stale stamps — a high rate means the store or configuration is
+	// churning under the memo.
+	cacheHits     atomic.Int64
+	cacheMisses   atomic.Int64
+	invalidations atomic.Int64
 
 	queriesSeen    atomic.Int64
 	modelsLearned  atomic.Int64
@@ -175,11 +180,14 @@ func (d *Domain) Stats() Stats {
 	}
 }
 
-// CacheStats returns the domain's verdict-cache counters alone.
+// CacheStats returns the domain's verdict-memo counters alone.
 func (d *Domain) CacheStats() CacheStats {
-	cs := d.verdicts.stats()
-	cs.Brownouts = d.brownouts.Load()
-	return cs
+	return CacheStats{
+		Hits:          d.cacheHits.Load(),
+		Misses:        d.cacheMisses.Load(),
+		Invalidations: d.invalidations.Load(),
+		Brownouts:     d.brownouts.Load(),
+	}
 }
 
 // validDomainName reports whether name can be registered: non-empty, not
@@ -328,6 +336,6 @@ func (s *Septic) registerDomainGauges(d *Domain) {
 	m.GaugeFunc(prefix+"brownouts", d.brownouts.Load)
 	m.GaugeFunc(prefix+"store.identifiers", func() int64 { return int64(d.store.Len()) })
 	m.GaugeFunc(prefix+"store.models", func() int64 { return int64(d.store.ModelCount()) })
-	m.GaugeFunc(prefix+"verdict_cache.hits", func() int64 { return d.verdicts.stats().Hits })
-	m.GaugeFunc(prefix+"verdict_cache.misses", func() int64 { return d.verdicts.stats().Misses })
+	m.GaugeFunc(prefix+"verdict_cache.hits", d.cacheHits.Load)
+	m.GaugeFunc(prefix+"verdict_cache.misses", d.cacheMisses.Load)
 }

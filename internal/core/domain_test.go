@@ -176,11 +176,12 @@ func TestGuardStatsAggregateDomains(t *testing.T) {
 	// Warm both verdict caches, then the aggregate must count both.
 	shop.SetConfig(DefaultConfig())
 	sep.SetConfig(DefaultConfig())
+	inShop, inDefault := hookCtxFor(t, "/* shop:q */ SELECT 1"), hookCtxFor(t, "SELECT 2")
 	for i := 0; i < 2; i++ {
-		if err := sep.BeforeExecute(hookCtxFor(t, "/* shop:q */ SELECT 1")); err != nil {
+		if err := sep.BeforeExecute(inShop); err != nil {
 			t.Fatal(err)
 		}
-		if err := sep.BeforeExecute(hookCtxFor(t, "SELECT 2")); err != nil {
+		if err := sep.BeforeExecute(inDefault); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -91,6 +91,9 @@ func FuzzBeforeExecute(f *testing.F) {
 			Comments: stmt.StatementComments(),
 			Args:     bind(stmt, arg),
 		}
+		if len(hctx.Args) == 0 {
+			hctx.Memo = new(engine.Memo) // the engine's rule: a slot only when the text is the whole statement
+		}
 		err1 := sep.BeforeExecute(hctx)
 		learned := sep.Stats().NewQueries > 0
 		err2 := sep.BeforeExecute(hctx)

@@ -7,27 +7,33 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/septic-db/septic/internal/engine"
 	"github.com/septic-db/septic/internal/faultinject"
 	"github.com/septic-db/septic/internal/overload"
 	"github.com/septic-db/septic/internal/wal"
 )
 
 // watchedGuard is a guard whose register feeds a display and an audit
-// stream the test can read back.
+// stream the test can read back. entries stands in for the engine's parse
+// cache: a text run again is the same entry, slot included.
 type watchedGuard struct {
 	sep            *Septic
 	display, audit bytes.Buffer
+	entries        map[string]*engine.HookContext
 }
 
 func newWatchedGuard(cfg Config) *watchedGuard {
-	g := &watchedGuard{}
+	g := &watchedGuard{entries: make(map[string]*engine.HookContext)}
 	g.sep = New(cfg, WithLogger(NewLogger(WithStream(&g.display), WithJSONStream(&g.audit))))
 	return g
 }
 
 func (g *watchedGuard) run(t *testing.T, q string) {
 	t.Helper()
-	_ = g.sep.BeforeExecute(hookCtxFor(t, q))
+	if g.entries[q] == nil {
+		g.entries[q] = hookCtxFor(t, q)
+	}
+	_ = g.sep.BeforeExecute(g.entries[q])
 }
 
 // TestEveryEmitSiteReachesEveryView drives each place the guard records

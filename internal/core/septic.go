@@ -127,8 +127,8 @@ func (s *Stats) add(o Stats) {
 // attack detector and logger together and implements engine.QueryHook so
 // it can be installed inside the DBMS (engine.WithQueryHook). A single
 // Septic may serve many concurrent sessions AND many applications at
-// once: tenant state (model store, mode, fail policy, verdict cache,
-// counters) lives in protection domains (see Domain), and every query is
+// once: tenant state (model store, mode, fail policy, counters, and whose
+// verdict is whose) lives in protection domains (see Domain), and every query is
 // routed to its domain by one map lookup off an atomic snapshot. A
 // Septic with no registered domains is the single-tenant deployment:
 // everything lands in the default domain and the legacy accessors
@@ -158,7 +158,9 @@ type Septic struct {
 	// regMu serializes registrations (writers only).
 	regMu sync.Mutex
 
-	verdictCap int
+	// memoize is false when the guard was told to remember no verdicts
+	// (WithVerdictCacheCapacity(0)).
+	memoize bool
 
 	// persist is the durable model store, nil until AttachPersistence.
 	// Only read outside the hot path (RegisterDomain binds new domains to
@@ -206,22 +208,25 @@ func WithObserver(h *obs.Hub) SepticOption {
 	return func(s *Septic) { s.obs = h }
 }
 
-// WithVerdictCacheCapacity bounds each domain's verdict cache to n
-// entries; n = 0 disables verdict caching entirely (every query runs
-// the full pipeline — the ablation configuration for benchmarks).
+// WithVerdictCacheCapacity switches verdict memoization: n = 0 turns it
+// off (every query runs the full pipeline — the ablation configuration
+// and the benchmark's reference deployment), any other n leaves it on.
+// The guard keeps no cache of its own to size: a verdict lives in the
+// engine's parse-cache entry of its statement, so the bound on remembered
+// verdicts is engine.WithParseCacheCapacity's.
 func WithVerdictCacheCapacity(n int) SepticOption {
-	return func(s *Septic) { s.verdictCap = n }
+	return func(s *Septic) { s.memoize = n != 0 }
 }
 
 // New builds a SEPTIC instance with the given configuration (which
 // becomes the default domain's configuration).
 func New(cfg Config, opts ...SepticOption) *Septic {
 	s := &Septic{
-		idgen:      NewIDGenerator(),
-		store:      NewStore(),
-		detector:   NewDetector(DefaultPlugins()),
-		logger:     NewLogger(),
-		verdictCap: DefaultVerdictCacheCapacity,
+		idgen:    NewIDGenerator(),
+		store:    NewStore(),
+		detector: NewDetector(DefaultPlugins()),
+		logger:   NewLogger(),
+		memoize:  true,
 	}
 	for _, o := range opts {
 		o(s)
@@ -244,11 +249,8 @@ func New(cfg Config, opts ...SepticOption) *Septic {
 		m.GaugeFunc("core.guard_faults", func() int64 { return s.Stats().GuardFaults })
 		m.GaugeFunc("core.store.identifiers", func() int64 { return int64(s.store.Len()) })
 		m.GaugeFunc("core.store.models", func() int64 { return int64(s.store.ModelCount()) })
-		m.GaugeFunc("core.verdict_cache.entries", func() int64 { return int64(s.CacheStats().Entries) })
 		m.GaugeFunc("core.verdict_cache.hits", func() int64 { return s.CacheStats().Hits })
 		m.GaugeFunc("core.verdict_cache.misses", func() int64 { return s.CacheStats().Misses })
-		m.GaugeFunc("core.verdict_cache.evictions", func() int64 { return s.CacheStats().Evictions })
-		m.GaugeFunc("core.verdict_cache.refused", func() int64 { return s.CacheStats().Refused })
 		m.GaugeFunc("core.verdict_cache.invalidations", func() int64 { return s.CacheStats().Invalidations })
 	}
 	return s
@@ -257,12 +259,10 @@ func New(cfg Config, opts ...SepticOption) *Septic {
 // newDomain builds one protection domain over a store. Called from New
 // (default domain) and RegisterDomain.
 func (s *Septic) newDomain(name string, cfg Config, store *Store) *Domain {
-	d := &Domain{name: name, sep: s, store: store,
-		verdicts: newVerdictCache(s.verdictCap)}
+	d := &Domain{name: name, sep: s, store: store}
 	d.cfg.Store(&cfg)
 	d.ovl.Store(overload.NewControls(nil, nil))
 	store.log, store.domain = s.logger, name
-	d.verdicts.log, d.verdicts.domain = s.logger, name
 	return d
 }
 
@@ -316,12 +316,12 @@ func (s *Septic) Stats() Stats {
 	return out
 }
 
-// CacheStats returns the verdict-cache counters aggregated over every
-// domain's cache partition.
+// CacheStats returns the verdict-memo counters aggregated over every
+// domain.
 func (s *Septic) CacheStats() CacheStats {
-	out := s.def.verdicts.stats()
+	out := s.def.CacheStats()
 	for _, d := range *s.domains.Load() {
-		out.add(d.verdicts.stats())
+		out.add(d.CacheStats())
 	}
 	return out
 }
@@ -348,21 +348,21 @@ var stackPool = sync.Pool{
 // reduces to an ID computation and a store lookup, which is what makes
 // the paper's NN configuration nearly free (§II-F: 0.5% overhead).
 //
-// Benign outcomes are additionally memoized by exact decoded query text
-// in the domain's verdict-cache partition: a byte-identical repeat of a
-// query already found benign under the domain's current configuration
-// and model store skips ID generation, the store lookup and detection
-// entirely. The memo is keyed on ctx.Decoded, which is sound because
-// the parser derives the AST from exactly that text and nothing writes
-// to an AST afterwards (identical decoded text ⇒ identical AST ⇒
-// identical verdict while configuration and models are unchanged), and
-// generation stamps guarantee the
-// "unchanged" part: any SetMode/SetConfig or store mutation ON THAT
-// DOMAIN bumps a counter and orphans every older entry. Partitioning
-// per domain is what makes the cache sound under multi-tenancy: the key
-// is query text, and two applications may issue byte-identical text
-// that must be judged against different model stores. Attacks are never
-// cached — each occurrence is detected, logged and blocked afresh.
+// Benign outcomes are additionally memoized in the slot the engine keeps
+// for the hook in its parse-cache entry of the statement (ctx.Memo, see
+// verdict): a repeat of a query already found benign under the domain's
+// current configuration and model store skips ID generation, the store
+// lookup and detection entirely. The verdict is found through the very
+// ctx.Stmt it was computed from, which is a stronger argument than equal
+// text: whatever else an execution is judged by that the text does not
+// show — bound values today — gives it no slot, and the engine, not this
+// function, knows when that is. Generation stamps guarantee the rest: any
+// SetMode/SetConfig or store mutation ON THAT DOMAIN bumps a counter and
+// orphans the domain's older verdicts. Two applications may issue
+// byte-identical text that must be judged against different model stores;
+// they share the entry and the slot, and each is only ever served the
+// verdict tagged with its own Domain. Attacks are never cached — each
+// occurrence is detected, logged and blocked afresh.
 //
 // The hook is panic-contained: a fault anywhere in the protection path
 // (ID generation, structure building, a detector plugin) is recovered
@@ -382,12 +382,9 @@ var stackPool = sync.Pool{
 // The miss pipeline lives in runMiss; the extra call is nanoseconds
 // against a pipeline measured in hundreds.
 //
-// A statement that carries bound values (ctx.Args, a prepared statement)
-// neither consults nor feeds the verdict cache: its verdict depends on
-// the values — the type of every data node, every written string through
-// the plugin chain — and the text is the same for all of them. Every
-// execution of one is a miss, so while the breaker is open prepared
-// statements are answered by the fail policy, never from the cache.
+// A statement with no slot — bound values, a text the parse cache is not
+// holding, memoization switched off — is a miss every time, so while the
+// breaker is open it is answered by the fail policy.
 func (s *Septic) BeforeExecute(ctx *engine.HookContext) (err error) {
 	// Domain routing runs outside the containment shell: it is a map
 	// lookup plus byte scans over a bounded comment — no panic surface —
@@ -414,13 +411,13 @@ func (s *Septic) BeforeExecute(ctx *engine.HookContext) (err error) {
 	storeGen := d.store.Generation()
 	cfg := *d.cfg.Load()
 	d.queriesSeen.Add(1)
-	memo := d.verdicts
-	if len(ctx.Args) > 0 {
-		memo = nil // the text is not the whole statement: nothing to look up, nothing to leave
+	memo := ctx.Memo
+	if !s.memoize {
+		memo = nil
 	}
 
 	if cfg.Mode != ModeTraining {
-		if v, ok := memo.lookup(ctx.Decoded, cfgGen, storeGen); ok {
+		if v := d.recall(memo, cfgGen, storeGen); v != nil {
 			if v.set != nil {
 				v.set.hits.Add(1) // keep the admin usage report exact
 			}
@@ -458,7 +455,7 @@ func (s *Septic) BeforeExecute(ctx *engine.HookContext) (err error) {
 // fail-closed (the default) blocks it, wrapping engine.ErrQueryBlocked
 // so the engine books it as a block. Cache hits never reach here (the
 // lookup precedes the breaker), so known-benign traffic is served from
-// the verdict cache for the whole brownout.
+// its memoized verdicts for the whole brownout.
 func (s *Septic) brownout(d *Domain, cfg Config) error {
 	d.brownouts.Add(1)
 	if cfg.FailOpen {
@@ -468,13 +465,13 @@ func (s *Septic) brownout(d *Domain, cfg Config) error {
 		engine.ErrQueryBlocked)
 }
 
-// runMiss is the full pipeline behind the verdict cache: ID generation,
+// runMiss is the full pipeline behind the verdict memo: ID generation,
 // training/incremental learning, store lookup, and detection. Split
 // from BeforeExecute so the breaker can time one complete run; it
 // executes under BeforeExecute's containment shell (a panic here
 // unwinds to containFault, which also books the breaker failure). memo
-// is where a benign verdict is left: the domain's cache, or nil.
-func (s *Septic) runMiss(d *Domain, memo *verdictCache, ctx *engine.HookContext, cfg Config,
+// is where a benign verdict is left: the statement's slot, or nil.
+func (s *Septic) runMiss(d *Domain, memo *engine.Memo, ctx *engine.HookContext, cfg Config,
 	cfgGen, storeGen uint64, obsStart time.Time) error {
 	id := s.idgen.ID(ctx.Stmt, ctx.Comments)
 
@@ -508,14 +505,14 @@ func (s *Septic) runMiss(d *Domain, memo *verdictCache, ctx *engine.HookContext,
 		}
 		// Unknown identifier with learning off: executes unchecked by
 		// design; memoize so repeats skip the ID recomputation.
-		memo.insert(ctx.Decoded, verdict{id: id, cfgGen: cfgGen, storeGen: storeGen})
+		d.remember(memo, verdict{id: id, cfgGen: cfgGen, storeGen: storeGen})
 		s.observeFull(obsStart)
 		return nil
 	}
 
 	if !cfg.DetectSQLI && !cfg.DetectStored {
 		// NN: nothing to check.
-		memo.insert(ctx.Decoded, verdict{id: id, set: set, cfgGen: cfgGen, storeGen: storeGen})
+		d.remember(memo, verdict{id: id, set: set, cfgGen: cfgGen, storeGen: storeGen})
 		s.observeFull(obsStart)
 		return nil
 	}
@@ -541,7 +538,7 @@ func (s *Septic) runMiss(d *Domain, memo *verdictCache, ctx *engine.HookContext,
 	*sp = qs
 	stackPool.Put(sp)
 	s.checked(d, id, ctx.Decoded)
-	memo.insert(ctx.Decoded, verdict{id: id, checked: true, set: set, cfgGen: cfgGen, storeGen: storeGen})
+	d.remember(memo, verdict{id: id, checked: true, set: set, cfgGen: cfgGen, storeGen: storeGen})
 	s.observeFull(obsStart)
 	return nil
 }

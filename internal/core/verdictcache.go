@@ -1,29 +1,29 @@
 package core
 
-import (
-	"sync/atomic"
-
-	"github.com/septic-db/septic/internal/txtcache"
-)
-
-// DefaultVerdictCacheCapacity bounds the verdict cache when the
-// deployment does not choose its own size. Sized like the engine's parse
-// cache: a web application's working set of distinct query texts is
-// small (Fig. 5's workloads issue a handful of shapes), so 4096 entries
-// hold it with room for parameter churn.
-const DefaultVerdictCacheCapacity = 4096
+import "github.com/septic-db/septic/internal/engine"
 
 // verdict is one memoized outcome of the full BeforeExecute pipeline for
-// a byte-exact decoded query text: the identifier that text produced,
-// whether detection actually ran (checked) or the query was merely looked
-// up (NN configuration, or unknown identifier without incremental
-// learning), and the store record backing the hit so repeat executions
-// keep usage accounting exact.
+// one statement in one protection domain: the identifier the statement
+// produced, whether detection actually ran (checked) or the query was
+// merely looked up (NN configuration, or unknown identifier without
+// incremental learning), and the store record backing the hit so repeat
+// executions keep usage accounting exact.
+//
+// A verdict lives in the engine's parse-cache entry of the statement it
+// was computed from (engine.HookContext.Memo), beside the AST and the
+// plan: it is found again exactly as long as that AST is, costs no hash
+// and no lock of its own, and is bounded and evicted with the entry. The
+// slot holds one verdict per domain that judged the text, as an immutable
+// []*verdict replaced whole.
 //
 // Only benign outcomes are cached. Attacks are never memoized: every
 // occurrence must be detected, logged, and (in prevention mode) blocked
 // on its own, so the attack path always runs the full pipeline.
 type verdict struct {
+	// dom is the domain whose configuration and store the verdict was
+	// computed against, and the only one it is ever served to: two tenants
+	// issuing byte-identical text share the parse-cache entry, not this.
+	dom     *Domain
 	id      string
 	checked bool
 	// set is the store record for id at verdict time; nil when the
@@ -40,115 +40,100 @@ type verdict struct {
 	storeGen uint64
 }
 
-// verdictCache memoizes benign verdicts keyed by exact decoded query
-// text, with generation-stamped self-invalidation (no explicit flush:
-// stale entries are simply never served, and eviction recycles them).
-type verdictCache struct {
-	cache *txtcache.Cache[*verdict]
-	// invalidations counts lookups that found an entry whose generation
-	// stamps were stale. They surface in stats as misses (the pipeline
-	// runs in full) but are reported separately: a high rate means the
-	// store or configuration is churning under the cache.
-	invalidations atomic.Int64
-	// log receives an EventCacheInvalidated per invalidation, tagged with
-	// the owning domain. Set once by newDomain, before the cache is shared.
-	log    *Logger
-	domain string
-}
-
-// CacheStats reports verdict-cache effectiveness counters.
+// CacheStats reports verdict-memo effectiveness counters.
 type CacheStats struct {
-	// Hits counts lookups served from a fresh cached verdict.
+	// Hits counts lookups served from a fresh memoized verdict.
 	Hits int64
-	// Misses counts lookups that ran the full pipeline: unseen text,
-	// evicted entries, and stale (invalidated) entries.
+	// Misses counts lookups that ran the full pipeline: a statement with no
+	// slot (memoization off, a text the parse cache does not hold, bound
+	// values), a slot with no verdict of the domain, and stale verdicts.
 	Misses int64
-	// Evictions counts entries recycled by the capacity bound.
+	// Evictions reads 0: verdicts leave with their parse-cache entry, and
+	// engine.parse_cache.evictions counts those. The field stays while the
+	// benchmark contract reports core.cache_evictions.
 	Evictions int64
-	// Refused counts texts a full cache declined to store at first sight;
-	// far above Hits it means a scan, or an application that inlines
-	// unique values into its query texts.
-	Refused int64
 	// Invalidations counts the subset of Misses caused by generation
 	// staleness (mode/config change or model-store mutation).
 	Invalidations int64
-	// Entries is the current number of cached verdicts.
-	Entries int
 	// Brownouts counts the subset of Misses answered by the domain's
 	// fail policy instead of the detection pipeline because the
-	// detection breaker was open (cache hits keep being served).
+	// detection breaker was open (hits keep being served).
 	Brownouts int64
 }
 
-// add accumulates another snapshot (per-domain partition aggregation).
+// add accumulates another domain's snapshot.
 func (s *CacheStats) add(o CacheStats) {
 	s.Hits += o.Hits
 	s.Misses += o.Misses
-	s.Evictions += o.Evictions
-	s.Refused += o.Refused
 	s.Invalidations += o.Invalidations
-	s.Entries += o.Entries
 	s.Brownouts += o.Brownouts
 }
 
-// newVerdictCache builds a cache bounded to capacity entries; capacity 0
-// disables caching (every lookup misses, inserts are dropped).
-func newVerdictCache(capacity int) *verdictCache {
-	return &verdictCache{cache: txtcache.New[*verdict](capacity)}
+// verdictsIn reads a slot: the value found there, to replace it by, and
+// the verdicts in it — none for no slot, an empty one, or one holding
+// another hook's value.
+func verdictsIn(slot *engine.Memo) (at *any, vs []*verdict) {
+	if slot == nil {
+		return nil, nil
+	}
+	if at = slot.Load(); at != nil {
+		vs, _ = (*at).([]*verdict)
+	}
+	return at, vs
 }
 
-// lookup returns the cached verdict for text if it is stamped with the
-// current generations. A stale entry counts as an invalidation and a
-// miss; the caller recomputes and re-inserts, overwriting the stale
-// entry in place. A nil cache — what a statement whose text is not all of
-// it is given — holds nothing and counts nothing.
-func (c *verdictCache) lookup(text string, cfgGen, storeGen uint64) (*verdict, bool) {
-	if c == nil {
-		return nil, false
-	}
-	v, ok := c.cache.Get(text)
-	if !ok {
-		return nil, false
-	}
-	if v.cfgGen != cfgGen || v.storeGen != storeGen {
-		c.invalidations.Add(1)
+// recall returns the domain's verdict from slot if it is stamped with the
+// current generations, and counts the lookup. A stale verdict counts as
+// an invalidation and a miss; the caller recomputes and remembers,
+// replacing it.
+func (d *Domain) recall(slot *engine.Memo, cfgGen, storeGen uint64) *verdict {
+	_, vs := verdictsIn(slot)
+	for _, v := range vs {
+		if v.dom != d {
+			continue
+		}
+		if v.cfgGen == cfgGen && v.storeGen == storeGen {
+			d.cacheHits.Add(1)
+			return v
+		}
+		d.invalidations.Add(1)
 		cause := "store generation moved"
 		if v.cfgGen != cfgGen {
 			cause = "configuration generation moved"
 		}
-		c.log.Log(Event{Kind: EventCacheInvalidated, Domain: c.domain, QueryID: v.id,
+		d.sep.logger.Log(Event{Kind: EventCacheInvalidated, Domain: d.name, QueryID: v.id,
 			Detail: "cached verdict invalidated: " + cause})
-		return nil, false
+		break
 	}
-	return v, true
+	d.cacheMisses.Add(1)
+	return nil
 }
 
-// insert memoizes a benign verdict computed against the given generation
-// stamps. The stamps must have been read BEFORE the pipeline ran: if a
-// mutation landed mid-computation the current generation differs from
-// the stamp and the entry self-invalidates on its first lookup. The
-// verdict arrives by value and reaches the heap only once the cache
-// admits the text, so a never-repeating query allocates nothing here.
-func (c *verdictCache) insert(text string, v verdict) {
-	if c != nil && c.cache.Admits(text) {
-		p := new(verdict)
-		*p = v
-		c.cache.Put(text, p)
+// remember leaves a benign verdict in slot, in place of the domain's
+// previous one. The stamps in v must have been read BEFORE the pipeline
+// ran: if a mutation landed mid-computation the current generation
+// differs from the stamp and the verdict self-invalidates on its first
+// recall. The verdict arrives by value and reaches the heap only when
+// there is a slot, so a statement the engine does not remember allocates
+// nothing here.
+func (d *Domain) remember(slot *engine.Memo, v verdict) {
+	if slot == nil {
+		return
 	}
-}
-
-// stats snapshots the counters. Hits from the underlying text cache
-// include stale entries that were then invalidated; those are reclassified
-// as misses so Hits counts only verdicts actually served.
-func (c *verdictCache) stats() CacheStats {
-	s := c.cache.Stats()
-	inv := c.invalidations.Load()
-	return CacheStats{
-		Hits:          s.Hits - inv,
-		Misses:        s.Misses + inv,
-		Evictions:     s.Evictions,
-		Refused:       s.Refused,
-		Invalidations: inv,
-		Entries:       s.Entries,
+	mine := new(verdict)
+	*mine = v
+	mine.dom = d
+	for {
+		old, others := verdictsIn(slot)
+		vs := make([]*verdict, 0, len(others)+1)
+		for _, o := range others {
+			if o.dom != d {
+				vs = append(vs, o)
+			}
+		}
+		var next any = append(vs, mine)
+		if slot.CompareAndSwap(old, &next) {
+			return
+		}
 	}
 }

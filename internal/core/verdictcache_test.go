@@ -190,13 +190,16 @@ func TestDeleteInvalidatesVerdicts(t *testing.T) {
 	}
 }
 
-// TestVerdictCacheBounded: under a flood of distinct texts the cache
-// fills and then refuses them — none evicts a resident — and a text that
-// does come back is stored at its second sighting for one eviction.
-func TestVerdictCacheBounded(t *testing.T) {
+// TestVerdictLivesAndLeavesWithItsParseEntry walks one text through the
+// parse cache's whole admission cycle and reads, at each point, what the
+// guard could remember of it: nothing while the engine holds no entry, a
+// verdict from the sight that admits the entry, and nothing again once the
+// entry is evicted — with one cache lookup per served query in between,
+// the engine's.
+func TestVerdictLivesAndLeavesWithItsParseEntry(t *testing.T) {
 	const capacity = 64
 	hub := obs.NewHub()
-	sep := New(DefaultConfig(), WithVerdictCacheCapacity(capacity), WithObserver(hub))
+	sep := New(DefaultConfig(), WithObserver(hub))
 	db := engine.New(engine.WithQueryHook(sep), engine.WithParseCacheCapacity(capacity), engine.WithObs(hub))
 	if _, err := db.Exec("CREATE TABLE t (id INT, v TEXT)"); err != nil {
 		t.Fatal(err)
@@ -208,37 +211,59 @@ func TestVerdictCacheBounded(t *testing.T) {
 			t.Fatalf("exec %d: %v", i, err)
 		}
 	}
+	gauges := func() map[string]int64 { return hub.Metrics.Snapshot().Gauges }
+
+	// A flood of one-shot texts: the first fill the parse cache and get a
+	// slot nobody comes back to, the rest are refused and get none.
 	const flood = capacity * 100
+	before := sep.CacheStats()
 	for i := 0; i < flood; i++ {
 		exec(i)
 	}
-	cs := sep.CacheStats()
-	if cs.Entries != capacity {
-		t.Errorf("entries = %d, want the flood to fill all %d", cs.Entries, capacity)
-	}
-	if cs.Evictions != 0 {
-		t.Errorf("evictions = %d, want 0: one-shot texts must not displace residents", cs.Evictions)
-	}
-	if cs.Refused != int64(flood-cs.Entries) {
-		t.Errorf("refused = %d, want every text not stored (%d)", cs.Refused, flood-cs.Entries)
+	cs, g := sep.CacheStats(), gauges()
+	if cs.Hits != 0 || cs.Misses-before.Misses != flood {
+		t.Errorf("after %d one-shot texts: %+v, want every one a miss", flood, cs)
 	}
 	// The parse cache saw the same flood, one text (the CREATE) ahead.
-	gauges := hub.Metrics.Snapshot().Gauges
-	if got := gauges["core.verdict_cache.refused"]; got != cs.Refused {
-		t.Errorf("core.verdict_cache.refused = %d, want %d", got, cs.Refused)
-	}
-	if got := gauges["engine.parse_cache.refused"]; got != flood+1-capacity || gauges["engine.parse_cache.evictions"] != 0 {
+	if g["engine.parse_cache.refused"] != flood+1-capacity || g["engine.parse_cache.evictions"] != 0 {
 		t.Errorf("engine.parse_cache.refused = %d, evictions %d; want %d and 0",
-			got, gauges["engine.parse_cache.evictions"], flood+1-capacity)
+			g["engine.parse_cache.refused"], g["engine.parse_cache.evictions"], flood+1-capacity)
 	}
 
-	exec(flood) // first sighting: refused
-	exec(flood) // second: admitted, one resident goes
+	exec(flood) // first sighting: refused, no slot
+	exec(flood) // second: admitted for one resident, the verdict goes into the new entry
 	exec(flood) // third: served
-	after := sep.CacheStats()
-	if after.Hits != cs.Hits+1 || after.Evictions != 1 || after.Entries != capacity {
-		t.Errorf("a text offered twice: hits %d → %d, evictions %d, entries %d; want one hit, one eviction, %d entries",
-			cs.Hits, after.Hits, after.Evictions, after.Entries, capacity)
+	after, g := sep.CacheStats(), gauges()
+	if after.Hits != 1 || g["engine.parse_cache.evictions"] != 1 || g["engine.parse_cache.entries"] != capacity {
+		t.Errorf("a text offered three times: %d hits, %d evictions, %d entries; want 1, 1 and %d",
+			after.Hits, g["engine.parse_cache.evictions"], g["engine.parse_cache.entries"], capacity)
+	}
+
+	// Served: the engine's lookup is the only one. Every repeat is one hit
+	// of the one cache a deployment has, and the verdict came with it.
+	const repeats = 50
+	for i := 0; i < repeats; i++ {
+		exec(flood)
+	}
+	served := gauges()
+	if d := served["engine.parse_cache.hits"] - g["engine.parse_cache.hits"]; d != repeats {
+		t.Errorf("%d repeats cost %d parse-cache lookups that hit", repeats, d)
+	}
+	if served["engine.parse_cache.misses"] != g["engine.parse_cache.misses"] || served["core.verdict_cache.hits"] != 1+repeats {
+		t.Errorf("%d repeats: parse-cache misses %d → %d, verdict hits %d",
+			repeats, g["engine.parse_cache.misses"], served["engine.parse_cache.misses"], served["core.verdict_cache.hits"])
+	}
+
+	// Texts that do come back push the entry out, and the verdict with it:
+	// the next sight is a plain miss, not an invalidation.
+	for i := 1; i <= 16*capacity; i++ { // ≈ 64 admissions per shard; two laps of its 4-slot ring take 8
+		exec(flood + i) // refused
+		exec(flood + i) // admitted: the clock hand moves
+	}
+	hits := sep.CacheStats().Hits
+	exec(flood)
+	if end := sep.CacheStats(); end.Hits != hits || end.Invalidations != 0 {
+		t.Errorf("after its entry was evicted the text was served from somewhere: %+v", end)
 	}
 }
 

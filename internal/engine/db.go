@@ -50,7 +50,21 @@ type HookContext struct {
 	// exactly Stmt.NumParams() of them. Nil for a statement executed
 	// without arguments. The slice is the caller's: read-only, like Stmt.
 	Args []Value
+	// Memo is the hook's slot in the engine's memory of this text: what a
+	// hook leaves there it finds again at the next execution of the same
+	// text, for as long as the engine keeps the Stmt it was computed from,
+	// and no longer. Nil when there is nothing to hang it on — the parse
+	// cache is off or refused the text at first sight — and when the
+	// execution binds Args, because then the text is not the whole
+	// statement. Unlike the HookContext the slot may be kept and written
+	// after BeforeExecute returns. Every session executing the text shares
+	// it: publish immutable values and replace them, never modify one.
+	Memo *Memo
 }
+
+// Memo is the slot a parse-cache entry keeps for the hook; see
+// HookContext.Memo. The engine never reads it.
+type Memo = atomic.Pointer[any]
 
 // QueryHook observes validated queries immediately before execution.
 // Returning an error that wraps ErrQueryBlocked makes the engine drop
@@ -156,14 +170,17 @@ type stageHists struct {
 
 // parsedQuery is one memoized parse: the statement, the decoded text the
 // parser consumed, and the extracted comments. All three are immutable
-// after insertion. plan is the one field set later: the plan of a SELECT,
-// UPDATE or DELETE, published by the first execution and replaced, never
-// modified, when the catalog generation has moved on (plan.go).
+// after insertion. Two fields are set later, each published whole and
+// replaced, never modified: plan, the plan of a SELECT, UPDATE or DELETE,
+// by the first execution and again when the catalog generation has moved
+// on (plan.go); memo by the hook (HookContext.Memo). Both are derived
+// from stmt and leave the cache with it.
 type parsedQuery struct {
 	stmt     sqlparser.Statement
 	decoded  string
 	comments []string
 	plan     atomic.Pointer[plan]
+	memo     Memo
 }
 
 // New creates an empty database.
@@ -303,6 +320,7 @@ func (db *DB) exec(ctx context.Context, query, app string, args []Value) (*Resul
 	// reads it. Parse errors are not cached: a failing text re-parses
 	// (and re-fails) each time, keeping the cache free of junk keys.
 	pq, cached := db.parsed.Get(query)
+	resident := cached
 	if !cached {
 		decoded := sqlparser.DecodeCharset(query)
 		stmt, err := sqlparser.ParseDecoded(decoded)
@@ -311,7 +329,7 @@ func (db *DB) exec(ctx context.Context, query, app string, args []Value) (*Resul
 			return nil, fmt.Errorf("parse: %w", err)
 		}
 		pq = &parsedQuery{stmt: stmt, decoded: decoded, comments: stmt.StatementComments()}
-		db.parsed.Put(query, pq)
+		resident = db.parsed.Put(query, pq)
 	}
 	stmt := pq.stmt
 	if args != nil {
@@ -360,6 +378,9 @@ func (db *DB) exec(ctx context.Context, query, app string, args []Value) (*Resul
 			Comments: pq.comments,
 			App:      app,
 			Args:     args,
+		}
+		if resident && len(args) == 0 {
+			hctx.Memo = &pq.memo
 		}
 		err := hook.BeforeExecute(hctx)
 		*hctx = HookContext{} // pin nothing while pooled

@@ -705,6 +705,62 @@ func TestExecArgsOfAnyKind(t *testing.T) {
 	}
 }
 
+// TestHookMemoFollowsTheParseEntry: the hook's slot is the parse-cache
+// entry's — the same one at every execution of a resident text, holding
+// what was left in it — and there is none when the engine will not find
+// the statement again or the text is not all of it: the parse cache off,
+// a text a full shard refuses at first sight, bound values.
+func TestHookMemoFollowsTheParseEntry(t *testing.T) {
+	var memo *Memo
+	hook := hookFunc(func(ctx *HookContext) error { memo = ctx.Memo; return nil })
+	exec := func(db *DB, q string, args ...Value) *Memo {
+		t.Helper()
+		memo = nil
+		if _, err := db.ExecArgs(q, args...); err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+		return memo
+	}
+	const byCity, byCityArg = "SELECT name FROM users WHERE city = 'porto'", "SELECT name FROM users WHERE city = ?"
+
+	db := testDB(t)
+	db.SetHook(hook)
+	first := exec(db, byCity)
+	if first == nil {
+		t.Fatal("no slot for a text the parse cache stored")
+	}
+	left := any("left by the hook")
+	first.Store(&left)
+	if again := exec(db, byCity); again != first || again.Load() != &left {
+		t.Errorf("second execution: slot %p holding %v, want %p holding what the first left", again, again.Load(), first)
+	}
+	if exec(db, byCity, []Value{}...) != first {
+		t.Error("an empty argument list is no bound value: same text, same slot")
+	}
+	if exec(db, byCityArg, Str("porto")) != nil || exec(db, byCityArg, Str("porto")) != nil {
+		t.Error("a slot for an execution that binds values: the text is not the whole statement")
+	}
+
+	off := New(WithParseCacheCapacity(0), WithQueryHook(hook))
+	mustExec(t, off, "CREATE TABLE users (name TEXT, city TEXT)")
+	if exec(off, byCity) != nil || exec(off, byCity) != nil {
+		t.Error("a slot with the parse cache off: nothing would ever find it again")
+	}
+
+	full := New(WithParseCacheCapacity(16), WithQueryHook(hook))
+	mustExec(t, full, "CREATE TABLE users (name TEXT, city TEXT)")
+	for i := 0; full.parsed.Len() < full.parsed.Capacity(); i++ {
+		exec(full, fmt.Sprintf("SELECT name FROM users WHERE city = 'c%d'", i))
+	}
+	if exec(full, byCity) != nil {
+		t.Error("a slot for a text the full parse cache refused")
+	}
+	admitted := exec(full, byCity)
+	if admitted == nil || exec(full, byCity) != admitted {
+		t.Error("the second offer is admitted: a slot from then on, the same one")
+	}
+}
+
 func TestConcurrentAccess(t *testing.T) {
 	db := testDB(t)
 	var wg sync.WaitGroup

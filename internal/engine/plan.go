@@ -23,8 +23,9 @@ import (
 // TABLE bump the generation under the catalog write lock, and runPlanned
 // compares it under the catalog read lock before it touches anything the
 // plan points to, so a plan never outlives the tables it resolved — the
-// relation the verdict cache has to Store.Generation (DESIGN §6.2). A
-// published plan is never modified; a stale one is replaced by a new one.
+// relation the guard's verdict, in the slot next to it (parsedQuery.memo),
+// has to Store.Generation (DESIGN §6.2). A published plan is never
+// modified; a stale one is replaced by a new one.
 //
 // A plan holds nothing of one execution: a '?' placeholder binds to a leaf
 // that reads the execution's arguments when it is evaluated (opParam), so

@@ -117,36 +117,3 @@ func categoriesCompatible(got, want Category) bool {
 	numeric := func(c Category) bool { return c == CatInt || c == CatReal }
 	return numeric(got) && numeric(want)
 }
-
-// CompareFull is the ablation variant of Compare that skips the step-1
-// length short-circuit and always walks min(len(QS), len(QM)) nodes.
-// It exists to measure what the cheap structural check buys
-// (bench: ablation "two-step detector").
-func CompareFull(qs Stack, qm Model) Verdict {
-	n := len(qs)
-	if len(qm.Nodes) < n {
-		n = len(qm.Nodes)
-	}
-	for i := 0; i < n; i++ {
-		got, want := qs[i], qm.Nodes[i]
-		if !categoriesCompatible(got.Cat, want.Cat) || (!got.Cat.IsData() && got.Data != want.Data) {
-			return Verdict{
-				Match:    false,
-				Step:     StepSyntactical,
-				Index:    i,
-				Distance: i,
-				Detail:   fmt.Sprintf("node %d mismatch", i),
-			}
-		}
-	}
-	if len(qs) != len(qm.Nodes) {
-		return Verdict{
-			Match:    false,
-			Step:     StepStructural,
-			Index:    -1,
-			Distance: lenDelta(len(qs), len(qm.Nodes)),
-			Detail:   "length mismatch",
-		}
-	}
-	return Verdict{Match: true, Step: StepNone, Index: -1}
-}

@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -16,6 +17,7 @@ import (
 	"github.com/septic-db/septic/internal/core"
 	"github.com/septic-db/septic/internal/engine"
 	"github.com/septic-db/septic/internal/faultinject"
+	"github.com/septic-db/septic/internal/obs"
 	"github.com/septic-db/septic/internal/raceflag"
 	"github.com/septic-db/septic/internal/sqlparser"
 	"github.com/septic-db/septic/internal/wire"
@@ -596,7 +598,7 @@ func TestCachedHitAllocFreeOnShippedStack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hctx := &engine.HookContext{Raw: q, Decoded: q, Stmt: stmt}
+	hctx := &engine.HookContext{Raw: q, Decoded: q, Stmt: stmt, Memo: new(engine.Memo)}
 	hit := func() {
 		if err := guard.BeforeExecute(hctx); err != nil {
 			t.Fatalf("benign query: %v", err)
@@ -620,5 +622,108 @@ func TestCachedHitAllocFreeOnShippedStack(t *testing.T) {
 	}
 	if guard.CacheStats().Hits < 1000 {
 		t.Fatal("cache never hit — the guard measured the wrong path")
+	}
+}
+
+// TestDocumentsNameMetricsThatExist: every `core.` / `engine.` / `wire.` /
+// `wal.` / `repl.` name DESIGN.md and README.md put in backticks is one an
+// operator can scrape from the shipped stack — a primary with -obs-addr,
+// -wal-dir and a domain, and a replica of it — or one the bench/ ledger
+// reports (BENCHMARK.json). `name.*` stands for any metric under name,
+// `<name>` for a domain, and a bare `.suffix`, as the cache table of
+// DESIGN §8.2 writes its rows, for that suffix under every `name.*` of
+// the paragraph above it. A function is written with its receiver
+// (`DB.exec`), so a lower-case `pkg.word` is always a metric.
+func TestDocumentsNameMetricsThatExist(t *testing.T) {
+	exists := make(map[string]bool)
+	scrape := func(cfg Config) *Stack {
+		cfg.ObsAddr = "127.0.0.1:0"
+		st := mustStart(t, cfg)
+		t.Cleanup(func() { _ = st.Shutdown(context.Background()) })
+		resp, err := http.Get("http://" + st.ObsAddr + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var snap obs.Snapshot
+		if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
+			t.Fatal(err)
+		}
+		for name := range snap.Counters {
+			exists[name] = true
+		}
+		for name := range snap.Gauges {
+			exists[name] = true
+		}
+		for name := range snap.Histograms {
+			exists[name] = true
+		}
+		return st
+	}
+	pcfg := testConfig()
+	pcfg.Mode, pcfg.WALDir = "training", t.TempDir()
+	pcfg.Domains = map[string]DomainSpec{"shop": {Mode: "training"}}
+	primary := scrape(pcfg)
+	rcfg := testConfig()
+	rcfg.Mode, rcfg.ReplicateFrom = "detection", primary.Addr
+	scrape(rcfg)
+
+	var contract struct {
+		EndToEnd []struct{ Name string } `json:"end_to_end"`
+		PerLayer []struct{ Name string } `json:"per_layer"`
+	}
+	data, err := os.ReadFile("../../BENCHMARK.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(data, &contract); err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range append(contract.EndToEnd, contract.PerLayer...) {
+		exists[m.Name] = true
+	}
+
+	known := func(name string) bool {
+		name = strings.ReplaceAll(name, "<name>", "shop")
+		if family, ok := strings.CutSuffix(name, "*"); ok {
+			for have := range exists {
+				if strings.HasPrefix(have, family) {
+					return true
+				}
+			}
+			return false
+		}
+		return exists[name]
+	}
+	token := regexp.MustCompile("`((?:core|engine|wire|wal|repl)?\\.[a-z0-9_.<>*]+)`")
+	for _, doc := range []string{"DESIGN.md", "README.md"} {
+		text, err := os.ReadFile("../../" + doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var families []string // the `name.*` of the last paragraph that named any
+		for _, paragraph := range strings.Split(string(text), "\n\n") {
+			var named, suffixes []string
+			for _, m := range token.FindAllStringSubmatch(paragraph, -1) {
+				switch name := m[1]; {
+				case strings.HasPrefix(name, "."):
+					suffixes = append(suffixes, name)
+				case !known(name):
+					t.Errorf("%s names `%s`: the shipped stack registers no such metric and the ledger reports none", doc, name)
+				case strings.HasSuffix(name, ".*"):
+					named = append(named, strings.TrimSuffix(name, ".*"))
+				}
+			}
+			if named != nil {
+				families = named
+			}
+			for _, suffix := range suffixes {
+				for _, family := range families {
+					if !known(family + suffix) {
+						t.Errorf("%s lists `%s` under `%s.*`: no metric %s is registered", doc, suffix, family, family+suffix)
+					}
+				}
+			}
+		}
 	}
 }

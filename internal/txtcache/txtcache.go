@@ -1,7 +1,8 @@
 // Package txtcache provides a sharded, bounded, string-keyed cache with
 // second-chance ("clock") eviction. It is the memoization substrate for
-// the hot paths that see the same query text over and over: the engine's
-// parse cache and SEPTIC's verdict cache both build on it.
+// the hot path that sees the same query text over and over: the engine's
+// parse cache, whose entries carry everything a deployment remembers about
+// a text — the AST, its plan and the guard's verdict.
 //
 // Design constraints, in order:
 //
@@ -84,7 +85,7 @@ func New[V any](capacity int) *Cache[V] {
 }
 
 // locate hashes the whole key once and derives the shard from the low
-// bits; refuse takes the admission slot and tag from the rest.
+// bits; Put takes the admission slot and tag from the rest.
 func (c *Cache[V]) locate(key string) (*shard[V], uint64) {
 	h := maphash.String(c.seed, key)
 	return &c.shards[h%shardCount], h
@@ -117,28 +118,15 @@ func (c *Cache[V]) Get(key string) (V, bool) {
 	return v, true
 }
 
-// refuse, with sh locked and full, is the doorkeeper: it reports whether
-// an absent key hashing to h is being offered for the first time, and
-// then leaves the key's tag in its slot and counts the refusal. A tag
-// found stays until Put clears the slot; tags are odd, so a cleared slot
-// matches no key.
-func (c *Cache[V]) refuse(sh *shard[V], h uint64) (slot *uint32, first bool) {
-	slot, tag := &sh.door[(h>>4)%uint64(len(sh.door))], uint32(h>>32)|1
-	if *slot == tag {
-		return slot, false
-	}
-	*slot = tag
-	c.refused.Add(1)
-	return slot, true
-}
-
-// Put inserts or replaces the value for key. A shard with room stores an
-// absent key at once; a full shard refuses it at first sight, leaving
-// only its tag at the door, and at the second evicts a victim via the
-// clock sweep.
-func (c *Cache[V]) Put(key string, val V) {
+// Put inserts or replaces the value for key and reports whether the key
+// is resident afterwards. A shard with room stores an absent key at once;
+// a full shard refuses it at first sight, leaving only its tag at the
+// door, and at the second evicts a victim via the clock sweep. A caller
+// that would hang more state on the value reads the answer first: false
+// means nobody will find val again.
+func (c *Cache[V]) Put(key string, val V) bool {
 	if c.perShard == 0 {
-		return
+		return false
 	}
 	sh, h := c.locate(key)
 	sh.mu.Lock()
@@ -146,17 +134,22 @@ func (c *Cache[V]) Put(key string, val V) {
 	if e, ok := sh.m[key]; ok {
 		e.val = val
 		e.ref.Store(true)
-		return
+		return true
 	}
 	if len(sh.ring) < c.perShard {
 		e := &entry[V]{key: key, val: val}
 		sh.m[key] = e
 		sh.ring = append(sh.ring, e)
-		return
+		return true
 	}
-	slot, first := c.refuse(sh, h)
-	if first {
-		return
+	// The doorkeeper: an absent key offered for the first time leaves its
+	// tag in its slot and is counted as refused. Tags are odd, so the slot
+	// cleared on admission matches no key.
+	slot, tag := &sh.door[(h>>4)%uint64(len(sh.door))], uint32(h>>32)|1
+	if *slot != tag {
+		*slot = tag
+		c.refused.Add(1)
+		return false
 	}
 	*slot = 0
 	// New entries start with the reference bit clear: of two admitted
@@ -176,26 +169,9 @@ func (c *Cache[V]) Put(key string, val V) {
 		sh.ring[sh.hand] = e
 		sh.hand = (sh.hand + 1) % len(sh.ring)
 		c.evictions.Add(1)
-		return
-	}
-}
-
-// Admits reports whether Put would store key now, for a caller whose
-// value costs an allocation to build. False is the refusal itself — the
-// tag is left and counted, and the caller skips the Put; true leaves the
-// door as it is for the Put that follows.
-func (c *Cache[V]) Admits(key string) bool {
-	if c.perShard == 0 {
-		return false
-	}
-	sh, h := c.locate(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if _, ok := sh.m[key]; ok || len(sh.ring) < c.perShard {
 		return true
 	}
-	_, first := c.refuse(sh, h)
-	return !first
+	return false // concurrent hits re-referenced every victim: the key waits for its next offer
 }
 
 // Len returns the number of resident entries.

@@ -27,7 +27,9 @@ func TestGetPut(t *testing.T) {
 
 func TestZeroCapacityDisables(t *testing.T) {
 	c := New[string](0)
-	c.Put("a", "x")
+	if c.Put("a", "x") {
+		t.Fatal("disabled cache reports the key resident")
+	}
 	if _, ok := c.Get("a"); ok {
 		t.Fatal("disabled cache returned a hit")
 	}
@@ -76,14 +78,18 @@ func fill(c *Cache[int], prefix string) []string {
 func TestSecondOfferIsAdmitted(t *testing.T) {
 	c := New[int](64)
 	fill(c, "resident")
-	c.Put("twice", 1)
+	if c.Put("twice", 1) {
+		t.Fatal("full shard reports a key resident at first sight")
+	}
 	if _, ok := c.Get("twice"); ok {
 		t.Fatal("full shard stored a key at first sight")
 	}
 	if s := c.Stats(); s.Evictions != 0 {
 		t.Fatalf("first offer evicted: %+v", s)
 	}
-	c.Put("twice", 2)
+	if !c.Put("twice", 2) || !c.Put("twice", 2) {
+		t.Fatal("the second offer, or the overwrite after it, reports the key absent")
+	}
 	if v, ok := c.Get("twice"); !ok || v != 2 {
 		t.Fatalf("after the second offer Get = %d, %t", v, ok)
 	}
@@ -108,21 +114,25 @@ func TestScanDoesNotEvictResidents(t *testing.T) {
 	}
 }
 
-// TestRefusalAllocatesNothing: turning a key away, by Put or by Admits,
-// costs no entry and no other allocation.
+// TestRefusalAllocatesNothing: turning a key away costs no entry and no
+// other allocation, and Put says so, which is how the caller knows not to
+// build anything for it either.
 func TestRefusalAllocatesNothing(t *testing.T) {
 	c := New[int](64)
 	fill(c, "resident")
-	keys := make([]string, 2000)
+	keys := make([]string, 1000)
 	for i := range keys {
 		keys[i] = fmt.Sprintf("scan-%d", i)
 	}
-	i := 0
-	if n := testing.AllocsPerRun(len(keys)/2-1, func() { c.Put(keys[i], i); i++ }); n != 0 {
-		t.Errorf("a refused Put allocates %v", n)
-	}
-	if n := testing.AllocsPerRun(len(keys)/2-1, func() { c.Admits(keys[i]); i++ }); n != 0 {
-		t.Errorf("a refusing Admits allocates %v", n)
+	i, stored := 0, 0
+	n := testing.AllocsPerRun(len(keys)-1, func() {
+		if c.Put(keys[i], i) {
+			stored++
+		}
+		i++
+	})
+	if n != 0 || stored != 0 {
+		t.Errorf("a refused Put allocates %v; %d of them reported the key resident", n, stored)
 	}
 	if s := c.Stats(); s.Refused < int64(len(keys)) || s.Evictions != 0 {
 		t.Fatalf("the %d offers above were not all refused: %+v", len(keys), s)

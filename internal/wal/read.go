@@ -10,9 +10,9 @@ package wal
 // the watcher channel, never in neither).
 
 import (
-	"encoding/binary"
+	"bytes"
+	"errors"
 	"fmt"
-	"hash/crc32"
 	"os"
 )
 
@@ -113,34 +113,25 @@ func readSegmentFrom(path string, limit int64, after, upto uint64, maxBytes int,
 	if limit >= 0 && int64(len(data)) > limit {
 		data = data[:limit]
 	}
-	off := 0
-	for len(data)-off >= frameHeaderSize {
-		sum := binary.LittleEndian.Uint32(data[off : off+4])
-		length := binary.LittleEndian.Uint32(data[off+4 : off+8])
-		seq := binary.LittleEndian.Uint64(data[off+8 : off+16])
-		if length == 0 || length > MaxRecordSize {
-			return out, total, false, fmt.Errorf("wal: read %s: invalid frame length", path)
-		}
-		end := off + frameHeaderSize + int(length)
-		if end > len(data) {
+	for off := 0; off < len(data); {
+		seq, payload, size, err := decodeFrame(data[off:])
+		if errors.Is(err, errFrameShort) {
 			break // torn tail: recovery's problem, not the reader's
 		}
-		if crc32.Checksum(data[off+4:end], castagnoli) != sum {
-			return out, total, false, fmt.Errorf("wal: read %s: frame checksum mismatch", path)
+		if err != nil {
+			return out, total, false, fmt.Errorf("wal: read %s: %w", path, err)
 		}
 		if seq > upto {
 			break
 		}
 		if seq > after {
-			payload := make([]byte, length)
-			copy(payload, data[off+frameHeaderSize:end])
-			out = append(out, Record{Seq: seq, Data: payload})
-			total += int(length)
+			out = append(out, Record{Seq: seq, Data: bytes.Clone(payload)})
+			total += len(payload)
 			if total >= maxBytes {
 				return out, total, true, nil
 			}
 		}
-		off = end
+		off += size
 	}
 	return out, total, false, nil
 }

@@ -1,7 +1,9 @@
 package wal
 
 import (
+	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
@@ -54,53 +56,60 @@ type segmentScan struct {
 	total    int64 // file size
 }
 
+// What decodeFrame can find wrong with the bytes it is given.
+var (
+	errFrameShort  = errors.New("frame runs past the end of the data")
+	errFrameLength = errors.New("invalid frame length")
+	errFrameSum    = errors.New("frame checksum mismatch")
+)
+
+// decodeFrame validates the frame at the head of data — the one place the
+// on-disk format is read back: a whole header, a length inside the cap
+// (never trusted past it), every byte the length claims present, and the
+// CRC-32C over length, sequence number and payload. It returns the
+// sequence number, the payload (a window into data: copy it to keep it)
+// and the frame's size; errFrameShort is the classic torn tail, the other
+// two mean the bytes are not a frame.
+func decodeFrame(data []byte) (seq uint64, payload []byte, size int, err error) {
+	if len(data) < frameHeaderSize {
+		return 0, nil, 0, errFrameShort
+	}
+	sum := binary.LittleEndian.Uint32(data[0:4])
+	length := binary.LittleEndian.Uint32(data[4:8])
+	if length == 0 || length > MaxRecordSize {
+		return 0, nil, 0, errFrameLength
+	}
+	size = frameHeaderSize + int(length)
+	if size > len(data) {
+		return 0, nil, 0, errFrameShort
+	}
+	if crc32.Checksum(data[4:size], castagnoli) != sum {
+		return 0, nil, 0, errFrameSum
+	}
+	return binary.LittleEndian.Uint64(data[8:16]), data[frameHeaderSize:size], size, nil
+}
+
 // scanSegment validates path frame by frame. expectSeq is the sequence
 // number the first record must carry (0 = accept any, for the first
 // segment of a trimmed log); within the segment records must be
-// contiguous. Scanning stops at the first invalid frame — short header,
-// lying length, CRC mismatch, or sequence break — and everything before
-// it is returned as valid.
+// contiguous. Scanning stops at the first invalid frame — anything
+// decodeFrame rejects, sequence number 0 (they start at 1), or a sequence
+// gap or repeat — and everything before it is returned as valid.
 func scanSegment(path string, expectSeq uint64) (segmentScan, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return segmentScan{}, err
 	}
 	s := segmentScan{total: int64(len(data))}
-	off := 0
-	for {
-		if len(data)-off < frameHeaderSize {
-			s.torn = off < len(data)
-			break
-		}
-		sum := binary.LittleEndian.Uint32(data[off : off+4])
-		length := binary.LittleEndian.Uint32(data[off+4 : off+8])
-		seq := binary.LittleEndian.Uint64(data[off+8 : off+16])
-		if length == 0 || length > MaxRecordSize {
-			s.torn = true // lying length: never trust it past the cap
-			break
-		}
-		if seq == 0 {
-			s.torn = true // sequence numbers start at 1
-			break
-		}
-		end := off + frameHeaderSize + int(length)
-		if end > len(data) {
-			s.torn = true // frame runs past EOF: the classic torn tail
-			break
-		}
-		if crc32.Checksum(data[off+4:end], castagnoli) != sum {
+	for off := 0; off < len(data); {
+		seq, payload, size, err := decodeFrame(data[off:])
+		if err != nil || seq == 0 || expectSeq != 0 && seq != expectSeq {
 			s.torn = true
 			break
 		}
-		if expectSeq != 0 && seq != expectSeq {
-			s.torn = true // gap or repeat: ordering guarantee broken
-			break
-		}
-		payload := make([]byte, length)
-		copy(payload, data[off+frameHeaderSize:end])
-		s.records = append(s.records, Record{Seq: seq, Data: payload})
+		s.records = append(s.records, Record{Seq: seq, Data: bytes.Clone(payload)})
 		expectSeq = seq + 1
-		off = end
+		off += size
 		s.validLen = int64(off)
 	}
 	return s, nil
@@ -198,34 +207,27 @@ func openLocked(opts Options, apply func(Record) error) (*Log, RecoveryInfo, err
 	tornAt := -1        // index of the first torn segment
 	scans := make([]segmentScan, 0, len(names))
 	for i, name := range names {
-		path := filepath.Join(opts.Dir, name)
-		if tornAt >= 0 {
-			// Past a forced-recovery torn point: records may parse but
-			// their contiguity with the acknowledged history is gone —
-			// scan with no sequence expectation purely to count what the
-			// drop discards.
-			scan, err := scanSegment(path, 0)
-			if err != nil {
-				return nil, info, fmt.Errorf("wal: scan %s: %w", name, err)
-			}
-			scans = append(scans, scan)
-			info.Segments++
-			info.DroppedRecords += len(scan.records)
-			info.DroppedBytes += scan.total
-			continue
-		}
-		if expect == 0 {
+		if expect == 0 && tornAt < 0 {
 			// No expectation from the chain yet (oldest segment of a
 			// trimmed log, or everything before was empty): the name
 			// encodes the sequence the segment's first record must carry.
 			expect = nameSeq(name)
 		}
-		scan, err := scanSegment(path, expect)
+		scan, err := scanSegment(filepath.Join(opts.Dir, name), expect)
 		if err != nil {
 			return nil, info, fmt.Errorf("wal: scan %s: %w", name, err)
 		}
 		scans = append(scans, scan)
 		info.Segments++
+		if tornAt >= 0 {
+			// Past a forced-recovery torn point: records may parse but
+			// their contiguity with the acknowledged history is gone —
+			// scanned with no sequence expectation (expect stays 0 from
+			// the tear on) purely to count what the drop discards.
+			info.DroppedRecords += len(scan.records)
+			info.DroppedBytes += scan.total
+			continue
+		}
 		if scan.torn && i < len(names)-1 && !opts.ForceRecover {
 			// Invalid frames with intact segments after them: a crash only
 			// ever tears the newest segment (rotation fsyncs before moving
@@ -247,15 +249,13 @@ func openLocked(opts Options, apply func(Record) error) (*Log, RecoveryInfo, err
 			}
 			info.Records++
 		}
+		expect = 0
 		if scan.torn {
 			tornAt = i
 			info.TornSegments++
 			info.DroppedBytes += scan.total - scan.validLen
-		} else {
-			expect = 0
-			if len(scan.records) > 0 {
-				expect = scan.records[len(scan.records)-1].Seq + 1
-			}
+		} else if n := len(scan.records); n > 0 {
+			expect = scan.records[n-1].Seq + 1
 		}
 	}
 

@@ -29,8 +29,6 @@
 package septic
 
 import (
-	"time"
-
 	"github.com/septic-db/septic/internal/core"
 	"github.com/septic-db/septic/internal/engine"
 )
@@ -78,14 +76,6 @@ func DefaultConfig() Config { return core.DefaultConfig() }
 func New(cfg Config, opts ...core.SepticOption) (*DB, *Guard) {
 	guard := core.New(cfg, opts...)
 	db := engine.New(engine.WithQueryHook(guard))
-	return db, guard
-}
-
-// NewWithClock is New with an injected time source (deterministic tests
-// and benchmarks).
-func NewWithClock(cfg Config, clock func() time.Time, opts ...core.SepticOption) (*DB, *Guard) {
-	guard := core.New(cfg, opts...)
-	db := engine.New(engine.WithQueryHook(guard), engine.WithClock(clock))
 	return db, guard
 }
 
