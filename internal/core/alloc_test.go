@@ -231,20 +231,22 @@ func TestExecPointSelectAllocCeiling(t *testing.T) {
 }
 
 // TestExecColdTextFullCachesAllocCeiling is embed_miss in one unit: the
-// parse cache full, every text new. Such a text allocates 18 objects
-// while the cache has room — its parse, its plan, its result, the cache
-// entry and what the guard leaves in the entry's slot: the verdict, the
-// one-element list and its two boxes. A full cache refuses it, the engine
-// hands the guard no slot, and it must cost exactly those less; a change
-// that builds a verdict for a refused text again fails here before it
-// reaches the benchmark.
+// parse cache full, every text new, one shape. The full cache refuses the
+// text, so it gets no entry and the guard no slot; the engine keys it by its
+// shape, and from the second text on the shape's template is there: no
+// parse, no plan, and the guard runs its whole miss path on this text's
+// own values — 3 objects, measured: an empty result and the identifier (13
+// when every such text was parsed and planned to be thrown away). A
+// change that parses a text of a known shape again, or builds a verdict
+// for one, fails here before it reaches the benchmark.
 func TestExecColdTextFullCachesAllocCeiling(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("race instrumentation adds allocations")
 	}
 	const capacity = 16
 	sep := New(Config{Mode: ModeTraining})
-	db := engine.New(engine.WithQueryHook(sep), engine.WithParseCacheCapacity(capacity))
+	hub := obs.NewHub()
+	db := engine.New(engine.WithQueryHook(sep), engine.WithParseCacheCapacity(capacity), engine.WithObs(hub))
 	for _, q := range []string{
 		"CREATE TABLE tickets (id INT PRIMARY KEY AUTO_INCREMENT, reservID TEXT, creditCard INT)",
 		"INSERT INTO tickets (reservID, creditCard) VALUES ('ID34FG', 1234)",
@@ -269,13 +271,16 @@ func TestExecColdTextFullCachesAllocCeiling(t *testing.T) {
 	for next < 500 { // fill every shard of the parse cache
 		exec()
 	}
-	before := sep.Stats()
-	if allocs := testing.AllocsPerRun(400, exec); allocs > 13 {
-		t.Errorf("a never-seen text against a full parse cache allocates %.1f objects/op, want <= 13", allocs)
+	before, shapeHits := sep.Stats(), hub.Metrics.Snapshot().Gauges["engine.shape_cache.hits"]
+	if allocs := testing.AllocsPerRun(400, exec); allocs > 3 {
+		t.Errorf("a never-seen text of a known shape against a full parse cache allocates %.1f objects/op, want <= 3", allocs)
 	}
 	after := sep.Stats()
 	if after.Cache.Misses-before.Cache.Misses != 401 || after.Cache.Hits != before.Cache.Hits ||
 		after.QueriesChecked-before.QueriesChecked != 401 {
 		t.Fatalf("the guard measured the wrong path: %+v, then %+v", before, after)
+	}
+	if got := hub.Metrics.Snapshot().Gauges["engine.shape_cache.hits"] - shapeHits; got != 401 {
+		t.Fatalf("%d of 401 texts were shape hits", got)
 	}
 }

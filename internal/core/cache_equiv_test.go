@@ -7,11 +7,13 @@ import (
 	"math/rand"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
 	"github.com/septic-db/septic/internal/attacks"
 	"github.com/septic-db/septic/internal/engine"
 	"github.com/septic-db/septic/internal/obs"
+	"github.com/septic-db/septic/internal/sqlparser"
 	"github.com/septic-db/septic/internal/webapp"
 	"github.com/septic-db/septic/internal/webapp/apps"
 )
@@ -58,6 +60,49 @@ func waspmonCalls(t *testing.T, reqs []webapp.Request) []call {
 	return rec.calls
 }
 
+// respell returns text as the DBMS reads it with every integer, float and
+// string literal spelled anew: mostly in its own kind — so the text is one
+// nobody has seen of a shape the caches may know — and one time in eight in
+// another, which is what an injected value does to a trained query. n makes
+// some of the spellings unique to the call.
+func respell(rng *rand.Rand, text string, n int) string {
+	text = sqlparser.DecodeCharset(text)
+	toks, err := sqlparser.Tokenize(text)
+	if err != nil {
+		return text
+	}
+	spellings := [3][]string{
+		{fmt.Sprint(rng.Intn(8)), fmt.Sprint(1000 + n), "-" + fmt.Sprint(rng.Intn(8)), fmt.Sprintf("-(%d)", rng.Intn(8)), "- 2",
+			"9223372036854775808", "-9223372036854775808", "18446744073709551616", "007"},
+		{fmt.Sprintf("%d.5", rng.Intn(4000)), ".5", "2.5e3", "1e-3", "-0.0", "1e999"},
+		{"'oven'", "'kitchen'", fmt.Sprintf("'unit-%d'", n), "'O''Brien'", `'a\'b\\'`, "'%e%'", "'k_tchen'", `'100\%'`, "''", `"ev-charger"`,
+			"0x6f76656e", "'ID34FG\u02bc'", "'<script>alert(1)</script>'", "'http://evil.example/x.php'"},
+	}
+	var b strings.Builder
+	from := 0
+	for i, tok := range toks {
+		var kind int
+		switch tok.Kind {
+		case sqlparser.TokenInt:
+		case sqlparser.TokenFloat:
+			kind = 1
+		case sqlparser.TokenString:
+			kind = 2
+		default:
+			continue
+		}
+		if rng.Intn(8) == 0 {
+			kind = rng.Intn(3)
+		}
+		b.WriteString(text[from:tok.Pos])
+		b.WriteString(spellings[kind][rng.Intn(len(spellings[kind]))])
+		// The literal ends where the blanks before the next token begin.
+		from = len(strings.TrimRight(text[:toks[i+1].Pos], " \t\r\n"))
+	}
+	b.WriteString(text[from:])
+	return b.String()
+}
+
 // TestCacheOnEqualsCacheOff: the parse cache and the verdicts kept in its
 // entries change what a query costs, never what happens to it. Three
 // deployments — a 16-entry parse cache with memoization on, so entries are
@@ -67,7 +112,10 @@ func waspmonCalls(t *testing.T, reqs []webapp.Request) []call {
 // seeded sequence of statements as the application sends them, bound
 // values included (trained, untrained, literal-only variants, the attack
 // corpus, prepared statements whose values change type, go NULL or carry a
-// plugin's payload), from three tenants: the default domain and two
+// plugin's payload — and, every other time, a text sent with its literals
+// respelled: a text never seen, which the full parse cache refuses and the
+// engine serves from its shape's template with the text's own values, if
+// the shape cache has or takes one), from three tenants: the default domain and two
 // HELLO-bound ones whose models differ, so the same text in the same entry
 // is benign for one and an attack for the other. Training, model deletion
 // and mode and configuration changes, each on one domain, are interleaved;
@@ -101,6 +149,18 @@ func TestCacheOnEqualsCacheOff(t *testing.T) {
 		{text: tautID},
 		{text: "SELECT nothing FROM nowhere"},
 		{text: "SELEC syntax error"},
+		// Every clause a literal can stand in as a value, and a sign before it.
+		{text: "SELECT name FROM devices WHERE name LIKE '%e%' AND location NOT LIKE 'k_tchen'"},
+		{text: "SELECT name FROM devices WHERE id IN (1, 2, 3) AND maxWatts BETWEEN 1000 AND 5000"},
+		{text: "SELECT ts, watts FROM readings WHERE watts > 1300.5 OR device_id = -1 ORDER BY ts LIMIT 1, 2"},
+		{text: "INSERT INTO readings (device_id, ts, watts) VALUES (2, 500, 10.5), (3, 600, -7)"},
+		{text: "UPDATE devices SET maxWatts = maxWatts + 1, location = 'attic' WHERE id = 2"},
+		{text: "DELETE FROM readings WHERE ts > 450 AND watts < -(5) LIMIT 3"},
+		// And where it is structure: these are never served from a template.
+		{text: "SELECT name FROM devices ORDER BY 1"},
+		{text: "SELECT location, COUNT(*) FROM devices GROUP BY 1"},
+		{text: "SELECT name, 'w', maxWatts + 1 FROM devices WHERE id = 2"},
+		{text: "DESCRIBE devices"},
 		// Values the pages never bind: another type, NULL, too few, none.
 		{register2Text, []engine.Value{engine.Int(7), engine.Str("n@example.com"), engine.Null()}},
 		{register2Text, []engine.Value{engine.Str("eve"), engine.Str("e@example.com"), engine.Str("`id`")}},
@@ -214,6 +274,13 @@ func TestCacheOnEqualsCacheOff(t *testing.T) {
 		switch n := rng.Intn(100); {
 		case n < 95:
 			c := pool[rng.Intn(len(pool))]
+			if c.args == nil && rng.Intn(2) == 0 {
+				// Two spellings in a row: the second sight of a shape is
+				// the one a full shape cache admits.
+				first := call{text: respell(rng, c.text, step)}
+				agree(step, app, first)
+				c.text = respell(rng, c.text, -step)
+			}
 			what = fmt.Sprintf("%s %q %v", app, c.text, c.args)
 			agree(step, app, c)
 		case n < 96:
@@ -280,6 +347,15 @@ func TestCacheOnEqualsCacheOff(t *testing.T) {
 	g := on.hub.Metrics.Snapshot().Gauges
 	if g["engine.parse_cache.refused"] == 0 || g["engine.parse_cache.evictions"] == 0 {
 		t.Errorf("the parse cache never refused or never evicted: %v", g)
+	}
+	// Refused texts went all three ways: served from a template, turned
+	// away by a full shape cache, and run alone because a literal of theirs
+	// is structure.
+	if g["engine.shape_cache.hits"] == 0 || g["engine.shape_cache.refused"] == 0 || g["engine.shape_cache.unshareable"] == 0 {
+		t.Errorf("the shape cache never hit, never refused or never met a statement it cannot share: %v", g)
+	}
+	if g := slotless.hub.Metrics.Snapshot().Gauges; g["engine.shape_cache.misses"] != 0 {
+		t.Errorf("a deployment without a parse cache keyed a text by its shape: %v", g)
 	}
 	for _, d := range []deployment{off, slotless} {
 		if c := d.sep.Stats().Cache; c.Hits != 0 || c.Misses == 0 {

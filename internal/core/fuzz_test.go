@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -13,7 +14,7 @@ import (
 // model lookup, both detection steps, the stored-injection plugin chain
 // and the verdict cache — against a guard trained on the paper's Fig. 2
 // query and its prepared INSERT; arg is bound, as a string, to every '?'
-// the statement has. Three invariants:
+// the statement has. Four invariants:
 //
 //  1. The hook NEVER panics. Detector panics must be swallowed by the
 //     fault containment layer; one escaping to the fuzzer is a bug in
@@ -27,6 +28,9 @@ import (
 //     unchecked, by design, and promises nothing about the second.)
 //  3. The verdict is the values' as much as the text's: a call of the same
 //     text with other values in between changes nothing.
+//  4. A text judged through the template of its shape — the statement with
+//     a placeholder for each literal, the literals' values beside it, no
+//     slot — gets the verdict it gets on its own, word for word.
 func FuzzBeforeExecute(f *testing.F) {
 	seeds := []string{
 		"SELECT * FROM tickets WHERE reservID = 'ID34FG' AND creditCard = 1234",
@@ -104,9 +108,31 @@ func FuzzBeforeExecute(f *testing.F) {
 		other := *hctx
 		other.Args = bind(stmt, "benign")
 		_ = sep.BeforeExecute(&other)
-		if err3 := sep.BeforeExecute(hctx); (err2 == nil) != (err3 == nil) {
+		err3 := sep.BeforeExecute(hctx)
+		if (err2 == nil) != (err3 == nil) {
 			t.Fatalf("verdict for %q %q flipped after a call with other values:\nbefore: %v\n after: %v",
 				decoded, arg, err2, err3)
+		}
+		p := sqlparser.Scan(decoded)
+		defer p.Release()
+		if p.ShapeKey() == nil {
+			return
+		}
+		tmpl, err := p.ParseTemplate()
+		if err != nil {
+			return // a literal of it is structure: it has no template
+		}
+		shaped := *hctx
+		shaped.Stmt, shaped.Memo, shaped.Args = tmpl.Stmt, nil, []engine.Value{}
+		for i := 0; i < tmpl.Stmt.NumParams(); i++ {
+			lit, err := p.Value(tmpl, i)
+			if err != nil {
+				t.Fatalf("%q parses, and its value %d does not: %v", decoded, i, err)
+			}
+			shaped.Args = append(shaped.Args, engine.LiteralValue(&lit))
+		}
+		if err4 := sep.BeforeExecute(&shaped); fmt.Sprint(err4) != fmt.Sprint(err3) {
+			t.Fatalf("verdict for %q through its template: %v\non its own: %v", decoded, err4, err3)
 		}
 	})
 }

@@ -7,18 +7,20 @@ import (
 	"testing"
 
 	"github.com/septic-db/septic/internal/engine"
+	"github.com/septic-db/septic/internal/obs"
 	"github.com/septic-db/septic/internal/qstruct"
 	"github.com/septic-db/septic/internal/webapp"
 	"github.com/septic-db/septic/internal/webapp/apps"
 )
 
-// trainedWaspMon deploys WaspMon over a guarded engine on the shipped
-// cache capacities, trains it with the application's own training
-// requests and switches the guard to the shipped configuration.
-func trainedWaspMon(t *testing.T) (*webapp.App, *engine.DB, *Septic) {
+// trainedWaspMon deploys WaspMon over a guarded engine — on the shipped
+// cache capacities unless opts say otherwise — trains it with the
+// application's own training requests and switches the guard to the shipped
+// configuration.
+func trainedWaspMon(t *testing.T, opts ...engine.Option) (*webapp.App, *engine.DB, *Septic) {
 	t.Helper()
 	sep := New(Config{Mode: ModeTraining})
-	db := engine.New(engine.WithQueryHook(sep))
+	db := engine.New(append(opts, engine.WithQueryHook(sep))...)
 	for _, q := range apps.WaspMonSchema() {
 		if _, err := db.Exec(q); err != nil {
 			t.Fatalf("schema: %v", err)
@@ -107,6 +109,64 @@ func TestBoundValuesReachTheVerdict(t *testing.T) {
 	}
 	if got := sep.Stats().AttacksFound; got != found+1 {
 		t.Errorf("AttacksFound moved by %d, want 1", got-found)
+	}
+	t.Run("literals through a warm template", literalValuesReachTheVerdict)
+}
+
+// literalValuesReachTheVerdict: a text the full parse cache refuses is
+// served from its shape's template, and what it binds there are its own
+// literals — so it is judged on them, every time, as a prepared statement is
+// on its arguments. Behind a parse cache that training has filled, the
+// register and profile pages' statements are sent with literals nobody has
+// sent: benign ones pass, from the second on through the warm template; a
+// stored-injection payload spelled in the text is blocked by its plugin,
+// and a string where the model has an integer fails the model at its node —
+// a literal's kind is part of the shape, so that text is of another shape,
+// whose template its first sight makes and its second is served from.
+func literalValuesReachTheVerdict(t *testing.T) {
+	hub := obs.NewHub()
+	// 1024 entries: a shard of either cache holds 64, so 4000 texts fill
+	// every shard of the parse cache (to stay below 64 of a mean of 250 a
+	// shard would have to be 12 deviations off) and the few shapes never
+	// fill one of the shape cache — which texts are served from a template
+	// does not depend on the hash seed.
+	_, db, sep := trainedWaspMon(t, engine.WithParseCacheCapacity(1024), engine.WithObs(hub))
+	shapeHits := func() int64 { return hub.Metrics.Snapshot().Gauges["engine.shape_cache.hits"] }
+	const (
+		register = "/* waspmon:register */ INSERT INTO wm_users (username, email, notes) VALUES ('%s', '%s@example.com', '%s')"
+		profile  = "/* waspmon:profile */ SELECT username, email FROM wm_users WHERE id = %s"
+	)
+	for i := 0; i < 4002; i++ { // fill the parse cache, then warm the other template too
+		q := fmt.Sprintf(profile, fmt.Sprint(1000+i))
+		if i >= 4000 {
+			q = fmt.Sprintf(register, fmt.Sprint("user", i), fmt.Sprint("user", i), "hi")
+		}
+		if _, err := db.Exec(q); err != nil {
+			t.Fatalf("benign %s: %v", q, err)
+		}
+	}
+	const mismatch = "node 4: got ⟨STRING_ITEM, %s⟩, model expects ⟨INT_ITEM, ⊥⟩"
+	for _, c := range []struct {
+		text, want string
+		warm       int64 // 1: the shape's template is there already
+	}{
+		{fmt.Sprintf(register, "mallory", "mallory", "<script>alert(document.cookie)</script>"), "septic stored-injection", 1},
+		{fmt.Sprintf(register, "carol", "carol", "likes graphs"), "", 1},
+		{fmt.Sprintf(profile, "'1'"), fmt.Sprintf(mismatch, "1"), 0},
+		{fmt.Sprintf(profile, "'1 OR 1=1'"), fmt.Sprintf(mismatch, "1 OR 1=1"), 1},
+		{fmt.Sprintf(profile, "41"), "", 1},
+	} {
+		hits, found := shapeHits(), sep.Stats().AttacksFound
+		_, err := db.Exec(c.text)
+		if (c.want == "") != (err == nil) || (err != nil && !strings.Contains(err.Error(), c.want)) {
+			t.Errorf("%s: err = %v, want %q", c.text, err, c.want)
+		}
+		if got := sep.Stats().AttacksFound - found; (got == 1) != (c.want != "") {
+			t.Errorf("%s: AttacksFound moved by %d", c.text, got)
+		}
+		if got := shapeHits() - hits; got != c.warm {
+			t.Errorf("%s: %d shape hits, want %d", c.text, got, c.warm)
+		}
 	}
 }
 

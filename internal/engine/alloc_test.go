@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 
+	"github.com/septic-db/septic/internal/obs"
 	"github.com/septic-db/septic/internal/raceflag"
 )
 
@@ -98,29 +99,81 @@ func TestAllocOrderedListIndependentOfRowCount(t *testing.T) {
 // 15 now, see sqlparser's TestParseAllocs).
 //
 // "full" is what embed_miss runs: the parse cache holds other texts and
-// refuses this one, so it pays for no entry — 14, measured, and the
-// ceiling is that figure: a refusal that allocates again fails here.
+// refuses this one, so the text is keyed by its shape, borrows the shape's
+// AST and plan and binds its own literal — 3, measured: the result, as for
+// a cached text — and the ceiling is that figure. "full, obs" is the same
+// with the stage histograms on. From the second call on every text must
+// have been a shape hit: a count that comes from parsing after all is not
+// this path's.
+//
+// "refused" is train_wal's steady state: every text has a comment of its
+// own, so every shape is new and the full shape cache refuses it too. The
+// text is then parsed and planned alone, as a refused text was before
+// shapes existed — 14, measured then and now: the key is built in pooled
+// scratch and a refusal is a tag.
+//
+// "unshareable" is a shape whose literal is structure: the first text of
+// it finds that out by a template parse, the shape cache remembers, and
+// every later one is parsed and planned alone off its one scan, as before
+// shapes existed — 17 with the sort, measured then and now.
 func TestAllocColdPointSelect(t *testing.T) {
 	view := func(i int) string {
 		return fmt.Sprintf("/* ab:view */ SELECT name, phone, email, address FROM contacts WHERE id = %d", 100+i)
 	}
+	ownShape := func(i int) string {
+		return fmt.Sprintf("/* ab:view %d */ SELECT name, phone, email, address FROM contacts WHERE id = 417", i)
+	}
+	ordinal := func(i int) string {
+		return fmt.Sprintf("/* ab:view */ SELECT name, phone, email, address FROM contacts WHERE id = %d ORDER BY 1", 100+i)
+	}
 	for name, c := range map[string]struct {
 		opts    []Option
+		text    func(int) string
 		ceiling float64
 	}{
-		"cache":   {nil, 16},
-		"nocache": {[]Option{WithParseCacheCapacity(0)}, 16},
-		"full":    {[]Option{WithParseCacheCapacity(16)}, 14},
+		"cache":       {nil, view, 16},
+		"nocache":     {[]Option{WithParseCacheCapacity(0)}, view, 16},
+		"full":        {[]Option{WithParseCacheCapacity(16)}, view, 3},
+		"full, obs":   {[]Option{WithParseCacheCapacity(16), WithObs(obs.NewHub())}, view, 3},
+		"refused":     {[]Option{WithParseCacheCapacity(16)}, ownShape, 14},
+		"unshareable": {[]Option{WithParseCacheCapacity(16)}, ordinal, 17},
 	} {
 		t.Run(name, func(t *testing.T) {
-			db := contactsDB(t, 600, c.opts...) // its 601 statements are 601 texts
-			got := execAllocs(t, db, 400, view) // 401 calls, 401 texts
+			db := contactsDB(t, 600, c.opts...) // its 601 statements are 601 texts of two shapes
+			for i := 0; i < 400; i++ {          // and these 400 more shapes, or 400 more texts of one
+				mustExec(t, db, c.text(1000+i)) // (not -1-i: a minus sign is another shape, and could take this one's place)
+			}
+			before, alone := db.shapes.Stats(), db.unshareable.Load()
+			got := execAllocs(t, db, 400, c.text) // 401 calls, 401 texts
 			// One of the counted allocations is this test's Sprintf.
 			if got-1 > c.ceiling {
 				t.Errorf("cold point select allocates %.1f objects/op, want <= %v", got-1, c.ceiling)
 			}
-			if s := db.parsed.Stats(); name == "full" && (s.Evictions != 0 || s.Refused < 401) {
-				t.Errorf("the parse cache was not full throughout: %+v", s)
+			parsed, shapes := db.parsed.Stats(), db.shapes.Stats()
+			switch name {
+			case "full", "full, obs":
+				if parsed.Evictions != 0 || parsed.Refused < 401 || shapes.Hits-before.Hits != 401 {
+					t.Errorf("not every call was a shape hit behind a full parse cache: %+v, shapes %+v then %+v", parsed, before, shapes)
+				}
+				if db.obsHub != nil {
+					// The first text of a shape was parsed, as its template: a miss.
+					h := db.obsHub.Metrics.Snapshot().Histograms
+					if hit, miss := h["engine.stage.parse.shape_hit"].Count, h["engine.stage.parse.cache_miss"].Count; hit != shapes.Hits || miss != parsed.Misses-shapes.Hits {
+						t.Errorf("parse-stage histograms count %d shape hits and %d misses, the caches %d and %d", hit, miss, shapes.Hits, parsed.Misses-shapes.Hits)
+					}
+				}
+			case "refused":
+				if shapes.Refused-before.Refused != 401 || shapes.Hits != before.Hits || shapes.Entries != before.Entries {
+					t.Errorf("not every call was refused by both caches: shapes %+v then %+v", before, shapes)
+				}
+			case "unshareable":
+				if shapes.Hits-before.Hits != 401 || db.unshareable.Load()-alone != 401 || shapes.Entries != before.Entries {
+					t.Errorf("not every call found its shape remembered as unshareable: %d more, shapes %+v then %+v", db.unshareable.Load()-alone, before, shapes)
+				}
+			default:
+				if shapes.Hits+shapes.Misses != 0 {
+					t.Errorf("a text the parse cache takes, or a deployment without one, reached the shape cache: %+v", shapes)
+				}
 			}
 		})
 	}

@@ -47,8 +47,11 @@ type HookContext struct {
 	App string
 	// Args are the values this execution binds to Stmt's placeholders:
 	// the Placeholder with Index i stands for Args[i], and there are
-	// exactly Stmt.NumParams() of them. Nil for a statement executed
-	// without arguments. The slice is the caller's: read-only, like Stmt.
+	// exactly Stmt.NumParams() of them. They are the caller's arguments,
+	// or — when Stmt is the template of the text's shape (see parseMiss) —
+	// the values of the text's own literals, read off it for this
+	// execution. Nil for a statement whose Stmt holds its literals itself.
+	// Read-only, like Stmt, and valid only as long as the HookContext is.
 	Args []Value
 	// Memo is the hook's slot in the engine's memory of this text: what a
 	// hook leaves there it finds again at the next execution of the same
@@ -141,9 +144,12 @@ type DB struct {
 	// parsed caches parse results by raw query text, so a repeated
 	// statement skips lexing and parsing entirely. Cached ASTs are
 	// shared and nothing writes to one: the hook and the executors read
-	// an execution's arguments beside it (see exec).
-	parsed   *txtcache.Cache[*parsedQuery]
-	parseCap int
+	// an execution's arguments beside it (see exec). shapes, of the same
+	// capacity, holds templates by shape key for the texts parsed refuses
+	// (parseMiss); unshareable counts those with no shape to share.
+	parsed, shapes *txtcache.Cache[*parsedQuery]
+	parseCap       int
+	unshareable    atomic.Int64
 
 	executed atomic.Int64
 	blocked  atomic.Int64
@@ -157,15 +163,15 @@ type DB struct {
 }
 
 // stageHists are the pipeline's latency histograms: one per stage, the
-// parse stage split by parse-cache outcome (a hit skips lex+parse), plus
-// the whole-pipeline total.
+// parse stage split by the way the text got its AST (a cacheHit skips
+// lex+parse, a shapeHit scans and reads the values, a cacheMiss parses),
+// plus the whole-pipeline total.
 type stageHists struct {
-	parseHit  *obs.Histogram
-	parseMiss *obs.Histogram
-	validate  *obs.Histogram
-	hook      *obs.Histogram
-	execute   *obs.Histogram
-	total     *obs.Histogram
+	parse    [3]*obs.Histogram
+	validate *obs.Histogram
+	hook     *obs.Histogram
+	execute  *obs.Histogram
+	total    *obs.Histogram
 }
 
 // parsedQuery is one memoized parse: the statement, the decoded text the
@@ -175,13 +181,26 @@ type stageHists struct {
 // by the first execution and again when the catalog generation has moved
 // on (plan.go); memo by the hook (HookContext.Memo). Both are derived
 // from stmt and leave the cache with it.
+//
+// An entry of the shape cache is the same thing for every text of one
+// shape: tmpl is set, stmt is tmpl.Stmt, the comments are the shape's, and
+// decoded and memo stay empty — the text and the verdict are each
+// execution's own. A shape that has no template is held as noTemplate.
 type parsedQuery struct {
 	stmt     sqlparser.Statement
 	decoded  string
 	comments []string
 	plan     atomic.Pointer[plan]
 	memo     Memo
+	tmpl     *sqlparser.Template
 }
+
+// The ways a text gets its AST: the index of its parse-stage histogram.
+const (
+	cacheHit = iota
+	cacheMiss
+	shapeHit
+)
 
 // New creates an empty database.
 func New(opts ...Option) *DB {
@@ -194,15 +213,19 @@ func New(opts ...Option) *DB {
 		o(db)
 	}
 	db.parsed = txtcache.New[*parsedQuery](db.parseCap)
+	db.shapes = txtcache.New[*parsedQuery](db.parseCap)
 	if db.obsHub != nil {
 		m := db.obsHub.Metrics
 		db.stage = &stageHists{
-			parseHit:  m.Histogram("engine.stage.parse.cache_hit"),
-			parseMiss: m.Histogram("engine.stage.parse.cache_miss"),
-			validate:  m.Histogram("engine.stage.validate"),
-			hook:      m.Histogram("engine.stage.hook"),
-			execute:   m.Histogram("engine.stage.execute"),
-			total:     m.Histogram("engine.stage.total"),
+			parse: [3]*obs.Histogram{
+				cacheHit:  m.Histogram("engine.stage.parse.cache_hit"),
+				cacheMiss: m.Histogram("engine.stage.parse.cache_miss"),
+				shapeHit:  m.Histogram("engine.stage.parse.shape_hit"),
+			},
+			validate: m.Histogram("engine.stage.validate"),
+			hook:     m.Histogram("engine.stage.hook"),
+			execute:  m.Histogram("engine.stage.execute"),
+			total:    m.Histogram("engine.stage.total"),
 		}
 		m.GaugeFunc("engine.executed", db.executed.Load)
 		m.GaugeFunc("engine.blocked", db.blocked.Load)
@@ -212,6 +235,11 @@ func New(opts ...Option) *DB {
 		m.GaugeFunc("engine.parse_cache.misses", func() int64 { return db.parsed.Stats().Misses })
 		m.GaugeFunc("engine.parse_cache.evictions", func() int64 { return db.parsed.Stats().Evictions })
 		m.GaugeFunc("engine.parse_cache.refused", func() int64 { return db.parsed.Stats().Refused })
+		m.GaugeFunc("engine.shape_cache.entries", func() int64 { return int64(db.shapes.Stats().Entries) })
+		m.GaugeFunc("engine.shape_cache.hits", func() int64 { return db.shapes.Stats().Hits })
+		m.GaugeFunc("engine.shape_cache.misses", func() int64 { return db.shapes.Stats().Misses })
+		m.GaugeFunc("engine.shape_cache.refused", func() int64 { return db.shapes.Stats().Refused })
+		m.GaugeFunc("engine.shape_cache.unshareable", db.unshareable.Load)
 	}
 	return db
 }
@@ -319,35 +347,140 @@ func (db *DB) exec(ctx context.Context, query, app string, args []Value) (*Resul
 	// between sessions, which is safe because every execution path only
 	// reads it. Parse errors are not cached: a failing text re-parses
 	// (and re-fails) each time, keeping the cache free of junk keys.
-	pq, cached := db.parsed.Get(query)
-	resident := cached
-	if !cached {
-		decoded := sqlparser.DecodeCharset(query)
-		stmt, err := sqlparser.ParseDecoded(decoded)
-		if err != nil {
+	pq, cached, admits := db.parsed.Lookup(query)
+	how, decoded, resident := cacheHit, "", cached
+	var scratch *[]Value
+	if cached {
+		decoded = pq.decoded
+	} else {
+		decoded = sqlparser.DecodeCharset(query)
+		var err error
+		pq, scratch, how, err = db.parseMiss(decoded, !admits && args == nil && db.parseCap > 0)
+		switch {
+		case err != nil:
 			db.countFailed()
 			return nil, fmt.Errorf("parse: %w", err)
+		case scratch != nil:
+			args = *scratch
+		case admits:
+			resident = db.parsed.Put(query, pq)
 		}
-		pq = &parsedQuery{stmt: stmt, decoded: decoded, comments: stmt.StatementComments()}
-		resident = db.parsed.Put(query, pq)
 	}
-	stmt := pq.stmt
-	if args != nil {
+	if args != nil && scratch == nil {
 		var err error
-		if args, err = checkArgs(stmt.NumParams(), args); err != nil {
+		if args, err = checkArgs(pq.stmt.NumParams(), args); err != nil {
 			db.countFailed()
 			return nil, err
 		}
 	}
 	if st != nil {
 		now := time.Now()
-		if cached {
-			st.parseHit.Observe(now.Sub(stageStart))
-		} else {
-			st.parseMiss.Observe(now.Sub(stageStart))
-		}
+		st.parse[how].Observe(now.Sub(stageStart))
 		stageStart = now
 	}
+	res, err := db.run(ctx, st, execStart, stageStart, query, decoded, app, pq, args, resident)
+	if scratch != nil {
+		releaseArgs(scratch)
+	}
+	return res, err
+}
+
+// argScratch recycles the arguments a shape hit reads off its text.
+var argScratch = sync.Pool{New: func() any { return new([]Value) }}
+
+// releaseArgs hands such arguments back, emptied: no text stays pinned
+// while they are pooled.
+func releaseArgs(vals *[]Value) {
+	clear(*vals)
+	*vals = (*vals)[:0]
+	argScratch.Put(vals)
+}
+
+// parseMiss gives a text the parse cache does not hold its statement, and
+// says how: shapeHit if nothing was parsed for it, cacheMiss otherwise.
+// With shape set — the cache refused the text, so an AST of its own would
+// be thrown away once it has run, and the client bound no arguments — the
+// one scan first keys the text by its shape: if the shape has a template,
+// or may get one, the statement is the shape's, plan included, and the
+// literals of this text are the arguments of this execution, returned in
+// a scratch slice for the caller to hand back. Otherwise, and for a shape
+// the shape cache refuses or a statement that has none, the text is
+// parsed on its own off the same scan.
+func (db *DB) parseMiss(decoded string, shape bool) (*parsedQuery, *[]Value, int, error) {
+	p := sqlparser.Scan(decoded)
+	defer p.Release()
+	var found []byte // the key of a shape found just now to have no template
+	if shape {
+		if key := p.ShapeKey(); key == nil {
+			db.unshareable.Add(1)
+		} else if tq, vals, how, err := db.template(p, key); tq == noTemplate {
+			db.unshareable.Add(1)
+			if how == cacheMiss {
+				found = key
+			}
+		} else if tq != nil || err != nil {
+			return tq, vals, how, err
+		}
+	}
+	stmt, err := p.Parse()
+	if err != nil {
+		return nil, nil, cacheMiss, err
+	}
+	if found != nil {
+		db.shapes.Put(string(found), noTemplate) // only now: a text that does not parse is not remembered
+	}
+	return &parsedQuery{stmt: stmt, decoded: decoded, comments: stmt.StatementComments()}, nil, cacheMiss, nil
+}
+
+// noTemplate is the shape cache's entry for a shape with a literal that is
+// structure: its texts are parsed one by one, without trying again.
+var noTemplate = new(parsedQuery)
+
+// template returns the shape cache's entry for the scanned text, whose
+// shape key is key, and the text's values for it. A shape met for the
+// first time is parsed as a template here, once, and this execution runs
+// from that parse (a cacheMiss, then). Without values the text goes its
+// own way: the entry is nil if the shape cache is full and refused the
+// shape at first sight, noTemplate if a literal of the statement is
+// structure — found by this parse or by an earlier one.
+func (db *DB) template(p *sqlparser.Parser, key []byte) (*parsedQuery, *[]Value, int, error) {
+	tq, hit, admits := db.shapes.LookupBytes(key)
+	how := shapeHit
+	if !hit {
+		if !admits {
+			return nil, nil, how, nil
+		}
+		how = cacheMiss
+		tmpl, err := p.ParseTemplate()
+		if errors.Is(err, sqlparser.ErrUnshareable) {
+			return noTemplate, nil, how, nil
+		}
+		if err != nil {
+			return nil, nil, how, err
+		}
+		tq = &parsedQuery{stmt: tmpl.Stmt, comments: tmpl.Stmt.StatementComments(), tmpl: tmpl}
+		db.shapes.Put(string(key), tq)
+	}
+	if tq == noTemplate {
+		return tq, nil, how, nil
+	}
+	vals := argScratch.Get().(*[]Value)
+	for i, n := 0, tq.stmt.NumParams(); i < n; i++ {
+		lit, err := p.Value(tq.tmpl, i)
+		if err != nil {
+			releaseArgs(vals)
+			return nil, nil, how, err
+		}
+		*vals = append(*vals, LiteralValue(&lit))
+	}
+	return tq, vals, how, nil
+}
+
+// run takes a parsed statement through the rest of the pipeline: validate,
+// hook, execute.
+func (db *DB) run(ctx context.Context, st *stageHists, execStart, stageStart time.Time,
+	query, decoded, app string, pq *parsedQuery, args []Value, resident bool) (*Result, error) {
+	stmt := pq.stmt
 	faultinject.Hit(faultinject.SiteEngineValidate)
 	if err := db.stageErr(ctx, "validate"); err != nil {
 		return nil, err
@@ -373,7 +506,7 @@ func (db *DB) exec(ctx context.Context, query, app string, args []Value) (*Resul
 		hctx := hookContexts.Get().(*HookContext)
 		*hctx = HookContext{
 			Raw:      query,
-			Decoded:  pq.decoded,
+			Decoded:  decoded,
 			Stmt:     stmt,
 			Comments: pq.comments,
 			App:      app,

@@ -460,29 +460,46 @@ func (ev *evaluator) evalBetween(n *bexpr) (Value, error) {
 func (n *bexpr) setPattern(p string) {
 	n.val = Str(strings.ToLower(p))
 	n.flags |= flagPattern
-	if p = n.val.S; len(p) >= 2 && p[0] == '%' && p[len(p)-1] == '%' && !strings.ContainsAny(p[1:len(p)-1], `%_\`) {
+	if isContains(n.val.S) {
 		n.flags |= flagContains
 	}
+}
+
+// isContains reports whether pattern p is "%text%", text free of wildcards.
+func isContains(p string) bool {
+	if len(p) < 2 || p[0] != '%' || p[len(p)-1] != '%' {
+		return false
+	}
+	for i := 1; i < len(p)-1; i++ {
+		if c := p[i]; c == '%' || c == '_' || c == '\\' {
+			return false
+		}
+	}
+	return true
 }
 
 // like implements SQL LIKE with % and _ wildcards, case-insensitive
 // (MySQL's default collation): the answer is likeMatch over both sides
 // lowered with strings.ToLower. An ASCII string is never lowered — the
 // matchers fold its letters as they compare — so only a subject or a
-// computed pattern with other runes in it pays for a copy.
+// computed pattern with other runes in it pays for a copy. A computed
+// pattern — a bound argument, which is what a literal is to the template
+// of its shape — is looked at per row for what a literal one is at bind
+// time, so a search costs the same whichever way its text got its plan.
 func (n *bexpr) like(s string, pattern *Value) bool {
 	if !isASCII(s) {
 		s = strings.ToLower(s)
 	}
-	p := n.val.S
+	p, contains := n.val.S, n.flags&flagContains != 0
 	if n.flags&flagPattern == 0 {
 		if p = pattern.String(); !isASCII(p) {
 			p = strings.ToLower(p)
 		}
+		contains = isContains(p)
 	}
 	// likeMatch pairs a '%' in the subject with one in the pattern before it
 	// reads the pattern's as a wildcard; the substring search cannot.
-	if n.flags&flagContains != 0 && strings.IndexByte(s, '%') < 0 {
+	if contains && strings.IndexByte(s, '%') < 0 {
 		return containsFold(s, p[1:len(p)-1])
 	}
 	return likeMatch(s, p)
@@ -505,12 +522,12 @@ func foldByte(c byte) byte {
 	return c
 }
 
-// containsFold reports whether sub, already lowered, occurs in s with
-// ASCII case folded.
+// containsFold reports whether sub occurs in s, ASCII case folded on both
+// sides.
 func containsFold(s, sub string) bool {
 	for i := 0; i+len(sub) <= len(s); i++ {
 		j := 0
-		for j < len(sub) && foldByte(s[i+j]) == sub[j] {
+		for j < len(sub) && foldByte(s[i+j]) == foldByte(sub[j]) {
 			j++
 		}
 		if j == len(sub) {

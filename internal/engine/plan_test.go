@@ -477,27 +477,37 @@ func (g selectGen) write() string {
 // affected — and fail alike, over generated selects interleaved with
 // DML (keyed, scanning, ordered and limited) and DDL. Texts repeat (the
 // generator's space is small), so stored plans of all three statement
-// kinds are reused across schema changes.
+// kinds are reused across schema changes. A third DB has a parse cache of
+// 16 entries, soon full: most of its texts are refused and run from the
+// template of their shape with their own literals bound — or alone, the
+// ORDER BY positions and SELECT-list constants the generator writes being
+// structure — off plans that outlive the same schema changes.
 func TestCachedPlansMatchPlanningPerExec(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		g := selectGen{rand.New(rand.NewSource(seed))}
-		caching, planning := New(), New(WithParseCacheCapacity(0))
+		planning := New(WithParseCacheCapacity(0))
+		cached := map[string]*DB{"caching": New(), "shaping": New(WithParseCacheCapacity(16))}
 		for step := 0; step < 1500; step++ {
 			q := g.query()
 			if step%5 == 0 {
 				q = g.write()
 			}
-			got, gotErr := caching.Exec(q)
 			want, wantErr := planning.Exec(q)
-			if (gotErr == nil) != (wantErr == nil) || (gotErr != nil && gotErr.Error() != wantErr.Error()) {
-				t.Fatalf("seed %d step %d %s:\n caching err %v\nplanning err %v", seed, step, q, gotErr, wantErr)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("seed %d step %d %s:\n caching %+v\nplanning %+v", seed, step, q, got, want)
+			for name, db := range cached {
+				got, gotErr := db.Exec(q)
+				if (gotErr == nil) != (wantErr == nil) || (gotErr != nil && gotErr.Error() != wantErr.Error()) {
+					t.Fatalf("seed %d step %d %s:\n %s err %v\nplanning err %v", seed, step, q, name, gotErr, wantErr)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("seed %d step %d %s:\n %s %+v\nplanning %+v", seed, step, q, name, got, want)
+				}
 			}
 		}
-		if st := caching.parsed.Stats(); st.Hits == 0 {
+		if st := cached["caching"].parsed.Stats(); st.Hits == 0 {
 			t.Fatal("no text repeated: the property never exercised a stored plan")
+		}
+		if db := cached["shaping"]; db.shapes.Stats().Hits == 0 || db.unshareable.Load() == 0 {
+			t.Fatalf("no text ran from a template, or none had to run alone: %+v, %d unshareable", db.shapes.Stats(), db.unshareable.Load())
 		}
 	}
 }

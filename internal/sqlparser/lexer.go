@@ -210,16 +210,20 @@ func lookupKeyword(word string) (uint8, bool) {
 	if len(word) > maxKeywordLen {
 		return 0, false
 	}
-	var buf [maxKeywordLen]byte
-	for i := 0; i < len(word); i++ {
-		c := word[i]
-		if c >= 'a' && c <= 'z' {
-			c -= 'a' - 'A'
-		}
-		buf[i] = c
+	slot := keywordSlots[keywordHash(word)]
+	if slot == 0 || len(keywordNames[slot-1]) != len(word) {
+		return 0, false
 	}
-	kw, ok := keywords[string(buf[:len(word)])]
-	return kw, ok
+	for i, c := range []byte(keywordNames[slot-1]) {
+		w := word[i]
+		if w >= 'a' && w <= 'z' {
+			w -= 'a' - 'A'
+		}
+		if w != c {
+			return 0, false
+		}
+	}
+	return slot - 1, true
 }
 
 // text returns the token's decoded text — what Token.Text documents, and
@@ -363,8 +367,8 @@ func isIdentPart(c byte) bool { return isIdentStart(c) || isDigit(c) }
 // Tokenize scans input and returns all tokens up to and including EOF.
 // Comment tokens are included in the stream.
 func Tokenize(input string) ([]Token, error) {
-	p := newParser(input)
-	defer p.release()
+	p := Scan(input)
+	defer p.Release()
 	out := make([]Token, 0, len(p.toks))
 	for _, t := range p.toks {
 		if t.kind == tokenError {

@@ -2,6 +2,7 @@ package sqlparser
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"sync"
@@ -93,6 +94,16 @@ type Parser struct {
 	// its place in source order.
 	params int
 	slab   slab
+	// lit is the token of the Literal made last: the one a unary minus
+	// folds into, if its operand turns out to be a literal (see negate).
+	lit token
+	// tmpl is set while the text is parsed as a template (ParseTemplate);
+	// structural then counts the enclosing clauses in which a literal is
+	// structure, not a value.
+	tmpl       *Template
+	structural int
+	// key is the scratch ShapeKey builds in, kept like toks.
+	key []byte
 }
 
 // slab hands out the three node types that make up most of a statement
@@ -106,6 +117,8 @@ type slab struct {
 	cols                []ColumnRef
 	lits                []Literal
 	bins                []BinaryExpr
+	// A template's literals are Placeholders, bounded by nLits as well.
+	slots []Placeholder
 }
 
 // take returns the next free element of *s, allocating the array with
@@ -128,24 +141,35 @@ const maxPooledTokens = 4096
 
 var parserPool = sync.Pool{New: func() any { return new(Parser) }}
 
-// newParser scans src and returns a parser positioned at its first token.
-func newParser(src string) *Parser {
+// Scan scans decoded, a text DecodeCharset has been applied to, and
+// returns a parser positioned at its first token. The one scan serves
+// whatever the caller goes on to ask: ShapeKey, Parse or ParseTemplate, and
+// Value. Release it when done.
+func Scan(decoded string) *Parser {
 	p := parserPool.Get().(*Parser)
-	p.src = src
-	p.toks = scan(src, p.toks[:0])
-	p.pos = -1
-	p.advance()
+	p.src = decoded
+	p.toks = scan(decoded, p.toks[:0])
+	p.rewind()
 	return p
 }
 
-// release returns the parser and its token scratch to the pool, dropping
-// every reference to the text and the nodes parsed from it.
-func (p *Parser) release() {
-	toks := p.toks
+// rewind positions the parser at the first token, as after Scan.
+func (p *Parser) rewind() {
+	p.pos, p.commentsFrom, p.structural, p.lexErr = -1, 0, 0, nil
+	p.advance()
+}
+
+// Release returns the parser and its scratch to the pool, dropping every
+// reference to the text and the nodes parsed from it.
+func (p *Parser) Release() {
+	toks, key := p.toks, p.key
 	if cap(toks) > maxPooledTokens {
 		toks = nil
 	}
-	*p = Parser{toks: toks}
+	if cap(key) > 8*maxPooledTokens {
+		key = nil
+	}
+	*p = Parser{toks: toks, key: key}
 	parserPool.Put(p)
 }
 
@@ -160,8 +184,13 @@ func Parse(query string) (Statement, error) {
 // ParseDecoded is Parse over a text that DecodeCharset has already been
 // applied to, for a caller that keeps the decoded text anyway.
 func ParseDecoded(decoded string) (Statement, error) {
-	p := newParser(decoded)
-	defer p.release()
+	p := Scan(decoded)
+	defer p.Release()
+	return p.Parse()
+}
+
+// Parse parses the scanned text as a single statement.
+func (p *Parser) Parse() (Statement, error) {
 	// Every statement is parsed, so an error in a later one is reported
 	// before the count is; only the first is kept.
 	var first Statement
@@ -186,8 +215,8 @@ func ParseDecoded(decoded string) (Statement, error) {
 
 // ParseAll decodes, lexes and parses a semicolon-separated script.
 func ParseAll(query string) ([]Statement, error) {
-	p := newParser(DecodeCharset(query))
-	defer p.release()
+	p := Scan(DecodeCharset(query))
+	defer p.Release()
 	var stmts []Statement
 	for p.tok.kind != TokenEOF {
 		stmt, err := p.parseStatement()
@@ -455,7 +484,10 @@ func (p *Parser) parseSelect() (*SelectStmt, error) {
 		if err := p.expectKeyword("BY"); err != nil {
 			return nil, err
 		}
-		if stmt.GroupBy, err = p.parseExprList(); err != nil {
+		p.structural++ // a number is a column position
+		stmt.GroupBy, err = p.parseExprList()
+		p.structural--
+		if err != nil {
 			return nil, err
 		}
 	}
@@ -502,7 +534,9 @@ func (p *Parser) parseSelectField() (SelectField, error) {
 		}
 		p.pos, p.tok = save, p.toks[save]
 	}
+	p.structural++ // the expression names the result column
 	expr, err := p.parseExpr()
+	p.structural--
 	if err != nil {
 		return SelectField{}, err
 	}
@@ -603,7 +637,9 @@ func (p *Parser) parseOrderBy() ([]OrderItem, error) {
 	}
 	items := make([]OrderItem, 0, p.listLen())
 	for {
+		p.structural++ // a number is a column position
 		e, err := p.parseExpr()
+		p.structural--
 		if err != nil {
 			return nil, err
 		}
@@ -1130,22 +1166,67 @@ func (p *Parser) parseUnary() (Expr, error) {
 	}
 	// Fold unary minus into integer/float literals the way MySQL's parser
 	// does, so "-1" is a single INT_ITEM in the QS. The literal was made
-	// for this operand alone, so it is negated in place.
-	if lit, ok := operand.(*Literal); ok {
-		switch lit.Kind {
-		case LiteralInt:
-			lit.Int = -lit.Int
-			return lit, nil
-		case LiteralFloat:
-			lit.Float = -lit.Float
-			return lit, nil
+	// for this operand alone — it is the one made last, whatever
+	// parentheses and signs stand around it — so it is negated in place; a
+	// template's literal is a slot, which takes the sign.
+	switch x := operand.(type) {
+	case *Literal:
+		if x.Kind == LiteralInt || x.Kind == LiteralFloat {
+			*x = negate(p.src, p.lit, *x)
+			return x, nil
+		}
+	case *Placeholder:
+		if p.tmpl != nil {
+			if s := &p.tmpl.slots[x.Index]; p.toks[s.tok].kind != TokenString {
+				s.neg = !s.neg
+				return x, nil
+			}
 		}
 	}
 	return &UnaryExpr{Op: "-", Operand: operand}, nil
 }
 
+// negate folds one unary minus into lit, the numeric literal token t of
+// src spells. 9223372036854775808 fits no int64 and is a double, but its
+// negation is the least BIGINT, as in MySQL — and that one's negation is
+// the double again.
+func negate(src string, t token, lit Literal) Literal {
+	switch {
+	case lit.Kind == LiteralInt && lit.Int == math.MinInt64:
+		return Literal{Kind: LiteralFloat, Float: -math.MinInt64}
+	case lit.Kind == LiteralInt:
+		lit.Int = -lit.Int
+	case t.kind == TokenInt && src[t.start:t.end] == "9223372036854775808":
+		return Literal{Kind: LiteralInt, Int: math.MinInt64}
+	default:
+		lit.Float = -lit.Float
+	}
+	return lit
+}
+
+// literalOf converts the literal token t of src to its value: the one
+// conversion a parse and a template's Value share.
+func literalOf(src string, t token) (Literal, error) {
+	text, what := t.text(src), "float"
+	switch t.kind {
+	case TokenString:
+		return Literal{Kind: LiteralString, Str: text}, nil
+	case TokenInt:
+		if n, err := strconv.ParseInt(text, 10, 64); err == nil {
+			return Literal{Kind: LiteralInt, Int: n}, nil
+		}
+		what = "numeric" // out of range: MySQL widens to double
+	}
+	f, err := strconv.ParseFloat(text, 64)
+	if err != nil {
+		return Literal{}, &SyntaxError{Pos: int(t.start), Msg: fmt.Sprintf("invalid %s literal %q", what, text)}
+	}
+	return Literal{Kind: LiteralFloat, Float: f}, nil
+}
+
 // literal consumes the current token and returns lit as its node.
 func (p *Parser) literal(lit Literal) (Expr, error) {
+	p.lit = p.tok
 	p.advance()
 	l := take(&p.slab.lits, p.slab.nLits)
 	*l = lit
@@ -1154,25 +1235,26 @@ func (p *Parser) literal(lit Literal) (Expr, error) {
 
 func (p *Parser) parsePrimary() (Expr, error) {
 	switch p.tok.kind {
-	case TokenInt:
-		n, err := strconv.ParseInt(p.text(), 10, 64)
-		if err == nil {
-			return p.literal(Literal{Kind: LiteralInt, Int: n})
+	case TokenInt, TokenFloat, TokenString:
+		lit, err := literalOf(p.src, p.tok)
+		switch {
+		case err != nil:
+			return nil, err
+		case p.tmpl == nil:
+			return p.literal(lit)
+		case p.structural > 0:
+			return nil, ErrUnshareable
 		}
-		// Out-of-range integer literal: MySQL widens to double.
-		f, err := strconv.ParseFloat(p.text(), 64)
-		if err != nil {
-			return nil, p.errorf("invalid numeric literal %q", p.text())
+		// A template's literal: a numbered slot that remembers its token.
+		if p.tmpl.slots == nil {
+			p.tmpl.slots = make([]slot, 0, p.slab.nLits)
 		}
-		return p.literal(Literal{Kind: LiteralFloat, Float: f})
-	case TokenFloat:
-		f, err := strconv.ParseFloat(p.text(), 64)
-		if err != nil {
-			return nil, p.errorf("invalid float literal %q", p.text())
-		}
-		return p.literal(Literal{Kind: LiteralFloat, Float: f})
-	case TokenString:
-		return p.literal(Literal{Kind: LiteralString, Str: p.text()})
+		p.tmpl.slots = append(p.tmpl.slots, slot{tok: int32(p.pos)})
+		ph := take(&p.slab.slots, p.slab.nLits)
+		ph.Index = len(p.tmpl.slots) - 1
+		p.advance()
+		p.params++
+		return ph, nil
 	case TokenPlaceholder:
 		p.advance()
 		p.params++

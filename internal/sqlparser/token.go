@@ -138,19 +138,40 @@ const (
 
 // maxKeywordLen is the length of the longest reserved word
 // (AUTO_INCREMENT, with room to spare): a longer word is an identifier
-// without a lookup, and a shorter one is upper-cased into a stack buffer
-// of this size.
+// without a lookup.
 const maxKeywordLen = 16
 
-// keywords maps a reserved word's canonical spelling to its index in
-// keywordNames.
-var keywords = func() map[string]uint8 {
-	m := make(map[string]uint8, len(keywordNames))
+// The reserved words are found by a perfect hash: a word's bytes, letter
+// case folded, are mixed into 8 bits that select one slot of keywordSlots,
+// and the one keyword that may sit there is compared with the word. The
+// multiplier was searched for (the first odd one that gives the 73 words
+// 73 slots); init fills the table and refuses to start on a collision, so
+// a word added to keywordNames that breaks it says so at once.
+const keywordMul = 37675
+
+// keywordSlots holds, per hash value, the index in keywordNames of the
+// keyword hashing to it plus one; 0 is an empty slot.
+var keywordSlots = func() (slots [256]uint8) {
 	for i, kw := range keywordNames {
-		m[kw] = uint8(i)
+		slot := &slots[keywordHash(kw)]
+		if *slot != 0 || len(kw) > maxKeywordLen {
+			panic("sqlparser: keyword " + kw + " does not fit the keyword hash: search for a new keywordMul")
+		}
+		*slot = uint8(i) + 1
 	}
-	return m
+	return slots
 }()
+
+// keywordHash hashes word with its ASCII letters folded to one case:
+// OR-ing 0x20 into a byte folds a letter, and what else it merges only
+// shares a slot — lookupKeyword's comparison is exact.
+func keywordHash(word string) uint8 {
+	h := uint32(len(word))
+	for i := 0; i < len(word); i++ {
+		h = h*keywordMul + uint32(word[i]|0x20)
+	}
+	return uint8(h * 2654435761 >> 24)
+}
 
 // operatorStarts lists the runes that can begin an operator token.
 const operatorStarts = "=<>!+-*/%&|^~"

@@ -6,7 +6,7 @@
 //
 // Design constraints, in order:
 //
-//   - A hit must be allocation-free: Get takes a shard read-lock for one
+//   - A hit must be allocation-free: Lookup takes a shard read-lock for one
 //     map probe, reads the value, and touches only an atomic reference
 //     bit afterwards. Repeated queries from parallel sessions land on
 //     independent shards and never serialize on one lock.
@@ -70,7 +70,7 @@ type entry[V any] struct {
 
 // New builds a cache bounded to roughly capacity entries (rounded up to a
 // multiple of the shard count). A capacity of zero disables the cache:
-// Get always misses and Put is a no-op, which gives callers a natural
+// Lookup always misses and Put is a no-op, which gives callers a natural
 // off switch for ablation benchmarks.
 func New[V any](capacity int) *Cache[V] {
 	c := &Cache[V]{seed: maphash.MakeSeed()}
@@ -84,30 +84,56 @@ func New[V any](capacity int) *Cache[V] {
 	return c
 }
 
-// locate hashes the whole key once and derives the shard from the low
-// bits; Put takes the admission slot and tag from the rest.
-func (c *Cache[V]) locate(key string) (*shard[V], uint64) {
-	h := maphash.String(c.seed, key)
-	return &c.shards[h%shardCount], h
+// shardOf derives the shard from the low bits of a key's hash; the
+// doorkeeper takes the admission slot and tag from the rest.
+func (c *Cache[V]) shardOf(h uint64) *shard[V] { return &c.shards[h%shardCount] }
+
+// Lookup returns the cached value for key; a hit marks the entry
+// referenced so the clock hand passes over it once before eviction. On a
+// miss, admits says whether a Put of key would store it now, for a caller
+// whose value is costly to build. False is the refusal itself — the tag is
+// left at the door and counted, and the caller skips the Put; true leaves
+// the door as it is for the Put that follows. The key is hashed once for
+// both answers.
+func (c *Cache[V]) Lookup(key string) (val V, hit, admits bool) {
+	return c.lookup(maphash.String(c.seed, key), key, nil)
 }
 
-// Get returns the cached value for key. A hit marks the entry referenced
-// so the clock hand passes over it once before eviction.
-func (c *Cache[V]) Get(key string) (V, bool) {
-	var zero V
+// LookupBytes is Lookup for a key held as bytes in a buffer the caller
+// reuses: nothing keeps it. Put(string(key), …) stores under the same key.
+func (c *Cache[V]) LookupBytes(key []byte) (val V, hit, admits bool) {
+	return c.lookup(maphash.Bytes(c.seed, key), "", key)
+}
+
+// lookup finds the key hashing to h — bkey if non-nil, else skey — and, if
+// it is absent, gives the admission answer.
+func (c *Cache[V]) lookup(h uint64, skey string, bkey []byte) (val V, hit, admits bool) {
 	if c.perShard == 0 {
 		c.misses.Add(1)
-		return zero, false
+		return val, false, false
 	}
-	sh, _ := c.locate(key)
+	sh := c.shardOf(h)
 	sh.mu.RLock()
-	e, ok := sh.m[key]
+	var e *entry[V]
+	var ok bool
+	if bkey != nil {
+		e, ok = sh.m[string(bkey)] // no copy: the compiler probes with the bytes
+	} else {
+		e, ok = sh.m[skey]
+	}
 	if !ok {
+		admits = len(sh.ring) < c.perShard
 		sh.mu.RUnlock()
 		c.misses.Add(1)
-		return zero, false
+		if !admits {
+			sh.mu.Lock()
+			_, first := c.refuse(sh, h)
+			admits = !first
+			sh.mu.Unlock()
+		}
+		return val, false, admits
 	}
-	v := e.val
+	val = e.val
 	sh.mu.RUnlock()
 	// Checking before storing keeps the steady state (hot entry, bit
 	// already set) free of cross-core cacheline writes.
@@ -115,7 +141,22 @@ func (c *Cache[V]) Get(key string) (V, bool) {
 		e.ref.Store(true)
 	}
 	c.hits.Add(1)
-	return v, true
+	return val, true, true
+}
+
+// refuse, with sh locked and full, is the doorkeeper: it reports whether
+// an absent key hashing to h is being offered for the first time, and
+// then leaves the key's tag in its slot and counts the refusal. A tag
+// found stays until Put clears the slot; tags are odd, so a cleared slot
+// matches no key.
+func (c *Cache[V]) refuse(sh *shard[V], h uint64) (slot *uint32, first bool) {
+	slot, tag := &sh.door[(h>>4)%uint64(len(sh.door))], uint32(h>>32)|1
+	if *slot == tag {
+		return slot, false
+	}
+	*slot = tag
+	c.refused.Add(1)
+	return slot, true
 }
 
 // Put inserts or replaces the value for key and reports whether the key
@@ -128,7 +169,8 @@ func (c *Cache[V]) Put(key string, val V) bool {
 	if c.perShard == 0 {
 		return false
 	}
-	sh, h := c.locate(key)
+	h := maphash.String(c.seed, key)
+	sh := c.shardOf(h)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if e, ok := sh.m[key]; ok {
@@ -142,13 +184,8 @@ func (c *Cache[V]) Put(key string, val V) bool {
 		sh.ring = append(sh.ring, e)
 		return true
 	}
-	// The doorkeeper: an absent key offered for the first time leaves its
-	// tag in its slot and is counted as refused. Tags are odd, so the slot
-	// cleared on admission matches no key.
-	slot, tag := &sh.door[(h>>4)%uint64(len(sh.door))], uint32(h>>32)|1
-	if *slot != tag {
-		*slot = tag
-		c.refused.Add(1)
+	slot, first := c.refuse(sh, h)
+	if first {
 		return false
 	}
 	*slot = 0

@@ -8,17 +8,17 @@ import (
 
 func TestGetPut(t *testing.T) {
 	c := New[int](64)
-	if _, ok := c.Get("a"); ok {
+	if _, ok, _ := c.Lookup("a"); ok {
 		t.Fatal("empty cache hit")
 	}
 	c.Put("a", 1)
 	c.Put("b", 2)
-	if v, ok := c.Get("a"); !ok || v != 1 {
-		t.Fatalf("Get(a) = %d, %t", v, ok)
+	if v, ok, _ := c.Lookup("a"); !ok || v != 1 {
+		t.Fatalf("Lookup(a) = %d, %t", v, ok)
 	}
 	c.Put("a", 3) // overwrite
-	if v, _ := c.Get("a"); v != 3 {
-		t.Fatalf("after overwrite Get(a) = %d", v)
+	if v, _, _ := c.Lookup("a"); v != 3 {
+		t.Fatalf("after overwrite Lookup(a) = %d", v)
 	}
 	if c.Len() != 2 {
 		t.Fatalf("Len = %d, want 2", c.Len())
@@ -30,7 +30,7 @@ func TestZeroCapacityDisables(t *testing.T) {
 	if c.Put("a", "x") {
 		t.Fatal("disabled cache reports the key resident")
 	}
-	if _, ok := c.Get("a"); ok {
+	if _, ok, _ := c.Lookup("a"); ok {
 		t.Fatal("disabled cache returned a hit")
 	}
 	if c.Capacity() != 0 {
@@ -81,7 +81,7 @@ func TestSecondOfferIsAdmitted(t *testing.T) {
 	if c.Put("twice", 1) {
 		t.Fatal("full shard reports a key resident at first sight")
 	}
-	if _, ok := c.Get("twice"); ok {
+	if _, ok, _ := c.Lookup("twice"); ok {
 		t.Fatal("full shard stored a key at first sight")
 	}
 	if s := c.Stats(); s.Evictions != 0 {
@@ -90,11 +90,64 @@ func TestSecondOfferIsAdmitted(t *testing.T) {
 	if !c.Put("twice", 2) || !c.Put("twice", 2) {
 		t.Fatal("the second offer, or the overwrite after it, reports the key absent")
 	}
-	if v, ok := c.Get("twice"); !ok || v != 2 {
-		t.Fatalf("after the second offer Get = %d, %t", v, ok)
+	if v, ok, _ := c.Lookup("twice"); !ok || v != 2 {
+		t.Fatalf("after the second offer Lookup = %d, %t", v, ok)
 	}
 	if s := c.Stats(); s.Evictions != 1 || s.Entries != c.Capacity() {
 		t.Fatalf("second offer: %+v, want 1 eviction at capacity %d", s, c.Capacity())
+	}
+}
+
+// TestLookupGivesTheAdmissionAnswer: a miss says whether a Put would store
+// the key now, and a "no" is the refusal itself — counted, the tag left, so
+// the next Lookup of the key says yes and the Put that follows stores it.
+// With room, and on a hit, there is nothing to refuse. The same through
+// LookupBytes, which keeps nothing of the buffer it is handed.
+func TestLookupGivesTheAdmissionAnswer(t *testing.T) {
+	c := New[int](64)
+	if _, hit, admits := c.Lookup("early"); hit || !admits {
+		t.Fatalf("a cache with room: hit %t, admits %t", hit, admits)
+	}
+	c.Put("early", 7)
+	if v, hit, admits := c.Lookup("early"); !hit || !admits || v != 7 {
+		t.Fatalf("a resident key: %d, hit %t, admits %t", v, hit, admits)
+	}
+	fill(c, "resident")
+	for _, lookup := range []func(string) (int, bool, bool){
+		c.Lookup,
+		func(key string) (int, bool, bool) {
+			buf := []byte(key)
+			v, hit, admits := c.LookupBytes(buf)
+			clear(buf)
+			return v, hit, admits
+		},
+	} {
+		key := fmt.Sprintf("twice-%d", c.Stats().Evictions)
+		before := c.Stats()
+		if _, hit, admits := lookup(key); hit || admits {
+			t.Fatalf("a full shard at first sight: hit %t, admits %t", hit, admits)
+		}
+		if s := c.Stats(); s.Refused != before.Refused+1 || s.Evictions != before.Evictions || s.Misses != before.Misses+1 {
+			t.Fatalf("the refusal was not counted once: %+v, then %+v", before, s)
+		}
+		if _, hit, admits := lookup(key); hit || !admits {
+			t.Fatalf("a full shard at second sight: hit %t, admits %t", hit, admits)
+		}
+		if !c.Put(key, 2) {
+			t.Fatal("the Put after an admission reports the key absent")
+		}
+		if v, hit, _ := lookup(key); !hit || v != 2 {
+			t.Fatalf("after the Put: %d, hit %t", v, hit)
+		}
+		if s := c.Stats(); s.Refused != before.Refused+1 || s.Evictions != before.Evictions+1 {
+			t.Fatalf("admission: %+v, then %+v; want one refusal and one eviction", before, s)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { c.LookupBytes([]byte("never seen, never stored")) }); n != 0 {
+		t.Errorf("LookupBytes allocates %v", n)
+	}
+	if _, hit, admits := New[int](0).Lookup("off"); hit || admits {
+		t.Errorf("a cache of no capacity: hit %t, admits %t", hit, admits)
 	}
 }
 
@@ -108,7 +161,7 @@ func TestScanDoesNotEvictResidents(t *testing.T) {
 		c.Put(fmt.Sprintf("scan-%d", i), i)
 	}
 	for _, key := range resident {
-		if _, ok := c.Get(key); !ok {
+		if _, ok, _ := c.Lookup(key); !ok {
 			t.Fatalf("%s evicted by a scan of one-shot keys: %+v", key, c.Stats())
 		}
 	}
@@ -166,7 +219,7 @@ func TestSecondChanceKeepsHotEntry(t *testing.T) {
 	c.Put("hot", 42)
 	for i := 0; i < 10*capacity; i++ {
 		c.Put(fmt.Sprintf("cold-%d", i), i)
-		if _, ok := c.Get("hot"); !ok {
+		if _, ok, _ := c.Lookup("hot"); !ok {
 			t.Fatalf("hot entry evicted at flood step %d despite constant hits", i)
 		}
 	}
@@ -175,9 +228,9 @@ func TestSecondChanceKeepsHotEntry(t *testing.T) {
 func TestStatsCounts(t *testing.T) {
 	c := New[int](64)
 	c.Put("a", 1)
-	c.Get("a")
-	c.Get("a")
-	c.Get("missing")
+	c.Lookup("a")
+	c.Lookup("a")
+	c.Lookup("missing")
 	s := c.Stats()
 	if s.Hits != 2 || s.Misses != 1 {
 		t.Fatalf("stats = %+v", s)
@@ -196,7 +249,7 @@ func TestConcurrent(t *testing.T) {
 				if i%3 == 0 {
 					c.Put(key, i)
 				} else {
-					c.Get(key)
+					c.Lookup(key)
 				}
 				if i%7 == 0 {
 					c.Put(fmt.Sprintf("unique-%d-%d", g, i), i)

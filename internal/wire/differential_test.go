@@ -11,6 +11,7 @@ import (
 	"github.com/septic-db/septic/internal/benchlab"
 	"github.com/septic-db/septic/internal/core"
 	"github.com/septic-db/septic/internal/engine"
+	"github.com/septic-db/septic/internal/obs"
 	"github.com/septic-db/septic/internal/webapp"
 )
 
@@ -50,10 +51,10 @@ var nonFiniteStatements = []string{"SELECT 1e308 * 10", "SELECT 1e308*10 - 1e308
 // loaded and trained in-process, then switched to prevention. wrap, when
 // set, interposes on the applications' executor. Every call yields the
 // same state, which is what lets three of them stand in for one.
-func diffDeployment(t *testing.T, wrap func(*engine.DB) webapp.Executor) (*engine.DB, []*webapp.App) {
+func diffDeployment(t *testing.T, wrap func(*engine.DB) webapp.Executor, opts ...engine.Option) (*engine.DB, []*webapp.App) {
 	t.Helper()
 	guard := core.New(core.Config{Mode: core.ModeTraining})
-	db := engine.New(engine.WithQueryHook(guard))
+	db := engine.New(append(opts, engine.WithQueryHook(guard))...)
 	var exec webapp.Executor = db
 	if wrap != nil {
 		exec = wrap(db)
@@ -232,6 +233,74 @@ func TestBoundValuesOverTheWire(t *testing.T) {
 		const count = "SELECT COUNT(*) FROM wm_users"
 		if got, want := outcomeOf(client.Exec(count)), outcomeOf(ref.Exec(count)); !reflect.DeepEqual(got, want) || got.res.Rows[0][0].I != 5 {
 			t.Errorf("v%d after the sequence: %s over the wire %+v %+v, in-process %+v %+v", version+1, count, got, got.res, want, want.res)
+		}
+	}
+}
+
+// TestLiteralValuesOverTheWire: a text the full parse cache refuses runs
+// from its shape's template with its own literals bound, and its verdict is
+// those literals', over either framing as in-process. Behind a 16-entry
+// parse cache the training filled, the register and profile statements go
+// out with literals nobody has sent — benign, a stored-injection payload, a
+// string where the model has an integer, benign again: each is answered as
+// the same text on the engine directly, the attacks typed ErrServerBlocked,
+// all but the first text of a shape served from a warm template, and the
+// session goes on. (1024 entries and 4000 texts to fill them: see
+// core.TestBoundValuesReachTheVerdict for why that is deterministic.)
+func TestLiteralValuesOverTheWire(t *testing.T) {
+	snapshotGoroutines(t)
+	const (
+		register = "/* waspmon:register */ INSERT INTO wm_users (username, email, notes) VALUES ('user%d', 'u@example.com', '%s')"
+		profile  = "/* waspmon:profile */ SELECT username, email FROM wm_users WHERE id = %s"
+	)
+	texts := []string{
+		fmt.Sprintf(register, 1, "likes graphs"), fmt.Sprintf(profile, "2"),
+		fmt.Sprintf(register, 2, "<script>alert(document.cookie)</script>"),
+		fmt.Sprintf(profile, "'2'"), fmt.Sprintf(profile, "'2 OR 1=1'"),
+		fmt.Sprintf(register, 3, "likes charts"), fmt.Sprintf(profile, "3"),
+	}
+	for version, opts := range [][]ClientOption{nil, {WithPipeline(8)}} {
+		hub := obs.NewHub()
+		ref, _ := diffDeployment(t, nil, engine.WithParseCacheCapacity(1024))
+		db, _ := diffDeployment(t, nil, engine.WithParseCacheCapacity(1024), engine.WithObs(hub))
+		for i := 0; i < 4002; i++ {
+			q := fmt.Sprintf(profile, fmt.Sprint(1000+i))
+			if i >= 4000 {
+				q = fmt.Sprintf(register, i, "hi")
+			}
+			for _, d := range []*engine.DB{ref, db} {
+				if _, err := d.Exec(q); err != nil {
+					t.Fatalf("benign %s: %v", q, err)
+				}
+			}
+		}
+		before := hub.Metrics.Snapshot().Gauges
+		srv := NewServer(db)
+		addr, err := srv.Listen("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = srv.Close() })
+		client := dialOpts(t, addr, opts...)
+		blocked := 0
+		for i, q := range texts {
+			want, wantErr := ref.Exec(q)
+			got := outcomeOf(client.Exec(q))
+			if got.blocked != errors.Is(wantErr, engine.ErrQueryBlocked) || (got.errText == "") != (wantErr == nil) || fmt.Sprint(got.res) != fmt.Sprint(want) {
+				t.Errorf("v%d text %d %s: over the wire %+v %+v, in-process %+v %v", version+1, i, q, got, got.res, want, wantErr)
+			}
+			if got.blocked {
+				blocked++
+			}
+		}
+		if blocked != 3 {
+			t.Errorf("v%d: %d texts blocked, want the payload and the two strings", version+1, blocked)
+		}
+		// Seven texts: one made the template of the profile with a string,
+		// the others were served from a warm one.
+		g := hub.Metrics.Snapshot().Gauges
+		if hits, misses := g["engine.shape_cache.hits"]-before["engine.shape_cache.hits"], g["engine.shape_cache.misses"]-before["engine.shape_cache.misses"]; hits != 6 || misses != 1 {
+			t.Errorf("v%d: %d shape hits and %d misses, want 6 and 1", version+1, hits, misses)
 		}
 	}
 }

@@ -28,7 +28,7 @@ measure() { # measure <pkg> -> percentage like 93.2
 if $record; then
     {
         echo "# package  coverage-floor-% (recorded $(date -u +%F) minus 0.5 headroom)"
-        for pkg in internal/core internal/qstruct internal/wire internal/wal internal/repl internal/overload internal/engine internal/server internal/sqlparser; do
+        for pkg in internal/core internal/qstruct internal/wire internal/wal internal/repl internal/overload internal/engine internal/server internal/sqlparser internal/txtcache; do
             pct=$(measure "$pkg")
             awk -v p="$pkg" -v c="$pct" 'BEGIN { printf "%s %.1f\n", p, c - 0.5 }'
         done
