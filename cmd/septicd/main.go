@@ -16,12 +16,12 @@
 //	        [-drain-timeout D] [-fail-open] [-obs-addr 127.0.0.1:9188]
 //	        [-pipeline-workers N] [-max-in-flight N]
 //	        [-shed-target D] [-max-concurrent N]
-//	        [-repl-listen ADDR] [-replicate-from ADDR]
+//	        [-replicate-from ADDR] [-quiet] [-audit FILE]
 //
 // The server speaks the wire protocol of internal/wire. A setting that
-// could not take effect — -repl-listen, -wal-force-recover without
-// -wal-dir, -max-concurrent without -shed-target, -models with
-// -replicate-from — is refused at start-up.
+// could not take effect — -wal-force-recover without -wal-dir,
+// -max-concurrent without -shed-target, -models with -replicate-from —
+// is refused at start-up.
 //
 // -wal-dir is where learned models live (DESIGN.md §11), and the demo's
 // persistent-model restart (phase D) is a restart on the same directory:
@@ -32,9 +32,9 @@
 // Without -wal-dir models are kept in memory and go with the process.
 // The directory is single-writer, and mid-log damage refuses to boot
 // unless -wal-force-recover truncates it. Such a server is also a
-// replication primary (§12), on the main port and on -repl-listen;
-// -replicate-from makes this server a read replica of one: run it with
-// -mode detection.
+// replication primary (§12): a replica attaches through the HELLO of
+// its -addr. -replicate-from, set to a primary's -addr, makes this
+// server a read replica of it: run it with -mode detection.
 //
 // -models, and "store" in a domains-file entry, name a seed: a model
 // file read at boot into a domain that has no models yet (a first boot;
@@ -112,8 +112,7 @@ func flagSet(cfg *server.Config, domains *string) *flag.FlagSet {
 	fs.BoolVar(&cfg.WALForceRecover, "wal-force-recover", cfg.WALForceRecover, "boot past mid-log WAL damage, truncating it and dropping every record beyond it")
 	fs.DurationVar(&cfg.CheckpointInterval, "checkpoint-interval", cfg.CheckpointInterval, "background WAL checkpoint/compaction period (0 = only at shutdown)")
 
-	fs.StringVar(&cfg.ReplListen, "repl-listen", cfg.ReplListen, "dedicated replication listener address (requires -wal-dir; empty = serve replication on the main port only)")
-	fs.StringVar(&cfg.ReplicateFrom, "replicate-from", cfg.ReplicateFrom, "primary address to replicate from (makes this server a read replica)")
+	fs.StringVar(&cfg.ReplicateFrom, "replicate-from", cfg.ReplicateFrom, "primary's -addr to replicate from (makes this server a read replica)")
 	return fs
 }
 
@@ -170,9 +169,6 @@ func printBoot(cfg server.Config, st *server.Stack) {
 	// force — read back from the guard, not from the flags.
 	for _, d := range st.Guard.Domains() {
 		fmt.Printf("septicd: domain %s (mode=%s, %d query models)\n", d.Name(), d.Mode(), d.Store().Len())
-	}
-	if st.ReplAddr != "" {
-		fmt.Printf("septicd: replication on %s\n", st.ReplAddr)
 	}
 	if st.ObsAddr != "" {
 		fmt.Printf("septicd: observability on http://%s (/metrics /events /qm /healthz /debug/pprof)\n", st.ObsAddr)

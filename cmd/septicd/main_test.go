@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"regexp"
 	"sort"
 	"strings"
 	"testing"
@@ -16,9 +17,8 @@ import (
 )
 
 // TestFlagsAreTheShippedConfiguration: septicd with no arguments runs
-// server.Defaults(), and its flags are the 24 it has always had — a flag
-// added, dropped or renamed is an interface change and must edit this
-// list on purpose.
+// server.Defaults(), and its flags are these 23 — a flag added, dropped
+// or renamed is an interface change and must edit this list on purpose.
 func TestFlagsAreTheShippedConfiguration(t *testing.T) {
 	cfg := server.Defaults()
 	var domains string
@@ -33,11 +33,69 @@ func TestFlagsAreTheShippedConfiguration(t *testing.T) {
 	fs.VisitAll(func(f *flag.Flag) { got = append(got, f.Name) })
 	want := strings.Fields(`addr audit checkpoint-interval domains drain-timeout fail-open
 		idle-timeout max-concurrent max-conns max-in-flight mode models obs-addr
-		pipeline-workers query-timeout quiet repl-listen replicate-from shed-target
+		pipeline-workers query-timeout quiet replicate-from shed-target
 		sqli stored wal-dir wal-force-recover wal-fsync`)
 	sort.Strings(want)
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("flags = %v\nwant    %v", got, want)
+	}
+}
+
+// TestDocumentsNameOnlyFlagsThatExist: the usage block of the package
+// doc lists every flag flagSet defines and no other, README's flag table
+// names only defined flags, and none of the repository's documents names
+// the deleted -repl-listen (CHANGES.md and ISSUE.md are history and
+// may).
+func TestDocumentsNameOnlyFlagsThatExist(t *testing.T) {
+	defined := make(map[string]bool)
+	flagSet(new(server.Config), new(string)).VisitAll(func(f *flag.Flag) { defined[f.Name] = true })
+
+	src, err := os.ReadFile("main.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, usage, ok := strings.Cut(string(src), "// Usage:\n//\n")
+	usage, _, _ = strings.Cut(usage, "\n//\n")
+	if !ok || usage == "" {
+		t.Fatal("main.go's package doc has no usage block")
+	}
+	flagName := regexp.MustCompile(`(?:^|[\s\[])-([a-z][a-z-]*)`)
+	inUsage := make(map[string]bool)
+	for _, m := range flagName.FindAllStringSubmatch(usage, -1) {
+		inUsage[m[1]] = true
+		if !defined[m[1]] {
+			t.Errorf("the usage block names -%s, which septicd does not define", m[1])
+		}
+	}
+	for name := range defined {
+		if !inUsage[name] {
+			t.Errorf("septicd defines -%s, which the usage block omits", name)
+		}
+	}
+
+	readme, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := regexp.MustCompile("(?m)^\\| `-([a-z][a-z-]*)` \\|").FindAllStringSubmatch(string(readme), -1)
+	if len(rows) == 0 {
+		t.Fatal("README.md has no flag table")
+	}
+	for _, m := range rows {
+		if !defined[m[1]] {
+			t.Errorf("README.md's flag table names -%s, which septicd does not define", m[1])
+		}
+	}
+
+	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", "ROADMAP.md",
+		"CONTRIBUTING.md", "bench/README.md", ".claude/skills/verify/SKILL.md"} {
+		text, err := os.ReadFile("../../" + doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if strings.Contains(string(text), "-repl-listen") {
+			t.Errorf("%s names -repl-listen, which septicd no longer has", doc)
+		}
 	}
 }
 
@@ -50,7 +108,7 @@ func TestFlagsReachTheConfig(t *testing.T) {
 		-query-timeout 2s -idle-timeout 3s -drain-timeout 4s -fail-open -obs-addr :2
 		-pipeline-workers 5 -max-in-flight 6 -shed-target 8ms -max-concurrent 9
 		-wal-dir w -wal-fsync never -wal-force-recover -checkpoint-interval 10s
-		-repl-listen :3 -replicate-from :4`))
+		-replicate-from :4`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +118,7 @@ func TestFlagsReachTheConfig(t *testing.T) {
 		DrainTimeout: 4 * time.Second, FailOpen: true, ObsAddr: ":2",
 		PipelineWorkers: 5, MaxInFlight: 6, ShedTarget: 8 * time.Millisecond, MaxConcurrent: 9,
 		WALDir: "w", WALFsync: "never", WALForceRecover: true, CheckpointInterval: 10 * time.Second,
-		ReplListen: ":3", ReplicateFrom: ":4",
+		ReplicateFrom: ":4",
 	}
 	if !reflect.DeepEqual(cfg, want) || domains != "d.json" {
 		t.Errorf("parsed\n%+v (-domains %q), want\n%+v (-domains \"d.json\")", cfg, domains, want)

@@ -17,7 +17,7 @@ func TestExecContextCanceledBeforeStart(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	before := db.Stats()
-	_, err := db.ExecContext(ctx, "SELECT id FROM t")
+	_, err := db.ExecAppContext(ctx, "", "SELECT id FROM t")
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -42,7 +42,7 @@ func TestExecContextDeadlineBetweenStages(t *testing.T) {
 	defer faultinject.Disarm()
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
 	defer cancel()
-	_, err := db.ExecContext(ctx, "SELECT id FROM t")
+	_, err := db.ExecAppContext(ctx, "", "SELECT id FROM t")
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}
@@ -55,11 +55,11 @@ func TestExecArgsContextHonorsCancellation(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := db.ExecArgsContext(ctx, "SELECT id FROM t WHERE id = ?", Int(1)); !errors.Is(err, context.Canceled) {
+	if _, err := db.ExecAppContext(ctx, "", "SELECT id FROM t WHERE id = ?", Int(1)); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	// The live context path still works.
-	if _, err := db.ExecArgsContext(context.Background(), "SELECT id FROM t WHERE id = ?", Int(1)); err != nil {
+	if _, err := db.ExecAppContext(context.Background(), "", "SELECT id FROM t WHERE id = ?", Int(1)); err != nil {
 		t.Fatalf("live context: %v", err)
 	}
 }

@@ -291,29 +291,22 @@ func (db *DB) ExecArgs(query string, args ...Value) (*Result, error) {
 	return db.exec(context.Background(), query, "", args)
 }
 
-// ExecContext is Exec with a deadline: cancellation is checked between
-// pipeline stages (parse → validate → hook → execute), so a query whose
-// context expires — the server's per-query timeout, a canceled client —
-// returns ctx.Err() at the next stage boundary instead of running to
-// completion. A stage already in flight is not interrupted; the bound is
-// one stage's latency, which is what lets a hung protection path be
-// timed out without killing its goroutine.
-func (db *DB) ExecContext(ctx context.Context, query string) (*Result, error) {
-	return db.exec(ctx, query, "", nil)
-}
-
-// ExecArgsContext is ExecArgs with a deadline (see ExecContext).
-func (db *DB) ExecArgsContext(ctx context.Context, query string, args ...Value) (*Result, error) {
-	return db.exec(ctx, query, "", args)
-}
-
 // ExecAppContext executes one statement on behalf of a session-declared
-// application: app is handed to the query hook as HookContext.App, where
-// SEPTIC uses it to route the query to the application's protection
-// domain. An empty app is exactly ExecArgsContext. Calling with zero
-// args is Exec: the variadic parameter is a nil slice then, which exec
-// takes for "no arguments given" and does not count against the
-// statement's placeholders (one left unbound fails when it is evaluated).
+// application, under a deadline. app is handed to the query hook as
+// HookContext.App, where SEPTIC uses it to route the query to the
+// application's protection domain; an empty app is the default domain.
+// Calling with zero args is Exec: the variadic parameter is a nil slice
+// then, which exec takes for "no arguments given" and does not count
+// against the statement's placeholders (one left unbound fails when it
+// is evaluated).
+//
+// Cancellation is checked between pipeline stages (parse → validate →
+// hook → execute), so a query whose context expires — the server's
+// per-query timeout, a canceled client — returns ctx.Err() at the next
+// stage boundary instead of running to completion. A stage already in
+// flight is not interrupted; the bound is one stage's latency, which is
+// what lets a hung protection path be timed out without killing its
+// goroutine.
 func (db *DB) ExecAppContext(ctx context.Context, app, query string, args ...Value) (*Result, error) {
 	return db.exec(ctx, query, app, args)
 }

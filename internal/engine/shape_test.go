@@ -108,11 +108,11 @@ func TestShapeRaceStress(t *testing.T) {
 			r := rand.New(rand.NewSource(int64(w)))
 			for i := 0; !stop.Load(); i++ {
 				id := w*1000 + r.Intn(1000)
-				_, err := db.ExecContext(ctx, fmt.Sprintf("INSERT INTO s (id, owner, v) VALUES (%d, %d, 'w%d-%d')", id, w, w, i))
+				_, err := db.ExecAppContext(ctx, "", fmt.Sprintf("INSERT INTO s (id, owner, v) VALUES (%d, %d, 'w%d-%d')", id, w, w, i))
 				if err != nil && !errors.Is(err, ErrNoSuchTable) && !errors.Is(err, ErrDuplicate) {
 					t.Errorf("insert: %v", err)
 				}
-				res, err := db.ExecContext(ctx, fmt.Sprintf("SELECT id, owner FROM s WHERE id = %d", id))
+				res, err := db.ExecAppContext(ctx, "", fmt.Sprintf("SELECT id, owner FROM s WHERE id = %d", id))
 				reads.Add(1)
 				switch {
 				case errors.Is(err, ErrNoSuchTable):
@@ -128,7 +128,7 @@ func TestShapeRaceStress(t *testing.T) {
 	go func() { // floods the shape cache
 		defer wg.Done()
 		for i := 0; !stop.Load(); i++ {
-			_, _ = db.ExecContext(ctx, fmt.Sprintf("/* flood %d */ SELECT id FROM s WHERE owner = %d", i/2, i)) // each shape twice: the second is admitted
+			_, _ = db.ExecAppContext(ctx, "", fmt.Sprintf("/* flood %d */ SELECT id FROM s WHERE owner = %d", i/2, i)) // each shape twice: the second is admitted
 			floods.Add(1)
 		}
 	}()

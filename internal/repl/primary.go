@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"github.com/septic-db/septic/internal/wal"
-	"github.com/septic-db/septic/internal/wire"
 )
 
 // Source is what a primary streams: the replication face of
@@ -75,10 +74,9 @@ type PrimaryStats struct {
 	BytesSent int64
 }
 
-// Primary serves a Source's WAL as a replication stream. Hand its
-// HandleConn to wire.WithReplHandler to share the query port, or give
-// it a dedicated listener with Serve — both paths speak the same JSON
-// HELLO first, so a replica cannot tell them apart.
+// Primary serves a Source's WAL as a replication stream. It has no
+// listener of its own: hand its HandleConn to wire.WithReplHandler, and
+// a replica attaches through the query port's JSON HELLO.
 type Primary struct {
 	src  Source
 	opts PrimaryOptions
@@ -137,67 +135,9 @@ func (p *Primary) untrack(conn net.Conn) {
 	p.mu.Unlock()
 }
 
-// Serve accepts replication sessions on a dedicated listener: each
-// connection performs the JSON HELLO handshake (the same exchange the
-// shared query port runs) and streams until the peer disconnects or the
-// primary closes. It returns when ln fails, which Close arranges by
-// closing ln's accepted conns — close the listener itself to stop
-// accepting.
-func (p *Primary) Serve(ln net.Listener) error {
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			if ne, ok := err.(net.Error); ok && ne.Temporary() {
-				time.Sleep(5 * time.Millisecond)
-				continue
-			}
-			return err
-		}
-		go func() {
-			defer conn.Close()
-			if err := p.handshake(conn); err != nil {
-				return
-			}
-			p.HandleConn(conn)
-		}()
-	}
-}
-
-// handshake runs the server side of the JSON HELLO exchange on a
-// dedicated replication listener, mirroring the shared port's refusal
-// behaviour (the session's hello in internal/wire/server.go).
-func (p *Primary) handshake(conn net.Conn) error {
-	_ = conn.SetDeadline(time.Now().Add(p.opts.SubscribeTimeout))
-	defer conn.SetDeadline(time.Time{})
-	var req wire.Request
-	if err := wire.ReadJSONFrame(conn, &req); err != nil {
-		return err
-	}
-	var resp wire.Response
-	switch {
-	case req.Hello == nil || !req.Hello.Repl:
-		resp.Error = "replication listener accepts only replication hellos"
-		resp.Hello = &wire.HelloAck{Version: wire.HelloVersion}
-	case req.Hello.Version < wire.HelloVersion:
-		resp.Error = fmt.Sprintf("replication requires protocol version %d (hello declared %d)",
-			wire.HelloVersion, req.Hello.Version)
-		resp.Hello = &wire.HelloAck{Version: wire.HelloVersion}
-	default:
-		resp.Hello = &wire.HelloAck{Version: wire.HelloVersion, Repl: true}
-	}
-	if err := wire.WriteJSONFrame(conn, &resp); err != nil {
-		return err
-	}
-	if resp.Error != "" {
-		return errors.New(resp.Error)
-	}
-	return nil
-}
-
-// HandleConn serves one replication session on an accepted, handshaken
-// connection. It blocks until the session ends and never closes conn —
-// ownership stays with the caller (wire.Server's session, or Serve's
-// per-connection goroutine).
+// HandleConn serves one replication session on a connection whose HELLO
+// the query port accepted. It blocks until the session ends and never
+// closes conn — ownership stays with wire.Server's session.
 func (p *Primary) HandleConn(conn net.Conn) {
 	if !p.track(conn) {
 		return

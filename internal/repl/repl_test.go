@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"net"
 	"runtime"
 	"testing"
 	"time"
@@ -15,6 +14,7 @@ import (
 	"github.com/septic-db/septic/internal/qstruct"
 	"github.com/septic-db/septic/internal/sqlparser"
 	"github.com/septic-db/septic/internal/wal"
+	"github.com/septic-db/septic/internal/wire"
 )
 
 // snapshotGoroutines records the goroutine count for a leak check at
@@ -71,23 +71,16 @@ func newPrimary(t *testing.T, dir string) (*core.Septic, *core.Persistence) {
 	return s, p
 }
 
-// servePrimary exposes persist as a replication primary on loopback.
+// servePrimary exposes src as a replication primary on a loopback query
+// port, the one door a replica attaches through.
 func servePrimary(t *testing.T, src Source, opts PrimaryOptions) (string, *Primary) {
 	t.Helper()
 	if opts.HeartbeatInterval == 0 {
 		opts.HeartbeatInterval = 20 * time.Millisecond
 	}
 	p := NewPrimary(src, opts)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go func() { _ = p.Serve(ln) }()
-	t.Cleanup(func() {
-		p.Close()
-		_ = ln.Close()
-	})
-	return ln.Addr().String(), p
+	t.Cleanup(p.Close)
+	return startWireServer(t, wire.WithReplHandler(p.HandleConn)), p
 }
 
 // newReplicaSeptic builds a detection-mode Septic in replica mode with

@@ -17,10 +17,12 @@ import (
 
 // ErrUnsupported is the typed, terminal refusal a replica gets from a
 // server that cannot serve replication: a v1-only server, a server
-// without replication enabled, or a listener that is not a replication
-// endpoint at all. It is FATAL to the run loop — retrying cannot help,
-// and a replica pointed at the wrong server must fail loudly, never
-// hang or spin.
+// without replication enabled, or any peer whose answer to the HELLO is
+// not a replication ack. It is FATAL to the run loop — retrying cannot
+// help, and a replica pointed at the wrong server must fail loudly, never
+// hang or spin. A busy refusal at the query port's admission gate is not
+// one: the server turned the connection away before reading the HELLO,
+// so the replica retries it like a transport failure.
 var ErrUnsupported = errors.New("repl: server does not support replication")
 
 // ReplicaOptions tunes the replica transport.
@@ -171,12 +173,20 @@ func (r *Replica) run() {
 			return
 		}
 		r.st.SetConnState(core.ReplDisconnected)
+		// Full jitter on the exponential step, like the wire client's
+		// reconnect: storms of replicas decorrelate. A busy refusal's hint
+		// is honoured the same way the client honours it.
+		wait := time.Duration(rand.Int63n(int64(delay) + 1))
+		var busy interface{ RetryAfter() time.Duration }
+		if errors.As(err, &busy) {
+			if h := busy.RetryAfter(); h > 0 {
+				wait = h/2 + time.Duration(rand.Int63n(int64(h)+1))
+			}
+		}
 		select {
 		case <-r.stopc:
 			return
-		case <-time.After(time.Duration(rand.Int63n(int64(delay) + 1))):
-			// Full jitter on the exponential step, like the wire client's
-			// reconnect: storms of replicas decorrelate.
+		case <-time.After(wait):
 		}
 		if delay *= 2; delay > r.opts.BackoffCap {
 			delay = r.opts.BackoffCap
@@ -226,31 +236,21 @@ func (r *Replica) session() error {
 		_ = conn.Close()
 	}()
 
-	// Handshake: the ordinary JSON HELLO with the Repl flag. Any refusal
-	// — version skew, replication not enabled, a non-replication
-	// endpoint — maps to the typed terminal error.
+	// Handshake: the ordinary JSON HELLO with the Repl flag. Any answer
+	// to it but a replication ack — version skew, replication not enabled
+	// — maps to the typed terminal error. A transport failure or the
+	// query port's busy refusal is transient: the server may be
+	// restarting into a newer build, or at its -max-conns limit.
 	_ = conn.SetDeadline(time.Now().Add(r.opts.HandshakeTimeout))
-	req := wire.Request{Hello: &wire.Hello{Version: wire.HelloVersion, Repl: true}}
-	if err := wire.WriteJSONFrame(conn, &req); err != nil {
-		return fmt.Errorf("handshake send: %w", err)
+	ack, refused, err := wire.HelloRoundTrip(conn, &wire.Hello{Version: wire.HelloVersion, Repl: true})
+	if err != nil {
+		return err
 	}
-	var resp wire.Response
-	if err := wire.ReadJSONFrame(conn, &resp); err != nil {
-		// A v1-only peer that cannot even parse the hello closes the
-		// conn; that is a transport error on a never-established session,
-		// and retrying cannot change the peer. Treat a handshake-phase
-		// read failure as transient only if we have succeeded before —
-		// simplest sound rule: transient (the server may be restarting
-		// into a newer build). The version-refusal path below is the
-		// typed terminal one.
-		return fmt.Errorf("handshake read: %w", err)
+	if refused == nil && !ack.Repl {
+		refused = errors.New("handshake not acknowledged as replication")
 	}
-	if resp.Error != "" || resp.Hello == nil || !resp.Hello.Repl {
-		detail := resp.Error
-		if detail == "" {
-			detail = "handshake not acknowledged as replication"
-		}
-		return fmt.Errorf("%w: %s", ErrUnsupported, detail)
+	if refused != nil {
+		return fmt.Errorf("%w: %v", ErrUnsupported, refused)
 	}
 	_ = conn.SetDeadline(time.Time{})
 	r.sessions.Add(1)

@@ -2,7 +2,6 @@ package repllab
 
 import (
 	"fmt"
-	"net"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -13,12 +12,14 @@ import (
 	"github.com/septic-db/septic/internal/repl"
 	"github.com/septic-db/septic/internal/sqlparser"
 	"github.com/septic-db/septic/internal/wal"
+	"github.com/septic-db/septic/internal/wire"
 )
 
 // The replication lane measures read-replica freshness: a primary keeps
 // training (a continuous stream of WAL records) while a replica follows
-// the stream over loopback TCP and serves the Address Book workload in
-// detection mode the whole time. The reported numbers are the
+// the stream over loopback TCP, attached through the primary's query
+// port, and serves the Address Book workload in detection mode the
+// whole time. The reported numbers are the
 // replication lag (newest primary sequence minus last applied sequence)
 // sampled over the run, and the time from the primary quiescing to the
 // replica converging to lag 0.
@@ -86,16 +87,17 @@ func RunRepl(dir string, updates, loops int) (*ReplResult, error) {
 		}
 	}
 
+	// The primary serves replication on its query port, as septicd does.
 	primary := repl.NewPrimary(persist, repl.PrimaryOptions{
 		HeartbeatInterval: 20 * time.Millisecond,
 	})
 	defer primary.Close()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	srv := wire.NewServer(db, wire.WithReplHandler(primary.HandleConn))
+	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		return nil, err
 	}
-	defer ln.Close()
-	go func() { _ = primary.Serve(ln) }()
+	defer srv.Close()
 
 	// Replica: detection mode, fed by the stream, serving the workload.
 	rguard := core.New(core.Config{
@@ -119,7 +121,7 @@ func RunRepl(dir string, updates, loops int) (*ReplResult, error) {
 	for _, req := range spec.Training {
 		rapp.Serve(req.Clone())
 	}
-	replica := repl.NewReplica(ln.Addr().String(), rs, repl.ReplicaOptions{
+	replica := repl.NewReplica(addr, rs, repl.ReplicaOptions{
 		ReadTimeout: 2 * time.Second, BackoffBase: 5 * time.Millisecond,
 	})
 	replica.Start()

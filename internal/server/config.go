@@ -50,7 +50,6 @@ type Config struct {
 	WALForceRecover    bool          // -wal-force-recover
 	CheckpointInterval time.Duration // -checkpoint-interval
 
-	ReplListen    string // -repl-listen
 	ReplicateFrom string // -replicate-from
 }
 
@@ -181,8 +180,6 @@ func (c Config) parse() (core.Mode, wal.FsyncPolicy, error) {
 	policy, err := wal.ParseFsyncPolicy(c.WALFsync)
 	switch {
 	case err != nil:
-	case c.ReplListen != "" && c.WALDir == "":
-		err = errors.New("-repl-listen requires -wal-dir (the replication stream is the WAL)")
 	case c.WALForceRecover && c.WALDir == "":
 		err = errors.New("-wal-force-recover requires -wal-dir (there is no log to recover)")
 	case c.MaxConcurrent != 0 && c.ShedTarget <= 0:

@@ -24,8 +24,8 @@ type Stack struct {
 	Guard *core.Septic // its Persistence() and ReplicaState() are nil when off
 	Wire  *wire.Server
 
-	// Bound addresses; empty when that listener is off.
-	Addr, ReplAddr, ObsAddr string
+	// Bound addresses; ObsAddr is empty when observability is off.
+	Addr, ObsAddr string
 
 	// What Start found: on a replica, the sequence the stream resumes
 	// after.
@@ -42,9 +42,8 @@ type Stack struct {
 	adm     *overload.Admission
 	primary *repl.Primary
 	replica *repl.Replica // set once started
-	replLn  net.Listener
 	obsSrv  *http.Server
-	aux     sync.WaitGroup // the repl and obs accept loops
+	obsDone sync.WaitGroup // the obs accept loop
 }
 
 // Start boots the deployment cfg describes, or nothing: on any error
@@ -117,8 +116,8 @@ func start(cfg Config, listen func(network, addr string) (net.Listener, error)) 
 	}
 
 	// Persistence before any listener: no query may mutate a store that
-	// has no sink. With a WAL the server is also a replication primary,
-	// on the main port's HELLO and on ReplListen when set.
+	// has no sink. With a WAL the server is also a replication primary:
+	// a replica attaches through the main port's HELLO.
 	var replHandler func(net.Conn)
 	if cfg.WALDir != "" {
 		persist, err := guard.AttachPersistence(core.PersistenceOptions{
@@ -184,13 +183,6 @@ func start(cfg Config, listen func(network, addr string) (net.Listener, error)) 
 	}
 	st.Addr = ln.Addr().String()
 
-	if cfg.ReplListen != "" {
-		if st.replLn, err = listen("tcp", cfg.ReplListen); err != nil {
-			return nil, fmt.Errorf("repl listen %s: %w", cfg.ReplListen, err)
-		}
-		st.ReplAddr = st.replLn.Addr().String()
-		st.background("repl", func() error { return st.primary.Serve(st.replLn) })
-	}
 	if hub != nil {
 		obsLn, err := listen("tcp", cfg.ObsAddr)
 		if err != nil {
@@ -198,7 +190,15 @@ func start(cfg Config, listen func(network, addr string) (net.Listener, error)) 
 		}
 		st.ObsAddr = obsLn.Addr().String()
 		st.obsSrv = &http.Server{Handler: obs.Handler(hub, st.qmDump, st.events, obs.WithHealth(st.ready))}
-		st.background("obs", func() error { return st.obsSrv.Serve(obsLn) })
+		st.obsDone.Add(1)
+		go func() {
+			defer st.obsDone.Done()
+			// Serve ends when release closes the server; any other end is
+			// the operator's to see.
+			if err := st.obsSrv.Serve(obsLn); !errors.Is(err, http.ErrServerClosed) {
+				fmt.Fprintf(os.Stderr, "septicd: obs server: %v\n", err)
+			}
+		}()
 	}
 	// Last, because nothing after it can fail: a started replica is
 	// stopped by Shutdown, not by the unwinding above.
@@ -244,18 +244,6 @@ func (st *Stack) seed() error {
 		}
 	}
 	return nil
-}
-
-// background runs one of the auxiliary accept loops until release closes
-// its listener; any other end is the operator's to see.
-func (st *Stack) background(name string, serve func() error) {
-	st.aux.Add(1)
-	go func() {
-		defer st.aux.Done()
-		if err := serve(); err != nil && !errors.Is(err, net.ErrClosed) && !errors.Is(err, http.ErrServerClosed) {
-			fmt.Fprintf(os.Stderr, "septicd: %s server: %v\n", name, err)
-		}
-	}()
 }
 
 // qmDump renders one domain's store for /qm.
@@ -328,10 +316,7 @@ func (st *Stack) release() error {
 	if st.obsSrv != nil {
 		errs = append(errs, st.obsSrv.Close())
 	}
-	if st.replLn != nil {
-		errs = append(errs, st.replLn.Close())
-	}
-	st.aux.Wait()
+	st.obsDone.Wait()
 	if st.Wire != nil {
 		errs = append(errs, st.Wire.Close())
 	}

@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"regexp"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -134,6 +135,50 @@ func TestReplicaConvergesAndRefusesTraining(t *testing.T) {
 	}
 }
 
+// TestPrimaryShutdownWithReplicaAttached: a replica streaming on the
+// primary's query port does not hold up the primary's drain — Shutdown
+// ends well inside -drain-timeout without force-closing anything — and
+// both stacks leave no goroutine behind.
+func TestPrimaryShutdownWithReplicaAttached(t *testing.T) {
+	base := runtime.NumGoroutine()
+	pcfg := testConfig()
+	pcfg.Mode, pcfg.WALDir, pcfg.DrainTimeout = "training", t.TempDir(), 2*time.Second
+	primary := mustStart(t, pcfg)
+	pc, err := wire.Dial(primary.Addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustExec(t, pc, usersTable...)
+	mustExec(t, pc, benignQuery)
+	pc.Close()
+
+	rcfg := testConfig()
+	rcfg.Mode, rcfg.ReplicateFrom = "detection", primary.Addr
+	replica := mustStart(t, rcfg)
+	eventually(t, "the replica streams from the primary's query port", func() bool {
+		return replica.Guard.ReplicaState().ConnState() == core.ReplStreaming
+	})
+
+	start := time.Now()
+	if err := primary.Shutdown(context.Background()); err != nil {
+		t.Errorf("primary Shutdown: %v", err)
+	}
+	if elapsed := time.Since(start); primary.DrainTimedOut || elapsed >= pcfg.DrainTimeout {
+		t.Errorf("primary Shutdown took %v (drain timed out: %t), want a clean drain inside %v",
+			elapsed, primary.DrainTimedOut, pcfg.DrainTimeout)
+	}
+	if err := replica.Shutdown(context.Background()); err != nil || replica.ReplicaErr != nil {
+		t.Errorf("replica Shutdown = %v, stream ended with %v", err, replica.ReplicaErr)
+	}
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base; time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<20)
+			t.Fatalf("%d goroutines after both shutdowns, %d before:\n%s",
+				runtime.NumGoroutine(), base, buf[:runtime.Stack(buf, true)])
+		}
+	}
+}
+
 // TestHealthzTurnsUnreadyWhileDraining: /healthz answers 200, then 503
 // for as long as Shutdown waits on an in-flight query — with no
 // admission controller configured, whose nil value must stay safe.
@@ -236,9 +281,8 @@ func TestFailedBootReleasesWhatItOpened(t *testing.T) {
 	}
 	defer taken.Close()
 	for name, occupy := range map[string]func(*Config){
-		"addr":        func(c *Config) { c.Addr = taken.Addr().String() },
-		"repl-listen": func(c *Config) { c.ReplListen = taken.Addr().String() },
-		"obs-addr":    func(c *Config) { c.ObsAddr = taken.Addr().String() },
+		"addr":     func(c *Config) { c.Addr = taken.Addr().String() },
+		"obs-addr": func(c *Config) { c.ObsAddr = taken.Addr().String() },
 	} {
 		t.Run(name, func(t *testing.T) {
 			good := testConfig()
@@ -283,12 +327,11 @@ func TestValidateRefusesSettingsThatCannotTakeEffect(t *testing.T) {
 		want string // substring of the error; empty = valid
 	}{
 		"defaults":                             {func(*Config) {}, ""},
-		"wal with its dependants":              {func(c *Config) { c.WALDir, c.ReplListen, c.WALForceRecover = "d", ":0", true }, ""},
+		"wal with its dependants":              {func(c *Config) { c.WALDir, c.WALForceRecover = "d", true }, ""},
 		"gate behind a shed target":            {func(c *Config) { c.ShedTarget, c.MaxConcurrent = time.Millisecond, 8 }, ""},
 		"unknown mode":                         {func(c *Config) { c.Mode = "paranoid" }, `unknown mode "paranoid"`},
 		"unknown domain mode":                  {func(c *Config) { c.Domains = map[string]DomainSpec{"shop": {}} }, `domain "shop"`},
 		"unknown fsync policy without a wal":   {func(c *Config) { c.WALFsync = "sometimes" }, "unknown fsync policy"},
-		"repl listener without a wal":          {func(c *Config) { c.ReplListen = ":0" }, "-repl-listen requires -wal-dir"},
 		"force-recover without a wal":          {func(c *Config) { c.WALForceRecover = true }, "-wal-force-recover requires -wal-dir"},
 		"execution gate without a shed target": {func(c *Config) { c.MaxConcurrent = 8 }, "-max-concurrent requires -shed-target"},
 		"seed file on a replica":               {func(c *Config) { c.Models, c.ReplicateFrom = "m.json", ":1" }, "cannot be combined with -replicate-from"},

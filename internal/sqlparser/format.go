@@ -8,9 +8,11 @@ import (
 )
 
 // Format renders a statement back to SQL text. The output is canonical
-// (upper-case keywords, single spaces, quoted strings re-escaped) and is
-// used by the logger, the shell and the examples; it is not used for
-// detection, which operates on the query structure.
+// (upper-case keywords, single spaces, quoted strings re-escaped). Its one
+// use outside tests names an expression's result column (the engine's
+// plan.bindSelect); in tests it is the round-trip oracle of FuzzParse,
+// FuzzBuildStack and FuzzShape. It is not used for detection, which operates on the
+// query structure.
 func Format(stmt Statement) string {
 	var b strings.Builder
 	formatStatement(&b, stmt)

@@ -31,7 +31,6 @@ func chaosServer(t *testing.T, cfg core.Config) (string, *Server, *core.Septic, 
 	db := engine.New(engine.WithQueryHook(guard))
 	srv := NewServer(db,
 		WithIdleTimeout(500*time.Millisecond),
-		WithReadTimeout(250*time.Millisecond),
 		WithWriteTimeout(time.Second),
 		WithQueryTimeout(time.Second),
 		WithMaxConns(64),
@@ -52,8 +51,9 @@ func TestChaosTornFramesDoNotWedgeServer(t *testing.T) {
 	}
 
 	// A volley of clients that tear their request frame at deterministic
-	// offsets and then hold the connection open (slow-loris): the read
-	// timeout must reclaim each session.
+	// offsets and then hold the connection open (slow-loris): the idle
+	// deadline, which runs until a frame is complete, must reclaim each
+	// session.
 	for i := 0; i < 8; i++ {
 		c, err := Dial(addr, WithDialFunc(faultinject.Dialer(faultinject.Plan{
 			Seed:        uint64(i),

@@ -3,6 +3,7 @@ package wire
 import (
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"net"
 	"sync"
@@ -188,21 +189,22 @@ func (c *Client) redialLocked() error {
 	if c.opts.reconnect {
 		attempts = c.opts.maxAttempts
 	}
-	if hint := c.retryHint; hint > 0 {
-		// The previous session ended with a busy refusal carrying a
-		// retry-after hint: honor it (jittered) before the first dial so
-		// refused clients spread out instead of stampeding the admission
-		// gate that just turned them away.
-		c.retryHint = 0
-		sleepRetryAfter(hint)
-	}
 	delay := c.opts.baseDelay
 	var lastErr error
 	for i := 0; i < attempts; i++ {
-		if i > 0 {
+		if hint := c.retryHint; hint > 0 {
+			// The previous session or attempt ended with a busy refusal
+			// carrying a retry-after hint: honor it (jittered) before this
+			// dial so refused clients spread out instead of stampeding the
+			// admission gate that just turned them away.
+			c.retryHint = 0
+			sleepRetryAfter(hint)
+		} else if i > 0 {
 			// Full jitter on the exponential step: sleep a uniform random
 			// fraction of the window so reconnect storms decorrelate.
 			time.Sleep(time.Duration(rand.Int63n(int64(delay) + 1)))
+		}
+		if i > 0 {
 			if delay *= 2; delay > c.opts.maxDelay {
 				delay = c.opts.maxDelay
 			}
@@ -221,6 +223,10 @@ func (c *Client) redialLocked() error {
 			// version than the one that died).
 			if err = c.negotiateLocked(); err == nil {
 				return nil
+			}
+			var busy *busyError
+			if errors.As(err, &busy) {
+				c.retryHint = busy.retryAfter
 			}
 			_ = c.poisonLocked(err)
 		}
@@ -244,21 +250,20 @@ func (c *Client) negotiateLocked() error {
 	if c.opts.pipeline {
 		h.Version = HelloVersion
 	}
-	ack, err := c.helloRoundTripLocked(&h)
+	ack, refused, err := HelloRoundTrip(c.conn, &h)
+	// Auto-downgrade is only for pipelining clients probing for v2: a
+	// caller that explicitly pinned a version (o.hello) must see the
+	// refusal, not a silent downgrade.
+	if err == nil && refused != nil && c.opts.pipeline && ack != nil &&
+		ack.Version >= helloVersionLegacy && ack.Version < h.Version {
+		h.Version = ack.Version
+		ack, refused, err = HelloRoundTrip(c.conn, &h)
+	}
+	if err == nil {
+		err = refused
+	}
 	if err != nil {
-		var refusal *helloRefusedError
-		// Auto-downgrade is only for pipelining clients probing for v2: a
-		// caller that explicitly pinned a version (o.hello) must see the
-		// refusal, not a silent downgrade.
-		if !errors.As(err, &refusal) || !c.opts.pipeline ||
-			refusal.ack == nil || refusal.ack.Version < helloVersionLegacy ||
-			refusal.ack.Version >= h.Version {
-			return err
-		}
-		h.Version = refusal.ack.Version
-		if ack, err = c.helloRoundTripLocked(&h); err != nil {
-			return err
-		}
+		return err
 	}
 	c.domain = ack.Domain
 	c.proto = h.Version
@@ -270,33 +275,46 @@ func (c *Client) negotiateLocked() error {
 	return nil
 }
 
-// helloRefusedError carries the server's refusal acknowledgement so the
-// client can read the advertised version and downgrade.
-type helloRefusedError struct {
-	msg string
-	ack *HelloAck
-}
-
-func (e *helloRefusedError) Error() string { return "hello refused: " + e.msg }
-
-// helloRoundTripLocked sends one handshake frame and reads the reply.
-// Callers hold c.mu.
-func (c *Client) helloRoundTripLocked(h *Hello) (*HelloAck, error) {
-	if err := WriteJSONFrame(c.conn, &Request{Hello: h}); err != nil {
-		return nil, fmt.Errorf("hello: %w", err)
+// HelloRoundTrip sends the handshake h on conn and reads the server's
+// answer: the client side of the HELLO exchange, run by Client and by a
+// replication replica (internal/repl). err is a transient failure, after
+// which the server has judged nothing of h: a transport or framing
+// error, or the admission gate's busy refusal, which matches
+// ErrServerBusy and carries the server's hint as a RetryAfter()
+// time.Duration method. Otherwise the server answered h: refused is nil
+// when it accepted h, and ack is then its acknowledgement; a refusal — an
+// error in the answer, or no acknowledgement — keeps the ack the server
+// sent, if any, which advertises the newest version it accepts.
+func HelloRoundTrip(conn io.ReadWriter, h *Hello) (ack *HelloAck, refused, err error) {
+	if err := WriteJSONFrame(conn, &Request{Hello: h}); err != nil {
+		return nil, nil, fmt.Errorf("hello: %w", err)
 	}
 	var resp Response
-	if err := ReadJSONFrame(c.conn, &resp); err != nil {
-		return nil, fmt.Errorf("hello: %w", err)
+	if err := ReadJSONFrame(conn, &resp); err != nil {
+		return nil, nil, fmt.Errorf("hello: %w", err)
 	}
-	if resp.Error != "" {
-		return nil, &helloRefusedError{msg: resp.Error, ack: resp.Hello}
+	switch {
+	case resp.Busy:
+		return nil, nil, &busyError{retryAfter: time.Duration(resp.RetryAfterMS) * time.Millisecond}
+	case resp.Error != "":
+		refused = errors.New("hello refused: " + resp.Error)
+	case resp.Hello == nil:
+		refused = errors.New("hello refused: server sent no acknowledgement")
 	}
-	if resp.Hello == nil {
-		return nil, errors.New("hello: server sent no acknowledgement")
-	}
-	return resp.Hello, nil
+	return resp.Hello, refused, nil
 }
+
+// busyError is the admission gate's refusal read in place of a HELLO
+// acknowledgement: the connection was turned away before the server
+// read the handshake, so a later dial may be admitted.
+type busyError struct{ retryAfter time.Duration }
+
+func (e *busyError) Error() string { return "hello: " + ErrServerBusy.Error() }
+
+func (e *busyError) Unwrap() error { return ErrServerBusy }
+
+// RetryAfter is the server's backoff hint (zero when it sent none).
+func (e *busyError) RetryAfter() time.Duration { return e.retryAfter }
 
 // poisonLocked marks the connection dead after a transport/protocol
 // failure: the conn is closed, the cause recorded, and every later call

@@ -1,7 +1,7 @@
 // codec.go — the version-2 binary frame codec.
 //
 // A v2 frame is length-prefixed like a v1 frame, so the 16 MiB bound
-// and the split idle/read deadline handling carry over unchanged:
+// and the idle deadline over the whole frame carry over unchanged:
 //
 //	offset  size  field
 //	0       4     payload length N (big-endian uint32, 9 ≤ N ≤ maxFrame)
@@ -424,8 +424,8 @@ func readBinaryFrame(r io.Reader, buf *encBuf) (seq uint64, typ byte, body []byt
 }
 
 // readBinaryFramePayload reads the payload of a v2 frame whose header
-// (length n) was already consumed — split out so the server can switch
-// from its idle deadline to its read deadline between the two.
+// (length n) was already consumed: the session reads the header before
+// it knows which framing's payload follows.
 func readBinaryFramePayload(r io.Reader, n uint32, buf *encBuf) (seq uint64, typ byte, body []byte, err error) {
 	payload, err := readPayload(r, n, buf)
 	if err != nil {

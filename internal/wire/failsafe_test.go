@@ -102,13 +102,14 @@ func TestIdleClientDisconnectedByIdleTimeout(t *testing.T) {
 	}
 }
 
-func TestSlowLorisHalfFrameDisconnectedByReadTimeout(t *testing.T) {
+func TestSlowLorisHalfFrameDisconnectedByIdleTimeout(t *testing.T) {
 	snapshotGoroutines(t)
 	addr, _, _ := startServerOpts(t, core.Config{Mode: core.ModeTraining},
-		WithIdleTimeout(time.Minute), WithReadTimeout(100*time.Millisecond))
+		WithIdleTimeout(100*time.Millisecond))
 
-	// Start a frame (header promises 1000 bytes) and stall: the read
-	// timeout — not the minute-long idle timeout — must cut the session.
+	// Start a frame (header promises 1000 bytes) and stall: the idle
+	// deadline, armed before the header and not re-armed by it, must cut
+	// the session half-read.
 	conn := rawDial(t, addr)
 	if _, err := conn.Write([]byte{0, 0, 3, 0xE8}); err != nil {
 		t.Fatal(err)

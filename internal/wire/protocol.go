@@ -202,10 +202,8 @@ func jsonFrame(msg any) ([]byte, error) {
 	return append(append(frame, payload...), '\n'), nil
 }
 
-// WriteJSONFrame sends msg as one jsonFrame. Exported for internal/repl,
-// whose handshake is the same JSON HELLO exchange the query protocol
-// uses — sharing the encoder keeps the two byte-identical by
-// construction.
+// WriteJSONFrame sends msg as one jsonFrame: the client's HELLO
+// (HelloRoundTrip) and the tests' hand-built v1 frames.
 func WriteJSONFrame(w io.Writer, msg any) error {
 	frame, err := jsonFrame(msg)
 	if err == nil {
@@ -245,9 +243,8 @@ func readWholeFrame(r io.Reader, buf *encBuf) ([]byte, error) {
 // readFrameHeader reads and bounds-checks the length prefix into hdr,
 // scratch of frameHeaderLen bytes the caller owns (a local array would
 // escape through the io.Reader and cost an allocation per frame). It is
-// split from the payload read so the server can apply separate idle
-// (waiting for a request to start) and read (receiving the rest of the
-// frame) deadlines.
+// split from the payload read so a synchronous session takes its pooled
+// buffer only once a frame has begun, not while it waits idle.
 func readFrameHeader(r io.Reader, hdr []byte) (uint32, error) {
 	if _, err := io.ReadFull(r, hdr); err != nil {
 		return 0, err // io.EOF passes through for clean shutdown detection

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"errors"
 	"net"
 	"strings"
 	"testing"
@@ -10,24 +11,20 @@ import (
 )
 
 // replHello performs a replication HELLO against addr and returns the
-// ack plus the open connection (for the accepted case, the conn now
-// speaks the replication frame protocol).
-func replHello(t *testing.T, addr string, version int) (*Response, net.Conn) {
+// ack, the open connection (for the accepted case, the conn now speaks
+// the replication frame protocol) and the refusal, if any.
+func replHello(t *testing.T, addr string, version int) (*HelloAck, net.Conn, error) {
 	t.Helper()
 	conn, err := net.DialTimeout("tcp", addr, time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { conn.Close() })
-	req := Request{Hello: &Hello{Version: version, Repl: true}}
-	if err := WriteJSONFrame(conn, &req); err != nil {
+	ack, refused, err := HelloRoundTrip(conn, &Hello{Version: version, Repl: true})
+	if err != nil {
 		t.Fatal(err)
 	}
-	var resp Response
-	if err := ReadJSONFrame(conn, &resp); err != nil {
-		t.Fatal(err)
-	}
-	return &resp, conn
+	return ack, conn, refused
 }
 
 // TestReplHelloHandoff covers the server side of the replication
@@ -52,9 +49,9 @@ func TestReplHelloHandoff(t *testing.T) {
 		}
 		defer srv.Close()
 
-		resp, conn := replHello(t, addr, HelloVersion)
-		if resp.Error != "" || resp.Hello == nil || !resp.Hello.Repl {
-			t.Fatalf("accepted handshake ack %+v", resp)
+		ack, conn, refused := replHello(t, addr, HelloVersion)
+		if refused != nil || !ack.Repl {
+			t.Fatalf("accepted handshake: ack %+v, refusal %v", ack, refused)
 		}
 		if _, err := conn.Write([]byte{0x5A}); err != nil {
 			t.Fatal(err)
@@ -89,13 +86,40 @@ func TestReplHelloHandoff(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer srv.Close()
-			resp, _ := replHello(t, addr, tc.version)
-			if resp.Error == "" || !strings.Contains(resp.Error, tc.want) {
-				t.Fatalf("refusal %+v, want error containing %q", resp, tc.want)
+			ack, _, refused := replHello(t, addr, tc.version)
+			if refused == nil || !strings.Contains(refused.Error(), tc.want) {
+				t.Fatalf("refusal %v, want error containing %q", refused, tc.want)
 			}
-			if resp.Hello == nil || resp.Hello.Repl {
-				t.Fatalf("refusal ack %+v must advertise the server's version without the repl flag", resp.Hello)
+			if ack == nil || ack.Repl {
+				t.Fatalf("refusal ack %+v must advertise the server's version without the repl flag", ack)
 			}
 		})
 	}
+
+	// A full query port turns the connection away before it reads any
+	// HELLO: the answer is a transient ErrServerBusy with the backlog
+	// wait as its hint, never a refusal of what the HELLO asked.
+	t.Run("busy", func(t *testing.T) {
+		srv := NewServer(engine.New(), WithReplHandler(func(net.Conn) {}),
+			WithMaxConns(1), WithAcceptBacklog(0, 40*time.Millisecond))
+		addr, err := srv.Listen("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer srv.Close()
+		if _, err := dial(t, addr).Exec("SELECT 1"); err != nil { // holds the only slot
+			t.Fatal(err)
+		}
+		ack, refused, err := HelloRoundTrip(rawDial(t, addr), &Hello{Version: HelloVersion, Repl: true})
+		if !errors.Is(err, ErrServerBusy) || ack != nil || refused != nil {
+			t.Fatalf("busy answer: ack %+v, refusal %v, err %v; want only an ErrServerBusy err", ack, refused, err)
+		}
+		var hinted interface{ RetryAfter() time.Duration }
+		if !errors.As(err, &hinted) || hinted.RetryAfter() != 40*time.Millisecond {
+			t.Fatalf("busy answer %v lost the 40ms retry-after hint", err)
+		}
+		if _, err := Dial(addr, WithPipeline(0)); !errors.Is(err, ErrServerBusy) {
+			t.Fatalf("pipelined dial of a full server: %v, want ErrServerBusy", err)
+		}
+	})
 }

@@ -49,11 +49,12 @@ const (
 // Default* limits above — an idle deadline, a per-query execution
 // timeout, a write deadline on every answer, a max-connections admission
 // gate with a bounded backlog — and graceful drain via Shutdown; an
-// option set to zero turns its limit off, and the torn-frame read
-// deadline is opt-in. Every query is
-// panic-contained — a crash in the engine or a hook that escapes the
-// guard's own containment is converted into an error response for that
-// query, never a server crash.
+// option set to zero turns its limit off. The idle deadline also bounds
+// a torn frame: it is armed before a frame starts and runs until the
+// whole frame is in. Every query is panic-contained — a crash in the
+// engine or a hook that escapes the guard's own containment is
+// converted into an error response for that query, never a server
+// crash.
 //
 // Every connection is one session on one request path (see session):
 // read → hello? → window → admit → execute → complete. A session starts
@@ -73,7 +74,6 @@ type Server struct {
 	resolveDomain func(app string) string
 
 	idleTimeout  time.Duration
-	readTimeout  time.Duration
 	writeTimeout time.Duration
 	queryTimeout time.Duration
 	maxConns     int
@@ -145,21 +145,13 @@ type Server struct {
 // ServerOption configures a Server at construction time.
 type ServerOption func(*Server)
 
-// WithIdleTimeout disconnects a session that sends no request for d: a
-// client holding a connection open but sending nothing (slow-loris
-// style) is cut loose instead of pinning a goroutine and an admission
-// slot forever. Zero disables the timeout.
+// WithIdleTimeout disconnects a session that sends no complete request
+// for d: a client holding a connection open but sending nothing, or
+// only the start of a frame (slow-loris style), is cut loose instead of
+// pinning a goroutine and an admission slot forever. Zero disables the
+// timeout.
 func WithIdleTimeout(d time.Duration) ServerOption {
 	return func(s *Server) { s.idleTimeout = d }
-}
-
-// WithReadTimeout bounds receiving the remainder of a request frame
-// once its header has arrived. It is the torn-frame guard: a client
-// that starts a frame and stalls is disconnected after d rather than
-// holding the session half-read. Zero leaves the idle deadline (if any)
-// in force for the whole frame.
-func WithReadTimeout(d time.Duration) ServerOption {
-	return func(s *Server) { s.readTimeout = d }
 }
 
 // WithWriteTimeout bounds each response write; a client that stops
@@ -646,9 +638,10 @@ func (ss *session) resume(t ticket) {
 // query frame.
 var errNotQuery = errors.New("protocol error: expected a query frame")
 
-// read receives one request under the idle (until the frame starts) and
-// read (until it is complete) deadlines; a draining server reads
-// nothing more. Any error ends the session. On a pipelined session that
+// read receives one request under the idle deadline, armed before the
+// header and not re-armed, so a frame begun and left torn is bounded by
+// it too; a draining server reads nothing more. Any error ends the
+// session. On a pipelined session that
 // includes a non-query frame or a malformed body: the framing is
 // length-delimited, so the stream is technically recoverable, but a peer
 // that sends garbage is not a peer to keep serving.
@@ -663,9 +656,6 @@ func (ss *session) read(req *Request) (seq uint64, err error) {
 	n, err := readFrameHeader(ss.r, ss.hdr[:])
 	if err != nil {
 		return 0, err
-	}
-	if s.readTimeout > 0 {
-		_ = ss.conn.SetReadDeadline(time.Now().Add(s.readTimeout))
 	}
 	if ss.window == nil {
 		buf := getEncBuf()
