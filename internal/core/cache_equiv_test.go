@@ -66,17 +66,27 @@ func waspmonCalls(t *testing.T, reqs []webapp.Request) []call {
 // another, which is what an injected value does to a trained query. n makes
 // some of the spellings unique to the call.
 func respell(rng *rand.Rand, text string, n int) string {
-	text = sqlparser.DecodeCharset(text)
-	toks, err := sqlparser.Tokenize(text)
-	if err != nil {
-		return text
-	}
 	spellings := [3][]string{
 		{fmt.Sprint(rng.Intn(8)), fmt.Sprint(1000 + n), "-" + fmt.Sprint(rng.Intn(8)), fmt.Sprintf("-(%d)", rng.Intn(8)), "- 2",
 			"9223372036854775808", "-9223372036854775808", "18446744073709551616", "007"},
 		{fmt.Sprintf("%d.5", rng.Intn(4000)), ".5", "2.5e3", "1e-3", "-0.0", "1e999"},
 		{"'oven'", "'kitchen'", fmt.Sprintf("'unit-%d'", n), "'O''Brien'", `'a\'b\\'`, "'%e%'", "'k_tchen'", `'100\%'`, "''", `"ev-charger"`,
 			"0x6f76656e", "'ID34FG\u02bc'", "'<script>alert(1)</script>'", "'http://evil.example/x.php'"},
+	}
+	return respellWith(sqlparser.DecodeCharset(text), func(kind int) string {
+		if rng.Intn(8) == 0 {
+			kind = rng.Intn(3)
+		}
+		return spellings[kind][rng.Intn(len(spellings[kind]))]
+	})
+}
+
+// respellWith returns text with each literal spelled as spell says for its
+// token kind: 0 for an integer, 1 for a float, 2 for a string.
+func respellWith(text string, spell func(kind int) string) string {
+	toks, err := sqlparser.Tokenize(text)
+	if err != nil {
+		return text
 	}
 	var b strings.Builder
 	from := 0
@@ -91,11 +101,8 @@ func respell(rng *rand.Rand, text string, n int) string {
 		default:
 			continue
 		}
-		if rng.Intn(8) == 0 {
-			kind = rng.Intn(3)
-		}
 		b.WriteString(text[from:tok.Pos])
-		b.WriteString(spellings[kind][rng.Intn(len(spellings[kind]))])
+		b.WriteString(spell(kind))
 		// The literal ends where the blanks before the next token begin.
 		from = len(strings.TrimRight(text[:toks[i+1].Pos], " \t\r\n"))
 	}
@@ -105,17 +112,19 @@ func respell(rng *rand.Rand, text string, n int) string {
 
 // TestCacheOnEqualsCacheOff: the parse cache and the verdicts kept in its
 // entries change what a query costs, never what happens to it. Three
-// deployments — a 16-entry parse cache with memoization on, so entries are
-// refused, admitted and evicted within a few hundred steps while the
-// verdicts in them are live; no parse cache but memoization on, so there
-// is never a slot; and both off, the reference — are driven through one
-// seeded sequence of statements as the application sends them, bound
-// values included (trained, untrained, literal-only variants, the attack
-// corpus, prepared statements whose values change type, go NULL or carry a
-// plugin's payload — and, every other time, a text sent with its literals
-// respelled: a text never seen, which the full parse cache refuses and the
-// engine serves from its shape's template with the text's own values, if
-// the shape cache has or takes one), from three tenants: the default domain and two
+// deployments — a 16-entry parse cache, one entry per shard and the
+// smallest there is, with memoization on, so entries are refused, admitted
+// and evicted within a few hundred steps while the verdicts in them are
+// live; no parse cache but memoization on, so there is never a slot; and
+// both off, the reference — are driven through one seeded sequence of
+// statements as the application sends them, bound values included
+// (trained, untrained, literal-only variants, the attack corpus, prepared
+// statements whose values change type, go NULL or carry a plugin's payload
+// — and, every other time, a text sent with its literals respelled: a text
+// never seen, which the full parse cache refuses and the engine serves from
+// its shape's template with the text's own values and, unless it writes
+// them, the verdict the template's slot keeps, if the shape cache has or
+// takes one), from three tenants: the default domain and two
 // HELLO-bound ones whose models differ, so the same text in the same entry
 // is benign for one and an attack for the other. Training, model deletion
 // and mode and configuration changes, each on one domain, are interleaved;
@@ -188,6 +197,7 @@ func TestCacheOnEqualsCacheOff(t *testing.T) {
 		name string
 		db   *engine.DB
 		sep  *Septic
+		hook *judge
 		hub  *obs.Hub
 	}
 	// exec sends one call as tenant app; the default tenant declares none.
@@ -200,7 +210,8 @@ func TestCacheOnEqualsCacheOff(t *testing.T) {
 	deploy := func(name string, parseCap, verdictCap int) deployment {
 		d := deployment{name: name, hub: obs.NewHub()}
 		d.sep = New(Config{Mode: ModeTraining}, WithVerdictCacheCapacity(verdictCap))
-		d.db = engine.New(engine.WithQueryHook(d.sep), engine.WithParseCacheCapacity(parseCap), engine.WithObs(d.hub))
+		d.hook = &judge{sep: d.sep}
+		d.db = engine.New(engine.WithQueryHook(d.hook), engine.WithParseCacheCapacity(parseCap), engine.WithObs(d.hub))
 		for _, q := range apps.WaspMonSchema() {
 			if _, err := d.db.Exec(q); err != nil {
 				t.Fatalf("schema: %v", err)
@@ -332,7 +343,7 @@ func TestCacheOnEqualsCacheOff(t *testing.T) {
 	}
 
 	stats := on.sep.Stats()
-	t.Logf("%d statements; both on: %+v", len(pool), stats)
+	t.Logf("%d statements; both on: %+v, %d verdicts from a shape's slot", len(pool), stats, on.hook.fromShape)
 	if stats.AttacksBlocked == 0 || stats.QueriesChecked == 0 || stats.NewQueries == 0 {
 		t.Errorf("the sequence blocked, checked or learned nothing: %+v", stats)
 	}
@@ -353,6 +364,9 @@ func TestCacheOnEqualsCacheOff(t *testing.T) {
 	// is structure.
 	if g["engine.shape_cache.hits"] == 0 || g["engine.shape_cache.refused"] == 0 || g["engine.shape_cache.unshareable"] == 0 {
 		t.Errorf("the shape cache never hit, never refused or never met a statement it cannot share: %v", g)
+	}
+	if on.hook.fromShape == 0 {
+		t.Error("no respelled text was served the verdict of its shape's slot")
 	}
 	if g := slotless.hub.Metrics.Snapshot().Gauges; g["engine.shape_cache.misses"] != 0 {
 		t.Errorf("a deployment without a parse cache keyed a text by its shape: %v", g)

@@ -354,9 +354,10 @@ var stackPool = sync.Pool{
 // current configuration and model store skips ID generation, the store
 // lookup and detection entirely. The verdict is found through the very
 // ctx.Stmt it was computed from, which is a stronger argument than equal
-// text: whatever else an execution is judged by that the text does not
-// show — bound values today — gives it no slot, and the engine, not this
-// function, knows when that is. Generation stamps guarantee the rest: any
+// text: whatever else an execution is judged by that the Stmt does not
+// fix — values a client bound, values a statement writes — gives it no
+// slot, and the engine, not this function, knows when that is. Generation
+// stamps guarantee the rest: any
 // SetMode/SetConfig or store mutation ON THAT DOMAIN bumps a counter and
 // orphans the domain's older verdicts. Two applications may issue
 // byte-identical text that must be judged against different model stores;
@@ -382,9 +383,10 @@ var stackPool = sync.Pool{
 // The miss pipeline lives in runMiss; the extra call is nanoseconds
 // against a pipeline measured in hundreds.
 //
-// A statement with no slot — bound values, a text the parse cache is not
-// holding, memoization switched off — is a miss every time, so while the
-// breaker is open it is answered by the fail policy.
+// A statement with no slot — values a client bound, a text the parse cache
+// is not holding whose shape lends it none, memoization switched off — is a
+// miss every time, so while the breaker is open it is answered by the fail
+// policy.
 func (s *Septic) BeforeExecute(ctx *engine.HookContext) (err error) {
 	// Domain routing runs outside the containment shell: it is a map
 	// lookup plus byte scans over a bounded comment — no panic surface —

@@ -45,8 +45,9 @@ type CacheStats struct {
 	// Hits counts lookups served from a fresh memoized verdict.
 	Hits int64
 	// Misses counts lookups that ran the full pipeline: a statement with no
-	// slot (memoization off, a text the parse cache does not hold, bound
-	// values), a slot with no verdict of the domain, and stale verdicts.
+	// slot (memoization off, a text the parse cache does not hold whose
+	// shape lends it none, values a client bound), a slot with no verdict of
+	// the domain, and stale verdicts.
 	Misses int64
 	// Evictions reads 0: verdicts leave with their parse-cache entry, and
 	// engine.parse_cache.evictions counts those. The field stays while the

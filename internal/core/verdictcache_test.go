@@ -195,7 +195,9 @@ func TestDeleteInvalidatesVerdicts(t *testing.T) {
 // guard could remember of it: nothing while the engine holds no entry, a
 // verdict from the sight that admits the entry, and nothing again once the
 // entry is evicted — with one cache lookup per served query in between,
-// the engine's.
+// the engine's. The text is one whose shape has no template (a literal of
+// it is a column position), so its own entry is the only memory it has;
+// a flood of one-shot texts of a shape that has one is judged once.
 func TestVerdictLivesAndLeavesWithItsParseEntry(t *testing.T) {
 	const capacity = 64
 	hub := obs.NewHub()
@@ -205,63 +207,76 @@ func TestVerdictLivesAndLeavesWithItsParseEntry(t *testing.T) {
 		t.Fatal(err)
 	}
 	sep.SetConfig(Config{Mode: ModePrevention, IncrementalLearning: false})
-	exec := func(i int) {
+	const shaped, alone = "SELECT v FROM t WHERE id = %d", "SELECT v FROM t WHERE id = %d ORDER BY 1"
+	exec := func(format string, i int) {
 		t.Helper()
-		if _, err := db.Exec(fmt.Sprintf("SELECT v FROM t WHERE id = %d", i)); err != nil {
+		if _, err := db.Exec(fmt.Sprintf(format, i)); err != nil {
 			t.Fatalf("exec %d: %v", i, err)
 		}
 	}
 	gauges := func() map[string]int64 { return hub.Metrics.Snapshot().Gauges }
 
-	// A flood of one-shot texts: the first fill the parse cache and get a
-	// slot nobody comes back to, the rest are refused and get none.
+	// A flood of one-shot texts of one shape: the first fill the parse
+	// cache and get a slot nobody comes back to, the rest are refused and
+	// get the template's, which the first of them leaves a verdict in.
 	const flood = capacity * 100
 	before := sep.CacheStats()
 	for i := 0; i < flood; i++ {
-		exec(i)
+		exec(shaped, i)
 	}
 	cs, g := sep.CacheStats(), gauges()
-	if cs.Hits != 0 || cs.Misses-before.Misses != flood {
-		t.Errorf("after %d one-shot texts: %+v, want every one a miss", flood, cs)
+	if cs.Misses-before.Misses != capacity || cs.Hits != flood-capacity {
+		t.Errorf("after %d one-shot texts: %+v, want %d misses, one per text admitted and one for the shape",
+			flood, cs, capacity)
 	}
 	// The parse cache saw the same flood, one text (the CREATE) ahead.
 	if g["engine.parse_cache.refused"] != flood+1-capacity || g["engine.parse_cache.evictions"] != 0 {
 		t.Errorf("engine.parse_cache.refused = %d, evictions %d; want %d and 0",
 			g["engine.parse_cache.refused"], g["engine.parse_cache.evictions"], flood+1-capacity)
 	}
+	// Refused texts of a shape without a template miss every time.
+	for i := 0; i < capacity; i++ {
+		exec(alone, flood+i)
+	}
+	if after := sep.CacheStats(); after.Hits != cs.Hits || after.Misses-cs.Misses != capacity {
+		t.Errorf("%d one-shot texts of a shape without a template: %+v, then %+v, want every one a miss", capacity, cs, after)
+	}
 
-	exec(flood) // first sighting: refused, no slot
-	exec(flood) // second: admitted for one resident, the verdict goes into the new entry
-	exec(flood) // third: served
+	const cycled = 2 * flood // a number no text above has
+	before = sep.CacheStats()
+	exec(alone, cycled) // first sighting: refused, no slot
+	exec(alone, cycled) // second: admitted for one resident, the verdict goes into the new entry
+	exec(alone, cycled) // third: served
 	after, g := sep.CacheStats(), gauges()
-	if after.Hits != 1 || g["engine.parse_cache.evictions"] != 1 || g["engine.parse_cache.entries"] != capacity {
+	if after.Hits-before.Hits != 1 || g["engine.parse_cache.evictions"] != 1 || g["engine.parse_cache.entries"] != capacity {
 		t.Errorf("a text offered three times: %d hits, %d evictions, %d entries; want 1, 1 and %d",
-			after.Hits, g["engine.parse_cache.evictions"], g["engine.parse_cache.entries"], capacity)
+			after.Hits-before.Hits, g["engine.parse_cache.evictions"], g["engine.parse_cache.entries"], capacity)
 	}
 
 	// Served: the engine's lookup is the only one. Every repeat is one hit
 	// of the one cache a deployment has, and the verdict came with it.
 	const repeats = 50
 	for i := 0; i < repeats; i++ {
-		exec(flood)
+		exec(alone, cycled)
 	}
 	served := gauges()
 	if d := served["engine.parse_cache.hits"] - g["engine.parse_cache.hits"]; d != repeats {
 		t.Errorf("%d repeats cost %d parse-cache lookups that hit", repeats, d)
 	}
-	if served["engine.parse_cache.misses"] != g["engine.parse_cache.misses"] || served["core.verdict_cache.hits"] != 1+repeats {
-		t.Errorf("%d repeats: parse-cache misses %d → %d, verdict hits %d",
-			repeats, g["engine.parse_cache.misses"], served["engine.parse_cache.misses"], served["core.verdict_cache.hits"])
+	if served["engine.parse_cache.misses"] != g["engine.parse_cache.misses"] ||
+		served["core.verdict_cache.hits"]-g["core.verdict_cache.hits"] != repeats {
+		t.Errorf("%d repeats: parse-cache misses %d → %d, verdict hits %d → %d", repeats,
+			g["engine.parse_cache.misses"], served["engine.parse_cache.misses"], g["core.verdict_cache.hits"], served["core.verdict_cache.hits"])
 	}
 
 	// Texts that do come back push the entry out, and the verdict with it:
 	// the next sight is a plain miss, not an invalidation.
 	for i := 1; i <= 16*capacity; i++ { // ≈ 64 admissions per shard; two laps of its 4-slot ring take 8
-		exec(flood + i) // refused
-		exec(flood + i) // admitted: the clock hand moves
+		exec(shaped, flood+i) // refused
+		exec(shaped, flood+i) // admitted: the clock hand moves
 	}
 	hits := sep.CacheStats().Hits
-	exec(flood)
+	exec(alone, cycled)
 	if end := sep.CacheStats(); end.Hits != hits || end.Invalidations != 0 {
 		t.Errorf("after its entry was evicted the text was served from somewhere: %+v", end)
 	}

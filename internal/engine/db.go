@@ -53,15 +53,21 @@ type HookContext struct {
 	// execution. Nil for a statement whose Stmt holds its literals itself.
 	// Read-only, like Stmt, and valid only as long as the HookContext is.
 	Args []Value
-	// Memo is the hook's slot in the engine's memory of this text: what a
+	// Memo is the hook's slot in the engine's memory of this Stmt: what a
 	// hook leaves there it finds again at the next execution of the same
-	// text, for as long as the engine keeps the Stmt it was computed from,
-	// and no longer. Nil when there is nothing to hang it on — the parse
-	// cache is off or refused the text at first sight — and when the
-	// execution binds Args, because then the text is not the whole
-	// statement. Unlike the HookContext the slot may be kept and written
-	// after BeforeExecute returns. Every session executing the text shares
-	// it: publish immutable values and replace them, never modify one.
+	// text — or, when Stmt is the template of the text's shape, of any text
+	// of that shape — for as long as the engine keeps the Stmt it was
+	// computed from, and no longer. Texts of one shape differ only in the
+	// spelling of their values, each literal keeping its token kind, so
+	// their data nodes agree in type and they share the slot; except when
+	// the statement writes its values (INSERT, UPDATE), which are then
+	// judged one by one. Nil when there is nothing to hang it on — the
+	// parse cache is off, or refused the text at first sight and its shape
+	// has no template — and when the client bound Args, whose kinds may
+	// change from call to call. Unlike the HookContext the slot may be kept
+	// and written after BeforeExecute returns. Every session executing the
+	// Stmt shares it: publish immutable values and replace them, never
+	// modify one.
 	Memo *Memo
 }
 
@@ -184,8 +190,9 @@ type stageHists struct {
 //
 // An entry of the shape cache is the same thing for every text of one
 // shape: tmpl is set, stmt is tmpl.Stmt, the comments are the shape's, and
-// decoded and memo stay empty — the text and the verdict are each
-// execution's own. A shape that has no template is held as noTemplate.
+// decoded stays empty — the text is each execution's own. memo is the
+// shape's unless the statement writes its values (see HookContext.Memo).
+// A shape that has no template is held as noTemplate.
 type parsedQuery struct {
 	stmt     sqlparser.Statement
 	decoded  string
@@ -505,7 +512,7 @@ func (db *DB) run(ctx context.Context, st *stageHists, execStart, stageStart tim
 			App:      app,
 			Args:     args,
 		}
-		if resident && len(args) == 0 {
+		if resident && len(args) == 0 || pq.tmpl != nil && !writesValues(stmt) {
 			hctx.Memo = &pq.memo
 		}
 		err := hook.BeforeExecute(hctx)
@@ -549,6 +556,16 @@ func (db *DB) run(ctx context.Context, st *stageHists, execStart, stageStart tim
 		st.total.Observe(now.Sub(execStart))
 	}
 	return res, nil
+}
+
+// writesValues reports whether stmt stores the values it is given: a
+// verdict on it reads each one, not only its kind.
+func writesValues(stmt sqlparser.Statement) bool {
+	switch stmt.(type) {
+	case *sqlparser.InsertStmt, *sqlparser.UpdateStmt:
+		return true
+	}
+	return false
 }
 
 // hookContexts recycles the HookContext of each statement: it escapes

@@ -705,14 +705,17 @@ func TestExecArgsOfAnyKind(t *testing.T) {
 	}
 }
 
-// TestHookMemoFollowsTheParseEntry: the hook's slot is the parse-cache
-// entry's — the same one at every execution of a resident text, holding
-// what was left in it — and there is none when the engine will not find
-// the statement again or the text is not all of it: the parse cache off,
-// a text a full shard refuses at first sight, bound values.
+// TestHookMemoFollowsTheParseEntry: the hook's slot is the entry of the
+// Stmt — the same one at every execution of a resident text, holding what
+// was left in it, and the template's for every text a full parse cache
+// refuses of a shape that has one — and there is none when the engine will
+// not find the statement again or the text does not fix its values' kinds:
+// the parse cache off, a refused text whose shape has no template or was
+// refused too, a template that writes its values, values a client bound.
 func TestHookMemoFollowsTheParseEntry(t *testing.T) {
 	var memo *Memo
-	hook := hookFunc(func(ctx *HookContext) error { memo = ctx.Memo; return nil })
+	var bound bool // the last statement ran with arguments beside it
+	hook := hookFunc(func(ctx *HookContext) error { memo, bound = ctx.Memo, ctx.Args != nil; return nil })
 	exec := func(db *DB, q string, args ...Value) *Memo {
 		t.Helper()
 		memo = nil
@@ -738,7 +741,7 @@ func TestHookMemoFollowsTheParseEntry(t *testing.T) {
 		t.Error("an empty argument list is no bound value: same text, same slot")
 	}
 	if exec(db, byCityArg, Str("porto")) != nil || exec(db, byCityArg, Str("porto")) != nil {
-		t.Error("a slot for an execution that binds values: the text is not the whole statement")
+		t.Error("a slot for an execution that binds values: their kinds may change from call to call")
 	}
 
 	off := New(WithParseCacheCapacity(0), WithQueryHook(hook))
@@ -752,12 +755,41 @@ func TestHookMemoFollowsTheParseEntry(t *testing.T) {
 	for i := 0; full.parsed.Len() < full.parsed.Capacity(); i++ {
 		exec(full, fmt.Sprintf("SELECT name FROM users WHERE city = 'c%d'", i))
 	}
-	if exec(full, byCity) != nil {
-		t.Error("a slot for a text the full parse cache refused")
+	shaped := exec(full, byCity)
+	if shaped == nil || !bound {
+		t.Fatalf("a text the full parse cache refused, of a shape with a template: slot %p, bound %t", shaped, bound)
 	}
 	admitted := exec(full, byCity)
-	if admitted == nil || exec(full, byCity) != admitted {
-		t.Error("the second offer is admitted: a slot from then on, the same one")
+	if admitted == nil || admitted == shaped || exec(full, byCity) != admitted {
+		t.Error("the second offer is admitted: a slot of its own from then on, the same one")
+	}
+	if exec(full, "SELECT name FROM users WHERE city = 'braga'") != shaped {
+		t.Error("two refused texts of one shape: not the template's slot both times")
+	}
+	for _, write := range []string{"INSERT INTO users (name, city) VALUES ('n%d', 'c')", "UPDATE users SET city = 'c%d' WHERE name = 'n'"} {
+		for i := 0; i < 3; i++ { // the shape is admitted at its second sight at the latest
+			if exec(full, fmt.Sprintf(write, i)) != nil {
+				t.Errorf("a slot for %q: its verdict reads the values it writes", fmt.Sprintf(write, i))
+			}
+		}
+		if !bound {
+			t.Errorf("%q did not run from its template", write)
+		}
+	}
+	alone := full.unshareable.Load()
+	for i := 0; i < 3; i++ {
+		if exec(full, fmt.Sprintf("SELECT name FROM users WHERE city = 'c%d' ORDER BY 1", i)) != nil {
+			t.Error("a slot for a refused text whose shape has no template")
+		}
+	}
+	if n := full.unshareable.Load() - alone; n < 2 { // all but a first sight the shape cache refused
+		t.Errorf("%d of 3 texts ORDER BY a position were found to have no template", n)
+	}
+	for i := 0; full.shapes.Len() < full.shapes.Capacity(); i++ {
+		exec(full, fmt.Sprintf("/* shape %d */ SELECT name FROM users WHERE city = 'c'", i))
+	}
+	if exec(full, "SELECT city FROM users WHERE name = 'n'") != nil || bound {
+		t.Error("a slot for a text whose shape the full shape cache refused")
 	}
 }
 

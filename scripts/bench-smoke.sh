@@ -7,9 +7,10 @@
 # that is not a `benchmark` PR — is corrected (ROADMAP item 7, first
 # bullet): bench/probe.go books an outside probe of sqlparser.Parse as the
 # parser's share of every cold workload, embed_miss no longer parses what it
-# runs (DESIGN §6.5), so its shares sum to 1.2–1.4 and
-# "embed_miss: layer shares sum to ..., want 1.0 within 0.1" fails about
-# every other run. Every other failure — a compile error, a panic, an
+# runs nor judges a text of a shape it has judged (DESIGN §6.5), so its
+# shares sum to 1.1–1.5 and "embed_miss: layer shares sum to ..., want 1.0
+# within 0.1" fails on nearly every run (6 runs of 6; 4 of 6 while each
+# such text was judged). Every other failure — a compile error, a panic, an
 # operation that differs from the oracle, a metric BENCHMARK.json does not
 # name, the shares of any other workload — fails this script. One retry, as
 # before: train_wal's shares miss 1 ± 0.1 over the 0.3 s window when an
