@@ -43,9 +43,10 @@ func TestFlagsAreTheShippedConfiguration(t *testing.T) {
 
 // TestDocumentsNameOnlyFlagsThatExist: the usage block of the package
 // doc lists every flag flagSet defines and no other, README's flag table
-// names only defined flags, and none of the repository's documents names
-// the deleted -repl-listen (CHANGES.md and ISSUE.md are history and
-// may).
+// names only defined flags, and none of the repository's documents (every
+// *.md under its root) names the deleted -repl-listen. History may:
+// CHANGES.md, and a change request at the root, whose title line carries
+// its kind in brackets ("# … [test_repair] …").
 func TestDocumentsNameOnlyFlagsThatExist(t *testing.T) {
 	defined := make(map[string]bool)
 	flagSet(new(server.Config), new(string)).VisitAll(func(f *flag.Flag) { defined[f.Name] = true })
@@ -87,15 +88,36 @@ func TestDocumentsNameOnlyFlagsThatExist(t *testing.T) {
 		}
 	}
 
-	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", "ROADMAP.md",
-		"CONTRIBUTING.md", "bench/README.md", ".claude/skills/verify/SKILL.md"} {
-		text, err := os.ReadFile("../../" + doc)
+	const root = "../.."
+	changeRequest := regexp.MustCompile(`^# .*\[[a-z_]+\]`)
+	err = filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
 		if err != nil {
-			t.Fatal(err)
+			return err
 		}
-		if strings.Contains(string(text), "-repl-listen") {
-			t.Errorf("%s names -repl-listen, which septicd no longer has", doc)
+		if d.IsDir() && d.Name() == ".git" {
+			return filepath.SkipDir
 		}
+		doc, _ := filepath.Rel(root, path)
+		doc = filepath.ToSlash(doc)
+		if d.IsDir() || filepath.Ext(doc) != ".md" || doc == "CHANGES.md" {
+			return nil
+		}
+		text, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		if title, _, _ := strings.Cut(string(text), "\n"); !strings.Contains(doc, "/") && changeRequest.MatchString(title) {
+			return nil
+		}
+		for i, line := range strings.Split(string(text), "\n") {
+			if strings.Contains(line, "-repl-listen") {
+				t.Errorf("%s:%d names -repl-listen, which septicd no longer has", doc, i+1)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 
