@@ -30,10 +30,12 @@ race:
 # internal/wal's own suite holds group commit to the fsync=always
 # contract: faults against 8 concurrent appenders, nothing visible above
 # the durable horizon, parked followers released by Close/Kill
-# (internal/wal/chaos_test.go). CHAOS_COUNT repeats every test; CI runs
-# every package in CHAOS_PKGS 20 times as a stability gate.
+# (internal/wal/chaos_test.go). internal/engine's suite swaps the catalog
+# under readers and writers of cached and bound texts: every answer is one
+# schema's (internal/engine/catalog_test.go). CHAOS_COUNT repeats every
+# test; CI runs every package in CHAOS_PKGS 20 times as a stability gate.
 CHAOS_COUNT ?= 1
-CHAOS_PKGS ?= ./internal/wire/ ./internal/core/ ./internal/repl/ ./internal/overload/ ./internal/wal/
+CHAOS_PKGS ?= ./internal/wire/ ./internal/core/ ./internal/repl/ ./internal/overload/ ./internal/wal/ ./internal/engine/
 
 chaos:
 	$(GO) test -race -run 'TestChaos' -count=$(CHAOS_COUNT) -timeout=10m -v $(CHAOS_PKGS)

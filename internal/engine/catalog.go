@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"time"
 
 	"github.com/septic-db/septic/internal/sqlparser"
 )
@@ -83,6 +84,17 @@ type Column struct {
 	Unique        bool
 	NotNull       bool
 	Default       *Value
+}
+
+// catalog is one version of the schema: the tables by lowercase name, and
+// the clock NOW() reads. It is never modified once published (DB.publish
+// replaces it whole), so a statement that loaded it validates, plans,
+// locks and executes against the same tables without holding a lock on
+// the name map, and a plan built against it serves exactly the statements
+// that loaded it.
+type catalog struct {
+	tables map[string]*Table
+	clock  func() time.Time
 }
 
 // Table is an in-memory table: a schema plus a row store. The schema

@@ -31,17 +31,17 @@ func TestExecContextDeadlineBetweenStages(t *testing.T) {
 	if _, err := db.Exec("CREATE TABLE t (id INT)"); err != nil {
 		t.Fatal(err)
 	}
-	// Inject latency at the execute stage boundary: the deadline expires
-	// while the pipeline is "inside" a slow stage, and the next stage
-	// check must catch it.
+	// Hold the pipeline at the execute stage boundary until the deadline
+	// has expired: it expires while the pipeline is "inside" a slow stage,
+	// and the next stage check must catch it.
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
+	defer cancel()
 	faultinject.Arm(func(site string) {
 		if site == faultinject.SiteEngineExecute {
-			time.Sleep(40 * time.Millisecond)
+			<-ctx.Done()
 		}
 	})
 	defer faultinject.Disarm()
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
-	defer cancel()
 	_, err := db.ExecAppContext(ctx, "", "SELECT id FROM t")
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"slices"
 	"sort"
 	"strings"
@@ -103,7 +104,7 @@ func WithQueryHook(h QueryHook) Option {
 // WithClock injects the time source used by NOW(); defaults to time.Now.
 // Benchmarks and tests inject a fixed clock for determinism.
 func WithClock(clock func() time.Time) Option {
-	return func(db *DB) { db.clock = clock }
+	return func(db *DB) { db.cat.Load().clock = clock } // New's catalog, not yet shared
 }
 
 // DefaultParseCacheCapacity bounds the statement cache when the
@@ -129,23 +130,21 @@ func WithObs(h *obs.Hub) Option {
 // DB is an in-memory database instance. It is safe for concurrent use by
 // multiple goroutines ("client diversity": many sessions, one server).
 //
-// Locking is two-level (see lockplan.go): the catalog RWMutex guards the
-// tables map — DDL exclusively, everything else shared — and each Table
-// has its own RWMutex, so writes to one table never block reads of
-// another. The hook and the activity counters are atomic: the hot path
-// takes no engine-level write lock.
+// The schema is a value (catalog): a statement loads it once and is
+// validated, judged and executed against that one version, whatever DDL
+// publishes meanwhile. Each Table has its own RWMutex (see lockplan.go),
+// so writes to one table never block reads of another. The catalog, the
+// hook and the activity counters are atomic: the hot path takes no
+// engine-level lock.
 type DB struct {
-	catalog sync.RWMutex
-	tables  map[string]*Table
-	// gen counts catalog changes. CREATE TABLE and DROP TABLE bump it
-	// under the catalog write lock; a select plan built under generation
-	// g is used only while, under the catalog read lock, gen is still g.
-	gen uint64
+	// cat is the current catalog. ddl serializes CREATE TABLE and DROP
+	// TABLE, its only writers, each of which publishes a successor.
+	cat atomic.Pointer[catalog]
+	ddl sync.Mutex
 
 	// hook holds the installed QueryHook (possibly a nil interface);
 	// a nil pointer means WithQueryHook was never called.
-	hook  atomic.Pointer[QueryHook]
-	clock func() time.Time
+	hook atomic.Pointer[QueryHook]
 
 	// parsed caches parse results by raw query text, so a repeated
 	// statement skips lexing and parsing entirely. Cached ASTs are
@@ -184,8 +183,8 @@ type stageHists struct {
 // parser consumed, and the extracted comments. All three are immutable
 // after insertion. Two fields are set later, each published whole and
 // replaced, never modified: plan, the plan of a SELECT, UPDATE or DELETE,
-// by the first execution and again when the catalog generation has moved
-// on (plan.go); memo by the hook (HookContext.Memo). Both are derived
+// by the first execution and again when it was built against another
+// catalog (plan.go); memo by the hook (HookContext.Memo). Both are derived
 // from stmt and leave the cache with it.
 //
 // An entry of the shape cache is the same thing for every text of one
@@ -211,11 +210,8 @@ const (
 
 // New creates an empty database.
 func New(opts ...Option) *DB {
-	db := &DB{
-		tables:   make(map[string]*Table),
-		clock:    time.Now,
-		parseCap: DefaultParseCacheCapacity,
-	}
+	db := &DB{parseCap: DefaultParseCacheCapacity}
+	db.cat.Store(&catalog{tables: make(map[string]*Table), clock: time.Now})
 	for _, o := range opts {
 		o(db)
 	}
@@ -477,7 +473,7 @@ func (db *DB) template(p *sqlparser.Parser, key []byte) (*parsedQuery, *[]Value,
 }
 
 // run takes a parsed statement through the rest of the pipeline: validate,
-// hook, execute.
+// hook, execute, all three against the one catalog it loads.
 func (db *DB) run(ctx context.Context, st *stageHists, execStart, stageStart time.Time,
 	query, decoded, app string, pq *parsedQuery, args []Value, resident bool) (*Result, error) {
 	stmt := pq.stmt
@@ -485,7 +481,8 @@ func (db *DB) run(ctx context.Context, st *stageHists, execStart, stageStart tim
 	if err := db.stageErr(ctx, "validate"); err != nil {
 		return nil, err
 	}
-	if err := db.validate(stmt); err != nil {
+	cat := db.cat.Load()
+	if err := cat.validate(stmt); err != nil {
 		db.countFailed()
 		return nil, err
 	}
@@ -496,8 +493,8 @@ func (db *DB) run(ctx context.Context, st *stageHists, execStart, stageStart tim
 	}
 
 	// SEPTIC's hook point: after validation, before execution (Fig. 1).
-	// The hook runs outside the engine lock so detection latency never
-	// serializes unrelated sessions.
+	// The hook holds no lock, so detection latency never serializes
+	// unrelated sessions.
 	faultinject.Hit(faultinject.SiteEngineHook)
 	if err := db.stageErr(ctx, "hook"); err != nil {
 		return nil, err
@@ -544,7 +541,7 @@ func (db *DB) run(ctx context.Context, st *stageHists, execStart, stageStart tim
 	if err := db.stageErr(ctx, "execute"); err != nil {
 		return nil, err
 	}
-	res, err := db.execute(stmt, pq, args)
+	res, err := db.execute(cat, stmt, pq, args)
 	if err != nil {
 		db.countFailed()
 		return nil, err
@@ -591,14 +588,12 @@ func (db *DB) countBlocked() {
 // validate checks the statement against the catalog: referenced tables
 // must exist and INSERT column lists must match the schema. This is the
 // "validated by the DBMS" half of the paper's hook contract.
-func (db *DB) validate(stmt sqlparser.Statement) error {
-	db.catalog.RLock()
-	defer db.catalog.RUnlock()
+func (cat *catalog) validate(stmt sqlparser.Statement) error {
 	switch s := stmt.(type) {
 	case *sqlparser.SelectStmt:
-		return db.validateSelect(s)
+		return cat.validateSelect(s)
 	case *sqlparser.InsertStmt:
-		t, ok := db.tables[strings.ToLower(s.Table)]
+		t, ok := cat.tables[strings.ToLower(s.Table)]
 		if !ok {
 			return fmt.Errorf("%w: %s", ErrNoSuchTable, s.Table)
 		}
@@ -608,7 +603,7 @@ func (db *DB) validate(stmt sqlparser.Statement) error {
 			}
 		}
 		if s.Select != nil {
-			return db.validateSelect(s.Select)
+			return cat.validateSelect(s.Select)
 		}
 		width := len(s.Columns)
 		if width == 0 {
@@ -621,7 +616,7 @@ func (db *DB) validate(stmt sqlparser.Statement) error {
 		}
 		return nil
 	case *sqlparser.UpdateStmt:
-		t, ok := db.tables[strings.ToLower(s.Table)]
+		t, ok := cat.tables[strings.ToLower(s.Table)]
 		if !ok {
 			return fmt.Errorf("%w: %s", ErrNoSuchTable, s.Table)
 		}
@@ -632,24 +627,24 @@ func (db *DB) validate(stmt sqlparser.Statement) error {
 		}
 		return nil
 	case *sqlparser.DeleteStmt:
-		if _, ok := db.tables[strings.ToLower(s.Table)]; !ok {
+		if _, ok := cat.tables[strings.ToLower(s.Table)]; !ok {
 			return fmt.Errorf("%w: %s", ErrNoSuchTable, s.Table)
 		}
 		return nil
 	case *sqlparser.DescribeStmt:
-		if _, ok := db.tables[strings.ToLower(s.Table)]; !ok {
+		if _, ok := cat.tables[strings.ToLower(s.Table)]; !ok {
 			return fmt.Errorf("%w: %s", ErrNoSuchTable, s.Table)
 		}
 		return nil
 	case *sqlparser.ExplainStmt:
-		return db.validateSelect(s.Select)
+		return cat.validateSelect(s.Select)
 	case *sqlparser.CreateTableStmt:
-		if _, ok := db.tables[strings.ToLower(s.Table)]; ok && !s.IfNotExists {
+		if _, ok := cat.tables[strings.ToLower(s.Table)]; ok && !s.IfNotExists {
 			return fmt.Errorf("%w: %s", ErrTableExists, s.Table)
 		}
 		return nil
 	case *sqlparser.DropTableStmt:
-		if _, ok := db.tables[strings.ToLower(s.Table)]; !ok && !s.IfExists {
+		if _, ok := cat.tables[strings.ToLower(s.Table)]; !ok && !s.IfExists {
 			return fmt.Errorf("%w: %s", ErrNoSuchTable, s.Table)
 		}
 		return nil
@@ -658,100 +653,89 @@ func (db *DB) validate(stmt sqlparser.Statement) error {
 	}
 }
 
-func (db *DB) validateSelect(s *sqlparser.SelectStmt) error {
+func (cat *catalog) validateSelect(s *sqlparser.SelectStmt) error {
 	for _, t := range s.From {
 		if t.Subquery != nil {
-			if err := db.validateSelect(t.Subquery); err != nil {
+			if err := cat.validateSelect(t.Subquery); err != nil {
 				return err
 			}
 			continue
 		}
-		if _, ok := db.tables[strings.ToLower(t.Name)]; !ok {
+		if _, ok := cat.tables[strings.ToLower(t.Name)]; !ok {
 			return fmt.Errorf("%w: %s", ErrNoSuchTable, t.Name)
 		}
 	}
 	if s.Union != nil {
-		return db.validateSelect(s.Union.Next)
+		return cat.validateSelect(s.Union.Next)
 	}
 	return nil
 }
 
-// execute acquires the statement's lock plan and dispatches to the
-// per-statement executors. DDL serializes on the catalog write lock;
-// everything else shares the catalog and locks only the tables it
-// touches (lockplan.go), so sessions on disjoint tables never contend.
-// pq is the cache entry stmt came from, args the execution's arguments.
-func (db *DB) execute(stmt sqlparser.Statement, pq *parsedQuery, args []Value) (*Result, error) {
+// execute runs the statement against cat, the catalog it was validated
+// on: DDL publishes a successor to whatever catalog is current by then;
+// everything else locks only the tables it touches (lockplan.go), so
+// sessions on disjoint tables never contend. pq is the cache entry stmt
+// came from, args the execution's arguments.
+func (db *DB) execute(cat *catalog, stmt sqlparser.Statement, pq *parsedQuery, args []Value) (*Result, error) {
 	switch s := stmt.(type) {
 	case *sqlparser.SelectStmt, *sqlparser.UpdateStmt, *sqlparser.DeleteStmt:
-		return db.runPlanned(stmt, pq, args)
+		return cat.runPlanned(stmt, pq, args)
 	case *sqlparser.CreateTableStmt:
-		db.catalog.Lock()
-		defer db.catalog.Unlock()
 		return db.execCreateTable(s)
 	case *sqlparser.DropTableStmt:
-		db.catalog.Lock()
-		defer db.catalog.Unlock()
 		return db.execDropTable(s)
 	case *sqlparser.ShowTablesStmt:
-		db.catalog.RLock()
-		defer db.catalog.RUnlock()
-		return db.execShowTables()
+		return cat.execShowTables()
 	}
 
 	var ls lockSet
 	ls.init()
 	collectTables(&ls, stmt)
-	db.catalog.RLock()
-	defer db.catalog.RUnlock()
-	db.lockTables(&ls)
-	defer db.unlockTables(&ls)
+	cat.lockTables(&ls)
+	defer cat.unlockTables(&ls)
 
 	switch s := stmt.(type) {
 	case *sqlparser.InsertStmt:
-		return db.execInsert(s, args)
+		return cat.execInsert(s, args)
 	case *sqlparser.DescribeStmt:
-		return db.execDescribe(s)
+		return cat.execDescribe(s)
 	case *sqlparser.ExplainStmt:
-		return db.execExplain(s, args)
+		return cat.execExplain(s, args)
 	default:
 		return nil, fmt.Errorf("unsupported statement %T", stmt)
 	}
 }
 
 // runPlanned executes a top-level SELECT, UPDATE or DELETE off its plan:
-// the one stored in pq if it was built under the current catalog
-// generation, else a fresh one, which it publishes. The comparison
-// happens under the catalog read lock and before anything in the plan is
+// the one stored in pq if it was built against cat, else a fresh one,
+// which it publishes. The comparison comes before anything in the plan is
 // dereferenced: after DROP + CREATE of the same name a stale plan still
 // points at the dropped table's rows and index. Planning errors do not
 // exist — what a plan cannot resolve it leaves to execution — so every
 // error of a planned statement keeps coming from the execute stage, after
 // the hook ran and counted.
-func (db *DB) runPlanned(stmt sqlparser.Statement, pq *parsedQuery, args []Value) (*Result, error) {
-	db.catalog.RLock()
-	defer db.catalog.RUnlock()
+func (cat *catalog) runPlanned(stmt sqlparser.Statement, pq *parsedQuery, args []Value) (*Result, error) {
 	p := pq.plan.Load()
-	if p == nil || p.gen != db.gen {
-		p = db.planStatement(stmt)
+	if p == nil || p.cat != cat {
+		p = cat.planStatement(stmt)
 		pq.plan.Store(p)
 	}
-	db.lockTables(&p.locks)
-	defer db.unlockTables(&p.locks)
+	cat.lockTables(&p.locks)
+	defer cat.unlockTables(&p.locks)
 	var frames [4]frame // the statement's frame stack (eval.go)
 	switch s := stmt.(type) {
 	case *sqlparser.UpdateStmt:
-		return db.execUpdate(s, p, frames[:0], args)
+		return cat.execUpdate(s, p, frames[:0], args)
 	case *sqlparser.DeleteStmt:
-		return db.execDelete(s, p, frames[:0], args)
+		return cat.execDelete(s, p, frames[:0], args)
 	default:
-		return db.execSelect(stmt.(*sqlparser.SelectStmt), frames[:0], p, args)
+		return cat.execSelect(stmt.(*sqlparser.SelectStmt), frames[:0], p, args)
 	}
 }
 
-func (db *DB) execShowTables() (*Result, error) {
-	names := make([]string, 0, len(db.tables))
-	for _, t := range db.tables {
+func (cat *catalog) execShowTables() (*Result, error) {
+	names := make([]string, 0, len(cat.tables))
+	for _, t := range cat.tables {
 		names = append(names, t.Name)
 	}
 	sort.Strings(names)
@@ -762,11 +746,8 @@ func (db *DB) execShowTables() (*Result, error) {
 	return res, nil
 }
 
-func (db *DB) execDescribe(s *sqlparser.DescribeStmt) (*Result, error) {
-	t := db.tables[strings.ToLower(s.Table)]
-	if t == nil {
-		return nil, fmt.Errorf("%w: %s", ErrNoSuchTable, s.Table)
-	}
+func (cat *catalog) execDescribe(s *sqlparser.DescribeStmt) (*Result, error) {
+	t := cat.tables[strings.ToLower(s.Table)]
 	res := &Result{Columns: []string{"Field", "Type", "Null", "Key", "Extra"}}
 	for _, c := range t.Columns {
 		null := "YES"
@@ -790,9 +771,13 @@ func (db *DB) execDescribe(s *sqlparser.DescribeStmt) (*Result, error) {
 	return res, nil
 }
 
+// execCreateTable and execDropTable check the catalog current under the
+// DDL lock, not the statement's: another DDL may have published since.
 func (db *DB) execCreateTable(s *sqlparser.CreateTableStmt) (*Result, error) {
+	db.ddl.Lock()
+	defer db.ddl.Unlock()
 	key := strings.ToLower(s.Table)
-	if _, ok := db.tables[key]; ok {
+	if _, ok := db.cat.Load().tables[key]; ok {
 		if s.IfNotExists {
 			return &Result{}, nil
 		}
@@ -802,22 +787,37 @@ func (db *DB) execCreateTable(s *sqlparser.CreateTableStmt) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	db.tables[key] = t
-	db.gen++
+	db.publish(key, t)
 	return &Result{}, nil
 }
 
 func (db *DB) execDropTable(s *sqlparser.DropTableStmt) (*Result, error) {
+	db.ddl.Lock()
+	defer db.ddl.Unlock()
 	key := strings.ToLower(s.Table)
-	if _, ok := db.tables[key]; !ok {
+	if _, ok := db.cat.Load().tables[key]; !ok {
 		if s.IfExists {
 			return &Result{}, nil
 		}
 		return nil, fmt.Errorf("%w: %s", ErrNoSuchTable, s.Table)
 	}
-	delete(db.tables, key)
-	db.gen++
+	db.publish(key, nil)
 	return &Result{}, nil
+}
+
+// publish replaces the current catalog with a copy in which key names t,
+// or nothing when t is nil. The caller holds db.ddl. A statement that
+// loaded the predecessor keeps running against it, and off plans built
+// against it.
+func (db *DB) publish(key string, t *Table) {
+	cur := db.cat.Load()
+	next := &catalog{tables: maps.Clone(cur.tables), clock: cur.clock}
+	if t != nil {
+		next.tables[key] = t
+	} else {
+		delete(next.tables, key)
+	}
+	db.cat.Store(next)
 }
 
 // checkArgs holds an execution's arguments to the statement's n

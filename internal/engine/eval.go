@@ -139,7 +139,7 @@ type bexpr struct {
 // frames end with the level's own frame, and args are the execution's
 // arguments, the same at every level.
 type evaluator struct {
-	db     *DB
+	cat    *catalog
 	nodes  []bexpr
 	frames []frame
 	args   []Value
@@ -151,7 +151,7 @@ func (ev *evaluator) setRow(row []Value) { ev.frames[len(ev.frames)-1].row = row
 // rowless returns ev with no frame in sight: a LIMIT clause was bound
 // seeing no row, and a subquery in it must not see one either.
 func (ev *evaluator) rowless() evaluator {
-	return evaluator{db: ev.db, nodes: ev.nodes, frames: ev.frames[len(ev.frames):], args: ev.args}
+	return evaluator{cat: ev.cat, nodes: ev.nodes, frames: ev.frames[len(ev.frames):], args: ev.args}
 }
 
 // eval evaluates node i. It keeps to the nodes a scan evaluates per row —
@@ -248,7 +248,7 @@ func (ev *evaluator) evalOther(n *bexpr) (Value, error) {
 	case opSubquery, opExists:
 		// The subquery runs one level below: it sees this level's frames,
 		// its row included.
-		res, err := ev.db.execSelect(n.sel, ev.frames, nil, ev.args)
+		res, err := ev.cat.execSelect(n.sel, ev.frames, nil, ev.args)
 		switch {
 		case err != nil:
 			return Value{}, err
@@ -410,7 +410,7 @@ func (ev *evaluator) evalIn(n *bexpr) (Value, error) {
 		found = found || Equal(left, c)
 	}
 	if n.op == opInSub {
-		res, err := ev.db.execSelect(n.sel, ev.frames, nil, ev.args)
+		res, err := ev.cat.execSelect(n.sel, ev.frames, nil, ev.args)
 		if err != nil {
 			return Value{}, err
 		}
@@ -740,9 +740,9 @@ func (ev *evaluator) callScalar(name string, args []Value) (Value, error) {
 	case "HEX":
 		return Str(strings.ToUpper(hex.EncodeToString([]byte(args[0].String())))), nil
 	case "NOW", "CURRENT_TIMESTAMP":
-		return Str(ev.db.clock().UTC().Format("2006-01-02 15:04:05")), nil
+		return Str(ev.cat.clock().UTC().Format("2006-01-02 15:04:05")), nil
 	case "CURDATE", "CURRENT_DATE":
-		return Str(ev.db.clock().UTC().Format("2006-01-02")), nil
+		return Str(ev.cat.clock().UTC().Format("2006-01-02")), nil
 	case "VERSION":
 		return Str("5.7.0-septic"), nil
 	case "DATABASE":

@@ -9,12 +9,10 @@ import (
 	"github.com/septic-db/septic/internal/sqlparser"
 )
 
-// execInsert runs an INSERT under the caller-held write lock.
-func (db *DB) execInsert(s *sqlparser.InsertStmt, args []Value) (*Result, error) {
-	t := db.tables[strings.ToLower(s.Table)]
-	if t == nil {
-		return nil, fmt.Errorf("%w: %s", ErrNoSuchTable, s.Table)
-	}
+// execInsert runs an INSERT under the caller-held write lock. cat
+// validated the table and its columns.
+func (cat *catalog) execInsert(s *sqlparser.InsertStmt, args []Value) (*Result, error) {
+	t := cat.tables[strings.ToLower(s.Table)]
 
 	// Map the statement's column list to table column indices.
 	var colIdx []int
@@ -26,18 +24,14 @@ func (db *DB) execInsert(s *sqlparser.InsertStmt, args []Value) (*Result, error)
 	} else {
 		colIdx = make([]int, len(s.Columns))
 		for i, name := range s.Columns {
-			idx := t.colIndex(name)
-			if idx < 0 {
-				return nil, fmt.Errorf("%w: %s.%s", ErrNoSuchColumn, s.Table, name)
-			}
-			colIdx[i] = idx
+			colIdx[i] = t.colIndex(name)
 		}
 	}
 
 	var tuples [][]Value
 	var frameBuf [4]frame // for the subqueries of the statement, which has no row of its own
 	if s.Select != nil {
-		res, err := db.execSelect(s.Select, frameBuf[:0], nil, args)
+		res, err := cat.execSelect(s.Select, frameBuf[:0], nil, args)
 		if err != nil {
 			return nil, err
 		}
@@ -64,7 +58,7 @@ func (db *DB) execInsert(s *sqlparser.InsertStmt, args []Value) (*Result, error)
 					}
 				}
 				at := b.bind(e, nil)
-				ev := evaluator{db: db, nodes: b.nodes, frames: frameBuf[:0], args: args}
+				ev := evaluator{cat: cat, nodes: b.nodes, frames: frameBuf[:0], args: args}
 				v, err := ev.eval(at)
 				if err != nil {
 					return nil, err
@@ -155,21 +149,14 @@ func (t *Table) checkUnique(candidate, old []Value, skip int) error {
 
 // execUpdate runs an UPDATE off its plan under the caller-held write
 // lock. frames is empty: the statement's own row is the outermost level.
-func (db *DB) execUpdate(s *sqlparser.UpdateStmt, p *plan, frames []frame, args []Value) (*Result, error) {
+// The plan is cat's, which validated the table and the SET columns.
+func (cat *catalog) execUpdate(s *sqlparser.UpdateStmt, p *plan, frames []frame, args []Value) (*Result, error) {
 	t := p.table
-	if t == nil {
-		return nil, fmt.Errorf("%w: %s", ErrNoSuchTable, s.Table)
-	}
-	ev := evaluator{db: db, nodes: p.nodes, frames: append(frames, frame{layout: &p.layout}), args: args}
+	ev := evaluator{cat: cat, nodes: p.nodes, frames: append(frames, frame{layout: &p.layout}), args: args}
 	var one [1]int
 	targets, err := ev.dmlTargets(p, s.OrderBy, one[:0])
 	if err != nil {
 		return nil, err
-	}
-	for i, ci := range p.cols {
-		if ci < 0 {
-			return nil, fmt.Errorf("%w: %s.%s", ErrNoSuchColumn, s.Table, s.Sets[i].Column)
-		}
 	}
 
 	res := &Result{}
@@ -207,12 +194,9 @@ func (db *DB) execUpdate(s *sqlparser.UpdateStmt, p *plan, frames []frame, args 
 }
 
 // execDelete runs a DELETE off its plan under the caller-held write lock.
-func (db *DB) execDelete(s *sqlparser.DeleteStmt, p *plan, frames []frame, args []Value) (*Result, error) {
+func (cat *catalog) execDelete(s *sqlparser.DeleteStmt, p *plan, frames []frame, args []Value) (*Result, error) {
 	t := p.table
-	if t == nil {
-		return nil, fmt.Errorf("%w: %s", ErrNoSuchTable, s.Table)
-	}
-	ev := evaluator{db: db, nodes: p.nodes, frames: append(frames, frame{layout: &p.layout}), args: args}
+	ev := evaluator{cat: cat, nodes: p.nodes, frames: append(frames, frame{layout: &p.layout}), args: args}
 	var one [1]int
 	targets, err := ev.dmlTargets(p, s.OrderBy, one[:0])
 	if err != nil {

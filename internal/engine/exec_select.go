@@ -12,14 +12,14 @@ import (
 // frames of the enclosing levels for correlated subqueries (empty at top
 // level); p is the statement's plan at top level and nil for a subquery,
 // which plans itself as it runs; args are the execution's arguments.
-func (db *DB) execSelect(s *sqlparser.SelectStmt, outer []frame, p *plan, args []Value) (*Result, error) {
-	res, err := db.execSelectBranch(s, outer, p, args)
+func (cat *catalog) execSelect(s *sqlparser.SelectStmt, outer []frame, p *plan, args []Value) (*Result, error) {
+	res, err := cat.execSelectBranch(s, outer, p, args)
 	if err != nil {
 		return nil, err
 	}
 	// UNION chain: evaluate each branch and merge.
 	for u := s.Union; u != nil; u = u.Next.Union {
-		branch, err := db.execSelectBranch(u.Next, outer, nil, args)
+		branch, err := cat.execSelectBranch(u.Next, outer, nil, args)
 		if err != nil {
 			return nil, err
 		}
@@ -40,14 +40,14 @@ func (db *DB) execSelect(s *sqlparser.SelectStmt, outer []frame, p *plan, args [
 // built here and dropped; anything else materialises its FROM clause
 // first and then binds the statement over the layout that produced.
 // Either way the rows end up in one rowBlock.
-func (db *DB) execSelectBranch(s *sqlparser.SelectStmt, outer []frame, p *plan, args []Value) (*Result, error) {
+func (cat *catalog) execSelectBranch(s *sqlparser.SelectStmt, outer []frame, p *plan, args []Value) (*Result, error) {
 	stored := p != nil && p.table != nil
 	if !stored {
 		p = new(plan)
 	}
-	ev := evaluator{db: db, frames: append(outer, frame{layout: &p.layout}), args: args}
+	ev := evaluator{cat: cat, frames: append(outer, frame{layout: &p.layout}), args: args}
 	if !stored {
-		db.planSelect(p, s, ev.frames)
+		cat.planSelect(p, s, ev.frames)
 	}
 	ev.nodes = p.nodes
 	var rows [][]Value
@@ -238,7 +238,7 @@ func (ev *evaluator) buildRowSource(from []sqlparser.TableRef, p *plan) ([][]Val
 	outer := ev.frames[: len(ev.frames)-1 : len(ev.frames)-1]
 	var rows [][]Value
 	for i, ref := range from {
-		name, cols, tblRows, err := ev.db.resolveTableRef(ref, outer, ev.args)
+		name, cols, tblRows, err := ev.cat.resolveTableRef(ref, outer, ev.args)
 		if err != nil {
 			return nil, err
 		}
@@ -287,9 +287,9 @@ func (ev *evaluator) buildRowSource(from []sqlparser.TableRef, p *plan) ([][]Val
 // resolveTableRef returns the scope name, column names and rows of one
 // FROM entry. A base table's rows are its own row headers, read in
 // place: joins build new rows and sorting permutes row numbers.
-func (db *DB) resolveTableRef(ref sqlparser.TableRef, outer []frame, args []Value) (string, []string, [][]Value, error) {
+func (cat *catalog) resolveTableRef(ref sqlparser.TableRef, outer []frame, args []Value) (string, []string, [][]Value, error) {
 	if ref.Subquery != nil {
-		res, err := db.execSelect(ref.Subquery, outer, nil, args)
+		res, err := cat.execSelect(ref.Subquery, outer, nil, args)
 		if err != nil {
 			return "", nil, nil, err
 		}
@@ -299,7 +299,7 @@ func (db *DB) resolveTableRef(ref sqlparser.TableRef, outer []frame, args []Valu
 		}
 		return name, res.Columns, res.Rows, nil
 	}
-	t := db.tables[strings.ToLower(ref.Name)]
+	t := cat.tables[strings.ToLower(ref.Name)]
 	if t == nil {
 		return "", nil, nil, fmt.Errorf("%w: %s", ErrNoSuchTable, ref.Name)
 	}

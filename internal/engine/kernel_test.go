@@ -202,7 +202,7 @@ func TestIndexesMatchRebuildAfterDML(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		db := New()
 		mustExec(t, db, "CREATE TABLE x (id INT PRIMARY KEY, u TEXT UNIQUE, f FLOAT UNIQUE, k INT)")
-		tbl := db.tables["x"]
+		tbl := db.cat.Load().tables["x"]
 		text := func() string {
 			if r.Intn(4) == 0 {
 				return "NULL"

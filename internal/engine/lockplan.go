@@ -8,18 +8,17 @@ import (
 
 // Lock planning.
 //
-// The engine's concurrency is two-level: a catalog RWMutex guards the
-// name → *Table map (DDL takes it exclusively; every other statement
-// shares it), and each Table carries its own RWMutex guarding rows,
-// indexes and the AUTO_INCREMENT counter. Before executing, a statement
-// is walked once to collect every table it can touch — including tables
-// reached only through subqueries in any clause — and the per-table
-// locks are acquired in sorted name order (write before read for a
-// table in both sets). The global order makes deadlock impossible; the
-// split makes writes to one table invisible to readers of another. The
-// set depends on the statement text alone, so a SELECT's is computed
-// once per text and kept in its plan (plan.go); DML computes its own,
-// allocation-free, per execution.
+// The name → *Table map is an immutable catalog a statement loads once
+// (DB.cat), so the only locks are per table: each Table carries its own
+// RWMutex guarding rows, indexes and the AUTO_INCREMENT counter. Before
+// executing, a statement is walked once to collect every table it can
+// touch — including tables reached only through subqueries in any clause
+// — and the per-table locks are acquired in sorted name order (write
+// before read for a table in both sets). The global order makes deadlock
+// impossible; the split makes writes to one table invisible to readers of
+// another. The set depends on the statement text alone, so a SELECT's is
+// computed once per text and kept in its plan (plan.go); DML computes its
+// own, allocation-free, per execution.
 
 // lockSet is one statement's table-lock plan: deduplicated lowercase
 // table names with a write flag each, sorted before acquisition. The
@@ -126,14 +125,12 @@ func (ls *lockSet) walkSubqueries(stmt sqlparser.Statement) {
 }
 
 // lockTables acquires the plan's per-table locks in global (sorted-name)
-// order. Tables named by the statement but absent from the catalog are
-// skipped — execution reports ErrNoSuchTable itself. Callers must hold
-// the catalog read lock from before lockTables until after unlockTables,
-// which keeps DDL out while any table lock is held (and keeps the name →
-// *Table map stable so unlockTables resolves the same tables).
-func (db *DB) lockTables(ls *lockSet) {
+// order. Tables named by the statement but absent from cat are skipped —
+// execution reports ErrNoSuchTable itself. cat never changes, so
+// unlockTables resolves the same tables.
+func (cat *catalog) lockTables(ls *lockSet) {
 	for i, name := range ls.names {
-		t, ok := db.tables[name]
+		t, ok := cat.tables[name]
 		if !ok {
 			continue
 		}
@@ -146,9 +143,9 @@ func (db *DB) lockTables(ls *lockSet) {
 }
 
 // unlockTables releases the plan's locks in reverse order.
-func (db *DB) unlockTables(ls *lockSet) {
+func (cat *catalog) unlockTables(ls *lockSet) {
 	for i := len(ls.names) - 1; i >= 0; i-- {
-		t, ok := db.tables[ls.names[i]]
+		t, ok := cat.tables[ls.names[i]]
 		if !ok {
 			continue
 		}

@@ -19,13 +19,13 @@ import (
 // reference reads, which operator an operator is, what a literal LIKE
 // pattern matches. A plan holds exactly that. The plan of a top-level
 // statement is stored beside its cached AST (parsedQuery.plan) and stamped
-// with the catalog generation it was built under; CREATE TABLE and DROP
-// TABLE bump the generation under the catalog write lock, and runPlanned
-// compares it under the catalog read lock before it touches anything the
-// plan points to, so a plan never outlives the tables it resolved — the
-// relation the guard's verdict, in the slot next to it (parsedQuery.memo),
-// has to Store.Generation (DESIGN §6.2). A published plan is never
-// modified; a stale one is replaced by a new one.
+// with the catalog it was built against; CREATE TABLE and DROP TABLE
+// publish a new catalog, and runPlanned compares the stamp with the
+// statement's catalog before it touches anything the plan points to, so a
+// plan never serves tables other than the ones it resolved — the relation
+// the guard's verdict, in the slot next to it (parsedQuery.memo), has to
+// Store.Generation (DESIGN §6.2). A published plan is never modified; a
+// stale one is replaced by a new one.
 //
 // A plan holds nothing of one execution: a '?' placeholder binds to a leaf
 // that reads the execution's arguments when it is evaluated (opParam), so
@@ -47,10 +47,10 @@ const noExpr = -1
 // plan is what one SELECT branch, UPDATE or DELETE resolves to under one
 // schema.
 type plan struct {
-	// gen is the catalog generation the plan was built under, locks the
-	// whole statement's sorted table-lock set. Only a top-level
-	// statement's plan (planStatement) carries them.
-	gen   uint64
+	// cat is the catalog the plan was built against, locks the whole
+	// statement's sorted table-lock set. Only a top-level statement's plan
+	// (planStatement) carries them.
+	cat   *catalog
 	locks lockSet
 
 	// table is the one base table of a single-table branch or a DML
@@ -102,21 +102,20 @@ type plan struct {
 	orderBuf [4]int32
 }
 
-// planStatement plans a top-level SELECT, UPDATE or DELETE. Runs under
-// the catalog read lock; needs no table lock because it reads schemas
-// only.
-func (db *DB) planStatement(stmt sqlparser.Statement) *plan {
-	p := &plan{gen: db.gen}
+// planStatement plans a top-level SELECT, UPDATE or DELETE against cat.
+// It needs no table lock because it reads schemas only.
+func (cat *catalog) planStatement(stmt sqlparser.Statement) *plan {
+	p := &plan{cat: cat}
 	p.locks.init()
 	collectTables(&p.locks, stmt)
 	own := [1]frame{{layout: &p.layout}}
 	switch s := stmt.(type) {
 	case *sqlparser.SelectStmt:
-		db.planSelect(p, s, own[:])
+		cat.planSelect(p, s, own[:])
 	case *sqlparser.UpdateStmt:
-		db.planDML(p, s.Table, s.Where, s.OrderBy, s.Limit, s.Sets, own[:])
+		cat.planDML(p, s.Table, s.Where, s.OrderBy, s.Limit, s.Sets, own[:])
 	case *sqlparser.DeleteStmt:
-		db.planDML(p, s.Table, s.Where, s.OrderBy, s.Limit, nil, own[:])
+		cat.planDML(p, s.Table, s.Where, s.OrderBy, s.Limit, nil, own[:])
 	}
 	return p
 }
@@ -124,19 +123,19 @@ func (db *DB) planStatement(stmt sqlparser.Statement) *plan {
 // planSelect plans s if it reads exactly one base table; otherwise it
 // leaves p.table nil. frames are the enclosing levels' and, last, the
 // branch's own, pointing at p.layout.
-func (db *DB) planSelect(p *plan, s *sqlparser.SelectStmt, frames []frame) {
+func (cat *catalog) planSelect(p *plan, s *sqlparser.SelectStmt, frames []frame) {
 	if len(s.From) != 1 || s.From[0].Subquery != nil {
 		return
 	}
-	if db.planAccess(p, s.From[0].Name, s.From[0].Alias, s.Where) {
+	if cat.planAccess(p, s.From[0].Name, s.From[0].Alias, s.Where) {
 		p.bindSelect(s, frames)
 	}
 }
 
 // planDML plans an UPDATE (sets non-nil) or a DELETE.
-func (db *DB) planDML(p *plan, table string, where sqlparser.Expr, orderBy []sqlparser.OrderItem,
+func (cat *catalog) planDML(p *plan, table string, where sqlparser.Expr, orderBy []sqlparser.OrderItem,
 	limit *sqlparser.Limit, sets []sqlparser.Assignment, own []frame) {
-	if !db.planAccess(p, table, "", where) {
+	if !cat.planAccess(p, table, "", where) {
 		return
 	}
 	p.bindWhere(where, own)
@@ -159,10 +158,11 @@ func (db *DB) planDML(p *plan, table string, where sqlparser.Expr, orderBy []sql
 }
 
 // planAccess resolves the table a statement names and decides the access
-// path. It reports false, leaving p.table nil, for a table dropped since
-// validation: the executor reports that.
-func (db *DB) planAccess(p *plan, name, alias string, where sqlparser.Expr) bool {
-	t := db.tables[strings.ToLower(name)]
+// path. It reports false, leaving p.table nil, for a table cat does not
+// have — one named in a subquery in an expression, which validation does
+// not look into: the executor reports that.
+func (cat *catalog) planAccess(p *plan, name, alias string, where sqlparser.Expr) bool {
+	t := cat.tables[strings.ToLower(name)]
 	if t == nil {
 		return false
 	}
