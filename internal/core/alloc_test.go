@@ -273,7 +273,8 @@ func TestExecColdTextFullCachesAllocCeiling(t *testing.T) {
 		exec()
 	}
 	sep.SetConfig(DefaultConfig())
-	before, shapeHits := sep.Stats(), hub.Metrics.Snapshot().Gauges["engine.shape_cache.hits"]
+	shapeHits := func() int64 { return hub.Metrics.Snapshot().Histograms["engine.stage.parse.shape_hit"].Count }
+	before, hits := sep.Stats(), shapeHits()
 	if allocs := testing.AllocsPerRun(400, exec); allocs > 1 {
 		t.Errorf("a never-seen text of a known shape against a full parse cache allocates %.1f objects/op, want <= 1", allocs)
 	}
@@ -282,7 +283,7 @@ func TestExecColdTextFullCachesAllocCeiling(t *testing.T) {
 		after.QueriesChecked-before.QueriesChecked != 401 {
 		t.Fatalf("the guard measured the wrong path: %+v, then %+v", before, after)
 	}
-	if got := hub.Metrics.Snapshot().Gauges["engine.shape_cache.hits"] - shapeHits; got != 401 {
+	if got := shapeHits() - hits; got != 401 {
 		t.Fatalf("%d of 401 texts were shape hits", got)
 	}
 }

@@ -123,8 +123,8 @@ func respellWith(text string, spell func(kind int) string) string {
 // — and, every other time, a text sent with its literals respelled: a text
 // never seen, which the full parse cache refuses and the engine serves from
 // its shape's template with the text's own values and, unless it writes
-// them, the verdict the template's slot keeps, if the shape cache has or
-// takes one), from three tenants: the default domain and two
+// them, the verdict the template's slot keeps, if the cache has or takes
+// the shape), from three tenants: the default domain and two
 // HELLO-bound ones whose models differ, so the same text in the same entry
 // is benign for one and an attack for the other. Training, model deletion
 // and mode and configuration changes, each on one domain, are interleaved;
@@ -287,7 +287,7 @@ func TestCacheOnEqualsCacheOff(t *testing.T) {
 			c := pool[rng.Intn(len(pool))]
 			if c.args == nil && rng.Intn(2) == 0 {
 				// Two spellings in a row: the second sight of a shape is
-				// the one a full shape cache admits.
+				// the one a full cache admits.
 				first := call{text: respell(rng, c.text, step)}
 				agree(step, app, first)
 				c.text = respell(rng, c.text, -step)
@@ -359,17 +359,18 @@ func TestCacheOnEqualsCacheOff(t *testing.T) {
 	if g["engine.parse_cache.refused"] == 0 || g["engine.parse_cache.evictions"] == 0 {
 		t.Errorf("the parse cache never refused or never evicted: %v", g)
 	}
-	// Refused texts went all three ways: served from a template, turned
-	// away by a full shape cache, and run alone because a literal of theirs
-	// is structure.
-	if g["engine.shape_cache.hits"] == 0 || g["engine.shape_cache.refused"] == 0 || g["engine.shape_cache.unshareable"] == 0 {
-		t.Errorf("the shape cache never hit, never refused or never met a statement it cannot share: %v", g)
+	// New texts went both ways: served from their shape's template, and
+	// run alone because a literal of theirs is structure, they have no
+	// shape, or the full cache refused their shape.
+	h := on.hub.Metrics.Snapshot().Histograms
+	if h["engine.stage.parse.shape_hit"].Count == 0 || g["engine.parse_cache.unshareable"] == 0 {
+		t.Errorf("no text was served from a template, or none ran alone: %d shape hits, %v", h["engine.stage.parse.shape_hit"].Count, g)
 	}
 	if on.hook.fromShape == 0 {
 		t.Error("no respelled text was served the verdict of its shape's slot")
 	}
-	if g := slotless.hub.Metrics.Snapshot().Gauges; g["engine.shape_cache.misses"] != 0 {
-		t.Errorf("a deployment without a parse cache keyed a text by its shape: %v", g)
+	if h := slotless.hub.Metrics.Snapshot().Histograms; h["engine.stage.parse.shape_hit"].Count != 0 || h["engine.stage.parse.cache_hit"].Count != 0 {
+		t.Errorf("a deployment without a parse cache found a text or a shape: %+v", h)
 	}
 	for _, d := range []deployment{off, slotless} {
 		if c := d.sep.Stats().Cache; c.Hits != 0 || c.Misses == 0 {

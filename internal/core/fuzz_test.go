@@ -225,7 +225,7 @@ func (j *judge) BeforeExecute(ctx *engine.HookContext) error {
 
 // fullParseCache returns an engine hooked to j, with the tickets table,
 // whose 16-entry parse cache is full of texts that have no shape: a text
-// new to it is refused, and the shape cache is empty.
+// new to it is refused, and so is its shape at first sight.
 func fullParseCache(t *testing.T, j *judge) *engine.DB {
 	t.Helper()
 	const capacity = 16

@@ -122,16 +122,17 @@ func TestBoundValuesReachTheVerdict(t *testing.T) {
 // stored-injection payload spelled in the text is blocked by its plugin,
 // and a string where the model has an integer fails the model at its node —
 // a literal's kind is part of the shape, so that text is of another shape,
-// whose template its first sight makes and its second is served from.
+// which the full cache refuses at its first sight, makes a template of at
+// its second and serves from at its third.
 func literalValuesReachTheVerdict(t *testing.T) {
 	hub := obs.NewHub()
-	// 1024 entries: a shard of either cache holds 64, so 4000 texts fill
-	// every shard of the parse cache (to stay below 64 of a mean of 250 a
-	// shard would have to be 12 deviations off) and the few shapes never
-	// fill one of the shape cache — which texts are served from a template
+	// 1024 entries: a shard holds 64, so 4000 texts fill every shard (to
+	// stay below 64 of a mean of 250 a shard would have to be 12 deviations
+	// off) and a new shape is refused at its first sight and admitted at its
+	// second, whatever its shard — which texts are served from a template
 	// does not depend on the hash seed.
 	_, db, sep := trainedWaspMon(t, engine.WithParseCacheCapacity(1024), engine.WithObs(hub))
-	shapeHits := func() int64 { return hub.Metrics.Snapshot().Gauges["engine.shape_cache.hits"] }
+	shapeHits := func() int64 { return hub.Metrics.Snapshot().Histograms["engine.stage.parse.shape_hit"].Count }
 	const (
 		register = "/* waspmon:register */ INSERT INTO wm_users (username, email, notes) VALUES ('%s', '%s@example.com', '%s')"
 		profile  = "/* waspmon:profile */ SELECT username, email FROM wm_users WHERE id = %s"
@@ -153,7 +154,8 @@ func literalValuesReachTheVerdict(t *testing.T) {
 		{fmt.Sprintf(register, "mallory", "mallory", "<script>alert(document.cookie)</script>"), "septic stored-injection", 1},
 		{fmt.Sprintf(register, "carol", "carol", "likes graphs"), "", 1},
 		{fmt.Sprintf(profile, "'1'"), fmt.Sprintf(mismatch, "1"), 0},
-		{fmt.Sprintf(profile, "'1 OR 1=1'"), fmt.Sprintf(mismatch, "1 OR 1=1"), 1},
+		{fmt.Sprintf(profile, "'1 OR 1=1'"), fmt.Sprintf(mismatch, "1 OR 1=1"), 0},
+		{fmt.Sprintf(profile, "'7'"), fmt.Sprintf(mismatch, "7"), 1},
 		{fmt.Sprintf(profile, "41"), "", 1},
 	} {
 		hits, found := shapeHits(), sep.Stats().AttacksFound

@@ -9,12 +9,12 @@ import "github.com/septic-db/septic/internal/engine"
 // incremental learning), and the store record backing the hit so repeat
 // executions keep usage accounting exact.
 //
-// A verdict lives in the engine's parse-cache entry of the statement it
-// was computed from (engine.HookContext.Memo), beside the AST and the
-// plan: it is found again exactly as long as that AST is, costs no hash
-// and no lock of its own, and is bounded and evicted with the entry. The
-// slot holds one verdict per domain that judged the text, as an immutable
-// []*verdict replaced whole.
+// A verdict lives in the engine's statement-cache entry of the statement
+// it was computed from (engine.HookContext.Memo) — a text's, or its
+// shape's — beside the AST and the plan: it is found again exactly as long
+// as that entry is, costs no hash and no lock of its own, and is bounded
+// and evicted with the entry. The slot holds one verdict per domain that
+// judged the statement, as an immutable []*verdict replaced whole.
 //
 // Only benign outcomes are cached. Attacks are never memoized: every
 // occurrence must be detected, logged, and (in prevention mode) blocked
@@ -49,9 +49,10 @@ type CacheStats struct {
 	// shape lends it none, values a client bound), a slot with no verdict of
 	// the domain, and stale verdicts.
 	Misses int64
-	// Evictions reads 0: verdicts leave with their parse-cache entry, and
-	// engine.parse_cache.evictions counts those. The field stays while the
-	// benchmark contract reports core.cache_evictions.
+	// Evictions reads 0: verdicts leave with the statement-cache entry that
+	// holds their slot, a text's or a shape's, and engine.parse_cache.evictions
+	// counts those. The field stays while the benchmark contract reports
+	// core.cache_evictions.
 	Evictions int64
 	// Invalidations counts the subset of Misses caused by generation
 	// staleness (mode/config change or model-store mutation).

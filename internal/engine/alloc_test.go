@@ -89,33 +89,36 @@ func TestAllocOrderedListIndependentOfRowCount(t *testing.T) {
 	}
 }
 
-// A text seen for the first time pays for parsing and for building its
-// plan. The same select cost 38 before plans existed; the plan (the
-// struct and its column names, 2 allocations) has to cost less than it
-// saves on its first use. A WHERE clause the access path answers and a
-// SELECT list of plain columns bind nothing, so binding adds nothing
-// here. Measured 15 with the parse cache, 14 without (31 and 30 while the
-// parser allocated a string per token and a node at a time: it is 7 of the
-// 15 now, see sqlparser's TestParseAllocs).
+// A text seen for the first time, of a shape the cache holds, is a shape
+// hit plus a stored entry of its own: its values, read off it once, beside
+// its shape's statement and plan. "cache" is that path — 6, measured: the
+// entry, its values, the cache's slot for it and the result — and
+// "nocache" a text parsed and planned alone, which cost 38 before plans
+// existed: the plan (the struct and its column names, 2 allocations) has
+// to cost less than it saves on its first use. A WHERE clause the access
+// path answers and a SELECT list of plain columns bind nothing, so binding
+// adds nothing here. Measured 14 (30 while the parser allocated a string
+// per token and a node at a time: it is 7 of the 14 now, see sqlparser's
+// TestParseAllocs).
 //
-// "full" is what embed_miss runs: the parse cache holds other texts and
-// refuses this one, so the text is keyed by its shape, borrows the shape's
-// AST and plan and binds its own literal — 3, measured: the result, as for
+// "full" is what embed_miss runs: the cache holds other texts and refuses
+// this one, so the text borrows the shape's AST and plan and binds its own
+// literal, read for this execution only — 3, measured: the result, as for
 // a cached text — and the ceiling is that figure. "full, obs" is the same
 // with the stage histograms on. From the second call on every text must
 // have been a shape hit: a count that comes from parsing after all is not
 // this path's.
 //
 // "refused" is train_wal's steady state: every text has a comment of its
-// own, so every shape is new and the full shape cache refuses it too. The
-// text is then parsed and planned alone, as a refused text was before
-// shapes existed — 14, measured then and now: the key is built in pooled
-// scratch and a refusal is a tag.
+// own, so every shape is new and the full cache refuses it too. The text
+// is then parsed and planned alone, as a refused text was before shapes
+// existed — 14, measured then and now: the key is built in pooled scratch
+// and a refusal is a tag.
 //
 // "unshareable" is a shape whose literal is structure: the first text of
-// it finds that out by a template parse, the shape cache remembers, and
-// every later one is parsed and planned alone off its one scan, as before
-// shapes existed — 17 with the sort, measured then and now.
+// it finds that out by a template parse, the cache remembers, and every
+// later one is parsed and planned alone off its one scan, as before shapes
+// existed — 17 with the sort, measured then and now.
 func TestAllocColdPointSelect(t *testing.T) {
 	view := func(i int) string {
 		return fmt.Sprintf("/* ab:view */ SELECT name, phone, email, address FROM contacts WHERE id = %d", 100+i)
@@ -131,7 +134,7 @@ func TestAllocColdPointSelect(t *testing.T) {
 		text    func(int) string
 		ceiling float64
 	}{
-		"cache":       {nil, view, 16},
+		"cache":       {nil, view, 6},
 		"nocache":     {[]Option{WithParseCacheCapacity(0)}, view, 16},
 		"full":        {[]Option{WithParseCacheCapacity(16)}, view, 3},
 		"full, obs":   {[]Option{WithParseCacheCapacity(16), WithObs(obs.NewHub())}, view, 3},
@@ -143,36 +146,44 @@ func TestAllocColdPointSelect(t *testing.T) {
 			for i := 0; i < 400; i++ {          // and these 400 more shapes, or 400 more texts of one
 				mustExec(t, db, c.text(1000+i)) // (not -1-i: a minus sign is another shape, and could take this one's place)
 			}
-			before, alone := db.shapes.Stats(), db.unshareable.Load()
+			before, alone := db.stmts.Stats(), db.unshareable.Load()
+			var stages [3]int64
+			if db.obsHub != nil {
+				stages[cacheHit], stages[shapeHit], stages[cacheMiss] = parses(db)
+			}
 			got := execAllocs(t, db, 400, c.text) // 401 calls, 401 texts
 			// One of the counted allocations is this test's Sprintf.
 			if got-1 > c.ceiling {
 				t.Errorf("cold point select allocates %.1f objects/op, want <= %v", got-1, c.ceiling)
 			}
-			parsed, shapes := db.parsed.Stats(), db.shapes.Stats()
+			// Every call looks its text up and misses; hits are shapes found.
+			after := db.stmts.Stats()
+			hits, misses, refused, parsedAlone := after.Hits-before.Hits, after.Misses-before.Misses, after.Refused-before.Refused, db.unshareable.Load()-alone
 			switch name {
+			case "cache":
+				if hits != 401 || misses != 401 || after.Entries-before.Entries != 401 || parsedAlone != 0 {
+					t.Errorf("not every call was a shape hit stored under its text: %+v then %+v", before, after)
+				}
+			case "nocache":
+				if hits != 0 || parsedAlone != 0 {
+					t.Errorf("a deployment without a cache found a shape: %+v then %+v", before, after)
+				}
 			case "full", "full, obs":
-				if parsed.Evictions != 0 || parsed.Refused < 401 || shapes.Hits-before.Hits != 401 {
-					t.Errorf("not every call was a shape hit behind a full parse cache: %+v, shapes %+v then %+v", parsed, before, shapes)
+				if after.Evictions != before.Evictions || refused != 401 || hits != 401 || misses != 401 || parsedAlone != 0 {
+					t.Errorf("not every call was a shape hit behind a full cache: %+v then %+v", before, after)
 				}
 				if db.obsHub != nil {
-					// The first text of a shape was parsed, as its template: a miss.
-					h := db.obsHub.Metrics.Snapshot().Histograms
-					if hit, miss := h["engine.stage.parse.shape_hit"].Count, h["engine.stage.parse.cache_miss"].Count; hit != shapes.Hits || miss != parsed.Misses-shapes.Hits {
-						t.Errorf("parse-stage histograms count %d shape hits and %d misses, the caches %d and %d", hit, miss, shapes.Hits, parsed.Misses-shapes.Hits)
+					if hit, shape, miss := parses(db); hit != stages[cacheHit] || shape-stages[shapeHit] != 401 || miss != stages[cacheMiss] {
+						t.Errorf("parse-stage histograms count %d hits, %d shape hits and %d misses, were %v", hit, shape, miss, stages)
 					}
 				}
 			case "refused":
-				if shapes.Refused-before.Refused != 401 || shapes.Hits != before.Hits || shapes.Entries != before.Entries {
-					t.Errorf("not every call was refused by both caches: shapes %+v then %+v", before, shapes)
+				if refused != 802 || hits != 0 || after.Entries != before.Entries || parsedAlone != 401 {
+					t.Errorf("not every call was refused twice, text and shape: %+v then %+v", before, after)
 				}
 			case "unshareable":
-				if shapes.Hits-before.Hits != 401 || db.unshareable.Load()-alone != 401 || shapes.Entries != before.Entries {
-					t.Errorf("not every call found its shape remembered as unshareable: %d more, shapes %+v then %+v", db.unshareable.Load()-alone, before, shapes)
-				}
-			default:
-				if shapes.Hits+shapes.Misses != 0 {
-					t.Errorf("a text the parse cache takes, or a deployment without one, reached the shape cache: %+v", shapes)
+				if hits != 401 || parsedAlone != 401 || after.Entries != before.Entries {
+					t.Errorf("not every call found its shape remembered as unshareable: %d parsed alone, %+v then %+v", parsedAlone, before, after)
 				}
 			}
 		})

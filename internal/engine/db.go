@@ -34,8 +34,8 @@ type HookContext struct {
 	// actually consumed. Raw != Decoded signals confusable folding.
 	Decoded string
 	// Stmt is the validated statement. It may be shared with the engine's
-	// parse cache and with other sessions executing the same query text:
-	// hooks must treat it as read-only.
+	// statement cache and with other sessions executing a text of the same
+	// shape: hooks must treat it as read-only.
 	Stmt sqlparser.Statement
 	// Comments are the comment bodies found in the query, in order. The
 	// first one may carry the application-supplied external identifier.
@@ -50,29 +50,29 @@ type HookContext struct {
 	// the Placeholder with Index i stands for Args[i], and there are
 	// exactly Stmt.NumParams() of them. They are the caller's arguments,
 	// or — when Stmt is the template of the text's shape (see parseMiss) —
-	// the values of the text's own literals, read off it for this
-	// execution. Nil for a statement whose Stmt holds its literals itself.
-	// Read-only, like Stmt, and valid only as long as the HookContext is.
+	// the values of the text's own literals, read off it once while it is
+	// resident and per execution while it is not. Nil for a statement
+	// whose Stmt holds its literals itself. Read-only, like Stmt, and valid
+	// only as long as the HookContext is.
 	Args []Value
 	// Memo is the hook's slot in the engine's memory of this Stmt: what a
-	// hook leaves there it finds again at the next execution of the same
-	// text — or, when Stmt is the template of the text's shape, of any text
-	// of that shape — for as long as the engine keeps the Stmt it was
-	// computed from, and no longer. Texts of one shape differ only in the
-	// spelling of their values, each literal keeping its token kind, so
-	// their data nodes agree in type and they share the slot; except when
-	// the statement writes its values (INSERT, UPDATE), which are then
-	// judged one by one. Nil when there is nothing to hang it on — the
-	// parse cache is off, or refused the text at first sight and its shape
-	// has no template — and when the client bound Args, whose kinds may
-	// change from call to call. Unlike the HookContext the slot may be kept
-	// and written after BeforeExecute returns. Every session executing the
-	// Stmt shares it: publish immutable values and replace them, never
-	// modify one.
+	// hook leaves there it finds again at the next execution of the Stmt,
+	// for as long as the engine keeps the entry the slot hangs on. Every
+	// text of a shape with a template shares the template's slot, resident
+	// or not: texts of one shape differ only in the spelling of their
+	// values, each literal keeping its token kind, so their data nodes
+	// agree in type. A statement that writes its values (INSERT, UPDATE)
+	// is judged text by text: its slot is the resident text's own. Nil
+	// when nothing would find it again — the cache is off, or holds neither
+	// the text nor, for a read, its shape — and when the client bound Args,
+	// whose kinds may change from call to call. Unlike the HookContext the
+	// slot may be kept and written after BeforeExecute returns. Every
+	// session executing the Stmt shares it: publish immutable values and
+	// replace them, never modify one.
 	Memo *Memo
 }
 
-// Memo is the slot a parse-cache entry keeps for the hook; see
+// Memo is the slot a statement-cache entry keeps for the hook; see
 // HookContext.Memo. The engine never reads it.
 type Memo = atomic.Pointer[any]
 
@@ -109,17 +109,18 @@ func WithClock(clock func() time.Time) Option {
 
 // DefaultParseCacheCapacity bounds the statement cache when the
 // deployment does not choose its own size. An application's set of
-// distinct statement texts is small; 4096 entries hold it with headroom.
+// distinct statement texts and their shapes is small; 4096 entries hold
+// it with headroom.
 const DefaultParseCacheCapacity = 4096
 
-// WithParseCacheCapacity bounds the parsed-statement cache to n entries;
-// n = 0 disables statement caching (every Exec re-parses).
+// WithParseCacheCapacity bounds the statement cache to n entries, texts
+// and shapes together; n = 0 disables it (every Exec parses).
 func WithParseCacheCapacity(n int) Option {
 	return func(db *DB) { db.parseCap = n }
 }
 
 // WithObs installs an observability hub: per-stage latency histograms
-// (parse split by parse-cache hit/miss, validate, hook, execute, total)
+// (parse split by cache hit/shape hit/miss, validate, hook, execute, total)
 // and engine/parse-cache counters exported as gauge funcs. The default —
 // no hub — keeps the pipeline on its zero-instrumentation path behind a
 // single nil check.
@@ -146,15 +147,12 @@ type DB struct {
 	// a nil pointer means WithQueryHook was never called.
 	hook atomic.Pointer[QueryHook]
 
-	// parsed caches parse results by raw query text, so a repeated
-	// statement skips lexing and parsing entirely. Cached ASTs are
-	// shared and nothing writes to one: the hook and the executors read
-	// an execution's arguments beside it (see exec). shapes, of the same
-	// capacity, holds templates by shape key for the texts parsed refuses
-	// (parseMiss); unshareable counts those with no shape to share.
-	parsed, shapes *txtcache.Cache[*parsedQuery]
-	parseCap       int
-	unshareable    atomic.Int64
+	// stmts maps query texts and shape keys to their entries (parsedQuery):
+	// a repeated text is not scanned, a new text of a known shape is not
+	// parsed. unshareable counts the texts given an AST of their own.
+	stmts       *txtcache.Cache[*parsedQuery]
+	parseCap    int
+	unshareable atomic.Int64
 
 	executed atomic.Int64
 	blocked  atomic.Int64
@@ -179,19 +177,17 @@ type stageHists struct {
 	total    *obs.Histogram
 }
 
-// parsedQuery is one memoized parse: the statement, the decoded text the
-// parser consumed, and the extracted comments. All three are immutable
-// after insertion. Two fields are set later, each published whole and
-// replaced, never modified: plan, the plan of a SELECT, UPDATE or DELETE,
-// by the first execution and again when it was built against another
-// catalog (plan.go); memo by the hook (HookContext.Memo). Both are derived
-// from stmt and leave the cache with it.
+// parsedQuery is an entry of the statement cache. A statement entry is one
+// memoized parse: the statement, the decoded text the parser consumed and
+// the comments, immutable after insertion, and two fields published whole
+// and replaced, never modified: plan, the plan of a SELECT, UPDATE or
+// DELETE (plan.go), and memo, the hook's (HookContext.Memo).
 //
-// An entry of the shape cache is the same thing for every text of one
-// shape: tmpl is set, stmt is tmpl.Stmt, the comments are the shape's, and
-// decoded stays empty — the text is each execution's own. memo is the
-// shape's unless the statement writes its values (see HookContext.Memo).
-// A shape that has no template is held as noTemplate.
+// Under a shape key is the shape's template (tmpl set, stmt tmpl.Stmt, no
+// decoded text) or noTemplate. Under a text is a statement entry of the
+// text's own or, for a text of a shape with a template, an index into it:
+// shape, args (the text's values), decoded, and memo, its slot for a
+// statement that writes its values.
 type parsedQuery struct {
 	stmt     sqlparser.Statement
 	decoded  string
@@ -199,6 +195,8 @@ type parsedQuery struct {
 	plan     atomic.Pointer[plan]
 	memo     Memo
 	tmpl     *sqlparser.Template
+	shape    *parsedQuery
+	args     []Value
 }
 
 // The ways a text gets its AST: the index of its parse-stage histogram.
@@ -215,8 +213,7 @@ func New(opts ...Option) *DB {
 	for _, o := range opts {
 		o(db)
 	}
-	db.parsed = txtcache.New[*parsedQuery](db.parseCap)
-	db.shapes = txtcache.New[*parsedQuery](db.parseCap)
+	db.stmts = txtcache.New[*parsedQuery](db.parseCap)
 	if db.obsHub != nil {
 		m := db.obsHub.Metrics
 		db.stage = &stageHists{
@@ -233,16 +230,12 @@ func New(opts ...Option) *DB {
 		m.GaugeFunc("engine.executed", db.executed.Load)
 		m.GaugeFunc("engine.blocked", db.blocked.Load)
 		m.GaugeFunc("engine.failed", db.failed.Load)
-		m.GaugeFunc("engine.parse_cache.entries", func() int64 { return int64(db.parsed.Stats().Entries) })
-		m.GaugeFunc("engine.parse_cache.hits", func() int64 { return db.parsed.Stats().Hits })
-		m.GaugeFunc("engine.parse_cache.misses", func() int64 { return db.parsed.Stats().Misses })
-		m.GaugeFunc("engine.parse_cache.evictions", func() int64 { return db.parsed.Stats().Evictions })
-		m.GaugeFunc("engine.parse_cache.refused", func() int64 { return db.parsed.Stats().Refused })
-		m.GaugeFunc("engine.shape_cache.entries", func() int64 { return int64(db.shapes.Stats().Entries) })
-		m.GaugeFunc("engine.shape_cache.hits", func() int64 { return db.shapes.Stats().Hits })
-		m.GaugeFunc("engine.shape_cache.misses", func() int64 { return db.shapes.Stats().Misses })
-		m.GaugeFunc("engine.shape_cache.refused", func() int64 { return db.shapes.Stats().Refused })
-		m.GaugeFunc("engine.shape_cache.unshareable", db.unshareable.Load)
+		m.GaugeFunc("engine.parse_cache.entries", func() int64 { return int64(db.stmts.Stats().Entries) })
+		m.GaugeFunc("engine.parse_cache.hits", func() int64 { return db.stmts.Stats().Hits })
+		m.GaugeFunc("engine.parse_cache.misses", func() int64 { return db.stmts.Stats().Misses })
+		m.GaugeFunc("engine.parse_cache.evictions", func() int64 { return db.stmts.Stats().Evictions })
+		m.GaugeFunc("engine.parse_cache.refused", func() int64 { return db.stmts.Stats().Refused })
+		m.GaugeFunc("engine.parse_cache.unshareable", db.unshareable.Load)
 	}
 	return db
 }
@@ -317,7 +310,7 @@ func (db *DB) ExecAppContext(ctx context.Context, app, query string, args ...Val
 // stageErr reports a context that died between pipeline stages.
 func (db *DB) stageErr(ctx context.Context, stage string) error {
 	if err := ctx.Err(); err != nil {
-		db.countFailed()
+		db.failed.Add(1)
 		return fmt.Errorf("query aborted before %s: %w", stage, err)
 	}
 	return nil
@@ -338,144 +331,154 @@ func (db *DB) exec(ctx context.Context, query, app string, args []Value) (*Resul
 	if err := db.stageErr(ctx, "parse"); err != nil {
 		return nil, err
 	}
-	// Parse cache: a byte-identical repeat of a statement text reuses the
-	// memoized AST, decoded text and comments. The cached AST is shared
-	// between sessions, which is safe because every execution path only
-	// reads it. Parse errors are not cached: a failing text re-parses
-	// (and re-fails) each time, keeping the cache free of junk keys.
-	pq, cached, admits := db.parsed.Lookup(query)
-	how, decoded, resident := cacheHit, "", cached
-	var scratch *[]Value
-	if cached {
-		decoded = pq.decoded
-	} else {
-		decoded = sqlparser.DecodeCharset(query)
+	// A repeated text reuses its entry: its own statement, or its shape's
+	// and its values. Cached ASTs are shared and only ever read. Parse
+	// errors are not cached: a failing text re-parses (and re-fails).
+	te, hit, admits := db.stmts.Lookup(query)
+	if hit && te.tmpl != nil { // a text spelling a shape key: no text's entry
+		hit, admits = false, false
+	}
+	how, resident := cacheHit, hit
+	if !hit {
 		var err error
-		pq, scratch, how, err = db.parseMiss(decoded, !admits && args == nil && db.parseCap > 0)
-		switch {
-		case err != nil:
-			db.countFailed()
+		if te, how, resident, err = db.parseMiss(query, admits, len(args) == 0 && db.parseCap > 0); err != nil {
+			db.failed.Add(1)
 			return nil, fmt.Errorf("parse: %w", err)
-		case scratch != nil:
-			args = *scratch
-		case admits:
-			resident = db.parsed.Put(query, pq)
 		}
 	}
-	if args != nil && scratch == nil {
+	// A text of a shape runs the shape's statement on its values, and has
+	// no placeholder of its own to hold a client's arguments to.
+	se, own := te, 0
+	if te.shape != nil {
+		se = te.shape
+	} else {
+		own = te.stmt.NumParams()
+	}
+	if args != nil {
 		var err error
-		if args, err = checkArgs(pq.stmt.NumParams(), args); err != nil {
-			db.countFailed()
+		if args, err = checkArgs(own, args); err != nil {
+			db.failed.Add(1)
 			return nil, err
 		}
+	}
+	var memo *Memo
+	if se.tmpl != nil && !writesValues(se.stmt) {
+		memo = &se.memo
+	} else if resident && len(args) == 0 {
+		memo = &te.memo
+	}
+	if te.shape != nil {
+		args = te.args
 	}
 	if st != nil {
 		now := time.Now()
 		st.parse[how].Observe(now.Sub(stageStart))
 		stageStart = now
 	}
-	res, err := db.run(ctx, st, execStart, stageStart, query, decoded, app, pq, args, resident)
-	if scratch != nil {
-		releaseArgs(scratch)
+	res, err := db.run(ctx, st, execStart, stageStart, query, te.decoded, app, se, args, memo)
+	if te.shape != nil && !resident {
+		releaseText(te)
 	}
 	return res, err
 }
 
-// argScratch recycles the arguments a shape hit reads off its text.
-var argScratch = sync.Pool{New: func() any { return new([]Value) }}
+// textScratch recycles the entries of texts of a shape the cache does not
+// store; releaseText hands one back emptied, so no text stays pinned.
+var textScratch = sync.Pool{New: func() any { return new(parsedQuery) }}
 
-// releaseArgs hands such arguments back, emptied: no text stays pinned
-// while they are pooled.
-func releaseArgs(vals *[]Value) {
-	clear(*vals)
-	*vals = (*vals)[:0]
-	argScratch.Put(vals)
+func releaseText(te *parsedQuery) {
+	clear(te.args)
+	*te = parsedQuery{args: te.args[:0]}
+	textScratch.Put(te)
 }
 
-// parseMiss gives a text the parse cache does not hold its statement, and
-// says how: shapeHit if nothing was parsed for it, cacheMiss otherwise.
-// With shape set — the cache refused the text, so an AST of its own would
-// be thrown away once it has run, and the client bound no arguments — the
-// one scan first keys the text by its shape: if the shape has a template,
-// or may get one, the statement is the shape's, plan included, and the
-// literals of this text are the arguments of this execution, returned in
-// a scratch slice for the caller to hand back. Otherwise, and for a shape
-// the shape cache refuses or a statement that has none, the text is
-// parsed on its own off the same scan.
-func (db *DB) parseMiss(decoded string, shape bool) (*parsedQuery, *[]Value, int, error) {
+// parseMiss builds the entry of a text the cache does not hold, stores it
+// if admits, and says how the text got its statement (shapeHit: nothing
+// was parsed) and whether the entry is resident. With shape set the one
+// scan keys the text by its shape; if that has a template, or gets one,
+// the entry is the text's values for it. Any other text — no literal, one
+// that is structure, a shape refused or none — is parsed on its own.
+func (db *DB) parseMiss(query string, admits, shape bool) (*parsedQuery, int, bool, error) {
+	decoded := sqlparser.DecodeCharset(query)
 	p := sqlparser.Scan(decoded)
 	defer p.Release()
-	var found []byte // the key of a shape found just now to have no template
+	var key []byte
 	if shape {
-		if key := p.ShapeKey(); key == nil {
-			db.unshareable.Add(1)
-		} else if tq, vals, how, err := db.template(p, key); tq == noTemplate {
-			db.unshareable.Add(1)
-			if how == cacheMiss {
-				found = key
-			}
-		} else if tq != nil || err != nil {
-			return tq, vals, how, err
+		key = p.ShapeKey()
+	}
+	se, how := (*parsedQuery)(nil), cacheMiss
+	if key != nil && string(key) != decoded { // a text with no literal is its own shape
+		var err error
+		if se, how, err = db.shapeOf(p, key); err != nil {
+			return nil, how, false, err
 		}
+	}
+	if se != nil && se != noTemplate {
+		var te *parsedQuery
+		if admits {
+			te = &parsedQuery{args: make([]Value, 0, se.stmt.NumParams())}
+		} else {
+			te = textScratch.Get().(*parsedQuery)
+		}
+		te.shape, te.decoded = se, decoded
+		for i := range se.stmt.NumParams() {
+			lit, err := p.Value(se.tmpl, i)
+			if err != nil {
+				releaseText(te)
+				return nil, how, false, err
+			}
+			te.args = append(te.args, LiteralValue(&lit))
+		}
+		return te, how, admits && db.stmts.Put(query, te), nil
 	}
 	stmt, err := p.Parse()
 	if err != nil {
-		return nil, nil, cacheMiss, err
+		return nil, cacheMiss, false, err
 	}
-	if found != nil {
-		db.shapes.Put(string(found), noTemplate) // only now: a text that does not parse is not remembered
+	if se == noTemplate && how == cacheMiss { // only now: a text that does not parse is not remembered
+		db.stmts.Put(string(key), noTemplate)
 	}
-	return &parsedQuery{stmt: stmt, decoded: decoded, comments: stmt.StatementComments()}, nil, cacheMiss, nil
+	if shape {
+		db.unshareable.Add(1)
+	}
+	te := &parsedQuery{stmt: stmt, decoded: decoded, comments: stmt.StatementComments()}
+	return te, cacheMiss, admits && db.stmts.Put(query, te), nil
 }
 
-// noTemplate is the shape cache's entry for a shape with a literal that is
-// structure: its texts are parsed one by one, without trying again.
-var noTemplate = new(parsedQuery)
+// noTemplate is the cache's entry for a shape with a literal that is
+// structure: its texts are parsed one by one, without trying again. Its
+// tmpl, empty, marks it a shape's entry like any other.
+var noTemplate = &parsedQuery{tmpl: new(sqlparser.Template)}
 
-// template returns the shape cache's entry for the scanned text, whose
-// shape key is key, and the text's values for it. A shape met for the
-// first time is parsed as a template here, once, and this execution runs
-// from that parse (a cacheMiss, then). Without values the text goes its
-// own way: the entry is nil if the shape cache is full and refused the
-// shape at first sight, noTemplate if a literal of the statement is
-// structure — found by this parse or by an earlier one.
-func (db *DB) template(p *sqlparser.Parser, key []byte) (*parsedQuery, *[]Value, int, error) {
-	tq, hit, admits := db.shapes.LookupBytes(key)
-	how := shapeHit
-	if !hit {
-		if !admits {
-			return nil, nil, how, nil
-		}
-		how = cacheMiss
-		tmpl, err := p.ParseTemplate()
-		if errors.Is(err, sqlparser.ErrUnshareable) {
-			return noTemplate, nil, how, nil
-		}
-		if err != nil {
-			return nil, nil, how, err
-		}
-		tq = &parsedQuery{stmt: tmpl.Stmt, comments: tmpl.Stmt.StatementComments(), tmpl: tmpl}
-		db.shapes.Put(string(key), tq)
+// shapeOf returns the entry of the shape keyed key: a shape met for the
+// first time is parsed as a template here, once (a cacheMiss). It is nil if
+// a full cache refused the shape at first sight, noTemplate if a literal of
+// the statement is structure.
+func (db *DB) shapeOf(p *sqlparser.Parser, key []byte) (*parsedQuery, int, error) {
+	se, hit, admits := db.stmts.LookupBytes(key)
+	switch {
+	case hit && se.tmpl != nil:
+		return se, shapeHit, nil
+	case hit || !admits: // a text's entry under the key, or a refusal
+		return nil, shapeHit, nil
 	}
-	if tq == noTemplate {
-		return tq, nil, how, nil
+	tmpl, err := p.ParseTemplate()
+	if errors.Is(err, sqlparser.ErrUnshareable) {
+		return noTemplate, cacheMiss, nil
 	}
-	vals := argScratch.Get().(*[]Value)
-	for i, n := 0, tq.stmt.NumParams(); i < n; i++ {
-		lit, err := p.Value(tq.tmpl, i)
-		if err != nil {
-			releaseArgs(vals)
-			return nil, nil, how, err
-		}
-		*vals = append(*vals, LiteralValue(&lit))
+	if err != nil {
+		return nil, cacheMiss, err
 	}
-	return tq, vals, how, nil
+	se = &parsedQuery{stmt: tmpl.Stmt, comments: tmpl.Stmt.StatementComments(), tmpl: tmpl}
+	db.stmts.Put(string(key), se)
+	return se, cacheMiss, nil
 }
 
 // run takes a parsed statement through the rest of the pipeline: validate,
-// hook, execute, all three against the one catalog it loads.
+// hook, execute, all three against the one catalog it loads. pq is the
+// statement's entry, memo the hook's slot for this execution.
 func (db *DB) run(ctx context.Context, st *stageHists, execStart, stageStart time.Time,
-	query, decoded, app string, pq *parsedQuery, args []Value, resident bool) (*Result, error) {
+	query, decoded, app string, pq *parsedQuery, args []Value, memo *Memo) (*Result, error) {
 	stmt := pq.stmt
 	faultinject.Hit(faultinject.SiteEngineValidate)
 	if err := db.stageErr(ctx, "validate"); err != nil {
@@ -483,7 +486,7 @@ func (db *DB) run(ctx context.Context, st *stageHists, execStart, stageStart tim
 	}
 	cat := db.cat.Load()
 	if err := cat.validate(stmt); err != nil {
-		db.countFailed()
+		db.failed.Add(1)
 		return nil, err
 	}
 	if st != nil {
@@ -508,9 +511,7 @@ func (db *DB) run(ctx context.Context, st *stageHists, execStart, stageStart tim
 			Comments: pq.comments,
 			App:      app,
 			Args:     args,
-		}
-		if resident && len(args) == 0 || pq.tmpl != nil && !writesValues(stmt) {
-			hctx.Memo = &pq.memo
+			Memo:     memo,
 		}
 		err := hook.BeforeExecute(hctx)
 		*hctx = HookContext{} // pin nothing while pooled
@@ -524,9 +525,9 @@ func (db *DB) run(ctx context.Context, st *stageHists, execStart, stageStart tim
 			// Only a deliberate security drop counts as blocked; a hook
 			// infrastructure failure is an ordinary failed query.
 			if errors.Is(err, ErrQueryBlocked) {
-				db.countBlocked()
+				db.blocked.Add(1)
 			} else {
-				db.countFailed()
+				db.failed.Add(1)
 			}
 			return nil, err
 		}
@@ -543,7 +544,7 @@ func (db *DB) run(ctx context.Context, st *stageHists, execStart, stageStart tim
 	}
 	res, err := db.execute(cat, stmt, pq, args)
 	if err != nil {
-		db.countFailed()
+		db.failed.Add(1)
 		return nil, err
 	}
 	db.executed.Add(1)
@@ -575,14 +576,6 @@ func (db *DB) currentHook() QueryHook {
 		return *p
 	}
 	return nil
-}
-
-func (db *DB) countFailed() {
-	db.failed.Add(1)
-}
-
-func (db *DB) countBlocked() {
-	db.blocked.Add(1)
 }
 
 // validate checks the statement against the catalog: referenced tables
@@ -827,7 +820,7 @@ func (db *DB) publish(key string, t *Table) {
 // written to, so only then is there a copy.
 func checkArgs(n int, args []Value) ([]Value, error) {
 	if n > len(args) {
-		return nil, fmt.Errorf("not enough arguments: placeholder %d of %d bound", len(args)+1, len(args))
+		return nil, fmt.Errorf("not enough arguments: %d placeholders, %d args", n, len(args))
 	}
 	if n < len(args) {
 		return nil, fmt.Errorf("too many arguments: %d placeholders, %d args", n, len(args))

@@ -6,6 +6,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"github.com/septic-db/septic/internal/sqlparser"
 )
 
 // testDB builds a DB pre-loaded with the demo schema used across tests.
@@ -650,7 +652,9 @@ func TestExecArgsIsInjectionProof(t *testing.T) {
 // TestExecArgsArityErrors: arguments are held to the statement's
 // placeholder count before validation — the hook never sees the call —
 // and a '?' executed with no arguments at all fails when a row evaluates
-// it, after the hook has; each is a failed query, worded as ever.
+// it, after the hook has; each is a failed query. A resident text of a
+// shape runs its template on its own values, but a client's arguments are
+// held to the text's placeholders — it has none — not to the template's.
 func TestExecArgsArityErrors(t *testing.T) {
 	var hooked int
 	db := testDB(t)
@@ -661,8 +665,8 @@ func TestExecArgsArityErrors(t *testing.T) {
 		err    string
 		hooked int
 	}{
-		{[]Value{Str("lisbon")}, "not enough arguments: placeholder 2 of 1 bound", 0},
-		{[]Value{}, "not enough arguments: placeholder 1 of 0 bound", 0},
+		{[]Value{Str("lisbon")}, "not enough arguments: 2 placeholders, 1 args", 0},
+		{[]Value{}, "not enough arguments: 2 placeholders, 0 args", 0},
 		{[]Value{Str("lisbon"), Int(0), Int(1)}, "too many arguments: 2 placeholders, 3 args", 0},
 		{nil, "unbound placeholder: use ExecArgs", 1},
 	} {
@@ -677,8 +681,11 @@ func TestExecArgsArityErrors(t *testing.T) {
 				len(c.args), hooked, c.hooked, db.Stats().Failed-failed)
 		}
 	}
-	if _, err := db.ExecArgs("SELECT 1 FROM users", Int(1)); err == nil || err.Error() != "too many arguments: 0 placeholders, 1 args" {
-		t.Errorf("an argument for a text without placeholders: err = %v", err)
+	for _, q := range []string{"SELECT 1 FROM users", "SELECT name FROM users WHERE id = 1"} {
+		mustExec(t, db, q)
+		if _, err := db.ExecArgs(q, Int(1)); err == nil || err.Error() != "too many arguments: 0 placeholders, 1 args" {
+			t.Errorf("an argument for resident %q: err = %v", q, err)
+		}
 	}
 	if _, err := db.ExecArgs("SELECT ? FROM users"); err == nil {
 		t.Error("missing arg must fail")
@@ -706,12 +713,13 @@ func TestExecArgsOfAnyKind(t *testing.T) {
 }
 
 // TestHookMemoFollowsTheParseEntry: the hook's slot is the entry of the
-// Stmt — the same one at every execution of a resident text, holding what
-// was left in it, and the template's for every text a full parse cache
-// refuses of a shape that has one — and there is none when the engine will
-// not find the statement again or the text does not fix its values' kinds:
-// the parse cache off, a refused text whose shape has no template or was
-// refused too, a template that writes its values, values a client bound.
+// Stmt — the template's for every text of a shape that has one, resident
+// or not, and a resident text's own for a statement of its own or one that
+// writes its values — holding what was left in it, and there is none when
+// the engine will not find the statement again or the text does not fix its
+// values' kinds: the cache off, a refused text whose shape has no template
+// or was refused too, a refused text that writes its values, values a
+// client bound.
 func TestHookMemoFollowsTheParseEntry(t *testing.T) {
 	var memo *Memo
 	var bound bool // the last statement ran with arguments beside it
@@ -729,8 +737,8 @@ func TestHookMemoFollowsTheParseEntry(t *testing.T) {
 	db := testDB(t)
 	db.SetHook(hook)
 	first := exec(db, byCity)
-	if first == nil {
-		t.Fatal("no slot for a text the parse cache stored")
+	if first == nil || !bound {
+		t.Fatalf("a text the cache stored, of a shape with a template: slot %p, bound %t", first, bound)
 	}
 	left := any("left by the hook")
 	first.Store(&left)
@@ -740,36 +748,44 @@ func TestHookMemoFollowsTheParseEntry(t *testing.T) {
 	if exec(db, byCity, []Value{}...) != first {
 		t.Error("an empty argument list is no bound value: same text, same slot")
 	}
+	if exec(db, "SELECT name FROM users WHERE city = 'braga'") != first {
+		t.Error("two resident texts of one shape: not the template's slot both times")
+	}
 	if exec(db, byCityArg, Str("porto")) != nil || exec(db, byCityArg, Str("porto")) != nil {
 		t.Error("a slot for an execution that binds values: their kinds may change from call to call")
+	}
+	own := exec(db, "SELECT name FROM users WHERE city = 'c' ORDER BY 1")
+	if own == nil || bound || exec(db, "SELECT name FROM users WHERE city = 'c' ORDER BY 1") != own {
+		t.Error("a resident text whose shape has no template: not a slot of its own, the same one")
+	}
+	const insert = "INSERT INTO users (name, city) VALUES ('n%d', 'c')"
+	written := exec(db, fmt.Sprintf(insert, 1))
+	if written == nil || !bound || exec(db, fmt.Sprintf(insert, 1)) != written || exec(db, fmt.Sprintf(insert, 2)) == written {
+		t.Error("a resident text that writes its values: not a slot of its own, the same one")
 	}
 
 	off := New(WithParseCacheCapacity(0), WithQueryHook(hook))
 	mustExec(t, off, "CREATE TABLE users (name TEXT, city TEXT)")
 	if exec(off, byCity) != nil || exec(off, byCity) != nil {
-		t.Error("a slot with the parse cache off: nothing would ever find it again")
+		t.Error("a slot with the cache off: nothing would ever find it again")
 	}
 
 	full := New(WithParseCacheCapacity(16), WithQueryHook(hook))
 	mustExec(t, full, "CREATE TABLE users (name TEXT, city TEXT)")
-	for i := 0; full.parsed.Len() < full.parsed.Capacity(); i++ {
+	for i := 0; full.stmts.Len() < full.stmts.Capacity(); i++ {
 		exec(full, fmt.Sprintf("SELECT name FROM users WHERE city = 'c%d'", i))
 	}
 	shaped := exec(full, byCity)
 	if shaped == nil || !bound {
-		t.Fatalf("a text the full parse cache refused, of a shape with a template: slot %p, bound %t", shaped, bound)
+		t.Fatalf("a text the full cache refused, of a shape with a template: slot %p, bound %t", shaped, bound)
 	}
-	admitted := exec(full, byCity)
-	if admitted == nil || admitted == shaped || exec(full, byCity) != admitted {
-		t.Error("the second offer is admitted: a slot of its own from then on, the same one")
-	}
-	if exec(full, "SELECT name FROM users WHERE city = 'braga'") != shaped {
-		t.Error("two refused texts of one shape: not the template's slot both times")
+	if exec(full, byCity) != shaped || exec(full, "SELECT name FROM users WHERE city = 'braga'") != shaped {
+		t.Error("a read admitted at its second offer, or another refused text of its shape: not the template's slot")
 	}
 	for _, write := range []string{"INSERT INTO users (name, city) VALUES ('n%d', 'c')", "UPDATE users SET city = 'c%d' WHERE name = 'n'"} {
 		for i := 0; i < 3; i++ { // the shape is admitted at its second sight at the latest
-			if exec(full, fmt.Sprintf(write, i)) != nil {
-				t.Errorf("a slot for %q: its verdict reads the values it writes", fmt.Sprintf(write, i))
+			if exec(full, fmt.Sprintf(write, 10+i)) != nil {
+				t.Errorf("a slot for refused %q: its verdict reads the values it writes", fmt.Sprintf(write, 10+i))
 			}
 		}
 		if !bound {
@@ -782,14 +798,45 @@ func TestHookMemoFollowsTheParseEntry(t *testing.T) {
 			t.Error("a slot for a refused text whose shape has no template")
 		}
 	}
-	if n := full.unshareable.Load() - alone; n < 2 { // all but a first sight the shape cache refused
-		t.Errorf("%d of 3 texts ORDER BY a position were found to have no template", n)
-	}
-	for i := 0; full.shapes.Len() < full.shapes.Capacity(); i++ {
-		exec(full, fmt.Sprintf("/* shape %d */ SELECT name FROM users WHERE city = 'c'", i))
+	if n := full.unshareable.Load() - alone; n != 3 {
+		t.Errorf("%d of 3 texts ORDER BY a position were parsed alone", n)
 	}
 	if exec(full, "SELECT city FROM users WHERE name = 'n'") != nil || bound {
-		t.Error("a slot for a text whose shape the full shape cache refused")
+		t.Error("a slot for a text whose shape the full cache refused")
+	}
+}
+
+// TestResidentTextsShareTheirShape: two resident texts of one shape hand
+// the hook the same Stmt, run the same plan and are found in one parse;
+// each keeps its own values, read off it once.
+func TestResidentTextsShareTheirShape(t *testing.T) {
+	var stmt sqlparser.Statement
+	var args []Value
+	db := testDB(t)
+	db.SetHook(hookFunc(func(ctx *HookContext) error { stmt, args = ctx.Stmt, ctx.Args; return nil }))
+	texts := []string{"SELECT name FROM users WHERE city = 'porto'", "SELECT name FROM users WHERE city = 'braga'"}
+	values := []Value{Str("porto"), Str("braga")}
+	var stmts [2]sqlparser.Statement
+	var plans [2]*plan
+	for round := 0; round < 2; round++ {
+		for i, q := range texts {
+			mustExec(t, db, q)
+			te, hit, _ := db.stmts.Lookup(q)
+			if !hit || te.shape == nil {
+				t.Fatalf("%s is not resident as a text of its shape", q)
+			}
+			if len(args) != 1 || &args[0] != &te.args[0] || args[0] != values[i] {
+				t.Errorf("%s bound %v, not its values as stored", q, args)
+			}
+			if round == 0 {
+				stmts[i], plans[i] = stmt, te.shape.plan.Load()
+			} else if stmt != stmts[i] {
+				t.Errorf("%s: another Stmt at its second execution", q)
+			}
+		}
+	}
+	if stmts[0] != stmts[1] || plans[0] == nil || plans[0] != plans[1] {
+		t.Errorf("two resident texts of one shape: Stmts %p and %p, plans %p and %p", stmts[0], stmts[1], plans[0], plans[1])
 	}
 }
 

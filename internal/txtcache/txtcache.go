@@ -1,8 +1,10 @@
 // Package txtcache provides a sharded, bounded, string-keyed cache with
 // second-chance ("clock") eviction. It is the memoization substrate for
 // the hot path that sees the same query text over and over: the engine's
-// parse cache, whose entries carry everything a deployment remembers about
-// a text — the AST, its plan and the guard's verdict.
+// statement cache, which holds query texts and the shape keys they index
+// in one instance, and whose statement entries carry everything a
+// deployment remembers about a statement — the AST, its plan and the
+// guard's verdict.
 //
 // Design constraints, in order:
 //
@@ -15,7 +17,9 @@
 //     32-bit tag of it and stores it when it is offered again while the
 //     tag survives (about a capacity of distinct keys). A flood of
 //     never-repeating queries therefore costs one tag write each — no
-//     entry, no map insert, no eviction — and every resident stays. Two
+//     entry, no map insert, no eviction — and every resident stays. Tags
+//     sit two to a bucket, the newer first, so two keys offered in turn —
+//     a text and its shape — both survive to their second offer. Two
 //     keys sharing a tag can only admit one of them at its first sight;
 //     a hit is decided by the map's full key, never by a tag. Among
 //     admitted keys the second-chance sweep evicts the unreferenced first.
@@ -55,8 +59,8 @@ type shard[V any] struct {
 	// hand sweeps it looking for an unreferenced victim.
 	ring []*entry[V]
 	hand int
-	// door is the admission filter of a full shard: direct-mapped tags of
-	// the absent keys last offered to it, one slot per resident.
+	// door is the admission filter of a full shard: tags of the absent
+	// keys last offered to it, about one per resident, in buckets of two.
 	door []uint32
 }
 
@@ -79,7 +83,7 @@ func New[V any](capacity int) *Cache[V] {
 	}
 	for i := range c.shards {
 		c.shards[i].m = make(map[string]*entry[V])
-		c.shards[i].door = make([]uint32, c.perShard)
+		c.shards[i].door = make([]uint32, (c.perShard+1)&^1)
 	}
 	return c
 }
@@ -146,17 +150,19 @@ func (c *Cache[V]) lookup(h uint64, skey string, bkey []byte) (val V, hit, admit
 
 // refuse, with sh locked and full, is the doorkeeper: it reports whether
 // an absent key hashing to h is being offered for the first time, and
-// then leaves the key's tag in its slot and counts the refusal. A tag
-// found stays until Put clears the slot; tags are odd, so a cleared slot
-// matches no key.
+// then leaves the key's tag first in its bucket, the older tag second,
+// and counts the refusal. A tag found stays until Put clears its slot;
+// tags are odd, so a cleared slot matches no key.
 func (c *Cache[V]) refuse(sh *shard[V], h uint64) (slot *uint32, first bool) {
-	slot, tag := &sh.door[(h>>4)%uint64(len(sh.door))], uint32(h>>32)|1
-	if *slot == tag {
-		return slot, false
+	b, tag := sh.door[2*((h>>4)%uint64(len(sh.door)/2)):][:2], uint32(h>>32)|1
+	for i := range b {
+		if b[i] == tag {
+			return &b[i], false
+		}
 	}
-	*slot = tag
+	b[0], b[1] = tag, b[0]
 	c.refused.Add(1)
-	return slot, true
+	return &b[0], true
 }
 
 // Put inserts or replaces the value for key and reports whether the key

@@ -2,6 +2,7 @@ package txtcache
 
 import (
 	"fmt"
+	"hash/maphash"
 	"sync"
 	"testing"
 )
@@ -95,6 +96,25 @@ func TestSecondOfferIsAdmitted(t *testing.T) {
 	}
 	if s := c.Stats(); s.Evictions != 1 || s.Entries != c.Capacity() {
 		t.Fatalf("second offer: %+v, want 1 eviction at capacity %d", s, c.Capacity())
+	}
+}
+
+// TestKeysOfferedInTurnAreAdmitted: two absent keys of one full shard
+// offered in turn, as the engine offers a text and then its shape, do not
+// push each other's tag out of the door: each is admitted at its second
+// offer.
+func TestKeysOfferedInTurnAreAdmitted(t *testing.T) {
+	c := New[int](16) // one entry and one bucket of the door per shard
+	fill(c, "resident")
+	shard := func(key string) uint64 { return maphash.String(c.seed, key) % shardCount }
+	other := "b-0"
+	for i := 1; shard(other) != shard("a"); i++ {
+		other = fmt.Sprintf("b-%d", i)
+	}
+	for i, key := range []string{"a", other, "a", other} {
+		if _, hit, admits := c.Lookup(key); hit || admits != (i >= 2) {
+			t.Fatalf("offer %d of %s: hit %t, admits %t", i, key, hit, admits)
+		}
 	}
 }
 

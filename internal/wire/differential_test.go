@@ -244,8 +244,8 @@ func TestBoundValuesOverTheWire(t *testing.T) {
 // out with literals nobody has sent — benign, a stored-injection payload, a
 // string where the model has an integer, benign again: each is answered as
 // the same text on the engine directly, the attacks typed ErrServerBlocked,
-// all but the first text of a shape served from a warm template, and the
-// session goes on. (1024 entries and 4000 texts to fill them: see
+// all but the first two texts of a new shape served from a warm template,
+// and the session goes on. (1024 entries and 4000 texts to fill them: see
 // core.TestBoundValuesReachTheVerdict for why that is deterministic.)
 func TestLiteralValuesOverTheWire(t *testing.T) {
 	snapshotGoroutines(t)
@@ -274,7 +274,7 @@ func TestLiteralValuesOverTheWire(t *testing.T) {
 				}
 			}
 		}
-		before := hub.Metrics.Snapshot().Gauges
+		before := hub.Metrics.Snapshot().Histograms
 		srv := NewServer(db)
 		addr, err := srv.Listen("127.0.0.1:0")
 		if err != nil {
@@ -296,11 +296,12 @@ func TestLiteralValuesOverTheWire(t *testing.T) {
 		if blocked != 3 {
 			t.Errorf("v%d: %d texts blocked, want the payload and the two strings", version+1, blocked)
 		}
-		// Seven texts: one made the template of the profile with a string,
+		// Seven texts: the full cache refused the shape of the profile with
+		// a string at its first text and made its template at the second;
 		// the others were served from a warm one.
-		g := hub.Metrics.Snapshot().Gauges
-		if hits, misses := g["engine.shape_cache.hits"]-before["engine.shape_cache.hits"], g["engine.shape_cache.misses"]-before["engine.shape_cache.misses"]; hits != 6 || misses != 1 {
-			t.Errorf("v%d: %d shape hits and %d misses, want 6 and 1", version+1, hits, misses)
+		h := hub.Metrics.Snapshot().Histograms
+		if hits, misses := h["engine.stage.parse.shape_hit"].Count-before["engine.stage.parse.shape_hit"].Count, h["engine.stage.parse.cache_miss"].Count-before["engine.stage.parse.cache_miss"].Count; hits != 5 || misses != 2 {
+			t.Errorf("v%d: %d shape hits and %d misses, want 5 and 2", version+1, hits, misses)
 		}
 	}
 }
