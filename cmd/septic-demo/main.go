@@ -53,8 +53,10 @@ func run(verbose bool) error {
 		report.RetrainAdded)
 
 	fmt.Println("phase D — SEPTIC prevention mode")
-	fmt.Printf("  %d/%d attacks blocked, %d false positives on benign traffic\n\n",
+	fmt.Printf("  %d/%d attacks blocked, %d false positives on benign traffic\n",
 		det["septic"], len(report.Outcomes), report.FP.Septic)
+	fmt.Printf("  stored XSS through %s, never trained (no model): blocked=%t\n\n",
+		demo.UntrainedWrite.Path, report.UntrainedWriteBlocked)
 
 	fmt.Print(report.Summary())
 

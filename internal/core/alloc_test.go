@@ -58,6 +58,71 @@ func TestCachedHitAllocationFree(t *testing.T) {
 	}
 }
 
+// templateCtx is the HookContext the engine hands the hook for a text of
+// a shape with a template: the template's statement, the text's values
+// beside it, and the shape's slot. Nil if q's shape has no template.
+func templateCtx(t testing.TB, q string, slot *engine.Memo) *engine.HookContext {
+	t.Helper()
+	p := sqlparser.Scan(q)
+	defer p.Release()
+	if p.ShapeKey() == nil {
+		return nil
+	}
+	tmpl, err := p.ParseTemplate()
+	if err != nil {
+		return nil
+	}
+	hctx := &engine.HookContext{Raw: q, Decoded: q, Stmt: tmpl.Stmt, Comments: tmpl.Stmt.StatementComments(), Memo: slot}
+	for i := range tmpl.Stmt.NumParams() {
+		lit, err := p.Value(tmpl, i)
+		if err != nil {
+			t.Fatalf("%q: value %d: %v", q, i, err)
+		}
+		hctx.Args = append(hctx.Args, engine.LiteralValue(&lit))
+	}
+	return hctx
+}
+
+// TestAllocWriteServedItsShapesVerdict: an INSERT or UPDATE of a template
+// is served the structural verdict its shape's first text left in the
+// shape's slot, and the content verdict, which reads the strings it writes
+// on every execution, allocates nothing — with a string value, a small
+// integer and an integer past 99.
+func TestAllocWriteServedItsShapesVerdict(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("race instrumentation adds allocations")
+	}
+	for _, c := range []struct{ first, served string }{
+		{"INSERT INTO tickets (reservID, creditCard) VALUES ('ID34FG', 1234)", "INSERT INTO tickets (reservID, creditCard) VALUES ('ZZ91AB', 7)"},
+		{"INSERT INTO tickets (reservID, creditCard) VALUES ('ID34FG', 7)", "INSERT INTO tickets (reservID, creditCard) VALUES ('ZZ91AB', 5678)"},
+		{"UPDATE tickets SET reservID = 'ID34FG' WHERE creditCard = 1234", "UPDATE tickets SET reservID = 'ZZ91AB' WHERE creditCard = 7"},
+		{"UPDATE tickets SET reservID = 'ID34FG' WHERE creditCard = 7", "UPDATE tickets SET reservID = 'ZZ91AB' WHERE creditCard = 5678"},
+	} {
+		sep := New(Config{Mode: ModeTraining})
+		if err := sep.BeforeExecute(hookCtxFor(t, c.first)); err != nil {
+			t.Fatalf("training %q: %v", c.first, err)
+		}
+		sep.SetConfig(DefaultConfig())
+		slot := new(engine.Memo)
+		if err := sep.BeforeExecute(templateCtx(t, c.first, slot)); err != nil {
+			t.Fatalf("%q: %v", c.first, err)
+		}
+		served := templateCtx(t, c.served, slot)
+		hits := sep.CacheStats().Hits
+		allocs := testing.AllocsPerRun(1000, func() {
+			if err := sep.BeforeExecute(served); err != nil {
+				t.Fatalf("%q: %v", c.served, err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%q served its shape's verdict: %.1f allocations/op, want 0", c.served, allocs)
+		}
+		if sep.CacheStats().Hits == hits {
+			t.Errorf("%q was not served its shape's verdict", c.served)
+		}
+	}
+}
+
 // TestCachedHitAllocationFreeDomain extends the tentpole guard to the
 // domain-routed path: with protection domains registered, a repeated
 // known-benign query carrying an "/* app:id */" prefix must route to

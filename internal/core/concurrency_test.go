@@ -61,6 +61,9 @@ func TestConcurrentSessionsCountersExact(t *testing.T) {
 		benignSelect = "/* q-users */ SELECT pass FROM users WHERE name = 'ann'"
 		benignInsert = "/* q-logs */ INSERT INTO logs (msg) VALUES ('routine maintenance note')"
 		attack       = "/* q-users */ SELECT pass FROM users WHERE name = 'ann' OR 1=1-- '"
+		// The benign INSERT's shape, sharing its slot: blocked by the
+		// plugins on every execution.
+		stored = "/* q-logs */ INSERT INTO logs (msg) VALUES ('<script>alert(1)</script>')"
 	)
 
 	var wg sync.WaitGroup
@@ -82,6 +85,10 @@ func TestConcurrentSessionsCountersExact(t *testing.T) {
 					failures <- errors.New("attack was not blocked")
 					return
 				}
+				if _, err := db.Exec(stored); !errors.Is(err, engine.ErrQueryBlocked) {
+					failures <- errors.New("stored attack was not blocked")
+					return
+				}
 			}
 		}()
 	}
@@ -91,7 +98,7 @@ func TestConcurrentSessionsCountersExact(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	attacks := int64(sessions * iterations)
+	attacks := int64(sessions * iterations * 2)
 	benign := int64(sessions * iterations * 2)
 
 	stats := guard.Stats()

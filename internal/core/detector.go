@@ -1,6 +1,7 @@
 package core
 
 import (
+	"github.com/septic-db/septic/internal/engine"
 	"github.com/septic-db/septic/internal/qstruct"
 	"github.com/septic-db/septic/internal/sqlparser"
 )
@@ -68,28 +69,41 @@ func (d *Detector) DetectSQLI(qs qstruct.Stack, models ModelView) (Detection, bo
 	}, true
 }
 
-// DetectStored runs the plugin chain over the string values the
-// statement writes. Per the paper it applies to INSERT and UPDATE
-// commands; other statements are never checked.
-func (d *Detector) DetectStored(stmt sqlparser.Statement, qs qstruct.Stack) (Detection, bool) {
+// DetectStored runs the plugin chain over the strings the statement
+// writes: its string literals and the strings args binds to its '?'
+// placeholders, in the order the query structure lists them (the
+// STRING_ITEM data of qstruct.BuildStack(stmt, args...)). Per the paper it
+// applies to INSERT and UPDATE commands; other statements are never
+// checked. It reads no model, so it judges every execution of a write,
+// whatever its identifier.
+func (d *Detector) DetectStored(stmt sqlparser.Statement, args []engine.Value) (det Detection, attack bool) {
 	switch stmt.(type) {
 	case *sqlparser.InsertStmt, *sqlparser.UpdateStmt:
 	default:
 		return Detection{}, false
 	}
-	for _, value := range qs.StringData() {
-		for _, p := range d.plugins {
-			if !p.Filter(value) {
-				continue // step 1: cheap character filter
-			}
-			if detail, attack := p.Validate(value); attack { // step 2
-				return Detection{
-					Attack: AttackStored,
-					Plugin: p.Name(),
-					Detail: detail,
-				}, true
+	sqlparser.WalkExprs(stmt, func(e sqlparser.Expr) {
+		var v engine.Value // the data node qstruct.BuildStack pushes for e
+		switch x := e.(type) {
+		case *sqlparser.Literal:
+			v = engine.LiteralValue(x)
+		case *sqlparser.Placeholder:
+			if x.Index < len(args) {
+				v = args[x.Index]
 			}
 		}
-	}
-	return Detection{}, false
+		if attack || v.Kind != engine.KindString {
+			return
+		}
+		for _, p := range d.plugins {
+			if !p.Filter(v.S) {
+				continue // step 1: cheap character filter
+			}
+			if detail, found := p.Validate(v.S); found { // step 2
+				det, attack = Detection{Attack: AttackStored, Plugin: p.Name(), Detail: detail}, true
+				return
+			}
+		}
+	})
+	return det, attack
 }

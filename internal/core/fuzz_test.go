@@ -24,8 +24,8 @@ import (
 //     be served by the full path (or learn the model incrementally) and
 //     the second by the verdict cache, so this pins cache/full-path
 //     agreement — the exact property a poisoned cache entry would break.
-//     (A first call that learned the statement incrementally executed it
-//     unchecked, by design, and promises nothing about the second.)
+//     A first call that learns its statement judged what it writes first:
+//     a write the plugins block is blocked at first sight too.
 //  3. The verdict is the values' as much as the text's: a call of the same
 //     text with other values in between changes nothing.
 //  4. A text judged through the template of its shape — the statement with
@@ -33,36 +33,15 @@ import (
 //     slot — gets the verdict it gets on its own, word for word.
 //  5. Shape slot ≡ cold verdict: in an engine whose full parse cache
 //     refuses new texts, the text runs twice and then a respelling of it —
-//     each literal in its own token kind: arg for a string, another integer
-//     for an integer (the first past int64, which is read as a REAL), another
-//     float for a float, and arg bound to every '?' the text's own runs bind
-//     "ID34FG" to. Whatever slot the engine hands the respelling — its
-//     shape's template's, shared with the text — its verdict is the one it
-//     gets alone, with no slot.
+//     each literal in its own token kind: a payload for a string, another
+//     integer for an integer (the first past int64, which is read as a
+//     REAL), another float for a float, and the payload bound to every '?'
+//     the text's own runs bind "ID34FG" to; the payloads are arg and each
+//     of writtenPayloads. Whatever slot the engine hands the respelling —
+//     its shape's template's, shared with the text, a write's included —
+//     its verdict is the one it gets alone, with no slot.
 func FuzzBeforeExecute(f *testing.F) {
-	seeds := []string{
-		"SELECT * FROM tickets WHERE reservID = 'ID34FG' AND creditCard = 1234",
-		"SELECT * FROM tickets WHERE reservID = 'ID34FG\u02bc-- ' AND creditCard = 0",
-		"SELECT * FROM tickets WHERE reservID = 'ID34FG' AND 1=1-- ' AND creditCard = 0",
-		"SELECT * FROM tickets WHERE reservID = 'x' OR '1'='1' AND creditCard = 1234",
-		"SELECT * FROM tickets WHERE reservID = '<script>alert(1)</script>' AND creditCard = 1",
-		"SELECT * FROM tickets WHERE reservID = '../../etc/passwd' AND creditCard = 1",
-		"SELECT * FROM tickets WHERE reservID = '; cat /etc/passwd' AND creditCard = 1",
-		"INSERT INTO tickets (reservID, creditCard) VALUES ('ID34FG', 1234)",
-		"SELECT 1",
-		// Malformed external-identifier comments: embedded control bytes,
-		// oversized bodies and unterminated openers. ExternalID must reject
-		// (not crash on) the parseable ones; the parser rejects the rest.
-		"/* app:q1 */ SELECT * FROM tickets WHERE reservID = 'a' AND creditCard = 1",
-		"/* app:q1\ninjected */ SELECT * FROM tickets WHERE reservID = 'a' AND creditCard = 1",
-		"/* a\x00b\x7fc */ SELECT * FROM tickets WHERE reservID = 'a' AND creditCard = 1",
-		"/* pad:" + strings.Repeat("x", MaxExternalIDLen+1) +
-			" */ SELECT * FROM tickets WHERE reservID = 'a' AND creditCard = 1",
-		"/* unterminated SELECT * FROM tickets WHERE reservID = 'a'",
-		"/*/ SELECT 1",
-		"/**/ SELECT * FROM tickets WHERE reservID = 'a' AND creditCard = 1",
-	}
-	for _, s := range seeds {
+	for _, s := range fuzzSeeds {
 		f.Add(s, "")
 	}
 	f.Add(trainP, "ID34FG")
@@ -90,9 +69,8 @@ func FuzzBeforeExecute(f *testing.F) {
 			hctx.Memo = new(engine.Memo) // the engine's rule: a slot only when the text is the whole statement
 		}
 		err1 := sep.BeforeExecute(hctx)
-		learned := sep.Stats().NewQueries > 0
 		err2 := sep.BeforeExecute(hctx)
-		if !learned && (err1 == nil) != (err2 == nil) {
+		if (err1 == nil) != (err2 == nil) {
 			t.Fatalf("verdict flipped between calls for %q %q:\n first: %v\nsecond: %v",
 				decoded, arg, err1, err2)
 		}
@@ -104,7 +82,9 @@ func FuzzBeforeExecute(f *testing.F) {
 			t.Fatalf("verdict for %q %q flipped after a call with other values:\nbefore: %v\n after: %v",
 				decoded, arg, err2, err3)
 		}
-		shapeSlotIsColdVerdict(t, decoded, stmt, arg)
+		for _, payload := range append([]string{arg}, writtenPayloads...) {
+			shapeSlotIsColdVerdict(t, decoded, stmt, payload)
+		}
 		p := sqlparser.Scan(decoded)
 		defer p.Release()
 		if p.ShapeKey() == nil {
@@ -129,6 +109,46 @@ func FuzzBeforeExecute(f *testing.F) {
 	})
 }
 
+// fuzzSeeds are FuzzBeforeExecute's seed texts, with no bound value.
+var fuzzSeeds = append([]string{
+	"SELECT * FROM tickets WHERE reservID = 'ID34FG' AND creditCard = 1234",
+	"SELECT * FROM tickets WHERE reservID = 'ID34FG\u02bc-- ' AND creditCard = 0",
+	"SELECT * FROM tickets WHERE reservID = 'ID34FG' AND 1=1-- ' AND creditCard = 0",
+	"SELECT * FROM tickets WHERE reservID = 'x' OR '1'='1' AND creditCard = 1234",
+	"SELECT * FROM tickets WHERE reservID = '<script>alert(1)</script>' AND creditCard = 1",
+	"SELECT * FROM tickets WHERE reservID = '../../etc/passwd' AND creditCard = 1",
+	"SELECT * FROM tickets WHERE reservID = '; cat /etc/passwd' AND creditCard = 1",
+	"INSERT INTO tickets (reservID, creditCard) VALUES ('ID34FG', 1234)",
+	"SELECT 1",
+	// Malformed external-identifier comments: embedded control bytes,
+	// oversized bodies and unterminated openers. ExternalID must reject
+	// (not crash on) the parseable ones; the parser rejects the rest.
+	"/* app:q1 */ SELECT * FROM tickets WHERE reservID = 'a' AND creditCard = 1",
+	"/* app:q1\ninjected */ SELECT * FROM tickets WHERE reservID = 'a' AND creditCard = 1",
+	"/* a\x00b\x7fc */ SELECT * FROM tickets WHERE reservID = 'a' AND creditCard = 1",
+	"/* pad:" + strings.Repeat("x", MaxExternalIDLen+1) +
+		" */ SELECT * FROM tickets WHERE reservID = 'a' AND creditCard = 1",
+	"/* unterminated SELECT * FROM tickets WHERE reservID = 'a'",
+	"/*/ SELECT 1",
+	"/**/ SELECT * FROM tickets WHERE reservID = 'a' AND creditCard = 1",
+	"INSERT INTO tickets (reservID) VALUES ('ID34FG')",
+	"UPDATE tickets SET reservID = 'ID34FG', creditCard = 7 WHERE creditCard = 1234",
+}, writtenSeeds()...)
+
+// writtenSeeds are writes of a trained template and of an identifier never
+// seen, each spelling a stored injection: invariant 2 blocks the unknown
+// one at first sight, invariant 5 every respelling.
+func writtenSeeds() []string {
+	var seeds []string
+	for _, p := range writtenPayloads {
+		lit := "'" + strings.NewReplacer(`\`, `\\`, "'", "''").Replace(p) + "'"
+		seeds = append(seeds, "INSERT INTO tickets (reservID, creditCard) VALUES ("+lit+", 1234)",
+			"UPDATE tickets SET reservID = "+lit+" WHERE creditCard = 1234",
+			"INSERT INTO tickets (reservID) VALUES ("+lit+")")
+	}
+	return seeds
+}
+
 // The statements the fuzzed guard is trained on: the paper's Fig. 2 query,
 // a write of the same ticket, and the prepared INSERT of one.
 const (
@@ -136,6 +156,11 @@ const (
 	trainU = "UPDATE tickets SET reservID = 'ID34FG' WHERE creditCard = 1234"
 	trainP = "INSERT INTO tickets (reservID, creditCard) VALUES (?, ?)"
 )
+
+// writtenPayloads are a stored XSS, a local file inclusion and an OS command
+// injection: strings the default plugins block wherever a statement writes
+// them.
+var writtenPayloads = []string{"<script>alert(1)</script>", "../../etc/passwd", "; rm -rf /"}
 
 // trainedGuard returns a guard that learned the training statements and
 // then switched to DefaultConfig.

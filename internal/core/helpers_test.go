@@ -5,29 +5,18 @@ import (
 	"os"
 	"testing"
 
-	"github.com/septic-db/septic/internal/qstruct"
 	"github.com/septic-db/septic/internal/sqlparser"
 )
 
-// insertStmt returns a parsed INSERT for detector-level tests.
-func insertStmt(t *testing.T) sqlparser.Statement {
-	t.Helper()
-	stmt, err := sqlparser.Parse("INSERT INTO c (body) VALUES ('placeholder')")
-	if err != nil {
-		t.Fatal(err)
-	}
-	return stmt
-}
-
-// stackWithString builds the QS of an INSERT carrying value as its data.
-func stackWithString(t *testing.T, value string) qstruct.Stack {
+// insertWithString returns a parsed INSERT that writes value.
+func insertWithString(t *testing.T, value string) sqlparser.Statement {
 	t.Helper()
 	stmt, err := sqlparser.Parse("INSERT INTO c (body) VALUES ('" +
 		sqlparser.EscapeString(value) + "')")
 	if err != nil {
 		t.Fatal(err)
 	}
-	return qstruct.BuildStack(stmt)
+	return stmt
 }
 
 func mustRead(t *testing.T, path string) []byte {

@@ -148,8 +148,7 @@ func TestPluginChainOrder(t *testing.T) {
 	det := NewDetector(DefaultPlugins())
 	// Contains '<' (XSS filter fires) but is not active HTML; contains a
 	// traversal that file-inclusion confirms.
-	qs := stackWithString(t, "a < b ../../etc/passwd")
-	d, attack := det.DetectStored(insertStmt(t), qs)
+	d, attack := det.DetectStored(insertWithString(t, "a < b ../../etc/passwd"), nil)
 	if !attack {
 		t.Fatal("attack not confirmed")
 	}

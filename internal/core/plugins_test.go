@@ -1,10 +1,86 @@
 package core
 
 import (
+	"fmt"
+	"path/filepath"
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"github.com/septic-db/septic/internal/engine"
+	"github.com/septic-db/septic/internal/qstruct"
+	"github.com/septic-db/septic/internal/sqlparser"
 )
+
+// recorder is a plugin that keeps every value offered to it and flags none.
+type recorder struct{ seen []string }
+
+func (*recorder) Name() string                   { return "recorder" }
+func (r *recorder) Filter(v string) bool         { r.seen = append(r.seen, v); return false }
+func (*recorder) Validate(string) (string, bool) { return "", false }
+
+// TestStoredReadsTheStringsOfTheQS: the plugins are offered exactly the
+// STRING_ITEM data of the query structure, in stack order, for every
+// INSERT and UPDATE of the fuzz seeds and the golden corpus — written out
+// as literals, and run from the template of its shape with its values
+// bound to the template's placeholders — and nothing for any other
+// statement.
+func TestStoredReadsTheStringsOfTheQS(t *testing.T) {
+	texts := append([]string{trainQ, trainU, trainP,
+		"INSERT INTO t (a, b) SELECT 'f', x FROM u JOIN v ON u.k = 'on' WHERE v.c IN ('i', 2) ORDER BY 'o' LIMIT 1",
+		"UPDATE t SET a = CASE b WHEN 'w' THEN 'then' ELSE 'else' END, c = CONCAT('x', ?) WHERE d = (SELECT 's' FROM u)",
+	}, fuzzSeeds...)
+	cases, _ := filepath.Glob(filepath.Join("testdata", "corpus", "*.txt"))
+	for _, path := range cases {
+		train, query := readCorpusCase(t, path)
+		texts = append(texts, append(train, query)...)
+	}
+	rec := &recorder{}
+	det := NewDetector([]Plugin{rec})
+	strs := func(stmt sqlparser.Statement, args []engine.Value) (read, qs []string) {
+		rec.seen = nil
+		det.DetectStored(stmt, args)
+		for _, n := range qstruct.BuildStack(stmt, args...) {
+			if n.Cat == qstruct.CatString {
+				qs = append(qs, n.Data)
+			}
+		}
+		return rec.seen, qs
+	}
+	writes := 0
+	for _, q := range texts {
+		stmt, err := sqlparser.Parse(q)
+		if err != nil {
+			continue
+		}
+		judged := false
+		switch stmt.(type) {
+		case *sqlparser.InsertStmt, *sqlparser.UpdateStmt:
+			judged, writes = true, writes+1
+		}
+		type run struct {
+			how  string
+			stmt sqlparser.Statement
+			args []engine.Value
+		}
+		runs := []run{{"as literals", stmt, bindAll(stmt, "bound")}}
+		if shaped := templateCtx(t, q, nil); shaped != nil {
+			runs = append(runs, run{"from its template", shaped.Stmt, shaped.Args})
+		}
+		for _, r := range runs {
+			read, qs := strs(r.stmt, r.args)
+			if !judged {
+				qs = nil
+			}
+			if fmt.Sprintf("%q", read) != fmt.Sprintf("%q", qs) {
+				t.Errorf("%s %s: the plugins read %q, the QS holds %q", q, r.how, read, qs)
+			}
+		}
+	}
+	if writes < 20 {
+		t.Fatalf("only %d writes among the texts", writes)
+	}
+}
 
 func TestXSSPluginFilter(t *testing.T) {
 	p := &XSSPlugin{}

@@ -348,16 +348,17 @@ var stackPool = sync.Pool{
 // reduces to an ID computation and a store lookup, which is what makes
 // the paper's NN configuration nearly free (§II-F: 0.5% overhead).
 //
-// Benign outcomes are additionally memoized in the slot the engine keeps
-// for the hook in its parse-cache entry of the statement (ctx.Memo, see
-// verdict): a repeat of a query already found benign under the domain's
-// current configuration and model store skips ID generation, the store
-// lookup and detection entirely. The verdict is found through the very
-// ctx.Stmt it was computed from, which is a stronger argument than equal
-// text: whatever else an execution is judged by that the Stmt does not
-// fix — values a client bound, values a statement writes — gives it no
-// slot, and the engine, not this function, knows when that is. Generation
-// stamps guarantee the rest: any
+// The structural verdict — identifier, model set, SQLI comparison —
+// depends only on the statement's shape. A benign one is memoized in the
+// slot the engine keeps for the hook in its statement-cache entry
+// (ctx.Memo, see verdict): a repeat skips ID generation, the store lookup
+// and the comparison. It is found through the very ctx.Stmt it was
+// computed from, and the engine gives no slot to an execution whose values
+// a client bound. The content verdict — the stored-injection plugins over
+// the strings an INSERT or UPDATE writes — reads values, so it runs on
+// every execution outside training, slot or none, identifier known or not,
+// before anything is learned or remembered. Generation stamps guarantee
+// the rest: any
 // SetMode/SetConfig or store mutation ON THAT DOMAIN bumps a counter and
 // orphans the domain's older verdicts. Two applications may issue
 // byte-identical text that must be judged against different model stores;
@@ -420,16 +421,17 @@ func (s *Septic) BeforeExecute(ctx *engine.HookContext) (err error) {
 
 	if cfg.Mode != ModeTraining {
 		if v := d.recall(memo, cfgGen, storeGen); v != nil {
-			if v.set != nil {
+			attack, err := s.storedAttack(d, cfg, v.id, ctx)
+			if v.set != nil && !attack {
 				v.set.hits.Add(1) // keep the admin usage report exact
 			}
-			if v.checked {
+			if v.checked && !attack {
 				s.checked(d, v.id, ctx.Decoded)
 			}
 			if s.obs != nil {
 				s.hookHit.Observe(time.Since(obsStart))
 			}
-			return nil
+			return err
 		}
 		// Verdict-cache miss: the full pipeline is about to run. The
 		// domain's breaker — one atomic pointer load plus, when armed,
@@ -468,7 +470,8 @@ func (s *Septic) brownout(d *Domain, cfg Config) error {
 }
 
 // runMiss is the full pipeline behind the verdict memo: ID generation,
-// training/incremental learning, store lookup, and detection. Split
+// training, the content verdict, store lookup, incremental learning, and
+// the structural verdict. Split
 // from BeforeExecute so the breaker can time one complete run; it
 // executes under BeforeExecute's containment shell (a panic here
 // unwinds to containFault, which also books the breaker failure). memo
@@ -492,6 +495,10 @@ func (s *Septic) runMiss(d *Domain, memo *engine.Memo, ctx *engine.HookContext, 
 		s.observeFull(obsStart)
 		return nil
 	}
+	if attack, err := s.storedAttack(d, cfg, id, ctx); attack {
+		s.observeFull(obsStart)
+		return err
+	}
 
 	models, set, known := d.store.getSet(id)
 	if !known {
@@ -505,8 +512,8 @@ func (s *Septic) runMiss(d *Domain, memo *engine.Memo, ctx *engine.HookContext, 
 			s.observeFull(obsStart)
 			return nil
 		}
-		// Unknown identifier with learning off: executes unchecked by
-		// design; memoize so repeats skip the ID recomputation.
+		// Unknown identifier with learning off: no model, so no structural
+		// check by design; memoize so repeats skip the ID recomputation.
 		d.remember(memo, verdict{id: id, cfgGen: cfgGen, storeGen: storeGen})
 		s.observeFull(obsStart)
 		return nil
@@ -519,30 +526,34 @@ func (s *Septic) runMiss(d *Domain, memo *engine.Memo, ctx *engine.HookContext, 
 		return nil
 	}
 	faultinject.Hit(faultinject.SiteCoreDetect)
-	sp := stackPool.Get().(*qstruct.Stack)
-	qs := qstruct.BuildStackInto((*sp)[:0], ctx.Stmt, ctx.Args...)
 	if cfg.DetectSQLI {
-		if det, attack := s.detector.DetectSQLI(qs, models); attack {
-			*sp = qs
-			stackPool.Put(sp)
+		sp := stackPool.Get().(*qstruct.Stack)
+		qs := qstruct.BuildStackInto((*sp)[:0], ctx.Stmt, ctx.Args...)
+		det, attack := s.detector.DetectSQLI(qs, models)
+		*sp = qs
+		stackPool.Put(sp)
+		if attack {
 			s.observeFull(obsStart)
 			return s.report(d, cfg, id, ctx, det)
 		}
 	}
-	if cfg.DetectStored {
-		if det, attack := s.detector.DetectStored(ctx.Stmt, qs); attack {
-			*sp = qs
-			stackPool.Put(sp)
-			s.observeFull(obsStart)
-			return s.report(d, cfg, id, ctx, det)
-		}
-	}
-	*sp = qs
-	stackPool.Put(sp)
 	s.checked(d, id, ctx.Decoded)
 	d.remember(memo, verdict{id: id, checked: true, set: set, cfgGen: cfgGen, storeGen: storeGen})
 	s.observeFull(obsStart)
 	return nil
+}
+
+// storedAttack is the content verdict, if the domain runs it: whether the
+// plugins found an attack in the strings ctx writes, and the hook's answer.
+func (s *Septic) storedAttack(d *Domain, cfg Config, id string, ctx *engine.HookContext) (bool, error) {
+	if !cfg.DetectStored {
+		return false, nil
+	}
+	det, attack := s.detector.DetectStored(ctx.Stmt, ctx.Args)
+	if !attack {
+		return false, nil
+	}
+	return true, s.report(d, cfg, id, ctx, det)
 }
 
 // checked books a query that passed detection: always counted, and

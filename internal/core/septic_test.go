@@ -228,6 +228,57 @@ func TestIncrementalLearningDisabled(t *testing.T) {
 	}
 }
 
+// TestStoredInjectionUnderAnUnknownIdentifier: the plugins judge what a
+// write stores whether or not the guard has a model for it. A stored XSS
+// through an entry point never trained is blocked at its first call and
+// every later one — as a text, a respelling of its shape and a bound
+// value — with incremental learning on and off, and nothing is stored or
+// learned. Its benign spelling then runs, and the payloads are still
+// blocked with the shape's verdict memoized.
+func TestStoredInjectionUnderAnUnknownIdentifier(t *testing.T) {
+	const xss = "<script>alert(1)</script>"
+	for _, learning := range []bool{false, true} {
+		db, sep := newProtectedDB(t, Config{Mode: ModePrevention, DetectSQLI: true, DetectStored: true, IncrementalLearning: learning})
+		models := sep.Store().ModelCount()
+		attempt := func(round int) {
+			t.Helper()
+			for _, w := range []struct {
+				q    string
+				args []engine.Value
+			}{
+				{"INSERT INTO comments (body) VALUES ('" + xss + "')", nil},
+				{"INSERT INTO comments (body) VALUES ('<script>alert(2)</script>')", nil},
+				{"INSERT INTO comments (body) VALUES (?)", []engine.Value{engine.Str(xss)}},
+				{"UPDATE comments SET body = '" + xss + "' WHERE id = 1", nil},
+			} {
+				if _, err := db.ExecArgs(w.q, w.args...); !errors.Is(err, engine.ErrQueryBlocked) {
+					t.Errorf("learning %t, round %d: %s %v: err = %v, want blocked", learning, round, w.q, w.args, err)
+				}
+			}
+		}
+		for round := 0; round < 3; round++ {
+			attempt(round)
+		}
+		if got := sep.Store().ModelCount(); got != models {
+			t.Errorf("learning %t: %d models after the blocked writes, want %d", learning, got, models)
+		}
+		for range 2 {
+			if _, err := db.Exec("INSERT INTO comments (body) VALUES ('hello')"); err != nil {
+				t.Fatalf("learning %t: the benign spelling: %v", learning, err)
+			}
+		}
+		hits := sep.CacheStats().Hits
+		attempt(3)
+		if sep.CacheStats().Hits == hits {
+			t.Errorf("learning %t: no payload was served its shape's verdict", learning)
+		}
+		res, err := db.Exec("SELECT COUNT(*) FROM comments WHERE body LIKE '%script%'")
+		if err != nil || res.Rows[0][0].I != 0 {
+			t.Errorf("learning %t: stored payloads: %v (err %v), want 0", learning, res, err)
+		}
+	}
+}
+
 func TestStoredXSSBlocked(t *testing.T) {
 	db, sep := newProtectedDB(t, Config{Mode: ModePrevention, DetectStored: true, DetectSQLI: true, IncrementalLearning: false})
 	train(t, db, sep, []string{"INSERT INTO comments (author, body) VALUES ('seed', 'text')"})

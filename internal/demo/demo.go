@@ -7,7 +7,9 @@
 //	C — SEPTIC training (one model per distinct query, duplicates not
 //	    re-added, models persisted);
 //	D — SEPTIC in prevention mode (every attack blocked, benign traffic
-//	    untouched: no false negatives, no false positives);
+//	    untouched: no false negatives, no false positives), and a stored
+//	    XSS through an entry point training never visited, blocked with
+//	    no model;
 //	E — side-by-side comparison of the mechanisms.
 //
 // A GreenSQL-style SQL proxy is included as an extra baseline (the
@@ -67,6 +69,22 @@ type Report struct {
 	// SepticEvents is the event register after phase D (the demo's
 	// "SEPTIC events" display).
 	SepticEvents []core.Event
+	// UntrainedWriteBlocked: in phase D, a stored XSS written through an
+	// entry point with no model (UntrainedWrite) was dropped.
+	UntrainedWriteBlocked bool
+}
+
+// UntrainedWrite is phase D's write through an entry point the guard has
+// no model for: training skips /note/add, and this request stores a script
+// through it. The stored-injection plugins judge what a write stores
+// whatever its identifier, so prevention blocks it at first sight.
+var UntrainedWrite = webapp.Request{Path: "/note/add",
+	Params: map[string]string{"id": "1", "notes": "<script>alert(document.cookie)</script>"}}
+
+// prevention is phase D's configuration: both detections, no learning.
+var prevention = core.Config{
+	Mode: core.ModePrevention, DetectSQLI: true, DetectStored: true,
+	IncrementalLearning: false,
 }
 
 // freshWaspMon builds a new WaspMon deployment over the given executor,
@@ -233,10 +251,7 @@ func Run(opts ...RunOption) (*Report, error) {
 				return nil, fmt.Errorf("training %s failed: %v", req, resp.Err)
 			}
 		}
-		guard.SetConfig(core.Config{
-			Mode: core.ModePrevention, DetectSQLI: true, DetectStored: true,
-			IncrementalLearning: false,
-		})
+		guard.SetConfig(prevention)
 		blocked := false
 		for _, setup := range c.Setup {
 			if resp := app.Serve(setup.Clone()); resp.Blocked {
@@ -257,6 +272,26 @@ func Run(opts ...RunOption) (*Report, error) {
 			}
 			report.SepticEvents = append(report.SepticEvents, evs...)
 		}
+	}
+
+	// An entry point training never visited: no model for its identifier.
+	{
+		guard := core.New(core.Config{Mode: core.ModeTraining})
+		db := engine.New(engine.WithQueryHook(guard))
+		app, err := freshWaspMon(db, db)
+		if err != nil {
+			return nil, err
+		}
+		for _, req := range apps.WaspMonTraining() {
+			if req.Path == UntrainedWrite.Path {
+				continue
+			}
+			if resp := app.Serve(req.Clone()); resp.Status != 200 {
+				return nil, fmt.Errorf("training %s failed: %v", req, resp.Err)
+			}
+		}
+		guard.SetConfig(prevention)
+		report.UntrainedWriteBlocked = app.Serve(UntrainedWrite.Clone()).Blocked
 	}
 
 	// --- False positives: benign traffic through every mechanism -------
@@ -297,10 +332,7 @@ func Run(opts ...RunOption) (*Report, error) {
 		for _, req := range apps.WaspMonTraining() {
 			_ = app.Serve(req.Clone())
 		}
-		guard.SetConfig(core.Config{
-			Mode: core.ModePrevention, DetectSQLI: true, DetectStored: true,
-			IncrementalLearning: false,
-		})
+		guard.SetConfig(prevention)
 		for _, req := range benign {
 			if resp := app.Serve(req.Clone()); resp.Blocked {
 				report.FP.Septic++

@@ -72,6 +72,19 @@ func TestDemoPhases(t *testing.T) {
 	}
 }
 
+// TestDemoBlocksAnUntrainedStoredXSS: phase D's stored XSS through an
+// entry point training never visited is blocked, though the guard has no
+// model to compare it with.
+func TestDemoBlocksAnUntrainedStoredXSS(t *testing.T) {
+	report, err := Run()
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if !report.UntrainedWriteBlocked {
+		t.Errorf("%s was executed: a stored XSS through an entry point with no model", UntrainedWrite)
+	}
+}
+
 func TestDemoSummaryRenders(t *testing.T) {
 	report, err := Run()
 	if err != nil {

@@ -59,16 +59,16 @@ type HookContext struct {
 	// hook leaves there it finds again at the next execution of the Stmt,
 	// for as long as the engine keeps the entry the slot hangs on. Every
 	// text of a shape with a template shares the template's slot, resident
-	// or not: texts of one shape differ only in the spelling of their
-	// values, each literal keeping its token kind, so their data nodes
-	// agree in type. A statement that writes its values (INSERT, UPDATE)
-	// is judged text by text: its slot is the resident text's own. Nil
-	// when nothing would find it again — the cache is off, or holds neither
-	// the text nor, for a read, its shape — and when the client bound Args,
-	// whose kinds may change from call to call. Unlike the HookContext the
-	// slot may be kept and written after BeforeExecute returns. Every
-	// session executing the Stmt shares it: publish immutable values and
-	// replace them, never modify one.
+	// or not, whatever the statement: texts of one shape differ only in the
+	// spelling of their values, each literal keeping its token kind, so
+	// their data nodes agree in type. A slot is the place for what the
+	// Stmt alone decides; what the values decide (the strings a write
+	// stores) is judged on every execution. Nil when nothing would find it
+	// again — the cache is off, or holds neither the text nor its shape —
+	// and when the client bound Args, whose kinds may change from call to
+	// call. Unlike the HookContext the slot may be kept and written after
+	// BeforeExecute returns. Every session executing the Stmt shares it:
+	// publish immutable values and replace them, never modify one.
 	Memo *Memo
 }
 
@@ -186,8 +186,7 @@ type stageHists struct {
 // Under a shape key is the shape's template (tmpl set, stmt tmpl.Stmt, no
 // decoded text) or noTemplate. Under a text is a statement entry of the
 // text's own or, for a text of a shape with a template, an index into it:
-// shape, args (the text's values), decoded, and memo, its slot for a
-// statement that writes its values.
+// shape, args (the text's values) and decoded, with no slot of its own.
 type parsedQuery struct {
 	stmt     sqlparser.Statement
 	decoded  string
@@ -362,10 +361,8 @@ func (db *DB) exec(ctx context.Context, query, app string, args []Value) (*Resul
 		}
 	}
 	var memo *Memo
-	if se.tmpl != nil && !writesValues(se.stmt) {
+	if len(args) == 0 && (resident || te.shape != nil) {
 		memo = &se.memo
-	} else if resident && len(args) == 0 {
-		memo = &te.memo
 	}
 	if te.shape != nil {
 		args = te.args
@@ -554,16 +551,6 @@ func (db *DB) run(ctx context.Context, st *stageHists, execStart, stageStart tim
 		st.total.Observe(now.Sub(execStart))
 	}
 	return res, nil
-}
-
-// writesValues reports whether stmt stores the values it is given: a
-// verdict on it reads each one, not only its kind.
-func writesValues(stmt sqlparser.Statement) bool {
-	switch stmt.(type) {
-	case *sqlparser.InsertStmt, *sqlparser.UpdateStmt:
-		return true
-	}
-	return false
 }
 
 // hookContexts recycles the HookContext of each statement: it escapes

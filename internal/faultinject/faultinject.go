@@ -48,8 +48,8 @@ const (
 	// SiteCoreHook fires on entry to SEPTIC's BeforeExecute, before the
 	// verdict cache is consulted.
 	SiteCoreHook = "core/hook"
-	// SiteCoreDetect fires immediately before the SQLI / stored-injection
-	// detections run.
+	// SiteCoreDetect fires on a verdict-memo miss of a known identifier
+	// with a detection on, before the SQLI comparison.
 	SiteCoreDetect = "core/detect"
 )
 

@@ -168,19 +168,6 @@ func (s Stack) DataNodes() []int {
 	return idx
 }
 
-// StringData returns the values of all STRING_ITEM nodes, in stack order.
-// The stored-injection plugins inspect these: they are the literal values
-// an INSERT or UPDATE is about to write into the database.
-func (s Stack) StringData() []string {
-	var out []string
-	for _, n := range s {
-		if n.Cat == CatString {
-			out = append(out, n.Data)
-		}
-	}
-	return out
-}
-
 // Model is a learned query model: a stack whose data nodes are blanked.
 type Model struct {
 	Nodes Stack `json:"nodes"`

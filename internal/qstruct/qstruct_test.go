@@ -270,14 +270,6 @@ func TestModelOfDoesNotMutateInput(t *testing.T) {
 	}
 }
 
-func TestStringDataReturnsLiterals(t *testing.T) {
-	qs := buildQS(t, "INSERT INTO c (a, b) VALUES ('<script>', 'ok')")
-	got := qs.StringData()
-	if len(got) != 2 || got[0] != "<script>" || got[1] != "ok" {
-		t.Errorf("StringData = %v", got)
-	}
-}
-
 func TestFingerprintStable(t *testing.T) {
 	a := ModelOf(buildQS(t, ticketsQuery))
 	b := ModelOf(buildQS(t, "SELECT * FROM tickets WHERE reservID = 'OTHER' AND creditCard = 1"))

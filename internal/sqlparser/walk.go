@@ -1,7 +1,8 @@
 package sqlparser
 
 // WalkExprs calls visit for every expression in the statement, children
-// before their parents, clauses in the order the AST lists them. It never
+// before their parents, clauses in the order the query structure stacks
+// them (a SELECT's FROM before its select list). It never
 // writes to the tree, so it is safe to run concurrently on a statement
 // shared between sessions (the engine's parse cache hands the same AST to
 // every session executing the same text). Nothing in the package writes
@@ -42,17 +43,17 @@ func (w *walker) statement(stmt Statement) {
 }
 
 func (w *walker) selectStmt(s *SelectStmt) {
-	for i := range s.Fields {
-		if s.Fields[i].Expr != nil {
-			w.expr(s.Fields[i].Expr)
-		}
-	}
 	for i := range s.From {
 		if s.From[i].Subquery != nil {
 			w.selectStmt(s.From[i].Subquery)
 		}
 		if s.From[i].On != nil {
 			w.expr(s.From[i].On)
+		}
+	}
+	for i := range s.Fields {
+		if s.Fields[i].Expr != nil {
+			w.expr(s.Fields[i].Expr)
 		}
 	}
 	w.expr(s.Where)

@@ -46,8 +46,9 @@ func TestWalkExprsVisitsEverything(t *testing.T) {
 // place among the statement's placeholders as it consumes it, in every
 // clause, VALUES row and nested select, and records the count on the
 // statement; an execution binds argument i to the placeholder numbered i.
-// walk is the order WalkExprs meets them in, which is the source's except
-// where the AST lists a clause out of it: "LIMIT offset, count".
+// walk is the order WalkExprs meets them in, the query structure's, which
+// is the source's except where a SELECT's FROM comes before its select list
+// and in "LIMIT offset, count".
 func TestPlaceholdersNumberedInSourceOrder(t *testing.T) {
 	for _, c := range []struct {
 		text string
@@ -61,7 +62,7 @@ func TestPlaceholdersNumberedInSourceOrder(t *testing.T) {
 		{"SELECT (SELECT ? FROM u) FROM t WHERE id IN (SELECT v FROM w WHERE k = ?)", 2, []int{0, 1}},
 		{"SELECT ?, CASE ? WHEN ? THEN ? ELSE ? END FROM t a JOIN (SELECT ? FROM v) d ON a.x = ? WHERE -? < a.y " +
 			"GROUP BY ? HAVING COUNT(*) > ? ORDER BY ? LIMIT ? OFFSET ? UNION SELECT ? FROM v WHERE EXISTS (SELECT ?)",
-			15, []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14}},
+			15, []int{5, 6, 0, 1, 2, 3, 4, 7, 8, 9, 10, 11, 12, 13, 14}},
 		{"SELECT a FROM t WHERE b = ? LIMIT ?, ?", 3, []int{0, 2, 1}},
 		{"EXPLAIN SELECT a FROM t WHERE id = ?", 1, nil}, // the walker has no EXPLAIN case
 		{"SELECT a FROM t WHERE b = '?' /* ? */", 0, nil},
