@@ -157,10 +157,10 @@ const (
 	trainP = "INSERT INTO tickets (reservID, creditCard) VALUES (?, ?)"
 )
 
-// writtenPayloads are a stored XSS, a local file inclusion and an OS command
-// injection: strings the default plugins block wherever a statement writes
-// them.
-var writtenPayloads = []string{"<script>alert(1)</script>", "../../etc/passwd", "; rm -rf /"}
+// writtenPayloads are a stored XSS, one spelled with a character
+// reference, a local file inclusion and an OS command injection: strings
+// the default plugins block wherever a statement writes them.
+var writtenPayloads = []string{"<script>alert(1)</script>", `<a href="jav&#x61;script:alert(1)">x</a>`, "../../etc/passwd", "; rm -rf /"}
 
 // trainedGuard returns a guard that learned the training statements and
 // then switched to DefaultConfig.

@@ -248,6 +248,7 @@ func TestStoredInjectionUnderAnUnknownIdentifier(t *testing.T) {
 			}{
 				{"INSERT INTO comments (body) VALUES ('" + xss + "')", nil},
 				{"INSERT INTO comments (body) VALUES ('<script>alert(2)</script>')", nil},
+				{`INSERT INTO comments (body) VALUES ('<a href="jav&#x61;script:alert(1)">x</a>')`, nil},
 				{"INSERT INTO comments (body) VALUES (?)", []engine.Value{engine.Str(xss)}},
 				{"UPDATE comments SET body = '" + xss + "' WHERE id = 1", nil},
 			} {

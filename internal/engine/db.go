@@ -147,10 +147,10 @@ type DB struct {
 	// a nil pointer means WithQueryHook was never called.
 	hook atomic.Pointer[QueryHook]
 
-	// stmts maps query texts and shape keys to their entries (parsedQuery):
-	// a repeated text is not scanned, a new text of a known shape is not
-	// parsed. unshareable counts the texts given an AST of their own.
-	stmts       *txtcache.Cache[*parsedQuery]
+	// stmts maps texts to an *ownText or *shapeText, shape keys to a *shape
+	// or noTemplate: a repeated text is not scanned, a new text of a known
+	// shape is not parsed. unshareable counts the texts parsed alone.
+	stmts       *txtcache.Cache[any]
 	parseCap    int
 	unshareable atomic.Int64
 
@@ -177,25 +177,39 @@ type stageHists struct {
 	total    *obs.Histogram
 }
 
-// parsedQuery is an entry of the statement cache. A statement entry is one
-// memoized parse: the statement, the decoded text the parser consumed and
-// the comments, immutable after insertion, and two fields published whole
-// and replaced, never modified: plan, the plan of a SELECT, UPDATE or
-// DELETE (plan.go), and memo, the hook's (HookContext.Memo).
-//
-// Under a shape key is the shape's template (tmpl set, stmt tmpl.Stmt, no
-// decoded text) or noTemplate. Under a text is a statement entry of the
-// text's own or, for a text of a shape with a template, an index into it:
-// shape, args (the text's values) and decoded, with no slot of its own.
-type parsedQuery struct {
+// stmtEntry is the AST-owning part of a shape and of a text parsed alone:
+// the statement and its comments, immutable after insertion, and two fields
+// published whole and replaced, never modified: plan, the plan of a SELECT,
+// UPDATE or DELETE (plan.go), and memo, the hook's (HookContext.Memo).
+type stmtEntry struct {
 	stmt     sqlparser.Statement
-	decoded  string
 	comments []string
 	plan     atomic.Pointer[plan]
 	memo     Memo
-	tmpl     *sqlparser.Template
-	shape    *parsedQuery
-	args     []Value
+}
+
+// shape is the entry under a shape key: the shape's template, whose
+// statement every text of the shape runs on its own values.
+type shape struct {
+	stmtEntry
+	tmpl *sqlparser.Template
+}
+
+// noTemplate is the entry under the key of a shape whose literal is structure.
+type noTemplate struct{}
+
+// ownText is a text parsed alone; decoded is what the parser consumed.
+type ownText struct {
+	stmtEntry
+	decoded string
+}
+
+// shapeText is a text of a shape: an index into its shape, with the
+// text's values for the template's placeholders and its decoded text.
+type shapeText struct {
+	shape   *shape
+	args    []Value
+	decoded string
 }
 
 // The ways a text gets its AST: the index of its parse-stage histogram.
@@ -212,7 +226,7 @@ func New(opts ...Option) *DB {
 	for _, o := range opts {
 		o(db)
 	}
-	db.stmts = txtcache.New[*parsedQuery](db.parseCap)
+	db.stmts = txtcache.New[any](db.parseCap)
 	if db.obsHub != nil {
 		m := db.obsHub.Metrics
 		db.stage = &stageHists{
@@ -333,93 +347,87 @@ func (db *DB) exec(ctx context.Context, query, app string, args []Value) (*Resul
 	// A repeated text reuses its entry: its own statement, or its shape's
 	// and its values. Cached ASTs are shared and only ever read. Parse
 	// errors are not cached: a failing text re-parses (and re-fails).
-	te, hit, admits := db.stmts.Lookup(query)
-	if hit && te.tmpl != nil { // a text spelling a shape key: no text's entry
-		hit, admits = false, false
-	}
+	e, hit, admits := db.stmts.Lookup(query)
 	how, resident := cacheHit, hit
-	if !hit {
-		var err error
-		if te, how, resident, err = db.parseMiss(query, admits, len(args) == 0 && db.parseCap > 0); err != nil {
+	var err error
+	switch e.(type) {
+	case *ownText, *shapeText:
+	default: // not held, or a shape's entry: a text spelling a shape key is no text
+		if e, how, resident, err = db.parseMiss(query, admits && !hit, len(args) == 0 && db.parseCap > 0); err != nil {
 			db.failed.Add(1)
 			return nil, fmt.Errorf("parse: %w", err)
 		}
 	}
-	// A text of a shape runs the shape's statement on its values, and has
-	// no placeholder of its own to hold a client's arguments to.
-	se, own := te, 0
-	if te.shape != nil {
-		se = te.shape
-	} else {
-		own = te.stmt.NumParams()
-	}
-	if args != nil {
-		var err error
-		if args, err = checkArgs(own, args); err != nil {
-			db.failed.Add(1)
-			return nil, err
-		}
-	}
+	var se *stmtEntry
+	var decoded string
 	var memo *Memo
-	if len(args) == 0 && (resident || te.shape != nil) {
-		memo = &se.memo
+	switch t := e.(type) {
+	case *ownText:
+		if args != nil {
+			args, err = checkArgs(t.stmt.NumParams(), args)
+		}
+		se, decoded = &t.stmtEntry, t.decoded
+		if resident && len(args) == 0 { // a slot only for a text the cache holds, with no client argument
+			memo = &se.memo
+		}
+	case *shapeText: // its shape's statement on its values, with the shape's slot, resident or not
+		if !resident {
+			defer releaseText(t)
+		}
+		_, err = checkArgs(0, args) // it has no placeholder of its own to hold a client's arguments to
+		se, decoded, args, memo = &t.shape.stmtEntry, t.decoded, t.args, &t.shape.memo
 	}
-	if te.shape != nil {
-		args = te.args
+	if err != nil {
+		db.failed.Add(1)
+		return nil, err
 	}
 	if st != nil {
 		now := time.Now()
 		st.parse[how].Observe(now.Sub(stageStart))
 		stageStart = now
 	}
-	res, err := db.run(ctx, st, execStart, stageStart, query, te.decoded, app, se, args, memo)
-	if te.shape != nil && !resident {
-		releaseText(te)
-	}
-	return res, err
+	return db.run(ctx, st, execStart, stageStart, query, decoded, app, se, args, memo)
 }
 
 // textScratch recycles the entries of texts of a shape the cache does not
 // store; releaseText hands one back emptied, so no text stays pinned.
-var textScratch = sync.Pool{New: func() any { return new(parsedQuery) }}
+var textScratch = sync.Pool{New: func() any { return new(shapeText) }}
 
-func releaseText(te *parsedQuery) {
+func releaseText(te *shapeText) {
 	clear(te.args)
-	*te = parsedQuery{args: te.args[:0]}
+	*te = shapeText{args: te.args[:0]}
 	textScratch.Put(te)
 }
 
 // parseMiss builds the entry of a text the cache does not hold, stores it
 // if admits, and says how the text got its statement (shapeHit: nothing
-// was parsed) and whether the entry is resident. With shape set the one
+// was parsed) and whether the entry is resident. With shaped set the one
 // scan keys the text by its shape; if that has a template, or gets one,
-// the entry is the text's values for it. Any other text — no literal, one
-// that is structure, a shape refused or none — is parsed on its own.
-func (db *DB) parseMiss(query string, admits, shape bool) (*parsedQuery, int, bool, error) {
+// the entry is a *shapeText. Any other text — no literal, one that is
+// structure, a shape refused or none — is parsed on its own: an *ownText.
+func (db *DB) parseMiss(query string, admits, shaped bool) (any, int, bool, error) {
 	decoded := sqlparser.DecodeCharset(query)
 	p := sqlparser.Scan(decoded)
 	defer p.Release()
 	var key []byte
-	if shape {
+	if shaped {
 		key = p.ShapeKey()
 	}
-	se, how := (*parsedQuery)(nil), cacheMiss
+	var sh *shape
+	how, err := cacheMiss, error(nil)
 	if key != nil && string(key) != decoded { // a text with no literal is its own shape
-		var err error
-		if se, how, err = db.shapeOf(p, key); err != nil {
-			return nil, how, false, err
-		}
+		sh, how, err = db.shapeOf(p, key)
 	}
-	if se != nil && se != noTemplate {
-		var te *parsedQuery
+	if sh != nil {
+		var te *shapeText
 		if admits {
-			te = &parsedQuery{args: make([]Value, 0, se.stmt.NumParams())}
+			te = &shapeText{args: make([]Value, 0, sh.stmt.NumParams())}
 		} else {
-			te = textScratch.Get().(*parsedQuery)
+			te = textScratch.Get().(*shapeText)
 		}
-		te.shape, te.decoded = se, decoded
-		for i := range se.stmt.NumParams() {
-			lit, err := p.Value(se.tmpl, i)
+		te.shape, te.decoded = sh, decoded
+		for i := range sh.stmt.NumParams() {
+			lit, err := p.Value(sh.tmpl, i)
 			if err != nil {
 				releaseText(te)
 				return nil, how, false, err
@@ -428,55 +436,49 @@ func (db *DB) parseMiss(query string, admits, shape bool) (*parsedQuery, int, bo
 		}
 		return te, how, admits && db.stmts.Put(query, te), nil
 	}
+	unshareable := errors.Is(err, sqlparser.ErrUnshareable)
+	if err != nil && !unshareable {
+		return nil, how, false, err
+	}
 	stmt, err := p.Parse()
 	if err != nil {
 		return nil, cacheMiss, false, err
 	}
-	if se == noTemplate && how == cacheMiss { // only now: a text that does not parse is not remembered
-		db.stmts.Put(string(key), noTemplate)
+	if unshareable { // remembered only now: a text that does not parse leaves nothing
+		db.stmts.Put(string(key), noTemplate{})
 	}
-	if shape {
+	if shaped {
 		db.unshareable.Add(1)
 	}
-	te := &parsedQuery{stmt: stmt, decoded: decoded, comments: stmt.StatementComments()}
+	te := &ownText{stmtEntry{stmt: stmt, comments: stmt.StatementComments()}, decoded}
 	return te, cacheMiss, admits && db.stmts.Put(query, te), nil
 }
 
-// noTemplate is the cache's entry for a shape with a literal that is
-// structure: its texts are parsed one by one, without trying again. Its
-// tmpl, empty, marks it a shape's entry like any other.
-var noTemplate = &parsedQuery{tmpl: new(sqlparser.Template)}
-
-// shapeOf returns the entry of the shape keyed key: a shape met for the
-// first time is parsed as a template here, once (a cacheMiss). It is nil if
-// a full cache refused the shape at first sight, noTemplate if a literal of
-// the statement is structure.
-func (db *DB) shapeOf(p *sqlparser.Parser, key []byte) (*parsedQuery, int, error) {
-	se, hit, admits := db.stmts.LookupBytes(key)
-	switch {
-	case hit && se.tmpl != nil:
-		return se, shapeHit, nil
-	case hit || !admits: // a text's entry under the key, or a refusal
-		return nil, shapeHit, nil
+// shapeOf returns the shape keyed key: one met for the first time is
+// parsed as a template here, once (a cacheMiss). It is nil if the shape has
+// no template (ErrUnshareable when this parse found out), or the key holds
+// none, or a full cache refused it at first sight.
+func (db *DB) shapeOf(p *sqlparser.Parser, key []byte) (*shape, int, error) {
+	e, hit, admits := db.stmts.LookupBytes(key)
+	if hit || !admits { // a shape, or noTemplate, a text's entry under the key, a refusal
+		sh, _ := e.(*shape)
+		return sh, shapeHit, nil
 	}
 	tmpl, err := p.ParseTemplate()
-	if errors.Is(err, sqlparser.ErrUnshareable) {
-		return noTemplate, cacheMiss, nil
-	}
 	if err != nil {
 		return nil, cacheMiss, err
 	}
-	se = &parsedQuery{stmt: tmpl.Stmt, comments: tmpl.Stmt.StatementComments(), tmpl: tmpl}
-	db.stmts.Put(string(key), se)
-	return se, cacheMiss, nil
+	sh := &shape{stmtEntry{stmt: tmpl.Stmt, comments: tmpl.Stmt.StatementComments()}, tmpl}
+	db.stmts.Put(string(key), sh)
+	return sh, cacheMiss, nil
 }
 
 // run takes a parsed statement through the rest of the pipeline: validate,
-// hook, execute, all three against the one catalog it loads. pq is the
+// hook, execute, all three against the one catalog it loads. se is the
 // statement's entry, memo the hook's slot for this execution.
 func (db *DB) run(ctx context.Context, st *stageHists, execStart, stageStart time.Time,
-	query, decoded, app string, pq *parsedQuery, args []Value, memo *Memo) (*Result, error) {
-	stmt := pq.stmt
+	query, decoded, app string, se *stmtEntry, args []Value, memo *Memo) (*Result, error) {
+	stmt := se.stmt
 	faultinject.Hit(faultinject.SiteEngineValidate)
 	if err := db.stageErr(ctx, "validate"); err != nil {
 		return nil, err
@@ -505,7 +507,7 @@ func (db *DB) run(ctx context.Context, st *stageHists, execStart, stageStart tim
 			Raw:      query,
 			Decoded:  decoded,
 			Stmt:     stmt,
-			Comments: pq.comments,
+			Comments: se.comments,
 			App:      app,
 			Args:     args,
 			Memo:     memo,
@@ -539,7 +541,7 @@ func (db *DB) run(ctx context.Context, st *stageHists, execStart, stageStart tim
 	if err := db.stageErr(ctx, "execute"); err != nil {
 		return nil, err
 	}
-	res, err := db.execute(cat, stmt, pq, args)
+	res, err := db.execute(cat, stmt, se, args)
 	if err != nil {
 		db.failed.Add(1)
 		return nil, err
@@ -654,12 +656,12 @@ func (cat *catalog) validateSelect(s *sqlparser.SelectStmt) error {
 // execute runs the statement against cat, the catalog it was validated
 // on: DDL publishes a successor to whatever catalog is current by then;
 // everything else locks only the tables it touches (lockplan.go), so
-// sessions on disjoint tables never contend. pq is the cache entry stmt
+// sessions on disjoint tables never contend. se is the cache entry stmt
 // came from, args the execution's arguments.
-func (db *DB) execute(cat *catalog, stmt sqlparser.Statement, pq *parsedQuery, args []Value) (*Result, error) {
+func (db *DB) execute(cat *catalog, stmt sqlparser.Statement, se *stmtEntry, args []Value) (*Result, error) {
 	switch s := stmt.(type) {
 	case *sqlparser.SelectStmt, *sqlparser.UpdateStmt, *sqlparser.DeleteStmt:
-		return cat.runPlanned(stmt, pq, args)
+		return cat.runPlanned(stmt, se, args)
 	case *sqlparser.CreateTableStmt:
 		return db.execCreateTable(s)
 	case *sqlparser.DropTableStmt:
@@ -687,18 +689,18 @@ func (db *DB) execute(cat *catalog, stmt sqlparser.Statement, pq *parsedQuery, a
 }
 
 // runPlanned executes a top-level SELECT, UPDATE or DELETE off its plan:
-// the one stored in pq if it was built against cat, else a fresh one,
+// the one stored in se if it was built against cat, else a fresh one,
 // which it publishes. The comparison comes before anything in the plan is
 // dereferenced: after DROP + CREATE of the same name a stale plan still
 // points at the dropped table's rows and index. Planning errors do not
 // exist — what a plan cannot resolve it leaves to execution — so every
 // error of a planned statement keeps coming from the execute stage, after
 // the hook ran and counted.
-func (cat *catalog) runPlanned(stmt sqlparser.Statement, pq *parsedQuery, args []Value) (*Result, error) {
-	p := pq.plan.Load()
+func (cat *catalog) runPlanned(stmt sqlparser.Statement, se *stmtEntry, args []Value) (*Result, error) {
+	p := se.plan.Load()
 	if p == nil || p.cat != cat {
 		p = cat.planStatement(stmt)
-		pq.plan.Store(p)
+		se.plan.Store(p)
 	}
 	cat.lockTables(&p.locks)
 	defer cat.unlockTables(&p.locks)

@@ -821,8 +821,9 @@ func TestResidentTextsShareTheirShape(t *testing.T) {
 	for round := 0; round < 2; round++ {
 		for i, q := range texts {
 			mustExec(t, db, q)
-			te, hit, _ := db.stmts.Lookup(q)
-			if !hit || te.shape == nil {
+			e, hit, _ := db.stmts.Lookup(q)
+			te, shaped := e.(*shapeText)
+			if !hit || !shaped {
 				t.Fatalf("%s is not resident as a text of its shape", q)
 			}
 			if len(args) != 1 || &args[0] != &te.args[0] || args[0] != values[i] {

@@ -10,22 +10,20 @@ import (
 
 // Plans.
 //
-// Most of what executing a SELECT, UPDATE or DELETE used to work out per
-// call — and per row — depends only on the statement text and the schema:
-// which tables to lock, which table the statement names and how its
-// columns lay out in a row, whether the WHERE clause is a probe of a
-// unique index, what the result columns are called and where each one
-// comes from, and what every expression means: which row offset a column
-// reference reads, which operator an operator is, what a literal LIKE
-// pattern matches. A plan holds exactly that. The plan of a top-level
-// statement is stored beside its cached AST (parsedQuery.plan) and stamped
-// with the catalog it was built against; CREATE TABLE and DROP TABLE
-// publish a new catalog, and runPlanned compares the stamp with the
-// statement's catalog before it touches anything the plan points to, so a
-// plan never serves tables other than the ones it resolved — the relation
-// the guard's verdict, in the slot next to it (parsedQuery.memo), has to
-// Store.Generation (DESIGN §6.2). A published plan is never modified; a
-// stale one is replaced by a new one.
+// Much of executing a SELECT, UPDATE or DELETE depends only on the
+// statement text and the schema: which tables to lock, which table the
+// statement names and how its columns lay out in a row, whether the WHERE
+// clause is a probe of a unique index, what the result columns are called
+// and where each one comes from, and what every expression means: which row
+// offset a column reference reads, which operator an operator is, what a
+// literal LIKE pattern matches. A plan holds exactly that. The plan of a
+// top-level statement is stored beside its cached AST (stmtEntry.plan, next
+// to the guard's slot, stmtEntry.memo) and stamped with the catalog it was
+// built against; CREATE TABLE and DROP TABLE publish a new catalog, and
+// runPlanned compares the stamp with the statement's catalog before it
+// touches anything the plan points to, so a plan never serves tables other
+// than the ones it resolved. A published plan is never modified; a stale
+// one is replaced by a new one.
 //
 // A plan holds nothing of one execution: a '?' placeholder binds to a leaf
 // that reads the execution's arguments when it is evaluated (opParam), so

@@ -8,7 +8,9 @@ package htmlcheck
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
+	"unicode/utf8"
 )
 
 // FindingKind classifies a dangerous construct.
@@ -77,9 +79,10 @@ var urlAttrs = map[string]bool{
 	"data": true, "poster": true, "background": true, "xlink:href": true,
 }
 
-// Scan parses fragment as HTML the way a browser's error-tolerant parser
-// would, and returns every dangerous construct found. A nil result means
-// the fragment is inert text.
+// Scan reads fragment as HTML, tolerating malformed markup, and returns
+// every dangerous construct it recognises. It is no browser parser: it
+// decodes only the character references that spell a script scheme in a
+// URL attribute. A nil result means it found none.
 func Scan(fragment string) []Finding {
 	var findings []Finding
 	s := scanner{input: fragment}
@@ -123,8 +126,13 @@ func IsDangerous(fragment string) bool {
 
 // hasScriptScheme checks a URL for script-executing schemes, tolerating
 // the whitespace/control-character obfuscation browsers tolerate
-// ("java\tscript:", " javascript:").
+// ("java\tscript:", " javascript:") and the character references a
+// browser decodes in an attribute value before it reads the URL
+// ("jav&#x61;script:", "javascript&colon;").
 func hasScriptScheme(url string) bool {
+	if strings.IndexByte(url, '&') >= 0 {
+		url = decodeRefs(url)
+	}
 	cleaned := make([]byte, 0, len(url))
 	for i := 0; i < len(url); i++ {
 		c := url[i]
@@ -137,6 +145,57 @@ func hasScriptScheme(url string) bool {
 	return strings.HasPrefix(lower, "javascript:") ||
 		strings.HasPrefix(lower, "vbscript:") ||
 		strings.HasPrefix(lower, "data:text/html")
+}
+
+// namedRefs are the named character references that spell a scheme's
+// colon or a blank a browser strips from it. Browsers know two thousand
+// more; none of the others stands for a character a scheme is made of.
+var namedRefs = map[string]rune{"&Tab;": '\t', "&NewLine;": '\n', "&colon;": ':'}
+
+// decodeRefs replaces the character references in s the way a browser
+// decodes an attribute value; an '&' that starts none stays.
+func decodeRefs(s string) string {
+	var b strings.Builder
+	for i := 0; i < len(s); i++ {
+		if r, n := charRef(s[i:]); n > 0 {
+			b.WriteRune(r)
+			i += n - 1
+		} else {
+			b.WriteByte(s[i])
+		}
+	}
+	return b.String()
+}
+
+// charRef reads the reference s starts with, one of namedRefs or a numeric
+// one, decimal or hex, with or without its ';': its character, U+FFFD for
+// a number that names none, and its length, 0 if s starts no reference.
+func charRef(s string) (rune, int) {
+	for name, r := range namedRefs {
+		if strings.HasPrefix(s, name) {
+			return r, len(name)
+		}
+	}
+	if len(s) < 3 || s[:2] != "&#" {
+		return 0, 0
+	}
+	start, base, digits := 2, 10, "0123456789"
+	if s[2]|0x20 == 'x' {
+		start, base, digits = 3, 16, "0123456789abcdefABCDEF"
+	}
+	end := len(s) - len(strings.TrimLeft(s[start:], digits))
+	if end == start {
+		return 0, 0
+	}
+	v, err := strconv.ParseUint(s[start:end], base, 32)
+	r := rune(v)
+	if err != nil || r == 0 || !utf8.ValidRune(r) {
+		r = utf8.RuneError
+	}
+	if strings.HasPrefix(s[end:], ";") {
+		end++
+	}
+	return r, end
 }
 
 type attribute struct {

@@ -67,6 +67,13 @@ func TestScanScriptURLs(t *testing.T) {
 		`<a href=" javascript:alert(1)">x</a>`,
 		`<img src="vbscript:msgbox(1)">`,
 		`<a href="data:text/html,<script>alert(1)</script>">x</a>`,
+		// Character references, decoded before the scheme is read.
+		`<a href="jav&#x61;script:alert(1)">x</a>`,
+		`<a href="jav&#97;script:alert(1)">x</a>`,
+		`<a href="java&Tab;script:alert(1)">x</a>`,
+		`<a href="javascript&colon;alert(1)">x</a>`,
+		`<a href="&#106;avascript:alert(1)">x</a>`,
+		`<a href="&#x6A&#x61;vascript:alert(1)">x</a>`,
 	}
 	for _, c := range cases {
 		findings := Scan(c)
@@ -98,6 +105,8 @@ func TestScanBenignContent(t *testing.T) {
 		"email@example.com",
 		`<a href="https://example.com">link</a>`,
 		`<img src="cat.png" alt="a cat">`,
+		`<a href="https://example.com/?a=1&amp;b=2">link</a>`,
+		`<a href="/q?a=&#;&#x;&#0;&#x110000;&#99999999999&amp">link</a>`,
 	}
 	for _, c := range benign {
 		if findings := Scan(c); len(findings) != 0 {
