@@ -2,10 +2,12 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
 	"github.com/septic-db/septic/internal/engine"
+	"github.com/septic-db/septic/internal/qstruct"
 	"github.com/septic-db/septic/internal/sqlparser"
 )
 
@@ -39,7 +41,9 @@ import (
 //     the text's own runs bind "ID34FG" to; the payloads are arg and each
 //     of writtenPayloads. Whatever slot the engine hands the respelling —
 //     its shape's template's, shared with the text, a write's included —
-//     its verdict is the one it gets alone, with no slot.
+//     its verdict is the one it gets alone, with no slot; and when it is
+//     an INSERT or UPDATE with one of writtenPayloads among its string
+//     values, that verdict blocks.
 func FuzzBeforeExecute(f *testing.F) {
 	for _, s := range fuzzSeeds {
 		f.Add(s, "")
@@ -219,9 +223,30 @@ func shapeSlotIsColdVerdict(t *testing.T, decoded string, stmt sqlparser.Stateme
 	}
 	alone := &engine.HookContext{Raw: again, Decoded: again, Stmt: againStmt,
 		Comments: againStmt.StatementComments(), Args: bindAll(againStmt, arg)}
-	if cold := j.sep.BeforeExecute(alone); fmt.Sprint(j.err) != fmt.Sprint(cold) {
+	cold := j.sep.BeforeExecute(alone)
+	if fmt.Sprint(j.err) != fmt.Sprint(cold) {
 		t.Fatalf("%q %q after %q: %v with a slot (%t), %v alone", again, arg, decoded, j.err, j.slot, cold)
 	}
+	if cold == nil && slices.Contains(writtenPayloads, arg) && writesString(againStmt, alone.Args, arg) {
+		t.Fatalf("%q %q after %q: the write of a stored injection passed, with a slot and alone", again, arg, decoded)
+	}
+}
+
+// writesString reports whether stmt is an INSERT or UPDATE with s among
+// its string values (a literal, or an arg bound to a '?'), the strings the
+// stored-injection plugins judge, read off the query structure.
+func writesString(stmt sqlparser.Statement, args []engine.Value, s string) bool {
+	switch stmt.(type) {
+	case *sqlparser.InsertStmt, *sqlparser.UpdateStmt:
+	default:
+		return false
+	}
+	for _, n := range qstruct.BuildStack(stmt, args...) {
+		if n.Cat == qstruct.CatString && n.Data == s {
+			return true
+		}
+	}
+	return false
 }
 
 // judge is the query hook of an engine under test: it hands every

@@ -102,27 +102,98 @@ func TestIdleClientDisconnectedByIdleTimeout(t *testing.T) {
 	}
 }
 
+// TestSlowLorisHalfFrameDisconnectedByIdleTimeout: the idle deadline
+// bounds a torn frame from the moment its wait began, on both framings,
+// and a widened session that keeps sending is never cut by it, however
+// long it lives.
 func TestSlowLorisHalfFrameDisconnectedByIdleTimeout(t *testing.T) {
-	snapshotGoroutines(t)
-	addr, _, _ := startServerOpts(t, core.Config{Mode: core.ModeTraining},
-		WithIdleTimeout(100*time.Millisecond))
+	const idle = 200 * time.Millisecond
+	start := func(t *testing.T) string {
+		snapshotGoroutines(t)
+		addr, _, db := startServerOpts(t, core.Config{Mode: core.ModeTraining},
+			WithIdleTimeout(idle))
+		if _, err := db.Exec("CREATE TABLE t (id INT)"); err != nil {
+			t.Fatal(err)
+		}
+		return addr
+	}
+	// widened dials a raw connection and widens it with a v2 HELLO.
+	widened := func(t *testing.T, addr string) net.Conn {
+		conn := rawDial(t, addr)
+		if err := WriteJSONFrame(conn, &Request{Hello: &Hello{Version: HelloVersion}}); err != nil {
+			t.Fatal(err)
+		}
+		var ack Response
+		if err := ReadJSONFrame(conn, &ack); err != nil || ack.Error != "" {
+			t.Fatalf("hello: %v %q", err, ack.Error)
+		}
+		return conn
+	}
+	// cut writes torn and waits for the server to hang up: within about
+	// the idle timeout of the write, not before it.
+	cut := func(t *testing.T, conn net.Conn, torn []byte, answered func()) {
+		began := time.Now()
+		if _, err := conn.Write(torn); err != nil {
+			t.Fatal(err)
+		}
+		answered()
+		_ = conn.SetReadDeadline(time.Now().Add(3 * time.Second))
+		if _, err := conn.Read(make([]byte, 1)); err == nil {
+			t.Fatal("server kept a half-frame session alive")
+		}
+		if elapsed := time.Since(began); elapsed < idle/2 || elapsed > 10*idle {
+			t.Fatalf("half-frame disconnect took %v, want ~%v", elapsed, idle)
+		}
+	}
 
-	// Start a frame (header promises 1000 bytes) and stall: the idle
-	// deadline, armed before the header and not re-armed by it, must cut
-	// the session half-read.
-	conn := rawDial(t, addr)
-	if _, err := conn.Write([]byte{0, 0, 3, 0xE8}); err != nil {
-		t.Fatal(err)
-	}
-	_ = conn.SetReadDeadline(time.Now().Add(3 * time.Second))
-	start := time.Now()
-	buf := make([]byte, 1)
-	if _, err := conn.Read(buf); err == nil {
-		t.Fatal("server kept a half-frame session alive")
-	}
-	if elapsed := time.Since(start); elapsed > 2*time.Second {
-		t.Fatalf("half-frame disconnect took %v, want ~100ms", elapsed)
-	}
+	t.Run("v1_header_then_silence", func(t *testing.T) {
+		// The header promises 1000 bytes and none follow.
+		cut(t, rawDial(t, start(t)), []byte{0, 0, 3, 0xE8}, func() {})
+	})
+	t.Run("v2_frame_then_half_frame", func(t *testing.T) {
+		// One whole query frame, then a header and half a payload, in one
+		// write: the first is answered, the second waits in the buffer and
+		// then on the socket.
+		conn := widened(t, start(t))
+		torn, err := appendRequestFrame(nil, 1, &Request{Query: "SELECT id FROM t"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		second, err := appendRequestFrame(nil, 2, &Request{Query: "SELECT id FROM t WHERE id = 1"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		torn = append(torn, second[:frameHeaderLen+(len(second)-frameHeaderLen)/2]...)
+		cut(t, conn, torn, func() {
+			buf := getEncBuf()
+			defer putEncBuf(buf)
+			seq, typ, body, err := readBinaryFrame(conn, buf)
+			var ans reply
+			if err == nil {
+				err = decodeReplyBody(body, &ans)
+			}
+			if err == nil {
+				err = ans.failure()
+			}
+			if err != nil || seq != 1 || typ != frameResult {
+				t.Fatalf("first frame: seq %d type %#x: %v", seq, typ, err)
+			}
+		})
+	})
+	t.Run("v2_client_sending_for_3x_idle_stays", func(t *testing.T) {
+		// Every wait on the socket is shorter than the idle timeout, the
+		// session's life three times longer: a deadline armed once and
+		// never again would cut it.
+		c := dialOpts(t, start(t), WithPipeline(4))
+		if v := c.ProtocolVersion(); v != HelloVersion {
+			t.Fatalf("ProtocolVersion = %d, want %d", v, HelloVersion)
+		}
+		for began := time.Now(); time.Since(began) < 3*idle; time.Sleep(idle / 10) {
+			if _, err := c.Submit("SELECT id FROM t").Wait(); err != nil {
+				t.Fatalf("after %v: %v", time.Since(began), err)
+			}
+		}
+	})
 }
 
 // TestStalledReaderCutOffByWriteTimeout: a client that sends and never

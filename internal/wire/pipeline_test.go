@@ -128,13 +128,20 @@ func TestPipelinedManyFuturesInFlight(t *testing.T) {
 	}
 }
 
-// TestPipelinedOutOfOrderCompletion pins the multiplexing itself: a
-// slow query submitted first must not block a fast one submitted
-// after it, and both must complete correctly.
-func TestPipelinedOutOfOrderCompletion(t *testing.T) {
+// TestChaosPipelinedOutOfOrderCompletion pins the multiplexing itself:
+// a slow query submitted first must not block fast ones submitted after
+// it, and all must complete correctly. The slow one leads a burst of 16
+// submitted before any wait, so the burst reaches the server in one
+// client flush: a writer that held its flush while any request of the
+// session is still inside the server would hold the 15 fast answers
+// behind the parked one. The gate opens in a cleanup too, so a failure
+// ends the test instead of leaving srv.Close waiting on the parked
+// executor.
+func TestChaosPipelinedOutOfOrderCompletion(t *testing.T) {
 	snapshotGoroutines(t)
 	guard := core.New(core.Config{Mode: core.ModeTraining})
 	slow := make(chan struct{})
+	var once sync.Once
 	db := engine.New(engine.WithQueryHook(&gatedHook{
 		inner: guard, match: "SELECT id FROM t WHERE id = 1", gate: slow,
 	}))
@@ -143,23 +150,37 @@ func TestPipelinedOutOfOrderCompletion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { _ = srv.Close() })
+	t.Cleanup(func() { once.Do(func() { close(slow) }); _ = srv.Close() })
 
-	c := dialOpts(t, addr, WithPipeline(8))
+	const burst = 16
+	c := dialOpts(t, addr, WithPipeline(burst))
 	if _, err := c.Exec("CREATE TABLE t (id INT)"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Exec("INSERT INTO t (id) VALUES (1), (2)"); err != nil {
-		t.Fatal(err)
+	for id := 1; id <= burst; id++ {
+		if _, err := c.Exec(fmt.Sprintf("INSERT INTO t (id) VALUES (%d)", id)); err != nil {
+			t.Fatal(err)
+		}
 	}
 
-	slowFut := c.Submit("SELECT id FROM t WHERE id = 1") // parks in the engine
-	fastFut := c.Submit("SELECT id FROM t WHERE id = 2")
+	futs := make([]*Future, burst)
+	for i := range futs { // futs[0] parks in the engine
+		futs[i] = c.Submit(fmt.Sprintf("SELECT id FROM t WHERE id = %d", i+1))
+	}
 
 	fastDone := make(chan error, 1)
 	go func() {
-		_, err := fastFut.Wait()
-		fastDone <- err
+		for i, f := range futs[1:] {
+			res, err := f.Wait()
+			if err == nil && (len(res.Rows) != 1 || res.Rows[0][0].I != int64(i+2)) {
+				err = fmt.Errorf("id %d answered with %v", i+2, res.Rows)
+			}
+			if err != nil {
+				fastDone <- err
+				return
+			}
+		}
+		fastDone <- nil
 	}()
 	select {
 	case err := <-fastDone:
@@ -167,10 +188,10 @@ func TestPipelinedOutOfOrderCompletion(t *testing.T) {
 			t.Fatalf("fast query: %v", err)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("fast query blocked behind slow one: no out-of-order completion")
+		t.Fatal("fast queries blocked behind the parked one: no out-of-order completion")
 	}
-	close(slow)
-	if _, err := slowFut.Wait(); err != nil {
+	once.Do(func() { close(slow) })
+	if _, err := futs[0].Wait(); err != nil {
 		t.Fatalf("slow query: %v", err)
 	}
 }

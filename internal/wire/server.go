@@ -8,6 +8,7 @@ import (
 	"io"
 	"log"
 	"net"
+	"runtime"
 	"runtime/debug"
 	"sync"
 	"sync/atomic"
@@ -49,11 +50,11 @@ const (
 // Default* limits above — an idle deadline, a per-query execution
 // timeout, a write deadline on every answer, a max-connections admission
 // gate with a bounded backlog — and graceful drain via Shutdown; an
-// option set to zero turns its limit off. The idle deadline also bounds
-// a torn frame: it is armed before a frame starts and runs until the
-// whole frame is in. Every query is panic-contained — a crash in the
-// engine or a hook that escapes the guard's own containment is
-// converted into an error response for that query, never a server
+// option set to zero turns its limit off. The idle deadline is armed
+// before a read that can wait on the socket, so it bounds a torn frame
+// too, from the moment its wait began. Every query is panic-contained: a
+// crash in the engine or a hook that escapes the guard's own containment
+// is converted into an error response for that query, never a server
 // crash.
 //
 // Every connection is one session on one request path (see session):
@@ -62,8 +63,8 @@ const (
 // accepted version-2 HELLO widens it in place to the pipelined binary
 // transport: a per-session worker pool executes up to
 // WithPipelineWorkers requests concurrently (at most WithMaxInFlight
-// inside the server), and a writer coalesces completed responses — in
-// completion order, not submission order — into batched flushes.
+// inside the server), and a writer coalesces completed responses, in
+// completion order, into one flush once nothing runnable can add to it.
 type Server struct {
 	db *engine.DB
 
@@ -638,21 +639,20 @@ func (ss *session) resume(t ticket) {
 // query frame.
 var errNotQuery = errors.New("protocol error: expected a query frame")
 
-// read receives one request under the idle deadline, armed before the
-// header and not re-armed, so a frame begun and left torn is bounded by
-// it too; a draining server reads nothing more. Any error ends the
-// session. On a pipelined session that
-// includes a non-query frame or a malformed body: the framing is
-// length-delimited, so the stream is technically recoverable, but a peer
-// that sends garbage is not a peer to keep serving.
+// read receives one request under the idle deadline (armIdle: before the
+// header; on a pipelined session also before the payload, and each only
+// when the buffer holds less than that read needs), so a torn frame is
+// bounded from the moment its wait began; a draining server reads nothing
+// more. Any error ends the session. On a pipelined session that includes
+// a non-query frame or a malformed body: the framing is length-delimited,
+// so the stream is technically recoverable, but a peer that sends garbage
+// is not a peer to keep serving.
 func (ss *session) read(req *Request) (seq uint64, err error) {
 	s := ss.s
 	if s.draining.Load() {
 		return 0, net.ErrClosed
 	}
-	if s.idleTimeout > 0 {
-		_ = ss.conn.SetReadDeadline(time.Now().Add(s.idleTimeout))
-	}
+	ss.armIdle(frameHeaderLen)
 	n, err := readFrameHeader(ss.r, ss.hdr[:])
 	if err != nil {
 		return 0, err
@@ -666,6 +666,7 @@ func (ss *session) read(req *Request) (seq uint64, err error) {
 		putEncBuf(buf)
 		return 0, err
 	}
+	ss.armIdle(int(n))
 	seq, typ, body, err := readBinaryFramePayload(ss.r, n, ss.buf)
 	if err == nil && typ != frameQuery {
 		err = errNotQuery
@@ -678,6 +679,18 @@ func (ss *session) read(req *Request) (seq uint64, err error) {
 		s.obsV2BytesIn.Add(int64(n) + frameHeaderLen)
 	}
 	return seq, err
+}
+
+// armIdle arms the idle deadline before a read of need bytes unless a
+// widened session's buffer already holds them: that read cannot wait.
+func (ss *session) armIdle(need int) {
+	if ss.s.idleTimeout <= 0 {
+		return
+	}
+	if br, ok := ss.r.(*bufio.Reader); ok && br.Buffered() >= need {
+		return
+	}
+	_ = ss.conn.SetReadDeadline(time.Now().Add(ss.s.idleTimeout))
 }
 
 // helloNext is what an answered handshake makes of the session.
@@ -877,13 +890,15 @@ func (ss *session) complete(written bool) {
 // widen turns the session pipelined. From here three roles share the
 // connection:
 //
-//   - the serving goroutine keeps reading and admitting, and blocks on
-//     the window when the session's in-flight bound is reached;
+//   - the serving goroutine keeps reading (through a buffer now, so a
+//     read the buffer serves arms no idle deadline) and admitting, and
+//     blocks on the window when the session's in-flight bound is reached;
 //   - a fixed pool of workers executes admitted requests concurrently
 //     (each under its own watchdog, with the same panic containment as a
 //     synchronous request), finishing in whatever order the engine does,
 //     and encodes each answer into its frame;
-//   - one writer writes and flushes finished frames (writeLoop).
+//   - one writer writes finished frames and flushes once nothing
+//     runnable can add to the batch (writeLoop).
 //
 // Neither channel can block its sender: both hold maxInFlight tickets
 // and the window admits no more than that.
@@ -945,9 +960,10 @@ func (ss *session) close() {
 // writeLoop is the pipelined session's writer: it drains finished
 // requests, copying their frames back-to-back into a buffered writer,
 // and flushes once per drained batch — the write coalescing that turns
-// a burst of small responses into one syscall. It never blocks teardown
-// on a dead peer: after a write error it closes the conn and keeps
-// completing requests without writing them.
+// a burst of small responses into one syscall. A batch is drained when
+// out stays empty past the one yield next allows it. It never blocks
+// teardown on a dead peer: after a write error it closes the conn and
+// keeps completing requests without writing them.
 func (ss *session) writeLoop() {
 	defer close(ss.writerDone)
 	s, conn := ss.s, ss.conn
@@ -957,22 +973,12 @@ func (ss *session) writeLoop() {
 		if s.writeTimeout > 0 {
 			_ = conn.SetWriteDeadline(time.Now().Add(s.writeTimeout))
 		}
-	drain:
-		for {
+		for ok, yielded := true, false; ok; t, ok = ss.next(&yielded) {
 			if !failed {
 				failed = !ss.writeResult(bw, t.frame.b)
 			}
 			putEncBuf(t.frame)
 			ss.complete(!failed)
-			select {
-			case next, ok := <-ss.out:
-				if !ok {
-					break drain
-				}
-				t = next
-			default:
-				break drain
-			}
 		}
 		if !failed {
 			if err := bw.Flush(); err != nil {
@@ -982,6 +988,26 @@ func (ss *session) writeLoop() {
 				s.obsV2Flushes.Inc()
 			}
 		}
+	}
+}
+
+// next returns the writer's next answered ticket, or false to flush (out
+// is empty, or closed). While the session still holds requests an empty
+// out earns one yield per flush (*yielded), so an executor that was
+// runnable answers into this flush; a parked one is not runnable, so the
+// yield returns at once and holds no answer back.
+func (ss *session) next(yielded *bool) (ticket, bool) {
+	for {
+		select {
+		case t, ok := <-ss.out:
+			return t, ok
+		default:
+		}
+		if *yielded || len(ss.window) == 0 {
+			return ticket{}, false
+		}
+		*yielded = true
+		runtime.Gosched()
 	}
 }
 
